@@ -190,8 +190,7 @@ pub struct JourneyBook {
     /// Journeys in ascending id order (the ids are hashes, so this is a
     /// deterministic but otherwise meaningless order).
     pub journeys: Vec<Journey>,
-    /// Events with journey id 0: corrupted-beyond-parsing payloads,
-    /// pre-upgrade DWTRACE1 events.
+    /// Events with journey id 0: corrupted-beyond-parsing payloads.
     pub unattributed: Vec<Event>,
     /// Total events in the source trace — the balance the books must
     /// close against.

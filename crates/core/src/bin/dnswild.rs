@@ -16,35 +16,39 @@
 //!   resolver-level: every transaction answered or SERVFAIL, every
 //!   datagram accounted, and — because the fault schedule is a pure
 //!   function of the seed — every `chaos-` output line identical across
-//!   runs. Exits non-zero on any discrepancy (CI gate);
+//!   runs. Exits non-zero on any discrepancy. Every smoke mode is one
+//!   gate function of [`dnswild::lab`]; this file only parses flags,
+//!   prints the gate's report and turns its failures into an exit code;
+//! * `dnswild gate` — the named CI configurations of those gates, run
+//!   twice where reproducibility is the claim and compared in Rust;
 //! * `dnswild report` — the paper's analyses over a recorded trace,
 //!   plus `--tails` journey-level tail attribution;
 //! * `dnswild explain` — per-query hop-by-hop timelines reconstructed
 //!   from a recorded trace (slowest-N, failed, or one journey by id).
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dnswild::lab::{
+    self, AttackSpec, CacheSpec, ChaosSpec, GateReport, PlainSpec, Rig, ATTACK_DELEGATION_NS,
+    CACHE_STALE_WINDOW,
+};
 use dnswild::report::{render_coverage, render_rank_profile, render_share};
 use dnswild_analysis::{
-    amplification, coverage, query_share, rank_profile, reconstruct, render_timeline,
-    tail_report, trace_auth_counts, trace_cache_counts, trace_client_counts,
-    trace_to_measurement, Journey,
+    coverage, query_share, rank_profile, reconstruct, render_timeline, tail_report,
+    trace_auth_counts, trace_cache_counts, trace_client_counts, trace_to_measurement, Journey,
 };
-use dnswild_metrics::{parse_exposition, scrape, Watchdog, WatchdogConfig};
-use dnswild_netio::attack::NXNS_EDNS_PAYLOAD;
+use dnswild_metrics::{parse_exposition, scrape};
 use dnswild_netio::{
-    assault, blast, mirror_cache, mirror_collector, resolve, serve, server_stats_kinds,
-    AttackConfig, AttackMode, CacheConfig, ChaosProxy, Collector, CollectorConfig, Direction,
-    FaultPlan, FaultProfile, IoBackend, LoadConfig, MetricsServer, QueryMix, Registry,
-    ResolveConfig, ServeConfig, SharedCache, TcpFaultProfile, TcpOptions, Trace,
+    assault, blast, mirror_cache, mirror_collector, resolve, serve, AttackConfig, AttackMode,
+    CacheConfig, ChaosProxy, Collector, Direction, FaultPlan, FaultProfile, IoBackend, LoadConfig,
+    MetricsServer, QueryMix, Registry, ResolveConfig, ServeConfig, SharedCache, TcpFaultProfile,
+    TcpOptions, Trace,
 };
 use dnswild_proto::Name;
-use dnswild_resolver::PolicyKind;
 use dnswild_server::{RateLimitPolicy, RrlScope, ServerStats, TruncationPolicy};
-use dnswild_zone::presets::{
-    attack_test_domain_zone, padded_test_domain_zone, probe_ttl_test_domain_zone, test_domain_zone,
-};
+use dnswild_zone::presets::{attack_test_domain_zone, padded_test_domain_zone};
 
 fn usage_exit(code: i32) -> ! {
     eprintln!(
@@ -174,6 +178,10 @@ fn usage_exit(code: i32) -> ! {
              --json           emit one JSON object instead of the text report\n\
              --metrics-addr A:P  expose metrics over HTTP; with --chaos this\n\
                               also runs the scrape-equality and watchdog gates\n\
+           gate    one named CI gate: the smoke configuration scripts/verify.sh\n\
+                   pins, run twice where reproducibility is the claim, with\n\
+                   the deterministic lines compared in-process\n\
+             <name>           the gate to run; `list` prints every name\n\
            top     live view over a running metrics endpoint\n\
              --addr A:P       metrics endpoint to poll (default 127.0.0.1:9153)\n\
              --interval-ms M  poll interval (default 1000)\n\
@@ -209,12 +217,16 @@ fn parse_flag<T: std::str::FromStr>(args: &mut std::slice::Iter<'_, String>, fla
         })
 }
 
+/// Unwraps a rig result or exits 1 with the rig's complaint.
+fn or_die<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    })
+}
+
 fn print_stats(stats: ServerStats) {
-    // `server_stats_kinds` is the single source of truth for the
-    // counter set, so this line can never lag a new ServerStats field.
-    let fields: Vec<String> =
-        server_stats_kinds(&stats).iter().map(|(kind, n)| format!("{kind}={n}")).collect();
-    println!("stats: {}", fields.join(" "));
+    println!("stats: {}", lab::render_server_stats(&stats));
 }
 
 fn report_blast(report: &dnswild_netio::LoadReport) {
@@ -247,13 +259,7 @@ fn parse_origin(origin: &str) -> Name {
 /// Starts a telemetry collector writing to `path` with the given auth
 /// table (auth id = index).
 fn start_collector(path: &str, auths: &[&str]) -> Arc<Collector> {
-    match Collector::start(CollectorConfig::new(path).auths(auths.iter().copied())) {
-        Ok(c) => Arc::new(c),
-        Err(e) => {
-            eprintln!("trace: {e}");
-            std::process::exit(1)
-        }
-    }
+    or_die(lab::start_collector(Path::new(path), auths))
 }
 
 /// Finishes the collector and prints the trace summary. The event and
@@ -261,31 +267,9 @@ fn start_collector(path: &str, auths: &[&str]) -> Arc<Collector> {
 /// digest additionally commits to which server each client attempt
 /// picked, so it is only run-to-run stable for non-chaos runs.
 fn finish_trace(collector: &Collector, path: &str) {
-    let summary = collector.finish().unwrap_or_else(|e| {
-        eprintln!("trace: finish: {e}");
-        std::process::exit(1)
-    });
+    let (summary, trace) = or_die(lab::finish_trace(collector, Path::new(path)));
     println!("trace-summary: events={} overflow={}", summary.events, summary.overflow);
-    match Trace::read_from(std::path::Path::new(path)) {
-        Ok(t) => println!("trace-digest: {:016x}", t.digest()),
-        Err(e) => {
-            eprintln!("trace: read back: {e}");
-            std::process::exit(1)
-        }
-    }
-}
-
-/// Dumps the flight recorder's retained journeys (failed pins, the
-/// slowest-K, the recency ring) as JSONL. Call *after* `finish_trace`:
-/// the final drain sweep has then folded every event into the recorder.
-fn dump_flight(collector: &Collector, path: &str) {
-    match collector.dump_flight(std::path::Path::new(path)) {
-        Ok(n) => println!("flight-dump: journeys={n} path={path}"),
-        Err(e) => {
-            eprintln!("flight-dump: {path}: {e}");
-            std::process::exit(1)
-        }
-    }
+    println!("trace-digest: {:016x}", trace.digest());
 }
 
 /// One JSON object summarising a load run — counters, latency
@@ -308,59 +292,22 @@ fn json_blast(report: &dnswild_netio::LoadReport, stats: Option<&ServerStats>) -
         pct(1.0)
     );
     if let Some(s) = stats {
-        let fields: Vec<String> =
-            server_stats_kinds(s).iter().map(|(kind, n)| format!("\"{kind}\":{n}")).collect();
+        let fields: Vec<String> = dnswild_netio::server_stats_kinds(s)
+            .iter()
+            .map(|(kind, n)| format!("\"{kind}\":{n}"))
+            .collect();
         out.push_str(&format!(",\"server\":{{{}}}", fields.join(",")));
     }
     out.push('}');
     out
 }
 
-/// The canonical chaos fault mix: `loss` split 60/40 across the forward
-/// and reverse directions (a query lost either way costs the client one
-/// attempt), 2% duplication, `corrupt` per copy, a light truncate and
-/// reorder rate, and 0–20 ms of per-copy delay. The 20 ms ceiling keeps
-/// the worst-case hold (2×20 ms per direction, 80 ms round trip) far
-/// below the client's 250 ms base timeout — a determinism requirement,
-/// see `dnswild_netio::client`.
-fn chaos_profiles(loss: f64, corrupt: f64) -> (FaultProfile, FaultProfile) {
-    let base = FaultProfile {
-        drop: 0.0,
-        dup: 0.02,
-        corrupt,
-        truncate: 0.005,
-        reorder: 0.05,
-        delay_min_us: 0,
-        delay_max_us: 0,
-    }
-    .delay_ms(0, 20);
-    (
-        FaultProfile { drop: loss * 0.6, ..base },
-        FaultProfile { drop: loss * 0.4, ..base },
-    )
-}
-
-/// Binds the Prometheus exposition endpoint and returns the registry
-/// backing it plus the server handle.
 fn start_metrics(addr: &str) -> (Arc<Registry>, MetricsServer) {
-    let registry = Arc::new(Registry::new());
-    let server = MetricsServer::spawn(addr, Arc::clone(&registry)).unwrap_or_else(|e| {
-        eprintln!("metrics: {e}");
-        std::process::exit(1)
-    });
-    eprintln!("metrics: exposing on http://{}/metrics", server.local_addr());
-    (registry, server)
+    or_die(lab::start_metrics(addr))
 }
 
-/// Spawns the law watchdog over a metrics registry, exiting on spawn
-/// failure.
 fn start_watchdog(registry: &Arc<Registry>) -> dnswild_metrics::WatchdogHandle {
-    Watchdog::new(Arc::clone(registry), WatchdogConfig::default())
-        .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!("watchdog: {e}");
-            std::process::exit(1)
-        })
+    or_die(lab::start_watchdog(registry))
 }
 
 fn cmd_serve(args: &[String]) {
@@ -536,29 +483,6 @@ fn cmd_serve(args: &[String]) {
 /// its hot set warm instead of letting it expire.
 const BLAST_PREFETCH_WINDOW: u32 = 2;
 
-/// Serve-stale window for `--serve-stale` runs: expired entries stay
-/// servable for this long. RFC 8767 permits hours; ten minutes is
-/// plenty for a gate whose blackhole pass runs seconds after expiry.
-const CACHE_STALE_WINDOW: u32 = 600;
-
-/// One deterministic-for-a-fixed-run line of record-cache counters, the
-/// shape shared by `blast --cache` and the smoke cache gate.
-fn render_cache_stats(cache: &SharedCache) -> String {
-    let s = cache.stats();
-    format!(
-        "hits={} misses={} expired={} negative={} inserts={} evictions={} stale_served={} \
-         entries={}",
-        s.hits,
-        s.misses,
-        s.expired,
-        s.negative_hits,
-        s.inserts,
-        s.evictions,
-        s.stale_served,
-        cache.len()
-    )
-}
-
 fn cmd_blast(args: &[String]) {
     let mut addr = "127.0.0.1:5300".to_string();
     let mut concurrency = 4usize;
@@ -681,7 +605,7 @@ fn cmd_blast(args: &[String]) {
     if chaos {
         // Interpose a fault proxy and drive the resolver client, whose
         // retry/backoff/SRTT loop is what makes lossy paths survivable.
-        let (fwd, rev) = chaos_profiles(loss, corrupt);
+        let (fwd, rev) = lab::canonical_profiles(loss, corrupt);
         let plan = Arc::new(FaultPlan::new(seed, fwd, rev));
         let proxy = ChaosProxy::spawn_metered(
             "127.0.0.1:0",
@@ -778,7 +702,7 @@ fn cmd_blast(args: &[String]) {
             println!("chaos-rev: {}", plan.tally(Direction::Reverse).render());
             println!("chaos-tcp: {}", plan.tcp_tally().render());
             if let Some(sc) = &shared_cache {
-                println!("cache-stats: {}", render_cache_stats(sc));
+                println!("cache-stats: {}", lab::render_cache_stats(sc));
             }
             println!(
                 "elapsed_ms={} qps={:.0}",
@@ -996,1304 +920,109 @@ fn cmd_smoke(args: &[String]) {
         eprintln!("smoke: --flight-dump is available on the plain and --chaos smokes");
         std::process::exit(2);
     }
-    if cache {
-        if chaos || attack.is_some() || json {
-            eprintln!("smoke: --cache is exclusive with --chaos / --attack / --json");
-            std::process::exit(2);
-        }
-        cache_smoke(
-            queries,
-            threads,
-            io,
-            batch,
-            seed,
-            cache_cap,
-            serve_stale,
-            prefetch,
-            trace.as_deref(),
-            metrics_addr.as_deref(),
-        );
-        return;
+    if cache && (chaos || attack.is_some() || json) {
+        eprintln!("smoke: --cache is exclusive with --chaos / --attack / --json");
+        std::process::exit(2);
     }
-    if let Some(mode) = attack {
-        if chaos || json {
-            eprintln!("smoke: --attack is exclusive with --chaos / --json");
-            std::process::exit(2);
-        }
-        attack_smoke(
-            mode,
-            rrl,
-            queries,
-            threads,
-            io,
-            batch,
-            concurrency,
-            seed,
-            trace.as_deref(),
-            metrics_addr.as_deref(),
-        );
-        return;
+    if attack.is_some() && (chaos || json) {
+        eprintln!("smoke: --attack is exclusive with --chaos / --json");
+        std::process::exit(2);
     }
-    if chaos {
-        if json {
-            eprintln!("smoke: --chaos and --json are mutually exclusive");
-            std::process::exit(2);
-        }
-        chaos_smoke(
-            queries,
-            threads,
-            io,
-            batch,
-            seed,
-            loss,
-            corrupt,
-            rrl,
-            tcp.then(|| edns_size.unwrap_or(512)),
-            budget_secs,
-            trace.as_deref(),
-            flight_dump.as_deref(),
-            metrics_addr.as_deref(),
-        );
-        return;
+    if chaos && json {
+        eprintln!("smoke: --chaos and --json are mutually exclusive");
+        std::process::exit(2);
     }
-    let origin = Name::parse("ourtestdomain.nl").expect("static origin");
-    let zones = Arc::new(vec![test_domain_zone(&origin, 2)]);
-    let collector = trace.as_ref().map(|path| start_collector(path, &["FRA"]));
-    let metrics = metrics_addr.as_deref().map(start_metrics);
-    let mut serve_cfg = ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(threads).io(io);
-    if let Some(b) = batch {
-        serve_cfg = serve_cfg.batch(b);
-    }
-    if let Some(c) = &collector {
-        serve_cfg = serve_cfg.collector(Arc::clone(c), 0);
-    }
-    if let Some((registry, _)) = &metrics {
-        serve_cfg = serve_cfg.metrics(Arc::clone(registry));
-        if let Some(c) = &collector {
-            mirror_collector(registry, c);
-        }
-    }
-    let handle = serve(serve_cfg).unwrap_or_else(|e| {
-        eprintln!("smoke: serve: {e}");
-        std::process::exit(1)
-    });
-    eprintln!(
-        "smoke: serving on udp://{} with {} shards (io={}, reuseport={})",
-        handle.local_addr(),
-        handle.threads(),
-        handle.backend().name(),
-        handle.reuseport()
-    );
-    let mut load_cfg =
-        LoadConfig::new(handle.local_addr(), origin).concurrency(concurrency).queries(queries);
-    if let Some(c) = &collector {
-        load_cfg = load_cfg.collector(Arc::clone(c), 0);
-    }
-    if let Some((registry, _)) = &metrics {
-        load_cfg = load_cfg.metrics(Arc::clone(registry));
-    }
-    let report = blast(load_cfg).unwrap_or_else(|e| {
-        eprintln!("smoke: blast: {e}");
-        std::process::exit(1)
-    });
-    let io = handle.io_errors();
-    let stats = handle.shutdown();
-    if json {
-        println!("{}", json_blast(&report, Some(&stats)));
+    let rig = Rig {
+        threads,
+        io,
+        batch,
+        trace: trace.map(Into::into),
+        flight_dump: flight_dump.map(Into::into),
+        metrics_addr,
+    };
+    let run = if cache {
+        lab::cache(&rig, &CacheSpec { queries, seed, capacity: cache_cap, serve_stale, prefetch })
+    } else if let Some(mode) = attack {
+        lab::attack(&rig, &AttackSpec { mode, rrl, queries, concurrency, seed })
+    } else if chaos {
+        lab::chaos(
+            &rig,
+            &ChaosSpec {
+                queries,
+                seed,
+                loss,
+                corrupt,
+                rrl,
+                truncation: tcp.then(|| edns_size.unwrap_or(512)),
+                budget: Duration::from_secs(budget_secs),
+            },
+        )
     } else {
-        report_blast(&report);
-        print_stats(stats);
-    }
-    if let (Some(c), Some(path)) = (&collector, &trace) {
-        finish_trace(c, path);
-        if let Some(fd) = &flight_dump {
-            dump_flight(c, fd);
+        lab::plain(&rig, &PlainSpec { queries, concurrency })
+    };
+    let report = run.unwrap_or_else(|e| {
+        eprintln!("smoke: {e}");
+        std::process::exit(1)
+    });
+    // Only the plain smoke carries a load summary outside its lines:
+    // `--json` swaps its rendering, and keeps stdout machine-readable by
+    // sending the verdict to stderr.
+    if let (Some(load), None) = (&report.load, attack) {
+        if json {
+            println!("{}", json_blast(load, Some(&report.server)));
+        } else {
+            report_blast(load);
+            print_stats(report.server);
         }
     }
-    if let Some((_, server)) = metrics {
-        server.shutdown();
+    conclude("smoke", &report, json);
+}
+
+/// Prints a gate report's lines and verdict; exits 1 on any failure.
+fn conclude(who: &str, report: &GateReport, verdict_to_stderr: bool) {
+    for line in &report.lines {
+        println!("{}", line.text);
     }
-    if !report.all_answered() {
-        eprintln!("smoke: FAIL — lost or stale responses");
+    if !report.passed() {
+        for f in &report.failures {
+            eprintln!("{who}: FAIL — {f}");
+        }
         std::process::exit(1);
     }
-    if let Err(complaint) = report.check_server_stats(stats) {
-        eprintln!("smoke: FAIL — {complaint}");
-        std::process::exit(1);
-    }
-    // On a lossless loopback nothing may have failed to decode, and
-    // every datagram the server saw must be one of ours.
-    if io.decode_errors != 0 || io.recv_errors != 0 {
-        eprintln!(
-            "smoke: FAIL — io errors on a lossless loopback: recv={} decode={}",
-            io.recv_errors, io.decode_errors
-        );
-        std::process::exit(1);
-    }
-    if stats.packets_seen() != report.sent {
-        eprintln!(
-            "smoke: FAIL — server classified {} packets, {} were sent",
-            stats.packets_seen(),
-            report.sent
-        );
-        std::process::exit(1);
-    }
-    let pass = format!("smoke: PASS — {} queries, 100% answered, counters consistent", report.sent);
-    if json {
-        // Keep stdout machine-readable: the verdict goes to stderr.
+    let pass = format!("{who}: PASS — {}", report.pass);
+    if verdict_to_stderr {
         eprintln!("{pass}");
     } else {
         println!("{pass}");
     }
 }
 
-/// The chaos smoke gate: one in-process server behind two fault proxies
-/// sharing one seeded plan (so the resolver's server choice cannot
-/// change any datagram's fate), driven by the retry/backoff client.
-///
-/// Pass criteria are resolver-level: every transaction answered or
-/// SERVFAIL, the attempt books balanced, every datagram delivered by
-/// the fault plan classified exactly once on each side, and the whole
-/// run inside the wall-clock budget. All `chaos-` lines are
-/// deterministic for a given seed — `scripts/verify.sh` compares them
-/// verbatim across two runs.
-///
-/// With `truncation` set (`--tcp`), the run becomes the truncation
-/// gate: the zone's probe answers are padded past the EDNS limit so
-/// every UDP answer comes back TC=1, the server also listens on TCP,
-/// and the proxies inject TCP connection faults (refused connections,
-/// mid-stream resets, stalls, corrupted length prefixes). The extra
-/// pass criteria: answers truncated on UDP actually completed over
-/// TCP, and every TCP frame the fault plan let through was classified
-/// by the server — the stream books balance just like the datagram
-/// books.
-///
-/// With `rrl` set the server additionally runs a harness-tuned response
-/// rate limiter (per-port keys so every proxy session socket is its own
-/// bucket, every query charged, a small burst so ~2k transactions
-/// exhaust it). The limiter's refill is charge-counted, not wall-clock,
-/// and each worker holds one datagram in flight at a time, so per-bucket
-/// verdict order is the worker's send order — deterministic — provided
-/// three wall-clock races are pinned down: the fault plan's delay range
-/// is zeroed (no duplicate may race the next attempt into a bucket),
-/// server selection is round-robin instead of measured-RTT BindSrtt
-/// (which proxy carries an attempt decides which bucket it charges),
-/// and the TCP fallback opens a fresh connection per detour (whether a
-/// *reused* connection is still alive is a timing question, and one
-/// extra retry frame shifts every later verdict in its bucket). The rrl
-/// leg also runs 32 client workers instead of 8: TC detours and rrl
-/// drops both wait out full 250 ms attempt windows, and the wider fixed
-/// split keeps thousands of those waits inside the budget without
-/// shrinking the windows toward the scheduler-jitter edge.
-#[allow(clippy::too_many_arguments)]
-fn chaos_smoke(
-    queries: u64,
-    threads: usize,
-    io: IoBackend,
-    batch: Option<usize>,
-    seed: u64,
-    loss: f64,
-    corrupt: f64,
-    rrl: bool,
-    truncation: Option<u16>,
-    budget_secs: u64,
-    trace: Option<&str>,
-    flight_dump: Option<&str>,
-    metrics_addr: Option<&str>,
-) {
-    let origin = Name::parse("ourtestdomain.nl").expect("static origin");
-    // In truncation mode the wildcard probe answer is padded to ~900
-    // bytes of TXT rdata, comfortably past the gate's default 512-byte
-    // EDNS limit, so every UDP answer truncates.
-    let zones = Arc::new(vec![match truncation {
-        Some(_) => padded_test_domain_zone(&origin, 2, 900),
-        None => test_domain_zone(&origin, 2),
-    }]);
-    let collector = trace.map(|path| start_collector(path, &["FRA"]));
-    let metrics = metrics_addr.map(start_metrics);
-    let mut serve_cfg = ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(threads).io(io);
-    if let Some(size) = truncation {
-        // The rrl leg churns connections (fresh connection per
-        // fallback, and faulted ones linger until their relay notices
-        // the hangup): against the default 64-connection cap an
-        // over-cap close loses a frame the fault plan already tallied
-        // as forwarded, failing the stream books. Give it headroom;
-        // the plain truncation gate keeps the defaults.
-        let tcp_opts = if rrl {
-            TcpOptions { max_conns: 512, ..TcpOptions::default() }
-        } else {
-            TcpOptions::default()
-        };
-        serve_cfg = serve_cfg.tcp(tcp_opts).truncation(TruncationPolicy::symmetric(size));
-    }
-    if rrl {
-        // Small burst so a ~2k-transaction run exhausts every bucket,
-        // rate 1/2 so half the post-burst charges still pass (the drop
-        // feedback loop — drop, timeout, retry, charge again — must
-        // damp, or the run crawls), slip=2 so the limited tail splits
-        // into TC=1 slips (which complete over TCP — it is never
-        // limited) and outright drops (which cost the client a
-        // timeout). Per-port keys give each proxy session socket its
-        // own bucket.
-        serve_cfg = serve_cfg.rate_limit(RateLimitPolicy {
-            burst: 20,
-            rate: 1,
-            period: 2,
-            slip: 2,
-            nxdomain_budget: 0,
-            scope: RrlScope::All,
-            key_ports: true,
-            ..RateLimitPolicy::default()
-        });
-    }
-    if let Some(b) = batch {
-        serve_cfg = serve_cfg.batch(b);
-    }
-    if let Some(c) = &collector {
-        serve_cfg = serve_cfg.collector(Arc::clone(c), 0);
-    }
-    if let Some((registry, _)) = &metrics {
-        serve_cfg = serve_cfg.metrics(Arc::clone(registry));
-        if let Some(c) = &collector {
-            mirror_collector(registry, c);
+/// `dnswild gate <name>`: one row of [`lab::GATES`]. The gate prints what
+/// its (first) run printed, then every cross-run expectation that broke.
+fn cmd_gate(args: &[String]) {
+    let name = match args {
+        [name] if name != "--help" && name != "-h" => name.as_str(),
+        [_] => usage_exit(0),
+        _ => {
+            eprintln!("gate needs exactly one gate name (`dnswild gate list` prints them)");
+            usage_exit(2)
         }
-    }
-    let handle = serve(serve_cfg).unwrap_or_else(|e| {
-        eprintln!("smoke: serve: {e}");
-        std::process::exit(1)
-    });
-    let (mut fwd, mut rev) = chaos_profiles(loss, corrupt);
-    if rrl {
-        // See the function docs: a delayed duplicate racing the next
-        // attempt into the same limiter bucket would flip verdict order
-        // across runs, and the tail-attribution gate diffs `tails-`
-        // lines verbatim.
-        fwd = FaultProfile { delay_min_us: 0, delay_max_us: 0, ..fwd };
-        rev = FaultProfile { delay_min_us: 0, delay_max_us: 0, ..rev };
-    }
-    let mut plan = FaultPlan::new(seed, fwd, rev);
-    if truncation.is_some() {
-        // TCP connection faults for the truncation gate: roughly one
-        // fallback in five hits a fault on its first try. The client's
-        // cached-then-fresh retry absorbs a single fault per fallback,
-        // and later attempts re-enter the fallback, so completion still
-        // converges.
-        plan = plan.with_tcp(TcpFaultProfile {
-            refuse: 0.10,
-            reset: 0.04,
-            stall: 0.04,
-            corrupt_len: 0.04,
-        });
-    }
-    let plan = Arc::new(plan);
-    let spawn_proxy = |label: &'static str| {
-        ChaosProxy::spawn_metered(
-            "127.0.0.1:0",
-            handle.local_addr(),
-            Arc::clone(&plan),
-            collector.as_ref().map(Arc::clone),
-            metrics.as_ref().map(|(r, _)| (Arc::clone(r), label)),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("smoke: chaos proxy: {e}");
-            std::process::exit(1)
-        })
     };
-    let p1 = spawn_proxy("p1");
-    let p2 = spawn_proxy("p2");
-    eprintln!(
-        "smoke: serving on udp://{} (io={}) behind chaos proxies {} and {} (seed {seed})",
-        handle.local_addr(),
-        handle.backend().name(),
-        p1.local_addr(),
-        p2.local_addr()
-    );
-    if let (Some(size), Some(tcp_addr)) = (truncation, handle.tcp_addr()) {
-        eprintln!(
-            "smoke: truncation gate — tcp://{tcp_addr} behind the same proxies, \
-             EDNS limit {size} bytes"
-        );
-    }
-    if rrl {
-        eprintln!("smoke: rrl gate — per-port buckets, burst 20, slip 2, every query charged");
-    }
-
-    let started = Instant::now();
-    let mut cfg =
-        ResolveConfig::new(vec![p1.local_addr(), p2.local_addr()], origin).transactions(queries);
-    // Fixed, not host-dependent: the transaction→worker split is part
-    // of the deterministic fault schedule. The rrl leg runs wider:
-    // every TC detour and every rrl-dropped attempt waits out its full
-    // attempt window first, and 32 workers amortise those waits
-    // without touching per-flow ordering (RRL buckets are keyed by
-    // flow, so each bucket's charge order is one worker's send order
-    // either way).
-    cfg = cfg.concurrency(if rrl { 32 } else { 8 });
-    if let Some(size) = truncation {
-        // Fresh connection per fallback: a *reused* connection's fate
-        // (alive or shed/reset since last use) is a wall-clock race,
-        // and one extra retry frame shifts every later RRL verdict in
-        // that bucket. No reuse keeps the frame schedule seed-pure.
-        cfg = cfg.edns_size(size).tcp_reuse(false);
-    }
-    if rrl {
-        // The default BindSrtt policy picks servers by *measured* RTT —
-        // harmless without RRL (the shared fault plan is content-keyed,
-        // so a query meets the same fate through either proxy) but
-        // fatal with it: buckets are per flow, so which proxy carries
-        // an attempt decides which bucket it charges. Round-robin makes
-        // the charge schedule a pure function of the seed.
-        cfg = cfg.policy(PolicyKind::RoundRobin);
-    }
-    cfg.seed = seed;
-    if let Some(c) = &collector {
-        cfg = cfg.collector(Arc::clone(c));
-    }
-    if let Some((registry, _)) = &metrics {
-        cfg = cfg.metrics(Arc::clone(registry));
-    }
-    let watchdog = metrics.as_ref().map(|(registry, _)| start_watchdog(registry));
-    // A scraper polls the live endpoint for the whole blast — the gate
-    // requires at least one successful mid-run scrape, proving the
-    // exposition works under load, not just at rest.
-    let scrape_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = metrics.as_ref().map(|(_, server)| {
-        let addr = server.local_addr();
-        let stop = Arc::clone(&scrape_stop);
-        std::thread::spawn(move || {
-            let mut ok = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                if scrape(addr).map(|t| t.contains("dnswild_")).unwrap_or(false) {
-                    ok += 1;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            ok
-        })
-    });
-    let report = resolve(cfg).unwrap_or_else(|e| {
-        eprintln!("smoke: resolve: {e}");
-        std::process::exit(1)
-    });
-    scrape_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let live_scrapes = scraper.map(|h| h.join().expect("scraper panicked")).unwrap_or(0);
-    // Shutting the proxies down flushes any copy still held by their
-    // delay schedulers and joins the TCP relay threads, so both tallies
-    // are final afterwards.
-    p1.shutdown();
-    p2.shutdown();
-    let fwd_tally = plan.tally(Direction::Forward);
-    let rev_tally = plan.tally(Direction::Reverse);
-    let tcp_tally = plan.tcp_tally();
-    // TCP frames that reached the server: delivered in full, plus those
-    // whose connection was reset or whose *response* length prefix was
-    // corrupted — in both cases the query itself went upstream.
-    let tcp_forwarded = tcp_tally.delivered + tcp_tally.reset + tcp_tally.corrupt_len;
-
-    // Let the server catch up with the last flushed deliveries before
-    // balancing the books.
-    let settle = Instant::now() + Duration::from_secs(5);
-    while handle.stats().packets_seen() < fwd_tally.delivered + tcp_forwarded
-        && Instant::now() < settle
-    {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let io = handle.io_errors();
-    let stats = handle.shutdown();
-    let elapsed = started.elapsed();
-
-    // Every line prefixed `chaos-` is a pure function of the seed.
-    println!(
-        "chaos-summary: seed={} digest={:016x} events={}",
-        seed,
-        plan.schedule_digest(),
-        plan.events()
-    );
-    println!("chaos-client: {}", report.stats.render());
-    println!("chaos-fwd: {}", fwd_tally.render());
-    println!("chaos-rev: {}", rev_tally.render());
-    println!("chaos-tcp: {}", tcp_tally.render());
-    println!(
-        "chaos-server: queries={} answers={} refused={} formerr={} notimp={} dropped={} \
-         truncated={} tcp_queries={} decode_errors={}",
-        stats.queries,
-        stats.answers,
-        stats.refused,
-        stats.formerr,
-        stats.notimp,
-        stats.dropped,
-        stats.truncated,
-        stats.tcp_queries,
-        io.decode_errors
-    );
-    if rrl {
-        println!(
-            "chaos-rrl: dropped={} slipped={}",
-            stats.rrl_dropped, stats.rrl_slipped
-        );
-    }
-    // Trace lines print after the deterministic `chaos-` block: the
-    // event/overflow counts are seed-deterministic too, but the digest
-    // commits to which proxy each attempt picked, which is not.
-    if let (Some(c), Some(path)) = (&collector, trace) {
-        finish_trace(c, path);
-        if let Some(fd) = flight_dump {
-            dump_flight(c, fd);
+    if name == "list" {
+        for (gate, law) in lab::GATES {
+            println!("{gate:<14} {law}");
         }
+        return;
     }
-    println!(
-        "elapsed_ms={} recv_errors={} send_errors={} per_server={:?}",
-        elapsed.as_millis(),
-        io.recv_errors,
-        io.send_errors,
-        report.per_server
-    );
-
-    let mut failures: Vec<String> = Vec::new();
-    if let Err(complaint) = report.stats.check() {
-        failures.push(complaint);
-    }
-    if report.stats.answered == 0 {
-        failures.push("no transaction was answered".into());
-    }
-    if stats.packets_seen() != fwd_tally.delivered + tcp_forwarded {
-        failures.push(format!(
-            "forward leak: plan forwarded {} datagrams + {} tcp frames, server classified {}",
-            fwd_tally.delivered,
-            tcp_forwarded,
-            stats.packets_seen()
-        ));
-    }
-    if report.stats.received() != rev_tally.delivered {
-        failures.push(format!(
-            "reverse leak: plan delivered {} datagrams, client classified {}",
-            rev_tally.delivered,
-            report.stats.received()
-        ));
-    }
-    if truncation.is_some() {
-        // The truncation gate: padded answers over a small EDNS limit
-        // mean *every* UDP answer came back TC=1 — so any completed
-        // transaction proves the TCP fallback, and the stream books
-        // must balance like the datagram books.
-        if report.stats.tcp_answered == 0 {
-            failures.push("truncation gate: no transaction completed over TCP".into());
-        }
-        if stats.truncated == 0 {
-            failures.push("truncation gate: the server never truncated a UDP answer".into());
-        }
-        if report.stats.answered != report.stats.tcp_answered {
-            failures.push(format!(
-                "truncation gate: {} answers but only {} over TCP — a padded answer \
-                 fit under the EDNS limit",
-                report.stats.answered, report.stats.tcp_answered
-            ));
-        }
-        if stats.tcp_queries != tcp_forwarded {
-            failures.push(format!(
-                "tcp leak: plan forwarded {} frames, server classified {}",
-                tcp_forwarded, stats.tcp_queries
-            ));
-        }
-    } else if stats.tcp_queries != 0 || report.stats.tcp_attempts != 0 {
-        failures.push("tcp traffic on a udp-only run".into());
-    }
-    if rrl && (stats.rrl_dropped == 0 || stats.rrl_slipped == 0) {
-        // A limiter that never acted makes the rrl leg vacuous — the
-        // burst/rate tuning above must exhaust the buckets.
-        failures.push(format!(
-            "rrl gate: limiter never exercised both verdicts (dropped={} slipped={})",
-            stats.rrl_dropped, stats.rrl_slipped
-        ));
-    }
-    if elapsed > Duration::from_secs(budget_secs) {
-        failures.push(format!(
-            "over budget: {:.1}s > {budget_secs}s",
-            elapsed.as_secs_f64()
-        ));
-    }
-
-    // The metrics gate: after the workers have flushed their final
-    // deltas (shutdown above), the scraped per-auth counters must match
-    // the server's own books *exactly*, every hot-path stage must have
-    // been timed, and the endpoint must have answered while the blast
-    // was running.
-    if let Some((_, server)) = metrics {
-        let before = failures.len();
-        let text = scrape(server.local_addr()).unwrap_or_else(|e| {
-            failures.push(format!("final scrape failed: {e}"));
-            String::new()
-        });
-        let samples = parse_exposition(&text);
-        for (kind, want) in server_stats_kinds(&stats) {
-            let got = samples
-                .iter()
-                .find(|s| {
-                    s.name == "dnswild_server_events_total"
-                        && s.label("auth") == Some("FRA")
-                        && s.label("kind") == Some(kind)
-                })
-                .map(|s| s.value);
-            if got != Some(want as f64) {
-                failures.push(format!(
-                    "scrape mismatch: dnswild_server_events_total{{auth=FRA,kind={kind}}} \
-                     = {got:?}, server counted {want}"
-                ));
-            }
-        }
-        for stage in ["recv", "decode", "engine", "encode", "send"] {
-            let timed = samples
-                .iter()
-                .find(|s| s.name == "dnswild_stage_ns_count" && s.label("stage") == Some(stage))
-                .map(|s| s.value)
-                .unwrap_or(0.0);
-            if timed <= 0.0 {
-                failures.push(format!("stage '{stage}' has an empty span histogram"));
-            }
-        }
-        if live_scrapes == 0 {
-            failures.push("no successful scrape while the blast was running".into());
-        }
-        if failures.len() == before {
-            println!(
-                "metrics-gate: PASS — scrape matches ServerStats exactly, all 5 stages timed, \
-                 {live_scrapes} live scrapes"
-            );
-        }
-        if let Some(w) = watchdog {
-            let wd = w.shutdown();
-            if loss == 0.0 && corrupt == 0.0 {
-                // A clean loopback run must not trip any law: the share
-                // deviation gauge stays in-bounds (or the law is
-                // vacuous), coverage is full, nothing SERVFAILs.
-                if wd.healthy() {
-                    println!(
-                        "watchdog-gate: PASS — no law breached on a clean run \
-                         (share_dev={:.3} coverage={:.3} servfail_rate={:.3})",
-                        wd.share_dev, wd.coverage, wd.servfail_rate
-                    );
-                } else {
-                    failures.push(format!("watchdog breach on a clean run: {wd:?}"));
-                }
-            } else {
-                println!(
-                    "watchdog: share_dev={:.3} coverage={:.3} servfail_rate={:.3} healthy={}",
-                    wd.share_dev,
-                    wd.coverage,
-                    wd.servfail_rate,
-                    wd.healthy()
-                );
-            }
-        }
-        server.shutdown();
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("smoke: FAIL — {f}");
-        }
-        std::process::exit(1);
-    }
-    match truncation {
-        Some(size) => println!(
-            "smoke: PASS — {} transactions under {:.0}% loss with a {size}-byte EDNS limit: \
-             {} truncated on UDP, {} completed over TCP, {} servfail, every datagram and \
-             frame accounted",
-            queries,
-            loss * 100.0,
-            stats.truncated,
-            report.stats.tcp_answered,
-            report.stats.servfails
-        ),
-        None => println!(
-            "smoke: PASS — {} transactions under {:.0}% loss: {} answered, {} servfail, \
-             every datagram accounted",
-            queries,
-            loss * 100.0,
-            report.stats.answered,
-            report.stats.servfails
-        ),
-    }
-}
-
-/// Probe TTL of the cache gate's zone without `--prefetch`: long enough
-/// that the cold and warm passes both finish well inside it on a
-/// loopback, short enough that the serve-stale pass only waits a few
-/// seconds for the cache to age out.
-const CACHE_GATE_TTL: u32 = 4;
-
-/// Probe TTL with `--prefetch`: the gate sleeps the warm pass into the
-/// prefetch window, so the TTL must leave slack on both sides of the
-/// window boundary.
-const CACHE_GATE_PREFETCH_TTL: u32 = 8;
-
-/// Prefetch window of the gate: entries refresh when under this many
-/// seconds of TTL remain. The gate sleeps [`CACHE_GATE_PREFETCH_SLEEP`]
-/// after the cold pass, leaving every entry ~3.5 s of TTL — inside the
-/// window, comfortably short of expiry.
-const CACHE_GATE_PREFETCH_WINDOW: u32 = 4;
-
-/// Sleep between the cold and warm passes with `--prefetch` on.
-const CACHE_GATE_PREFETCH_SLEEP: Duration = Duration::from_millis(4_500);
-
-/// Per-attempt timeout in the serve-stale pass. Deliberately tiny: the
-/// blackhole proxy drops every datagram, so no answer can ever arrive
-/// and the only thing this bounds is how fast the pass walks its
-/// transactions into the stale-serving path.
-const CACHE_STALE_PASS_TIMEOUT: Duration = Duration::from_millis(10);
-
-/// The cache smoke gate: one in-process server with a *low-TTL* preset
-/// zone, resolved through one shared record cache in back-to-back
-/// passes over the same deterministic transaction set.
-///
-/// * **cold** — every qname is new: all misses, every answer inserted;
-/// * **warm** — the same qnames again, inside the TTL: over half the
-///   transactions (all of them, unbounded) must answer from cache, and
-///   with an unbounded cache and no prefetch the pass may not touch the
-///   socket at all;
-/// * with `--prefetch`, the warm pass runs inside the prefetch window
-///   instead, and every hit must also fire exactly one refresh that
-///   re-arms the entry's TTL;
-/// * with `--serve-stale`, a third pass waits out the TTL and resolves
-///   through a chaos proxy that blackholes *everything* — every
-///   transaction must still complete, answered from expired entries
-///   under RFC 8767, with zero SERVFAILs.
-///
-/// Every `cache-` line is deterministic for a fixed seed (the
-/// transaction→qname schedule is seeded and the passes stay far from
-/// their timing margins), so `scripts/verify.sh` diffs the block
-/// verbatim across two runs.
-#[allow(clippy::too_many_arguments)]
-fn cache_smoke(
-    queries: u64,
-    threads: usize,
-    io: IoBackend,
-    batch: Option<usize>,
-    seed: u64,
-    cache_cap: usize,
-    serve_stale: bool,
-    prefetch: bool,
-    trace: Option<&str>,
-    metrics_addr: Option<&str>,
-) {
-    let origin = Name::parse("ourtestdomain.nl").expect("static origin");
-    let ttl = if prefetch { CACHE_GATE_PREFETCH_TTL } else { CACHE_GATE_TTL };
-    let zones = Arc::new(vec![probe_ttl_test_domain_zone(&origin, 2, ttl)]);
-    let collector = trace.map(|path| start_collector(path, &["FRA"]));
-    let metrics = metrics_addr.map(start_metrics);
-    let cache = SharedCache::new(CacheConfig {
-        capacity: cache_cap,
-        prefetch_window_s: if prefetch { CACHE_GATE_PREFETCH_WINDOW } else { 0 },
-        max_stale_s: if serve_stale { CACHE_STALE_WINDOW } else { 0 },
-        ..CacheConfig::default()
-    });
-    let mut serve_cfg = ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(threads).io(io);
-    if let Some(b) = batch {
-        serve_cfg = serve_cfg.batch(b);
-    }
-    if let Some(c) = &collector {
-        serve_cfg = serve_cfg.collector(Arc::clone(c), 0);
-    }
-    if let Some((registry, _)) = &metrics {
-        serve_cfg = serve_cfg.metrics(Arc::clone(registry));
-        mirror_cache(registry, &cache);
-        if let Some(c) = &collector {
-            mirror_collector(registry, c);
-        }
-    }
-    let handle = serve(serve_cfg).unwrap_or_else(|e| {
-        eprintln!("smoke: serve: {e}");
-        std::process::exit(1)
-    });
-    eprintln!(
-        "smoke: cache gate — udp://{} serving a {ttl}s-TTL zone (cap {}, prefetch {}, \
-         serve-stale {}, seed {seed})",
-        handle.local_addr(),
-        cache_cap,
-        prefetch,
-        serve_stale
-    );
-    // One pass of the deterministic transaction set. Concurrency is
-    // fixed (not host-dependent) because the transaction→worker split
-    // decides each worker's qname sequence, and the warm pass only hits
-    // if it re-asks exactly the cold pass's questions. The 1 s timeout
-    // keeps spurious loopback retries out of the deterministic lines.
-    let pass = |servers: Vec<std::net::SocketAddr>, stale_pass: bool, prefetching: bool| {
-        let mut cfg = ResolveConfig::new(servers, origin.clone())
-            .transactions(queries)
-            .concurrency(8)
-            .cache(Arc::clone(&cache))
-            .serve_stale(stale_pass)
-            .prefetch(prefetching)
-            .timeout(Duration::from_secs(1));
-        if stale_pass {
-            cfg = cfg.timeout(CACHE_STALE_PASS_TIMEOUT).max_tries(1);
-        }
-        cfg.seed = seed;
-        if let Some(c) = &collector {
-            cfg = cfg.collector(Arc::clone(c));
-        }
-        if let Some((registry, _)) = &metrics {
-            cfg = cfg.metrics(Arc::clone(registry));
-        }
-        resolve(cfg).unwrap_or_else(|e| {
-            eprintln!("smoke: resolve: {e}");
-            std::process::exit(1)
-        })
+    let Some(run) = lab::run_gate(name) else {
+        eprintln!("unknown gate: {name} (`dnswild gate list` prints them)");
+        std::process::exit(2)
     };
-
-    let started = Instant::now();
-    let cold = pass(vec![handle.local_addr()], false, false);
-    if prefetch {
-        // Sleep into the prefetch window: every cold entry now has
-        // ~3.5 s of TTL left, under the 4 s window, above expiry.
-        std::thread::sleep(CACHE_GATE_PREFETCH_SLEEP);
-    }
-    let warm = pass(vec![handle.local_addr()], false, prefetch);
-    // Prefetch re-inserts refreshed answers, re-arming their TTL; the
-    // stale pass must wait for whichever insert happened last.
-    let last_insert = Instant::now();
-
-    let stale = serve_stale.then(|| {
-        let age_out = Duration::from_secs(u64::from(ttl)) + Duration::from_secs(1);
-        std::thread::sleep(age_out.saturating_sub(last_insert.elapsed()));
-        // The blackhole: a chaos proxy dropping every datagram in both
-        // directions — upstream is alive but unreachable, the shape of
-        // the outage RFC 8767 exists for.
-        let blackhole = FaultProfile { drop: 1.0, ..FaultProfile::lossless() };
-        let plan = Arc::new(FaultPlan::new(seed, blackhole, blackhole));
-        let proxy = ChaosProxy::spawn_metered(
-            "127.0.0.1:0",
-            handle.local_addr(),
-            Arc::clone(&plan),
-            collector.as_ref().map(Arc::clone),
-            metrics.as_ref().map(|(r, _)| (Arc::clone(r), "p0")),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("smoke: chaos proxy: {e}");
-            std::process::exit(1)
-        });
-        eprintln!(
-            "smoke: serve-stale pass — blackhole proxy udp://{} drops everything",
-            proxy.local_addr()
-        );
-        let report = pass(vec![proxy.local_addr()], true, false);
-        proxy.shutdown();
-        (report, plan.tally(Direction::Forward))
-    });
-    let elapsed = started.elapsed();
-
-    // Let the server catch up with the last datagrams in flight before
-    // balancing the books (the stale pass contributed none — the proxy
-    // delivered nothing).
-    let expected = cold.stats.attempts + warm.stats.attempts;
-    let settle = Instant::now() + Duration::from_secs(5);
-    while handle.stats().packets_seen() < expected && Instant::now() < settle {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let io_errors = handle.io_errors();
-    let stats = handle.shutdown();
-
-    // Every line prefixed `cache-` is deterministic for a fixed seed.
-    println!(
-        "cache-summary: seed={seed} queries={queries} cap={cache_cap} ttl={ttl} \
-         prefetch={prefetch} serve_stale={serve_stale}"
-    );
-    println!("cache-cold: {}", cold.stats.render());
-    println!("cache-warm: {}", warm.stats.render());
-    if let Some((report, _)) = &stale {
-        println!("cache-stale: {}", report.stats.render());
-    }
-    println!("cache-stats: {}", render_cache_stats(&cache));
-    if let (Some(c), Some(path)) = (&collector, trace) {
-        finish_trace(c, path);
-    }
-    println!("elapsed_ms={}", elapsed.as_millis());
-
-    let mut failures: Vec<String> = Vec::new();
-    for (name, report) in [("cold", &cold), ("warm", &warm)]
-        .into_iter()
-        .chain(stale.iter().map(|(r, _)| ("stale", r)))
-    {
-        if let Err(complaint) = report.stats.check() {
-            failures.push(format!("{name} pass books: {complaint}"));
-        }
-        if report.stats.answered != queries {
-            failures.push(format!(
-                "{name} pass answered {}/{} transactions",
-                report.stats.answered, queries
-            ));
-        }
-    }
-    if cold.stats.cache_hits != 0 {
-        failures.push(format!(
-            "{} cache hits on the cold pass — the qname schedule repeated itself",
-            cold.stats.cache_hits
-        ));
-    }
-    // The headline gate: the warm pass answers over half its
-    // transactions from cache (all of them, when unbounded).
-    if warm.stats.cache_hits * 2 <= queries {
-        failures.push(format!(
-            "warm hit-rate {}/{} is not over 1/2",
-            warm.stats.cache_hits, queries
-        ));
-    }
-    if cache_cap == 0 && !prefetch && warm.stats.attempts != 0 {
-        failures.push(format!(
-            "warm pass sent {} datagrams — cache hits must not touch the socket",
-            warm.stats.attempts
-        ));
-    }
-    if prefetch {
-        if warm.stats.prefetches != warm.stats.cache_hits {
-            failures.push(format!(
-                "only {} of {} warm hits fired a prefetch inside the window",
-                warm.stats.prefetches, warm.stats.cache_hits
-            ));
-        }
-        if warm.stats.prefetch_ok != warm.stats.prefetches {
-            failures.push(format!(
-                "{} of {} prefetches went unanswered on a lossless loopback",
-                warm.stats.prefetches - warm.stats.prefetch_ok,
-                warm.stats.prefetches
-            ));
-        }
-    }
-    if let Some((report, fwd)) = &stale {
-        if fwd.delivered != 0 {
-            failures.push(format!(
-                "blackhole leaked {} datagrams to the authoritative",
-                fwd.delivered
-            ));
-        }
-        if report.stats.stale_served != queries || report.stats.servfails != 0 {
-            failures.push(format!(
-                "serve-stale pass: {} stale answers, {} servfails — every transaction \
-                 must complete from expired entries",
-                report.stats.stale_served, report.stats.servfails
-            ));
-        }
-    }
-    // Zero unaccounted datagrams: every attempt either side of the wire
-    // classified — the server saw exactly what the passes sent.
-    if stats.packets_seen() != expected {
-        failures.push(format!(
-            "server classified {} datagrams, the passes sent {}",
-            stats.packets_seen(),
-            expected
-        ));
-    }
-    if io_errors.decode_errors != 0 || io_errors.recv_errors != 0 {
-        failures.push(format!(
-            "io errors on a lossless loopback: recv={} decode={}",
-            io_errors.recv_errors, io_errors.decode_errors
-        ));
-    }
-
-    // The metrics gate: the scraped cache gauges must equal the cache's
-    // own books exactly.
-    if let Some((_, server)) = metrics {
-        let before = failures.len();
-        let text = scrape(server.local_addr()).unwrap_or_else(|e| {
-            failures.push(format!("final scrape failed: {e}"));
-            String::new()
-        });
-        let samples = parse_exposition(&text);
-        let cs = cache.stats();
-        let wanted = [
-            ("dnswild_cache_hits", cs.hits),
-            ("dnswild_cache_misses", cs.misses),
-            ("dnswild_cache_expired", cs.expired),
-            ("dnswild_cache_negative_hits", cs.negative_hits),
-            ("dnswild_cache_inserts", cs.inserts),
-            ("dnswild_cache_evictions", cs.evictions),
-            ("dnswild_cache_stale_served", cs.stale_served),
-            ("dnswild_cache_entries", cache.len() as u64),
-        ];
-        for (name, want) in wanted {
-            let got = samples.iter().find(|s| s.name == name).map(|s| s.value);
-            if got != Some(want as f64) {
-                failures.push(format!("scrape mismatch: {name} = {got:?}, cache counted {want}"));
-            }
-        }
-        if failures.len() == before {
-            println!("metrics-gate: PASS — scrape matches the cache books across 8 gauges");
-        }
-        server.shutdown();
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("smoke: FAIL — {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "smoke: PASS — {} transactions warm-answered {} from cache ({} prefetches, \
-         {} stale-served), zero unaccounted datagrams",
-        queries,
-        warm.stats.cache_hits,
-        warm.stats.prefetches,
-        stale.as_ref().map(|(r, _)| r.stats.stale_served).unwrap_or(0)
-    );
-}
-
-/// NS records behind the `lab.<origin>` delegation in the attack gate's
-/// zone — fat enough that one ~45-byte NXNS query pulls a referral
-/// several times its size.
-const ATTACK_DELEGATION_NS: usize = 20;
-
-/// Attacker-side per-query timeout in the gate. Deliberately short: a
-/// rate-limited drop is the *expected* server behaviour and the
-/// attacker's closed loop must classify it quickly; answered queries on
-/// an in-process loopback come back three orders of magnitude faster.
-const ATTACK_TIMEOUT: Duration = Duration::from_millis(40);
-
-/// RRL-off NXNS amplification floor: the 20-NS referral must grant the
-/// attacker at least this many response bytes per query byte, or the
-/// zone stopped being an amplification vector and the defense gate is
-/// testing nothing.
-const NXNS_AMP_FLOOR: f64 = 4.0;
-
-/// The attack smoke gate: one in-process server offered a seeded
-/// adversarial workload ([`AttackMode`]) *concurrently* with the
-/// legitimate closed-loop mix — the claim under test is that goodput
-/// holds during the flood, not after it.
-///
-/// With `--rrl` the server defends with the default
-/// [`RateLimitPolicy`]: the gate then requires the limiter to have
-/// dropped and slipped attack responses, the attacker's books to
-/// balance against the server's counters exactly, legitimate goodput to
-/// stay at 100% (the default `Abusive` scope never charges positive
-/// answers), and — when metrics run — the watchdog's attack-pressure
-/// law to breach while every other law stays green. Without `--rrl` the
-/// same flood must be answered in full (the no-defense baseline), and
-/// in `nxns` mode its amplification factor must clear
-/// [`NXNS_AMP_FLOOR`] — proving the threat the limiter is judged
-/// against is real.
-///
-/// Every line prefixed `attack-` is a pure function of the seed: the
-/// query schedules are `detrand` streams, and the limiter's verdicts
-/// are request-tick driven (see `dnswild_server::rrl`), so
-/// `scripts/verify.sh` diffs the block verbatim across two runs.
-#[allow(clippy::too_many_arguments)]
-fn attack_smoke(
-    mode: AttackMode,
-    rrl: bool,
-    queries: u64,
-    threads: usize,
-    io: IoBackend,
-    batch: Option<usize>,
-    concurrency: usize,
-    seed: u64,
-    trace: Option<&str>,
-    metrics_addr: Option<&str>,
-) {
-    let origin = Name::parse("ourtestdomain.nl").expect("static origin");
-    let zones = Arc::new(vec![attack_test_domain_zone(&origin, 2, ATTACK_DELEGATION_NS)]);
-    let collector = trace.map(|path| start_collector(path, &["FRA"]));
-    let metrics = metrics_addr.map(start_metrics);
-    let mut serve_cfg = ServeConfig::new("127.0.0.1:0", "FRA", zones)
-        .threads(threads)
-        .io(io)
-        // Match the NXNS generator's EDNS advertisement so the fat
-        // referral rides back whole instead of as a TC stub.
-        .truncation(TruncationPolicy::symmetric(NXNS_EDNS_PAYLOAD));
-    if rrl {
-        serve_cfg = serve_cfg.rate_limit(RateLimitPolicy::default());
-    }
-    if let Some(b) = batch {
-        serve_cfg = serve_cfg.batch(b);
-    }
-    if let Some(c) = &collector {
-        serve_cfg = serve_cfg.collector(Arc::clone(c), 0);
-    }
-    if let Some((registry, _)) = &metrics {
-        serve_cfg = serve_cfg.metrics(Arc::clone(registry));
-        if let Some(c) = &collector {
-            mirror_collector(registry, c);
-        }
-    }
-    let handle = serve(serve_cfg).unwrap_or_else(|e| {
-        eprintln!("smoke: serve: {e}");
+    let report = run.unwrap_or_else(|e| {
+        eprintln!("gate {name}: {e}");
         std::process::exit(1)
     });
-    eprintln!(
-        "smoke: attack gate — {} flood vs udp://{} (rrl {}, seed {seed})",
-        mode.name(),
-        handle.local_addr(),
-        if rrl { "on" } else { "off" }
-    );
-    let watchdog = metrics.as_ref().map(|(registry, _)| start_watchdog(registry));
-
-    let mut legit_cfg =
-        LoadConfig::new(handle.local_addr(), origin.clone()).concurrency(concurrency).queries(queries);
-    legit_cfg.seed = seed;
-    if let Some(c) = &collector {
-        legit_cfg = legit_cfg.collector(Arc::clone(c), 0);
-    }
-    if let Some((registry, _)) = &metrics {
-        legit_cfg = legit_cfg.metrics(Arc::clone(registry));
-    }
-    let mut attack_cfg = AttackConfig::new(handle.local_addr(), origin, mode)
-        .concurrency(concurrency)
-        .queries(queries)
-        .seed(seed)
-        .timeout(ATTACK_TIMEOUT);
-    if let Some(c) = &collector {
-        attack_cfg = attack_cfg.collector(Arc::clone(c), 0);
-    }
-    let started = Instant::now();
-    let (legit, attack) = std::thread::scope(|scope| {
-        let lh = scope.spawn(move || blast(legit_cfg));
-        let ah = scope.spawn(move || assault(attack_cfg));
-        (lh.join().expect("legit blast panicked"), ah.join().expect("attack panicked"))
-    });
-    let legit = legit.unwrap_or_else(|e| {
-        eprintln!("smoke: blast: {e}");
-        std::process::exit(1)
-    });
-    let attack = attack.unwrap_or_else(|e| {
-        eprintln!("smoke: attack: {e}");
-        std::process::exit(1)
-    });
-
-    // A rate-limited drop leaves the attacker's last datagram with no
-    // response to synchronize on: give the workers a moment to classify
-    // everything already in their socket buffers before the books close.
-    let settle = Instant::now() + Duration::from_secs(5);
-    while handle.stats().packets_seen() < legit.sent + attack.sent && Instant::now() < settle {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let io_errors = handle.io_errors();
-    let stats = handle.shutdown();
-    let elapsed = started.elapsed();
-
-    // Every `attack-` line is a pure function of the seed.
-    println!(
-        "attack-summary: mode={} rrl={} seed={} queries={}",
-        mode.name(),
-        rrl,
-        seed,
-        queries
-    );
-    println!("{}", attack.render("attack-client"));
-    println!(
-        "attack-legit: sent={} received={} timeouts={} mismatched={}",
-        legit.sent, legit.received, legit.timeouts, legit.mismatched
-    );
-    let fields: Vec<String> =
-        server_stats_kinds(&stats).iter().map(|(kind, n)| format!("{kind}={n}")).collect();
-    println!("attack-server: {}", fields.join(" "));
-
-    let mut failures: Vec<String> = Vec::new();
-
-    // The trace cross-check: the amplification partition derived from
-    // the recorded events, attacker vs legitimate, byte-exact.
-    if let (Some(c), Some(path)) = (&collector, trace) {
-        let summary = c.finish().unwrap_or_else(|e| {
-            eprintln!("trace: finish: {e}");
-            std::process::exit(1)
-        });
-        match Trace::read_from(std::path::Path::new(path)) {
-            Ok(t) => {
-                let amp = amplification(&t);
-                println!("attack-amp: {}", amp.render());
-                if amp.attack_queries != attack.sent {
-                    failures.push(format!(
-                        "trace classified {} attack queries, attacker sent {}",
-                        amp.attack_queries, attack.sent
-                    ));
-                }
-                if rrl {
-                    // RRL's whole point, stated in bytes: the attacker's
-                    // amplification factor must not exceed the
-                    // legitimate baseline.
-                    if let (Some(af), Some(lf)) = (amp.attack_factor(), amp.legit_factor()) {
-                        if af > lf {
-                            failures.push(format!(
-                                "rate limiting left the attacker amplifying {af:.2}x \
-                                 vs the legitimate {lf:.2}x"
-                            ));
-                        }
-                    }
-                } else if mode == AttackMode::NxnsReferral {
-                    let af = amp.attack_factor().unwrap_or(0.0);
-                    if af < NXNS_AMP_FLOOR {
-                        failures.push(format!(
-                            "undefended NXNS amplification {af:.2}x is under the \
-                             {NXNS_AMP_FLOOR}x floor — the referral is no longer fat"
-                        ));
-                    }
-                }
-                println!("trace-summary: events={} overflow={}", summary.events, summary.overflow);
-                println!("trace-digest: {:016x}", t.digest());
-            }
-            Err(e) => failures.push(format!("trace read back: {e}")),
-        }
-    }
-    println!(
-        "elapsed_ms={} recv_errors={} decode_errors={}",
-        elapsed.as_millis(),
-        io_errors.recv_errors,
-        io_errors.decode_errors
-    );
-
-    // The books: every datagram accounted on both sides of the wire.
-    if !legit.all_answered() {
-        failures.push(format!(
-            "legit goodput broke under the flood: {}/{} answered",
-            legit.received, legit.sent
-        ));
-    }
-    if !attack.all_accounted() {
-        failures.push(format!(
-            "unaccounted attack datagrams: sent={} received={} timeouts={} mismatched={}",
-            attack.sent, attack.received, attack.timeouts, attack.mismatched
-        ));
-    }
-    if stats.queries != legit.sent + attack.sent {
-        failures.push(format!(
-            "server counted {} queries, clients sent {}",
-            stats.queries,
-            legit.sent + attack.sent
-        ));
-    }
-    // The legitimate mix is never charged under the Abusive scope, so
-    // the limiter's counters must mirror the attacker's books exactly.
-    if stats.rrl_dropped != attack.timeouts {
-        failures.push(format!(
-            "limiter dropped {} responses, attacker timed out {} times",
-            stats.rrl_dropped, attack.timeouts
-        ));
-    }
-    if stats.rrl_slipped != attack.tc_slips {
-        failures.push(format!(
-            "limiter slipped {} responses, attacker saw {} TC replies",
-            stats.rrl_slipped, attack.tc_slips
-        ));
-    }
-    if stats.bucket_evictions != 0 {
-        failures.push(format!(
-            "{} buckets evicted with only a handful of client keys in play",
-            stats.bucket_evictions
-        ));
-    }
-    if io_errors.decode_errors != 0 || io_errors.recv_errors != 0 {
-        failures.push(format!(
-            "io errors on a lossless loopback: recv={} decode={}",
-            io_errors.recv_errors, io_errors.decode_errors
-        ));
-    }
-    if rrl {
-        if attack.timeouts == 0 {
-            failures.push("rrl on, but the limiter never dropped an attack response".into());
-        }
-        if attack.tc_slips == 0 {
-            failures.push("rrl on, but the limiter never slipped a TC=1 reply".into());
-        }
-    } else {
-        if stats.rrl_dropped + stats.rrl_slipped + attack.tc_slips != 0 {
-            failures.push("limiter counters moved while rrl was off".into());
-        }
-        if attack.received != attack.sent {
-            failures.push(format!(
-                "no limiter, yet only {}/{} attack queries were answered",
-                attack.received, attack.sent
-            ));
-        }
-    }
-
-    // The metrics gate: scrape equality over all 16 server counters,
-    // the verdict spans covering exactly the charged queries, and the
-    // watchdog's attack-pressure law breaching iff the defense shed.
-    if let Some((_, server)) = metrics {
-        let before = failures.len();
-        let text = scrape(server.local_addr()).unwrap_or_else(|e| {
-            failures.push(format!("final scrape failed: {e}"));
-            String::new()
-        });
-        let samples = parse_exposition(&text);
-        for (kind, want) in server_stats_kinds(&stats) {
-            let got = samples
-                .iter()
-                .find(|s| {
-                    s.name == "dnswild_server_events_total"
-                        && s.label("auth") == Some("FRA")
-                        && s.label("kind") == Some(kind)
-                })
-                .map(|s| s.value);
-            if got != Some(want as f64) {
-                failures.push(format!(
-                    "scrape mismatch: dnswild_server_events_total{{auth=FRA,kind={kind}}} \
-                     = {got:?}, server counted {want}"
-                ));
-            }
-        }
-        if rrl {
-            // Under the Abusive scope exactly the attack queries are
-            // charged, so the verdict spans must total the attack load.
-            let verdicts: f64 = samples
-                .iter()
-                .filter(|s| s.name == "dnswild_rrl_verdict_ns_count")
-                .map(|s| s.value)
-                .sum();
-            if verdicts != attack.sent as f64 {
-                failures.push(format!(
-                    "verdict spans timed {verdicts} decisions, {} queries were charged",
-                    attack.sent
-                ));
-            }
-        }
-        if failures.len() == before {
-            println!("metrics-gate: PASS — scrape matches ServerStats exactly across 16 kinds");
-        }
-        if let Some(w) = watchdog {
-            let wd = w.shutdown();
-            // Deterministic: the rate is a ratio of final counters.
-            println!(
-                "attack-watchdog: rate={:.4} breach={}",
-                wd.attack_rate, wd.attack_breach
-            );
-            let others_green = !(wd.share_breach
-                || wd.coverage_breach
-                || wd.servfail_breach
-                || wd.overflow_breach);
-            if !others_green {
-                failures.push(format!("a non-attack law breached during the gate: {wd:?}"));
-            }
-            if rrl && !wd.attack_breach {
-                failures.push(format!(
-                    "rrl shed a flood but the attack-pressure law stayed green \
-                     (rate {:.4})",
-                    wd.attack_rate
-                ));
-            }
-            if !rrl && wd.attack_breach {
-                failures.push("attack-pressure breach with the limiter disabled".into());
-            }
-        }
-        server.shutdown();
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("smoke: FAIL — {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "smoke: PASS — {} attack queries ({} mode, rrl {}) beside {} legit: \
-         {} answered, {} slipped, {} dropped, every datagram accounted",
-        attack.sent,
-        mode.name(),
-        if rrl { "on" } else { "off" },
-        legit.sent,
-        attack.received - attack.tc_slips,
-        attack.tc_slips,
-        attack.timeouts
-    );
+    conclude(&format!("gate {name}"), &report, false);
 }
 
 /// `dnswild top`: a live text view over any running metrics endpoint.
@@ -2570,6 +1299,7 @@ fn main() {
         Some("blast") => cmd_blast(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("smoke") => cmd_smoke(&args[1..]),
+        Some("gate") => cmd_gate(&args[1..]),
         Some("top") => cmd_top(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),

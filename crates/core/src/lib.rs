@@ -25,8 +25,10 @@
 //!   closed-loop load generator (`dnswild serve` / `dnswild blast`).
 //!
 //! On top of those, this crate offers the [`Experiment`] builder, the
-//! operator [`guidance`] engine (§7 as what-if analysis), and the
-//! Figure 7 [`production`] trace generator. The `exp_*` binaries in this
+//! operator [`guidance`] engine (§7 as what-if analysis), the
+//! Figure 7 [`production`] trace generator, and the [`lab`] rig whose
+//! gates re-check the socket planes' laws for the `dnswild` CLI, the
+//! integration tests and CI alike. The `exp_*` binaries in this
 //! crate regenerate every table and figure; see `EXPERIMENTS.md` at the
 //! repository root for paper-vs-measured numbers.
 //!
@@ -51,6 +53,7 @@ pub mod cli;
 pub mod export;
 mod experiment;
 pub mod guidance;
+pub mod lab;
 pub mod production;
 pub mod report;
 

@@ -13,9 +13,9 @@
 //! * [`registry`] — a process-wide [`Registry`] of named metrics:
 //!   per-worker *sharded* atomic [`Counter`]s (cache-line-padded shards,
 //!   thread-local shard assignment, lock-free sum on scrape), f64
-//!   [`Gauge`]s, and log-bucketed [`LogHistogram`]s that share the
-//!   telemetry crate's bucket table so every percentile in the
-//!   workspace is quantised identically.
+//!   [`Gauge`]s, and log-bucketed [`LogHistogram`]s — the telemetry
+//!   crate's one histogram type, re-exported here, so every percentile
+//!   in the workspace is quantised identically.
 //! * [`http`] — a minimal HTTP/1.0 responder over
 //!   [`std::net::TcpListener`] exposing the registry in Prometheus text
 //!   format at `GET /metrics`, plus the matching [`scrape`] client and
@@ -33,13 +33,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hist;
 pub mod http;
 pub mod registry;
 pub mod spans;
 pub mod watchdog;
 
-pub use hist::LogHistogram;
+pub use dnswild_telemetry::LogHistogram;
 pub use http::{scrape, parse_exposition, MetricsServer, Sample};
 pub use registry::{Counter, Gauge, MetricValue, Registry};
 pub use spans::{Stage, StageClock, StageSpans, STAGES};

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hist::LogHistogram;
+use crate::LogHistogram;
 
 /// Shard count per counter. Power of two, sized to cover typical worker
 /// thread counts (the netio front-end caps at 8 workers) without

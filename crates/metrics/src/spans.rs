@@ -15,7 +15,7 @@ use std::sync::Arc;
 #[cfg(feature = "stage-spans")]
 use std::time::Instant;
 
-use crate::hist::LogHistogram;
+use crate::LogHistogram;
 use crate::registry::Registry;
 
 /// One stage of the serving hot path.

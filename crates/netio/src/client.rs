@@ -57,10 +57,10 @@ use dnswild_cache::{CacheConfig, CacheStats, CacheTime, CachedResponse, Clock, E
 use dnswild_metrics::{watchdog::inputs, Counter, Gauge, Registry};
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
 use dnswild_proto::{Message, Name, RData, RType, Rcode};
-use dnswild_resolver::{InfraCache, PolicyKind};
+use dnswild_resolver::{InfraCache, PolicyKind, SelectionPolicy};
 use dnswild_telemetry::{
-    journey_id, qname_hash32, Collector, Event, EventKind, FLAG_PREFETCH, FLAG_RESPONSE, FLAG_TCP,
-    FLAG_TCP_RETRY, FLAG_TC_SEEN, FLAG_TIMEOUT, RCODE_NONE,
+    journey_id, qname_hash32, Collector, Event, EventKind, Producer, FLAG_PREFETCH, FLAG_RESPONSE,
+    FLAG_TCP, FLAG_TCP_RETRY, FLAG_TC_SEEN, FLAG_TIMEOUT, RCODE_NONE,
 };
 
 use crate::tcp::{write_frame, FrameReader};
@@ -735,6 +735,223 @@ fn sim_now(epoch: Instant) -> SimTime {
     SimTime::from_micros(epoch.elapsed().as_micros() as u64)
 }
 
+/// What one UDP attempt came to once its window closed.
+struct AttemptOutcome {
+    /// The server this attempt was sent to.
+    server: usize,
+    /// The failure reply that doomed the attempt, unless a later clean
+    /// answer reclassified it as stale.
+    doomed: Option<Doom>,
+    /// The clean answer, if one arrived inside the window.
+    answer: Option<Answered>,
+}
+
+/// The attempt a transaction was answered on (an earlier attempt's
+/// late reply counts) and the reply bytes, left in the receive buffer.
+struct Answered {
+    server: usize,
+    rtt: Duration,
+    bytes: usize,
+}
+
+/// Telemetry identity of the transaction an attempt belongs to.
+struct Ids {
+    client: u64,
+    qname_hash: u32,
+    journey: u64,
+}
+
+/// One worker's resolver state: its socket, selection policy fed with
+/// real RTT samples, and books. Transaction attempts and background
+/// prefetches are the same [`Worker::attempt`] under different IDs.
+struct Worker<'a> {
+    cfg: &'a ResolveConfig,
+    metrics: Option<&'a ClientMetrics>,
+    socket: UdpSocket,
+    tokens: Vec<SimAddr>,
+    policy: Box<dyn SelectionPolicy>,
+    infra: InfraCache,
+    rng: DetRng,
+    epoch: Instant,
+    stats: ClientStats,
+    per_server: Vec<u64>,
+    send_buf: Vec<u8>,
+    recv_buf: Vec<u8>,
+}
+
+impl Worker<'_> {
+    /// One UDP attempt: pick a server outside `excluded`, send `qname`
+    /// under `id`, and classify every datagram that arrives until
+    /// `window` closes or a clean answer to any attempt in `sent` does.
+    ///
+    /// A failure reply dooms the attempt but the window still runs out
+    /// (see the determinism contract); an answer after a failure reply
+    /// means the failure was a mutated duplicate copy, so it moves to
+    /// `stale` — where the opposite arrival order would have put it.
+    /// The caller books what an answer *means* (`answered` or
+    /// `prefetch_ok`); everything else is accounted here.
+    fn attempt(
+        &mut self,
+        qname: &Name,
+        id: u16,
+        window: Duration,
+        excluded: &mut Vec<SimAddr>,
+        sent: &mut Vec<Attempt>,
+    ) -> io::Result<AttemptOutcome> {
+        let now = sim_now(self.epoch);
+        let token = self.policy.select(&self.tokens, excluded, &mut self.infra, now, &mut self.rng);
+        let server = self.tokens.iter().position(|&t| t == token).expect("token is a candidate");
+        self.per_server[server] += 1;
+        if let Some(m) = self.metrics {
+            m.attempts[server].inc();
+        }
+        let mut query = Message::iterative_query(id, qname.clone(), RType::Txt);
+        if let Some(size) = self.cfg.edns_size {
+            // Replace the constructor's default OPT — RFC 6891 allows
+            // exactly one.
+            query.additionals.clear();
+            query.add_edns(size);
+        }
+        query
+            .encode_into(&mut self.send_buf)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))?;
+        let sent_at = Instant::now();
+        self.socket.send_to(&self.send_buf, self.cfg.servers[server])?;
+        self.stats.attempts += 1;
+        sent.push(Attempt { id, server, sent_at });
+
+        let deadline = sent_at + window;
+        let mut doomed: Option<Doom> = None;
+        let mut answer: Option<Answered> = None;
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            let remaining = deadline.saturating_duration_since(now).max(Duration::from_millis(1));
+            self.socket.set_read_timeout(Some(remaining))?;
+            let got = match self.socket.recv_from(&mut self.recv_buf) {
+                Ok((n, _peer)) => n,
+                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                    break
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            match classify(&self.recv_buf[..got], sent, qname) {
+                Reply::Answer { attempt: a } => {
+                    if let Some(kind) = doomed.take() {
+                        match kind {
+                            Doom::Lame => self.stats.lame -= 1,
+                            Doom::FormErr => self.stats.formerr -= 1,
+                            Doom::Tc => self.stats.tc_seen -= 1,
+                        }
+                        self.stats.stale += 1;
+                    }
+                    let rtt = sent[a].sent_at.elapsed();
+                    self.observe_rtt(sent[a].server, rtt);
+                    self.cache_reply(qname, &self.recv_buf[..got]);
+                    answer = Some(Answered { server: sent[a].server, rtt, bytes: got });
+                    break;
+                }
+                Reply::Lame { attempt: a } if doomed.is_none() => {
+                    self.stats.lame += 1;
+                    self.infra.observe_timeout(self.tokens[sent[a].server], sim_now(self.epoch));
+                    excluded.push(self.tokens[sent[a].server]);
+                    doomed = Some(Doom::Lame);
+                }
+                Reply::FormErr if doomed.is_none() => {
+                    self.stats.formerr += 1;
+                    doomed = Some(Doom::FormErr);
+                }
+                Reply::Tc if doomed.is_none() => {
+                    self.stats.tc_seen += 1;
+                    doomed = Some(Doom::Tc);
+                }
+                // A second failure reply in the same window can only be
+                // a duplicated copy of the first; fold it into `stale`
+                // so the count is order-independent.
+                Reply::Lame { .. } | Reply::FormErr | Reply::Tc => self.stats.stale += 1,
+                Reply::Corrupt => self.stats.corrupt_replies += 1,
+                // A matching-ID reply that is no longer an answer or a
+                // recognisable failure is a mutated copy; had it been
+                // read after the clean answer it would have been
+                // `Stale`, so it must land in the same bucket.
+                Reply::Mismatch => self.stats.stale += 1,
+                Reply::Stale => self.stats.stale += 1,
+            }
+        }
+        if answer.is_none() && doomed.is_none() {
+            self.stats.timeouts += 1;
+            self.infra.observe_timeout(self.tokens[server], sim_now(self.epoch));
+            excluded.push(self.tokens[server]);
+        }
+        Ok(AttemptOutcome { server, doomed, answer })
+    }
+
+    /// Feeds an answered attempt's RTT to the policy and the metrics.
+    fn observe_rtt(&mut self, server: usize, rtt: Duration) {
+        self.infra.observe_rtt(
+            self.tokens[server],
+            SimDuration::from_micros(rtt.as_micros() as u64),
+            sim_now(self.epoch),
+        );
+        if let Some(m) = self.metrics {
+            m.observe_rtt(server, rtt);
+        }
+    }
+
+    fn cache_reply(&self, qname: &Name, reply: &[u8]) {
+        if let Some(cache) = &self.cfg.cache {
+            cache.insert_reply(qname, RType::Txt, reply);
+        }
+    }
+
+    /// Exactly one ClientQuery event per attempt, emitted once its fate
+    /// is settled. The doom-then-answer reclassification already
+    /// collapsed duplicate replies, so the outcome (and hence the event
+    /// count) is arrival-order independent. `flags` carries what only
+    /// the caller knows: prefetch, TCP detour.
+    fn record_attempt(
+        &self,
+        producer: &Producer,
+        ids: &Ids,
+        id: u16,
+        window: Duration,
+        out: &AttemptOutcome,
+        flags: u16,
+    ) {
+        let clamp_ns = |d: Duration| d.as_nanos().min(u64::from(u32::MAX) as u128) as u32;
+        let mut ev = Event::new(EventKind::ClientQuery);
+        ev.ts_ns = producer.now_ns();
+        ev.client_hash = ids.client;
+        ev.qname_hash = ids.qname_hash;
+        ev.journey = ids.journey;
+        ev.dns_id = id;
+        ev.bytes_in = self.send_buf.len().min(u16::MAX as usize) as u16;
+        ev.flags = flags;
+        match &out.answer {
+            Some(a) => {
+                ev.auth_id = a.server as u16;
+                ev.latency_ns = clamp_ns(a.rtt);
+                ev.bytes_out = a.bytes.min(u16::MAX as usize) as u16;
+                ev.flags |= FLAG_RESPONSE;
+                ev.rcode = 0;
+            }
+            None => {
+                ev.auth_id = out.server as u16;
+                ev.latency_ns = clamp_ns(window);
+                ev.rcode = RCODE_NONE;
+                ev.flags |= if out.doomed.is_some() { FLAG_RESPONSE } else { FLAG_TIMEOUT };
+                if matches!(out.doomed, Some(Doom::Tc)) {
+                    ev.flags |= FLAG_TC_SEEN;
+                }
+            }
+        }
+        producer.record(&ev);
+    }
+}
+
 fn worker_loop(
     cfg: &ResolveConfig,
     worker: usize,
@@ -747,20 +964,20 @@ fn worker_loop(
     } else {
         "[::]:0".parse().unwrap()
     };
-    let socket = UdpSocket::bind(bind)?;
-
-    let tokens: Vec<SimAddr> = (0..cfg.servers.len()).map(server_token).collect();
-    let mut policy = cfg.policy.build();
-    let mut infra = InfraCache::new(cfg.policy.default_infra_expiry(), cfg.policy.smoothing());
-    let mut rng = DetRng::seed_from_u64(
-        cfg.seed ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    );
-    let epoch = Instant::now();
-
-    let mut stats = ClientStats::default();
-    let mut per_server = vec![0u64; cfg.servers.len()];
-    let mut send_buf = Vec::with_capacity(128);
-    let mut recv_buf = vec![0u8; 4096];
+    let mut w = Worker {
+        cfg,
+        metrics,
+        socket: UdpSocket::bind(bind)?,
+        tokens: (0..cfg.servers.len()).map(server_token).collect(),
+        policy: cfg.policy.build(),
+        infra: InfraCache::new(cfg.policy.default_infra_expiry(), cfg.policy.smoothing()),
+        rng: DetRng::seed_from_u64(cfg.seed ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        epoch: Instant::now(),
+        stats: ClientStats::default(),
+        per_server: vec![0u64; cfg.servers.len()],
+        send_buf: Vec::with_capacity(128),
+        recv_buf: vec![0u8; 4096],
+    };
     let max_tries = cfg.max_tries.max(1);
     // One cached TCP fallback connection per server (RFC 7766 reuse).
     let mut tcp_conns: Vec<Option<TcpConn>> = (0..cfg.servers.len()).map(|_| None).collect();
@@ -773,32 +990,30 @@ fn worker_loop(
         splitmix64(0x636c_6e74 ^ cfg.seed ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
 
     for txn in first_txn..first_txn + share {
-        stats.transactions += 1;
+        w.stats.transactions += 1;
         let qname = cfg
             .origin
             .prepend(&format!("c{worker}-t{txn}"))
             .expect("short probe label");
-        let (qname_hash, journey) = if producer.is_some() {
+        let mut ids = Ids { client: client_token, qname_hash: 0, journey: 0 };
+        if producer.is_some() {
             let wire = qname.canonical_wire();
             // Same canonical bytes every other hop derives from the
             // payload, so the ids agree without coordination.
-            (qname_hash32(&wire), journey_id(&wire))
-        } else {
-            (0, 0)
-        };
+            (ids.qname_hash, ids.journey) = (qname_hash32(&wire), journey_id(&wire));
+        }
 
         // Cache first: a live hit answers the transaction with zero
         // socket I/O. Only a hot entry near expiry goes to the wire —
         // as a background prefetch, not a transaction attempt.
-        let mut want_prefetch = false;
         if let Some(cache) = &cfg.cache {
             let hit = cache.get(&qname, RType::Txt);
             if let Some(p) = &producer {
                 let mut ev = Event::new(EventKind::CacheLookup);
                 ev.ts_ns = p.now_ns();
                 ev.client_hash = client_token;
-                ev.qname_hash = qname_hash;
-                ev.journey = journey;
+                ev.qname_hash = ids.qname_hash;
+                ev.journey = ids.journey;
                 match &hit {
                     Some(h) => {
                         ev.flags = FLAG_RESPONSE;
@@ -809,289 +1024,57 @@ fn worker_loop(
                 p.record(&ev);
             }
             if let Some(h) = hit {
-                stats.answered += 1;
-                stats.cache_hits += 1;
+                w.stats.answered += 1;
+                w.stats.cache_hits += 1;
                 if h.kind != EntryKind::Positive {
-                    stats.cache_negative += 1;
+                    w.stats.cache_negative += 1;
                 }
                 if let Some(m) = metrics {
                     m.txn.inc();
                 }
-                want_prefetch = cfg.prefetch && h.prefetch_due;
-                if !want_prefetch {
-                    continue;
-                }
-            }
-        }
-        if want_prefetch {
-            // Background refresh (one UDP attempt, no retries, no TCP
-            // fallback). The ID lives in the top half of the space so
-            // it cannot collide with transaction IDs, which are
-            // txn × max_tries + attempt.
-            let token = policy.select(&tokens, &[], &mut infra, sim_now(epoch), &mut rng);
-            let server = tokens.iter().position(|&t| t == token).expect("token is a candidate");
-            per_server[server] += 1;
-            if let Some(m) = metrics {
-                m.attempts[server].inc();
-            }
-            let id = 0x8000u16 | (txn as u16 & 0x7fff);
-            let mut query = Message::iterative_query(id, qname.clone(), RType::Txt);
-            if let Some(size) = cfg.edns_size {
-                query.additionals.clear();
-                query.add_edns(size);
-            }
-            query
-                .encode_into(&mut send_buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))?;
-            let sent_at = Instant::now();
-            socket.send_to(&send_buf, cfg.servers[server])?;
-            stats.attempts += 1;
-            stats.prefetches += 1;
-            let sent = vec![Attempt { id, server, sent_at }];
-            let deadline = sent_at + cfg.timeout;
-            let mut doomed: Option<Doom> = None;
-            let mut refreshed: Option<(u32, u16)> = None; // (rtt ns, reply bytes)
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let remaining =
-                    deadline.saturating_duration_since(now).max(Duration::from_millis(1));
-                socket.set_read_timeout(Some(remaining))?;
-                let got = match socket.recv_from(&mut recv_buf) {
-                    Ok((n, _peer)) => n,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        break
+                if cfg.prefetch && h.prefetch_due {
+                    // Background refresh: one UDP attempt, no retries,
+                    // no TCP fallback. The ID lives in the top half of
+                    // the space so it cannot collide with transaction
+                    // IDs, which are txn × max_tries + attempt.
+                    let id = 0x8000u16 | (txn as u16 & 0x7fff);
+                    w.stats.prefetches += 1;
+                    let out = w.attempt(&qname, id, cfg.timeout, &mut Vec::new(), &mut Vec::new())?;
+                    if out.answer.is_some() {
+                        w.stats.prefetch_ok += 1;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                };
-                match classify(&recv_buf[..got], &sent, &qname) {
-                    Reply::Answer { attempt: a } => {
-                        // Same doom-then-answer reclassification as the
-                        // transaction loop, so prefetch counts are
-                        // arrival-order independent too.
-                        if let Some(kind) = doomed.take() {
-                            match kind {
-                                Doom::Lame => stats.lame -= 1,
-                                Doom::FormErr => stats.formerr -= 1,
-                                Doom::Tc => stats.tc_seen -= 1,
-                            }
-                            stats.stale += 1;
-                        }
-                        stats.prefetch_ok += 1;
-                        let rtt = sent[a].sent_at.elapsed();
-                        infra.observe_rtt(
-                            tokens[sent[a].server],
-                            SimDuration::from_micros(rtt.as_micros() as u64),
-                            sim_now(epoch),
-                        );
-                        if let Some(m) = metrics {
-                            m.observe_rtt(sent[a].server, rtt);
-                        }
-                        if let Some(cache) = &cfg.cache {
-                            cache.insert_reply(&qname, RType::Txt, &recv_buf[..got]);
-                        }
-                        refreshed = Some((
-                            rtt.as_nanos().min(u64::from(u32::MAX) as u128) as u32,
-                            got.min(u16::MAX as usize) as u16,
-                        ));
-                        break;
-                    }
-                    Reply::Lame { attempt: a } if doomed.is_none() => {
-                        stats.lame += 1;
-                        infra.observe_timeout(tokens[sent[a].server], sim_now(epoch));
-                        doomed = Some(Doom::Lame);
-                    }
-                    Reply::FormErr if doomed.is_none() => {
-                        stats.formerr += 1;
-                        doomed = Some(Doom::FormErr);
-                    }
-                    Reply::Tc if doomed.is_none() => {
-                        stats.tc_seen += 1;
-                        doomed = Some(Doom::Tc);
-                    }
-                    Reply::Lame { .. } | Reply::FormErr | Reply::Tc => stats.stale += 1,
-                    Reply::Corrupt => stats.corrupt_replies += 1,
-                    Reply::Mismatch => stats.stale += 1,
-                    Reply::Stale => stats.stale += 1,
-                }
-            }
-            if refreshed.is_none() && doomed.is_none() {
-                stats.timeouts += 1;
-                infra.observe_timeout(tokens[server], sim_now(epoch));
-            }
-            if let Some(p) = &producer {
-                let mut ev = Event::new(EventKind::ClientQuery);
-                ev.ts_ns = p.now_ns();
-                ev.client_hash = client_token;
-                ev.qname_hash = qname_hash;
-                ev.journey = journey;
-                ev.dns_id = id;
-                ev.bytes_in = send_buf.len().min(u16::MAX as usize) as u16;
-                ev.auth_id = server as u16;
-                ev.flags = FLAG_PREFETCH;
-                match refreshed {
-                    Some((rtt_ns, reply_len)) => {
-                        ev.latency_ns = rtt_ns;
-                        ev.bytes_out = reply_len;
-                        ev.flags |= FLAG_RESPONSE;
-                        ev.rcode = 0;
-                    }
-                    None => {
-                        ev.latency_ns =
-                            cfg.timeout.as_nanos().min(u64::from(u32::MAX) as u128) as u32;
-                        ev.rcode = RCODE_NONE;
-                        ev.flags |= if doomed.is_some() { FLAG_RESPONSE } else { FLAG_TIMEOUT };
-                        if matches!(doomed, Some(Doom::Tc)) {
-                            ev.flags |= FLAG_TC_SEEN;
-                        }
+                    if let Some(p) = &producer {
+                        w.record_attempt(p, &ids, id, cfg.timeout, &out, FLAG_PREFETCH);
                     }
                 }
-                p.record(&ev);
+                continue;
             }
-            continue;
         }
 
         let mut excluded: Vec<SimAddr> = Vec::new();
         let mut sent: Vec<Attempt> = Vec::with_capacity(max_tries as usize);
         let mut answered = false;
-        // (server index, rtt ns, reply bytes) of the answering attempt.
-        let mut answered_info: Option<(usize, u32, u16)> = None;
 
         for attempt in 0..max_tries {
-            let token = policy.select(&tokens, &excluded, &mut infra, sim_now(epoch), &mut rng);
-            let server = tokens.iter().position(|&t| t == token).expect("token is a candidate");
-            per_server[server] += 1;
-            if let Some(m) = metrics {
-                m.attempts[server].inc();
-            }
             // Deterministic per-(transaction, attempt) ID: retransmits
             // are new datagrams with fresh content, so a content-keyed
             // fault plan gives each attempt an independent fate.
             let id = (txn.wrapping_mul(max_tries as u64) + attempt as u64) as u16;
-            let mut query = Message::iterative_query(id, qname.clone(), RType::Txt);
-            if let Some(size) = cfg.edns_size {
-                // Replace the constructor's default OPT — RFC 6891
-                // allows exactly one.
-                query.additionals.clear();
-                query.add_edns(size);
-            }
-            query
-                .encode_into(&mut send_buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))?;
-            let sent_at = Instant::now();
-            socket.send_to(&send_buf, cfg.servers[server])?;
-            stats.attempts += 1;
             if attempt > 0 {
-                stats.retries += 1;
+                w.stats.retries += 1;
             }
-            sent.push(Attempt { id, server, sent_at });
-
             // Exponential backoff: the base timeout doubles per retry.
             let window = cfg.timeout.saturating_mul(1 << attempt.min(3));
-            let deadline = sent_at + window;
-            // A failure reply dooms the attempt but the window still
-            // runs out before the retry — see the determinism contract.
-            let mut doomed: Option<Doom> = None;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let remaining = deadline.saturating_duration_since(now).max(Duration::from_millis(1));
-                socket.set_read_timeout(Some(remaining))?;
-                let got = match socket.recv_from(&mut recv_buf) {
-                    Ok((n, _peer)) => n,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        break
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                };
-                match classify(&recv_buf[..got], &sent, &qname) {
-                    Reply::Answer { attempt: a } => {
-                        // An answer after a failure reply means the
-                        // failure was a mutated duplicate copy — move it
-                        // to `stale`, where the opposite arrival order
-                        // would have put it, so the counts converge.
-                        if let Some(kind) = doomed.take() {
-                            match kind {
-                                Doom::Lame => stats.lame -= 1,
-                                Doom::FormErr => stats.formerr -= 1,
-                                Doom::Tc => stats.tc_seen -= 1,
-                            }
-                            stats.stale += 1;
-                        }
-                        stats.answered += 1;
-                        let rtt = sent[a].sent_at.elapsed();
-                        infra.observe_rtt(
-                            tokens[sent[a].server],
-                            SimDuration::from_micros(rtt.as_micros() as u64),
-                            sim_now(epoch),
-                        );
-                        if let Some(m) = metrics {
-                            m.observe_rtt(sent[a].server, rtt);
-                        }
-                        if let Some(cache) = &cfg.cache {
-                            cache.insert_reply(&qname, RType::Txt, &recv_buf[..got]);
-                        }
-                        answered = true;
-                        answered_info = Some((
-                            sent[a].server,
-                            rtt.as_nanos().min(u64::from(u32::MAX) as u128) as u32,
-                            got.min(u16::MAX as usize) as u16,
-                        ));
-                        break;
-                    }
-                    Reply::Lame { attempt: a } if doomed.is_none() => {
-                        stats.lame += 1;
-                        infra.observe_timeout(tokens[sent[a].server], sim_now(epoch));
-                        excluded.push(tokens[sent[a].server]);
-                        doomed = Some(Doom::Lame);
-                    }
-                    Reply::FormErr if doomed.is_none() => {
-                        stats.formerr += 1;
-                        doomed = Some(Doom::FormErr);
-                    }
-                    Reply::Tc if doomed.is_none() => {
-                        stats.tc_seen += 1;
-                        doomed = Some(Doom::Tc);
-                    }
-                    // A second failure reply in the same window can only
-                    // be a duplicated copy of the first; fold it into
-                    // `stale` so the count is order-independent.
-                    Reply::Lame { .. } | Reply::FormErr | Reply::Tc => stats.stale += 1,
-                    Reply::Corrupt => stats.corrupt_replies += 1,
-                    // A matching-ID reply that is no longer an answer or
-                    // a recognisable failure is a mutated copy; had it
-                    // been read after the clean answer it would have
-                    // been `Stale`, so it must land in the same bucket.
-                    Reply::Mismatch => stats.stale += 1,
-                    Reply::Stale => stats.stale += 1,
-                }
-            }
+            let mut out = w.attempt(&qname, id, window, &mut excluded, &mut sent)?;
+            let server = out.server;
             // Truncation fallback (RFC 7766): only once the window has
             // closed still doomed by TC — see the determinism contract.
             // The attempt itself stays accounted under `tc_seen`; a TCP
             // answer completes the *transaction*.
-            let tc_doomed = matches!(doomed, Some(Doom::Tc));
-            let mut tcp_retried = false;
-            let mut answered_via_tcp = false;
-            if !answered && tc_doomed && cfg.tcp_fallback {
-                tcp_retried = true;
-                stats.tcp_attempts += 1;
+            let mut tcp_flags = 0u16;
+            if matches!(out.doomed, Some(Doom::Tc)) && cfg.tcp_fallback {
+                tcp_flags = FLAG_TCP_RETRY;
+                w.stats.tcp_attempts += 1;
                 let tcp_start = Instant::now();
                 let mut reply: Option<Vec<u8>> = None;
                 // The cached connection may have gone stale since the
@@ -1107,7 +1090,7 @@ fn worker_loop(
                     let Some(conn) = tcp_conns[server].as_mut() else {
                         continue;
                     };
-                    match tcp_roundtrip(conn, &send_buf, cfg.timeout) {
+                    match tcp_roundtrip(conn, &w.send_buf, cfg.timeout) {
                         Ok(p) => {
                             reply = Some(p);
                             break;
@@ -1121,74 +1104,22 @@ fn worker_loop(
                 match reply {
                     Some(p) if tcp_reply_is_answer(&p, id, &qname) => {
                         let rtt = tcp_start.elapsed();
-                        stats.tcp_answered += 1;
-                        stats.answered += 1;
-                        infra.observe_rtt(
-                            tokens[server],
-                            SimDuration::from_micros(rtt.as_micros() as u64),
-                            sim_now(epoch),
-                        );
-                        if let Some(m) = metrics {
-                            m.observe_rtt(server, rtt);
-                        }
-                        if let Some(cache) = &cfg.cache {
-                            cache.insert_reply(&qname, RType::Txt, &p);
-                        }
-                        answered = true;
-                        answered_via_tcp = true;
-                        answered_info = Some((
-                            server,
-                            rtt.as_nanos().min(u64::from(u32::MAX) as u128) as u32,
-                            p.len().min(u16::MAX as usize) as u16,
-                        ));
+                        w.stats.tcp_answered += 1;
+                        w.observe_rtt(server, rtt);
+                        w.cache_reply(&qname, &p);
+                        out.answer = Some(Answered { server, rtt, bytes: p.len() });
+                        tcp_flags = FLAG_TC_SEEN | FLAG_TCP_RETRY | FLAG_TCP;
                     }
-                    _ => stats.tcp_failed += 1,
+                    _ => w.stats.tcp_failed += 1,
                 }
             }
-            // Exactly one ClientQuery event per attempt, emitted once the
-            // attempt's fate is settled. The doom-then-answer reclassify
-            // above already collapsed duplicate replies, so the outcome
-            // (and hence the event count) is arrival-order independent.
             if let Some(p) = &producer {
-                let mut ev = Event::new(EventKind::ClientQuery);
-                ev.ts_ns = p.now_ns();
-                ev.client_hash = client_token;
-                ev.qname_hash = qname_hash;
-                ev.journey = journey;
-                ev.dns_id = id;
-                ev.bytes_in = send_buf.len().min(u16::MAX as usize) as u16;
-                if answered {
-                    let (srv, rtt_ns, reply_len) = answered_info.expect("answer recorded");
-                    ev.auth_id = srv as u16;
-                    ev.latency_ns = rtt_ns;
-                    ev.bytes_out = reply_len;
-                    ev.flags = FLAG_RESPONSE;
-                    if answered_via_tcp {
-                        ev.flags |= FLAG_TC_SEEN | FLAG_TCP_RETRY | FLAG_TCP;
-                    }
-                    ev.rcode = 0;
-                } else {
-                    ev.auth_id = server as u16;
-                    ev.latency_ns = window.as_nanos().min(u64::from(u32::MAX) as u128) as u32;
-                    ev.rcode = RCODE_NONE;
-                    ev.flags = if doomed.is_some() { FLAG_RESPONSE } else { FLAG_TIMEOUT };
-                    if tc_doomed {
-                        ev.flags |= FLAG_TC_SEEN;
-                    }
-                    if tcp_retried {
-                        ev.flags |= FLAG_TCP_RETRY;
-                    }
-                }
-                p.record(&ev);
+                w.record_attempt(p, &ids, id, window, &out, tcp_flags);
             }
-            if answered {
+            if out.answer.is_some() {
+                w.stats.answered += 1;
+                answered = true;
                 break;
-            }
-            if doomed.is_none() {
-                stats.timeouts += 1;
-                let last = sent.last().expect("attempt just pushed");
-                infra.observe_timeout(tokens[last.server], sim_now(epoch));
-                excluded.push(tokens[last.server]);
             }
         }
         if !answered {
@@ -1202,21 +1133,21 @@ fn worker_loop(
             };
             match stale_hit {
                 Some(h) => {
-                    stats.answered += 1;
-                    stats.stale_served += 1;
+                    w.stats.answered += 1;
+                    w.stats.stale_served += 1;
                     if let Some(p) = &producer {
                         let mut ev = Event::new(EventKind::CacheLookup);
                         ev.ts_ns = p.now_ns();
                         ev.client_hash = client_token;
-                        ev.qname_hash = qname_hash;
-                        ev.journey = journey;
+                        ev.qname_hash = ids.qname_hash;
+                        ev.journey = ids.journey;
                         ev.flags = FLAG_TIMEOUT;
                         ev.rcode = h.rcode.to_u8();
                         p.record(&ev);
                     }
                 }
                 None => {
-                    stats.servfails += 1;
+                    w.stats.servfails += 1;
                     if let Some(m) = metrics {
                         m.servfail.inc();
                     }
@@ -1232,14 +1163,14 @@ fn worker_loop(
     // still in flight or queued in the socket buffer; read them all so
     // the reverse-direction books balance (chaos smoke asserts that
     // every delivered datagram was classified).
-    socket.set_read_timeout(Some(DRAIN_WINDOW))?;
+    w.socket.set_read_timeout(Some(DRAIN_WINDOW))?;
     loop {
-        match socket.recv_from(&mut recv_buf) {
+        match w.socket.recv_from(&mut w.recv_buf) {
             Ok((n, _)) => {
-                if Message::decode(&recv_buf[..n]).is_ok() {
-                    stats.stale += 1;
+                if Message::decode(&w.recv_buf[..n]).is_ok() {
+                    w.stats.stale += 1;
                 } else {
-                    stats.corrupt_replies += 1;
+                    w.stats.corrupt_replies += 1;
                 }
             }
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
@@ -1249,7 +1180,7 @@ fn worker_loop(
             Err(_) => break,
         }
     }
-    Ok((stats, per_server))
+    Ok((w.stats, w.per_server))
 }
 
 /// Classifies one received datagram against the current transaction's

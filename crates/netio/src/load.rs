@@ -197,8 +197,7 @@ impl LoadReport {
         dnswild_telemetry::stats::percentile_sorted_u64(&self.latencies_ns, q * 100.0)
     }
 
-    /// The sorted raw latency samples (for external summarisers such as
-    /// `dnswild_bench::Stats`).
+    /// The sorted raw latency samples (for external summarisers).
     pub fn latencies_ns(&self) -> &[u64] {
         &self.latencies_ns
     }

@@ -18,7 +18,7 @@ use crate::event::{
     EventKind, TraceEvent, FLAG_DECODE_ERROR, FLAG_RESPONSE, FLAG_RRL, FLAG_TIMEOUT,
 };
 use crate::flight::{FlightConfig, FlightRecorder, FlightStats};
-use crate::hist::LatencyHistogram;
+use crate::hist::LogHistogram;
 use crate::ring::SpscRing;
 use crate::trace::TraceWriter;
 
@@ -204,7 +204,7 @@ struct Shared {
     rings: Mutex<Vec<Arc<SpscRing>>>,
     stop: AtomicBool,
     snapshot: Arc<SnapshotCell>,
-    histogram: LatencyHistogram,
+    histogram: LogHistogram,
     /// The flight recorder. Locked by the drain thread once per sweep
     /// and by dump requests; never on the per-event hot path.
     flight: Mutex<FlightRecorder>,
@@ -282,7 +282,7 @@ impl Collector {
             rings: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             snapshot: Arc::new(SnapshotCell::default()),
-            histogram: LatencyHistogram::new(),
+            histogram: LogHistogram::new(),
             flight: Mutex::new(FlightRecorder::new(config.flight)),
             retired_overflow: AtomicU64::new(0),
             wake_lock: Mutex::new(()),

@@ -1,8 +1,17 @@
-//! Streaming HDR-style latency histogram: log₂ major buckets with 32
+//! The workspace's one streaming histogram: log₂ major buckets with 32
 //! linear sub-buckets each, giving ≤ ~3% relative error over the full
-//! `u64` nanosecond range in a fixed 2 KB-ish footprint of atomics.
-//! Recording is wait-free (one `fetch_add` + one `fetch_max`), so the
-//! drain thread can feed it while producers keep running.
+//! `u64` range in a fixed footprint of atomics. Recording is wait-free
+//! (three `fetch_add`s and a `fetch_max`), so any number of producers
+//! can feed it while a scrape or the drain thread reads it.
+//!
+//! The trace collector keeps latencies in it and the metrics registry
+//! (`dnswild_metrics` re-exports this type) renders it as a Prometheus
+//! histogram, so a percentile scraped over HTTP, one computed by
+//! `report --from-trace` and one read off `Registry::value_at` are all
+//! quantised the same way. For exposition it also carries a running
+//! value *sum* and cumulative counts at power-of-two `le` bounds
+//! (powers of two are exact bucket boundaries of the table, so the
+//! cumulative counts never straddle a bucket).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,58 +21,42 @@ const SUB_BITS: u32 = 5;
 const SUB: u64 = 1 << SUB_BITS; // 32 sub-buckets per major bucket
 const BUCKETS: usize = (64 - SUB_BITS as usize) * SUB as usize + SUB as usize;
 
+/// Power-of-two `le` exponents rendered for each histogram: 256 ns up
+/// to ~17 s, factor-of-two steps. Wide enough for per-stage span times
+/// (tens of ns .. µs) and full round-trip latencies (µs .. s).
+const LE_EXPONENTS: std::ops::RangeInclusive<u32> = 8..=34;
+
 #[derive(Debug)]
-pub struct LatencyHistogram {
+pub struct LogHistogram {
     counts: Vec<AtomicU64>,
     total: AtomicU64,
+    sum: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for LatencyHistogram {
+impl Default for LogHistogram {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl LatencyHistogram {
-    /// Number of buckets in the shared log-linear table. The `metrics`
-    /// crate's histograms reuse this exact table (via
-    /// [`LatencyHistogram::bucket_index`] /
-    /// [`LatencyHistogram::bucket_midpoint`]) so every percentile in the
-    /// workspace is computed over the same value quantisation.
-    pub const BUCKET_COUNT: usize = BUCKETS;
-
+impl LogHistogram {
     pub fn new() -> Self {
-        LatencyHistogram {
+        LogHistogram {
             counts: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             total: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
 
-    /// Bucket index for value `v` in the shared log-linear table.
-    pub fn bucket_index(v: u64) -> usize {
-        Self::index(v)
-    }
-
-    /// Midpoint of the value range bucket `i` covers (inverse of
-    /// [`LatencyHistogram::bucket_index`] up to quantisation).
-    pub fn bucket_midpoint(i: usize) -> u64 {
-        Self::value_of(i)
-    }
-
-    /// Count currently held in bucket `i`.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.counts[i].load(Ordering::Relaxed)
-    }
-
-    /// Adds every bucket of `other` into `self` (plus total and max).
+    /// Adds every bucket of `other` into `self` (plus total, sum and max).
     ///
     /// This is how a retired ring's histogram folds into a long-lived
     /// collector aggregate: bucket-wise, so merged percentiles equal the
     /// percentiles of the concatenated sample streams (up to the shared
     /// bucket quantisation).
-    pub fn merge_from(&self, other: &LatencyHistogram) {
+    pub fn merge_from(&self, other: &LogHistogram) {
         for (i, c) in other.counts.iter().enumerate() {
             let v = c.load(Ordering::Relaxed);
             if v != 0 {
@@ -71,9 +64,11 @@ impl LatencyHistogram {
             }
         }
         self.total.fetch_add(other.total.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
         self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
+    #[inline]
     fn index(v: u64) -> usize {
         if v < SUB {
             return v as usize;
@@ -96,14 +91,21 @@ impl LatencyHistogram {
         low + width / 2
     }
 
+    #[inline]
     pub fn record(&self, v: u64) {
         self.counts[Self::index(v)].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     pub fn count(&self) -> u64 {
         self.total.load(Ordering::Relaxed)
+    }
+
+    /// Sum of recorded values.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
     pub fn max(&self) -> u64 {
@@ -128,6 +130,26 @@ impl LatencyHistogram {
         }
         Some(self.max())
     }
+
+    /// `(le_bound, cumulative_count)` pairs at power-of-two bounds, in
+    /// ascending order. Each bound is an exact bucket boundary of the
+    /// table, so the cumulative count is the exact number of recorded
+    /// values strictly below the bound.
+    pub fn cumulative_le(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::with_capacity(LE_EXPONENTS.size_hint().0);
+        let mut cum = 0u64;
+        let mut next_bucket = 0usize;
+        for exp in LE_EXPONENTS {
+            let bound = 1u64 << exp;
+            let end = Self::index(bound);
+            for c in &self.counts[next_bucket..end] {
+                cum += c.load(Ordering::Relaxed);
+            }
+            next_bucket = end;
+            out.push((bound, cum));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -137,7 +159,7 @@ mod tests {
     #[test]
     fn index_and_value_stay_within_error_bound() {
         for v in [0u64, 1, 31, 32, 33, 63, 64, 100, 1_000, 123_456, u32::MAX as u64, 1 << 60] {
-            let rep = LatencyHistogram::value_of(LatencyHistogram::index(v));
+            let rep = LogHistogram::value_of(LogHistogram::index(v));
             let err = rep.abs_diff(v) as f64 / (v.max(1)) as f64;
             assert!(err <= 0.04, "v={v} rep={rep} err={err}");
         }
@@ -149,7 +171,7 @@ mod tests {
         // The chained powers must continue upward from the dense range
         // (the walk tracks a single running maximum).
         for v in (0..10_000u64).chain((14..63).map(|s| 1u64 << s)) {
-            let i = LatencyHistogram::index(v);
+            let i = LogHistogram::index(v);
             if v > 0 {
                 assert!(i >= last, "index not monotone at v={v}");
             }
@@ -159,7 +181,7 @@ mod tests {
 
     #[test]
     fn percentiles_of_uniform_ramp() {
-        let h = LatencyHistogram::new();
+        let h = LogHistogram::new();
         for v in 1..=10_000u64 {
             h.record(v * 1_000); // 1µs .. 10ms ramp
         }
@@ -170,14 +192,16 @@ mod tests {
         assert!((p50 as f64 - 5_000_000.0).abs() / 5_000_000.0 < 0.05, "p50={p50}");
         assert!((p99 as f64 - 9_900_000.0).abs() / 9_900_000.0 < 0.05, "p99={p99}");
         assert!(h.value_at(100.0).unwrap() <= h.max());
-        assert!(LatencyHistogram::new().value_at(50.0).is_none());
+        assert!(LogHistogram::new().value_at(50.0).is_none());
     }
 
     #[test]
     fn empty_histogram_has_no_percentiles() {
-        let h = LatencyHistogram::new();
+        let h = LogHistogram::new();
         assert_eq!(h.count(), 0);
+        assert_eq!(h.sum(), 0);
         assert_eq!(h.max(), 0);
+        assert!(h.cumulative_le().iter().all(|&(_, c)| c == 0));
         for p in [0.0, 50.0, 99.9, 100.0] {
             assert_eq!(h.value_at(p), None, "p={p}");
         }
@@ -185,7 +209,7 @@ mod tests {
 
     #[test]
     fn single_sample_is_every_percentile() {
-        let h = LatencyHistogram::new();
+        let h = LogHistogram::new();
         h.record(123_456);
         for p in [0.0, 50.0, 99.9, 100.0] {
             let v = h.value_at(p).unwrap();
@@ -194,20 +218,49 @@ mod tests {
             assert!(v <= 123_456 && v.abs_diff(123_456) as f64 / 123_456.0 <= 0.04, "p={p} v={v}");
         }
         assert_eq!(h.value_at(100.0).unwrap(), h.max());
+        assert_eq!(h.sum(), 123_456);
     }
 
     #[test]
     fn all_equal_samples_collapse_to_one_bucket() {
-        let h = LatencyHistogram::new();
+        let h = LogHistogram::new();
         for _ in 0..500 {
             h.record(42_000);
         }
         assert_eq!(h.count(), 500);
-        let i = LatencyHistogram::bucket_index(42_000);
-        assert_eq!(h.bucket_count(i), 500);
+        let i = LogHistogram::index(42_000);
+        assert_eq!(h.counts[i].load(Ordering::Relaxed), 500);
         let p1 = h.value_at(1.0).unwrap();
         let p99 = h.value_at(99.0).unwrap();
         assert_eq!(p1, p99, "degenerate distribution must have zero spread");
+        assert_eq!(h.sum(), 500 * 42_000);
+    }
+
+    #[test]
+    fn cumulative_le_is_exact_at_power_of_two_boundaries() {
+        let h = LogHistogram::new();
+        for _ in 0..500 {
+            h.record(4_096); // an exact bucket boundary
+        }
+        // Everything below 2^13, nothing below 2^12.
+        let le: std::collections::BTreeMap<u64, u64> = h.cumulative_le().into_iter().collect();
+        assert_eq!(le[&(1 << 12)], 0);
+        assert_eq!(le[&(1 << 13)], 500);
+    }
+
+    #[test]
+    fn cumulative_le_is_monotone_and_ends_at_count() {
+        let h = LogHistogram::new();
+        for v in [1u64, 300, 5_000, 70_000, 1 << 20, (1 << 34) + 1] {
+            h.record(v);
+        }
+        let le = h.cumulative_le();
+        for w in le.windows(2) {
+            assert!(w[0].0 < w[1].0 && w[0].1 <= w[1].1, "monotone: {w:?}");
+        }
+        // Everything except the sample beyond the last bound.
+        assert_eq!(le.last().unwrap().1, 5);
+        assert_eq!(h.count(), 6);
     }
 
     #[test]
@@ -215,9 +268,9 @@ mod tests {
         // Two rings record disjoint chunks of one stream; folding the
         // retired ring into the live one must yield the same buckets,
         // count, max and percentiles as one histogram fed everything.
-        let retired = LatencyHistogram::new();
-        let live = LatencyHistogram::new();
-        let all = LatencyHistogram::new();
+        let retired = LogHistogram::new();
+        let live = LogHistogram::new();
+        let all = LogHistogram::new();
         for v in 1..=4_000u64 {
             let target = if v % 3 == 0 { &retired } else { &live };
             target.record(v * 250);
@@ -225,9 +278,10 @@ mod tests {
         }
         live.merge_from(&retired);
         assert_eq!(live.count(), all.count());
+        assert_eq!(live.sum(), all.sum());
         assert_eq!(live.max(), all.max());
-        for i in 0..LatencyHistogram::BUCKET_COUNT {
-            assert_eq!(live.bucket_count(i), all.bucket_count(i), "bucket {i}");
+        for (i, (l, a)) in live.counts.iter().zip(&all.counts).enumerate() {
+            assert_eq!(l.load(Ordering::Relaxed), a.load(Ordering::Relaxed), "bucket {i}");
         }
         for p in [10.0, 50.0, 90.0, 99.0] {
             assert_eq!(live.value_at(p), all.value_at(p), "p={p}");

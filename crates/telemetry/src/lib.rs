@@ -8,7 +8,7 @@
 //! per-producer lock-free SPSC ring. A background drain thread spills
 //! the rings into a versioned binary trace file ([`trace`]), keeps
 //! streaming counters ([`SnapshotCell`]) and an HDR-style latency
-//! histogram ([`LatencyHistogram`]) up to date.
+//! histogram ([`LogHistogram`]) up to date.
 //!
 //! Design rules, in priority order:
 //!
@@ -42,8 +42,6 @@ pub use event::{
     FLAG_TIMEOUT, RCODE_NONE,
 };
 pub use flight::{FlightConfig, FlightRecorder, FlightStats, JourneyLog};
-pub use hist::LatencyHistogram;
+pub use hist::LogHistogram;
 pub use ring::SpscRing;
-pub use trace::{
-    Trace, TraceWriter, EVENT_BYTES, EVENT_BYTES_V1, TRACE_FORMAT_VERSION, TRACE_FORMAT_VERSION_V1,
-};
+pub use trace::{Trace, TraceWriter, EVENT_BYTES, TRACE_FORMAT_VERSION};

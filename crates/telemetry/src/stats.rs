@@ -3,10 +3,9 @@
 //! `percentile_sorted` started life in `dnswild-analysis` and feeds the
 //! figure pipelines, so its float behaviour must not change (the
 //! `results/exp_*.txt` goldens depend on it byte for byte). It lives
-//! here — the leaf of the dependency graph — so `netio::load`,
-//! `bench::Stats`, and the telemetry histogram can share it instead of
-//! each carrying its own nearest-rank variant; `analysis::stats`
-//! re-exports it unchanged.
+//! here — the leaf of the dependency graph — so `netio::load` and the
+//! telemetry histogram can share it instead of each carrying its own
+//! nearest-rank variant; `analysis::stats` re-exports it unchanged.
 
 /// Interpolated rank of percentile `p` (0–100, clamped) in a sorted
 /// collection of `len` items: returns `(lo, hi, frac)` such that the
@@ -49,19 +48,6 @@ pub fn percentile_sorted_u64(sorted: &[u64], p: f64) -> Option<u64> {
     Some((a + (b - a) * frac).round() as u64)
 }
 
-/// As [`percentile_sorted_u64`] for `u128` samples (bench wall-clocks).
-pub fn percentile_sorted_u128(sorted: &[u128], p: f64) -> Option<u128> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let (lo, hi, frac) = interp_rank(sorted.len(), p);
-    if lo == hi {
-        return Some(sorted[lo]);
-    }
-    let (a, b) = (sorted[lo] as f64, sorted[hi] as f64);
-    Some((a + (b - a) * frac).round() as u128)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,8 +75,7 @@ mod tests {
         assert_eq!(percentile_sorted_u64(&v, 100.0), Some(40));
         assert_eq!(percentile_sorted_u64(&v, 50.0), Some(25));
         assert_eq!(percentile_sorted_u64(&[], 50.0), None);
-        let w = [10u128, 11];
-        assert_eq!(percentile_sorted_u128(&w, 50.0), Some(11)); // 10.5 rounds up
+        assert_eq!(percentile_sorted_u64(&[10, 11], 50.0), Some(11)); // 10.5 rounds up
     }
 
     #[test]

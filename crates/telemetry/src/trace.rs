@@ -17,10 +17,8 @@
 //! that lost events to ring overflow says so in-band. A trace without
 //! a footer (writer crashed) is rejected rather than silently short.
 //!
-//! Version 2 (journey ids + wire DNS ids, 48-byte events) is what the
-//! writer emits; the reader also accepts version-1 files (`DWTRACE1`
-//! magic, 40-byte events) through a shim that zero-fills the fields v1
-//! did not carry, so traces captured before the upgrade keep ingesting.
+//! Version 2 (journey ids + wire DNS ids, 48-byte events) is the only
+//! format read or written; a `DWTRACE1` file is rejected as bad magic.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -34,13 +32,7 @@ use crate::event::TraceEvent;
 pub const TRACE_FORMAT_VERSION: u16 = 2;
 pub const EVENT_BYTES: usize = 48;
 
-/// The version-1 format, still accepted by [`Trace::read`].
-pub const TRACE_FORMAT_VERSION_V1: u16 = 1;
-/// Event payload size in a version-1 trace (five words, no journey).
-pub const EVENT_BYTES_V1: usize = 40;
-
 const MAGIC: &[u8; 8] = b"DWTRACE2";
-const MAGIC_V1: &[u8; 8] = b"DWTRACE1";
 const TAG_EVENT: u8 = 0x01;
 const TAG_FOOTER: u8 = 0x02;
 
@@ -119,16 +111,11 @@ impl Trace {
     pub fn read<R: Read>(mut r: R) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
-        if &magic != MAGIC && &magic != MAGIC_V1 {
+        if &magic != MAGIC {
             return Err(bad("not a dnswild trace (bad magic)"));
         }
         let version = read_u16(&mut r)?;
-        let expected = if &magic == MAGIC_V1 {
-            TRACE_FORMAT_VERSION_V1
-        } else {
-            TRACE_FORMAT_VERSION
-        };
-        if version != expected {
+        if version != TRACE_FORMAT_VERSION {
             return Err(bad(format!("unsupported trace version {version}")));
         }
         let count = read_u16(&mut r)?;
@@ -152,19 +139,6 @@ impl Trace {
                 Err(e) => return Err(e),
             }
             match tag[0] {
-                TAG_EVENT if version == TRACE_FORMAT_VERSION_V1 => {
-                    let mut buf = [0u8; EVENT_BYTES_V1];
-                    r.read_exact(&mut buf)?;
-                    let mut words = [0u64; 5];
-                    for (i, w) in words.iter_mut().enumerate() {
-                        *w = u64::from_le_bytes(buf[i * 8..(i + 1) * 8].try_into().unwrap());
-                    }
-                    // v1 reserved everything above the rcode byte pair.
-                    if words[4] >> 16 != 0 {
-                        return Err(bad("reserved event bytes not zero"));
-                    }
-                    events.push(TraceEvent::decode_words_v1(words));
-                }
                 TAG_EVENT => {
                     let mut buf = [0u8; EVENT_BYTES];
                     r.read_exact(&mut buf)?;
@@ -272,55 +246,6 @@ mod tests {
         assert_eq!(t.auth_code(9), "?");
     }
 
-    /// Hand-write a DWTRACE1 file the way the old writer did: 40-byte
-    /// events, no journey word, version 1 magic.
-    fn write_trace_v1(events: &[TraceEvent], overflow: u64) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"DWTRACE1");
-        buf.extend_from_slice(&1u16.to_le_bytes());
-        buf.extend_from_slice(&1u16.to_le_bytes()); // one auth
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.push(3);
-        buf.extend_from_slice(b"FRA");
-        for e in events {
-            buf.push(TAG_EVENT);
-            for w in &e.encode_words()[..5] {
-                buf.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        buf.push(TAG_FOOTER);
-        buf.extend_from_slice(&(events.len() as u64).to_le_bytes());
-        buf.extend_from_slice(&overflow.to_le_bytes());
-        buf
-    }
-
-    #[test]
-    fn v1_traces_still_ingest_with_zeroed_journeys() {
-        let mut events: Vec<_> = (0..4).map(|i| ev(i, EventKind::ClientQuery)).collect();
-        let bytes = write_trace_v1(&events, 2);
-        let t = Trace::read(&bytes[..]).unwrap();
-        assert_eq!(t.version, TRACE_FORMAT_VERSION_V1);
-        assert_eq!(t.auths, vec!["FRA"]);
-        assert_eq!(t.overflow, 2);
-        assert!(t.events.iter().all(|e| e.journey == 0 && e.dns_id == 0));
-        // Same workload, both formats: the digest must agree, which is
-        // what lets old and new captures be compared at all.
-        let v1_digest = t.digest();
-        for (i, e) in events.iter_mut().enumerate() {
-            e.journey = 0x1000 + i as u64;
-            e.dns_id = i as u16;
-        }
-        let v2 = Trace::read(&write_trace(&events, 2)[..]).unwrap();
-        assert_eq!(v2.digest(), v1_digest);
-        // A v1 event with set high word-4 bits is still rejected.
-        let mut dirty = write_trace_v1(&[ev(0, EventKind::ClientQuery)], 0);
-        // First event block starts after magic(8)+ver(2)+count(2)+entry(2+1+3).
-        let word4_hi = 18 + 1 + 4 * 8 + 4;
-        assert_eq!(dirty[word4_hi], 0);
-        dirty[word4_hi] = 0xff;
-        assert!(Trace::read(&dirty[..]).is_err());
-    }
-
     #[test]
     fn truncated_and_corrupt_traces_are_rejected() {
         let bytes = write_trace(&[ev(1, EventKind::ServerQuery)], 0);
@@ -330,6 +255,11 @@ mod tests {
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
         assert!(Trace::read(&bad_magic[..]).is_err());
+        // The retired version-1 magic is just another bad magic.
+        let mut v1_magic = bytes.clone();
+        v1_magic[..8].copy_from_slice(b"DWTRACE1");
+        let err = Trace::read(&v1_magic[..]).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
         // Future version.
         let mut bad_version = bytes.clone();
         bad_version[8] = 9;
@@ -350,10 +280,8 @@ mod tests {
             e.client_hash ^= 42;
         }
         assert_eq!(Trace::read(&write_trace(&events, 0)[..]).unwrap().digest(), a);
-        // …nor does DWTRACE2 journey correlation (journey id and wire
-        // id): the digest keys on workload content, so a trace captured
-        // with journey stamping on compares equal to one captured
-        // before the upgrade.
+        // …nor does journey correlation (journey id and wire id): the
+        // digest keys on workload content only.
         for (i, e) in events.iter_mut().enumerate() {
             e.journey = 0xdead_beef ^ (i as u64);
             e.dns_id = i as u16;

@@ -4,320 +4,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# `default-members` makes these two cover the root package and every
+# crate under crates/ — the integration tests in tests/ and each crate's
+# unit tests, including the gates below at test sizes.
 cargo build --release --offline
 cargo test -q --offline
 
-# Loopback smoke test of the real-socket serving plane: a netio server
-# on an ephemeral UDP port must answer 100% of a 1k-query closed-loop
-# blast with internally consistent counters (exits non-zero otherwise).
-cargo run --release --offline -q -p dnswild --bin dnswild -- smoke --queries 1000
+# The gates at CI sizes. Each is one typed function of `dnswild::lab`
+# (crates/core/src/lab.rs) — the same code `dnswild smoke` and the tests
+# call — run twice where reproducibility is the claim, with the
+# seed-deterministic lines compared in Rust. A gate exits non-zero and
+# names every expectation that broke; `dnswild gate list` says what each
+# one re-checks.
+while read -r gate _; do
+    ./target/release/dnswild gate "$gate"
+done < <(./target/release/dnswild gate list)
 
-# Raised-qps smoke floor: both I/O loops of the sharded hot path — the
-# portable std loop and the Linux recvmmsg/sendmmsg loop — must sustain
-# the floor on a 6k-query closed-loop blast (median of three runs each;
-# one run is hostage to scheduler noise). The floor is deliberately far
-# under the measured loopback throughput (see results/netio_batch.txt)
-# so only a real regression trips it, not a busy CI host.
-QPS_FLOOR=40000
-floor_qps() {
-    local io="$1" qps
-    qps=$(for _ in 1 2 3; do
-        cargo run --release --offline -q -p dnswild --bin dnswild -- \
-            smoke --queries 6000 --json --io "$io" | sed -n 's/.*"qps":\([0-9.]*\).*/\1/p'
-    done | sort -g | sed -n '2p')
-    if ! awk -v q="$qps" -v f="$QPS_FLOOR" 'BEGIN { exit !(q >= f) }'; then
-        echo "qps floor gate: io=$io sustained only $qps qps (floor $QPS_FLOOR)" >&2
-        exit 1
-    fi
-    echo "qps floor: io=$io sustained $qps qps (floor $QPS_FLOOR)"
-}
-floor_qps std
-# The mmsg loop only exists where the kernel cooperates; probe first so
-# the gate skips (loudly) rather than fails on non-Linux hosts.
-if mmsg_probe=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-        smoke --queries 100 --json --io mmsg 2>&1); then
-    floor_qps mmsg
-elif grep -q "unavailable" <<<"$mmsg_probe"; then
-    echo "qps floor: io=mmsg skipped (batched I/O unavailable on this host)"
-else
-    echo "qps floor gate: io=mmsg probe failed unexpectedly:" >&2
-    printf '%s\n' "$mmsg_probe" >&2
-    exit 1
-fi
-
-# Chaos smoke gate: 2k transactions through two seeded fault proxies at
-# 10% loss + 1% corruption. The smoke command itself enforces the hard
-# criteria (100% answered-or-SERVFAIL, zero unaccounted datagrams, no
-# stuck transactions, wall-clock budget); on top of that, the fault
-# schedule and final counters must be byte-identical across two runs
-# with the same seed.
-chaos_a=$(mktemp)
-chaos_b=$(mktemp)
-trace_chaos=$(mktemp)
-trace_a=$(mktemp)
-trace_b=$(mktemp)
-trap 'rm -f "$chaos_a" "$chaos_b" "$trace_chaos" "$trace_a" "$trace_b"' EXIT
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --queries 2000 --seed 2017 --budget-secs 120 | tee "$chaos_a"
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --queries 2000 --seed 2017 --budget-secs 120 > "$chaos_b"
-if ! diff <(grep '^chaos' "$chaos_a") <(grep '^chaos' "$chaos_b"); then
-    echo "chaos smoke not reproducible: fault schedule or counters differ between runs" >&2
-    exit 1
-fi
-echo "chaos smoke reproducible: seed 2017 produced identical schedules and counters twice"
-
-# Truncation gate: with the wildcard answer padded past a forced
-# 512-byte EDNS limit, every UDP answer comes back TC=1 and must
-# complete over the TCP transport plane — through TCP connection faults
-# (refused, reset, stalled, corrupted length prefixes). The smoke
-# command enforces the hard criteria internally (every truncated
-# transaction answered over TCP or SERVFAIL, zero unaccounted datagrams
-# *and* frames); on top, the CI configuration requires actual TCP
-# completions, zero SERVFAILs, and a schedule that is byte-identical
-# across two same-seed runs.
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --tcp --edns-size 512 --queries 48 --seed 2017 --budget-secs 120 | tee "$chaos_a"
-if ! grep -q '^chaos-client: .* servfail=0 .* tcp_ok=[1-9]' "$chaos_a"; then
-    echo "truncation gate: expected zero SERVFAILs and >0 TCP completions" >&2
-    exit 1
-fi
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --tcp --edns-size 512 --queries 48 --seed 2017 --budget-secs 120 > "$chaos_b"
-if ! diff <(grep '^chaos' "$chaos_a") <(grep '^chaos' "$chaos_b"); then
-    echo "truncation gate not reproducible: TCP fault schedule or counters differ between runs" >&2
-    exit 1
-fi
-echo "truncation gate: every truncated transaction completed over TCP, reproducibly"
-
-# Telemetry closure gate: a traced chaos smoke must account for every
-# decoded query. The per-auth counts `report --from-trace` recovers
-# from the binary trace have to equal the server's own atomic counters
-# exactly, and the capture must not have dropped a single event to
-# ring overflow.
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --queries 2000 --seed 2017 --budget-secs 120 --trace "$trace_chaos" | tee "$chaos_a"
-server_queries=$(sed -n 's/^chaos-server: queries=\([0-9]*\) .*/\1/p' "$chaos_a")
-overflow=$(sed -n 's/^trace-summary: events=[0-9]* overflow=\([0-9]*\)$/\1/p' "$chaos_a")
-if [ -z "$server_queries" ] || [ "$overflow" != "0" ]; then
-    echo "telemetry gate: missing counters or ring overflow (queries='$server_queries' overflow='$overflow')" >&2
-    exit 1
-fi
-# Capture the report before grepping: grep -q would close the pipe on
-# the first match and kill the writer mid-print under pipefail.
-report_out=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    report --from-trace "$trace_chaos")
-if ! grep -qx "trace-auth-queries: FRA=$server_queries" <<<"$report_out"; then
-    echo "telemetry gate: trace-derived per-auth counts do not match the server's counters (expected FRA=$server_queries)" >&2
-    exit 1
-fi
-echo "telemetry closure: trace reproduces chaos-server queries=$server_queries with zero overflow drops"
-
-# Telemetry determinism gate: the trace digest keys on event content
-# (not timestamps or ports), so two same-seed loss-free smokes must
-# produce the same digest.
-dig_a=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --queries 1000 --trace "$trace_a" | grep '^trace-digest')
-dig_b=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --queries 1000 --trace "$trace_b" | grep '^trace-digest')
-if [ -z "$dig_a" ] || [ "$dig_a" != "$dig_b" ]; then
-    echo "telemetry gate: same-seed trace digests differ ('$dig_a' vs '$dig_b')" >&2
-    exit 1
-fi
-echo "telemetry determinism: same-seed traces share ${dig_a}"
-
-# Telemetry overhead gate: capture must stay off the hot path — the
-# traced smoke keeps at least 90% of the untraced throughput. Short
-# runs are dominated by scheduler noise on small hosts, so measure
-# 6k-query runs and compare the median of five on each side (a max
-# would amplify one lucky run; the median rides out the tails).
-median_qps() {
-    local i
-    for i in 1 2 3 4 5; do
-        cargo run --release --offline -q -p dnswild --bin dnswild -- \
-            smoke --queries 6000 --json "$@" | sed -n 's/.*"qps":\([0-9.]*\).*/\1/p'
-    done | sort -g | sed -n '3p'
-}
-plain_qps=$(median_qps)
-traced_qps=$(median_qps --trace "$trace_a")
-if ! awk -v t="$traced_qps" -v p="$plain_qps" 'BEGIN { exit !(t >= 0.90 * p) }'; then
-    echo "telemetry overhead gate: traced smoke $traced_qps qps < 90% of untraced $plain_qps qps" >&2
-    exit 1
-fi
-echo "telemetry overhead: traced $traced_qps qps vs untraced $plain_qps qps (within 10%)"
-
-# Metrics gate: a metered chaos smoke must pass the scrape-equality
-# check the smoke command enforces internally — a live Prometheus
-# endpoint scraped *during* the blast, and a final scrape whose per-auth
-# counters equal the server's own atomic stats exactly, with all five
-# hot-path stage histograms populated.
-metrics_out=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --queries 2000 --seed 2017 --budget-secs 120 --metrics-addr 127.0.0.1:0)
-if ! grep -q '^metrics-gate: PASS' <<<"$metrics_out"; then
-    echo "metrics gate: scrape did not match the server's counters" >&2
-    printf '%s\n' "$metrics_out" >&2
-    exit 1
-fi
-grep '^metrics-gate' <<<"$metrics_out"
-
-# Watchdog gate: with faults off, the live SLO watchdog must see every
-# paper law hold — share-vs-1/SRTT within tolerance, full coverage,
-# zero SERVFAILs, zero ring overflow. The smoke command fails the run
-# itself if a law breaches on a clean run.
-clean_out=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --queries 2000 --seed 2017 --loss 0 --corrupt 0 \
-    --budget-secs 120 --metrics-addr 127.0.0.1:0)
-if ! grep -q '^watchdog-gate: PASS' <<<"$clean_out"; then
-    echo "watchdog gate: a law breached on a clean run" >&2
-    printf '%s\n' "$clean_out" >&2
-    exit 1
-fi
-grep '^watchdog-gate' <<<"$clean_out"
-
-# Attack gate: a seeded random-subdomain NXDOMAIN flood against a
-# rate-limiting server, run concurrently with a legitimate blast. The
-# smoke command enforces the hard criteria internally (legit goodput
-# 100%, RRL books balanced against attacker-observed timeouts/TC slips,
-# watchdog attack-pressure breach firing, trace-derived amplification
-# below the legitimate baseline, scrape equality across all counters);
-# on top, CI requires actual slips and drops and a byte-identical
-# replay of every deterministic `attack` line across two same-seed runs.
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --attack nxdomain --rrl --queries 400 --seed 2017 \
-    --trace "$trace_a" --metrics-addr 127.0.0.1:0 | tee "$chaos_a"
-if ! grep -q '^attack-server: .* rrl_slipped=[1-9]' "$chaos_a"; then
-    echo "attack gate: the limiter never slipped a TC=1 answer" >&2
-    exit 1
-fi
-if ! grep -q '^attack-server: .* rrl_dropped=[1-9]' "$chaos_a"; then
-    echo "attack gate: the limiter never dropped a response" >&2
-    exit 1
-fi
-if ! grep -q '^attack-watchdog: .* breach=true' "$chaos_a"; then
-    echo "attack gate: the watchdog attack-pressure law never breached" >&2
-    exit 1
-fi
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --attack nxdomain --rrl --queries 400 --seed 2017 \
-    --trace "$trace_b" --metrics-addr 127.0.0.1:0 > "$chaos_b"
-if ! diff <(grep '^attack' "$chaos_a") <(grep '^attack' "$chaos_b"); then
-    echo "attack gate not reproducible: flood schedule or RRL verdicts differ between runs" >&2
-    exit 1
-fi
-echo "attack gate: RRL shed the seeded flood reproducibly while legit goodput held"
-
-# Cache gate: two back-to-back resolve passes over a low-TTL preset
-# zone through one shared record cache. The smoke command enforces the
-# hard criteria internally (warm hit-rate over 1/2, zero socket sends
-# for hits on an unbounded cache, zero unaccounted datagrams, balanced
-# books per pass); on top, CI requires a fully warm second pass and
-# byte-identical `cache-` lines across two same-seed runs.
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --cache --queries 400 --seed 2017 | tee "$chaos_a"
-if ! grep -q '^cache-warm: .* cache_hits=400 ' "$chaos_a"; then
-    echo "cache gate: warm pass did not answer every repeat from cache" >&2
-    exit 1
-fi
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --cache --queries 400 --seed 2017 > "$chaos_b"
-if ! diff <(grep '^cache-' "$chaos_a") <(grep '^cache-' "$chaos_b"); then
-    echo "cache gate not reproducible: counters differ between same-seed runs" >&2
-    exit 1
-fi
-# Full-feature pass: popularity prefetch refreshes every warm hit, then
-# a chaos blackhole kills the authoritative and RFC 8767 serve-stale
-# must complete every transaction from expired entries — with the
-# scraped cache gauges equal to the cache's own books and the trace
-# yielding per-lookup cache counts for `report --from-trace`.
-cache_out=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --cache --prefetch --serve-stale --queries 400 --seed 2017 \
-    --trace "$trace_a" --metrics-addr 127.0.0.1:0)
-printf '%s\n' "$cache_out" | grep '^cache-\|^metrics-gate\|^smoke'
-if ! grep -q '^cache-stale: .* stale_srv=400 ' <<<"$cache_out"; then
-    echo "cache gate: serve-stale did not complete every transaction from expired entries" >&2
-    exit 1
-fi
-if ! grep -q '^metrics-gate: PASS' <<<"$cache_out"; then
-    echo "cache gate: scraped cache gauges did not match the cache books" >&2
-    exit 1
-fi
-report_out=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    report --from-trace "$trace_a")
-if ! grep -q '^trace-cache: hits=[1-9]' <<<"$report_out"; then
-    echo "cache gate: trace did not yield cache-lookup counts" >&2
-    printf '%s\n' "$report_out" >&2
-    exit 1
-fi
-echo "cache gate: warm hits, prefetch, serve-stale and scrape equality all held, reproducibly"
-
-# Explain gate, part 1 — cache-stale attribution: $trace_a still holds
-# the cache gate's prefetch + serve-stale capture, where every
-# transaction completed from an expired entry; the journey taxonomy
-# must label those cache-stale.
-tails_out=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    report --from-trace "$trace_a" --tails)
-if ! grep -q '^tails-cache-stale: journeys=[1-9]' <<<"$tails_out"; then
-    echo "explain gate: serve-stale trace yielded no cache-stale journeys" >&2
-    printf '%s\n' "$tails_out" >&2
-    exit 1
-fi
-echo "explain gate: serve-stale journeys attributed to cache-stale"
-
-# Explain gate, part 2 — the full journey pipeline: a 2k-transaction
-# chaos smoke through the truncation plane with a harness-tuned rate
-# limiter (per-port buckets, charge everything), traced and run twice
-# at seed 2017. Journey ids are pure functions of the seed, so the
-# reconstructed `report --tails` attribution table and the canonical
-# `explain` timelines must be byte-identical across runs; every
-# non-clean tail cause the leg can produce must be touched; and
-# `explain --failed` must exit clean with balanced hop books. The
-# flight recorder's JSONL dump must retain journeys.
-flight_a=$(mktemp)
-trap 'rm -f "$chaos_a" "$chaos_b" "$trace_chaos" "$trace_a" "$trace_b" "$flight_a"' EXIT
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --tcp --edns-size 512 --rrl --queries 2000 --seed 2017 \
-    --budget-secs 120 --trace "$trace_a" --flight-dump "$flight_a" | tee "$chaos_a"
-cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    smoke --chaos --tcp --edns-size 512 --rrl --queries 2000 --seed 2017 \
-    --budget-secs 120 --trace "$trace_b" > "$chaos_b"
-if ! diff <(grep '^chaos' "$chaos_a") <(grep '^chaos' "$chaos_b"); then
-    echo "explain gate not reproducible: chaos+rrl schedule differs between runs" >&2
-    exit 1
-fi
-tails_a=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    report --from-trace "$trace_a" --tails)
-tails_b=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    report --from-trace "$trace_b" --tails)
-if ! diff <(grep '^tails-' <<<"$tails_a") <(grep '^tails-' <<<"$tails_b"); then
-    echo "explain gate not reproducible: tail attribution tables differ between runs" >&2
-    exit 1
-fi
-grep '^tails-' <<<"$tails_a"
-for cause in servfail rrl-slipped tc-tcp-detour chaos-faulted retried; do
-    if ! grep -q "^tails-$cause: journeys=[0-9]* touched=[1-9]" <<<"$tails_a"; then
-        echo "explain gate: tail cause $cause was never touched" >&2
-        exit 1
-    fi
-done
-exp_a=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    explain "$trace_a" --failed --canonical)
-exp_b=$(cargo run --release --offline -q -p dnswild --bin dnswild -- \
-    explain "$trace_b" --failed --canonical)
-if ! grep -q '^explain-books: .* balanced=true' <<<"$exp_a"; then
-    echo "explain gate: hop books did not balance" >&2
-    printf '%s\n' "$exp_a" | head -3 >&2
-    exit 1
-fi
-if ! diff <(printf '%s\n' "$exp_a") <(printf '%s\n' "$exp_b") > /dev/null; then
-    echo "explain gate not reproducible: canonical failed-journey timelines differ" >&2
-    exit 1
-fi
-grep '^explain-books' <<<"$exp_a"
-if ! grep -q '"journey"' "$flight_a"; then
-    echo "explain gate: flight-recorder dump is empty or malformed" >&2
-    exit 1
-fi
-echo "explain gate: tails and timelines byte-identical across same-seed runs; flight recorder dumped $(wc -l < "$flight_a") journeys"
+# Performance is not gated here: perfbench/ is the ruler (see
+# perfbench/README.md and BENCHMARK.json).
 
 # Lint gate: the observability plane rides the hot path, so keep the
 # whole workspace clippy-clean at -D warnings.

@@ -11,21 +11,13 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use dnswild::lab::{attack, origin, run_gate, AttackSpec, Rig, NXNS_AMP_FLOOR};
 use dnswild_analysis::amplification;
-use dnswild_metrics::{Registry, Watchdog, WatchdogConfig};
-use dnswild_netio::{
-    assault, blast, resolve, serve, server_stats_kinds, AttackConfig, AttackMode, Collector,
-    CollectorConfig, LoadConfig, ResolveConfig, ServeConfig, TcpOptions, Trace,
-};
-use dnswild_proto::Name;
-use dnswild_server::{RateLimitPolicy, RrlScope, TruncationPolicy};
-use dnswild_zone::presets::{attack_test_domain_zone, test_domain_zone};
-
-fn origin() -> Name {
-    Name::parse("ourtestdomain.nl").unwrap()
-}
+use dnswild_netio::{resolve, serve, AttackMode, ResolveConfig, ServeConfig, TcpOptions};
+use dnswild_server::{RateLimitPolicy, RrlScope};
+use dnswild_zone::presets::test_domain_zone;
 
 fn temp_trace(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -33,173 +25,75 @@ fn temp_trace(name: &str) -> PathBuf {
     p
 }
 
-/// The attacker-side timeout: short, because under RRL a silent drop is
-/// the expected outcome and the closed loop must classify it quickly.
-const ATTACK_TIMEOUT: Duration = Duration::from_millis(40);
-
-/// Undefended NXNS referrals must amplify at least this much, or the
-/// defense gates are judged against a toothless threat.
-const NXNS_AMP_FLOOR: f64 = 4.0;
-
-/// One complete defended engagement: a rate-limiting server with live
-/// metrics and telemetry, a legitimate blast and an NXDOMAIN flood
-/// running concurrently. Asserts every defense property and returns a
-/// digest of all seed-deterministic observables.
-fn defended_flood_run(seed: u64) -> String {
-    let registry = Arc::new(Registry::new());
-    let trace_path = temp_trace(&format!("flood-{seed}"));
-    let _ = std::fs::remove_file(&trace_path);
-    let collector = Arc::new(
-        Collector::start(CollectorConfig::new(&trace_path).auths(["FRA"])).unwrap(),
-    );
-    let zones = Arc::new(vec![attack_test_domain_zone(&origin(), 2, 20)]);
-    let handle = serve(
-        ServeConfig::new("127.0.0.1:0", "FRA", zones)
-            .threads(2)
-            .rate_limit(RateLimitPolicy::default())
-            .metrics(Arc::clone(&registry))
-            .collector(Arc::clone(&collector), 0),
-    )
-    .unwrap();
-
-    // Legit and attack loads run concurrently: the claim under test is
-    // that goodput holds *during* the flood.
-    let mut legit_cfg = LoadConfig::new(handle.local_addr(), origin()).concurrency(2).queries(300);
-    legit_cfg.seed = seed;
-    let attack_cfg = AttackConfig::new(handle.local_addr(), origin(), AttackMode::NxdomainFlood)
-        .concurrency(2)
-        .queries(300)
-        .seed(seed)
-        .timeout(ATTACK_TIMEOUT)
-        .collector(Arc::clone(&collector), 0);
-    let (legit, attack) = std::thread::scope(|scope| {
-        let lh = scope.spawn(move || blast(legit_cfg).unwrap());
-        let ah = scope.spawn(move || assault(attack_cfg).unwrap());
-        (lh.join().unwrap(), ah.join().unwrap())
-    });
-
-    // A dropped response leaves the attacker's final datagram with
-    // nothing to synchronize on — let the shards drain their buffers.
-    let settle = Instant::now() + Duration::from_secs(5);
-    while handle.stats().packets_seen() < legit.sent + attack.sent && Instant::now() < settle {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let stats = handle.shutdown();
-
-    // Goodput holds: the Abusive scope never charges positive answers,
-    // so the legitimate mix is untouched by the limiter.
-    assert!(legit.all_answered(), "legit goodput broke: {legit:?}");
-    assert!(attack.all_accounted(), "{attack:?}");
-    assert!(attack.timeouts > 0, "the limiter never dropped: {attack:?}");
-    assert!(attack.tc_slips > 0, "the limiter never slipped: {attack:?}");
-
-    // The books balance across the wire: every flood query the server
-    // saw, every drop a timeout, every slip a TC reply.
-    assert_eq!(stats.queries, legit.sent + attack.sent);
-    assert_eq!(stats.rrl_dropped, attack.timeouts);
-    assert_eq!(stats.rrl_slipped, attack.tc_slips);
-    assert_eq!(stats.bucket_evictions, 0);
-
-    // The watchdog's attack-pressure law fires on the final counters
-    // while every other law stays green — breaching *is* the defense
-    // working.
-    let wd = Watchdog::new(Arc::clone(&registry), WatchdogConfig::default()).eval_now();
-    assert!(wd.attack_breach, "flood shed but no breach: {wd:?}");
-    assert!(
-        !(wd.share_breach || wd.coverage_breach || wd.servfail_breach || wd.overflow_breach),
-        "a non-attack law breached: {wd:?}"
-    );
-
-    // The trace tells the same story in bytes: the attacker's
-    // amplification factor sits below the legitimate baseline.
-    collector.finish().unwrap();
-    let trace = Trace::read_from(&trace_path).unwrap();
-    let _ = std::fs::remove_file(&trace_path);
-    let amp = amplification(&trace);
-    assert_eq!(amp.attack_queries, attack.sent, "{amp:?}");
-    assert_eq!(amp.legit_queries, legit.sent, "{amp:?}");
-    let attack_factor = amp.attack_factor().unwrap();
-    let legit_factor = amp.legit_factor().unwrap();
-    assert!(
-        attack_factor < legit_factor,
-        "RRL left the attacker amplifying {attack_factor:.2}x vs legit {legit_factor:.2}x"
-    );
-
-    // Everything seed-deterministic, in one comparable digest.
-    let kinds: Vec<String> =
-        server_stats_kinds(&stats).iter().map(|(k, n)| format!("{k}={n}")).collect();
-    format!(
-        "{}\nserver: {}\nwatchdog: rate={:.4} breach={}\namp: {}",
-        attack.render("attack"),
-        kinds.join(" "),
-        wd.attack_rate,
-        wd.attack_breach,
-        amp.render()
-    )
-}
-
-/// The tentpole gate: the defended engagement holds every property and
-/// replays byte-identically — verdicts are request-tick driven and the
-/// schedules are `detrand` streams, so nothing in the digest may move
-/// between runs of the same seed.
+/// The tentpole gate: a rate-limiting server with live metrics and
+/// telemetry, a legitimate blast and an NXDOMAIN flood running
+/// concurrently. The attack gate itself holds every defense property —
+/// goodput at 100%, limiter books equal to the attacker's, the
+/// attack-pressure law breaching alone, traced attacker amplification
+/// under the legitimate baseline — and the engagement replays
+/// byte-identically: verdicts are request-tick driven and the schedules
+/// are `detrand` streams, so no deterministic line may move between
+/// runs of the same seed.
 #[test]
 fn defended_flood_replays_byte_identically_and_holds_goodput() {
-    let first = defended_flood_run(2017);
-    let second = defended_flood_run(2017);
-    assert_eq!(first, second, "attack engagement must replay byte-identically");
+    let spec = AttackSpec {
+        mode: AttackMode::NxdomainFlood,
+        rrl: true,
+        queries: 300,
+        concurrency: 2,
+        seed: 2017,
+    };
+    let path = temp_trace("flood");
+    let run = || {
+        let report = attack(&Rig::traced(&path).metered(), &spec).unwrap();
+        assert!(report.passed(), "{:?}", report.failures);
+        report
+    };
+    let (first, second) = (run(), run());
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(first.deterministic(), second.deterministic());
+
+    let flood = first.attack.as_ref().unwrap();
+    assert!(flood.timeouts > 0 && flood.tc_slips > 0, "{flood:?}");
+    assert!(first.watchdog.unwrap().attack_breach);
+    let amp = amplification(first.trace.as_ref().unwrap());
+    assert_eq!(amp.legit_queries, first.load.as_ref().unwrap().sent, "{amp:?}");
+    assert!(amp.attack_factor().unwrap() < amp.legit_factor().unwrap(), "{amp:?}");
 }
 
 /// The no-defense baseline: with rate limiting off, the NXNS referral
 /// flood is answered in full and grants the attacker an amplification
-/// factor past the pinned floor — both from the attacker's own books
-/// and from the server-side trace partition.
+/// factor past the pinned floor — from the server-side trace partition
+/// (the gate's own check) and from the attacker's own books.
 #[test]
 fn undefended_nxns_amplification_exceeds_the_pinned_floor() {
-    let trace_path = temp_trace("nxns");
-    let _ = std::fs::remove_file(&trace_path);
-    let collector = Arc::new(
-        Collector::start(CollectorConfig::new(&trace_path).auths(["FRA"])).unwrap(),
-    );
-    let zones = Arc::new(vec![attack_test_domain_zone(&origin(), 2, 20)]);
-    let handle = serve(
-        ServeConfig::new("127.0.0.1:0", "FRA", zones)
-            .threads(2)
-            // Match the generator's EDNS 4096 advertisement so the fat
-            // referral is not truncated away.
-            .truncation(TruncationPolicy::symmetric(4096))
-            .collector(Arc::clone(&collector), 0),
-    )
-    .unwrap();
-    let report = assault(
-        AttackConfig::new(handle.local_addr(), origin(), AttackMode::NxnsReferral)
-            .concurrency(2)
-            .queries(200)
-            .timeout(ATTACK_TIMEOUT)
-            .collector(Arc::clone(&collector), 0),
-    )
-    .unwrap();
-    let stats = handle.shutdown();
-
-    assert!(report.all_accounted(), "{report:?}");
-    assert_eq!(report.received, 200, "no limiter: every referral is served");
-    assert_eq!(stats.referrals, 200);
-    assert_eq!(stats.rrl_dropped + stats.rrl_slipped, 0);
-    let client_amp = report.amplification().unwrap();
+    let spec = AttackSpec {
+        mode: AttackMode::NxnsReferral,
+        rrl: false,
+        queries: 200,
+        concurrency: 2,
+        seed: 2017,
+    };
+    let path = temp_trace("nxns");
+    let report = attack(&Rig::traced(&path), &spec).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(report.passed(), "{:?}", report.failures);
+    assert_eq!(report.server.referrals, 200, "no limiter: every referral is served");
+    let client_amp = report.attack.unwrap().amplification().unwrap();
     assert!(
         client_amp >= NXNS_AMP_FLOOR,
         "attacker-side amplification {client_amp:.2}x under the {NXNS_AMP_FLOOR}x floor"
     );
+}
 
-    collector.finish().unwrap();
-    let trace = Trace::read_from(&trace_path).unwrap();
-    let _ = std::fs::remove_file(&trace_path);
-    let amp = amplification(&trace);
-    assert_eq!(amp.attack_queries, 200);
-    let trace_amp = amp.attack_factor().unwrap();
-    assert!(
-        trace_amp >= NXNS_AMP_FLOOR,
-        "trace-side amplification {trace_amp:.2}x under the {NXNS_AMP_FLOOR}x floor"
-    );
+/// `results/attack_amp.txt` is a seed-deterministic finding, not a
+/// timing: the six-cell sweep must regenerate it byte for byte.
+#[test]
+fn attack_sweep_regenerates_the_committed_table() {
+    let sweep = run_gate("attack-sweep").unwrap().unwrap();
+    assert!(sweep.passed(), "{:?}", sweep.failures);
+    let committed = include_str!("../results/attack_amp.txt");
+    assert_eq!(sweep.deterministic(), committed.lines().collect::<Vec<_>>());
 }
 
 /// RRL's legitimate-client escape hatch, end to end: under an `All`

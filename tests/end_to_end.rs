@@ -180,77 +180,46 @@ fn experiment_is_deterministic_across_full_stack() {
 /// fault proxy of `dnswild_netio::chaos`.
 mod chaos_plane {
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
+    use dnswild::lab::{chaos, origin, ChaosSpec, GateReport, Rig};
     use dnswild::netio::{
-        resolve, serve, ChaosProxy, ClientStats, DirTally, Direction, FaultPlan, FaultProfile,
-        ResolveConfig, ServeConfig,
+        resolve, serve, ChaosProxy, FaultPlan, FaultProfile, ResolveConfig, ServeConfig,
     };
-    use dnswild::proto::Name;
-    use dnswild::server::ServerStats;
     use dnswild::zone::presets::test_domain_zone;
 
-    fn origin() -> Name {
-        Name::parse("ourtestdomain.nl").unwrap()
-    }
-
-    /// One complete chaos run: a real server behind two fault proxies
-    /// sharing one plan, driven by the resolver client. Returns every
-    /// deterministic observable (the per-server split is deliberately
-    /// excluded — it follows real RTTs).
-    fn chaos_run(seed: u64) -> (u64, u64, ClientStats, ServerStats, DirTally, DirTally) {
-        let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
-        let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2)).unwrap();
-        // The ISSUE's reference profile: 10% loss split across the two
-        // directions, 2% duplication, delays up to 20 ms.
-        let profile = FaultProfile {
-            drop: 0.05,
-            dup: 0.02,
-            corrupt: 0.0,
-            truncate: 0.0,
-            reorder: 0.0,
-            delay_min_us: 0,
-            delay_max_us: 0,
-        }
-        .delay_ms(0, 20);
-        let plan = Arc::new(FaultPlan::new(seed, profile, profile));
-        let p1 = ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), Arc::clone(&plan)).unwrap();
-        let p2 = ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), Arc::clone(&plan)).unwrap();
-
-        let mut cfg = ResolveConfig::new(vec![p1.local_addr(), p2.local_addr()], origin())
-            .transactions(120)
-            .concurrency(3);
-        cfg.seed = seed;
-        let report = resolve(cfg).unwrap();
-        p1.shutdown();
-        p2.shutdown();
-        let fwd = plan.tally(Direction::Forward);
-        let rev = plan.tally(Direction::Reverse);
-        // Give the server a moment to classify the last flushed copies.
-        let settle = Instant::now() + Duration::from_secs(5);
-        while handle.stats().packets_seen() < fwd.delivered && Instant::now() < settle {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let stats = handle.shutdown();
-        report.stats.check().unwrap();
-        (plan.schedule_digest(), plan.events(), report.stats, stats, fwd, rev)
+    /// One complete chaos gate: a real server behind two fault proxies
+    /// sharing one plan — 10% loss split across the two directions, 2%
+    /// duplication, delays up to 20 ms — driven by the resolver client.
+    fn chaos_run(seed: u64) -> GateReport {
+        let spec = ChaosSpec { corrupt: 0.0, ..ChaosSpec::new(120, seed) };
+        let report = chaos(&Rig::default(), &spec).unwrap();
+        assert!(report.passed(), "seed {seed}: {:?}", report.failures);
+        report
     }
 
     /// Two fixed seeds, each run twice: byte-identical fault schedules
     /// (digest + event count) and identical resolver/server counter
-    /// summaries across runs; the seeds diverge from each other.
+    /// summaries across runs (the per-server split is deliberately not
+    /// a deterministic line — it follows real RTTs); the seeds diverge
+    /// from each other.
     #[test]
     fn chaos_runs_reproduce_for_fixed_seeds() {
-        let a1 = chaos_run(11);
-        let a2 = chaos_run(11);
-        assert_eq!(a1, a2, "seed 11 must reproduce exactly");
-        let b1 = chaos_run(12);
-        let b2 = chaos_run(12);
-        assert_eq!(b1, b2, "seed 12 must reproduce exactly");
-        assert_ne!(a1.0, b1.0, "different seeds must produce different schedules");
+        let (a1, a2) = (chaos_run(11), chaos_run(11));
+        assert_eq!(a1.deterministic(), a2.deterministic(), "seed 11 must reproduce exactly");
+        assert_eq!(a1.server, a2.server);
+        let (b1, b2) = (chaos_run(12), chaos_run(12));
+        assert_eq!(b1.deterministic(), b2.deterministic(), "seed 12 must reproduce exactly");
+        assert_eq!(b1.server, b2.server);
+        // Past the `chaos-summary` line, which names the seed itself.
+        assert_ne!(
+            a1.deterministic()[1..],
+            b1.deterministic()[1..],
+            "different seeds must produce different schedules"
+        );
         // Under this profile nothing should be lost outright.
-        assert_eq!(a1.2.answered + a1.2.servfails, 120);
-        assert!(a1.2.answered > 100, "10% loss cannot starve the run: {:?}", a1.2);
+        let books = a1.client.unwrap();
+        assert_eq!(books.answered + books.servfails, 120);
+        assert!(books.answered > 100, "10% loss cannot starve the run: {books:?}");
     }
 
     /// §4.2 on real sockets: with one fast lossless path and one slow

@@ -115,73 +115,37 @@ fn workspace_dependency_table_is_path_only() {
     }
 }
 
-/// The serving-plane crate is young and its manifest churns; pin down
-/// that it stays in the scan and stays hermetic (path-only deps, no
-/// registry crates — real sockets come from `std`, not tokio/socket2).
+/// The crates whose manifests are most tempting to grow a registry
+/// dependency stay in the scan and stay hermetic: the serving plane
+/// (real sockets come from `std`, not tokio/socket2, and it must keep
+/// declaring its in-tree deps — proto/zone/server plus resolver/netsim/
+/// detrand for the chaos plane), the telemetry capture plane (no
+/// hdrhistogram / crossbeam rings on the hot path) and the metrics
+/// plane (a scrape endpoint needs no prometheus/hyper/axum).
 #[test]
-fn netio_manifest_is_scanned_and_hermetic() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/netio/Cargo.toml");
-    assert!(manifest.is_file(), "crates/netio/Cargo.toml missing");
-    assert!(
-        workspace_manifests().contains(&manifest),
-        "netio manifest not picked up by the workspace scan"
-    );
-    let entries = dependency_sections(&manifest);
-    assert!(
-        entries.len() >= 6,
-        "netio should declare its in-tree deps (proto/zone/server plus resolver/netsim/detrand \
-         for the chaos plane), found {}",
-        entries.len()
-    );
-    for entry in entries {
+fn plane_manifests_are_scanned_and_hermetic() {
+    for (krate, min_deps) in [("netio", 6), ("telemetry", 0), ("metrics", 0)] {
+        let manifest =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("crates/{krate}/Cargo.toml"));
+        assert!(manifest.is_file(), "crates/{krate}/Cargo.toml missing");
         assert!(
-            entry.is_hermetic(),
-            "netio gained a non-path dependency: {} (line {})",
-            entry.line,
-            entry.line_no
+            workspace_manifests().contains(&manifest),
+            "{krate} manifest not picked up by the workspace scan"
         );
-    }
-}
-
-/// Same pin for the telemetry capture plane: it sits on the hot path of
-/// every worker, so the temptation to reach for hdrhistogram / crossbeam
-/// ring buffers is real — everything must stay std-only.
-#[test]
-fn telemetry_manifest_is_scanned_and_hermetic() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/telemetry/Cargo.toml");
-    assert!(manifest.is_file(), "crates/telemetry/Cargo.toml missing");
-    assert!(
-        workspace_manifests().contains(&manifest),
-        "telemetry manifest not picked up by the workspace scan"
-    );
-    for entry in dependency_sections(&manifest) {
+        let entries = dependency_sections(&manifest);
         assert!(
-            entry.is_hermetic(),
-            "telemetry gained a non-path dependency: {} (line {})",
-            entry.line,
-            entry.line_no
+            entries.len() >= min_deps,
+            "{krate} should declare its in-tree deps, found {}",
+            entries.len()
         );
-    }
-}
-
-/// Same pin for the metrics plane: registries/exposition are the
-/// classic excuse to pull in prometheus/hyper/axum — the whole point of
-/// `crates/metrics` is that a scrape endpoint needs none of them.
-#[test]
-fn metrics_manifest_is_scanned_and_hermetic() {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/metrics/Cargo.toml");
-    assert!(manifest.is_file(), "crates/metrics/Cargo.toml missing");
-    assert!(
-        workspace_manifests().contains(&manifest),
-        "metrics manifest not picked up by the workspace scan"
-    );
-    for entry in dependency_sections(&manifest) {
-        assert!(
-            entry.is_hermetic(),
-            "metrics gained a non-path dependency: {} (line {})",
-            entry.line,
-            entry.line_no
-        );
+        for entry in entries {
+            assert!(
+                entry.is_hermetic(),
+                "{krate} gained a non-path dependency: {} (line {})",
+                entry.line,
+                entry.line_no
+            );
+        }
     }
 }
 

@@ -10,19 +10,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dnswild_metrics::{
-    parse_exposition, scrape, MetricsServer, Registry, Watchdog, WatchdogConfig,
-};
-use dnswild_netio::{
-    blast, mirror_collector, resolve, serve, server_stats_kinds, Collector, CollectorConfig,
-    LoadConfig, ResolveConfig, ServeConfig,
-};
+use dnswild::lab::{chaos, origin, plain, ChaosSpec, PlainSpec, Rig};
+use dnswild_metrics::{parse_exposition, scrape, MetricsServer, Registry};
+use dnswild_netio::{blast, mirror_collector, serve, Collector, CollectorConfig, LoadConfig, ServeConfig};
 use dnswild_proto::{Class, Message, Name, RData, RType, Rcode};
 use dnswild_zone::presets::test_domain_zone;
-
-fn origin() -> Name {
-    Name::parse("ourtestdomain.nl").unwrap()
-}
 
 fn temp_trace(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -30,84 +22,43 @@ fn temp_trace(name: &str) -> PathBuf {
     p
 }
 
-/// A metered serve + blast, scraped over real HTTP: the per-auth
-/// `dnswild_server_events_total` counters must equal the server's final
-/// [`dnswild_server::ServerStats`] field for field, the load
-/// generator's counters must equal its report, and all five hot-path
-/// stages must have recorded spans.
+/// A metered plain gate, scraped over real HTTP: the rig's shared
+/// epilogue requires the per-auth `dnswild_server_events_total`
+/// counters to equal the server's final [`dnswild_server::ServerStats`]
+/// field for field; on top, the load generator's counters must equal
+/// its report and all five hot-path stages must have recorded spans.
 #[test]
 fn scraped_counters_match_the_server_books_exactly() {
-    let registry = Arc::new(Registry::new());
-    let http = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&registry)).unwrap();
-    let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
-    let handle = serve(
-        ServeConfig::new("127.0.0.1:0", "FRA", zones)
-            .threads(2)
-            .metrics(Arc::clone(&registry)),
-    )
-    .unwrap();
-    let report = blast(
-        LoadConfig::new(handle.local_addr(), origin())
-            .concurrency(2)
-            .queries(400)
-            .metrics(Arc::clone(&registry)),
-    )
-    .unwrap();
-    assert!(report.all_answered());
-    // Workers flush their final deltas before shutdown returns, so the
-    // scrape below sees the complete books.
-    let stats = handle.shutdown();
-
-    let text = scrape(http.local_addr()).unwrap();
-    let samples = parse_exposition(&text);
-    for (kind, want) in server_stats_kinds(&stats) {
-        let got = samples
-            .iter()
-            .find(|s| {
-                s.name == "dnswild_server_events_total"
-                    && s.label("auth") == Some("FRA")
-                    && s.label("kind") == Some(kind)
-            })
-            .unwrap_or_else(|| panic!("no series for kind={kind}"));
-        assert_eq!(got.value, want as f64, "kind={kind}");
-    }
-    let load_sent = samples.iter().find(|s| s.name == "dnswild_load_sent_total").unwrap();
-    assert_eq!(load_sent.value, report.sent as f64);
-    let answered = samples.iter().find(|s| s.name == "dnswild_load_answered_total").unwrap();
-    assert_eq!(answered.value, report.received as f64);
+    let spec = PlainSpec { queries: 400, concurrency: 2 };
+    let report = plain(&Rig::default().metered(), &spec).unwrap();
+    assert!(report.passed(), "{:?}", report.failures);
+    let load = report.load.as_ref().unwrap();
+    let sample = |name: &str| {
+        report.samples.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("no {name}"))
+    };
+    assert_eq!(sample("dnswild_load_sent_total").value, load.sent as f64);
+    assert_eq!(sample("dnswild_load_answered_total").value, load.received as f64);
     for stage in ["recv", "decode", "engine", "encode", "send"] {
-        let count = samples
+        let count = report
+            .samples
             .iter()
             .find(|s| s.name == "dnswild_stage_ns_count" && s.label("stage") == Some(stage))
             .unwrap_or_else(|| panic!("no span histogram for stage={stage}"));
         assert!(count.value > 0.0, "stage {stage} never timed");
     }
-    http.shutdown();
 }
 
-/// A clean two-authoritative resolve must leave every watchdog law
-/// unbreached: full coverage, zero SERVFAILs, no ring overflow, and a
-/// share-vs-1/SRTT deviation that is either in tolerance or vacuous
-/// (near-equal RTTs on loopback).
+/// A fault-free resolve through the chaos gate's two proxies must leave
+/// every watchdog law unbreached: full coverage, zero SERVFAILs, no
+/// ring overflow, and a share-vs-1/SRTT deviation that is either in
+/// tolerance or vacuous (near-equal RTTs on loopback).
 #[test]
 fn watchdog_stays_healthy_on_a_clean_resolve() {
-    let registry = Arc::new(Registry::new());
-    let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
-    let a = serve(ServeConfig::new("127.0.0.1:0", "FRA", Arc::clone(&zones)).threads(1)).unwrap();
-    let b = serve(ServeConfig::new("127.0.0.1:0", "LHR", zones).threads(1)).unwrap();
-    let report = resolve(
-        ResolveConfig::new(vec![a.local_addr(), b.local_addr()], origin())
-            .transactions(300)
-            .concurrency(2)
-            .metrics(Arc::clone(&registry)),
-    )
-    .unwrap();
-    a.shutdown();
-    b.shutdown();
-    assert_eq!(report.stats.servfails, 0, "clean loopback must not give up");
-
-    let wd = Watchdog::new(Arc::clone(&registry), WatchdogConfig::default());
-    let verdict = wd.eval_now();
+    let spec = ChaosSpec { loss: 0.0, corrupt: 0.0, ..ChaosSpec::new(300, 2017) };
+    let report = chaos(&Rig::default().metered(), &spec).unwrap();
+    assert!(report.passed(), "{:?}", report.failures);
+    assert_eq!(report.client.unwrap().servfails, 0, "clean loopback must not give up");
+    let verdict = report.watchdog.expect("metered runs keep the watchdog's verdict");
     assert!(verdict.healthy(), "clean run breached a law: {verdict:?}");
     assert!((verdict.coverage - 1.0).abs() < 1e-9, "every auth was reached");
     assert_eq!(verdict.servfail_rate, 0.0);

@@ -2,118 +2,35 @@
 //! I/O loop the serving plane runs — portable `recv_from`/`send_to` or
 //! Linux `recvmmsg`/`sendmmsg` batches over per-shard `SO_REUSEPORT`
 //! sockets — the observable behaviour is identical. The strongest
-//! available probe is the chaos plane: every fault decision is a pure
+//! available probe is the chaos gate: every fault decision is a pure
 //! function of `(seed, direction, datagram bytes, occurrence)`, so two
-//! blasts with the same seed must produce byte-identical fault
-//! schedules and client books *regardless of which backend served
-//! them*. A backend that reordered, dropped, duplicated or double-sent
-//! datagrams would shift occurrence indices and change the digest.
+//! runs with the same seed must produce byte-identical fault schedules
+//! and books *regardless of which backend served them*. A backend that
+//! reordered, dropped, duplicated or double-sent datagrams would shift
+//! occurrence indices and change the digest.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use dnswild::lab::{chaos, plain, ChaosSpec, GateReport, PlainSpec, Rig};
+use dnswild::netio::{batch_io_available, IoBackend};
 
-use dnswild::netio::{
-    batch_io_available, blast, resolve, serve, ChaosProxy, Direction, FaultPlan, FaultProfile,
-    IoBackend, LoadConfig, ResolveConfig, ServeConfig,
-};
-use dnswild::proto::Name;
-use dnswild::server::ServerStats;
-use dnswild::zone::presets::test_domain_zone;
-
-const SEED: u64 = 2017;
-const TXNS: u64 = 2_000;
-
-fn origin() -> Name {
-    Name::parse("ourtestdomain.nl").unwrap()
-}
-
-/// Everything a chaos blast produces that must be identical across
-/// backends: the fault schedule digest, the per-direction tallies, the
-/// client's books, and the server's classification counters.
-#[derive(Debug, PartialEq, Eq)]
-struct ChaosOutcome {
-    digest: u64,
-    events: u64,
-    fwd: String,
-    rev: String,
-    client: String,
-    server: ServerStats,
-    decode_errors: u64,
-}
-
-/// One server behind two proxies sharing one seeded fault plan, driven
-/// by the resolver retry client — the in-process twin of
-/// `dnswild smoke --chaos`.
-fn chaos_blast(io: IoBackend) -> ChaosOutcome {
-    let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
-    let handle =
-        serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2).io(io)).unwrap();
-    let base = FaultProfile {
-        drop: 0.0,
-        dup: 0.02,
-        corrupt: 0.01,
-        truncate: 0.005,
-        reorder: 0.05,
-        delay_min_us: 0,
-        delay_max_us: 0,
-    }
-    .delay_ms(0, 20);
-    let plan = Arc::new(FaultPlan::new(
-        SEED,
-        FaultProfile { drop: 0.06, ..base },
-        FaultProfile { drop: 0.04, ..base },
-    ));
-    let p1 = ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), Arc::clone(&plan)).unwrap();
-    let p2 = ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), Arc::clone(&plan)).unwrap();
-    let mut cfg = ResolveConfig::new(vec![p1.local_addr(), p2.local_addr()], origin())
-        .transactions(TXNS)
-        .concurrency(8);
-    cfg.seed = SEED;
-    let report = resolve(cfg).unwrap();
-    report.stats.check().unwrap();
-    assert!(report.stats.answered > 0, "a chaos blast must answer something");
-    // Flush the proxies' delay schedulers, then let the server classify
-    // the last deliveries before reading its books.
-    p1.shutdown();
-    p2.shutdown();
-    let fwd = plan.tally(Direction::Forward);
-    let settle = Instant::now() + Duration::from_secs(5);
-    while handle.stats().packets_seen() < fwd.delivered && Instant::now() < settle {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let io_errors = handle.io_errors();
-    let server = handle.shutdown();
-    // Balanced books on the server side: every datagram the plan
-    // delivered forward was classified exactly once.
-    assert_eq!(
-        server.packets_seen(),
-        fwd.delivered,
-        "plan delivered {} datagrams, server classified {} ({io:?})",
-        fwd.delivered,
-        server.packets_seen(),
-    );
-    assert_eq!(io_errors.recv_errors, 0, "{io:?}");
-    assert_eq!(io_errors.send_errors, 0, "{io:?}");
-    ChaosOutcome {
-        digest: plan.schedule_digest(),
-        events: plan.events(),
-        fwd: fwd.render(),
-        rev: plan.tally(Direction::Reverse).render(),
-        client: report.stats.render(),
-        server,
-        decode_errors: io_errors.decode_errors,
-    }
+/// The chaos gate — one server behind two proxies sharing one seeded
+/// fault plan, driven by the resolver retry client — on one backend.
+fn chaos_on(io: IoBackend) -> GateReport {
+    let report = chaos(&Rig { io, ..Rig::default() }, &ChaosSpec::new(2_000, 2017)).unwrap();
+    assert!(report.passed(), "{io:?}: {:?}", report.failures);
+    assert_eq!(report.io.recv_errors + report.io.send_errors, 0, "{io:?}");
+    report
 }
 
 #[test]
 fn std_and_mmsg_backends_produce_identical_chaos_schedules() {
-    let std_run = chaos_blast(IoBackend::Std);
+    let std_run = chaos_on(IoBackend::Std);
     if !batch_io_available() {
         eprintln!("skipping mmsg half: batched I/O unavailable on this host");
         return;
     }
-    let mmsg_run = chaos_blast(IoBackend::Mmsg);
-    assert_eq!(std_run, mmsg_run, "backends must be observationally identical");
+    let mmsg_run = chaos_on(IoBackend::Mmsg);
+    assert_eq!(std_run.deterministic(), mmsg_run.deterministic());
+    assert_eq!(std_run.server, mmsg_run.server, "backends must be observationally identical");
 }
 
 #[test]
@@ -124,35 +41,17 @@ fn mmsg_blast_with_concurrency_stays_balanced() {
     }
     // Enough concurrent closed-loop clients that recvmmsg actually
     // drains multi-datagram batches.
-    let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
-    let handle = serve(
-        ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2).io(IoBackend::Mmsg),
-    )
-    .unwrap();
-    assert_eq!(handle.backend(), IoBackend::Mmsg);
-    assert!(handle.reuseport(), "mmsg implies per-shard reuseport sockets");
-    let report =
-        blast(LoadConfig::new(handle.local_addr(), origin()).concurrency(8).queries(4_000))
-            .unwrap();
-    let io = handle.io_errors();
-    let stats = handle.shutdown();
-    assert!(report.all_answered(), "{report:?}");
-    report.check_server_stats(stats).unwrap();
-    assert_eq!(io.recv_errors + io.decode_errors + io.send_errors, 0, "{io:?}");
+    let rig = Rig { io: IoBackend::Mmsg, ..Rig::default() };
+    let report = plain(&rig, &PlainSpec { queries: 4_000, concurrency: 8 }).unwrap();
+    assert!(report.passed(), "{:?}", report.failures);
+    assert_eq!(report.io.send_errors, 0, "{:?}", report.io);
 }
 
 #[test]
 fn batch_floor_of_one_still_serves() {
     // The batch knob's lower boundary: every recvmmsg carries exactly
     // one datagram, degenerating to the std loop's cadence.
-    let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
-    let handle = serve(
-        ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2).batch(1),
-    )
-    .unwrap();
-    let report =
-        blast(LoadConfig::new(handle.local_addr(), origin()).concurrency(4).queries(500)).unwrap();
-    let stats = handle.shutdown();
-    assert!(report.all_answered(), "{report:?}");
-    report.check_server_stats(stats).unwrap();
+    let rig = Rig { batch: Some(1), ..Rig::default() };
+    let report = plain(&rig, &PlainSpec { queries: 500, concurrency: 4 }).unwrap();
+    assert!(report.passed(), "{:?}", report.failures);
 }

@@ -5,23 +5,16 @@
 //! `stats.dnswild.` introspection answer on tracing being enabled.
 
 use std::net::UdpSocket;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use dnswild::lab::{origin, plain, GateReport, PlainSpec, Rig};
 use dnswild_analysis::{trace_auth_counts, trace_client_counts, trace_to_measurement};
-use dnswild_netio::{
-    blast, serve, Collector, CollectorConfig, LoadConfig, LoadReport, ServeConfig, Trace,
-    TraceSummary,
-};
+use dnswild_netio::{serve, Collector, CollectorConfig, ServeConfig, Trace};
 use dnswild_proto::{Class, Message, Name, RData, RType, Rcode};
-use dnswild_server::ServerStats;
 use dnswild_telemetry::EventKind;
 use dnswild_zone::presets::test_domain_zone;
-
-fn origin() -> Name {
-    Name::parse("ourtestdomain.nl").unwrap()
-}
 
 fn temp_trace(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -29,84 +22,54 @@ fn temp_trace(name: &str) -> PathBuf {
     p
 }
 
-/// One traced serve + blast on loopback; both ends feed the same
-/// collector, the server as auth 0 ("FRA").
-fn traced_run(path: &Path, queries: u64) -> (ServerStats, LoadReport, TraceSummary) {
-    let collector =
-        Arc::new(Collector::start(CollectorConfig::new(path).auths(["FRA"])).unwrap());
-    let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
-    let handle = serve(
-        ServeConfig::new("127.0.0.1:0", "FRA", zones)
-            .threads(2)
-            .collector(Arc::clone(&collector), 0),
-    )
-    .unwrap();
-    let addr = handle.local_addr();
-    let report = blast(
-        LoadConfig::new(addr, origin())
-            .concurrency(2)
-            .queries(queries)
-            .collector(Arc::clone(&collector), 0),
-    )
-    .unwrap();
-    let stats = handle.shutdown();
-    let summary = collector.finish().unwrap();
-    (stats, report, summary)
+/// One traced plain gate on loopback — serve + blast, both ends feeding
+/// the same collector, the server as auth 0 ("FRA") — which must pass.
+/// Returns the report and the trace it read back.
+fn traced_run(name: &str, queries: u64) -> (GateReport, Trace) {
+    let path = temp_trace(name);
+    let mut report = plain(&Rig::traced(&path), &PlainSpec { queries, concurrency: 2 }).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(report.passed(), "loopback run failed: {:?}", report.failures);
+    let trace = report.trace.take().expect("traced run reads its trace back");
+    (report, trace)
 }
 
 #[test]
 fn traced_round_trip_closes_against_server_counters() {
-    let path = temp_trace("closure");
-    let (stats, report, summary) = traced_run(&path, 400);
-    assert!(report.all_answered(), "loopback run lost queries: {report:?}");
-    assert_eq!(summary.overflow, 0, "ring overflow during a smoke-rate run");
-
-    let trace = Trace::read_from(&path).unwrap();
-    assert_eq!(trace.overflow, 0);
-    assert_eq!(trace.events.len() as u64, summary.events);
+    let (report, trace) = traced_run("closure", 400);
+    assert_eq!(trace.overflow, 0, "ring overflow during a smoke-rate run");
 
     // Exact closure: one ServerQuery event per decoded query, one
     // ClientQuery event per attempt — all three views agree.
-    let server_events =
-        trace.events.iter().filter(|e| e.kind == EventKind::ServerQuery).count() as u64;
-    let client_events =
-        trace.events.iter().filter(|e| e.kind == EventKind::ClientQuery).count() as u64;
-    assert_eq!(server_events, stats.queries);
-    assert_eq!(server_events, report.sent);
-    assert_eq!(client_events, report.sent);
+    let sent = report.load.as_ref().unwrap().sent;
+    let count = |kind| trace.events.iter().filter(|e| e.kind == kind).count() as u64;
+    assert_eq!(count(EventKind::ServerQuery), report.server.queries);
+    assert_eq!(count(EventKind::ServerQuery), sent);
+    assert_eq!(count(EventKind::ClientQuery), sent);
 
     let counts = trace_auth_counts(&trace);
-    assert_eq!(counts.get("FRA").copied(), Some(stats.queries));
+    assert_eq!(counts.get("FRA").copied(), Some(report.server.queries));
     assert_eq!(counts.len(), 1);
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn same_seed_runs_produce_identical_trace_digests() {
-    let p1 = temp_trace("digest-a");
-    let p2 = temp_trace("digest-b");
-    let (_, r1, s1) = traced_run(&p1, 300);
-    let (_, r2, s2) = traced_run(&p2, 300);
-    assert!(r1.all_answered() && r2.all_answered(), "digest needs loss-free runs");
-    assert_eq!(s1.events, s2.events);
-
-    let t1 = Trace::read_from(&p1).unwrap();
-    let t2 = Trace::read_from(&p2).unwrap();
+    let (r1, t1) = traced_run("digest-a", 300);
+    let (r2, t2) = traced_run("digest-b", 300);
+    assert_eq!(t1.events.len(), t2.events.len());
     // The digest keys on event *content* (qname hash, auth, kind,
     // rcode, sizes, flags) and ignores wall-clock fields, so two runs
     // of the same seeded workload match even though their timestamps,
-    // latencies and ephemeral ports differ.
+    // latencies and ephemeral ports differ — which is why the plain
+    // gate marks its `trace-digest` line deterministic.
     assert_eq!(t1.digest(), t2.digest());
-    std::fs::remove_file(&p1).ok();
-    std::fs::remove_file(&p2).ok();
+    assert_eq!(r1.deterministic(), r2.deterministic());
+    assert_eq!(r1.deterministic(), [format!("trace-digest: {:016x}", t1.digest())]);
 }
 
 #[test]
 fn trace_feeds_the_paper_analyses() {
-    let path = temp_trace("analyses");
-    let (_, report, _) = traced_run(&path, 200);
-    assert!(report.all_answered());
-    let trace = Trace::read_from(&path).unwrap();
+    let (_, trace) = traced_run("analyses", 200);
 
     let result = trace_to_measurement(&trace);
     let cov = dnswild_analysis::coverage(&result);
@@ -119,7 +82,6 @@ fn trace_feeds_the_paper_analyses() {
     let clients = trace_client_counts(&trace);
     let profile = dnswild_analysis::rank_profile(&clients, 1, 1);
     assert_eq!(profile.client_count, clients.len());
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
