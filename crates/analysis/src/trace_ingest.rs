@@ -48,7 +48,7 @@ fn sim_rtt(ev: &Event) -> SimDuration {
 /// (`ServerQuery` events only — `ServerBad` datagrams never reached the
 /// question stage). Keyed by auth code, deterministically ordered.
 /// This is the closure value `verify.sh` balances against the serving
-/// plane's own `AtomicStats.queries` counters.
+/// plane's own `ServerStats::queries` counters.
 pub fn trace_auth_counts(trace: &Trace) -> BTreeMap<String, u64> {
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for ev in &trace.events {
@@ -312,7 +312,7 @@ mod tests {
         let miss = ev(EventKind::CacheLookup, 1, 0, false, 7_000);
         let mut prefetch = ev(EventKind::ClientQuery, 1, 0, true, 8_000);
         prefetch.flags |= FLAG_PREFETCH;
-        t.events.extend([hit, stale, miss.clone(), miss, prefetch]);
+        t.events.extend([hit, stale, miss, miss, prefetch]);
         let counts = trace_cache_counts(&t);
         assert_eq!(
             (counts.hits, counts.misses, counts.stale_served, counts.prefetches),

@@ -39,7 +39,7 @@ use dnswild_analysis::{
     coverage, query_share, rank_profile, reconstruct, render_timeline, tail_report,
     trace_auth_counts, trace_cache_counts, trace_client_counts, trace_to_measurement, Journey,
 };
-use dnswild_metrics::{parse_exposition, scrape};
+use dnswild_metrics::{parse_exposition, scrape, CounterSet};
 use dnswild_netio::{
     assault, blast, mirror_cache, mirror_collector, resolve, serve, AttackConfig, AttackMode,
     CacheConfig, ChaosProxy, Collector, Direction, FaultPlan, FaultProfile, IoBackend, LoadConfig,
@@ -226,7 +226,7 @@ fn or_die<T>(result: Result<T, String>) -> T {
 }
 
 fn print_stats(stats: ServerStats) {
-    println!("stats: {}", lab::render_server_stats(&stats));
+    println!("stats: {}", stats.line());
 }
 
 fn report_blast(report: &dnswild_netio::LoadReport) {
@@ -292,7 +292,8 @@ fn json_blast(report: &dnswild_netio::LoadReport, stats: Option<&ServerStats>) -
         pct(1.0)
     );
     if let Some(s) = stats {
-        let fields: Vec<String> = dnswild_netio::server_stats_kinds(s)
+        let fields: Vec<String> = s
+            .kinds()
             .iter()
             .map(|(kind, n)| format!("\"{kind}\":{n}"))
             .collect();

@@ -17,7 +17,7 @@
 //! [`serve`] → N [`ChaosProxy`] on one [`FaultPlan`]; and the shared
 //! epilogue: proxy flush → settle until the server's `packets_seen`
 //! catches up → shutdown → trace finish → scrape equality over
-//! [`server_stats_kinds`] → failures.
+//! the `ServerStats` kinds → failures.
 //!
 //! Progress notes (`smoke: serving on …`) go to stderr as a run
 //! proceeds; everything a caller may want to compare is in the report.
@@ -33,11 +33,12 @@ use dnswild_analysis::{
     trace_cache_counts, TailCause, TailReport,
 };
 use dnswild_metrics::{
-    parse_exposition, scrape, Sample, Watchdog, WatchdogConfig, WatchdogHandle, WatchdogReport,
+    parse_exposition, scrape, CounterSet, Sample, Watchdog, WatchdogConfig, WatchdogHandle,
+    WatchdogReport,
 };
 use dnswild_netio::attack::NXNS_EDNS_PAYLOAD;
 use dnswild_netio::{
-    assault, blast, mirror_cache, mirror_collector, resolve, serve, server_stats_kinds,
+    assault, blast, mirror_cache, mirror_collector, resolve, serve,
     AttackConfig, AttackMode, AttackReport, CacheConfig, ChaosProxy, ClientStats, Collector,
     CollectorConfig, Direction, FaultPlan, FaultProfile, IoBackend, IoErrorStats, LoadConfig,
     LoadReport, MetricsServer, Registry, ResolveConfig, ResolveReport, ServeConfig, ServeHandle,
@@ -243,15 +244,6 @@ pub fn render_cache_stats(cache: &SharedCache) -> String {
         s.stale_served,
         cache.len()
     )
-}
-
-/// `kind=n` for every [`ServerStats`] counter. `server_stats_kinds` is
-/// the single source of truth for the counter set, so this line can
-/// never lag a new field.
-pub fn render_server_stats(stats: &ServerStats) -> String {
-    let fields: Vec<String> =
-        server_stats_kinds(stats).iter().map(|(kind, n)| format!("{kind}={n}")).collect();
-    fields.join(" ")
 }
 
 /// Binds on an ephemeral port, again on `AddrInUse`: the UDP socket
@@ -464,7 +456,7 @@ impl Lab {
             String::new()
         });
         let samples = parse_exposition(&text);
-        for (kind, want) in server_stats_kinds(stats) {
+        for (kind, want) in stats.kinds() {
             let got = samples
                 .iter()
                 .find(|s| {
@@ -1316,7 +1308,7 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
         "attack-legit: sent={} received={} timeouts={} mismatched={}",
         legit.sent, legit.received, legit.timeouts, legit.mismatched
     ));
-    report.det(format!("attack-server: {}", render_server_stats(&stats)));
+    report.det(format!("attack-server: {}", stats.line()));
 
     // The trace cross-check: the amplification partition derived from
     // the recorded events, attacker vs legitimate, byte-exact.

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::counters::CounterSet;
 use crate::LogHistogram;
 
 /// Shard count per counter. Power of two, sized to cover typical worker
@@ -123,9 +124,10 @@ pub type LabeledSeries<T> = Vec<(Vec<(String, String)>, T)>;
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
-    /// Callbacks run at the start of every scrape, *before* rendering —
-    /// used to refresh gauges that mirror external counters (e.g. the
-    /// telemetry collector's snapshot cell).
+    /// Callbacks run before every read of the registry ([`Registry::render`],
+    /// [`Registry::counters`], [`Registry::gauges`]) — they refresh the
+    /// series that mirror counters living elsewhere (the telemetry
+    /// collector's snapshot cell, the serving plane's shard cells).
     scrape_hooks: Mutex<Vec<ScrapeHook>>,
 }
 
@@ -226,13 +228,56 @@ impl Registry {
         }
     }
 
-    /// Runs `f` at the start of every scrape, before rendering.
+    /// Runs `f` before every read of the registry — an HTTP scrape and
+    /// an in-process reader (the watchdog) see the same freshness. `f`
+    /// must not read the registry itself.
     pub fn on_scrape(&self, f: impl Fn() + Send + Sync + 'static) {
         self.scrape_hooks.lock().unwrap().push(Arc::new(f));
     }
 
-    /// All counter series under `name` as `(labels, value)` pairs.
+    /// Feeds the counter family `name{labels.., kind=<label>}` — one
+    /// series per field of `S` — from wherever those counters already
+    /// live: before every read, each series is advanced by what `read`
+    /// has grown since the previous one. The owner keeps writing its own
+    /// cells only, so the exposition equals the owner's books by
+    /// construction rather than by a second write on the hot path.
+    pub fn mirror_counters<S: CounterSet<N>, const N: usize>(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        read: impl Fn() -> S + Send + Sync + 'static,
+    ) {
+        let series = S::LABELS.map(|kind| {
+            let mut labels = labels.to_vec();
+            labels.push(("kind", kind));
+            self.counter_with(name, help, &labels)
+        });
+        // The lock serialises concurrent readers, so no growth is
+        // published twice.
+        let published = Mutex::new([0u64; N]);
+        self.on_scrape(move || {
+            let mut published = published.lock().unwrap();
+            for ((series, seen), now) in series.iter().zip(published.iter_mut()).zip(read().values()) {
+                if now > *seen {
+                    series.add(now - *seen);
+                    *seen = now;
+                }
+            }
+        });
+    }
+
+    fn run_scrape_hooks(&self) {
+        let hooks: Vec<ScrapeHook> = self.scrape_hooks.lock().unwrap().clone();
+        for h in &hooks {
+            h();
+        }
+    }
+
+    /// All counter series under `name` as `(labels, value)` pairs (after
+    /// running the scrape hooks).
     pub fn counters(&self, name: &str) -> LabeledSeries<u64> {
+        self.run_scrape_hooks();
         let inner = self.inner.lock().unwrap();
         inner
             .entries
@@ -245,8 +290,10 @@ impl Registry {
             .collect()
     }
 
-    /// All gauge series under `name` as `(labels, value)` pairs.
+    /// All gauge series under `name` as `(labels, value)` pairs (after
+    /// running the scrape hooks).
     pub fn gauges(&self, name: &str) -> LabeledSeries<f64> {
+        self.run_scrape_hooks();
         let inner = self.inner.lock().unwrap();
         inner
             .entries
@@ -276,10 +323,7 @@ impl Registry {
     /// Renders every metric in Prometheus text exposition format (after
     /// running the scrape hooks).
     pub fn render(&self) -> String {
-        let hooks: Vec<ScrapeHook> = self.scrape_hooks.lock().unwrap().clone();
-        for h in &hooks {
-            h();
-        }
+        self.run_scrape_hooks();
         let inner = self.inner.lock().unwrap();
         // Group series by metric name (first-appearance order) so all
         // samples of one metric are contiguous under one HELP/TYPE pair,
@@ -399,6 +443,48 @@ mod tests {
         assert!(text.contains("up 1"), "scrape hook must run before render: {text}");
         // HELP/TYPE emitted once per name even with two series.
         assert_eq!(text.matches("# TYPE req_total").count(), 1);
+    }
+
+    #[test]
+    fn mirrored_counters_track_their_source_on_every_read() {
+        crate::counter_set! {
+            /// A ledger living outside the registry.
+            struct Doors {
+                /// In.
+                entered => "in",
+                /// Out.
+                left => "out",
+            }
+        }
+        let cell = Arc::new(crate::AtomicSet::<Doors, 2>::default());
+        let reg = Registry::new();
+        let source = Arc::clone(&cell);
+        reg.mirror_counters("doors_total", "door events", &[("site", "FRA")], move || {
+            source.snapshot()
+        });
+        let value = |kind: &str| {
+            reg.counters("doors_total")
+                .into_iter()
+                .find(|(labels, _)| labels.contains(&("kind".into(), kind.into())))
+                .map(|(labels, v)| {
+                    assert_eq!(labels[0], ("site".to_string(), "FRA".to_string()));
+                    v
+                })
+        };
+        assert_eq!((value("in"), value("out")), (Some(0), Some(0)), "series exist at zero");
+        cell.add(Doors { entered: 3, left: 1 });
+        assert_eq!((value("in"), value("out")), (Some(3), Some(1)));
+        // Reading twice publishes nothing twice; growth is picked up.
+        cell.add(Doors { entered: 2, ..Default::default() });
+        assert_eq!(value("in"), Some(5));
+        assert!(reg.render().contains("doors_total{site=\"FRA\",kind=\"in\"} 5"));
+        assert!(reg.render().contains("# TYPE doors_total counter"));
+        // Two sources under one label set sum, like two writers did.
+        reg.mirror_counters("doors_total", "door events", &[("site", "FRA")], || Doors {
+            entered: 10,
+            left: 0,
+        });
+        assert_eq!(value("in"), Some(15));
     }
 
     #[test]

@@ -267,9 +267,9 @@ impl Watchdog {
         // intervened on, summed across auths. Breaching here is the
         // *defense working* — the gate pairs it with the goodput laws
         // above staying green for legitimate clients.
+        let server_events = self.registry.counters(inputs::SERVER_EVENTS);
         let server_kind = |kind: &str| -> u64 {
-            self.registry
-                .counters(inputs::SERVER_EVENTS)
+            server_events
                 .iter()
                 .filter(|(labels, _)| labels.iter().any(|(k, v)| k == "kind" && v == kind))
                 .map(|(_, n)| n)
@@ -432,6 +432,22 @@ mod tests {
         assert!(r.overflow_breach);
         assert_eq!(reg.gauges("dnswild_watchdog_coverage")[0].1, 0.5);
         assert!(reg.counters("dnswild_watchdog_evals_total")[0].1 >= 1);
+    }
+
+    #[test]
+    fn hook_fed_inputs_are_judged_without_anyone_scraping() {
+        // The overflow gauge (like the server-events series) is only
+        // refreshed by a scrape hook. A watchdog on a registry nobody
+        // scrapes must still see the live value.
+        let (reg, wd) = fixture(&[], &[]);
+        let overflow = reg.gauge(inputs::OVERFLOW, "t");
+        let drops = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let source = Arc::clone(&drops);
+        reg.on_scrape(move || overflow.set(source.load(Ordering::Relaxed) as f64));
+        assert!(!wd.eval_now().overflow_breach);
+        drops.store(3, Ordering::Relaxed);
+        let r = wd.eval_now();
+        assert!(r.overflow_breach, "overflow {} never reached the watchdog", r.overflow);
     }
 
     #[test]

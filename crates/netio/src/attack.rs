@@ -32,11 +32,12 @@ use std::time::{Duration, Instant};
 use detrand::{splitmix64, DetRng, Rng};
 use dnswild_proto::{Message, Name, RType};
 use dnswild_server::ServerStats;
-use dnswild_telemetry::{
-    journey_from_payload, qname_hash32, Collector, Event, EventKind, FLAG_ATTACK, FLAG_RESPONSE,
-    FLAG_TC_SEEN, FLAG_TIMEOUT, RCODE_NONE,
-};
+use dnswild_telemetry::{Collector, FLAG_ATTACK};
 use dnswild_zone::presets::{DELEGATION_LABEL, NX_ANCHOR_LABEL};
+
+use crate::closed_loop::{
+    encode_query, exchange, fan_out, thread_stream, unspecified_for, ExchangeTrace,
+};
 
 /// EDNS payload size the NXNS mode advertises, so the padded referral
 /// rides back whole instead of as a TC stub.
@@ -243,18 +244,6 @@ impl AttackReport {
     }
 }
 
-/// One thread's tally, folded into the [`AttackReport`].
-#[derive(Debug, Default)]
-struct AttackTally {
-    sent: u64,
-    received: u64,
-    timeouts: u64,
-    mismatched: u64,
-    tc_slips: u64,
-    bytes_sent: u64,
-    bytes_received: u64,
-}
-
 /// Builds the `n`-th attack query for `thread` — a pure function of
 /// (seed stream, mode), so schedules replay byte-identically.
 fn attack_query(rng: &mut DetRng, config: &AttackConfig, id: u16) -> Message {
@@ -287,26 +276,12 @@ fn attack_query(rng: &mut DetRng, config: &AttackConfig, id: u16) -> Message {
 
 /// Runs the adversarial workload; blocks until every thread finishes.
 pub fn assault(config: AttackConfig) -> io::Result<AttackReport> {
-    let threads = config.concurrency.max(1);
     let start = Instant::now();
-    let mut tallies: Vec<io::Result<AttackTally>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let share = config.queries / threads as u64
-                + u64::from((t as u64) < config.queries % threads as u64);
-            let cfg = &config;
-            handles.push(scope.spawn(move || attacker_loop(cfg, t, share)));
-        }
-        for h in handles {
-            tallies.push(h.join().expect("attack worker panicked"));
-        }
-    });
-    let elapsed = start.elapsed();
-
-    let mut report = AttackReport { elapsed, ..Default::default() };
+    let tallies = fan_out(config.concurrency, config.queries, |t, _first, share| {
+        attacker_loop(&config, t, share)
+    })?;
+    let mut report = AttackReport { elapsed: start.elapsed(), ..Default::default() };
     for tally in tallies {
-        let tally = tally?;
         report.sent += tally.sent;
         report.received += tally.received;
         report.timeouts += tally.timeouts;
@@ -318,31 +293,29 @@ pub fn assault(config: AttackConfig) -> io::Result<AttackReport> {
     Ok(report)
 }
 
-/// One closed-loop attacker thread.
-fn attacker_loop(config: &AttackConfig, thread: usize, queries: u64) -> io::Result<AttackTally> {
-    let bind_addr: SocketAddr = if config.target.is_ipv4() {
-        "0.0.0.0:0".parse().unwrap()
-    } else {
-        "[::]:0".parse().unwrap()
-    };
+/// One closed-loop attacker thread; its tally is an [`AttackReport`]
+/// with no `elapsed`.
+fn attacker_loop(config: &AttackConfig, thread: usize, queries: u64) -> io::Result<AttackReport> {
     let pool = if config.mode == AttackMode::SpoofedBurst { config.spoofed_sources.max(1) } else { 1 };
     let mut sockets = Vec::with_capacity(pool);
     for _ in 0..pool {
-        let socket = UdpSocket::bind(bind_addr)?;
+        let socket = UdpSocket::bind(unspecified_for(&config.target))?;
         socket.connect(config.target)?;
         socket.set_read_timeout(Some(config.timeout))?;
         sockets.push(socket);
     }
 
-    let mut rng = DetRng::seed_from_u64(
-        config.seed ^ (thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    );
+    let mut rng = DetRng::seed_from_u64(thread_stream(config.seed, thread));
     let mut send_buf = Vec::with_capacity(512);
     let mut recv_buf = vec![0u8; 4096];
-    let mut tally = AttackTally::default();
+    let mut tally = AttackReport::default();
     let producer = config.collector.as_ref().map(|c| c.producer());
-    let client_token =
-        splitmix64(0x6174_746b ^ (thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let trace = producer.as_ref().map(|producer| ExchangeTrace {
+        producer,
+        client_token: splitmix64(thread_stream(0x6174_746b, thread)),
+        auth_id: config.trace_auth_id,
+        flags: FLAG_ATTACK,
+    });
 
     for n in 0..queries {
         let id = (n % u64::from(u16::MAX)) as u16;
@@ -351,61 +324,18 @@ fn attacker_loop(config: &AttackConfig, thread: usize, queries: u64) -> io::Resu
         // made for every query (not just spoof mode) so a mode's name
         // stream does not shift when the pool size changes.
         let socket = &sockets[rng.gen_range(0..pool as u64) as usize];
-        query
-            .encode_into(&mut send_buf)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))?;
-        let sent_at = Instant::now();
-        let deadline = sent_at + config.timeout;
-        let sent_ns = producer.as_ref().map(|p| p.now_ns());
-        socket.send(&send_buf)?;
+        encode_query(&query, &mut send_buf)?;
+        let got = exchange(socket, &send_buf, id, config.timeout, &mut recv_buf, trace.as_ref())?;
         tally.sent += 1;
         tally.bytes_sent += send_buf.len() as u64;
-        let mut resp_len = 0usize;
-        let mut tc_seen = false;
-        let answered = loop {
-            match socket.recv(&mut recv_buf) {
-                Ok(got) => {
-                    if got >= 2 && u16::from_be_bytes([recv_buf[0], recv_buf[1]]) == id {
-                        tally.received += 1;
-                        tally.bytes_received += got as u64;
-                        // TC lives in bit 1 of byte 2.
-                        tc_seen = got >= 3 && recv_buf[2] & 0x02 != 0;
-                        if tc_seen {
-                            tally.tc_slips += 1;
-                        }
-                        resp_len = got;
-                        break true;
-                    }
-                    tally.mismatched += 1;
-                    if Instant::now() >= deadline {
-                        tally.timeouts += 1;
-                        break false;
-                    }
-                }
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                    tally.timeouts += 1;
-                    break false;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+        tally.mismatched += got.mismatched;
+        match got.reply_len {
+            Some(len) => {
+                tally.received += 1;
+                tally.bytes_received += len as u64;
+                tally.tc_slips += u64::from(got.truncated);
             }
-        };
-        if let (Some(producer), Some(sent_ns)) = (&producer, sent_ns) {
-            let mut ev = Event::new(EventKind::ClientQuery);
-            ev.ts_ns = sent_ns;
-            ev.client_hash = client_token;
-            ev.qname_hash = qname_hash32(send_buf.get(12..).unwrap_or(&[]));
-            (ev.journey, ev.dns_id) = journey_from_payload(&send_buf);
-            ev.latency_ns =
-                u32::try_from(producer.now_ns().saturating_sub(sent_ns)).unwrap_or(u32::MAX);
-            ev.auth_id = config.trace_auth_id;
-            ev.bytes_in = u16::try_from(send_buf.len()).unwrap_or(u16::MAX);
-            ev.bytes_out = u16::try_from(resp_len).unwrap_or(u16::MAX);
-            ev.flags = FLAG_ATTACK
-                | if answered { FLAG_RESPONSE } else { FLAG_TIMEOUT }
-                | (u16::from(tc_seen) * FLAG_TC_SEEN);
-            ev.rcode = if answered && resp_len >= 4 { recv_buf[3] & 0x0f } else { RCODE_NONE };
-            producer.record(&ev);
+            None => tally.timeouts += 1,
         }
     }
     Ok(tally)

@@ -39,8 +39,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, DetRng, Rng};
-use dnswild_metrics::{Counter, Registry};
+use dnswild_metrics::{counter_set, kv_line, AtomicSet, Counter, CounterSet, Registry};
 
+use crate::closed_loop::unspecified_for;
+use crate::server::is_idle_recv;
 use crate::tcp::{write_frame, FrameReader};
 use dnswild_telemetry::{
     hash_bytes as event_hash_bytes, hash_socket_addr, journey_from_payload, Collector, Event,
@@ -189,47 +191,33 @@ impl TcpFate {
     }
 }
 
-/// Monotone TCP-side fault tallies.
-#[derive(Debug, Default)]
-struct TcpCounters {
-    conns: AtomicU64,
-    frames: AtomicU64,
-    delivered: AtomicU64,
-    refused: AtomicU64,
-    reset: AtomicU64,
-    stalled: AtomicU64,
-    corrupt_len: AtomicU64,
-}
-
-/// A point-in-time copy of the TCP-side fault tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TcpFaultTally {
-    /// TCP connections accepted by the proxy.
-    pub conns: u64,
-    /// Query frames read from clients.
-    pub frames: u64,
-    /// Frames relayed with their responses, unmodified.
-    pub delivered: u64,
-    /// Connections closed on receipt of a frame.
-    pub refused: u64,
-    /// Connections reset after the query went upstream.
-    pub reset: u64,
-    /// Frames swallowed with the connection left hanging.
-    pub stalled: u64,
-    /// Responses relayed under a corrupted length prefix.
-    pub corrupt_len: u64,
+counter_set! {
+    /// A point-in-time copy of the TCP-side fault tallies.
+    pub struct TcpFaultTally {
+        /// TCP connections accepted by the proxy.
+        conns => "conns",
+        /// Query frames read from clients.
+        frames => "frames",
+        /// Frames relayed with their responses, unmodified.
+        delivered => "ok",
+        /// Connections closed on receipt of a frame.
+        refused => "refuse",
+        /// Connections reset after the query went upstream.
+        reset => "reset",
+        /// Frames swallowed with the connection left hanging.
+        stalled => "stall",
+        /// Responses relayed under a corrupted length prefix.
+        corrupt_len => "badlen",
+    }
 }
 
 impl TcpFaultTally {
     /// Canonical `k=v` rendering for reproducibility comparisons.
-    /// `conns` is excluded: how many connections the client opens
-    /// depends on real socket timing, while the per-frame fate counts
-    /// are content-determined.
+    /// `conns` (the first field) is excluded: how many connections the
+    /// client opens depends on real socket timing, while the per-frame
+    /// fate counts are content-determined.
     pub fn render(&self) -> String {
-        format!(
-            "frames={} ok={} refuse={} reset={} stall={} badlen={}",
-            self.frames, self.delivered, self.refused, self.reset, self.stalled, self.corrupt_len
-        )
+        kv_line(&self.kinds()[1..])
     }
 }
 
@@ -243,69 +231,32 @@ pub struct Delivery {
     pub delay: Duration,
 }
 
-/// Monotone per-direction fault tallies.
-#[derive(Debug, Default)]
-struct DirCounters {
-    inspected: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    corrupted: AtomicU64,
-    truncated: AtomicU64,
-    reordered: AtomicU64,
-    delayed: AtomicU64,
-}
-
-/// A point-in-time copy of one direction's fault tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DirTally {
-    /// Datagrams that entered the proxy in this direction.
-    pub inspected: u64,
-    /// Copies scheduled for delivery (after drops, including dups).
-    pub delivered: u64,
-    /// Datagrams dropped outright.
-    pub dropped: u64,
-    /// Extra copies created.
-    pub duplicated: u64,
-    /// Copies with one byte XOR-corrupted.
-    pub corrupted: u64,
-    /// Copies cut short.
-    pub truncated: u64,
-    /// Copies held an extra reorder interval.
-    pub reordered: u64,
-    /// Copies with a non-zero delay.
-    pub delayed: u64,
+counter_set! {
+    /// A point-in-time copy of one direction's fault tallies.
+    pub struct DirTally {
+        /// Datagrams that entered the proxy in this direction.
+        inspected => "in",
+        /// Copies scheduled for delivery (after drops, including dups).
+        delivered => "out",
+        /// Datagrams dropped outright.
+        dropped => "drop",
+        /// Extra copies created.
+        duplicated => "dup",
+        /// Copies with one byte XOR-corrupted.
+        corrupted => "corrupt",
+        /// Copies cut short.
+        truncated => "trunc",
+        /// Copies held an extra reorder interval.
+        reordered => "reorder",
+        /// Copies with a non-zero delay.
+        delayed => "delayed",
+    }
 }
 
 impl DirTally {
     /// Canonical `k=v` rendering for reproducibility comparisons.
     pub fn render(&self) -> String {
-        format!(
-            "in={} out={} drop={} dup={} corrupt={} trunc={} reorder={} delayed={}",
-            self.inspected,
-            self.delivered,
-            self.dropped,
-            self.duplicated,
-            self.corrupted,
-            self.truncated,
-            self.reordered,
-            self.delayed
-        )
-    }
-}
-
-impl DirCounters {
-    fn snapshot(&self) -> DirTally {
-        DirTally {
-            inspected: self.inspected.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-        }
+        self.line()
     }
 }
 
@@ -325,9 +276,9 @@ pub struct FaultPlan {
     /// Order-insensitive fold (wrapping sum) of per-event hashes.
     digest: AtomicU64,
     events: AtomicU64,
-    fwd: DirCounters,
-    rev: DirCounters,
-    tcp_counters: TcpCounters,
+    fwd: AtomicSet<DirTally, 8>,
+    rev: AtomicSet<DirTally, 8>,
+    tcp_counters: AtomicSet<TcpFaultTally, 7>,
 }
 
 impl FaultPlan {
@@ -343,9 +294,9 @@ impl FaultPlan {
             occurrences: Mutex::new(HashMap::new()),
             digest: AtomicU64::new(0),
             events: AtomicU64::new(0),
-            fwd: DirCounters::default(),
-            rev: DirCounters::default(),
-            tcp_counters: TcpCounters::default(),
+            fwd: AtomicSet::default(),
+            rev: AtomicSet::default(),
+            tcp_counters: AtomicSet::default(),
         }
     }
 
@@ -362,16 +313,7 @@ impl FaultPlan {
 
     /// TCP-side fault tallies.
     pub fn tcp_tally(&self) -> TcpFaultTally {
-        let c = &self.tcp_counters;
-        TcpFaultTally {
-            conns: c.conns.load(Ordering::Relaxed),
-            frames: c.frames.load(Ordering::Relaxed),
-            delivered: c.delivered.load(Ordering::Relaxed),
-            refused: c.refused.load(Ordering::Relaxed),
-            reset: c.reset.load(Ordering::Relaxed),
-            stalled: c.stalled.load(Ordering::Relaxed),
-            corrupt_len: c.corrupt_len.load(Ordering::Relaxed),
-        }
+        self.tcp_counters.snapshot()
     }
 
     /// Decides the fate of one TCP query frame, keyed — like
@@ -380,8 +322,7 @@ impl FaultPlan {
     /// reproducible fates and the aggregate counts are content-
     /// determined regardless of connection interleaving.
     pub fn decide_tcp(&self, frame: &[u8]) -> TcpFate {
-        let c = &self.tcp_counters;
-        c.frames.fetch_add(1, Ordering::Relaxed);
+        let mut tally = TcpFaultTally { frames: 1, ..Default::default() };
         let key = hash_bytes(splitmix64(self.seed ^ 0x5443_5051), frame);
         let occurrence = {
             let mut map = self.occurrences.lock().expect("occurrence map poisoned");
@@ -394,21 +335,22 @@ impl FaultPlan {
             DetRng::seed_from_u64(splitmix64(key ^ splitmix64(occurrence ^ 0x7463_7066)));
         let p = self.tcp;
         let fate = if rng.gen_bool(p.refuse) {
-            c.refused.fetch_add(1, Ordering::Relaxed);
+            tally.refused = 1;
             TcpFate::Refuse
         } else if rng.gen_bool(p.reset) {
-            c.reset.fetch_add(1, Ordering::Relaxed);
+            tally.reset = 1;
             TcpFate::Reset
         } else if rng.gen_bool(p.stall) {
-            c.stalled.fetch_add(1, Ordering::Relaxed);
+            tally.stalled = 1;
             TcpFate::Stall
         } else if rng.gen_bool(p.corrupt_len) {
-            c.corrupt_len.fetch_add(1, Ordering::Relaxed);
+            tally.corrupt_len = 1;
             TcpFate::CorruptLen
         } else {
-            c.delivered.fetch_add(1, Ordering::Relaxed);
+            tally.delivered = 1;
             TcpFate::Deliver
         };
+        self.tcp_counters.add(tally);
         self.record_event(key, occurrence, fate.action(), 0, frame);
         fate
     }
@@ -441,13 +383,10 @@ impl FaultPlan {
 
     /// Fault tallies for one direction.
     pub fn tally(&self, dir: Direction) -> DirTally {
-        match dir {
-            Direction::Forward => self.fwd.snapshot(),
-            Direction::Reverse => self.rev.snapshot(),
-        }
+        self.counters(dir).snapshot()
     }
 
-    fn counters(&self, dir: Direction) -> &DirCounters {
+    fn counters(&self, dir: Direction) -> &AtomicSet<DirTally, 8> {
         match dir {
             Direction::Forward => &self.fwd,
             Direction::Reverse => &self.rev,
@@ -458,8 +397,7 @@ impl FaultPlan {
     /// (duplicated) deliveries, each with its own delay and mutations.
     pub fn decide(&self, dir: Direction, payload: &[u8]) -> Vec<Delivery> {
         let profile = *self.profile(dir);
-        let counters = self.counters(dir);
-        counters.inspected.fetch_add(1, Ordering::Relaxed);
+        let mut tally = DirTally { inspected: 1, ..Default::default() };
 
         let key = hash_bytes(splitmix64(self.seed ^ dir.tag()), payload);
         let occurrence = {
@@ -473,12 +411,13 @@ impl FaultPlan {
             DetRng::seed_from_u64(splitmix64(key ^ splitmix64(occurrence ^ 0x5bf0_3635)));
 
         if rng.gen_bool(profile.drop) {
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
+            tally.dropped = 1;
+            self.counters(dir).add(tally);
             self.record_event(key, occurrence, 0, 0, &[]);
             return Vec::new();
         }
         let copies = if rng.gen_bool(profile.dup) {
-            counters.duplicated.fetch_add(1, Ordering::Relaxed);
+            tally.duplicated += 1;
             2
         } else {
             1
@@ -499,7 +438,7 @@ impl FaultPlan {
                 if keep >= 3 {
                     bytes[2] |= 0x02;
                 }
-                counters.truncated.fetch_add(1, Ordering::Relaxed);
+                tally.truncated += 1;
             }
             if rng.gen_bool(profile.corrupt) && !bytes.is_empty() {
                 // Offset drawn against the original length so the draw
@@ -507,7 +446,7 @@ impl FaultPlan {
                 let idx = rng.gen_range(0..payload.len().max(1)) % bytes.len();
                 let mask = rng.gen_range(1u64..256) as u8;
                 bytes[idx] ^= mask;
-                counters.corrupted.fetch_add(1, Ordering::Relaxed);
+                tally.corrupted += 1;
             }
             let mut delay_us = if profile.delay_max_us > profile.delay_min_us {
                 rng.gen_range(profile.delay_min_us..profile.delay_max_us + 1)
@@ -516,15 +455,16 @@ impl FaultPlan {
             };
             if rng.gen_bool(profile.reorder) {
                 delay_us += profile.delay_max_us;
-                counters.reordered.fetch_add(1, Ordering::Relaxed);
+                tally.reordered += 1;
             }
             if delay_us > 0 {
-                counters.delayed.fetch_add(1, Ordering::Relaxed);
+                tally.delayed += 1;
             }
-            counters.delivered.fetch_add(1, Ordering::Relaxed);
+            tally.delivered += 1;
             self.record_event(key, occurrence, 1 + copy as u64, delay_us, &bytes);
             deliveries.push(Delivery { payload: bytes, delay: Duration::from_micros(delay_us) });
         }
+        self.counters(dir).add(tally);
         deliveries
     }
 
@@ -611,24 +551,14 @@ impl ChaosProxy {
         upstream: SocketAddr,
         plan: Arc<FaultPlan>,
     ) -> io::Result<ChaosProxy> {
-        ChaosProxy::spawn_with(listen_addr, upstream, plan, None)
+        ChaosProxy::spawn_metered(listen_addr, upstream, plan, None, None)
     }
 
-    /// Like [`ChaosProxy::spawn`], but additionally records one
-    /// telemetry event per datagram crossing the proxy (`ChaosForward` /
-    /// `ChaosReverse`), with `FLAG_CHAOS_*` flags describing the fate
-    /// the fault plan chose for it.
-    pub fn spawn_with(
-        listen_addr: impl ToSocketAddrs,
-        upstream: SocketAddr,
-        plan: Arc<FaultPlan>,
-        collector: Option<Arc<Collector>>,
-    ) -> io::Result<ChaosProxy> {
-        ChaosProxy::spawn_metered(listen_addr, upstream, plan, collector, None)
-    }
-
-    /// Like [`ChaosProxy::spawn_with`], but additionally mirrors
-    /// datagram and fault counts into a metrics registry, labelled
+    /// Like [`ChaosProxy::spawn`], but with a `collector` additionally
+    /// records one telemetry event per datagram crossing the proxy
+    /// (`ChaosForward` / `ChaosReverse`, `FLAG_CHAOS_*` flags describing
+    /// the fate the fault plan chose for it), and with `metrics` mirrors
+    /// datagram and fault counts into a registry, labelled
     /// `{proxy=<label>, dir=forward|reverse}`.
     pub fn spawn_metered(
         listen_addr: impl ToSocketAddrs,
@@ -652,14 +582,16 @@ impl ChaosProxy {
         let scheduler = std::thread::Builder::new()
             .name("chaos-sched".into())
             .spawn(move || scheduler_loop(rx))?;
-        let listen = {
-            let listen_sock = Arc::clone(&listen_sock);
-            let stop = Arc::clone(&stop);
-            let plan = Arc::clone(&plan);
-            std::thread::Builder::new()
-                .name("chaos-listen".into())
-                .spawn(move || listen_loop(listen_sock, upstream, plan, stop, tx, collector, metrics))?
+        let relay = Relay {
+            plan: Arc::clone(&plan),
+            stop: Arc::clone(&stop),
+            tx,
+            collector,
+            metrics,
         };
+        let listen = std::thread::Builder::new()
+            .name("chaos-listen".into())
+            .spawn(move || listen_loop(listen_sock, upstream, relay))?;
         // TCP fallback relay on the same port the UDP listener got.
         let tcp_listener = TcpListener::bind(local_addr)?;
         let tcp_accept = {
@@ -846,163 +778,127 @@ impl ChaosMetrics {
     }
 }
 
-fn listen_loop(
-    listen: Arc<UdpSocket>,
-    upstream: SocketAddr,
+/// What the forward pump and every session's reverse pump share.
+#[derive(Clone)]
+struct Relay {
     plan: Arc<FaultPlan>,
     stop: Arc<AtomicBool>,
+    /// The delay scheduler's inbox.
     tx: mpsc::Sender<Scheduled>,
     collector: Option<Arc<Collector>>,
     metrics: Option<Arc<ChaosMetrics>>,
-) {
+}
+
+/// One direction's pump: every datagram is decided, traced, metered and
+/// dispatched the same way, whichever way it travels.
+struct Pump {
+    relay: Relay,
+    dir: Direction,
+    producer: Option<Producer>,
+    /// Heap tie-break for delayed copies; the two directions count in
+    /// disjoint halves so no two copies ever compare equal.
+    seq: u64,
+}
+
+impl Pump {
+    fn new(relay: Relay, dir: Direction) -> Pump {
+        let producer = relay.collector.as_ref().map(|c| c.producer());
+        let seq = match dir {
+            Direction::Forward => 0,
+            Direction::Reverse => u64::MAX / 2,
+        };
+        Pump { relay, dir, producer, seq }
+    }
+
+    /// Passes one datagram from `client`'s session through the fault
+    /// plan and on through `out` (to `to`, or to `out`'s connected peer).
+    fn pass(&mut self, client: SocketAddr, payload: &[u8], out: &Arc<UdpSocket>, to: Option<SocketAddr>) {
+        let plan = &self.relay.plan;
+        let deliveries = plan.decide(self.dir, payload);
+        if let Some(p) = &self.producer {
+            let kind = match self.dir {
+                Direction::Forward => EventKind::ChaosForward,
+                Direction::Reverse => EventKind::ChaosReverse,
+            };
+            trace_decision(p, kind, plan.profile(self.dir), client, payload, &deliveries);
+        }
+        if let Some(m) = &self.relay.metrics {
+            m.record(self.dir, plan.profile(self.dir), payload, &deliveries);
+        }
+        for d in deliveries {
+            self.seq += 1;
+            let copy = Scheduled {
+                due: Instant::now() + d.delay,
+                seq: self.seq,
+                payload: d.payload,
+                socket: Arc::clone(out),
+                to,
+            };
+            if d.delay.is_zero() {
+                copy.send();
+            } else {
+                let _ = self.relay.tx.send(copy);
+            }
+        }
+    }
+}
+
+fn listen_loop(listen: Arc<UdpSocket>, upstream: SocketAddr, relay: Relay) {
     let mut buf = vec![0u8; 65_535];
     let mut sessions: HashMap<SocketAddr, Session> = HashMap::new();
-    let mut seq = 0u64;
-    let producer = collector.as_ref().map(|c| c.producer());
-    while !stop.load(Ordering::Relaxed) {
+    let mut pump = Pump::new(relay.clone(), Direction::Forward);
+    while !relay.stop.load(Ordering::Relaxed) {
         let (n, client) = match listen.recv_from(&mut buf) {
             Ok(ok) => ok,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                continue
-            }
+            // The stop-poll timeout, or a transient socket error.
             Err(_) => continue,
         };
         if let std::collections::hash_map::Entry::Vacant(slot) = sessions.entry(client) {
-            match open_session(
-                &listen,
-                upstream,
-                client,
-                &plan,
-                &stop,
-                &tx,
-                collector.as_ref(),
-                metrics.as_ref(),
-            ) {
+            match open_session(&listen, upstream, client, &relay) {
                 Ok(s) => {
                     slot.insert(s);
                 }
                 Err(_) => continue,
             }
         }
-        let session = &sessions[&client];
-        let deliveries = plan.decide(Direction::Forward, &buf[..n]);
-        if let Some(p) = &producer {
-            trace_decision(
-                p,
-                EventKind::ChaosForward,
-                plan.profile(Direction::Forward),
-                client,
-                &buf[..n],
-                &deliveries,
-            );
-        }
-        if let Some(m) = &metrics {
-            m.record(Direction::Forward, plan.profile(Direction::Forward), &buf[..n], &deliveries);
-        }
-        for d in deliveries {
-            if d.delay.is_zero() {
-                let _ = session.socket.send(&d.payload);
-            } else {
-                seq += 1;
-                let _ = tx.send(Scheduled {
-                    due: Instant::now() + d.delay,
-                    seq,
-                    payload: d.payload,
-                    socket: Arc::clone(&session.socket),
-                    to: None,
-                });
-            }
-        }
+        pump.pass(client, &buf[..n], &sessions[&client].socket, None);
     }
-    drop(tx);
     for (_, s) in sessions {
         let _ = s.pump.join();
     }
+    // Returning drops the last scheduler senders (this thread's and the
+    // joined sessions'), which is what lets the scheduler drain and exit.
 }
 
-#[allow(clippy::too_many_arguments)]
 fn open_session(
     listen: &Arc<UdpSocket>,
     upstream: SocketAddr,
     client: SocketAddr,
-    plan: &Arc<FaultPlan>,
-    stop: &Arc<AtomicBool>,
-    tx: &mpsc::Sender<Scheduled>,
-    collector: Option<&Arc<Collector>>,
-    metrics: Option<&Arc<ChaosMetrics>>,
+    relay: &Relay,
 ) -> io::Result<Session> {
-    let bind: SocketAddr = if upstream.is_ipv4() {
-        "0.0.0.0:0".parse().unwrap()
-    } else {
-        "[::]:0".parse().unwrap()
-    };
-    let socket = Arc::new(UdpSocket::bind(bind)?);
+    let socket = Arc::new(UdpSocket::bind(unspecified_for(&upstream))?);
     socket.connect(upstream)?;
     socket.set_read_timeout(Some(STOP_POLL_INTERVAL))?;
     let pump = {
         let socket = Arc::clone(&socket);
         let listen = Arc::clone(listen);
-        let plan = Arc::clone(plan);
-        let stop = Arc::clone(stop);
-        let tx = tx.clone();
-        let collector = collector.map(Arc::clone);
-        let metrics = metrics.map(Arc::clone);
-        std::thread::Builder::new().name("chaos-pump".into()).spawn(move || {
-            reverse_loop(socket, listen, client, plan, stop, tx, collector, metrics)
-        })?
+        let relay = relay.clone();
+        std::thread::Builder::new()
+            .name("chaos-pump".into())
+            .spawn(move || reverse_loop(socket, listen, client, relay))?
     };
     Ok(Session { socket, pump })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn reverse_loop(
-    upstream: Arc<UdpSocket>,
-    listen: Arc<UdpSocket>,
-    client: SocketAddr,
-    plan: Arc<FaultPlan>,
-    stop: Arc<AtomicBool>,
-    tx: mpsc::Sender<Scheduled>,
-    collector: Option<Arc<Collector>>,
-    metrics: Option<Arc<ChaosMetrics>>,
-) {
+fn reverse_loop(upstream: Arc<UdpSocket>, listen: Arc<UdpSocket>, client: SocketAddr, relay: Relay) {
     let mut buf = vec![0u8; 65_535];
-    let mut seq = u64::MAX / 2;
-    let producer = collector.as_ref().map(|c| c.producer());
+    let stop = Arc::clone(&relay.stop);
+    let mut pump = Pump::new(relay, Direction::Reverse);
     while !stop.load(Ordering::Relaxed) {
-        let n = match upstream.recv(&mut buf) {
-            Ok(n) => n,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                continue
-            }
+        match upstream.recv(&mut buf) {
+            Ok(n) => pump.pass(client, &buf[..n], &listen, Some(client)),
+            // The stop-poll timeout, or a transient socket error.
             Err(_) => continue,
-        };
-        let deliveries = plan.decide(Direction::Reverse, &buf[..n]);
-        if let Some(p) = &producer {
-            trace_decision(
-                p,
-                EventKind::ChaosReverse,
-                plan.profile(Direction::Reverse),
-                client,
-                &buf[..n],
-                &deliveries,
-            );
-        }
-        if let Some(m) = &metrics {
-            m.record(Direction::Reverse, plan.profile(Direction::Reverse), &buf[..n], &deliveries);
-        }
-        for d in deliveries {
-            if d.delay.is_zero() {
-                let _ = listen.send_to(&d.payload, client);
-            } else {
-                seq += 1;
-                let _ = tx.send(Scheduled {
-                    due: Instant::now() + d.delay,
-                    seq,
-                    payload: d.payload,
-                    socket: Arc::clone(&listen),
-                    to: Some(client),
-                });
-            }
         }
     }
 }
@@ -1056,7 +952,7 @@ fn tcp_relay_loop(
     plan: Arc<FaultPlan>,
     stop: Arc<AtomicBool>,
 ) {
-    plan.tcp_counters.conns.fetch_add(1, Ordering::Relaxed);
+    plan.tcp_counters.add(TcpFaultTally { conns: 1, ..Default::default() });
     let _ = client.set_nodelay(true);
     if client.set_read_timeout(Some(STOP_POLL_INTERVAL)).is_err() {
         return;
@@ -1071,16 +967,7 @@ fn tcp_relay_loop(
         let frame = match reader.read_frame(&mut client) {
             Ok(Some(f)) => f.to_vec(),
             Ok(None) => return,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
+            Err(e) if is_idle_recv(&e) => continue,
             Err(_) => return,
         };
         let fate = match plan.decide_tcp(&frame) {
@@ -1114,16 +1001,7 @@ fn tcp_relay_loop(
             match ur.read_frame(us) {
                 Ok(Some(p)) => break p.to_vec(),
                 Ok(None) => return,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    continue
-                }
+                Err(e) if is_idle_recv(&e) => continue,
                 Err(_) => return,
             }
         };

@@ -46,7 +46,6 @@
 
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
-use std::ops::{Add, AddAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -54,7 +53,7 @@ use std::time::{Duration, Instant};
 use detrand::{splitmix64, DetRng};
 use dnswild_cache::{CacheConfig, CacheStats, CacheTime, CachedResponse, Clock, EntryKind,
     RecordCache, WallClock};
-use dnswild_metrics::{watchdog::inputs, Counter, Gauge, Registry};
+use dnswild_metrics::{counter_set, watchdog::inputs, Counter, CounterSet, Gauge, Registry};
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
 use dnswild_proto::{Message, Name, RData, RType, Rcode};
 use dnswild_resolver::{InfraCache, PolicyKind, SelectionPolicy};
@@ -63,6 +62,8 @@ use dnswild_telemetry::{
     FLAG_TCP, FLAG_TCP_RETRY, FLAG_TC_SEEN, FLAG_TIMEOUT, RCODE_NONE,
 };
 
+use crate::closed_loop::{encode_query, fan_out, thread_stream, unspecified_for};
+use crate::server::is_idle_recv;
 use crate::tcp::{write_frame, FrameReader};
 
 /// How long a worker keeps reading after its last transaction, so every
@@ -83,19 +84,30 @@ const DEFAULT_NEGATIVE_TTL: u32 = 300;
 /// The cache itself is clock-agnostic (`dnswild-cache`); this handle
 /// pairs it with a [`WallClock`] anchored at construction, so entries
 /// age with real time the way the TTLs on the wire promise.
-#[derive(Debug)]
 pub struct SharedCache {
     inner: Mutex<RecordCache>,
-    clock: WallClock,
+    clock: Box<dyn Clock + Send + Sync>,
+}
+
+impl std::fmt::Debug for SharedCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedCache").field("inner", &self.inner).finish_non_exhaustive()
+    }
 }
 
 impl SharedCache {
     /// A cache handle with the given knobs (see [`CacheConfig`]).
     pub fn new(cfg: CacheConfig) -> Arc<SharedCache> {
-        Arc::new(SharedCache {
-            inner: Mutex::new(RecordCache::with_config(cfg)),
-            clock: WallClock::new(),
-        })
+        SharedCache::with_clock(cfg, Box::new(WallClock::new()))
+    }
+
+    /// [`SharedCache::new`] on an injected clock — how this crate's
+    /// tests age entries past a TTL without sleeping through it.
+    pub(crate) fn with_clock(
+        cfg: CacheConfig,
+        clock: Box<dyn Clock + Send + Sync>,
+    ) -> Arc<SharedCache> {
+        Arc::new(SharedCache { inner: Mutex::new(RecordCache::with_config(cfg)), clock })
     }
 
     /// The current instant on this cache's timeline.
@@ -328,97 +340,66 @@ impl ResolveConfig {
     }
 }
 
-/// Resolver-level counters. Transactions are never lost: every one ends
-/// in `answered` or `servfails`, and every datagram read is classified
-/// into exactly one reply counter — [`ClientStats::check`] verifies
-/// both books.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// Transactions run.
-    pub transactions: u64,
-    /// Transactions that got a matching positive answer.
-    pub answered: u64,
-    /// Transactions abandoned after `max_tries` failed attempts.
-    pub servfails: u64,
-    /// Queries sent (first tries + retries).
-    pub attempts: u64,
-    /// Attempts beyond each transaction's first.
-    pub retries: u64,
-    /// Attempts whose window expired with no reply at all.
-    pub timeouts: u64,
-    /// Attempts doomed by a REFUSED/SERVFAIL reply (the server is
-    /// excluded and penalised in the infra cache, like a lame
-    /// delegation).
-    pub lame: u64,
-    /// Attempts doomed by a FORMERR/NOTIMP reply (the query was mangled
-    /// in transit; the server is not blamed).
-    pub formerr: u64,
-    /// Attempts doomed by a TC=1 reply.
-    pub tc_seen: u64,
-    /// TCP fallback queries issued after a TC-doomed attempt window.
-    pub tcp_attempts: u64,
-    /// Transactions completed by a TCP fallback answer (a subset of
-    /// `answered`).
-    pub tcp_answered: u64,
-    /// TCP fallbacks that failed (connect/frame error, timeout, or an
-    /// unusable reply); the transaction went back to UDP retries.
-    pub tcp_failed: u64,
-    /// Datagrams that failed to decode as DNS messages.
-    pub corrupt_replies: u64,
-    /// Decoded replies not attributable to an in-flight attempt:
-    /// duplicates, late arrivals from finished transactions, and
-    /// mutated copies whose question or rcode no longer matches. (These
-    /// are one bucket on purpose: whether a mutated duplicate is read
-    /// before or after the clean answer must not change the counts.)
-    pub stale: u64,
-    /// Transactions answered from a live cache entry — no socket I/O at
-    /// all (a subset of `answered`).
-    pub cache_hits: u64,
-    /// Of `cache_hits`, those served from a negative entry (RFC 2308
-    /// NXDOMAIN or NODATA).
-    pub cache_negative: u64,
-    /// Transactions answered from an *expired* cache entry after every
-    /// try failed (RFC 8767; a subset of `answered`, disjoint from
-    /// `cache_hits`).
-    pub stale_served: u64,
-    /// Background refresh attempts launched for hot entries near expiry
-    /// (each adds one to `attempts` but belongs to no transaction's
-    /// retry budget).
-    pub prefetches: u64,
-    /// Prefetches whose refresh answer arrived and was re-cached.
-    pub prefetch_ok: u64,
-}
-
-impl Add for ClientStats {
-    type Output = ClientStats;
-    fn add(self, o: ClientStats) -> ClientStats {
-        ClientStats {
-            transactions: self.transactions + o.transactions,
-            answered: self.answered + o.answered,
-            servfails: self.servfails + o.servfails,
-            attempts: self.attempts + o.attempts,
-            retries: self.retries + o.retries,
-            timeouts: self.timeouts + o.timeouts,
-            lame: self.lame + o.lame,
-            formerr: self.formerr + o.formerr,
-            tc_seen: self.tc_seen + o.tc_seen,
-            tcp_attempts: self.tcp_attempts + o.tcp_attempts,
-            tcp_answered: self.tcp_answered + o.tcp_answered,
-            tcp_failed: self.tcp_failed + o.tcp_failed,
-            corrupt_replies: self.corrupt_replies + o.corrupt_replies,
-            stale: self.stale + o.stale,
-            cache_hits: self.cache_hits + o.cache_hits,
-            cache_negative: self.cache_negative + o.cache_negative,
-            stale_served: self.stale_served + o.stale_served,
-            prefetches: self.prefetches + o.prefetches,
-            prefetch_ok: self.prefetch_ok + o.prefetch_ok,
-        }
-    }
-}
-
-impl AddAssign for ClientStats {
-    fn add_assign(&mut self, o: ClientStats) {
-        *self = *self + o;
+counter_set! {
+    /// Resolver-level counters. Transactions are never lost: every one
+    /// ends in `answered` or `servfails`, and every datagram read is
+    /// classified into exactly one reply counter — [`ClientStats::check`]
+    /// verifies both books. The labels are the keys of
+    /// [`ClientStats::render`].
+    pub struct ClientStats {
+        /// Transactions run.
+        transactions => "txns",
+        /// Transactions that got a matching positive answer.
+        answered => "answered",
+        /// Transactions abandoned after `max_tries` failed attempts.
+        servfails => "servfail",
+        /// Queries sent (first tries + retries).
+        attempts => "attempts",
+        /// Attempts beyond each transaction's first.
+        retries => "retries",
+        /// Attempts whose window expired with no reply at all.
+        timeouts => "timeouts",
+        /// Attempts doomed by a REFUSED/SERVFAIL reply (the server is
+        /// excluded and penalised in the infra cache, like a lame
+        /// delegation).
+        lame => "lame",
+        /// Attempts doomed by a FORMERR/NOTIMP reply (the query was mangled
+        /// in transit; the server is not blamed).
+        formerr => "formerr",
+        /// Attempts doomed by a TC=1 reply.
+        tc_seen => "tc",
+        /// TCP fallback queries issued after a TC-doomed attempt window.
+        tcp_attempts => "tcp_try",
+        /// Transactions completed by a TCP fallback answer (a subset of
+        /// `answered`).
+        tcp_answered => "tcp_ok",
+        /// TCP fallbacks that failed (connect/frame error, timeout, or an
+        /// unusable reply); the transaction went back to UDP retries.
+        tcp_failed => "tcp_fail",
+        /// Datagrams that failed to decode as DNS messages.
+        corrupt_replies => "corrupt",
+        /// Decoded replies not attributable to an in-flight attempt:
+        /// duplicates, late arrivals from finished transactions, and
+        /// mutated copies whose question or rcode no longer matches. (These
+        /// are one bucket on purpose: whether a mutated duplicate is read
+        /// before or after the clean answer must not change the counts.)
+        stale => "stale",
+        /// Transactions answered from a live cache entry — no socket I/O at
+        /// all (a subset of `answered`).
+        cache_hits => "cache_hits",
+        /// Of `cache_hits`, those served from a negative entry (RFC 2308
+        /// NXDOMAIN or NODATA).
+        cache_negative => "cache_neg",
+        /// Transactions answered from an *expired* cache entry after every
+        /// try failed (RFC 8767; a subset of `answered`, disjoint from
+        /// `cache_hits`).
+        stale_served => "stale_srv",
+        /// Background refresh attempts launched for hot entries near expiry
+        /// (each adds one to `attempts` but belongs to no transaction's
+        /// retry budget).
+        prefetches => "prefetch",
+        /// Prefetches whose refresh answer arrived and was re-cached.
+        prefetch_ok => "prefetch_ok",
     }
 }
 
@@ -505,30 +486,7 @@ impl ClientStats {
     /// Canonical `k=v` rendering; every field here is deterministic for
     /// a given seed, so the smoke gate compares these lines verbatim.
     pub fn render(&self) -> String {
-        format!(
-            "txns={} answered={} servfail={} attempts={} retries={} timeouts={} lame={} \
-             formerr={} tc={} tcp_try={} tcp_ok={} tcp_fail={} corrupt={} stale={} \
-             cache_hits={} cache_neg={} stale_srv={} prefetch={} prefetch_ok={}",
-            self.transactions,
-            self.answered,
-            self.servfails,
-            self.attempts,
-            self.retries,
-            self.timeouts,
-            self.lame,
-            self.formerr,
-            self.tc_seen,
-            self.tcp_attempts,
-            self.tcp_answered,
-            self.tcp_failed,
-            self.corrupt_replies,
-            self.stale,
-            self.cache_hits,
-            self.cache_negative,
-            self.stale_served,
-            self.prefetches,
-            self.prefetch_ok
-        )
+        self.line()
     }
 }
 
@@ -579,7 +537,7 @@ fn tcp_roundtrip(conn: &mut TcpConn, query_bytes: &[u8], timeout: Duration) -> i
             Ok(None) => {
                 return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))
             }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Err(e) if is_idle_recv(&e) => {
                 if Instant::now() >= deadline {
                     return Err(io::Error::new(io::ErrorKind::TimedOut, "tcp reply timed out"));
                 }
@@ -690,33 +648,17 @@ pub fn resolve(config: ResolveConfig) -> io::Result<ResolveReport> {
             "resolve needs between 1 and 254 servers",
         ));
     }
-    let workers = config.concurrency.max(1);
     let metrics = config
         .metrics
         .as_ref()
         .map(|r| ClientMetrics::register(r, &config.servers));
     let start = Instant::now();
-    let mut outcomes: Vec<io::Result<(ClientStats, Vec<u64>)>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut next_txn = 0u64;
-        for w in 0..workers {
-            let share = config.transactions / workers as u64
-                + u64::from((w as u64) < config.transactions % workers as u64);
-            let cfg = &config;
-            let first = next_txn;
-            next_txn += share;
-            let m = metrics.as_ref();
-            handles.push(scope.spawn(move || worker_loop(cfg, w, first, share, m)));
-        }
-        for h in handles {
-            outcomes.push(h.join().expect("resolve worker panicked"));
-        }
-    });
+    let outcomes = fan_out(config.concurrency, config.transactions, |w, first, share| {
+        worker_loop(&config, w, first, share, metrics.as_ref())
+    })?;
     let mut stats = ClientStats::default();
     let mut per_server = vec![0u64; config.servers.len()];
-    for outcome in outcomes {
-        let (s, per) = outcome?;
+    for (s, per) in outcomes {
         stats += s;
         for (slot, v) in per_server.iter_mut().zip(per) {
             *slot += v;
@@ -812,9 +754,7 @@ impl Worker<'_> {
             query.additionals.clear();
             query.add_edns(size);
         }
-        query
-            .encode_into(&mut self.send_buf)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))?;
+        encode_query(&query, &mut self.send_buf)?;
         let sent_at = Instant::now();
         self.socket.send_to(&self.send_buf, self.cfg.servers[server])?;
         self.stats.attempts += 1;
@@ -832,9 +772,7 @@ impl Worker<'_> {
             self.socket.set_read_timeout(Some(remaining))?;
             let got = match self.socket.recv_from(&mut self.recv_buf) {
                 Ok((n, _peer)) => n,
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                    break
-                }
+                Err(e) if is_idle_recv(&e) => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             };
@@ -952,6 +890,20 @@ impl Worker<'_> {
     }
 }
 
+/// One `CacheLookup` event: `flags` says how the probe went
+/// ([`FLAG_RESPONSE`] a live hit, [`FLAG_TIMEOUT`] a stale serve, 0 a
+/// miss) and `rcode` what the entry held.
+fn record_cache_lookup(producer: &Producer, ids: &Ids, flags: u16, rcode: u8) {
+    let mut ev = Event::new(EventKind::CacheLookup);
+    ev.ts_ns = producer.now_ns();
+    ev.client_hash = ids.client;
+    ev.qname_hash = ids.qname_hash;
+    ev.journey = ids.journey;
+    ev.flags = flags;
+    ev.rcode = rcode;
+    producer.record(&ev);
+}
+
 fn worker_loop(
     cfg: &ResolveConfig,
     worker: usize,
@@ -959,19 +911,14 @@ fn worker_loop(
     share: u64,
     metrics: Option<&ClientMetrics>,
 ) -> io::Result<(ClientStats, Vec<u64>)> {
-    let bind: SocketAddr = if cfg.servers[0].is_ipv4() {
-        "0.0.0.0:0".parse().unwrap()
-    } else {
-        "[::]:0".parse().unwrap()
-    };
     let mut w = Worker {
         cfg,
         metrics,
-        socket: UdpSocket::bind(bind)?,
+        socket: UdpSocket::bind(unspecified_for(&cfg.servers[0]))?,
         tokens: (0..cfg.servers.len()).map(server_token).collect(),
         policy: cfg.policy.build(),
         infra: InfraCache::new(cfg.policy.default_infra_expiry(), cfg.policy.smoothing()),
-        rng: DetRng::seed_from_u64(cfg.seed ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        rng: DetRng::seed_from_u64(thread_stream(cfg.seed, worker)),
         epoch: Instant::now(),
         stats: ClientStats::default(),
         per_server: vec![0u64; cfg.servers.len()],
@@ -986,8 +933,7 @@ fn worker_loop(
     // seed and worker index so trace-side client groupings are stable
     // across same-seed runs.
     let producer = cfg.collector.as_ref().map(|c| c.producer());
-    let client_token =
-        splitmix64(0x636c_6e74 ^ cfg.seed ^ (worker as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let client_token = splitmix64(thread_stream(0x636c_6e74 ^ cfg.seed, worker));
 
     for txn in first_txn..first_txn + share {
         w.stats.transactions += 1;
@@ -1009,19 +955,10 @@ fn worker_loop(
         if let Some(cache) = &cfg.cache {
             let hit = cache.get(&qname, RType::Txt);
             if let Some(p) = &producer {
-                let mut ev = Event::new(EventKind::CacheLookup);
-                ev.ts_ns = p.now_ns();
-                ev.client_hash = client_token;
-                ev.qname_hash = ids.qname_hash;
-                ev.journey = ids.journey;
                 match &hit {
-                    Some(h) => {
-                        ev.flags = FLAG_RESPONSE;
-                        ev.rcode = h.rcode.to_u8();
-                    }
-                    None => ev.rcode = RCODE_NONE,
+                    Some(h) => record_cache_lookup(p, &ids, FLAG_RESPONSE, h.rcode.to_u8()),
+                    None => record_cache_lookup(p, &ids, 0, RCODE_NONE),
                 }
-                p.record(&ev);
             }
             if let Some(h) = hit {
                 w.stats.answered += 1;
@@ -1136,14 +1073,7 @@ fn worker_loop(
                     w.stats.answered += 1;
                     w.stats.stale_served += 1;
                     if let Some(p) = &producer {
-                        let mut ev = Event::new(EventKind::CacheLookup);
-                        ev.ts_ns = p.now_ns();
-                        ev.client_hash = client_token;
-                        ev.qname_hash = ids.qname_hash;
-                        ev.journey = ids.journey;
-                        ev.flags = FLAG_TIMEOUT;
-                        ev.rcode = h.rcode.to_u8();
-                        p.record(&ev);
+                        record_cache_lookup(p, &ids, FLAG_TIMEOUT, h.rcode.to_u8());
                     }
                 }
                 None => {
@@ -1173,10 +1103,8 @@ fn worker_loop(
                     w.stats.corrupt_replies += 1;
                 }
             }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                break
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // The drain window expiring, or any socket error: done.
             Err(_) => break,
         }
     }
@@ -1227,6 +1155,27 @@ mod tests {
 
     fn origin() -> Name {
         Name::parse("ourtestdomain.nl").unwrap()
+    }
+
+    /// A wall clock the test can wind forward, so entries age past a TTL
+    /// without the test sleeping through it.
+    struct WoundClock {
+        wall: WallClock,
+        ahead_us: Arc<AtomicU64>,
+    }
+
+    impl Clock for WoundClock {
+        fn now(&self) -> CacheTime {
+            let ahead = self.ahead_us.load(Ordering::Relaxed);
+            CacheTime::from_micros(self.wall.now().as_micros() + ahead)
+        }
+    }
+
+    /// A cache on a [`WoundClock`], and the handle that winds it.
+    fn wound_cache(cfg: CacheConfig) -> (Arc<SharedCache>, Arc<AtomicU64>) {
+        let ahead_us = Arc::new(AtomicU64::new(0));
+        let clock = WoundClock { wall: WallClock::new(), ahead_us: Arc::clone(&ahead_us) };
+        (SharedCache::with_clock(cfg, Box::new(clock)), ahead_us)
     }
 
     /// Against a healthy server every transaction is answered on its
@@ -1503,7 +1452,7 @@ mod tests {
         use dnswild_zone::presets::probe_ttl_test_domain_zone;
         let zones = Arc::new(vec![probe_ttl_test_domain_zone(&origin(), 2, 1)]);
         let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2)).unwrap();
-        let cache = SharedCache::new(CacheConfig {
+        let (cache, ahead_us) = wound_cache(CacheConfig {
             max_stale_s: 3600,
             ..CacheConfig::default()
         });
@@ -1517,7 +1466,7 @@ mod tests {
         assert_eq!(cold.stats.answered, 24);
         // Let the 1s-TTL entries expire, then point every query at a
         // blackhole: a bound socket nobody ever reads.
-        std::thread::sleep(Duration::from_millis(1_200));
+        ahead_us.store(1_200_000, Ordering::Relaxed);
         let blackhole = UdpSocket::bind("127.0.0.1:0").unwrap();
         let dead = ResolveConfig::new(vec![blackhole.local_addr().unwrap()], origin())
             .transactions(24)
@@ -1541,7 +1490,7 @@ mod tests {
     fn prefetch_refreshes_hot_entries_near_expiry() {
         let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
         let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2)).unwrap();
-        let cache = SharedCache::new(CacheConfig {
+        let (cache, ahead_us) = wound_cache(CacheConfig {
             prefetch_window_s: 4,
             ..CacheConfig::default()
         });
@@ -1553,7 +1502,7 @@ mod tests {
         let cold = resolve(cfg.clone()).unwrap();
         assert_eq!(cold.stats.prefetches, 0, "fresh entries are outside the window");
         // Age the TTL=5 entries into the 4s prefetch window.
-        std::thread::sleep(Duration::from_millis(1_200));
+        ahead_us.store(1_200_000, Ordering::Relaxed);
         let warm = resolve(cfg).unwrap();
         let server = handle.shutdown();
         warm.stats.check().unwrap();

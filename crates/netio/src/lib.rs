@@ -14,9 +14,10 @@
 //!   `dnswild-mmsg` shim is usable; one shared socket elsewhere), a
 //!   forked engine, reusable receive/encode buffers and a private
 //!   lock-free stats cell — no cross-thread sharing on the hot path.
-//!   The I/O loop is selected at runtime ([`IoBackend`]): batched
-//!   `recvmmsg`/`sendmmsg` on Linux, portable `recv_from`/`send_to`
-//!   everywhere else. Every worker drives the *same*
+//!   One worker loop runs over a datagram I/O arm selected at runtime
+//!   ([`IoBackend`]): batched `recvmmsg`/`sendmmsg` on Linux, a
+//!   `recv_from`/`send_to` batch of one everywhere else. Every worker
+//!   drives the *same*
 //!   [`dnswild_server::AnswerEngine`] the simulator actor uses, so
 //!   behaviour proven by the `exp_*` reproductions is the behaviour
 //!   that serves.
@@ -67,6 +68,7 @@
 pub mod attack;
 pub mod chaos;
 pub mod client;
+mod closed_loop;
 pub mod load;
 pub mod server;
 pub mod tcp;
@@ -79,8 +81,7 @@ pub use chaos::{
 pub use client::{resolve, ClientStats, ResolveConfig, ResolveReport, SharedCache, DRAIN_WINDOW};
 pub use load::{blast, LoadConfig, LoadReport, QueryMix};
 pub use server::{
-    batch_io_available, serve, server_stats_kinds, AtomicStats, IoBackend, IoErrorStats,
-    ServeConfig, ServeHandle, DEFAULT_BATCH,
+    batch_io_available, serve, IoBackend, IoErrorStats, ServeConfig, ServeHandle, DEFAULT_BATCH,
 };
 pub use tcp::{write_frame, FrameReader, TcpConnStats, TcpOptions};
 
@@ -95,8 +96,8 @@ pub use dnswild_metrics::{MetricsServer, Registry};
 // Cache plane: the knobs callers need to build a [`SharedCache`].
 pub use dnswild_cache::{CacheConfig, CacheStats};
 
-/// Bridges the telemetry collector into a metrics registry: on every
-/// scrape the collector's live counters are copied into
+/// Bridges the telemetry collector into a metrics registry: before
+/// every registry read the collector's live counters are copied into
 /// `dnswild_trace_*` gauges, so the CH TXT `stats.dnswild.` answer, the
 /// trace summary and the Prometheus endpoint all report the same
 /// numbers. The `dnswild_trace_overflow` gauge doubles as the
@@ -141,10 +142,10 @@ pub fn mirror_collector(registry: &Registry, collector: &std::sync::Arc<Collecto
     });
 }
 
-/// Bridges a [`SharedCache`] into a metrics registry: on every scrape
-/// the cache's counters are copied into `dnswild_cache_*` gauges, so
-/// the warm-vs-cold curves are observable live alongside the trace and
-/// server counters.
+/// Bridges a [`SharedCache`] into a metrics registry: before every
+/// registry read the cache's counters are copied into `dnswild_cache_*`
+/// gauges, so the warm-vs-cold curves are observable live alongside the
+/// trace and server counters.
 pub fn mirror_cache(registry: &Registry, cache: &std::sync::Arc<SharedCache>) {
     let hits = registry.gauge("dnswild_cache_hits", "record-cache live hits");
     let misses = registry.gauge("dnswild_cache_misses", "record-cache misses");

@@ -22,9 +22,10 @@ use detrand::{splitmix64, DetRng, Rng};
 use dnswild_metrics::{Counter, LogHistogram, Registry};
 use dnswild_proto::{Class, Message, Name, RType};
 use dnswild_server::ServerStats;
-use dnswild_telemetry::{
-    journey_from_payload, qname_hash32, Collector, Event, EventKind, FLAG_RESPONSE, FLAG_TIMEOUT,
-    RCODE_NONE,
+use dnswild_telemetry::Collector;
+
+use crate::closed_loop::{
+    encode_query, exchange, fan_out, thread_stream, unspecified_for, ExchangeTrace,
 };
 
 /// Relative weights of the query kinds the generator draws from.
@@ -165,7 +166,7 @@ impl LoadMetrics {
 }
 
 /// What one load run measured.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// Queries sent.
     pub sent: u64,
@@ -230,49 +231,15 @@ impl LoadReport {
     }
 }
 
-/// One thread's tally, folded into the [`LoadReport`].
-#[derive(Debug, Default)]
-struct WorkerTally {
-    sent: u64,
-    received: u64,
-    timeouts: u64,
-    mismatched: u64,
-    latencies_ns: Vec<u64>,
-}
-
 /// Runs the closed-loop load test; blocks until every thread finishes.
 pub fn blast(config: LoadConfig) -> io::Result<LoadReport> {
-    let threads = config.concurrency.max(1);
     let metrics = config.metrics.as_ref().map(|r| LoadMetrics::register(r));
     let start = Instant::now();
-    let mut tallies: Vec<io::Result<WorkerTally>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            // Spread the total as evenly as possible; early threads take
-            // the remainder.
-            let share = config.queries / threads as u64
-                + u64::from((t as u64) < config.queries % threads as u64);
-            let cfg = &config;
-            let metrics = metrics.as_ref();
-            handles.push(scope.spawn(move || client_loop(cfg, t, share, metrics)));
-        }
-        for h in handles {
-            tallies.push(h.join().expect("load worker panicked"));
-        }
-    });
-    let elapsed = start.elapsed();
-
-    let mut report = LoadReport {
-        sent: 0,
-        received: 0,
-        timeouts: 0,
-        mismatched: 0,
-        elapsed,
-        latencies_ns: Vec::new(),
-    };
+    let tallies = fan_out(config.concurrency, config.queries, |t, _first, share| {
+        client_loop(&config, t, share, metrics.as_ref())
+    })?;
+    let mut report = LoadReport { elapsed: start.elapsed(), ..Default::default() };
     for tally in tallies {
-        let tally = tally?;
         report.sent += tally.sent;
         report.received += tally.received;
         report.timeouts += tally.timeouts;
@@ -315,110 +282,56 @@ fn next_query(rng: &mut DetRng, config: &LoadConfig, thread: usize, n: u64, id: 
     }
 }
 
-/// One closed-loop client thread.
+/// One closed-loop client thread; its tally is a [`LoadReport`] with no
+/// `elapsed`.
 fn client_loop(
     config: &LoadConfig,
     thread: usize,
     queries: u64,
     metrics: Option<&LoadMetrics>,
-) -> io::Result<WorkerTally> {
-    let bind_addr: SocketAddr = if config.target.is_ipv4() {
-        "0.0.0.0:0".parse().unwrap()
-    } else {
-        "[::]:0".parse().unwrap()
-    };
-    let socket = UdpSocket::bind(bind_addr)?;
+) -> io::Result<LoadReport> {
+    let socket = UdpSocket::bind(unspecified_for(&config.target))?;
     socket.connect(config.target)?;
     socket.set_read_timeout(Some(config.timeout))?;
 
-    let mut rng = DetRng::seed_from_u64(
-        config.seed ^ (thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-    );
+    let mut rng = DetRng::seed_from_u64(thread_stream(config.seed, thread));
     let mut send_buf = Vec::with_capacity(512);
     let mut recv_buf = vec![0u8; 4096];
-    let mut tally = WorkerTally { latencies_ns: Vec::with_capacity(queries as usize), ..Default::default() };
+    let mut tally =
+        LoadReport { latencies_ns: Vec::with_capacity(queries as usize), ..Default::default() };
     let producer = config.collector.as_ref().map(|c| c.producer());
-    // A stable per-thread client token: deterministic across runs (the
-    // rank analysis groups trace events by it), unlike a socket address.
-    let client_token = splitmix64(0x636c_6e74 ^ (thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let trace = producer.as_ref().map(|producer| ExchangeTrace {
+        producer,
+        client_token: splitmix64(thread_stream(0x636c_6e74, thread)),
+        auth_id: config.trace_auth_id,
+        flags: 0,
+    });
 
     for n in 0..queries {
         let id = (n % u64::from(u16::MAX)) as u16;
-        let query = next_query(&mut rng, config, thread, n, id);
-        query
-            .encode_into(&mut send_buf)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))?;
-        let sent_at = Instant::now();
-        let deadline = sent_at + config.timeout;
-        let sent_ns = producer.as_ref().map(|p| p.now_ns());
-        socket.send(&send_buf)?;
+        encode_query(&next_query(&mut rng, config, thread, n, id), &mut send_buf)?;
+        let got = exchange(&socket, &send_buf, id, config.timeout, &mut recv_buf, trace.as_ref())?;
         tally.sent += 1;
+        tally.mismatched += got.mismatched;
         if let Some(m) = metrics {
             m.sent.inc();
         }
-        // Wait for the response carrying our ID; stale responses from
-        // queries that already timed out are counted and skipped.
-        let mut resp_len = 0usize;
-        let answered = loop {
-            match socket.recv(&mut recv_buf) {
-                Ok(got) => {
-                    if got >= 2 && u16::from_be_bytes([recv_buf[0], recv_buf[1]]) == id {
-                        tally.received += 1;
-                        let rtt_ns = sent_at.elapsed().as_nanos() as u64;
-                        tally.latencies_ns.push(rtt_ns);
-                        if let Some(m) = metrics {
-                            m.answered.inc();
-                            m.latency_ns.record(rtt_ns);
-                        }
-                        resp_len = got;
-                        break true;
-                    }
-                    tally.mismatched += 1;
-                    if Instant::now() >= deadline {
-                        tally.timeouts += 1;
-                        if let Some(m) = metrics {
-                            m.timeouts.inc();
-                        }
-                        break false;
-                    }
+        match got.reply_len {
+            Some(_) => {
+                let rtt_ns = got.rtt.as_nanos() as u64;
+                tally.received += 1;
+                tally.latencies_ns.push(rtt_ns);
+                if let Some(m) = metrics {
+                    m.answered.inc();
+                    m.latency_ns.record(rtt_ns);
                 }
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                    tally.timeouts += 1;
-                    if let Some(m) = metrics {
-                        m.timeouts.inc();
-                    }
-                    break false;
+            }
+            None => {
+                tally.timeouts += 1;
+                if let Some(m) = metrics {
+                    m.timeouts.inc();
                 }
-                // A signal landing mid-recv is not a timeout and not a
-                // worker-fatal error — retry the wait (the deadline
-                // check above still bounds it).
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
             }
-        };
-        if let (Some(producer), Some(sent_ns)) = (&producer, sent_ns) {
-            let mut ev = Event::new(EventKind::ClientQuery);
-            ev.ts_ns = sent_ns;
-            ev.client_hash = client_token;
-            // Question bytes past the header — allocation-free and
-            // byte-identical to what the server hashes for this
-            // datagram on its side.
-            ev.qname_hash = qname_hash32(send_buf.get(12..).unwrap_or(&[]));
-            (ev.journey, ev.dns_id) = journey_from_payload(&send_buf);
-            ev.latency_ns =
-                u32::try_from(producer.now_ns().saturating_sub(sent_ns)).unwrap_or(u32::MAX);
-            ev.auth_id = config.trace_auth_id;
-            ev.bytes_in = u16::try_from(send_buf.len()).unwrap_or(u16::MAX);
-            ev.bytes_out = u16::try_from(resp_len).unwrap_or(u16::MAX);
-            if answered {
-                ev.flags = FLAG_RESPONSE;
-                // Wire rcode lives in the low nibble of byte 3.
-                ev.rcode = if resp_len >= 4 { recv_buf[3] & 0x0f } else { RCODE_NONE };
-            } else {
-                ev.flags = FLAG_TIMEOUT;
-                ev.rcode = RCODE_NONE;
-            }
-            producer.record(&ev);
         }
     }
     Ok(tally)

@@ -33,28 +33,28 @@
 //!   deadline closes the connection (a half-written frame is
 //!   unrecoverable).
 //!
-//! Counters: engine outcomes (including `tcp_queries`) merge into the
-//! same per-shard [`AtomicStats`](crate::AtomicStats) cells and
-//! registry series as UDP traffic, so the scrape-equals-stats gate
-//! holds across transports; connection-plane events (accepted,
-//! over-cap, frame errors) land in [`TcpConnStats`] and
-//! `dnswild_tcp_events_total`. Stage spans for TCP record into
+//! Counters: engine outcomes (including `tcp_queries`) are added to
+//! per-shard cells of the same kind UDP workers write, so
+//! `ServeHandle::stats()` and the scrape feed span both transports;
+//! connection-plane events (accepted, over-cap, frame errors) land in
+//! [`TcpConnStats`], which feeds `dnswild_tcp_events_total` the same
+//! way. Stage spans for TCP record into
 //! `dnswild_stage_ns{transport="tcp"}`, keeping the unlabelled UDP
 //! series comparable with pre-TCP baselines.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dnswild_metrics::{Counter, Registry, Stage, StageClock, StageSpans};
+use dnswild_metrics::{counter_set, AtomicSet, Stage, StageClock, StageSpans};
 use dnswild_server::{AnswerEngine, TransportKind};
 use dnswild_telemetry::Producer;
 
 use crate::server::{
-    is_idle_recv, record_server_event, AtomicStats, ServeMetrics, STOP_POLL_INTERVAL,
+    is_idle_recv, record_server_event, IoErrorStats, ShardCell, STOP_POLL_INTERVAL,
 };
 
 /// Knobs for the TCP listener plane (see [`crate::ServeConfig::tcp`]).
@@ -84,81 +84,27 @@ impl Default for TcpOptions {
     }
 }
 
-/// Connection-plane counters, outside
-/// [`ServerStats`](dnswild_server::ServerStats) (which counts *frames*
-/// through the engine; these count *connections* and framing faults).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TcpConnStats {
-    /// Connections accepted and served.
-    pub accepted: u64,
-    /// Connections closed immediately because [`TcpOptions::max_conns`]
-    /// live connections already existed.
-    pub over_cap: u64,
-    /// Connections that died inside a frame: EOF or a read deadline
-    /// mid-frame, or any socket error while reading — the length-prefix
-    /// stream is unrecoverable past that point.
-    pub frame_errors: u64,
-}
-
-impl std::ops::Add for TcpConnStats {
-    type Output = TcpConnStats;
-    fn add(self, rhs: TcpConnStats) -> TcpConnStats {
-        TcpConnStats {
-            accepted: self.accepted + rhs.accepted,
-            over_cap: self.over_cap + rhs.over_cap,
-            frame_errors: self.frame_errors + rhs.frame_errors,
-        }
+counter_set! {
+    /// Connection-plane counters, outside
+    /// [`ServerStats`](dnswild_server::ServerStats) (which counts *frames*
+    /// through the engine; these count *connections* and framing faults).
+    /// The labels are the `kind` values of `dnswild_tcp_events_total`.
+    pub struct TcpConnStats {
+        /// Connections accepted and served.
+        accepted => "accepted",
+        /// Connections closed immediately because [`TcpOptions::max_conns`]
+        /// live connections already existed.
+        over_cap => "over_cap",
+        /// Connections that died inside a frame: EOF or a read deadline
+        /// mid-frame, or any socket error while reading — the length-prefix
+        /// stream is unrecoverable past that point.
+        frame_errors => "frame_error",
     }
 }
 
 /// Lock-free [`TcpConnStats`] mirror shared by the accept workers and
 /// their connection threads.
-#[derive(Debug, Default)]
-pub struct TcpCounters {
-    accepted: AtomicU64,
-    over_cap: AtomicU64,
-    frame_errors: AtomicU64,
-}
-
-impl TcpCounters {
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> TcpConnStats {
-        TcpConnStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            over_cap: self.over_cap.load(Ordering::Relaxed),
-            frame_errors: self.frame_errors.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Registry handles for the connection-plane counters plus the
-/// TCP-labelled stage spans. Engine outcome counters are *not* here —
-/// the connection loop reuses the shared [`ServeMetrics`] so both
-/// transports feed the same `dnswild_server_events_total` series.
-pub(crate) struct TcpMetrics {
-    accepted: Arc<Counter>,
-    over_cap: Arc<Counter>,
-    frame_errors: Arc<Counter>,
-    pub(crate) spans: Arc<StageSpans>,
-}
-
-impl TcpMetrics {
-    pub(crate) fn register(registry: &Arc<Registry>, auth: &str) -> TcpMetrics {
-        let conn = |kind: &str| {
-            registry.counter_with(
-                "dnswild_tcp_events_total",
-                "TCP transport connection-plane events",
-                &[("auth", auth), ("kind", kind)],
-            )
-        };
-        TcpMetrics {
-            accepted: conn("accepted"),
-            over_cap: conn("over_cap"),
-            frame_errors: conn("frame_error"),
-            spans: StageSpans::register_labelled(registry, &[("transport", "tcp")]),
-        }
-    }
-}
+pub(crate) type TcpCounters = AtomicSet<TcpConnStats, 3>;
 
 /// Writes one RFC 7766 frame — two-byte big-endian length then the
 /// payload — as a single `write_all` (via `scratch`, reused across
@@ -256,20 +202,27 @@ impl FrameReader {
 pub(crate) struct AcceptWorker {
     pub(crate) listener: TcpListener,
     pub(crate) template: AnswerEngine,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) shard: Arc<AtomicStats>,
-    pub(crate) counters: Arc<TcpCounters>,
     pub(crate) active: Arc<AtomicUsize>,
+    pub(crate) conn: Arc<ConnShared>,
+}
+
+/// What an accept worker and all its connection threads share.
+pub(crate) struct ConnShared {
+    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) shard: Arc<ShardCell>,
+    pub(crate) counters: Arc<TcpCounters>,
     pub(crate) opts: TcpOptions,
     /// The telemetry producer is mutex-shared across this worker's
-    /// connection threads: producers own an SPSC ring *registered for
-    /// the collector's lifetime*, so one-per-connection would leak a
-    /// ring per dialled connection. TCP is the fallback path — the
-    /// brief lock around each event record is cheap relative to a
-    /// stream round-trip, and the mutex restores the single-producer
-    /// guarantee the ring needs.
-    pub(crate) trace: Option<(Arc<Mutex<Producer>>, u16)>,
-    pub(crate) metrics: Option<(Arc<ServeMetrics>, Arc<TcpMetrics>)>,
+    /// connection threads rather than one per connection. A dropped
+    /// producer's ring *is* retired by the collector, so that would not
+    /// leak — but a ring is 8192 × 48 B ≈ 390 KB, allocated per dialled
+    /// connection on the fallback path. TCP is that fallback path: the
+    /// brief lock around each event record is cheap relative to a stream
+    /// round-trip, and the mutex restores the single-producer guarantee
+    /// the ring needs.
+    pub(crate) trace: Option<(Mutex<Producer>, u16)>,
+    /// TCP-labelled stage spans, when metered.
+    pub(crate) spans: Option<Arc<StageSpans>>,
 }
 
 /// Drops decrement the live-connection gauge however the connection
@@ -288,7 +241,7 @@ impl Drop for ActiveGuard {
 /// accepts with throwaway connections after raising the stop flag.
 pub(crate) fn accept_loop(w: AcceptWorker) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !w.stop.load(Ordering::Relaxed) {
+    while !w.conn.stop.load(Ordering::Relaxed) {
         let (stream, peer) = match w.listener.accept() {
             Ok(ok) => ok,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -299,7 +252,7 @@ pub(crate) fn accept_loop(w: AcceptWorker) {
                 continue;
             }
         };
-        if w.stop.load(Ordering::Relaxed) {
+        if w.conn.stop.load(Ordering::Relaxed) {
             break; // the shutdown wake-up connection
         }
         conns.retain(|h| !h.is_finished());
@@ -308,37 +261,24 @@ pub(crate) fn accept_loop(w: AcceptWorker) {
         let admitted = w
             .active
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < w.opts.max_conns).then_some(n + 1)
+                (n < w.conn.opts.max_conns).then_some(n + 1)
             })
             .is_ok();
         if !admitted {
-            w.counters.over_cap.fetch_add(1, Ordering::Relaxed);
-            if let Some((_, tm)) = &w.metrics {
-                tm.over_cap.inc();
-            }
+            w.conn.counters.add(TcpConnStats { over_cap: 1, ..Default::default() });
             continue; // dropping the stream closes it
         }
         let guard = ActiveGuard(Arc::clone(&w.active));
-        w.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        if let Some((_, tm)) = &w.metrics {
-            tm.accepted.inc();
-        }
+        w.conn.counters.add(TcpConnStats { accepted: 1, ..Default::default() });
         let mut engine = w.template.fork();
-        let stop = Arc::clone(&w.stop);
-        let shard = Arc::clone(&w.shard);
-        let counters = Arc::clone(&w.counters);
-        let opts = w.opts;
-        let trace = w.trace.as_ref().map(|(p, id)| (Arc::clone(p), *id));
-        let metrics = w.metrics.as_ref().map(|(sm, tm)| (Arc::clone(sm), Arc::clone(tm)));
-        let spawned = std::thread::Builder::new().name("netio-tcp-conn".into()).spawn(move || {
+        let conn = Arc::clone(&w.conn);
+        // On spawn failure the closure is dropped, and the guard moved
+        // into it releases the slot.
+        if let Ok(h) = std::thread::Builder::new().name("netio-tcp-conn".into()).spawn(move || {
             let _guard = guard;
-            connection_loop(stream, peer, &mut engine, &stop, &shard, &counters, &opts, trace, metrics);
-        });
-        match spawned {
-            Ok(h) => conns.push(h),
-            Err(_) => { /* guard inside the closure was moved; on spawn
-                         * failure the closure is dropped and the guard
-                         * releases the slot */ }
+            connection_loop(stream, peer, &mut engine, &conn);
+        }) {
+            conns.push(h);
         }
     }
     for h in conns {
@@ -349,48 +289,32 @@ pub(crate) fn accept_loop(w: AcceptWorker) {
 /// Serves one connection until the peer closes, a deadline fires, the
 /// stream errors, or the plane stops. Frames are answered in arrival
 /// order on the same stream (RFC 7766 pipelining).
-#[allow(clippy::too_many_arguments)] // one flat call per connection; mirrors the UDP worker shape
-fn connection_loop(
-    mut stream: TcpStream,
-    peer: SocketAddr,
-    engine: &mut AnswerEngine,
-    stop: &AtomicBool,
-    shard: &AtomicStats,
-    counters: &TcpCounters,
-    opts: &TcpOptions,
-    trace: Option<(Arc<Mutex<Producer>>, u16)>,
-    metrics: Option<(Arc<ServeMetrics>, Arc<TcpMetrics>)>,
-) {
+fn connection_loop(mut stream: TcpStream, peer: SocketAddr, engine: &mut AnswerEngine, c: &ConnShared) {
     // One-segment frames (write_frame is a single buffered write).
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(STOP_POLL_INTERVAL)).is_err() {
         return;
     }
-    let _ = stream.set_write_timeout(Some(opts.write_timeout));
-    let frame_error = |n: u64| {
-        counters.frame_errors.fetch_add(n, Ordering::Relaxed);
-        if let Some((_, tm)) = &metrics {
-            tm.frame_errors.add(n);
-        }
-    };
+    let _ = stream.set_write_timeout(Some(c.opts.write_timeout));
+    let frame_error = || c.counters.add(TcpConnStats { frame_errors: 1, ..Default::default() });
     let mut reader = FrameReader::new();
     let mut resp_buf = Vec::with_capacity(1024);
     let mut scratch = Vec::with_capacity(1024);
-    let spans = metrics.as_ref().map(|(_, tm)| &*tm.spans);
+    let spans = c.spans.as_deref();
     let mut clock = StageClock::start(spans.is_some());
     let mut last_frame = Instant::now();
-    while !stop.load(Ordering::Relaxed) {
+    while !c.stop.load(Ordering::Relaxed) {
         clock.reset();
         let payload = match reader.read_frame(&mut stream) {
             Ok(Some(p)) => p,
             Ok(None) => break, // clean close on a frame boundary
             Err(e) if is_idle_recv(&e) => {
-                if last_frame.elapsed() >= opts.read_timeout {
+                if last_frame.elapsed() >= c.opts.read_timeout {
                     // Deadline: an idle keep-alive is shed silently, a
                     // half-frame (slow-loris or stalled sender) is a
                     // framing fault.
                     if reader.mid_frame() {
-                        frame_error(1);
+                        frame_error();
                     }
                     break;
                 }
@@ -399,34 +323,25 @@ fn connection_loop(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 // Mid-frame EOF, a reset, or any other stream error.
-                frame_error(1);
+                frame_error();
                 break;
             }
         };
         last_frame = Instant::now();
         clock.lap(spans, Stage::Recv);
-        let start_ns = trace.as_ref().map(|(p, _)| p.lock().unwrap().now_ns());
+        let start_ns = c.trace.as_ref().map(|(p, _)| p.lock().unwrap().now_ns());
         let handled =
             engine.handle_packet_spanned(payload, TransportKind::Tcp, &mut resp_buf, spans);
-        if handled.decode_error {
-            shard.record_decode_error();
-            if let Some((sm, _)) = &metrics {
-                sm.decode_errors.inc();
-            }
-        }
+        let mut errors =
+            IoErrorStats { decode_errors: u64::from(handled.decode_error), ..Default::default() };
         let mut send_ok = false;
         if handled.response {
             clock.reset();
             send_ok = write_frame(&mut stream, &resp_buf, &mut scratch).is_ok();
-            if !send_ok {
-                shard.record_send_error();
-                if let Some((sm, _)) = &metrics {
-                    sm.send_errors.inc();
-                }
-            }
+            errors.send_errors += u64::from(!send_ok);
             clock.lap(spans, Stage::Send);
         }
-        if let (Some((producer, auth_id)), Some(start_ns)) = (&trace, start_ns) {
+        if let (Some((producer, auth_id)), Some(start_ns)) = (&c.trace, start_ns) {
             let p = producer.lock().unwrap();
             record_server_event(
                 &p,
@@ -440,22 +355,14 @@ fn connection_loop(
                 TransportKind::Tcp,
             );
         }
-        // Same one-delta-two-destinations flush as the UDP loops: the
-        // shard cell and the registry counters cannot drift.
-        let delta = engine.take_stats();
-        if let Some((sm, _)) = &metrics {
-            sm.record(&delta);
-        }
-        shard.merge(delta);
+        // The same single accounting write as the UDP loop: one delta
+        // per frame into the shard cell.
+        c.shard.stats.add(engine.take_stats());
+        c.shard.io.add(errors);
         if handled.response && !send_ok {
             break; // a half-written frame poisons the stream
         }
     }
-    let delta = engine.take_stats();
-    if let Some((sm, _)) = &metrics {
-        sm.record(&delta);
-    }
-    shard.merge(delta);
 }
 
 #[cfg(test)]
@@ -553,16 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn tcp_conn_stats_add_and_snapshot() {
-        let c = TcpCounters::default();
-        c.accepted.fetch_add(2, Ordering::Relaxed);
-        c.over_cap.fetch_add(1, Ordering::Relaxed);
-        c.frame_errors.fetch_add(3, Ordering::Relaxed);
-        let s = c.snapshot();
-        assert_eq!(s, TcpConnStats { accepted: 2, over_cap: 1, frame_errors: 3 });
-        let sum = s + s;
-        assert_eq!(sum.accepted, 4);
-        assert_eq!(sum.over_cap, 2);
-        assert_eq!(sum.frame_errors, 6);
+    fn tcp_conn_stats_cover_every_field() {
+        dnswild_metrics::counters::assert_counter_set_covers_every_field::<TcpConnStats, 3>();
     }
 }

@@ -502,7 +502,7 @@ mod tests {
         let mut bytes = Vec::new();
         for _ in 0..5 {
             bytes.push(63);
-            bytes.extend(std::iter::repeat(b'a').take(63));
+            bytes.extend(std::iter::repeat_n(b'a', 63));
         }
         bytes.push(0);
         let mut r = WireReader::new(&bytes);

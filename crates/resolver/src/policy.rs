@@ -751,7 +751,7 @@ mod tests {
     fn unknown_rto_sits_inside_the_band_of_the_floor() {
         // The whole point of 376: even against a server pinned at the
         // 50 ms clamp floor, an unknown server stays band-eligible.
-        assert!(UNKNOWN_SERVER_RTO_MS < RTT_MIN_TIMEOUT_MS + RTT_BAND_MS);
+        const { assert!(UNKNOWN_SERVER_RTO_MS < RTT_MIN_TIMEOUT_MS + RTT_BAND_MS) };
     }
 
     #[test]

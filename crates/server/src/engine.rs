@@ -13,8 +13,6 @@
 //! via [`dnswild_proto::Message::encode_into`], so a serving hot loop
 //! performs zero per-response allocations once its buffers are warm.
 
-use std::iter::Sum;
-use std::ops::{Add, AddAssign};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,48 +30,52 @@ use crate::rrl::{
     RateLimitPolicy, RateLimiter, RrlScope, RrlVerdict, SharedRateLimiter, VerdictSpans,
 };
 
-/// Counters a server keeps about its own traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Queries received (decodable messages with QR=0).
-    pub queries: u64,
-    /// Positive answers served.
-    pub answers: u64,
-    /// NXDOMAIN responses.
-    pub nxdomain: u64,
-    /// NODATA responses.
-    pub nodata: u64,
-    /// Referrals served.
-    pub referrals: u64,
-    /// REFUSED responses (off-zone queries).
-    pub refused: u64,
-    /// FORMERR responses (undecodable but with a readable header).
-    pub formerr: u64,
-    /// NOTIMP responses (non-QUERY opcodes).
-    pub notimp: u64,
-    /// CHAOS identification queries answered.
-    pub chaos: u64,
-    /// BADVERS responses (RFC 6891: the query asked for an EDNS version
-    /// newer than 0, answered with extended RCODE 16).
-    pub badvers: u64,
-    /// UDP responses truncated because they exceeded the negotiated
-    /// payload limit (TC=1 sent instead).
-    pub truncated: u64,
-    /// Queries served over the TCP-like transport.
-    pub tcp_queries: u64,
-    /// Datagrams dropped silently (unparseable, or responses).
-    pub dropped: u64,
-    /// Responses suppressed by response-rate limiting. The query still
-    /// counts in `queries` and its outcome counter — RRL happens after
-    /// classification, ahead of encode — so `question_outcomes` and
-    /// `packets_seen` balance unchanged.
-    pub rrl_dropped: u64,
-    /// Rate-limited responses answered as minimal TC=1 replies (the
-    /// 1-in-`slip` leak inviting a TCP retry). Not counted in
-    /// `truncated`, which tracks size-driven truncation.
-    pub rrl_slipped: u64,
-    /// Client token buckets evicted (LRU) to admit new keys.
-    pub bucket_evictions: u64,
+dnswild_metrics::counter_set! {
+    /// Counters a server keeps about its own traffic. The labels are the
+    /// `kind` values of the per-auth `dnswild_server_events_total` series
+    /// and the keys of every `stats:` line, so neither can drift from the
+    /// struct.
+    pub struct ServerStats {
+        /// Queries received (decodable messages with QR=0).
+        queries => "queries",
+        /// Positive answers served.
+        answers => "answers",
+        /// NXDOMAIN responses.
+        nxdomain => "nxdomain",
+        /// NODATA responses.
+        nodata => "nodata",
+        /// Referrals served.
+        referrals => "referrals",
+        /// REFUSED responses (off-zone queries).
+        refused => "refused",
+        /// FORMERR responses (undecodable but with a readable header).
+        formerr => "formerr",
+        /// NOTIMP responses (non-QUERY opcodes).
+        notimp => "notimp",
+        /// CHAOS identification queries answered.
+        chaos => "chaos",
+        /// BADVERS responses (RFC 6891: the query asked for an EDNS version
+        /// newer than 0, answered with extended RCODE 16).
+        badvers => "badvers",
+        /// UDP responses truncated because they exceeded the negotiated
+        /// payload limit (TC=1 sent instead).
+        truncated => "truncated",
+        /// Queries served over the TCP-like transport.
+        tcp_queries => "tcp_queries",
+        /// Datagrams dropped silently (unparseable, or responses).
+        dropped => "dropped",
+        /// Responses suppressed by response-rate limiting. The query still
+        /// counts in `queries` and its outcome counter — RRL happens after
+        /// classification, ahead of encode — so `question_outcomes` and
+        /// `packets_seen` balance unchanged.
+        rrl_dropped => "rrl_dropped",
+        /// Rate-limited responses answered as minimal TC=1 replies (the
+        /// 1-in-`slip` leak inviting a TCP retry). Not counted in
+        /// `truncated`, which tracks size-driven truncation.
+        rrl_slipped => "rrl_slipped",
+        /// Client token buckets evicted (LRU) to admit new keys.
+        bucket_evictions => "bucket_evictions",
+    }
 }
 
 impl ServerStats {
@@ -109,42 +111,6 @@ impl ServerStats {
     /// multi-threaded serving plane and multi-server simulations.
     pub fn aggregate<I: IntoIterator<Item = ServerStats>>(parts: I) -> ServerStats {
         parts.into_iter().sum()
-    }
-}
-
-impl Add for ServerStats {
-    type Output = ServerStats;
-    fn add(self, rhs: ServerStats) -> ServerStats {
-        ServerStats {
-            queries: self.queries + rhs.queries,
-            answers: self.answers + rhs.answers,
-            nxdomain: self.nxdomain + rhs.nxdomain,
-            nodata: self.nodata + rhs.nodata,
-            referrals: self.referrals + rhs.referrals,
-            refused: self.refused + rhs.refused,
-            formerr: self.formerr + rhs.formerr,
-            notimp: self.notimp + rhs.notimp,
-            chaos: self.chaos + rhs.chaos,
-            badvers: self.badvers + rhs.badvers,
-            truncated: self.truncated + rhs.truncated,
-            tcp_queries: self.tcp_queries + rhs.tcp_queries,
-            dropped: self.dropped + rhs.dropped,
-            rrl_dropped: self.rrl_dropped + rhs.rrl_dropped,
-            rrl_slipped: self.rrl_slipped + rhs.rrl_slipped,
-            bucket_evictions: self.bucket_evictions + rhs.bucket_evictions,
-        }
-    }
-}
-
-impl AddAssign for ServerStats {
-    fn add_assign(&mut self, rhs: ServerStats) {
-        *self = *self + rhs;
-    }
-}
-
-impl Sum for ServerStats {
-    fn sum<I: Iterator<Item = ServerStats>>(iter: I) -> ServerStats {
-        iter.fold(ServerStats::default(), Add::add)
     }
 }
 
@@ -1200,43 +1166,11 @@ mod tests {
 
     #[test]
     fn stats_add_covers_every_field() {
-        let ones = ServerStats {
-            queries: 1,
-            answers: 1,
-            nxdomain: 1,
-            nodata: 1,
-            referrals: 1,
-            refused: 1,
-            formerr: 1,
-            notimp: 1,
-            chaos: 1,
-            badvers: 1,
-            truncated: 1,
-            tcp_queries: 1,
-            dropped: 1,
-            rrl_dropped: 1,
-            rrl_slipped: 1,
-            bucket_evictions: 1,
-        };
+        use dnswild_metrics::CounterSet;
+        dnswild_metrics::counters::assert_counter_set_covers_every_field::<ServerStats, 16>();
+        let ones = ServerStats::from_values([1; 16]);
         let sum = ServerStats::aggregate([ones, ones, ones]);
-        assert_eq!(sum, ServerStats {
-            queries: 3,
-            answers: 3,
-            nxdomain: 3,
-            nodata: 3,
-            referrals: 3,
-            refused: 3,
-            formerr: 3,
-            notimp: 3,
-            chaos: 3,
-            badvers: 3,
-            truncated: 3,
-            tcp_queries: 3,
-            dropped: 3,
-            rrl_dropped: 3,
-            rrl_slipped: 3,
-            bucket_evictions: 3,
-        });
+        assert_eq!(sum, ServerStats::from_values([3; 16]));
         assert_eq!(ones.question_outcomes(), 7);
         let mut acc = ServerStats::default();
         acc += ones;

@@ -24,6 +24,6 @@ done < <(./target/release/dnswild gate list)
 # perfbench/README.md and BENCHMARK.json).
 
 # Lint gate: the observability plane rides the hot path, so keep the
-# whole workspace clippy-clean at -D warnings.
-cargo clippy --workspace --offline -q -- -D warnings
-echo "clippy: workspace clean at -D warnings"
+# whole workspace — tests included — clippy-clean at -D warnings.
+cargo clippy --workspace --all-targets --offline -q -- -D warnings
+echo "clippy: workspace and tests clean at -D warnings"

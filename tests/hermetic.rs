@@ -23,7 +23,7 @@ impl DepEntry {
     /// defer to `[workspace.dependencies]` (`workspace = true`), which
     /// this test checks separately.
     fn is_hermetic(&self) -> bool {
-        let v = self.line.splitn(2, '=').nth(1).unwrap_or("").trim();
+        let v = self.line.split_once('=').map_or("", |(_, v)| v).trim();
         v.contains("path =") || v.contains("path=") || v.contains("workspace = true")
     }
 }

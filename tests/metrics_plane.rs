@@ -11,7 +11,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dnswild::lab::{chaos, origin, plain, ChaosSpec, PlainSpec, Rig};
-use dnswild_metrics::{parse_exposition, scrape, MetricsServer, Registry};
+use dnswild_metrics::{
+    parse_exposition, scrape, MetricsServer, Registry, Watchdog, WatchdogConfig,
+};
 use dnswild_netio::{blast, mirror_collector, serve, Collector, CollectorConfig, LoadConfig, ServeConfig};
 use dnswild_proto::{Class, Message, Name, RData, RType, Rcode};
 use dnswild_zone::presets::test_domain_zone;
@@ -130,6 +132,40 @@ fn ch_txt_stats_and_scrape_tell_the_same_story() {
     handle.shutdown();
     collector.finish().unwrap();
     http.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// The ring-overflow law must not depend on anyone scraping: the
+/// `dnswild_trace_overflow` gauge is refreshed by a scrape hook, and a
+/// `serve --metrics-addr` nobody polls still has to breach when its
+/// rings drop events. Overflow a tiny ring, never scrape, evaluate.
+#[test]
+fn watchdog_sees_ring_overflow_on_an_unscraped_registry() {
+    use dnswild_telemetry::{Event, EventKind};
+    let path = temp_trace("unscraped");
+    let collector = Arc::new(
+        Collector::start(
+            CollectorConfig::new(&path)
+                .auths(["FRA"])
+                .ring_capacity(8)
+                .drain_interval(Duration::from_millis(200)),
+        )
+        .unwrap(),
+    );
+    let registry = Arc::new(Registry::new());
+    mirror_collector(&registry, &collector);
+    let watchdog = Watchdog::new(Arc::clone(&registry), WatchdogConfig::default());
+    assert!(!watchdog.eval_now().overflow_breach, "nothing recorded yet");
+
+    let producer = collector.producer();
+    let dropped =
+        (0..64).filter(|_| !producer.record(&Event::new(EventKind::ServerQuery))).count();
+    assert!(dropped > 0, "64 events into an 8-slot ring must overflow");
+
+    let verdict = watchdog.eval_now();
+    assert!(verdict.overflow_breach, "overflow of {dropped} never reached the watchdog");
+    assert_eq!(verdict.overflow, dropped as f64);
+    collector.finish().unwrap();
     std::fs::remove_file(&path).ok();
 }
 

@@ -30,7 +30,7 @@ fn median_queries_to_cover_scales_with_ns_count() {
     let m2 = two.coverage().queries_after_first.unwrap().median;
     let m4 = four.coverage().queries_after_first.unwrap().median;
     assert!(m2 <= 2.0, "two-NS median {m2}");
-    assert!(m4 >= 3.0 && m4 <= 8.0, "four-NS median {m4}");
+    assert!((3.0..=8.0).contains(&m4), "four-NS median {m4}");
     assert!(m4 > m2);
 }
 

@@ -149,7 +149,7 @@ fn wildcard_synthesis_owner_is_qname() {
         let sub = gen_label(g);
         let q = gen_label(g);
         let mut zone = base_zone();
-        let wild_parent = to_name(&[sub.clone()]);
+        let wild_parent = to_name(std::slice::from_ref(&sub));
         zone.insert(Record::new(
             wild_parent.prepend("*").unwrap(),
             5,
