@@ -216,8 +216,13 @@ mod sys {
     /// Reusable receive-side state for one worker: datagram buffers,
     /// peer-address slots and the `mmsghdr` array `recvmmsg` fills.
     ///
-    /// Holds raw pointers internally (rebuilt before every syscall), so
-    /// it is intentionally `!Send` — each worker constructs its own.
+    /// Holds raw pointers internally: every slot's header is armed once
+    /// in [`RecvBatch::new`], and [`recv_batch`] re-arms only the slots
+    /// the previous call filled (the kernel writes to no others), so the
+    /// path from a reply back into the blocking `recvmmsg` costs nothing
+    /// per idle slot. The pointers target the heap buffers of vectors
+    /// that never grow, so moving the `RecvBatch` leaves them valid; it
+    /// is intentionally `!Send` — each worker constructs its own.
     pub struct RecvBatch {
         bufs: Vec<Vec<u8>>,
         names: Vec<SockAddrStorage>,
@@ -232,14 +237,43 @@ mod sys {
         /// (capacity is clamped to `1..=BATCH_MAX`).
         pub fn new(capacity: usize, buf_len: usize) -> RecvBatch {
             let capacity = capacity.clamp(1, BATCH_MAX);
-            RecvBatch {
+            let unarmed = || MMsgHdr {
+                msg_hdr: MsgHdr {
+                    msg_name: std::ptr::null_mut(),
+                    msg_namelen: 0,
+                    msg_iov: std::ptr::null_mut(),
+                    msg_iovlen: 1,
+                    msg_control: std::ptr::null_mut(),
+                    msg_controllen: 0,
+                    msg_flags: 0,
+                },
+                msg_len: 0,
+            };
+            let mut batch = RecvBatch {
                 bufs: (0..capacity).map(|_| vec![0u8; buf_len.max(64)]).collect(),
                 names: vec![SockAddrStorage::zeroed(); capacity],
-                hdrs: Vec::with_capacity(capacity),
-                iovs: Vec::with_capacity(capacity),
+                hdrs: (0..capacity).map(|_| unarmed()).collect(),
+                iovs: (0..capacity).map(|_| IoVec { base: std::ptr::null_mut(), len: 0 }).collect(),
                 lens: vec![0; capacity],
                 filled: 0,
+            };
+            for i in 0..capacity {
+                batch.arm(i);
             }
+            batch
+        }
+
+        /// Puts slot `i` in the state `recvmmsg` expects on entry: a
+        /// zeroed peer slot of full size, the whole buffer, no flags.
+        fn arm(&mut self, i: usize) {
+            self.names[i] = SockAddrStorage::zeroed();
+            self.iovs[i] = IoVec { base: self.bufs[i].as_mut_ptr(), len: self.bufs[i].len() };
+            let hdr = &mut self.hdrs[i];
+            hdr.msg_hdr.msg_name = &mut self.names[i];
+            hdr.msg_hdr.msg_namelen = SS_SIZE as u32;
+            hdr.msg_hdr.msg_iov = &mut self.iovs[i];
+            hdr.msg_hdr.msg_flags = 0;
+            hdr.msg_len = 0;
         }
 
         /// The batch ceiling this state was built for.
@@ -267,31 +301,15 @@ mod sys {
     /// timeout surfaces as `WouldBlock`/`TimedOut` exactly like
     /// `recv_from`.
     pub fn recv_batch(sock: &UdpSocket, batch: &mut RecvBatch) -> io::Result<usize> {
+        // The kernel wrote only to the slots it filled last time.
+        for i in 0..batch.filled {
+            batch.arm(i);
+        }
         batch.filled = 0;
         let n = batch.bufs.len();
-        batch.hdrs.clear();
-        batch.iovs.clear();
-        for i in 0..n {
-            batch.iovs.push(IoVec { base: batch.bufs[i].as_mut_ptr(), len: batch.bufs[i].len() });
-        }
-        for i in 0..n {
-            batch.names[i] = SockAddrStorage::zeroed();
-            batch.hdrs.push(MMsgHdr {
-                msg_hdr: MsgHdr {
-                    msg_name: &mut batch.names[i],
-                    msg_namelen: SS_SIZE as u32,
-                    msg_iov: &mut batch.iovs[i],
-                    msg_iovlen: 1,
-                    msg_control: std::ptr::null_mut(),
-                    msg_controllen: 0,
-                    msg_flags: 0,
-                },
-                msg_len: 0,
-            });
-        }
-        // SAFETY: every pointer in hdrs was rebuilt just above and
-        // targets buffers owned by `batch`, which outlives the call; no
-        // Vec is touched between pointer setup and the syscall.
+        // SAFETY: every pointer in hdrs was set by `arm` and targets
+        // heap buffers owned by `batch` that are never resized, so they
+        // are live for the call wherever `batch` itself has moved.
         let got = unsafe {
             recvmmsg(
                 sock.as_raw_fd(),
@@ -547,6 +565,41 @@ mod tests {
                 let (n, from) = client.recv_from(&mut buf).unwrap();
                 assert_eq!(from, server_addr);
                 assert_eq!(&buf[..n], want.as_slice());
+            }
+        }
+
+        #[test]
+        fn reused_batch_rearms_the_slots_it_filled() {
+            if !available() {
+                eprintln!("skipping: mmsg unavailable at runtime");
+                return;
+            }
+            let server = bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
+            server.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let server_addr = server.local_addr().unwrap();
+            let mut batch = RecvBatch::new(4, 512);
+            // Rounds of different sizes, senders and lengths through one
+            // batch: a slot that kept the last round's name length, flags
+            // or peer would show here.
+            for (round, count) in [3usize, 1, 4, 2].into_iter().enumerate() {
+                let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+                let client_addr = client.local_addr().unwrap();
+                let payloads: Vec<Vec<u8>> =
+                    (0..count).map(|i| vec![round as u8; 40 * (round + 1) + i]).collect();
+                for p in &payloads {
+                    client.send_to(p, server_addr).unwrap();
+                }
+                let mut seen: Vec<Vec<u8>> = Vec::new();
+                while seen.len() < count {
+                    let n = recv_batch(&server, &mut batch).expect("recv batch");
+                    assert_eq!(batch.filled(), n);
+                    for i in 0..n {
+                        let (bytes, peer) = batch.datagram(i);
+                        assert_eq!(peer, client_addr, "round {round} slot {i}");
+                        seen.push(bytes.to_vec());
+                    }
+                }
+                assert_eq!(seen, payloads, "round {round}");
             }
         }
 

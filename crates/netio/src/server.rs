@@ -324,9 +324,10 @@ impl ServeHandle {
         self.shards.iter().map(|s| s.io.snapshot()).sum()
     }
 
-    /// Number of shards (worker threads) serving.
+    /// Number of UDP shards serving (the TCP plane's accept workers, one
+    /// per shard, are not shards of their own).
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.workers.len() - self.tcp_workers
     }
 
     /// The I/O arm actually running (never [`IoBackend::Auto`]).
@@ -992,6 +993,19 @@ mod tests {
         assert_eq!(tcp.accepted, 1, "one connection served all three");
         assert_eq!(tcp.over_cap, 0);
         assert_eq!(tcp.frame_errors, 0);
+    }
+
+    #[test]
+    fn threads_counts_udp_shards_with_or_without_tcp() {
+        let origin = Name::parse("ourtestdomain.nl").unwrap();
+        let zones = Arc::new(vec![test_domain_zone(&origin, 2)]);
+        let cfg = ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2);
+        let udp_only = serve(cfg.clone()).unwrap();
+        let with_tcp = serve(cfg.tcp(crate::tcp::TcpOptions::default())).unwrap();
+        assert_eq!(udp_only.threads(), 2);
+        assert_eq!(with_tcp.threads(), 2, "accept workers are not shards");
+        udp_only.shutdown();
+        with_tcp.shutdown();
     }
 
     #[test]

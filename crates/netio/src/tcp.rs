@@ -331,7 +331,7 @@ fn connection_loop(mut stream: TcpStream, peer: SocketAddr, engine: &mut AnswerE
         clock.lap(spans, Stage::Recv);
         let start_ns = c.trace.as_ref().map(|(p, _)| p.lock().unwrap().now_ns());
         let handled =
-            engine.handle_packet_spanned(payload, TransportKind::Tcp, &mut resp_buf, spans);
+            engine.handle_packet_from(payload, TransportKind::Tcp, None, &mut resp_buf, spans);
         let mut errors =
             IoErrorStats { decode_errors: u64::from(handled.decode_error), ..Default::default() };
         let mut send_ok = false;

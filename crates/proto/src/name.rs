@@ -4,6 +4,7 @@
 //! hashing are case-insensitive per RFC 1035 §2.3.3, while the original
 //! spelling is preserved for display.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -305,6 +306,15 @@ impl Name {
     }
 }
 
+/// Lets a `HashMap<Name, _>` be probed with a borrowed label slice —
+/// any suffix of [`Name::labels`] — without building a `Name`. Sound
+/// because `Name` derives `Eq`/`Hash` from its one `labels` field.
+impl Borrow<[Label]> for Name {
+    fn borrow(&self) -> &[Label] {
+        &self.labels
+    }
+}
+
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.labels.is_empty() {
@@ -413,6 +423,16 @@ mod tests {
         a.hash(&mut h1);
         b.hash(&mut h2);
         assert_eq!(h1.finish(), h2.finish());
+    }
+
+    #[test]
+    fn map_keyed_by_name_is_probed_with_borrowed_labels() {
+        let mut map = HashMap::new();
+        map.insert(name("Probe.Example.NL"), 7);
+        let q = name("x.pRoBe.example.nl");
+        assert_eq!(map.get(&q.labels()[1..]), Some(&7), "suffix, any case");
+        assert_eq!(map.get(q.labels()), None);
+        assert_eq!(map.get(&q.labels()[2..]), None, "ancestors are distinct keys");
     }
 
     #[test]

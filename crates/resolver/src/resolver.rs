@@ -431,39 +431,7 @@ impl RecursiveResolver {
         let rcode = resp.rcode();
         if rcode == Rcode::Refused || rcode == Rcode::ServFail {
             self.stats.lame_responses += 1;
-            let now = ctx.now();
-            let failed_server = dgram.src;
-            self.infra.observe_timeout(failed_server, now);
-            let p = self.pending.get(&qid).expect("checked above");
-            if p.tries >= self.config.max_tries {
-                let p = self.pending.remove(&qid).expect("checked above");
-                self.answer_stub(
-                    ctx,
-                    p.stub_addr,
-                    p.stub_id,
-                    &p.qname,
-                    p.qtype,
-                    vec![],
-                    Rcode::ServFail,
-                );
-                return;
-            }
-            self.stats.retries += 1;
-            let servers = self
-                .delegation_for(&p.qname, now)
-                .map(|(_, s)| s)
-                .expect("delegation existed when the query started");
-            let p = self.pending.get_mut(&qid).expect("checked above");
-            p.excluded.push(failed_server);
-            let excluded = p.excluded.clone();
-            let next = self.policy.select(&servers, &excluded, &mut self.infra, now, ctx.rng());
-            let p = self.pending.get_mut(&qid).expect("checked above");
-            p.server = next;
-            p.sent_at = now;
-            p.attempts.push((next, now));
-            p.tries += 1;
-            p.attempt += 1;
-            self.send_upstream(ctx, qid);
+            self.retry_elsewhere(ctx, qid, dgram.src);
             return;
         }
 
@@ -495,16 +463,7 @@ impl RecursiveResolver {
                 self.infra.observe_rtt(dgram.src, rtt, now);
                 let p = self.pending.get_mut(&qid).expect("checked above");
                 if p.referrals >= 4 {
-                    let p = self.pending.remove(&qid).expect("checked above");
-                    self.answer_stub(
-                        ctx,
-                        p.stub_addr,
-                        p.stub_id,
-                        &p.qname,
-                        p.qtype,
-                        vec![],
-                        Rcode::ServFail,
-                    );
+                    self.give_up(ctx, qid);
                     return;
                 }
                 p.referrals += 1;
@@ -566,38 +525,38 @@ impl RecursiveResolver {
         if p.attempt != attempt {
             return; // stale timer from an earlier attempt
         }
-        let now = ctx.now();
         let failed_server = p.server;
-        self.infra.observe_timeout(failed_server, now);
+        self.retry_elsewhere(ctx, qid, failed_server);
+    }
 
+    /// Gives up on a pending query: SERVFAIL to its stub.
+    fn give_up(&mut self, ctx: &mut Context<'_>, qid: u16) {
+        let p = self.pending.remove(&qid).expect("pending query exists");
+        self.answer_stub(ctx, p.stub_addr, p.stub_id, &p.qname, p.qtype, vec![], Rcode::ServFail);
+    }
+
+    /// `failed_server` let a pending query down — it timed out, or
+    /// answered uselessly. Penalize it, then either give up (the query
+    /// has used its `max_tries`) or re-select among the zone's servers,
+    /// avoiding every one that already failed this query, and resend.
+    fn retry_elsewhere(&mut self, ctx: &mut Context<'_>, qid: u16, failed_server: SimAddr) {
+        let now = ctx.now();
+        self.infra.observe_timeout(failed_server, now);
+        let p = &self.pending[&qid];
         if p.tries >= self.config.max_tries {
-            let p = self.pending.remove(&qid).expect("checked above");
-            self.answer_stub(
-                ctx,
-                p.stub_addr,
-                p.stub_id,
-                &p.qname,
-                p.qtype,
-                vec![],
-                Rcode::ServFail,
-            );
+            self.give_up(ctx, qid);
             return;
         }
-
         self.stats.retries += 1;
-        // Re-select, avoiding the server that just failed this query.
         let servers = self
-            .delegation_for(&self.pending[&qid].qname, now)
+            .delegation_for(&p.qname, now)
             .map(|(_, s)| s)
             .expect("delegation existed when the query started");
-        let p = self.pending.get_mut(&qid).expect("checked above");
+        let p = self.pending.get_mut(&qid).expect("pending query exists");
         p.excluded.push(failed_server);
-        let excluded = p.excluded.clone();
-        let next = self.policy.select(&servers, &excluded, &mut self.infra, now, ctx.rng());
-        let p = self.pending.get_mut(&qid).expect("checked above");
-        p.server = next;
+        p.server = self.policy.select(&servers, &p.excluded, &mut self.infra, now, ctx.rng());
         p.sent_at = now;
-        p.attempts.push((next, now));
+        p.attempts.push((p.server, now));
         p.tries += 1;
         p.attempt += 1;
         self.send_upstream(ctx, qid);

@@ -9,6 +9,18 @@
 //! same engine, so behaviour verified in simulation is the behaviour
 //! that runs on the wire.
 //!
+//! There are two ways in. [`AnswerEngine::handle_packet`] (payload,
+//! transport, buffer) is what the simulator actor, the benchmarks and
+//! the tests call; [`AnswerEngine::handle_packet_from`] adds the two
+//! things only a socket loop has — a client key for rate limiting and
+//! stage spans — and is what the UDP and TCP serving loops call. The
+//! first is the second with neither.
+//!
+//! Every proper question is classified exactly once, into a (private)
+//! `Outcome`; its [`ServerStats`] counter, the response's rcode and AA
+//! bit, and whether response-rate limiting charges it all derive from
+//! that one value.
+//!
 //! The engine writes responses into a caller-supplied reusable buffer
 //! via [`dnswild_proto::Message::encode_into`], so a serving hot loop
 //! performs zero per-response allocations once its buffers are warm.
@@ -18,8 +30,8 @@ use std::time::Instant;
 
 use dnswild_proto::rdata::Txt;
 use dnswild_proto::{
-    Class, Edns, Message, Name, Opcode, RData, RType, Rcode, Record, EXTENDED_RCODE_BADVERS,
-    MIN_EDNS_PAYLOAD,
+    Class, Edns, Header, Message, Name, Opcode, Question, RData, RType, Rcode, Record,
+    EXTENDED_RCODE_BADVERS, MIN_EDNS_PAYLOAD,
 };
 use dnswild_metrics::{Stage, StageClock, StageSpans};
 use dnswild_telemetry::SnapshotCell;
@@ -216,14 +228,72 @@ pub struct HandledPacket {
 }
 
 impl HandledPacket {
-    fn drop() -> Self {
+    /// A packet of `class` that drew no response (yet).
+    fn new(class: PacketClass) -> Self {
         HandledPacket {
             response: false,
             query: None,
             decode_error: false,
-            class: PacketClass::Dropped,
+            class,
             rcode: None,
             rrl: None,
+        }
+    }
+
+    /// Encodes `resp` into the caller's buffer and records whether —
+    /// and with which rcode — it went out.
+    fn reply(mut self, resp: &Message, resp_buf: &mut Vec<u8>) -> Self {
+        self.response = resp.encode_into(resp_buf).is_ok();
+        self.rcode = self.response.then(|| resp.rcode());
+        self
+    }
+}
+
+/// What a proper question was classified into: one per query, and the
+/// single source of everything that depends on the classification.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Answer,
+    NoData,
+    NxDomain,
+    Referral,
+    Refused,
+    Chaos,
+    BadVers,
+}
+
+impl Outcome {
+    /// The header rcode this outcome answers with (BADVERS is NOERROR
+    /// there; its extended bits ride the OPT record).
+    fn rcode(self) -> Rcode {
+        match self {
+            Outcome::NxDomain => Rcode::NxDomain,
+            Outcome::Refused => Rcode::Refused,
+            _ => Rcode::NoError,
+        }
+    }
+
+    /// Whether the response speaks with this server's authority.
+    fn authoritative(self) -> bool {
+        matches!(self, Outcome::Answer | Outcome::NoData | Outcome::NxDomain | Outcome::Chaos)
+    }
+
+    /// The response classes reflection and water-torture attacks draw —
+    /// what [`RrlScope::Abusive`] charges.
+    fn abusive(self) -> bool {
+        matches!(self, Outcome::NxDomain | Outcome::Referral | Outcome::Refused)
+    }
+
+    /// The one [`ServerStats`] counter this outcome lands in.
+    fn counter(self, stats: &mut ServerStats) -> &mut u64 {
+        match self {
+            Outcome::Answer => &mut stats.answers,
+            Outcome::NoData => &mut stats.nodata,
+            Outcome::NxDomain => &mut stats.nxdomain,
+            Outcome::Referral => &mut stats.referrals,
+            Outcome::Refused => &mut stats.refused,
+            Outcome::Chaos => &mut stats.chaos,
+            Outcome::BadVers => &mut stats.badvers,
         }
     }
 }
@@ -344,16 +414,7 @@ impl AnswerEngine {
     /// A worker-private copy: same site identity, same shared zones and
     /// telemetry cell, fresh counters.
     pub fn fork(&self) -> AnswerEngine {
-        AnswerEngine {
-            site_code: self.site_code.clone(),
-            zones: Arc::clone(&self.zones),
-            stats: ServerStats::default(),
-            telemetry: self.telemetry.clone(),
-            introspect: self.introspect,
-            policy: self.policy,
-            rrl: self.rrl.clone(),
-            verdict_spans: self.verdict_spans.clone(),
-        }
+        AnswerEngine { stats: ServerStats::default(), ..self.clone() }
     }
 
     /// The site identity this engine answers with.
@@ -404,25 +465,28 @@ impl AnswerEngine {
             .collect()
     }
 
-    fn answer_chaos(&mut self, query: &Message, qname: &Name) -> Message {
-        self.stats.chaos += 1;
-        let mut resp = Message::response_to(query, Rcode::NoError);
-        resp.header.authoritative = true;
-        resp.answers.push(Record::with_class(
-            qname.clone(),
-            Class::Ch,
-            0,
-            RData::Txt(Txt::from_string(&self.site_code).expect("short site code")),
-        ));
-        resp
+    /// The TXT string a CHAOS question is answered with, if it is one
+    /// this server answers: its site code for `hostname.bind` /
+    /// `id.server`, and — `stats.bind`-style, only with a telemetry
+    /// collector attached, so never in the simulation plane whose
+    /// outputs must stay byte-identical — the live counters for
+    /// `stats.dnswild`.
+    fn chaos_text(&self, question: &Question) -> Option<String> {
+        if question.qtype != RType::Txt {
+            return None;
+        }
+        match question.qname.to_string().to_ascii_lowercase().as_str() {
+            "hostname.bind." | "id.server." => Some(self.site_code.clone()),
+            "stats.dnswild." => self.telemetry.as_deref().map(|cell| self.stats_text(cell)),
+            _ => None,
+        }
     }
 
-    /// Answers `CH TXT stats.dnswild.` from the live telemetry snapshot
+    /// The `CH TXT stats.dnswild.` line, from the live telemetry snapshot
     /// (queries seen, answered, decode errors, ring-overflow drops, the
     /// recursive plane's cache hit/miss/stale tallies, the limiter's
     /// dropped/slipped counts, and the flight recorder's journey books).
-    fn answer_stats(&mut self, query: &Message, qname: &Name, cell: &SnapshotCell) -> Message {
-        self.stats.chaos += 1;
+    fn stats_text(&self, cell: &SnapshotCell) -> String {
         let snap = cell.snapshot();
         let mut text = format!(
             "seen={} answered={} decode_errors={} overflow={} cache={}/{}/{} rrl={}/{} journeys={}/{}",
@@ -450,147 +514,149 @@ impl AnswerEngine {
                 u8::from(ins.metrics)
             );
         }
-        let mut resp = Message::response_to(query, Rcode::NoError);
-        resp.header.authoritative = true;
-        resp.answers.push(Record::with_class(
-            qname.clone(),
-            Class::Ch,
-            0,
-            RData::Txt(Txt::from_string(&text).expect("snapshot line fits a TXT string")),
-        ));
-        resp
+        text
     }
 
-    /// Classifies one proper question into a response message.
-    fn handle_query(&mut self, query: &Message) -> Option<Message> {
-        let question = query.question()?.clone();
+    /// Classifies one proper question: the response, and the
+    /// [`Outcome`] it embodies.
+    fn handle_query(&self, query: &Message) -> Option<(Message, Outcome)> {
+        let question = query.question()?;
 
         // EDNS version negotiation (RFC 6891 §6.1.3): anything newer
         // than version 0 gets BADVERS — extended RCODE 16, split across
         // our OPT's high bits and a NOERROR header — so the client can
         // retry at version 0.
-        if let Some(edns) = query.edns_info() {
-            if edns.version != 0 {
-                self.stats.badvers += 1;
-                let mut out = Edns::new(self.policy.advertise);
-                let header_rcode = out.set_extended_rcode(EXTENDED_RCODE_BADVERS);
-                let mut resp = Message::response_to(query, header_rcode);
-                resp.add_edns_record(&out);
-                return Some(resp);
-            }
+        if query.edns_info().is_some_and(|edns| edns.version != 0) {
+            let mut out = Edns::new(self.policy.advertise);
+            let header_rcode = out.set_extended_rcode(EXTENDED_RCODE_BADVERS);
+            let mut resp = Message::response_to(query, header_rcode);
+            resp.add_edns_record(&out);
+            return Some((resp, Outcome::BadVers));
         }
 
-        if question.qclass == Class::Ch {
-            let qname_str = question.qname.to_string().to_ascii_lowercase();
-            if question.qtype == RType::Txt
-                && (qname_str == "hostname.bind." || qname_str == "id.server.")
-            {
-                return Some(self.answer_chaos(query, &question.qname));
-            }
-            // `stats.bind`-style runtime introspection, answered only
-            // when a telemetry collector is attached (never in the
-            // simulation plane, whose outputs must stay byte-identical).
-            if question.qtype == RType::Txt && qname_str == "stats.dnswild." {
-                if let Some(cell) = self.telemetry.clone() {
-                    return Some(self.answer_stats(query, &question.qname, &cell));
+        let mut resp = Message::response_to(query, Rcode::NoError);
+        let outcome = if question.qclass == Class::Ch {
+            match self.chaos_text(question) {
+                Some(text) => {
+                    let txt = Txt::from_string(&text).expect("identity line fits a TXT string");
+                    resp.answers.push(Record::with_class(
+                        question.qname.clone(),
+                        Class::Ch,
+                        0,
+                        RData::Txt(txt),
+                    ));
+                    Outcome::Chaos
                 }
+                None => Outcome::Refused,
             }
-            self.stats.refused += 1;
-            return Some(Message::response_to(query, Rcode::Refused));
-        }
-
-        let Some(zone) = self.zone_for(&question.qname) else {
-            self.stats.refused += 1;
-            return Some(Message::response_to(query, Rcode::Refused));
+        } else if let Some(zone) = self.zone_for(&question.qname) {
+            let outcome = match zone.lookup(&question.qname, question.qtype) {
+                Lookup::Answer(records) => {
+                    resp.answers = self.brand_records(records);
+                    Outcome::Answer
+                }
+                Lookup::NoData { soa } => {
+                    resp.authorities.push(soa);
+                    Outcome::NoData
+                }
+                Lookup::NxDomain { soa } => {
+                    resp.authorities.push(soa);
+                    Outcome::NxDomain
+                }
+                Lookup::Referral { ns, glue } => {
+                    resp.authorities = ns;
+                    resp.additionals = glue;
+                    Outcome::Referral
+                }
+                Lookup::OutOfZone => Outcome::Refused,
+            };
+            // Echo EDNS0 with this site's own payload-size advertisement
+            // (only here: CHAOS answers and zone-less REFUSEDs have never
+            // carried the echo, and responses stay byte-identical).
+            if query.edns().is_some() {
+                resp.add_edns(self.policy.advertise);
+            }
+            outcome
+        } else {
+            Outcome::Refused
         };
+        resp.header.rcode = outcome.rcode();
+        resp.header.authoritative = outcome.authoritative();
+        Some((resp, outcome))
+    }
 
-        let mut resp = match zone.lookup(&question.qname, question.qtype) {
-            Lookup::Answer(records) => {
-                self.stats.answers += 1;
-                let mut m = Message::response_to(query, Rcode::NoError);
-                m.header.authoritative = true;
-                m.answers = self.brand_records(records);
-                m
-            }
-            Lookup::NoData { soa } => {
-                self.stats.nodata += 1;
-                let mut m = Message::response_to(query, Rcode::NoError);
-                m.header.authoritative = true;
-                m.authorities.push(soa);
-                m
-            }
-            Lookup::NxDomain { soa } => {
-                self.stats.nxdomain += 1;
-                let mut m = Message::response_to(query, Rcode::NxDomain);
-                m.header.authoritative = true;
-                m.authorities.push(soa);
-                m
-            }
-            Lookup::Referral { ns, glue } => {
-                self.stats.referrals += 1;
-                let mut m = Message::response_to(query, Rcode::NoError);
-                m.authorities = ns;
-                m.additionals = glue;
-                m
-            }
-            Lookup::OutOfZone => {
-                self.stats.refused += 1;
-                Message::response_to(query, Rcode::Refused)
-            }
-        };
-
-        // Echo EDNS0 with this site's own payload-size advertisement.
+    /// The minimal TC=1 stand-in for `resp`: same rcode and AA, no
+    /// records — sent when `resp` exceeds the UDP limit, or as the
+    /// rate limiter's slip leak. Either way it invites a TCP retry.
+    fn truncated_reply(&self, query: &Message, resp: &Message) -> Message {
+        let mut tc = Message::response_to(query, resp.rcode());
+        tc.header.authoritative = resp.header.authoritative;
+        tc.header.truncated = true;
         if query.edns().is_some() {
-            resp.add_edns(self.policy.advertise);
+            tc.add_edns(self.policy.advertise);
         }
-        Some(resp)
+        tc
+    }
+
+    /// Runs a chargeable response past the shared limiter. `None` when
+    /// the limiter did not intervene (not charged, or within budget).
+    fn rate_limit(&mut self, key: u64, outcome: Outcome) -> Option<RrlVerdict> {
+        let rrl = self.rrl.as_ref()?;
+        let started = self.verdict_spans.as_ref().map(|_| Instant::now());
+        let mut limiter = rrl.lock().expect("rate limiter mutex poisoned");
+        if limiter.policy().scope == RrlScope::Abusive && !outcome.abusive() {
+            return None;
+        }
+        let decision = limiter.verdict(key, outcome == Outcome::NxDomain);
+        drop(limiter);
+        if let (Some(t0), Some(vs)) = (started, &self.verdict_spans) {
+            vs.record(decision.verdict, t0.elapsed().as_nanos() as u64);
+        }
+        self.stats.bucket_evictions += u64::from(decision.evicted);
+        match decision.verdict {
+            RrlVerdict::Answer => return None,
+            RrlVerdict::Slip => self.stats.rrl_slipped += 1,
+            RrlVerdict::Drop => self.stats.rrl_dropped += 1,
+        }
+        Some(decision.verdict)
     }
 
     /// Turns one inbound packet into at most one response, written into
     /// `resp_buf` (cleared first; left empty when nothing is to be sent).
     ///
-    /// This is the single entry point both planes use: malformed-packet
-    /// salvage (FORMERR when the header is readable), QR screening,
-    /// NOTIMP for non-QUERY opcodes, the zone lookup, and — for
-    /// [`TransportKind::Udp`] — replacement of answers exceeding the
-    /// client's advertised payload size by an empty TC=1 response
-    /// inviting a TCP retry.
+    /// The entry point of everything that is not a socket loop — the
+    /// simulator actor, the benchmarks, the tests:
+    /// [`AnswerEngine::handle_packet_from`] with no client key (so rate
+    /// limiting never intervenes and the `exp_*` outputs stay
+    /// byte-identical whatever policy is configured) and no stage spans
+    /// (so no clock is read).
     pub fn handle_packet(
         &mut self,
         payload: &[u8],
         transport: TransportKind,
         resp_buf: &mut Vec<u8>,
     ) -> HandledPacket {
-        self.handle_packet_spanned(payload, transport, resp_buf, None)
+        self.handle_packet_from(payload, transport, None, resp_buf, None)
     }
 
-    /// [`AnswerEngine::handle_packet`] with per-stage span timing: when
-    /// `spans` is set, the decode / engine / encode stage durations are
-    /// recorded into the stage histograms (the transport records the
-    /// surrounding recv and send stages). With `None` no clock is read.
+    /// The full entry point, called by the UDP and TCP serving loops:
+    /// malformed-packet salvage (FORMERR when the header is readable),
+    /// QR screening, NOTIMP for non-QUERY opcodes, the zone lookup, and
+    /// — for [`TransportKind::Udp`] — replacement of answers exceeding
+    /// the negotiated payload size by an empty TC=1 response inviting a
+    /// TCP retry.
     ///
-    /// No client key is supplied, so rate limiting never intervenes on
-    /// this path — the simulator and the existing `exp_*` outputs stay
-    /// byte-identical whatever policy is configured.
-    pub fn handle_packet_spanned(
-        &mut self,
-        payload: &[u8],
-        transport: TransportKind,
-        resp_buf: &mut Vec<u8>,
-        spans: Option<&StageSpans>,
-    ) -> HandledPacket {
-        self.handle_packet_from(payload, transport, None, resp_buf, spans)
-    }
-
-    /// [`AnswerEngine::handle_packet_spanned`] with a client identity:
-    /// when rate limiting is enabled and `client_key` is present (the
-    /// serving plane derives it via
-    /// [`RateLimitPolicy::client_key`]), chargeable UDP responses are
-    /// run through the limiter *ahead of encode* — `Answer` proceeds
-    /// unchanged, `Slip` replaces the response with a minimal TC=1
-    /// reply, `Drop` suppresses it. TCP is never limited: answering
-    /// over TCP is exactly what the slip leak invites, and a spoofed
-    /// source cannot complete a handshake.
+    /// With `spans` set, the decode / engine / encode stage durations
+    /// are recorded into the stage histograms (the transport records
+    /// the surrounding recv and send stages).
+    ///
+    /// With rate limiting enabled and a `client_key` present (the UDP
+    /// loop derives it via [`RateLimitPolicy::client_key`]), chargeable
+    /// UDP responses are run through the limiter *ahead of encode* —
+    /// `Answer` proceeds unchanged, `Slip` replaces the response with a
+    /// minimal TC=1 reply, `Drop` suppresses it. TCP is never limited:
+    /// answering over TCP is exactly what the slip leak invites, and a
+    /// spoofed source cannot complete a handshake.
     pub fn handle_packet_from(
         &mut self,
         payload: &[u8],
@@ -606,204 +672,94 @@ impl AnswerEngine {
         let query = match decoded {
             Ok(m) => m,
             Err(_) => {
-                // Try to salvage the ID for a FORMERR; otherwise drop.
-                if payload.len() >= dnswild_proto::Header::WIRE_LEN {
+                // Salvage the ID for a FORMERR when the header is
+                // readable; otherwise drop.
+                let mut handled = if payload.len() >= Header::WIRE_LEN {
+                    self.stats.formerr += 1;
                     let id = u16::from_be_bytes([payload[0], payload[1]]);
+                    let header =
+                        Header { id, response: true, rcode: Rcode::FormErr, ..Default::default() };
                     let resp = Message {
-                        header: dnswild_proto::Header {
-                            id,
-                            response: true,
-                            rcode: Rcode::FormErr,
-                            ..Default::default()
-                        },
+                        header,
                         questions: vec![],
                         answers: vec![],
                         authorities: vec![],
                         additionals: vec![],
                     };
-                    self.stats.formerr += 1;
-                    if resp.encode_into(resp_buf).is_ok() {
-                        return HandledPacket {
-                            response: true,
-                            query: None,
-                            decode_error: true,
-                            class: PacketClass::FormErr,
-                            rcode: Some(Rcode::FormErr),
-                            rrl: None,
-                        };
-                    }
-                    return HandledPacket {
-                        response: false,
-                        query: None,
-                        decode_error: true,
-                        class: PacketClass::FormErr,
-                        rcode: None,
-                        rrl: None,
-                    };
-                }
-                self.stats.dropped += 1;
-                return HandledPacket {
-                    decode_error: true,
-                    ..HandledPacket::drop()
+                    HandledPacket::new(PacketClass::FormErr).reply(&resp, resp_buf)
+                } else {
+                    self.stats.dropped += 1;
+                    HandledPacket::new(PacketClass::Dropped)
                 };
+                handled.decode_error = true;
+                return handled;
             }
         };
 
         if query.is_response() {
             self.stats.dropped += 1;
-            return HandledPacket::drop();
+            return HandledPacket::new(PacketClass::Dropped);
         }
-
         if query.header.opcode != Opcode::Query {
             self.stats.notimp += 1;
             let resp = Message::response_to(&query, Rcode::NotImp);
-            let sent = resp.encode_into(resp_buf).is_ok();
-            return HandledPacket {
-                response: sent,
-                query: None,
-                decode_error: false,
-                class: PacketClass::NotImp,
-                rcode: sent.then_some(Rcode::NotImp),
-                rrl: None,
-            };
+            return HandledPacket::new(PacketClass::NotImp).reply(&resp, resp_buf);
         }
-
         // RFC 6891 §6.1.1: a message carrying more than one OPT record
         // is broken at the format level — FORMERR, not a query.
         if query.opt_count() > 1 {
             self.stats.formerr += 1;
             let resp = Message::response_to(&query, Rcode::FormErr);
-            let sent = resp.encode_into(resp_buf).is_ok();
-            return HandledPacket {
-                response: sent,
-                query: None,
-                decode_error: false,
-                class: PacketClass::FormErr,
-                rcode: sent.then_some(Rcode::FormErr),
-                rrl: None,
-            };
+            return HandledPacket::new(PacketClass::FormErr).reply(&resp, resp_buf);
         }
 
         self.stats.queries += 1;
         if transport == TransportKind::Tcp {
             self.stats.tcp_queries += 1;
         }
-        let view = query
-            .question()
-            .map(|q| QueryView { qname: q.qname.clone(), qtype: q.qtype });
+        let mut handled = HandledPacket::new(PacketClass::Query);
+        handled.query =
+            query.question().map(|q| QueryView { qname: q.qname.clone(), qtype: q.qtype });
 
-        let outcomes_before = self.stats;
         let answered = self.handle_query(&query);
         clock.lap(spans, Stage::Engine);
-        let Some(resp) = answered else {
-            return HandledPacket {
-                response: false,
-                query: view,
-                decode_error: false,
-                class: PacketClass::Query,
-                rcode: None,
-                rrl: None,
-            };
+        let Some((mut resp, outcome)) = answered else {
+            return handled;
         };
+        *outcome.counter(&mut self.stats) += 1;
+
         // Response-rate limiting, ahead of encode: abusive response
         // classes (or everything, under `RrlScope::All`) are charged
         // against the client's token bucket, and NXDOMAINs additionally
-        // against the site-wide budget. The query was already counted
-        // in `queries` and its outcome counter above, so the stats
-        // books balance whatever the verdict; `rrl_dropped` /
-        // `rrl_slipped` record what the limiter did on top.
-        if transport == TransportKind::Udp && self.rrl.is_some() {
-            if let (Some(key), Some(rrl)) = (client_key, self.rrl.clone()) {
-                let started = self.verdict_spans.as_ref().map(|_| Instant::now());
-                let mut limiter = rrl.lock().expect("rate limiter mutex poisoned");
-                let is_nxdomain = self.stats.nxdomain > outcomes_before.nxdomain;
-                let charged = match limiter.policy().scope {
-                    RrlScope::All => true,
-                    RrlScope::Abusive => {
-                        is_nxdomain
-                            || self.stats.referrals > outcomes_before.referrals
-                            || self.stats.refused > outcomes_before.refused
-                    }
-                };
-                let decision = charged.then(|| limiter.verdict(key, is_nxdomain));
-                drop(limiter);
-                if let Some(d) = decision {
-                    if let (Some(t0), Some(vs)) = (started, self.verdict_spans.as_ref()) {
-                        vs.record(d.verdict, t0.elapsed().as_nanos() as u64);
-                    }
-                    if d.evicted {
-                        self.stats.bucket_evictions += 1;
-                    }
-                    match d.verdict {
-                        RrlVerdict::Answer => {}
-                        RrlVerdict::Slip => {
-                            self.stats.rrl_slipped += 1;
-                            let mut tc = Message::response_to(&query, resp.rcode());
-                            tc.header.authoritative = resp.header.authoritative;
-                            tc.header.truncated = true;
-                            if query.edns().is_some() {
-                                tc.add_edns(self.policy.advertise);
-                            }
-                            let sent = tc.encode_into(resp_buf).is_ok();
-                            clock.lap(spans, Stage::Encode);
-                            return HandledPacket {
-                                response: sent,
-                                query: view,
-                                decode_error: false,
-                                class: PacketClass::Query,
-                                rcode: sent.then(|| resp.rcode()),
-                                rrl: Some(RrlVerdict::Slip),
-                            };
-                        }
-                        RrlVerdict::Drop => {
-                            self.stats.rrl_dropped += 1;
-                            return HandledPacket {
-                                response: false,
-                                query: view,
-                                decode_error: false,
-                                class: PacketClass::Query,
-                                rcode: None,
-                                rrl: Some(RrlVerdict::Drop),
-                            };
-                        }
-                    }
-                }
+        // against the site-wide budget. The query is already counted in
+        // `queries` and its outcome counter, so the stats books balance
+        // whatever the verdict; `rrl_dropped` / `rrl_slipped` record
+        // what the limiter did on top.
+        if let (TransportKind::Udp, Some(key)) = (transport, client_key) {
+            handled.rrl = self.rate_limit(key, outcome);
+            match handled.rrl {
+                Some(RrlVerdict::Drop) => return handled,
+                Some(RrlVerdict::Slip) => resp = self.truncated_reply(&query, &resp),
+                _ => {}
             }
         }
-        if resp.encode_into(resp_buf).is_err() {
-            return HandledPacket {
-                response: false,
-                query: view,
-                decode_error: false,
-                class: PacketClass::Query,
-                rcode: None,
-                rrl: None,
-            };
-        }
+        handled = handled.reply(&resp, resp_buf);
         // UDP responses must fit the negotiated payload limit — the
         // client's clamped EDNS advertisement capped by the per-site
         // policy, or the 512-byte floor without EDNS. Oversized answers
         // are replaced by an empty TC=1 response inviting a TCP retry.
-        let limit = self.policy.udp_limit(query.edns_info().as_ref());
-        if transport == TransportKind::Udp && resp_buf.len() > limit {
-            self.stats.truncated += 1;
-            let mut tc = Message::response_to(&query, resp.rcode());
-            tc.header.authoritative = resp.header.authoritative;
-            tc.header.truncated = true;
-            if query.edns().is_some() {
-                tc.add_edns(self.policy.advertise);
+        // (A slipped reply is already minimal and never trips this, so
+        // `truncated` keeps counting size-driven truncation only.)
+        if handled.response && transport == TransportKind::Udp {
+            let limit = self.policy.udp_limit(query.edns_info().as_ref());
+            if resp_buf.len() > limit {
+                self.stats.truncated += 1;
+                let tc = self.truncated_reply(&query, &resp);
+                tc.encode_into(resp_buf).expect("truncated response encodes");
             }
-            tc.encode_into(resp_buf).expect("truncated response encodes");
         }
         clock.lap(spans, Stage::Encode);
-        HandledPacket {
-            response: true,
-            query: view,
-            decode_error: false,
-            class: PacketClass::Query,
-            rcode: Some(resp.rcode()),
-            rrl: None,
-        }
+        handled
     }
 }
 
@@ -1089,8 +1045,8 @@ mod tests {
         let mut e = engine();
         let mut buf = Vec::new();
         let q = Message::iterative_query(31, origin().prepend("p1-r1").unwrap(), RType::Txt);
-        let h =
-            e.handle_packet_spanned(&q.encode().unwrap(), TransportKind::Udp, &mut buf, Some(&spans));
+        let q = q.encode().unwrap();
+        let h = e.handle_packet_from(&q, TransportKind::Udp, None, &mut buf, Some(&spans));
         assert!(h.response);
         for stage in [Stage::Decode, Stage::Engine, Stage::Encode] {
             assert_eq!(spans.histogram(stage).count(), 1, "{}", stage.name());
@@ -1099,7 +1055,7 @@ mod tests {
         assert_eq!(spans.histogram(Stage::Recv).count(), 0);
         assert_eq!(spans.histogram(Stage::Send).count(), 0);
         // An undecodable datagram still times its decode stage.
-        e.handle_packet_spanned(&[0u8; 2], TransportKind::Udp, &mut buf, Some(&spans));
+        e.handle_packet_from(&[0u8; 2], TransportKind::Udp, None, &mut buf, Some(&spans));
         assert_eq!(spans.histogram(Stage::Decode).count(), 2);
         assert_eq!(spans.histogram(Stage::Engine).count(), 1);
     }

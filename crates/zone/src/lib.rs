@@ -30,6 +30,6 @@ mod serializer;
 mod zone;
 
 pub use parser::{parse_zone, ParseError};
-pub use rrset::{RrKey, RrSet};
+pub use rrset::RrSet;
 pub use serializer::write_zone;
 pub use zone::{Lookup, Zone};

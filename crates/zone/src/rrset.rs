@@ -2,22 +2,6 @@
 
 use dnswild_proto::{Name, RData, RType, Record};
 
-/// Key identifying an RRset within a zone.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RrKey {
-    /// Owner name.
-    pub name: Name,
-    /// Record type.
-    pub rtype: RType,
-}
-
-impl RrKey {
-    /// Creates a key.
-    pub fn new(name: Name, rtype: RType) -> Self {
-        RrKey { name, rtype }
-    }
-}
-
 /// An RRset: one or more records with the same owner name and type.
 ///
 /// RFC 2181 §5.2 requires all members to share a TTL; we enforce this by
@@ -126,13 +110,5 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].name, name("q123.test.nl"));
         assert_eq!(out[0].ttl, 5);
-    }
-
-    #[test]
-    fn key_equality_is_case_insensitive() {
-        assert_eq!(
-            RrKey::new(name("A.b"), RType::Txt),
-            RrKey::new(name("a.B"), RType::Txt)
-        );
     }
 }

@@ -2,12 +2,24 @@
 //! minus DNSSEC), including wildcard synthesis — which the reproduced
 //! measurement depends on: every probe queries a *unique* label under the
 //! test domain, answered by a wildcard TXT record.
+//!
+//! **One index.** A [`Zone`] is a single map from every name that
+//! *exists* — record owners and the empty non-terminals above them — to
+//! the RRsets that name owns (none, for an empty non-terminal). "Exists"
+//! is "has a node", so NODATA vs NXDOMAIN needs no second structure.
+//!
+//! **One walk.** [`Zone::lookup`] descends from the apex over borrowed
+//! suffixes of the query name (`qname.labels()[skip..]`, via
+//! `Borrow<[Label]> for Name`) and stops at the first delegation cut,
+//! at the query name's own node, or — when a node is missing — at its
+//! closest encloser, whose `*` child is the only name the lookup ever
+//! builds.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use dnswild_proto::{Name, RData, RType, Record};
+use dnswild_proto::{Label, Name, RData, RType, Record};
 
-use crate::rrset::{RrKey, RrSet};
+use crate::rrset::RrSet;
 
 /// Result of an authoritative lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,17 +53,21 @@ pub enum Lookup {
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
-    rrsets: HashMap<RrKey, RrSet>,
-    /// Every name that "exists" (has records or descendants with records);
-    /// needed to distinguish NODATA from NXDOMAIN at empty non-terminals.
-    names: HashSet<Name>,
+    /// Every existing name → the RRsets it owns, at most one per type.
+    /// A node's ancestors up to the origin always have nodes too.
+    nodes: HashMap<Name, Vec<RrSet>>,
+}
+
+/// The RRset of `rtype` among one node's sets (a handful at most).
+fn of_type(sets: &[RrSet], rtype: RType) -> Option<&RrSet> {
+    sets.iter().find(|s| s.rtype() == rtype)
 }
 
 impl Zone {
     /// Creates an empty zone. Call [`Zone::insert`] with at least an SOA
     /// before serving it.
     pub fn new(origin: Name) -> Self {
-        Zone { origin, rrsets: HashMap::new(), names: HashSet::new() }
+        Zone { origin, nodes: HashMap::new() }
     }
 
     /// The zone origin (apex name).
@@ -68,50 +84,54 @@ impl Zone {
             record.name,
             self.origin
         );
-        // Register the owner and all ancestors up to the origin so empty
-        // non-terminals resolve to NODATA, not NXDOMAIN.
-        let mut n = record.name.clone();
-        loop {
-            self.names.insert(n.clone());
-            if n == self.origin {
+        // Give every ancestor up to the origin a node, so empty
+        // non-terminals resolve to NODATA, not NXDOMAIN. An ancestor
+        // that already has one brought its own ancestors with it.
+        let mut ancestor = record.name.clone();
+        while ancestor != self.origin {
+            ancestor = ancestor.parent().expect("walked past the root while inside the zone");
+            if self.nodes.contains_key(&ancestor) {
                 break;
             }
-            n = n.parent().expect("walked past the root while inside the zone");
+            self.nodes.insert(ancestor.clone(), Vec::new());
         }
-        let key = RrKey::new(record.name.clone(), record.rtype());
-        match self.rrsets.get_mut(&key) {
+        let sets = self.nodes.entry(record.name.clone()).or_default();
+        match sets.iter_mut().find(|s| s.rtype() == record.rtype()) {
             Some(set) => set.push(record),
-            None => {
-                self.rrsets.insert(key, RrSet::new(record));
-            }
+            None => sets.push(RrSet::new(record)),
         }
+    }
+
+    /// The apex node with the SOA record it must hold for the zone to
+    /// be servable.
+    fn apex(&self) -> Option<(&[RrSet], &Record)> {
+        let sets = self.nodes.get(&self.origin)?;
+        Some((sets, &of_type(sets, RType::Soa)?.records()[0]))
     }
 
     /// The zone's SOA record, if present.
     pub fn soa(&self) -> Option<&Record> {
-        self.rrsets
-            .get(&RrKey::new(self.origin.clone(), RType::Soa))
-            .map(|s| &s.records()[0])
+        self.apex().map(|(_, soa)| soa)
     }
 
     /// The apex NS RRset, if present.
     pub fn apex_ns(&self) -> Option<&RrSet> {
-        self.rrsets.get(&RrKey::new(self.origin.clone(), RType::Ns))
+        self.get(&self.origin, RType::Ns)
     }
 
     /// Direct RRset fetch (no wildcard or CNAME processing).
     pub fn get(&self, name: &Name, rtype: RType) -> Option<&RrSet> {
-        self.rrsets.get(&RrKey::new(name.clone(), rtype))
+        of_type(self.nodes.get(name)?, rtype)
     }
 
     /// Number of RRsets in the zone.
     pub fn rrset_count(&self) -> usize {
-        self.rrsets.len()
+        self.nodes.values().map(Vec::len).sum()
     }
 
-    /// Iterates all RRsets.
+    /// Iterates all RRsets, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = &RrSet> {
-        self.rrsets.values()
+        self.nodes.values().flatten()
     }
 
     /// Authoritative lookup per RFC 1034 §4.3.2.
@@ -119,123 +139,87 @@ impl Zone {
         if !qname.is_subdomain_of(&self.origin) {
             return Lookup::OutOfZone;
         }
-        let soa = match self.soa() {
-            Some(s) => s.clone(),
-            None => return Lookup::OutOfZone, // not a servable zone
+        let Some((mut node, soa)) = self.apex() else {
+            return Lookup::OutOfZone; // not a servable zone
         };
-
-        // Check for a delegation strictly between the apex and the qname.
-        if let Some(referral) = self.find_delegation(qname) {
-            return referral;
+        let labels = qname.labels();
+        // Walk down from just below the apex towards the qname, one
+        // borrowed suffix per step.
+        for skip in (0..labels.len() - self.origin.label_count()).rev() {
+            let Some(below) = self.nodes.get(&labels[skip..]) else {
+                // The qname does not exist and `labels[skip + 1..]` is its
+                // closest encloser: synthesize from `*` there, if any.
+                let wild = std::iter::once(&b"*"[..])
+                    .chain(labels[skip + 1..].iter().map(Label::as_bytes));
+                return match Name::from_labels(wild).ok().and_then(|w| self.nodes.get(&w)) {
+                    Some(sets) => self.answer_at(sets, qtype, soa, Some(qname)),
+                    None => Lookup::NxDomain { soa: soa.clone() },
+                };
+            };
+            if let Some(ns) = of_type(below, RType::Ns) {
+                return self.referral(ns);
+            }
+            node = below;
         }
-
-        if self.names.contains(qname) {
-            // Name exists: exact type, CNAME, or NODATA.
-            if let Some(set) = self.get(qname, qtype) {
-                return Lookup::Answer(set.records().to_vec());
-            }
-            if qtype != RType::Cname {
-                if let Some(cname_set) = self.get(qname, RType::Cname) {
-                    return self.chase_cname(cname_set.records().to_vec(), qtype, soa);
-                }
-            }
-            return Lookup::NoData { soa };
-        }
-
-        // Wildcard synthesis: find `*` at the closest encloser.
-        let mut encloser = qname.parent();
-        while let Some(ancestor) = encloser {
-            if !ancestor.is_subdomain_of(&self.origin) {
-                break;
-            }
-            if self.names.contains(&ancestor) {
-                if let Ok(wild) = ancestor.prepend("*") {
-                    if let Some(set) = self.get(&wild, qtype) {
-                        return Lookup::Answer(set.materialize_at(qname));
-                    }
-                    if self.names.contains(&wild) {
-                        if let Some(cname_set) = self.get(&wild, RType::Cname) {
-                            return self.chase_cname(
-                                cname_set.materialize_at(qname),
-                                qtype,
-                                soa,
-                            );
-                        }
-                        return Lookup::NoData { soa };
-                    }
-                }
-                // Closest encloser found but no wildcard: the name is absent.
-                break;
-            }
-            encloser = ancestor.parent();
-        }
-        Lookup::NxDomain { soa }
+        self.answer_at(node, qtype, soa, None)
     }
 
-    /// Finds a delegation point between the apex (exclusive) and `qname`
-    /// (inclusive), returning a referral if one exists.
-    fn find_delegation(&self, qname: &Name) -> Option<Lookup> {
-        // Walk cut candidates from just below the apex down to qname.
-        let qlabels = qname.label_count();
-        let olabels = self.origin.label_count();
-        for depth in (olabels + 1)..=qlabels {
-            let skip = qlabels - depth;
-            let candidate = Name::from_labels(
-                qname.labels()[skip..].iter().map(|l| l.as_bytes().to_vec()),
-            )
-            .expect("suffix of a valid name is valid");
-            if candidate == self.origin {
-                continue;
-            }
-            if let Some(ns_set) = self.get(&candidate, RType::Ns) {
-                let ns = ns_set.records().to_vec();
-                let mut glue = Vec::new();
-                for rec in &ns {
-                    if let RData::Ns(target) = &rec.rdata {
-                        for t in [RType::A, RType::Aaaa] {
-                            if let Some(set) = self.get(target.name(), t) {
-                                glue.extend(set.records().iter().cloned());
-                            }
-                        }
-                    }
+    /// The step the exact and the wildcard case share, at a node that
+    /// exists: the requested type, else a CNAME to chase, else NODATA.
+    /// Wildcard records are re-owned at `synthesize_at` (the qname,
+    /// RFC 1034 §4.3.3); exact ones are copied as stored.
+    fn answer_at(
+        &self,
+        sets: &[RrSet],
+        qtype: RType,
+        soa: &Record,
+        synthesize_at: Option<&Name>,
+    ) -> Lookup {
+        let copy = |set: &RrSet| match synthesize_at {
+            Some(qname) => set.materialize_at(qname),
+            None => set.records().to_vec(),
+        };
+        if let Some(set) = of_type(sets, qtype) {
+            return Lookup::Answer(copy(set));
+        }
+        match of_type(sets, RType::Cname) {
+            Some(cname) => Lookup::Answer(self.chase_cname(copy(cname), qtype)),
+            None => Lookup::NoData { soa: soa.clone() },
+        }
+    }
+
+    /// The referral at a delegation cut: its NS RRset plus the A/AAAA
+    /// glue of every name server that lives inside this zone.
+    fn referral(&self, ns_set: &RrSet) -> Lookup {
+        let mut glue = Vec::new();
+        for rdata in ns_set.rdatas() {
+            let RData::Ns(target) = rdata else { continue };
+            for t in [RType::A, RType::Aaaa] {
+                if let Some(set) = self.get(target.name(), t) {
+                    glue.extend(set.records().iter().cloned());
                 }
-                return Some(Lookup::Referral { ns, glue });
             }
         }
-        None
+        Lookup::Referral { ns: ns_set.records().to_vec(), glue }
     }
 
     /// Follows an in-zone CNAME chain (bounded to avoid loops), appending
-    /// the target RRset when it resolves inside the zone.
-    fn chase_cname(&self, mut chain: Vec<Record>, qtype: RType, soa: Record) -> Lookup {
+    /// the target RRset when it resolves inside the zone. A target with
+    /// no node — out of zone, or absent — ends the chain: the recursive
+    /// restarts resolution there. (`qtype` is never CNAME here —
+    /// `answer_at` answers that from the node itself — so a chain that
+    /// reached its `qtype` RRset stops at the next turn.)
+    fn chase_cname(&self, mut chain: Vec<Record>, qtype: RType) -> Vec<Record> {
         const MAX_CHAIN: usize = 8;
-        let mut hops = 0;
-        loop {
-            let last = chain.last().expect("chain starts non-empty");
-            let RData::Cname(target) = &last.rdata else {
-                return Lookup::Answer(chain);
+        for _ in 0..MAX_CHAIN {
+            let Some(RData::Cname(target)) = chain.last().map(|r| &r.rdata) else { break };
+            let Some(sets) = self.nodes.get(target.name()) else { break };
+            let Some(next) = of_type(sets, qtype).or_else(|| of_type(sets, RType::Cname)) else {
+                break;
             };
-            let target = target.name().clone();
-            hops += 1;
-            if hops > MAX_CHAIN || !target.is_subdomain_of(&self.origin) {
-                // Out-of-zone or too-long chains: return what we have; the
-                // recursive restarts resolution at the CNAME target.
-                return Lookup::Answer(chain);
-            }
-            if let Some(set) = self.get(&target, qtype) {
-                chain.extend(set.records().iter().cloned());
-                return Lookup::Answer(chain);
-            }
-            if let Some(next) = self.get(&target, RType::Cname) {
-                chain.extend(next.records().iter().cloned());
-                continue;
-            }
-            if self.names.contains(&target) {
-                return Lookup::Answer(chain);
-            }
-            let _ = soa; // chain dead-ends: still an answer with the CNAMEs
-            return Lookup::Answer(chain);
+            chain.extend(next.records().iter().cloned());
         }
+        chain
     }
 }
 

@@ -1,14 +1,20 @@
 //! Property-based tests of the zone store: lookup invariants, wildcard
-//! semantics, and serializer round trips under randomized zone contents.
+//! semantics, and serializer round trips under randomized zone contents —
+//! plus the differential check of `Zone::lookup` and the answer engine
+//! against a naive RFC 1034 §4.3.2 oracle (bottom of the file).
 //!
 //! Ported from `proptest` to the in-tree `detrand::qc` harness with
 //! higher case counts (512 vs proptest's default 256).
 
 use detrand::qc::{property, Gen};
 
-use dnswild::proto::rdata::{Ns, Soa, Txt, A};
-use dnswild::proto::{Name, RData, RType, Record};
-use dnswild::zone::{parse_zone, write_zone, Lookup, Zone};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+use dnswild::proto::rdata::{Aaaa, Cname, Ns, Soa, Txt, A};
+use dnswild::proto::{Message, Name, RData, RType, Rcode, Record};
+use dnswild::server::{AnswerEngine, TransportKind};
+use dnswild::zone::{parse_zone, write_zone, Lookup, RrSet, Zone};
 
 const CASES: u32 = 512;
 
@@ -184,4 +190,255 @@ fn serializer_round_trips() {
             assert_eq!(again.unwrap().len(), set.len());
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// The RFC 1034 §4.3.2 oracle (ROADMAP needle 3b): the lookup algorithm
+// written as naively as the RFC reads — linear scans over `Zone::iter()`
+// and nothing else of the store, names built freely, "exists" defined
+// from first principles (owns records or has a descendant that does).
+// `Zone::lookup` and the engine are checked against it, never the
+// other way round; it must pass at the commit before any lookup change.
+// ---------------------------------------------------------------------
+
+fn oracle(zone: &Zone, qname: &Name, qtype: RType) -> Lookup {
+    let sets: Vec<&RrSet> = zone.iter().collect();
+    let origin = zone.origin();
+    let rrset =
+        |name: &Name, t: RType| sets.iter().copied().find(|s| s.name() == name && s.rtype() == t);
+    let exists = |name: &Name| sets.iter().any(|s| s.name().is_subdomain_of(name));
+
+    // Step 2: is this our zone at all (and is it servable)?
+    if !qname.is_subdomain_of(origin) {
+        return Lookup::OutOfZone;
+    }
+    let Some(soa) = rrset(origin, RType::Soa) else {
+        return Lookup::OutOfZone;
+    };
+    let soa = soa.records()[0].clone();
+
+    // Step 3b: matching down label by label, a node with NS records
+    // below the apex is a cut — refer, with whatever glue we hold.
+    let mut ancestors = Vec::new();
+    let mut n = qname.clone();
+    while &n != origin {
+        ancestors.push(n.clone());
+        n = n.parent().unwrap();
+    }
+    for cut in ancestors.iter().rev() {
+        if let Some(ns) = rrset(cut, RType::Ns) {
+            let mut glue = Vec::new();
+            for rdata in ns.rdatas() {
+                let RData::Ns(target) = rdata else { unreachable!("NS set holds NS") };
+                for t in [RType::A, RType::Aaaa] {
+                    if let Some(set) = rrset(target.name(), t) {
+                        glue.extend(set.records().iter().cloned());
+                    }
+                }
+            }
+            return Lookup::Referral { ns: ns.records().to_vec(), glue };
+        }
+    }
+
+    // Step 3a: the whole qname matched; or 3c: it did not, so look for
+    // `*` under the closest encloser and answer as if it were the qname.
+    let (owner, synthesized) = if exists(qname) {
+        (qname.clone(), false)
+    } else {
+        let mut encloser = qname.parent().unwrap();
+        while !exists(&encloser) {
+            encloser = encloser.parent().unwrap();
+        }
+        let wild = encloser.prepend("*").unwrap();
+        if !exists(&wild) {
+            return Lookup::NxDomain { soa };
+        }
+        (wild, true)
+    };
+    let copy = |set: &RrSet| -> Vec<Record> {
+        set.records()
+            .iter()
+            .map(|r| match synthesized {
+                true => Record::with_class(qname.clone(), r.class, r.ttl, r.rdata.clone()),
+                false => r.clone(),
+            })
+            .collect()
+    };
+    if let Some(set) = rrset(&owner, qtype) {
+        return Lookup::Answer(copy(set));
+    }
+    let Some(cname) = rrset(&owner, RType::Cname) else {
+        return Lookup::NoData { soa };
+    };
+
+    // CNAME: restart at the canonical name, inside this zone only, for
+    // at most eight hops (loops are legal zone data).
+    let mut chain = copy(cname);
+    for _ in 0..8 {
+        let RData::Cname(target) = chain.last().unwrap().rdata.clone() else { break };
+        if let Some(set) = rrset(target.name(), qtype) {
+            chain.extend(set.records().iter().cloned());
+            break;
+        }
+        match rrset(target.name(), RType::Cname) {
+            Some(next) => chain.extend(next.records().iter().cloned()),
+            None => break,
+        }
+    }
+    Lookup::Answer(chain)
+}
+
+/// Labels drawn from an alphabet this small make cuts, empty
+/// non-terminals, wildcards and CNAME loops collide in most zones; the
+/// upper-case `A` keeps case-insensitive matching honest.
+const ORACLE_LABELS: &[&str] = &["a", "b", "c", "*", "A"];
+const ORACLE_QTYPES: &[RType] =
+    &[RType::A, RType::Aaaa, RType::Txt, RType::Ns, RType::Cname, RType::Soa, RType::Mx];
+
+fn gen_oracle_name(g: &mut Gen, max_labels: usize) -> Name {
+    // One name in sixteen lies outside the zone.
+    let mut name = if g.u32_in(0..16) == 0 { Name::parse("other.test").unwrap() } else { origin() };
+    for _ in 0..g.usize_in(0..max_labels + 1) {
+        let label = g.choose(ORACLE_LABELS);
+        name = name.prepend(label).unwrap();
+    }
+    name
+}
+
+/// A small random zone: usually with an SOA, up to 14 records of five
+/// types at names of up to three labels, NS and CNAME targets drawn
+/// from the same name space (so glue and chains resolve in-zone).
+fn gen_oracle_zone(g: &mut Gen) -> Zone {
+    let mut zone = if g.u32_in(0..32) == 0 { Zone::new(origin()) } else { base_zone() };
+    for _ in 0..g.usize_in(0..15) {
+        let mut owner = origin();
+        for _ in 0..g.usize_in(0..4) {
+            let label = g.choose(ORACLE_LABELS);
+            owner = owner.prepend(label).unwrap();
+        }
+        let rdata = match g.u32_in(0..6) {
+            0 => RData::A(A::new(std::net::Ipv4Addr::new(192, 0, 2, g.u8()))),
+            1 => RData::Aaaa(Aaaa::new(std::net::Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1))),
+            2 => RData::Txt(Txt::from_string(&format!("v{}", g.u8())).unwrap()),
+            3 => RData::Ns(Ns::new(gen_oracle_name(g, 2))),
+            _ => RData::Cname(Cname::new(gen_oracle_name(g, 2))),
+        };
+        zone.insert(Record::new(owner, 60 + g.u32_in(0..4), rdata));
+    }
+    zone
+}
+
+/// Which §4.3.2 branch a verdict took, for the coverage floor below.
+fn branch(zone: &Zone, qname: &Name, verdict: &Lookup) -> &'static str {
+    let exact = zone.iter().any(|s| s.name().is_subdomain_of(qname));
+    match verdict {
+        Lookup::Answer(recs) => match (exact, recs[0].rtype() == RType::Cname && recs.len() > 1) {
+            (true, false) => "exact",
+            (true, true) => "exact-cname",
+            (false, false) => "wildcard",
+            (false, true) => "wildcard-cname",
+        },
+        Lookup::NoData { .. } if exact => "nodata",
+        Lookup::NoData { .. } => "wildcard-nodata",
+        Lookup::NxDomain { .. } => "nxdomain",
+        Lookup::Referral { .. } => "referral",
+        Lookup::OutOfZone => "out-of-zone",
+    }
+}
+
+const ORACLE_BRANCHES: &[&str] = &[
+    "exact",
+    "exact-cname",
+    "wildcard",
+    "wildcard-cname",
+    "nodata",
+    "wildcard-nodata",
+    "nxdomain",
+    "referral",
+    "out-of-zone",
+];
+
+/// Every branch must have been exercised often enough for agreement on
+/// it to mean something.
+fn assert_branch_coverage(seen: &BTreeMap<&'static str, u32>) {
+    if std::env::var_os("DETRAND_REPLAY").is_some() {
+        return; // a single replayed case covers what it covers
+    }
+    for b in ORACLE_BRANCHES {
+        let n = seen.get(b).copied().unwrap_or(0);
+        assert!(n >= 25, "branch {b} reached only {n} times: {seen:?}");
+    }
+}
+
+/// `Zone::lookup` returns what the oracle returns — same variant, same
+/// records in the same order, same spelling of every name (`Name`
+/// equality ignores case, so the `Debug` forms are compared too).
+#[test]
+fn lookup_agrees_with_rfc1034_oracle() {
+    let seen = RefCell::new(BTreeMap::new());
+    property("lookup_agrees_with_rfc1034_oracle").cases(2048).check(|g| {
+        let zone = gen_oracle_zone(g);
+        for _ in 0..6 {
+            let qname = gen_oracle_name(g, 4);
+            let qtype = *g.choose(ORACLE_QTYPES);
+            let want = oracle(&zone, &qname, qtype);
+            let got = zone.lookup(&qname, qtype);
+            assert_eq!(got, want, "{qname} {qtype} in\n{}", write_zone(&zone));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "spelling of {qname} {qtype}");
+            *seen.borrow_mut().entry(branch(&zone, &qname, &want)).or_insert(0) += 1;
+        }
+    });
+    assert_branch_coverage(&seen.into_inner());
+}
+
+/// The CNAME cut-off, pinned: a two-name loop yields the first CNAME
+/// plus exactly eight chased hops, from both implementations.
+#[test]
+fn cname_loop_is_cut_after_eight_hops() {
+    let mut zone = base_zone();
+    let (a, b) = (to_name(&["a".into()]), to_name(&["b".into()]));
+    zone.insert(Record::new(a.clone(), 60, RData::Cname(Cname::new(b.clone()))));
+    zone.insert(Record::new(b, 60, RData::Cname(Cname::new(a.clone()))));
+    let Lookup::Answer(chain) = zone.lookup(&a, RType::A) else { panic!("expected a chain") };
+    assert_eq!(chain.len(), 9);
+    assert_eq!(Lookup::Answer(chain), oracle(&zone, &a, RType::A));
+}
+
+/// The engine's response carries the oracle's verdict: rcode, AA and
+/// the answer / authority sections (plus referral glue ahead of the
+/// echoed OPT) are what §4.3.2 prescribes for it.
+#[test]
+fn engine_response_agrees_with_rfc1034_oracle() {
+    let seen = RefCell::new(BTreeMap::new());
+    property("engine_response_agrees_with_rfc1034_oracle").cases(2048).check(|g| {
+        let zone = gen_oracle_zone(g);
+        let mut engine = AnswerEngine::new("FRA", vec![zone.clone()]);
+        let mut buf = Vec::new();
+        for id in 0..4 {
+            let qname = gen_oracle_name(g, 4);
+            let qtype = *g.choose(ORACLE_QTYPES);
+            let query = Message::iterative_query(id, qname.clone(), qtype).encode().unwrap();
+            assert!(engine.handle_packet(&query, TransportKind::Udp, &mut buf).response);
+            let resp = Message::decode(&buf).unwrap();
+            assert!(!resp.header.truncated, "tiny zones never truncate");
+            let want = oracle(&zone, &qname, qtype);
+            let (rcode, aa, answers, authorities, glue) = match want.clone() {
+                Lookup::Answer(records) => (Rcode::NoError, true, records, vec![], vec![]),
+                Lookup::NoData { soa } => (Rcode::NoError, true, vec![], vec![soa], vec![]),
+                Lookup::NxDomain { soa } => (Rcode::NxDomain, true, vec![], vec![soa], vec![]),
+                Lookup::Referral { ns, glue } => (Rcode::NoError, false, vec![], ns, glue),
+                Lookup::OutOfZone => (Rcode::Refused, false, vec![], vec![], vec![]),
+            };
+            let ctx = format!("{qname} {qtype} in\n{}", write_zone(&zone));
+            assert_eq!(resp.rcode(), rcode, "{ctx}");
+            assert_eq!(resp.header.authoritative, aa, "{ctx}");
+            assert_eq!(resp.answers, answers, "{ctx}");
+            assert_eq!(resp.authorities, authorities, "{ctx}");
+            assert_eq!(&resp.additionals[..glue.len()], &glue[..], "{ctx}");
+            *seen.borrow_mut().entry(branch(&zone, &qname, &want)).or_insert(0) += 1;
+        }
+        let stats = engine.stats();
+        assert_eq!((stats.queries, stats.question_outcomes()), (4, 4));
+    });
+    assert_branch_coverage(&seen.into_inner());
 }
