@@ -21,6 +21,8 @@
 //! under a stale-answer budget, and a bounded LRU with eviction
 //! accounting.
 
+#![forbid(unsafe_code)]
+
 mod clock;
 mod store;
 

@@ -943,10 +943,11 @@ fn worker_loop(
             .expect("short probe label");
         let mut ids = Ids { client: client_token, qname_hash: 0, journey: 0 };
         if producer.is_some() {
-            let wire = qname.canonical_wire();
+            let mut buf = [0; dnswild_proto::MAX_NAME_LEN];
+            let wire = qname.canonical_wire(&mut buf);
             // Same canonical bytes every other hop derives from the
             // payload, so the ids agree without coordination.
-            (ids.qname_hash, ids.journey) = (qname_hash32(&wire), journey_id(&wire));
+            (ids.qname_hash, ids.journey) = (qname_hash32(wire), journey_id(wire));
         }
 
         // Cache first: a live hit answers the transaction with zero

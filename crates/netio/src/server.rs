@@ -570,7 +570,7 @@ pub(crate) fn record_server_event(
     // than re-encoding the canonical qname: allocation-free, and it
     // matches what the load generator hashes on its side of the same
     // datagram.
-    ev.qname_hash = if handled.query.is_some() {
+    ev.qname_hash = if handled.question {
         qname_hash32(payload.get(12..).unwrap_or(&[]))
     } else {
         0
@@ -593,7 +593,7 @@ pub(crate) fn record_server_event(
     // and any chaos decisions the same query passed through; derived
     // from the payload so it needs no shared state with the client.
     let (journey, dns_id) = journey_from_payload(payload);
-    ev.journey = if handled.query.is_some() { journey } else { 0 };
+    ev.journey = if handled.question { journey } else { 0 };
     ev.dns_id = dns_id;
     producer.record(&ev);
 }

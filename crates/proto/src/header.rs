@@ -63,6 +63,19 @@ impl Header {
     /// Wire size of the header.
     pub const WIRE_LEN: usize = 12;
 
+    /// The header a response to this query starts from: its ID, opcode
+    /// and RD bit echoed under `rcode`, everything else clear.
+    pub fn reply(&self, rcode: Rcode) -> Header {
+        Header {
+            id: self.id,
+            response: true,
+            opcode: self.opcode,
+            recursion_desired: self.recursion_desired,
+            rcode,
+            ..Header::default()
+        }
+    }
+
     /// Encodes the header.
     pub fn encode(&self, w: &mut WireWriter) -> ProtoResult<()> {
         w.write_u16(self.id)?;

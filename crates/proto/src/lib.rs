@@ -48,8 +48,8 @@ mod wire;
 pub use edns::{Edns, EXTENDED_RCODE_BADVERS, MIN_EDNS_PAYLOAD};
 pub use error::{ProtoError, ProtoResult};
 pub use header::Header;
-pub use message::{Message, DEFAULT_EDNS_PAYLOAD};
-pub use name::{Label, Name, NameCompressor, MAX_LABEL_LEN, MAX_NAME_LEN};
+pub use message::{Message, MessageWriter, Section, DEFAULT_EDNS_PAYLOAD};
+pub use name::{Name, NameCompressor, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use question::Question;
 pub use rdata::RData;
 pub use record::Record;

@@ -9,7 +9,7 @@ use crate::question::Question;
 use crate::rdata::{Opt, RData};
 use crate::record::Record;
 use crate::types::{Class, RType, Rcode};
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{WireReader, WireWriter, MAX_MESSAGE_SIZE};
 
 /// Advertised EDNS0 UDP payload size we use in queries.
 pub const DEFAULT_EDNS_PAYLOAD: u16 = 1232;
@@ -61,14 +61,7 @@ impl Message {
     /// Starts a response echoing a query's ID and question.
     pub fn response_to(query: &Message, rcode: Rcode) -> Self {
         Message {
-            header: Header {
-                id: query.header.id,
-                response: true,
-                opcode: query.header.opcode,
-                recursion_desired: query.header.recursion_desired,
-                rcode,
-                ..Header::default()
-            },
+            header: query.header.reply(rcode),
             questions: query.questions.clone(),
             answers: Vec::new(),
             authorities: Vec::new(),
@@ -139,9 +132,9 @@ impl Message {
 
     /// Encodes the message, recomputing all section counts.
     pub fn encode(&self) -> ProtoResult<Vec<u8>> {
-        let mut w = WireWriter::new();
-        self.encode_to_writer(&mut w)?;
-        Ok(w.into_bytes())
+        let mut buf = Vec::with_capacity(512);
+        self.encode_into(&mut buf)?;
+        Ok(buf)
     }
 
     /// Encodes the message into `buf`, reusing its allocation.
@@ -151,31 +144,27 @@ impl Message {
     /// left empty. A buffer recycled across responses makes the serving
     /// hot loop allocation-free once it has grown to the working size.
     pub fn encode_into(&self, buf: &mut Vec<u8>) -> ProtoResult<()> {
-        let mut w = WireWriter::from_vec(std::mem::take(buf));
-        let result = self.encode_to_writer(&mut w);
-        *buf = w.into_bytes();
+        let mut w = MessageWriter::new(std::mem::take(buf), &self.header);
+        let result = self.write_sections(&mut w);
+        *buf = w.finish();
         if result.is_err() {
             buf.clear();
         }
         result
     }
 
-    fn encode_to_writer(&self, w: &mut WireWriter) -> ProtoResult<()> {
-        let mut c = NameCompressor::new();
-        let header = Header {
-            qdcount: self.questions.len() as u16,
-            ancount: self.answers.len() as u16,
-            nscount: self.authorities.len() as u16,
-            arcount: self.additionals.len() as u16,
-            ..self.header
-        };
-        header.encode(w)?;
+    fn write_sections(&self, w: &mut MessageWriter) -> ProtoResult<()> {
         for q in &self.questions {
-            q.encode(w, &mut c)?;
+            w.question(q)?;
         }
-        for section in [&self.answers, &self.authorities, &self.additionals] {
-            for rec in section {
-                rec.encode(w, &mut c)?;
+        let sections = [
+            (Section::Answer, &self.answers),
+            (Section::Authority, &self.authorities),
+            (Section::Additional, &self.additionals),
+        ];
+        for (section, records) in sections {
+            for r in records {
+                w.record(section, &r.name, r.class, r.ttl, &r.rdata)?;
             }
         }
         Ok(())
@@ -185,12 +174,14 @@ impl Message {
     pub fn decode(buf: &[u8]) -> ProtoResult<Self> {
         let mut r = WireReader::new(buf);
         let header = Header::decode(&mut r)?;
-        let mut questions = Vec::with_capacity(header.qdcount as usize);
+        // The header's counts are claims: reserve no more than the bytes
+        // left could hold (a question is ≥ 5 octets, a record ≥ 11).
+        let mut questions = Vec::with_capacity((header.qdcount as usize).min(r.remaining() / 5));
         for _ in 0..header.qdcount {
             questions.push(Question::decode(&mut r)?);
         }
         let decode_section = |r: &mut WireReader<'_>, n: u16| -> ProtoResult<Vec<Record>> {
-            let mut out = Vec::with_capacity(n as usize);
+            let mut out = Vec::with_capacity((n as usize).min(r.remaining() / 11));
             for _ in 0..n {
                 out.push(Record::decode(r)?);
             }
@@ -203,6 +194,107 @@ impl Message {
             return Err(ProtoError::Malformed("trailing bytes after last section"));
         }
         Ok(Message { header, questions, answers, authorities, additionals })
+    }
+}
+
+/// The record section a [`MessageWriter`] adds to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// Answer section.
+    Answer = 1,
+    /// Authority section.
+    Authority = 2,
+    /// Additional section.
+    Additional = 3,
+}
+
+/// Writes one message front to back into a recycled buffer: header,
+/// questions, then records, counting entries as they go and patching
+/// the four counts into the header at the end. The one encoder —
+/// [`Message::encode_into`] and the authoritative engine (which writes
+/// records the zone still owns) both drive it.
+#[derive(Debug)]
+pub struct MessageWriter {
+    w: WireWriter,
+    c: NameCompressor,
+    /// QDCOUNT, ANCOUNT, NSCOUNT, ARCOUNT so far.
+    counts: [u16; 4],
+    /// Where the question section ends.
+    body: usize,
+}
+
+impl MessageWriter {
+    /// Starts a message in `buf` (cleared, capacity kept) with `header`;
+    /// the header's own counts are overwritten by [`MessageWriter::finish`].
+    pub fn new(buf: Vec<u8>, header: &Header) -> Self {
+        let mut w = WireWriter::from_vec(buf);
+        header.encode(&mut w).expect("an empty message has room for its header");
+        MessageWriter { w, c: NameCompressor::new(), counts: [0; 4], body: Header::WIRE_LEN }
+    }
+
+    /// Appends a question (before any record).
+    pub fn question(&mut self, q: &Question) -> ProtoResult<()> {
+        q.encode(&mut self.w, &mut self.c)?;
+        self.counts[0] += 1;
+        self.body = self.w.position();
+        Ok(())
+    }
+
+    /// Appends one resource record to `section` — the only place a
+    /// record is put on the wire. Owner and payload are passed apart so
+    /// a wildcard answer can be owned by the query name and a payload
+    /// substituted without building a [`Record`]. RDLENGTH is patched
+    /// after the RDATA is written.
+    pub fn record(
+        &mut self,
+        section: Section,
+        owner: &Name,
+        class: Class,
+        ttl: u32,
+        rdata: &RData,
+    ) -> ProtoResult<()> {
+        let (w, c) = (&mut self.w, &mut self.c);
+        owner.encode(w, c)?;
+        w.write_u16(rdata.rtype().to_u16())?;
+        w.write_u16(class.to_u16())?;
+        w.write_u32(ttl)?;
+        let len_pos = w.position();
+        w.write_u16(0)?; // placeholder RDLENGTH
+        rdata.encode(w, c)?;
+        let rdlen = w.position() - len_pos - 2;
+        w.patch_u16(len_pos, rdlen as u16)?;
+        self.counts[section as usize] += 1;
+        Ok(())
+    }
+
+    /// Octets written so far.
+    pub fn written(&self) -> usize {
+        self.w.position()
+    }
+
+    /// Makes every write that would grow the message past `limit`
+    /// octets fail with [`ProtoError::MessageTooLong`].
+    pub fn set_ceiling(&mut self, limit: usize) {
+        self.w.set_ceiling(limit);
+    }
+
+    /// Turns the message into its minimal TC=1 form: cut back to header
+    /// and questions, record counts zeroed, TC set, ceiling lifted.
+    pub fn truncate(&mut self) {
+        self.w.truncate(self.body);
+        self.w.set_ceiling(MAX_MESSAGE_SIZE);
+        self.c.forget_from(self.body);
+        self.counts[1..].fill(0);
+        let flags = u16::from_be_bytes([self.w.as_slice()[2], self.w.as_slice()[3]]);
+        self.w.patch_u16(2, flags | 0x0200).expect("the header is written");
+    }
+
+    /// Patches the section counts in and yields the buffer.
+    pub fn finish(mut self) -> Vec<u8> {
+        for (i, n) in self.counts.into_iter().enumerate() {
+            self.w.patch_u16(4 + 2 * i, n).expect("the header is written");
+        }
+        self.w.into_bytes()
     }
 }
 
@@ -337,6 +429,38 @@ mod tests {
         let small = Message::response_to(&q, Rcode::Refused);
         small.encode_into(&mut buf).unwrap();
         assert_eq!(buf, small.encode().unwrap());
+    }
+
+    /// Cutting a message back to its questions leaves what a fresh
+    /// encode of the TC=1 form would: counts zeroed, TC set, ceiling
+    /// lifted, and no compression target pointing into the part cut.
+    #[test]
+    fn writer_truncates_to_the_minimal_tc_form() {
+        let q = Message::iterative_query(21, name("q.ourtestdomain.nl"), RType::Ns);
+        let ns = Record::new(
+            name("ourtestdomain.nl"),
+            60,
+            RData::Ns(Ns::new(name("ns1.elsewhere.example"))),
+        );
+        let mut w = MessageWriter::new(Vec::new(), &q.header.reply(Rcode::NoError));
+        w.question(&q.questions[0]).unwrap();
+        w.record(Section::Answer, &ns.name, ns.class, ns.ttl, &ns.rdata).unwrap();
+        w.set_ceiling(w.written() + 8);
+        assert!(w.record(Section::Answer, &ns.name, ns.class, ns.ttl, &ns.rdata).is_err());
+        w.truncate();
+        // `elsewhere.example` was spelled only in the part cut away —
+        // four octets into the NS RDATA, exactly where this TXT now puts
+        // the same bytes. A pointer there would decode, but it is not
+        // what writing the message afresh produces.
+        let decoy = Txt::new([&b"xyz\x09elsewhere\x07example\0"[..]]).unwrap();
+        let mut fresh = Message::response_to(&q, Rcode::NoError);
+        fresh.header.truncated = true;
+        fresh.additionals.push(Record::new(q.questions[0].qname.clone(), 1, RData::Txt(decoy)));
+        fresh.additionals.push(Record::new(name("elsewhere.example"), 1, ns.rdata.clone()));
+        for r in &fresh.additionals {
+            w.record(Section::Additional, &r.name, r.class, r.ttl, &r.rdata).unwrap();
+        }
+        assert_eq!(w.finish(), fresh.encode().unwrap());
     }
 
     #[test]

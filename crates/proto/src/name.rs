@@ -1,11 +1,20 @@
 //! Domain names: presentation format, wire format, and compression.
 //!
-//! A [`Name`] is a sequence of labels, stored uncompressed. Comparison and
-//! hashing are case-insensitive per RFC 1035 §2.3.3, while the original
-//! spelling is preserved for display.
+//! A [`Name`] is one contiguous buffer: the name in uncompressed wire
+//! form (length octet, label, length octet, label, …) minus the
+//! terminating root octet, in its original spelling. The root is the
+//! empty buffer and allocates nothing; every other name is exactly one
+//! allocation; labels, parents and ancestors are sub-slices of it.
+//! Comparison and hashing are case-insensitive per RFC 1035 §2.3.3 and
+//! run over the whole buffer at once — sound because a length octet
+//! (≤ 63) is never an ASCII letter, so folding case cannot move a label
+//! boundary, and two buffers that fold to the same bytes parse into the
+//! same labels.
+//!
+//! [`NameCompressor`] (RFC 1035 §4.1.4) owns no map: it remembers where
+//! each suffix was first written *literally* and checks a candidate
+//! against the bytes already in the message.
 
-use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
@@ -18,85 +27,39 @@ pub const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a name on the wire (labels + length octets + root).
 pub const MAX_NAME_LEN: usize = 255;
 
-/// One label of a domain name (1–63 octets, arbitrary bytes).
-#[derive(Debug, Clone, Eq)]
-pub struct Label(Box<[u8]>);
-
-impl Label {
-    /// Creates a label from raw octets.
-    pub fn new(bytes: &[u8]) -> ProtoResult<Self> {
-        if bytes.is_empty() {
-            return Err(ProtoError::BadNameSyntax("empty label".into()));
-        }
-        if bytes.len() > MAX_LABEL_LEN {
-            return Err(ProtoError::LabelTooLong(bytes.len()));
-        }
-        Ok(Label(bytes.into()))
-    }
-
-    /// The raw octets of the label.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Length in octets.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Always false: labels have at least one octet.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// ASCII-lowercased copy, used for canonical comparison.
-    fn to_lower(&self) -> Vec<u8> {
-        self.0.iter().map(|b| b.to_ascii_lowercase()).collect()
-    }
-}
-
-impl PartialEq for Label {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self
-                .0
-                .iter()
-                .zip(other.0.iter())
-                .all(|(a, b)| a.eq_ignore_ascii_case(b))
-    }
-}
-
-impl Hash for Label {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for b in self.0.iter() {
-            state.write_u8(b.to_ascii_lowercase());
-        }
-    }
-}
-
-impl fmt::Display for Label {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for &b in self.0.iter() {
-            match b {
-                b'.' | b'\\' => write!(f, "\\{}", b as char)?,
-                0x21..=0x7e => write!(f, "{}", b as char)?,
-                _ => write!(f, "\\{:03}", b)?,
-            }
-        }
-        Ok(())
-    }
-}
-
 /// An absolute domain name (always implicitly rooted).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct Name {
-    labels: Vec<Label>,
+    /// Wire form without the root octet; every length octet is 1..=63
+    /// and the buffer ends exactly at a label boundary.
+    wire: Box<[u8]>,
+}
+
+/// Appends one label (1–63 octets, arbitrary bytes) in wire form.
+fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> ProtoResult<()> {
+    if label.is_empty() {
+        return Err(ProtoError::BadNameSyntax("empty label".into()));
+    }
+    if label.len() > MAX_LABEL_LEN {
+        return Err(ProtoError::LabelTooLong(label.len()));
+    }
+    wire.push(label.len() as u8);
+    wire.extend_from_slice(label);
+    Ok(())
 }
 
 impl Name {
     /// The root name (`.`).
     pub fn root() -> Self {
-        Name { labels: Vec::new() }
+        Name::default()
+    }
+
+    /// Seals a buffer of pushed labels, enforcing the 255-octet limit.
+    fn from_wire(wire: Vec<u8>) -> ProtoResult<Self> {
+        if wire.len() + 1 > MAX_NAME_LEN {
+            return Err(ProtoError::NameTooLong(wire.len() + 1));
+        }
+        Ok(Name { wire: wire.into_boxed_slice() })
     }
 
     /// Builds a name from labels (first label is the leftmost).
@@ -105,13 +68,11 @@ impl Name {
         I: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        let labels = labels
-            .into_iter()
-            .map(|l| Label::new(l.as_ref()))
-            .collect::<ProtoResult<Vec<_>>>()?;
-        let name = Name { labels };
-        name.check_len()?;
-        Ok(name)
+        let mut wire = Vec::new();
+        for label in labels {
+            push_label(&mut wire, label.as_ref())?;
+        }
+        Name::from_wire(wire)
     }
 
     /// Parses presentation format, e.g. `"www.example.nl"` or `"example.nl."`.
@@ -123,7 +84,7 @@ impl Name {
             return Ok(Name::root());
         }
         let bytes = s.as_bytes();
-        let mut labels = Vec::new();
+        let mut wire = Vec::with_capacity(bytes.len() + 1);
         let mut current: Vec<u8> = Vec::new();
         let mut i = 0;
         while i < bytes.len() {
@@ -150,7 +111,7 @@ impl Name {
                     }
                 }
                 b'.' => {
-                    labels.push(Label::new(&current)?);
+                    push_label(&mut wire, &current)?;
                     current.clear();
                     i += 1;
                 }
@@ -161,95 +122,84 @@ impl Name {
             }
         }
         if !current.is_empty() {
-            labels.push(Label::new(&current)?);
+            push_label(&mut wire, &current)?;
         } else if bytes.last() != Some(&b'.') {
             return Err(ProtoError::BadNameSyntax(s.into()));
         }
-        let name = Name { labels };
-        name.check_len()?;
-        Ok(name)
+        Name::from_wire(wire)
     }
 
-    /// The labels, leftmost first.
-    pub fn labels(&self) -> &[Label] {
-        &self.labels
+    /// The labels (1–63 raw octets each), leftmost first.
+    pub fn labels(&self) -> impl Iterator<Item = &[u8]> + Clone {
+        let mut rest = &self.wire[..];
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let (label, after) = tail.split_at(len as usize);
+            rest = after;
+            Some(label)
+        })
     }
 
     /// Number of labels (the root has zero).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.is_empty()
     }
 
     /// Wire-format length in octets, including per-label length octets and
     /// the terminating root octet.
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire.len() + 1
     }
 
     /// Returns a new name with `label` prepended, e.g. turning
     /// `example.nl` into `probe-17.example.nl`.
     pub fn prepend(&self, label: &str) -> ProtoResult<Self> {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(Label::new(label.as_bytes())?);
-        labels.extend(self.labels.iter().cloned());
-        let name = Name { labels };
-        name.check_len()?;
-        Ok(name)
+        let mut wire = Vec::with_capacity(1 + label.len() + self.wire.len());
+        push_label(&mut wire, label.as_bytes())?;
+        wire.extend_from_slice(&self.wire);
+        Name::from_wire(wire)
     }
 
     /// The parent of this name (`www.example.nl` → `example.nl`).
     /// The root has no parent.
     pub fn parent(&self) -> Option<Name> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(Name { labels: self.labels[1..].to_vec() })
-        }
+        let (&len, rest) = self.wire.split_first()?;
+        Some(Name { wire: rest[len as usize..].into() })
     }
 
-    /// Whether `self` is equal to or a subdomain of `ancestor`.
+    /// Whether `self` is equal to or a subdomain of `ancestor`: the
+    /// ancestor's buffer is a suffix of ours that starts on one of our
+    /// label boundaries.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        if ancestor.labels.len() > self.labels.len() {
+        let Some(cut) = self.wire.len().checked_sub(ancestor.wire.len()) else {
             return false;
+        };
+        let mut pos = 0;
+        while pos < cut {
+            pos += 1 + self.wire[pos] as usize;
         }
-        let offset = self.labels.len() - ancestor.labels.len();
-        self.labels[offset..]
-            .iter()
-            .zip(ancestor.labels.iter())
-            .all(|(a, b)| a == b)
+        pos == cut && self.wire[cut..].eq_ignore_ascii_case(&ancestor.wire)
     }
 
-    /// Canonical (lowercased) wire form with no compression. Used as a map
-    /// key for compression and caching.
-    pub fn canonical_wire(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        for label in &self.labels {
-            out.push(label.len() as u8);
-            out.extend(label.to_lower());
-        }
-        out.push(0);
-        out
-    }
-
-    fn check_len(&self) -> ProtoResult<()> {
-        let len = self.wire_len();
-        if len > MAX_NAME_LEN {
-            return Err(ProtoError::NameTooLong(len));
-        }
-        Ok(())
+    /// Canonical (lowercased, uncompressed, root-terminated) wire form,
+    /// written into the caller's stack buffer. The key of the zone
+    /// store and of every qname hash.
+    pub fn canonical_wire<'b>(&self, buf: &'b mut [u8; MAX_NAME_LEN]) -> &'b [u8] {
+        let n = self.wire.len();
+        buf[..n].copy_from_slice(&self.wire);
+        buf[..n].make_ascii_lowercase();
+        buf[n] = 0;
+        &buf[..=n]
     }
 
     /// Encodes the name without compression.
     pub fn encode_uncompressed(&self, w: &mut WireWriter) -> ProtoResult<()> {
-        for label in &self.labels {
-            w.write_u8(label.len() as u8)?;
-            w.write_bytes(label.as_bytes())?;
-        }
+        w.write_bytes(&self.wire)?;
         w.write_u8(0)
     }
 
@@ -263,8 +213,8 @@ impl Name {
     /// Compression pointers may only point strictly backwards; loops and
     /// forward pointers are rejected.
     pub fn decode(r: &mut WireReader<'_>) -> ProtoResult<Self> {
-        let mut labels = Vec::new();
-        let mut wire_len = 1usize; // terminating root octet
+        let mut wire = [0u8; MAX_NAME_LEN];
+        let mut used = 0usize;
         // Position to restore once the first pointer is followed.
         let mut restore: Option<usize> = None;
         let mut min_ptr = r.position();
@@ -277,11 +227,13 @@ impl Name {
                         break;
                     }
                     let bytes = r.read_bytes(len as usize)?;
-                    wire_len += len as usize + 1;
-                    if wire_len > MAX_NAME_LEN {
-                        return Err(ProtoError::NameTooLong(wire_len));
+                    let end = used + 1 + bytes.len();
+                    if end + 1 > MAX_NAME_LEN {
+                        return Err(ProtoError::NameTooLong(end + 1));
                     }
-                    labels.push(Label::new(bytes)?);
+                    wire[used] = len;
+                    wire[used + 1..end].copy_from_slice(bytes);
+                    used = end;
                 }
                 0xc0 => {
                     let lo = r.read_u8()?;
@@ -302,26 +254,44 @@ impl Name {
         if let Some(pos) = restore {
             r.seek(pos)?;
         }
-        Ok(Name { labels })
+        Ok(Name { wire: wire[..used].into() })
     }
 }
 
-/// Lets a `HashMap<Name, _>` be probed with a borrowed label slice —
-/// any suffix of [`Name::labels`] — without building a `Name`. Sound
-/// because `Name` derives `Eq`/`Hash` from its one `labels` field.
-impl Borrow<[Label]> for Name {
-    fn borrow(&self) -> &[Label] {
-        &self.labels
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.wire.eq_ignore_ascii_case(&other.wire)
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.canonical_wire(&mut [0; MAX_NAME_LEN]));
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Name({self})")
     }
 }
 
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return write!(f, ".");
         }
-        for label in &self.labels {
-            write!(f, "{label}.")?;
+        for label in self.labels() {
+            for &b in label {
+                match b {
+                    b'.' | b'\\' => write!(f, "\\{}", b as char)?,
+                    0x21..=0x7e => write!(f, "{}", b as char)?,
+                    _ => write!(f, "\\{:03}", b)?,
+                }
+            }
+            write!(f, ".")?;
         }
         Ok(())
     }
@@ -335,15 +305,68 @@ impl FromStr for Name {
     }
 }
 
+/// Offsets a compression pointer can express (14 bits).
+const POINTER_MASK: u32 = 0x3fff;
+/// Suffixes remembered without touching the heap — more than a 20-NS
+/// referral with glue writes.
+const INLINE_TARGETS: usize = 32;
+
 /// Shared compression state for one message being written.
 ///
-/// Tracks, for every name suffix already emitted, its offset in the
-/// message. Subsequent names reuse the longest matching suffix via a
-/// compression pointer. Only offsets below 0x3FFF are eligible (the
-/// pointer encoding has 14 bits).
+/// Remembers, for every name suffix written *literally* so far, where it
+/// starts — the first occurrence only, and only offsets a pointer can
+/// express. Each entry packs an 18-bit filter tag over the offset; a
+/// tag match is verified against the bytes already in the message
+/// (case-insensitively, following pointers), so a later name reuses the
+/// longest suffix the message already spells.
 #[derive(Debug, Default)]
 pub struct NameCompressor {
-    offsets: HashMap<Vec<u8>, u16>,
+    /// `tag | offset` per remembered suffix, in message order.
+    inline: [u32; INLINE_TARGETS],
+    used: usize,
+    /// Entries past the inline table (long messages only).
+    spill: Vec<u32>,
+}
+
+/// Filter tag of the suffix `len` octets long whose first label is
+/// `label`: FNV-1a over the lower-cased label, seeded with the length.
+fn suffix_tag(label: &[u8], len: usize) -> u32 {
+    let mut h = 0x811c_9dc5 ^ len as u32;
+    for b in label {
+        h = (h ^ b.to_ascii_lowercase() as u32).wrapping_mul(0x0100_0193);
+    }
+    h & !POINTER_MASK
+}
+
+/// Whether the name starting at `pos` of `msg` spells exactly `suffix`
+/// (flat wire form, no root octet), ignoring case. Pointers are
+/// followed at most once per possible label.
+fn spelled_at(msg: &[u8], mut pos: usize, mut suffix: &[u8]) -> bool {
+    let mut hops = 0;
+    loop {
+        let Some(&len) = msg.get(pos) else { return false };
+        if len & 0xc0 == 0xc0 {
+            let Some(&lo) = msg.get(pos + 1) else { return false };
+            hops += 1;
+            if hops > MAX_NAME_LEN / 2 {
+                return false;
+            }
+            pos = ((len & 0x3f) as usize) << 8 | lo as usize;
+            continue;
+        }
+        if len == 0 {
+            return suffix.is_empty();
+        }
+        if suffix.first() != Some(&len) {
+            return false;
+        }
+        let end = pos + 1 + len as usize;
+        match msg.get(pos + 1..end) {
+            Some(label) if label.eq_ignore_ascii_case(&suffix[1..=len as usize]) => {}
+            _ => return false,
+        }
+        (pos, suffix) = (end, &suffix[1 + len as usize..]);
+    }
 }
 
 impl NameCompressor {
@@ -352,32 +375,44 @@ impl NameCompressor {
         Self::default()
     }
 
+    /// Where the message already spells `suffix`, if it does.
+    fn find(&self, tag: u32, suffix: &[u8], msg: &[u8]) -> Option<u16> {
+        self.inline[..self.used]
+            .iter()
+            .chain(&self.spill)
+            .filter(|&&e| e & !POINTER_MASK == tag)
+            .map(|&e| (e & POINTER_MASK) as u16)
+            .find(|&at| spelled_at(msg, at as usize, suffix))
+    }
+
     fn encode_name(&mut self, name: &Name, w: &mut WireWriter) -> ProtoResult<()> {
-        let labels = name.labels();
-        for (i, label) in labels.iter().enumerate() {
-            let suffix_key = suffix_key(&labels[i..]);
-            if let Some(&offset) = self.offsets.get(&suffix_key) {
-                w.write_u16(0xc000 | offset)?;
-                return Ok(());
+        let mut suffix: &[u8] = &name.wire;
+        while let Some((&len, tail)) = suffix.split_first() {
+            let (label, rest) = tail.split_at(len as usize);
+            let tag = suffix_tag(label, suffix.len());
+            if let Some(offset) = self.find(tag, suffix, w.as_slice()) {
+                return w.write_u16(0xc000 | offset);
             }
             let here = w.position();
-            if here <= 0x3fff {
-                self.offsets.insert(suffix_key, here as u16);
+            w.write_bytes(&suffix[..1 + label.len()])?;
+            if here <= POINTER_MASK as usize {
+                match self.inline.get_mut(self.used) {
+                    Some(slot) => (*slot, self.used) = (tag | here as u32, self.used + 1),
+                    None => self.spill.push(tag | here as u32),
+                }
             }
-            w.write_u8(label.len() as u8)?;
-            w.write_bytes(label.as_bytes())?;
+            suffix = rest;
         }
         w.write_u8(0)
     }
-}
 
-fn suffix_key(labels: &[Label]) -> Vec<u8> {
-    let mut key = Vec::new();
-    for label in labels {
-        key.push(label.len() as u8);
-        key.extend(label.to_lower());
+    /// Forgets every suffix at or past `pos` — the message was cut back
+    /// to there. Entries are in ascending offset order.
+    pub(crate) fn forget_from(&mut self, pos: usize) {
+        let before = |e: &u32| ((e & POINTER_MASK) as usize) < pos;
+        self.used = self.inline[..self.used].partition_point(before);
+        self.spill.truncate(self.spill.partition_point(before));
     }
-    key
 }
 
 #[cfg(test)]
@@ -407,9 +442,9 @@ mod tests {
     fn parse_escapes() {
         let n = Name::parse(r"a\.b.example").unwrap();
         assert_eq!(n.label_count(), 2);
-        assert_eq!(n.labels()[0].as_bytes(), b"a.b");
+        assert_eq!(n.labels().next(), Some(&b"a.b"[..]));
         let n = Name::parse(r"a\046b.example").unwrap();
-        assert_eq!(n.labels()[0].as_bytes(), b"a.b");
+        assert_eq!(n.labels().collect::<Vec<_>>(), [&b"a.b"[..], b"example"]);
     }
 
     #[test]
@@ -425,14 +460,21 @@ mod tests {
         assert_eq!(h1.finish(), h2.finish());
     }
 
+    /// The contract the zone store relies on: the canonical wire form
+    /// is one key per name whatever its spelling, and an ancestor's key
+    /// is a sub-slice of it — a map is probed without building a `Name`.
     #[test]
-    fn map_keyed_by_name_is_probed_with_borrowed_labels() {
-        let mut map = HashMap::new();
-        map.insert(name("Probe.Example.NL"), 7);
+    fn canonical_wire_suffixes_are_the_keys_of_the_ancestors() {
+        let mut map = std::collections::HashMap::new();
+        let mut buf = [0; MAX_NAME_LEN];
+        map.insert(name("Probe.Example.NL").canonical_wire(&mut buf).to_vec(), 7);
         let q = name("x.pRoBe.example.nl");
-        assert_eq!(map.get(&q.labels()[1..]), Some(&7), "suffix, any case");
-        assert_eq!(map.get(q.labels()), None);
-        assert_eq!(map.get(&q.labels()[2..]), None, "ancestors are distinct keys");
+        let key = q.canonical_wire(&mut buf);
+        assert_eq!(key, b"\x01x\x05probe\x07example\x02nl\0");
+        assert_eq!(map.get(&key[2..]), Some(&7), "suffix, any case");
+        assert_eq!(map.get(key), None);
+        assert_eq!(map.get(&key[8..]), None, "ancestors are distinct keys");
+        assert_eq!(Name::root().canonical_wire(&mut buf), [0]);
     }
 
     #[test]

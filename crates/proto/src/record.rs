@@ -3,10 +3,10 @@
 use std::fmt;
 
 use crate::error::ProtoResult;
-use crate::name::{Name, NameCompressor};
+use crate::name::Name;
 use crate::rdata::RData;
 use crate::types::{Class, RType};
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::WireReader;
 
 /// A full resource record: owner name, class, TTL and typed RDATA.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -36,20 +36,6 @@ impl Record {
     /// The record's TYPE, derived from the RDATA.
     pub fn rtype(&self) -> RType {
         self.rdata.rtype()
-    }
-
-    /// Encodes the record, patching RDLENGTH after the RDATA is written.
-    pub fn encode(&self, w: &mut WireWriter, c: &mut NameCompressor) -> ProtoResult<()> {
-        self.name.encode(w, c)?;
-        w.write_u16(self.rtype().to_u16())?;
-        w.write_u16(self.class.to_u16())?;
-        w.write_u32(self.ttl)?;
-        let len_pos = w.position();
-        w.write_u16(0)?; // placeholder RDLENGTH
-        let rdata_start = w.position();
-        self.rdata.encode(w, c)?;
-        let rdlen = w.position() - rdata_start;
-        w.patch_u16(len_pos, rdlen as u16)
     }
 
     /// Decodes one record.
@@ -89,8 +75,19 @@ impl fmt::Display for Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::Header;
+    use crate::message::{MessageWriter, Section};
     use crate::rdata::{Txt, A};
+    use crate::wire::WireReader;
     use std::net::Ipv4Addr;
+
+    /// The record alone, as [`MessageWriter::record`] writes it after
+    /// the 12 header octets.
+    fn encoded(rec: &Record) -> Vec<u8> {
+        let mut w = MessageWriter::new(Vec::new(), &Header::default());
+        w.record(Section::Answer, &rec.name, rec.class, rec.ttl, &rec.rdata).unwrap();
+        w.finish().split_off(Header::WIRE_LEN)
+    }
 
     #[test]
     fn round_trip_txt() {
@@ -99,10 +96,7 @@ mod tests {
             5,
             RData::Txt(Txt::from_string("site=FRA").unwrap()),
         );
-        let mut w = WireWriter::new();
-        let mut c = NameCompressor::new();
-        rec.encode(&mut w, &mut c).unwrap();
-        let bytes = w.into_bytes();
+        let bytes = encoded(&rec);
         let mut r = WireReader::new(&bytes);
         assert_eq!(Record::decode(&mut r).unwrap(), rec);
         assert!(r.is_empty());
@@ -115,10 +109,7 @@ mod tests {
             60,
             RData::A(A::new(Ipv4Addr::new(192, 0, 2, 7))),
         );
-        let mut w = WireWriter::new();
-        let mut c = NameCompressor::new();
-        rec.encode(&mut w, &mut c).unwrap();
-        let bytes = w.into_bytes();
+        let bytes = encoded(&rec);
         // RDLENGTH is the two bytes before the last four (the address)
         let rdlen = u16::from_be_bytes([bytes[bytes.len() - 6], bytes[bytes.len() - 5]]);
         assert_eq!(rdlen, 4);

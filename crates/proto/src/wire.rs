@@ -94,21 +94,24 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// An appending writer that builds a DNS message.
-#[derive(Debug, Default)]
+/// An appending writer that builds a DNS message, refusing to grow it
+/// past a byte ceiling ([`MAX_MESSAGE_SIZE`] unless lowered).
+#[derive(Debug)]
 pub struct WireWriter {
     buf: Vec<u8>,
+    ceiling: usize,
+}
+
+impl Default for WireWriter {
+    fn default() -> Self {
+        Self::from_vec(Vec::with_capacity(512))
+    }
 }
 
 impl WireWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        Self { buf: Vec::with_capacity(512) }
-    }
-
-    /// Creates a writer with the given initial capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self { buf: Vec::with_capacity(cap) }
+        Self::default()
     }
 
     /// Creates a writer that reuses `buf`'s allocation. The vector is
@@ -117,7 +120,19 @@ impl WireWriter {
     /// stops allocating. Recover the buffer with [`WireWriter::into_bytes`].
     pub fn from_vec(mut buf: Vec<u8>) -> Self {
         buf.clear();
-        Self { buf }
+        Self { buf, ceiling: MAX_MESSAGE_SIZE }
+    }
+
+    /// Lowers (or restores) the size past which writes fail with
+    /// [`ProtoError::MessageTooLong`] — a UDP payload limit, so an
+    /// oversized answer stops at the first octet that does not fit.
+    pub(crate) fn set_ceiling(&mut self, ceiling: usize) {
+        self.ceiling = ceiling.min(MAX_MESSAGE_SIZE);
+    }
+
+    /// Cuts the message back to its first `len` octets.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.buf.truncate(len);
     }
 
     /// Current length of the message being built.
@@ -175,7 +190,7 @@ impl WireWriter {
     }
 
     fn ensure_room(&self, extra: usize) -> ProtoResult<()> {
-        if self.buf.len() + extra > MAX_MESSAGE_SIZE {
+        if self.buf.len() + extra > self.ceiling {
             return Err(ProtoError::MessageTooLong(self.buf.len() + extra));
         }
         Ok(())

@@ -21,17 +21,24 @@
 //! bit, and whether response-rate limiting charges it all derive from
 //! that one value.
 //!
-//! The engine writes responses into a caller-supplied reusable buffer
-//! via [`dnswild_proto::Message::encode_into`], so a serving hot loop
-//! performs zero per-response allocations once its buffers are warm.
+//! Answering allocates nothing beyond decoding the query itself: the
+//! zone's [`Lookup`] borrows the RRsets it found, and the engine writes
+//! header, question, those records and the OPT echo straight into the
+//! caller's reusable buffer through [`MessageWriter`] — the encoder
+//! [`dnswild_proto::Message::encode_into`] uses — under a byte ceiling,
+//! so an answer over the negotiated UDP limit stops at the first record
+//! that does not fit and leaves as the minimal TC=1 reply. (What still
+//! allocates: the decoded query's question vector, its qname and its
+//! additional-section vector; a CHAOS answer's TXT.)
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dnswild_proto::rdata::Txt;
 use dnswild_proto::{
-    Class, Edns, Header, Message, Name, Opcode, Question, RData, RType, Rcode, Record,
-    EXTENDED_RCODE_BADVERS, MIN_EDNS_PAYLOAD,
+    Class, Edns, Header, Message, MessageWriter, Name, Opcode, ProtoResult, Question, RData, RType,
+    Rcode, Section, EXTENDED_RCODE_BADVERS, MAX_NAME_LEN, MIN_EDNS_PAYLOAD,
 };
 use dnswild_metrics::{Stage, StageClock, StageSpans};
 use dnswild_telemetry::SnapshotCell;
@@ -92,7 +99,7 @@ dnswild_metrics::counter_set! {
 
 impl ServerStats {
     /// Sum of the per-outcome response counters for proper questions
-    /// (everything [`AnswerEngine::handle_query`] classifies a question
+    /// (everything [`AnswerEngine::handle_packet`] classifies a question
     /// into). For a run where every sent packet is a well-formed query
     /// this equals [`ServerStats::queries`] — the consistency invariant
     /// the loopback smoke test asserts.
@@ -179,16 +186,6 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// The question a well-formed query carried — what a passive trace
-/// records about it (qname/qtype; the caller adds time and addresses).
-#[derive(Debug, Clone)]
-pub struct QueryView {
-    /// Query name.
-    pub qname: Name,
-    /// Query type.
-    pub qtype: RType,
-}
-
 /// Which [`ServerStats`] counter a packet landed in — the telemetry
 /// plane's event classification, mirroring [`ServerStats::packets_seen`]
 /// so trace event counts close against the server's own books.
@@ -209,10 +206,10 @@ pub enum PacketClass {
 pub struct HandledPacket {
     /// Whether a response was written into the caller's buffer.
     pub response: bool,
-    /// The question, when the packet was a well-formed QUERY carrying
-    /// one (the condition under which the simulator's passive log
-    /// records an entry).
-    pub query: Option<QueryView>,
+    /// Whether the packet was a well-formed QUERY carrying a question
+    /// (the condition under which the simulator's passive log records
+    /// an entry, reading the question back from the payload).
+    pub question: bool,
     /// Whether the packet failed [`Message::decode`] (the FORMERR-salvage
     /// and short-garbage paths). The serving plane counts these at the
     /// socket layer so fault storms stay accountable.
@@ -232,7 +229,7 @@ impl HandledPacket {
     fn new(class: PacketClass) -> Self {
         HandledPacket {
             response: false,
-            query: None,
+            question: false,
             decode_error: false,
             class,
             rcode: None,
@@ -240,13 +237,41 @@ impl HandledPacket {
         }
     }
 
-    /// Encodes `resp` into the caller's buffer and records whether —
-    /// and with which rcode — it went out.
-    fn reply(mut self, resp: &Message, resp_buf: &mut Vec<u8>) -> Self {
-        self.response = resp.encode_into(resp_buf).is_ok();
-        self.rcode = self.response.then(|| resp.rcode());
+    /// Writes a response into the caller's buffer — `header`, the
+    /// echoed `questions`, then whatever `body` adds — and records
+    /// whether, and with which rcode, it went out. A response that
+    /// cannot be written leaves the buffer empty.
+    fn reply(
+        mut self,
+        header: Header,
+        questions: &[Question],
+        resp_buf: &mut Vec<u8>,
+        body: impl FnOnce(&mut MessageWriter) -> ProtoResult<()>,
+    ) -> Self {
+        let mut w = MessageWriter::new(std::mem::take(resp_buf), &header);
+        let written = questions.iter().try_for_each(|q| w.question(q)).and_then(|()| body(&mut w));
+        self.response = written.is_ok();
+        *resp_buf = w.finish();
+        if !self.response {
+            resp_buf.clear();
+        }
+        self.rcode = self.response.then_some(header.rcode);
         self
     }
+}
+
+/// Appends `edns` as the OPT pseudo-record.
+fn write_opt(w: &mut MessageWriter, edns: &Edns) -> ProtoResult<()> {
+    let opt = edns.to_record();
+    w.record(Section::Additional, &opt.name, opt.class, opt.ttl, &opt.rdata)
+}
+
+/// The zone whose origin is the longest suffix of `qname`.
+fn zone_for<'a>(zones: &'a [Zone], qname: &Name) -> Option<&'a Zone> {
+    zones
+        .iter()
+        .filter(|z| qname.is_subdomain_of(z.origin()))
+        .max_by_key(|z| z.origin().label_count())
 }
 
 /// What a proper question was classified into: one per query, and the
@@ -306,6 +331,9 @@ impl Outcome {
 #[derive(Debug, Clone)]
 pub struct AnswerEngine {
     site_code: String,
+    /// The `site=<code>` TXT that replaces the zones' site placeholder,
+    /// built once.
+    site_txt: RData,
     zones: Arc<Vec<Zone>>,
     stats: ServerStats,
     /// Live telemetry counters, when the serving plane runs with a
@@ -348,8 +376,11 @@ impl AnswerEngine {
 
     /// An engine over an already-shared zone set.
     pub fn with_shared_zones(site_code: impl Into<String>, zones: Arc<Vec<Zone>>) -> Self {
+        let site_code = site_code.into();
+        let site_txt = Txt::from_string(&format!("site={site_code}"));
         AnswerEngine {
-            site_code: site_code.into(),
+            site_code,
+            site_txt: RData::Txt(site_txt.expect("site code fits in a TXT string")),
             zones,
             stats: ServerStats::default(),
             telemetry: None,
@@ -442,44 +473,25 @@ impl AnswerEngine {
 
     /// The zone whose origin is the longest suffix of `qname`.
     pub fn zone_for(&self, qname: &Name) -> Option<&Zone> {
-        self.zones
-            .iter()
-            .filter(|z| qname.is_subdomain_of(z.origin()))
-            .max_by_key(|z| z.origin().label_count())
+        zone_for(&self.zones, qname)
     }
 
-    /// Substitutes the site placeholder in TXT answers.
-    fn brand_records(&self, records: Vec<Record>) -> Vec<Record> {
-        records
-            .into_iter()
-            .map(|r| {
-                if let RData::Txt(t) = &r.rdata {
-                    if t.first_as_string() == SITE_PLACEHOLDER {
-                        let branded = Txt::from_string(&format!("site={}", self.site_code))
-                            .expect("site code fits in a TXT string");
-                        return Record::with_class(r.name, r.class, r.ttl, RData::Txt(branded));
-                    }
-                }
-                r
-            })
-            .collect()
-    }
-
-    /// The TXT string a CHAOS question is answered with, if it is one
+    /// The TXT payload a CHAOS question is answered with, if it is one
     /// this server answers: its site code for `hostname.bind` /
     /// `id.server`, and — `stats.bind`-style, only with a telemetry
     /// collector attached, so never in the simulation plane whose
     /// outputs must stay byte-identical — the live counters for
     /// `stats.dnswild`.
-    fn chaos_text(&self, question: &Question) -> Option<String> {
+    fn chaos_rdata(&self, question: &Question) -> Option<RData> {
         if question.qtype != RType::Txt {
             return None;
         }
-        match question.qname.to_string().to_ascii_lowercase().as_str() {
-            "hostname.bind." | "id.server." => Some(self.site_code.clone()),
-            "stats.dnswild." => self.telemetry.as_deref().map(|cell| self.stats_text(cell)),
-            _ => None,
-        }
+        let text = match question.qname.canonical_wire(&mut [0; MAX_NAME_LEN]) {
+            b"\x08hostname\x04bind\0" | b"\x02id\x06server\0" => Cow::from(&self.site_code),
+            b"\x05stats\x07dnswild\0" => Cow::from(self.stats_text(self.telemetry.as_deref()?)),
+            _ => return None,
+        };
+        Some(RData::Txt(Txt::from_string(&text).expect("identity line fits a TXT string")))
     }
 
     /// The `CH TXT stats.dnswild.` line, from the live telemetry snapshot
@@ -517,106 +529,32 @@ impl AnswerEngine {
         text
     }
 
-    /// Classifies one proper question: the response, and the
-    /// [`Outcome`] it embodies.
-    fn handle_query(&self, query: &Message) -> Option<(Message, Outcome)> {
-        let question = query.question()?;
-
-        // EDNS version negotiation (RFC 6891 §6.1.3): anything newer
-        // than version 0 gets BADVERS — extended RCODE 16, split across
-        // our OPT's high bits and a NOERROR header — so the client can
-        // retry at version 0.
-        if query.edns_info().is_some_and(|edns| edns.version != 0) {
-            let mut out = Edns::new(self.policy.advertise);
-            let header_rcode = out.set_extended_rcode(EXTENDED_RCODE_BADVERS);
-            let mut resp = Message::response_to(query, header_rcode);
-            resp.add_edns_record(&out);
-            return Some((resp, Outcome::BadVers));
-        }
-
-        let mut resp = Message::response_to(query, Rcode::NoError);
-        let outcome = if question.qclass == Class::Ch {
-            match self.chaos_text(question) {
-                Some(text) => {
-                    let txt = Txt::from_string(&text).expect("identity line fits a TXT string");
-                    resp.answers.push(Record::with_class(
-                        question.qname.clone(),
-                        Class::Ch,
-                        0,
-                        RData::Txt(txt),
-                    ));
-                    Outcome::Chaos
-                }
-                None => Outcome::Refused,
-            }
-        } else if let Some(zone) = self.zone_for(&question.qname) {
-            let outcome = match zone.lookup(&question.qname, question.qtype) {
-                Lookup::Answer(records) => {
-                    resp.answers = self.brand_records(records);
-                    Outcome::Answer
-                }
-                Lookup::NoData { soa } => {
-                    resp.authorities.push(soa);
-                    Outcome::NoData
-                }
-                Lookup::NxDomain { soa } => {
-                    resp.authorities.push(soa);
-                    Outcome::NxDomain
-                }
-                Lookup::Referral { ns, glue } => {
-                    resp.authorities = ns;
-                    resp.additionals = glue;
-                    Outcome::Referral
-                }
-                Lookup::OutOfZone => Outcome::Refused,
-            };
-            // Echo EDNS0 with this site's own payload-size advertisement
-            // (only here: CHAOS answers and zone-less REFUSEDs have never
-            // carried the echo, and responses stay byte-identical).
-            if query.edns().is_some() {
-                resp.add_edns(self.policy.advertise);
-            }
-            outcome
-        } else {
-            Outcome::Refused
-        };
-        resp.header.rcode = outcome.rcode();
-        resp.header.authoritative = outcome.authoritative();
-        Some((resp, outcome))
-    }
-
-    /// The minimal TC=1 stand-in for `resp`: same rcode and AA, no
-    /// records — sent when `resp` exceeds the UDP limit, or as the
-    /// rate limiter's slip leak. Either way it invites a TCP retry.
-    fn truncated_reply(&self, query: &Message, resp: &Message) -> Message {
-        let mut tc = Message::response_to(query, resp.rcode());
-        tc.header.authoritative = resp.header.authoritative;
-        tc.header.truncated = true;
-        if query.edns().is_some() {
-            tc.add_edns(self.policy.advertise);
-        }
-        tc
-    }
-
     /// Runs a chargeable response past the shared limiter. `None` when
     /// the limiter did not intervene (not charged, or within budget).
-    fn rate_limit(&mut self, key: u64, outcome: Outcome) -> Option<RrlVerdict> {
-        let rrl = self.rrl.as_ref()?;
-        let started = self.verdict_spans.as_ref().map(|_| Instant::now());
+    /// (Field by field, not `&mut self`: the caller is still holding
+    /// the zone's borrowed [`Lookup`].)
+    fn rate_limit(
+        rrl: &SharedRateLimiter,
+        verdict_spans: Option<&VerdictSpans>,
+        stats: &mut ServerStats,
+        key: u64,
+        outcome: Outcome,
+    ) -> Option<RrlVerdict> {
+        let started = verdict_spans.map(|_| Instant::now());
         let mut limiter = rrl.lock().expect("rate limiter mutex poisoned");
         if limiter.policy().scope == RrlScope::Abusive && !outcome.abusive() {
             return None;
         }
         let decision = limiter.verdict(key, outcome == Outcome::NxDomain);
         drop(limiter);
-        if let (Some(t0), Some(vs)) = (started, &self.verdict_spans) {
+        if let (Some(t0), Some(vs)) = (started, verdict_spans) {
             vs.record(decision.verdict, t0.elapsed().as_nanos() as u64);
         }
-        self.stats.bucket_evictions += u64::from(decision.evicted);
+        stats.bucket_evictions += u64::from(decision.evicted);
         match decision.verdict {
             RrlVerdict::Answer => return None,
-            RrlVerdict::Slip => self.stats.rrl_slipped += 1,
-            RrlVerdict::Drop => self.stats.rrl_dropped += 1,
+            RrlVerdict::Slip => stats.rrl_slipped += 1,
+            RrlVerdict::Drop => stats.rrl_dropped += 1,
         }
         Some(decision.verdict)
     }
@@ -679,14 +617,8 @@ impl AnswerEngine {
                     let id = u16::from_be_bytes([payload[0], payload[1]]);
                     let header =
                         Header { id, response: true, rcode: Rcode::FormErr, ..Default::default() };
-                    let resp = Message {
-                        header,
-                        questions: vec![],
-                        answers: vec![],
-                        authorities: vec![],
-                        additionals: vec![],
-                    };
-                    HandledPacket::new(PacketClass::FormErr).reply(&resp, resp_buf)
+                    let formerr = HandledPacket::new(PacketClass::FormErr);
+                    formerr.reply(header, &[], resp_buf, |_| Ok(()))
                 } else {
                     self.stats.dropped += 1;
                     HandledPacket::new(PacketClass::Dropped)
@@ -700,17 +632,19 @@ impl AnswerEngine {
             self.stats.dropped += 1;
             return HandledPacket::new(PacketClass::Dropped);
         }
-        if query.header.opcode != Opcode::Query {
-            self.stats.notimp += 1;
-            let resp = Message::response_to(&query, Rcode::NotImp);
-            return HandledPacket::new(PacketClass::NotImp).reply(&resp, resp_buf);
-        }
         // RFC 6891 §6.1.1: a message carrying more than one OPT record
         // is broken at the format level — FORMERR, not a query.
-        if query.opt_count() > 1 {
-            self.stats.formerr += 1;
-            let resp = Message::response_to(&query, Rcode::FormErr);
-            return HandledPacket::new(PacketClass::FormErr).reply(&resp, resp_buf);
+        let refusal = if query.header.opcode != Opcode::Query {
+            Some((PacketClass::NotImp, Rcode::NotImp, &mut self.stats.notimp))
+        } else if query.opt_count() > 1 {
+            Some((PacketClass::FormErr, Rcode::FormErr, &mut self.stats.formerr))
+        } else {
+            None
+        };
+        if let Some((class, rcode, counter)) = refusal {
+            *counter += 1;
+            let header = query.header.reply(rcode);
+            return HandledPacket::new(class).reply(header, &query.questions, resp_buf, |_| Ok(()));
         }
 
         self.stats.queries += 1;
@@ -718,14 +652,46 @@ impl AnswerEngine {
             self.stats.tcp_queries += 1;
         }
         let mut handled = HandledPacket::new(PacketClass::Query);
-        handled.query =
-            query.question().map(|q| QueryView { qname: q.qname.clone(), qtype: q.qtype });
-
-        let answered = self.handle_query(&query);
-        clock.lap(spans, Stage::Engine);
-        let Some((mut resp, outcome)) = answered else {
+        let Some(question) = query.question() else {
+            clock.lap(spans, Stage::Engine);
             return handled;
         };
+        handled.question = true;
+
+        // Classify: one `Outcome`, plus what the response will carry —
+        // a CHAOS payload, or what the zone still owns (`lookup` borrows
+        // it), and the OPT record of the full response.
+        let edns = query.edns_info();
+        let echo = edns.as_ref().map(|_| Edns::new(self.policy.advertise));
+        let (mut chaos, mut lookup, mut opt) = (None, None, None);
+        let outcome = if edns.as_ref().is_some_and(|e| e.version != 0) {
+            // EDNS version negotiation (RFC 6891 §6.1.3): anything newer
+            // than version 0 gets BADVERS — extended RCODE 16, split
+            // across our OPT's high bits and a NOERROR header — so the
+            // client can retry at version 0.
+            let badvers = opt.insert(Edns::new(self.policy.advertise));
+            let _header_rcode = badvers.set_extended_rcode(EXTENDED_RCODE_BADVERS);
+            Outcome::BadVers
+        } else if question.qclass == Class::Ch {
+            chaos = self.chaos_rdata(question);
+            if chaos.is_some() { Outcome::Chaos } else { Outcome::Refused }
+        } else if let Some(zone) = zone_for(&self.zones, &question.qname) {
+            // Echo EDNS0 with this site's own payload-size advertisement
+            // (only here: CHAOS answers and zone-less REFUSEDs have never
+            // carried the echo, and responses stay byte-identical).
+            opt = echo.clone();
+            let found = lookup.insert(zone.lookup(&question.qname, question.qtype));
+            match found {
+                Lookup::Answer(_) => Outcome::Answer,
+                Lookup::NoData { .. } => Outcome::NoData,
+                Lookup::NxDomain { .. } => Outcome::NxDomain,
+                Lookup::Referral { .. } => Outcome::Referral,
+                Lookup::OutOfZone => Outcome::Refused,
+            }
+        } else {
+            Outcome::Refused
+        };
+        clock.lap(spans, Stage::Engine);
         *outcome.counter(&mut self.stats) += 1;
 
         // Response-rate limiting, ahead of encode: abusive response
@@ -735,29 +701,81 @@ impl AnswerEngine {
         // `queries` and its outcome counter, so the stats books balance
         // whatever the verdict; `rrl_dropped` / `rrl_slipped` record
         // what the limiter did on top.
-        if let (TransportKind::Udp, Some(key)) = (transport, client_key) {
-            handled.rrl = self.rate_limit(key, outcome);
-            match handled.rrl {
-                Some(RrlVerdict::Drop) => return handled,
-                Some(RrlVerdict::Slip) => resp = self.truncated_reply(&query, &resp),
-                _ => {}
-            }
+        if let (TransportKind::Udp, Some(key), Some(rrl)) = (transport, client_key, &self.rrl) {
+            let spans = self.verdict_spans.as_ref();
+            handled.rrl = Self::rate_limit(rrl, spans, &mut self.stats, key, outcome);
         }
-        handled = handled.reply(&resp, resp_buf);
+        if handled.rrl == Some(RrlVerdict::Drop) {
+            return handled;
+        }
+
         // UDP responses must fit the negotiated payload limit — the
         // client's clamped EDNS advertisement capped by the per-site
-        // policy, or the 512-byte floor without EDNS. Oversized answers
-        // are replaced by an empty TC=1 response inviting a TCP retry.
-        // (A slipped reply is already minimal and never trips this, so
-        // `truncated` keeps counting size-driven truncation only.)
-        if handled.response && transport == TransportKind::Udp {
-            let limit = self.policy.udp_limit(query.edns_info().as_ref());
-            if resp_buf.len() > limit {
-                self.stats.truncated += 1;
-                let tc = self.truncated_reply(&query, &resp);
-                tc.encode_into(resp_buf).expect("truncated response encodes");
+        // policy, or the 512-byte floor without EDNS. The limit is the
+        // writer's ceiling: the first record past it turns the response
+        // into its minimal TC=1 form — same rcode and AA, no records,
+        // the OPT echo — inviting a TCP retry. The rate limiter's slip
+        // leak is that same form, chosen rather than forced (so
+        // `truncated` keeps counting size-driven truncation only).
+        let limit = (transport == TransportKind::Udp).then(|| self.policy.udp_limit(edns.as_ref()));
+        let slip = handled.rrl == Some(RrlVerdict::Slip);
+        let mut oversized = false;
+        let site_txt = &self.site_txt;
+        let mut header = query.header.reply(outcome.rcode());
+        header.authoritative = outcome.authoritative();
+        handled = handled.reply(header, &query.questions, resp_buf, |w| {
+            let truncate = |w: &mut MessageWriter| {
+                w.truncate();
+                echo.as_ref().map_or(Ok(()), |echo| write_opt(w, echo))
+            };
+            if slip {
+                return truncate(w);
             }
-        }
+            if let Some(limit) = limit {
+                w.set_ceiling(limit);
+            }
+            let full = (|| {
+                if let Some(rdata) = &chaos {
+                    w.record(Section::Answer, &question.qname, Class::Ch, 0, rdata)?;
+                }
+                match lookup {
+                    Some(Lookup::Answer(answer)) => {
+                        let placeholder = SITE_PLACEHOLDER.as_bytes();
+                        for (owner, r) in answer.records() {
+                            // Substitute the site placeholder in TXT answers.
+                            let rdata = match &r.rdata {
+                                RData::Txt(t) if t.strings()[0] == placeholder => site_txt,
+                                other => other,
+                            };
+                            w.record(Section::Answer, owner, r.class, r.ttl, rdata)?;
+                        }
+                    }
+                    Some(Lookup::NoData { soa } | Lookup::NxDomain { soa }) => {
+                        w.record(Section::Authority, &soa.name, soa.class, soa.ttl, &soa.rdata)?;
+                    }
+                    Some(Lookup::Referral { ns, glue }) => {
+                        for r in ns.records() {
+                            w.record(Section::Authority, &r.name, r.class, r.ttl, &r.rdata)?;
+                        }
+                        for r in glue.records() {
+                            w.record(Section::Additional, &r.name, r.class, r.ttl, &r.rdata)?;
+                        }
+                    }
+                    Some(Lookup::OutOfZone) | None => {}
+                }
+                opt.as_ref().map_or(Ok(()), |opt| write_opt(w, opt))
+            })();
+            // (A question section that alone exceeds the limit trips no
+            // write; it is oversized all the same.)
+            match limit {
+                Some(limit) if full.is_err() || w.written() > limit => {
+                    oversized = true;
+                    truncate(w)
+                }
+                _ => full,
+            }
+        });
+        self.stats.truncated += u64::from(oversized);
         clock.lap(spans, Stage::Encode);
         handled
     }
@@ -766,7 +784,7 @@ impl AnswerEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnswild_proto::Question;
+    use dnswild_proto::{Question, Record};
     use dnswild_zone::presets::test_domain_zone;
 
     fn origin() -> Name {
@@ -1144,7 +1162,6 @@ mod tests {
     }
 
     fn rrl_engine(policy: crate::rrl::RateLimitPolicy) -> AnswerEngine {
-        use dnswild_proto::Record;
         let mut zone = test_domain_zone(&origin(), 2);
         // An empty-looking anchor node: existing, no wildcard below it,
         // so anything under it is NXDOMAIN (see crate::rrl docs).

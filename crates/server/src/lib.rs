@@ -30,12 +30,12 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use dnswild_netsim::{Actor, Context, Datagram, SimAddr, SimTime, Transport};
-use dnswild_proto::{Name, RType};
+use dnswild_proto::{Header, Name, Question, RType, WireReader};
 use dnswild_zone::Zone;
 
 pub use engine::{
-    AnswerEngine, HandledPacket, Introspection, PacketClass, QueryView, ServerStats,
-    TransportKind, TruncationPolicy,
+    AnswerEngine, HandledPacket, Introspection, PacketClass, ServerStats, TransportKind,
+    TruncationPolicy,
 };
 pub use rrl::{
     RateLimitPolicy, RateLimiter, RrlDecision, RrlScope, RrlVerdict, SharedRateLimiter,
@@ -143,13 +143,18 @@ impl Actor for AuthoritativeServer {
         };
         let mut buf = std::mem::take(&mut self.resp_buf);
         let handled = self.engine.handle_packet(&dgram.payload, transport, &mut buf);
-        if let (Some(log), Some(view)) = (&self.log, &handled.query) {
+        if let (Some(log), true) = (&self.log, handled.question) {
+            // The engine hands no question back; with logging on, read
+            // the first one from the payload it just accepted.
+            let mut r = WireReader::new(&dgram.payload);
+            r.seek(Header::WIRE_LEN).expect("a query that carried a question has a header");
+            let q = Question::decode(&mut r).expect("the engine decoded this question");
             log.lock().expect("server log mutex poisoned").push(ServerLogEntry {
                 time: ctx.now(),
                 client: dgram.src,
                 service: dgram.dst,
-                qname: view.qname.clone(),
-                qtype: view.qtype,
+                qname: q.qname,
+                qtype: q.qtype,
             });
         }
         if handled.response {

@@ -32,4 +32,4 @@ mod zone;
 pub use parser::{parse_zone, ParseError};
 pub use rrset::RrSet;
 pub use serializer::write_zone;
-pub use zone::{Lookup, Zone};
+pub use zone::{Answer, Glue, Lookup, Zone};

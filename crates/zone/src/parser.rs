@@ -187,12 +187,7 @@ fn parse_name(token: &str, origin: &Name) -> Result<Name, String> {
     }
     // Relative: append the origin.
     let relative = Name::parse(&format!("{token}.")).map_err(|e| e.to_string())?;
-    let labels = relative
-        .labels()
-        .iter()
-        .map(|l| l.as_bytes().to_vec())
-        .chain(origin.labels().iter().map(|l| l.as_bytes().to_vec()));
-    Name::from_labels(labels).map_err(|e| e.to_string())
+    Name::from_labels(relative.labels().chain(origin.labels())).map_err(|e| e.to_string())
 }
 
 fn parse_rdata(rtype: &str, args: &[String], origin: &Name) -> Result<RData, String> {
@@ -326,7 +321,7 @@ txt2    IN  TXT "part one" "part two"
     fn wildcard_with_explicit_ttl() {
         let z = parse_zone(ZONE_TEXT, &name("ourtestdomain.nl")).unwrap();
         match z.lookup(&name("xyz.probe.ourtestdomain.nl"), RType::Txt) {
-            Lookup::Answer(recs) => assert_eq!(recs[0].ttl, 5),
+            Lookup::Answer(answer) => assert_eq!(answer.records().next().unwrap().1.ttl, 5),
             other => panic!("expected answer, got {other:?}"),
         }
     }

@@ -60,21 +60,12 @@ impl RrSet {
     pub fn rdatas(&self) -> impl Iterator<Item = &RData> {
         self.records.iter().map(|r| &r.rdata)
     }
-
-    /// Clones the member records, substituting the owner name — used to
-    /// synthesize wildcard answers at the query name (RFC 1034 §4.3.3).
-    pub fn materialize_at(&self, owner: &Name) -> Vec<Record> {
-        self.records
-            .iter()
-            .map(|r| Record::with_class(owner.clone(), r.class, r.ttl, r.rdata.clone()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnswild_proto::rdata::{Ns, Txt};
+    use dnswild_proto::rdata::Ns;
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -97,18 +88,5 @@ mod tests {
         let mut set = RrSet::new(ns_record("example.nl", "ns1.example.nl", 300));
         set.push(ns_record("example.nl", "NS1.EXAMPLE.NL", 300));
         assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn materialize_at_rewrites_owner() {
-        let set = RrSet::new(Record::new(
-            name("*.test.nl"),
-            5,
-            RData::Txt(Txt::from_string("@SITE@").unwrap()),
-        ));
-        let out = set.materialize_at(&name("q123.test.nl"));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].name, name("q123.test.nl"));
-        assert_eq!(out[0].ttl, 5);
     }
 }

@@ -62,11 +62,17 @@ ns2  IN A   203.0.113.2
     let zone = parse_zone(zone_text, &origin).expect("zone parses");
     println!("zone {} loaded: {} RRsets", zone.origin(), zone.rrset_count());
 
-    // 2. Ask the zone directly (the server's lookup path).
+    // 2. Ask the zone directly (the server's lookup path). The answer
+    //    borrows the zone's wildcard record and names the owner it is
+    //    served under — the query name; nothing is copied.
     let q = Name::parse("anything-at-all.ourtestdomain.nl").unwrap();
     match zone.lookup(&q, RType::Txt) {
-        Lookup::Answer(records) => {
-            println!("direct lookup: wildcard synthesized {} (ttl {})", records[0].name, records[0].ttl)
+        Lookup::Answer(answer) => {
+            let (owner, record) = answer.records().next().expect("one TXT record");
+            println!(
+                "direct lookup: wildcard {} served as {owner} (ttl {})",
+                record.name, record.ttl
+            )
         }
         other => panic!("unexpected: {other:?}"),
     }

@@ -12,4 +12,6 @@
 //! made for the paper's Internet-scale hardware, and the paper-vs-
 //! measured numbers.
 
+#![forbid(unsafe_code)]
+
 pub use dnswild::*;

@@ -188,3 +188,26 @@ fn known_banned_crates_are_absent() {
     }
     assert!(violations.is_empty(), "banned registry crates found:\n{}", violations.join("\n"));
 }
+
+/// Every product crate but the syscall shim is safe code, and says so
+/// where the compiler enforces it. (A flat `Name` or a look-back
+/// compressor tempts `transmute`, `MaybeUninit` and
+/// `from_utf8_unchecked`; none is needed.)
+#[test]
+fn every_crate_but_the_mmsg_shim_forbids_unsafe_code() {
+    let mut checked = 0;
+    for manifest in workspace_manifests() {
+        let lib = manifest.with_file_name("src").join("lib.rs");
+        if !lib.is_file() || lib.components().any(|c| c.as_os_str() == "mmsg") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&lib).expect("lib.rs is readable");
+        assert!(
+            text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]"),
+            "{} does not carry #![forbid(unsafe_code)]",
+            lib.display()
+        );
+        checked += 1;
+    }
+    assert!(checked >= 13, "crate scan looks broken: only {checked} lib.rs files checked");
+}

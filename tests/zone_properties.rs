@@ -102,9 +102,9 @@ fn inserted_records_are_found() {
         }
         for (name, rtype) in inserted {
             match zone.lookup(&name, rtype) {
-                Lookup::Answer(records) => {
-                    assert!(records.iter().all(|r| r.name == name));
-                    assert!(records.iter().any(|r| r.rtype() == rtype));
+                Lookup::Answer(answer) => {
+                    assert!(answer.records().all(|(owner, _)| owner == &name));
+                    assert!(answer.records().any(|(_, r)| r.rtype() == rtype));
                 }
                 other => panic!("lost {name} {rtype}: {other:?}"),
             }
@@ -163,8 +163,8 @@ fn wildcard_synthesis_owner_is_qname() {
         ));
         let qname = wild_parent.prepend(&q).unwrap();
         match zone.lookup(&qname, RType::Txt) {
-            Lookup::Answer(records) if q != "*" => {
-                assert_eq!(&records[0].name, &qname);
+            Lookup::Answer(answer) if q != "*" => {
+                assert_eq!(answer.records().next().unwrap().0, &qname);
             }
             Lookup::Answer(_) => {} // literal "*" query matches the record itself
             other => panic!("wildcard failed for {qname}: {other:?}"),
@@ -201,7 +201,36 @@ fn serializer_round_trips() {
 // other way round; it must pass at the commit before any lookup change.
 // ---------------------------------------------------------------------
 
-fn oracle(zone: &Zone, qname: &Name, qtype: RType) -> Lookup {
+/// A lookup result with everything owned: what the oracle builds, and
+/// what the store's borrowed [`Lookup`] is copied into for comparison
+/// (wildcard answers under the owner they are served as).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Verdict {
+    Answer(Vec<Record>),
+    NoData { soa: Record },
+    NxDomain { soa: Record },
+    Referral { ns: Vec<Record>, glue: Vec<Record> },
+    OutOfZone,
+}
+
+fn owned(lookup: Lookup<'_>) -> Verdict {
+    match lookup {
+        Lookup::Answer(answer) => {
+            let served = |(owner, r): (&Name, &Record)| {
+                Record::with_class(owner.clone(), r.class, r.ttl, r.rdata.clone())
+            };
+            Verdict::Answer(answer.records().map(served).collect())
+        }
+        Lookup::NoData { soa } => Verdict::NoData { soa: soa.clone() },
+        Lookup::NxDomain { soa } => Verdict::NxDomain { soa: soa.clone() },
+        Lookup::Referral { ns, glue } => {
+            Verdict::Referral { ns: ns.records().to_vec(), glue: glue.records().cloned().collect() }
+        }
+        Lookup::OutOfZone => Verdict::OutOfZone,
+    }
+}
+
+fn oracle(zone: &Zone, qname: &Name, qtype: RType) -> Verdict {
     let sets: Vec<&RrSet> = zone.iter().collect();
     let origin = zone.origin();
     let rrset =
@@ -210,10 +239,10 @@ fn oracle(zone: &Zone, qname: &Name, qtype: RType) -> Lookup {
 
     // Step 2: is this our zone at all (and is it servable)?
     if !qname.is_subdomain_of(origin) {
-        return Lookup::OutOfZone;
+        return Verdict::OutOfZone;
     }
     let Some(soa) = rrset(origin, RType::Soa) else {
-        return Lookup::OutOfZone;
+        return Verdict::OutOfZone;
     };
     let soa = soa.records()[0].clone();
 
@@ -236,7 +265,7 @@ fn oracle(zone: &Zone, qname: &Name, qtype: RType) -> Lookup {
                     }
                 }
             }
-            return Lookup::Referral { ns: ns.records().to_vec(), glue };
+            return Verdict::Referral { ns: ns.records().to_vec(), glue };
         }
     }
 
@@ -251,7 +280,7 @@ fn oracle(zone: &Zone, qname: &Name, qtype: RType) -> Lookup {
         }
         let wild = encloser.prepend("*").unwrap();
         if !exists(&wild) {
-            return Lookup::NxDomain { soa };
+            return Verdict::NxDomain { soa };
         }
         (wild, true)
     };
@@ -265,10 +294,10 @@ fn oracle(zone: &Zone, qname: &Name, qtype: RType) -> Lookup {
             .collect()
     };
     if let Some(set) = rrset(&owner, qtype) {
-        return Lookup::Answer(copy(set));
+        return Verdict::Answer(copy(set));
     }
     let Some(cname) = rrset(&owner, RType::Cname) else {
-        return Lookup::NoData { soa };
+        return Verdict::NoData { soa };
     };
 
     // CNAME: restart at the canonical name, inside this zone only, for
@@ -285,7 +314,7 @@ fn oracle(zone: &Zone, qname: &Name, qtype: RType) -> Lookup {
             None => break,
         }
     }
-    Lookup::Answer(chain)
+    Verdict::Answer(chain)
 }
 
 /// Labels drawn from an alphabet this small make cuts, empty
@@ -329,20 +358,20 @@ fn gen_oracle_zone(g: &mut Gen) -> Zone {
 }
 
 /// Which §4.3.2 branch a verdict took, for the coverage floor below.
-fn branch(zone: &Zone, qname: &Name, verdict: &Lookup) -> &'static str {
+fn branch(zone: &Zone, qname: &Name, verdict: &Verdict) -> &'static str {
     let exact = zone.iter().any(|s| s.name().is_subdomain_of(qname));
     match verdict {
-        Lookup::Answer(recs) => match (exact, recs[0].rtype() == RType::Cname && recs.len() > 1) {
+        Verdict::Answer(recs) => match (exact, recs[0].rtype() == RType::Cname && recs.len() > 1) {
             (true, false) => "exact",
             (true, true) => "exact-cname",
             (false, false) => "wildcard",
             (false, true) => "wildcard-cname",
         },
-        Lookup::NoData { .. } if exact => "nodata",
-        Lookup::NoData { .. } => "wildcard-nodata",
-        Lookup::NxDomain { .. } => "nxdomain",
-        Lookup::Referral { .. } => "referral",
-        Lookup::OutOfZone => "out-of-zone",
+        Verdict::NoData { .. } if exact => "nodata",
+        Verdict::NoData { .. } => "wildcard-nodata",
+        Verdict::NxDomain { .. } => "nxdomain",
+        Verdict::Referral { .. } => "referral",
+        Verdict::OutOfZone => "out-of-zone",
     }
 }
 
@@ -382,7 +411,7 @@ fn lookup_agrees_with_rfc1034_oracle() {
             let qname = gen_oracle_name(g, 4);
             let qtype = *g.choose(ORACLE_QTYPES);
             let want = oracle(&zone, &qname, qtype);
-            let got = zone.lookup(&qname, qtype);
+            let got = owned(zone.lookup(&qname, qtype));
             assert_eq!(got, want, "{qname} {qtype} in\n{}", write_zone(&zone));
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "spelling of {qname} {qtype}");
             *seen.borrow_mut().entry(branch(&zone, &qname, &want)).or_insert(0) += 1;
@@ -399,9 +428,11 @@ fn cname_loop_is_cut_after_eight_hops() {
     let (a, b) = (to_name(&["a".into()]), to_name(&["b".into()]));
     zone.insert(Record::new(a.clone(), 60, RData::Cname(Cname::new(b.clone()))));
     zone.insert(Record::new(b, 60, RData::Cname(Cname::new(a.clone()))));
-    let Lookup::Answer(chain) = zone.lookup(&a, RType::A) else { panic!("expected a chain") };
+    let Verdict::Answer(chain) = owned(zone.lookup(&a, RType::A)) else {
+        panic!("expected a chain")
+    };
     assert_eq!(chain.len(), 9);
-    assert_eq!(Lookup::Answer(chain), oracle(&zone, &a, RType::A));
+    assert_eq!(Verdict::Answer(chain), oracle(&zone, &a, RType::A));
 }
 
 /// The engine's response carries the oracle's verdict: rcode, AA and
@@ -423,11 +454,11 @@ fn engine_response_agrees_with_rfc1034_oracle() {
             assert!(!resp.header.truncated, "tiny zones never truncate");
             let want = oracle(&zone, &qname, qtype);
             let (rcode, aa, answers, authorities, glue) = match want.clone() {
-                Lookup::Answer(records) => (Rcode::NoError, true, records, vec![], vec![]),
-                Lookup::NoData { soa } => (Rcode::NoError, true, vec![], vec![soa], vec![]),
-                Lookup::NxDomain { soa } => (Rcode::NxDomain, true, vec![], vec![soa], vec![]),
-                Lookup::Referral { ns, glue } => (Rcode::NoError, false, vec![], ns, glue),
-                Lookup::OutOfZone => (Rcode::Refused, false, vec![], vec![], vec![]),
+                Verdict::Answer(records) => (Rcode::NoError, true, records, vec![], vec![]),
+                Verdict::NoData { soa } => (Rcode::NoError, true, vec![], vec![soa], vec![]),
+                Verdict::NxDomain { soa } => (Rcode::NxDomain, true, vec![], vec![soa], vec![]),
+                Verdict::Referral { ns, glue } => (Rcode::NoError, false, vec![], ns, glue),
+                Verdict::OutOfZone => (Rcode::Refused, false, vec![], vec![], vec![]),
             };
             let ctx = format!("{qname} {qtype} in\n{}", write_zone(&zone));
             assert_eq!(resp.rcode(), rcode, "{ctx}");
