@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use dnswild_proto::{Name, RType, Rcode, Record};
+use dnswild_proto::{Message, Name, RData, RType, Rcode, Record};
 
 use crate::clock::{CacheTime, Secs};
 
@@ -180,10 +180,34 @@ impl RecordCache {
         }
     }
 
+    /// How a response becomes a cache entry, for both planes: answers
+    /// under their own minimum TTL, negatives (NODATA/NXDOMAIN) under
+    /// the RFC 2308 value `min(SOA.minimum, SOA.ttl)` of the authority
+    /// section's SOA, or `default_negative_ttl` when the reply carries
+    /// none. The caller has already judged `reply` an answer to
+    /// (`qname`, `qtype`).
+    pub fn insert_reply(
+        &mut self,
+        qname: &Name,
+        qtype: RType,
+        reply: &Message,
+        default_negative_ttl: u32,
+        now: CacheTime,
+    ) {
+        let negative_ttl = reply
+            .authorities
+            .iter()
+            .find_map(|r| match &r.rdata {
+                RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
+                _ => None,
+            })
+            .unwrap_or(default_negative_ttl);
+        self.insert(qname.clone(), qtype, reply.answers.clone(), reply.rcode(), negative_ttl, now);
+    }
+
     /// Stores a response. TTL is the minimum across answer records, or
-    /// `negative_ttl` when there are none (NODATA/NXDOMAIN — RFC 2308
-    /// says that value comes from the SOA minimum, which is the caller's
-    /// job to extract). TTL 0 is uncacheable.
+    /// `negative_ttl` when there are none ([`RecordCache::insert_reply`]
+    /// takes it from the reply). TTL 0 is uncacheable.
     pub fn insert(
         &mut self,
         qname: Name,
@@ -354,8 +378,7 @@ impl RecordCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnswild_proto::rdata::Txt;
-    use dnswild_proto::RData;
+    use dnswild_proto::rdata::{Soa, Txt};
 
     fn name(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -477,6 +500,33 @@ mod tests {
         assert_eq!(nodata.kind, EntryKind::NoData);
         assert_eq!(nodata.rcode, Rcode::NoError, "NODATA is NOERROR + empty, not NXDOMAIN");
         assert_eq!(c.stats().negative_hits, 2);
+    }
+
+    /// The reply→entry rule both resolvers share: a negative reply
+    /// lives for min(SOA.minimum, SOA.ttl), the caller's default only
+    /// without an SOA, and a positive one for its own records' TTL.
+    #[test]
+    fn insert_reply_takes_the_negative_ttl_from_the_soa() {
+        let q = Message::iterative_query(1, name("gone.nl"), RType::A);
+        let mut nx = Message::response_to(&q, Rcode::NxDomain);
+        let mut c = RecordCache::new();
+        c.insert_reply(&name("bare.nl"), RType::A, &nx, 300, t(0));
+        assert!(c.get(&name("bare.nl"), RType::A, t(299)).is_some(), "no SOA: the default");
+        assert!(c.get(&name("bare.nl"), RType::A, t(300)).is_none());
+        for (owner, soa_ttl, minimum, lives) in [("min.nl", 3600, 60, 60), ("ttl.nl", 30, 60, 30)] {
+            let soa = Soa::new(name("ns1.nl"), name("hostmaster.nl"), 1, 7200, 3600, 86400, minimum);
+            nx.authorities = vec![Record::new(name("nl"), soa_ttl, RData::Soa(soa))];
+            c.insert_reply(&name(owner), RType::A, &nx, 300, t(0));
+            let hit = c.get(&name(owner), RType::A, t(lives - 1)).expect("inside the negative TTL");
+            assert_eq!(hit.kind, EntryKind::NxDomain);
+            assert!(c.get(&name(owner), RType::A, t(lives)).is_none(), "{owner} outlived {lives}s");
+        }
+        let mut pos = Message::response_to(&q, Rcode::NoError);
+        pos.answers.push(txt_record("gone.nl", 5));
+        pos.authorities = nx.authorities.clone();
+        c.insert_reply(&name("gone.nl"), RType::A, &pos, 300, t(0));
+        assert_eq!(c.get(&name("gone.nl"), RType::A, t(4)).unwrap().kind, EntryKind::Positive);
+        assert!(c.get(&name("gone.nl"), RType::A, t(5)).is_none(), "answers keep their own TTL");
     }
 
     // ---- bounded LRU ----

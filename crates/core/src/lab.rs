@@ -36,13 +36,12 @@ use dnswild_metrics::{
     parse_exposition, scrape, CounterSet, Sample, Watchdog, WatchdogConfig, WatchdogHandle,
     WatchdogReport,
 };
-use dnswild_netio::attack::NXNS_EDNS_PAYLOAD;
 use dnswild_netio::{
-    assault, blast, mirror_cache, mirror_collector, resolve, serve,
-    AttackConfig, AttackMode, AttackReport, CacheConfig, ChaosProxy, ClientStats, Collector,
-    CollectorConfig, Direction, FaultPlan, FaultProfile, IoBackend, IoErrorStats, LoadConfig,
-    LoadReport, MetricsServer, Registry, ResolveConfig, ResolveReport, ServeConfig, ServeHandle,
-    SharedCache, TcpFaultProfile, TcpOptions, Trace, TraceSummary,
+    blast, mirror_cache, mirror_collector, resolve, serve, AttackMode, CacheConfig, ChaosProxy,
+    ClientStats, Collector, CollectorConfig, Direction, FaultPlan, FaultProfile, IoBackend,
+    IoErrorStats, LoadConfig, LoadReport, MetricsServer, Registry, ResolveConfig, ResolveReport,
+    ServeConfig, ServeHandle, SharedCache, TcpFaultProfile, TcpOptions, Trace, TraceSummary,
+    Workload, DEFAULT_SPOOFED_SOURCES, NXNS_EDNS_PAYLOAD,
 };
 use dnswild_proto::Name;
 use dnswild_resolver::PolicyKind;
@@ -67,8 +66,6 @@ pub struct Rig {
     pub threads: usize,
     /// Server I/O loop.
     pub io: IoBackend,
-    /// mmsg batch ceiling (`None` = the server default).
-    pub batch: Option<usize>,
     /// Record server, client and proxy telemetry to this trace file.
     pub trace: Option<PathBuf>,
     /// After the run, dump the flight recorder's retained journeys here
@@ -84,7 +81,6 @@ impl Default for Rig {
         Rig {
             threads: 2,
             io: IoBackend::Auto,
-            batch: None,
             trace: None,
             flight_dump: None,
             metrics_addr: None,
@@ -132,7 +128,7 @@ pub struct GateReport {
     /// The resolver client's books (`chaos`; the warm pass of `cache`).
     pub client: Option<ClientStats>,
     /// The attacker's books (`attack`).
-    pub attack: Option<AttackReport>,
+    pub attack: Option<LoadReport>,
     /// The watchdog's final evaluation, when the run was metered.
     pub watchdog: Option<WatchdogReport>,
     /// The final scrape, when the run was metered.
@@ -287,9 +283,6 @@ impl Lab {
                 .threads(rig.threads)
                 .io(rig.io),
         );
-        if let Some(b) = rig.batch {
-            cfg = cfg.batch(b);
-        }
         if let Some(c) = &collector {
             cfg = cfg.collector(Arc::clone(c), 0);
         }
@@ -1032,13 +1025,11 @@ pub fn cache(rig: &Rig, spec: &CacheSpec) -> Result<GateReport, String> {
     // decides each worker's qname sequence, and the warm pass only hits
     // if it re-asks exactly the cold pass's questions. The 1 s timeout
     // keeps spurious loopback retries out of the deterministic lines.
-    let pass = |lab: &Lab, servers: Vec<SocketAddr>, stale_pass: bool, prefetching: bool| {
+    let pass = |lab: &Lab, servers: Vec<SocketAddr>, stale_pass: bool| {
         let mut cfg = lab
             .resolve_config(servers, queries, seed)
             .concurrency(8)
             .cache(Arc::clone(&cache))
-            .serve_stale(stale_pass)
-            .prefetch(prefetching)
             .timeout(Duration::from_secs(1));
         if stale_pass {
             cfg = cfg.timeout(CACHE_STALE_PASS_TIMEOUT).max_tries(1);
@@ -1047,13 +1038,13 @@ pub fn cache(rig: &Rig, spec: &CacheSpec) -> Result<GateReport, String> {
     };
 
     let started = Instant::now();
-    let cold = pass(&lab, vec![lab.addr()], false, false)?;
+    let cold = pass(&lab, vec![lab.addr()], false)?;
     if prefetch {
         // Sleep into the prefetch window: every cold entry now has
         // ~3.5 s of TTL left, under the 4 s window, above expiry.
         std::thread::sleep(CACHE_GATE_PREFETCH_SLEEP);
     }
-    let warm = pass(&lab, vec![lab.addr()], false, prefetch)?;
+    let warm = pass(&lab, vec![lab.addr()], false)?;
     // Prefetch re-inserts refreshed answers, re-arming their TTL; the
     // stale pass must wait for whichever insert happened last.
     let last_insert = Instant::now();
@@ -1068,7 +1059,7 @@ pub fn cache(rig: &Rig, spec: &CacheSpec) -> Result<GateReport, String> {
         let blackhole = FaultProfile { drop: 1.0, ..FaultProfile::lossless() };
         let proxy = lab.proxies(FaultPlan::new(seed, blackhole, blackhole), &["p0"])?;
         eprintln!("smoke: serve-stale pass — blackhole proxy udp://{} drops everything", proxy[0]);
-        let books = pass(&lab, proxy, true, false)?;
+        let books = pass(&lab, proxy, true)?;
         stale = Some((books, lab.flush_proxies().tally(Direction::Forward)));
     }
     let elapsed = started.elapsed();
@@ -1273,18 +1264,18 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
 
     let mut legit_cfg = lab.load_config(queries, concurrency);
     legit_cfg.seed = seed;
-    let mut attack_cfg = AttackConfig::new(lab.addr(), origin(), mode)
-        .concurrency(concurrency)
-        .queries(queries)
-        .seed(seed)
-        .timeout(ATTACK_TIMEOUT);
-    if let Some(c) = &lab.collector {
-        attack_cfg = attack_cfg.collector(Arc::clone(c), 0);
-    }
+    // The flood shares the legitimate load's collector but not its
+    // registry: the `dnswild_load_*` series stay the legitimate client's.
+    let attack_cfg = LoadConfig {
+        workload: Workload::Attack { mode, spoofed_sources: DEFAULT_SPOOFED_SOURCES },
+        timeout: ATTACK_TIMEOUT,
+        metrics: None,
+        ..legit_cfg.clone()
+    };
     let started = Instant::now();
     let (legit, flood) = std::thread::scope(|scope| {
         let lh = scope.spawn(move || blast(legit_cfg));
-        let ah = scope.spawn(move || assault(attack_cfg));
+        let ah = scope.spawn(move || blast(attack_cfg));
         (lh.join().expect("legit blast panicked"), ah.join().expect("attack panicked"))
     });
     let legit = legit.map_err(|e| format!("blast: {e}"))?;

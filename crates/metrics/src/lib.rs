@@ -28,8 +28,7 @@
 //!   gates.
 //! * [`spans`] — per-stage hot-path timing (recv → decode → engine →
 //!   encode → send): one monotonic-clock lap per stage into a stage
-//!   histogram, compile-out-able via the `stage-spans` feature and
-//!   runtime-disabled by passing `None`.
+//!   histogram, disabled at runtime by passing `None`.
 //! * [`watchdog`] — a background thread that re-evaluates the paper's
 //!   laws as live SLO invariants over the registry (share vs. 1/SRTT,
 //!   all-auth coverage, SERVFAIL rate, ring overflow) and exposes

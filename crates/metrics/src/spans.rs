@@ -3,16 +3,13 @@
 //!
 //! A worker carries a [`StageClock`] and calls [`StageClock::lap`] at
 //! each stage boundary; the lap is one monotonic-clock read and one
-//! histogram record. Two off-switches, per the "measurement must not
-//! perturb what it measures" requirement:
-//!
-//! * **runtime** — pass `None` for the spans: the clock holds no
-//!   timestamp and `lap` is a branch on a `None`, no `Instant::now()`.
-//! * **compile-time** — build without the `stage-spans` feature: the
-//!   clock is a ZST and `lap` compiles to nothing.
+//! histogram record. The off-switch, per the "measurement must not
+//! perturb what it measures" requirement, is at runtime: pass `None`
+//! for the spans and the clock holds no timestamp — `lap` is a branch
+//! on a `None`, no `Instant::now()` (the ledger's
+//! `metrics.span_lap_disabled_ns`).
 
 use std::sync::Arc;
-#[cfg(feature = "stage-spans")]
 use std::time::Instant;
 
 use crate::LogHistogram;
@@ -123,12 +120,8 @@ impl StageSpans {
 }
 
 /// A per-worker lap timer over the stage boundaries.
-///
-/// With the `stage-spans` feature off this is a ZST and every method is
-/// a no-op, so the hot path compiles back to the unmetered code.
 #[derive(Debug, Clone, Copy)]
 pub struct StageClock {
-    #[cfg(feature = "stage-spans")]
     last: Option<Instant>,
 }
 
@@ -137,15 +130,7 @@ impl StageClock {
     /// presence); when disabled no clock is ever read.
     #[inline]
     pub fn start(enabled: bool) -> StageClock {
-        #[cfg(feature = "stage-spans")]
-        {
-            StageClock { last: enabled.then(Instant::now) }
-        }
-        #[cfg(not(feature = "stage-spans"))]
-        {
-            let _ = enabled;
-            StageClock {}
-        }
+        StageClock { last: enabled.then(Instant::now) }
     }
 
     /// Records the time since the previous lap (or since `start`) into
@@ -153,15 +138,10 @@ impl StageClock {
     /// disabled or `spans` is `None`.
     #[inline]
     pub fn lap(&mut self, spans: Option<&StageSpans>, stage: Stage) {
-        #[cfg(feature = "stage-spans")]
         if let (Some(last), Some(spans)) = (self.last, spans) {
             let now = Instant::now();
             spans.record(stage, now.duration_since(last).as_nanos() as u64);
             self.last = Some(now);
-        }
-        #[cfg(not(feature = "stage-spans"))]
-        {
-            let _ = (spans, stage);
         }
     }
 
@@ -173,17 +153,12 @@ impl StageClock {
     /// restarts the lap without recording.
     #[inline]
     pub fn lap_amortised(&mut self, spans: Option<&StageSpans>, stage: Stage, n: u64) {
-        #[cfg(feature = "stage-spans")]
         if let (Some(last), Some(spans)) = (self.last, spans) {
             let now = Instant::now();
             if let Some(per_packet) = (now.duration_since(last).as_nanos() as u64).checked_div(n) {
                 spans.record(stage, per_packet);
             }
             self.last = Some(now);
-        }
-        #[cfg(not(feature = "stage-spans"))]
-        {
-            let _ = (spans, stage, n);
         }
     }
 
@@ -192,7 +167,6 @@ impl StageClock {
     /// never accumulates into the next packet's `recv` span.
     #[inline]
     pub fn reset(&mut self) {
-        #[cfg(feature = "stage-spans")]
         if self.last.is_some() {
             self.last = Some(Instant::now());
         }
@@ -211,7 +185,6 @@ mod tests {
         for stage in STAGES {
             clock.lap(Some(&spans), stage);
         }
-        #[cfg(feature = "stage-spans")]
         for stage in STAGES {
             assert_eq!(spans.histogram(stage).count(), 1, "{}", stage.name());
         }
@@ -228,14 +201,11 @@ mod tests {
         let tcp = StageSpans::register_labelled(&reg, &[("transport", "tcp")]);
         let mut clock = StageClock::start(true);
         clock.lap(Some(&tcp), Stage::Recv);
-        #[cfg(feature = "stage-spans")]
-        {
-            assert_eq!(tcp.histogram(Stage::Recv).count(), 1);
-            assert_eq!(udp.histogram(Stage::Recv).count(), 0, "series are distinct");
-            // Same label set fetches the same underlying histograms.
-            let again = StageSpans::register_labelled(&reg, &[("transport", "tcp")]);
-            assert_eq!(again.histogram(Stage::Recv).count(), 1);
-        }
+        assert_eq!(tcp.histogram(Stage::Recv).count(), 1);
+        assert_eq!(udp.histogram(Stage::Recv).count(), 0, "series are distinct");
+        // Same label set fetches the same underlying histograms.
+        let again = StageSpans::register_labelled(&reg, &[("transport", "tcp")]);
+        assert_eq!(again.histogram(Stage::Recv).count(), 1);
         let text = reg.render();
         assert!(text.contains("dnswild_stage_ns_bucket{stage=\"recv\",transport=\"tcp\""));
     }

@@ -45,7 +45,7 @@ use crate::closed_loop::unspecified_for;
 use crate::server::is_idle_recv;
 use crate::tcp::{write_frame, FrameReader};
 use dnswild_telemetry::{
-    hash_bytes as event_hash_bytes, hash_socket_addr, journey_from_payload, Collector, Event,
+    hash_bytes, hash_socket_addr, journey_from_payload, Collector, Event,
     EventKind, Producer, FLAG_CHAOS_CORRUPT, FLAG_CHAOS_DELAY, FLAG_CHAOS_DROP, FLAG_CHAOS_DUP,
     FLAG_CHAOS_REORDER, FLAG_CHAOS_TRUNCATE, RCODE_NONE,
 };
@@ -481,17 +481,6 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64-chained hash over `bytes`, starting from `h`.
-fn hash_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    h = splitmix64(h ^ (bytes.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = splitmix64(h ^ u64::from_le_bytes(word));
-    }
-    h
-}
-
 /// A copy waiting in the delay scheduler.
 struct Scheduled {
     due: Instant,
@@ -701,7 +690,7 @@ fn trace_decision(
     let mut ev = Event::new(kind);
     ev.ts_ns = producer.now_ns();
     ev.client_hash = hash_socket_addr(&client);
-    ev.qname_hash = event_hash_bytes(0x6368_616f, payload) as u32;
+    ev.qname_hash = hash_bytes(0x6368_616f, payload) as u32;
     ev.bytes_in = payload.len().min(u16::MAX as usize) as u16;
     let out: usize = deliveries.iter().map(|d| d.payload.len()).sum();
     ev.bytes_out = out.min(u16::MAX as usize) as u16;

@@ -55,7 +55,7 @@ use dnswild_cache::{CacheConfig, CacheStats, CacheTime, CachedResponse, Clock, E
     RecordCache, WallClock};
 use dnswild_metrics::{counter_set, watchdog::inputs, Counter, CounterSet, Gauge, Registry};
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
-use dnswild_proto::{Message, Name, RData, RType, Rcode};
+use dnswild_proto::{Message, Name, RType, Rcode};
 use dnswild_resolver::{InfraCache, PolicyKind, SelectionPolicy};
 use dnswild_telemetry::{
     journey_id, qname_hash32, Collector, Event, EventKind, Producer, FLAG_PREFETCH, FLAG_RESPONSE,
@@ -140,27 +140,13 @@ impl SharedCache {
         self.inner.lock().expect("cache lock").get_stale(qname, qtype, self.clock.now())
     }
 
-    /// Decodes an answering reply and stores it: positive answers under
-    /// their own minimum TTL, negative ones under the RFC 2308 SOA
-    /// minimum from the authority section.
-    fn insert_reply(&self, qname: &Name, qtype: RType, payload: &[u8]) {
-        let Ok(msg) = Message::decode(payload) else {
-            return; // already classified; an undecodable copy is not cacheable
-        };
-        let negative_ttl = msg
-            .authorities
-            .iter()
-            .find_map(|r| match &r.rdata {
-                RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
-                _ => None,
-            })
-            .unwrap_or(DEFAULT_NEGATIVE_TTL);
-        self.inner.lock().expect("cache lock").insert(
-            qname.clone(),
+    /// Stores an answering reply (see [`RecordCache::insert_reply`]).
+    fn insert_reply(&self, qname: &Name, qtype: RType, reply: &Message) {
+        self.inner.lock().expect("cache lock").insert_reply(
+            qname,
             qtype,
-            msg.answers.clone(),
-            msg.rcode(),
-            negative_ttl,
+            reply,
+            DEFAULT_NEGATIVE_TTL,
             self.clock.now(),
         );
     }
@@ -222,16 +208,14 @@ pub struct ResolveConfig {
     /// model a warm recursive. The counters a cached run produces are
     /// deterministic as long as runs stay well inside the zone's TTL
     /// (expiry follows wall time, not the seed).
+    ///
+    /// The cache's own [`CacheConfig`] decides the rest: with a
+    /// `prefetch_window_s` a hit the cache marks `prefetch_due` is
+    /// refreshed by one background UDP attempt, keeping popular names
+    /// warm; with a `max_stale_s` window a transaction that exhausts
+    /// all its tries is answered from the expired entry (RFC 8767) —
+    /// the "every authoritative is unreachable" lifeline.
     pub cache: Option<Arc<SharedCache>>,
-    /// Serve expired entries (RFC 8767) when a transaction exhausts all
-    /// its tries without an answer — the "every authoritative is
-    /// unreachable" lifeline. Needs `cache`.
-    pub serve_stale: bool,
-    /// Refresh hot entries shortly before expiry (the cache marks a hit
-    /// `prefetch_due` per its [`CacheConfig`] window) with one
-    /// background UDP attempt, keeping popular names warm. Needs
-    /// `cache`.
-    pub prefetch: bool,
 }
 
 impl ResolveConfig {
@@ -253,26 +237,12 @@ impl ResolveConfig {
             collector: None,
             metrics: None,
             cache: None,
-            serve_stale: false,
-            prefetch: false,
         }
     }
 
     /// Attaches a shared record cache (see [`ResolveConfig::cache`]).
     pub fn cache(mut self, cache: Arc<SharedCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Enables RFC 8767 serve-stale (see [`ResolveConfig::serve_stale`]).
-    pub fn serve_stale(mut self, on: bool) -> Self {
-        self.serve_stale = on;
-        self
-    }
-
-    /// Enables prefetch refreshes (see [`ResolveConfig::prefetch`]).
-    pub fn prefetch(mut self, on: bool) -> Self {
-        self.prefetch = on;
         self
     }
 
@@ -548,22 +518,11 @@ fn tcp_roundtrip(conn: &mut TcpConn, query_bytes: &[u8], timeout: Duration) -> i
     }
 }
 
-/// A TCP retry reply completes the transaction only if it is a full
-/// answer to it: right ID, QR=1, TC=0, positive rcode, same question.
-fn tcp_reply_is_answer(payload: &[u8], id: u16, qname: &Name) -> bool {
-    let Ok(msg) = Message::decode(payload) else {
-        return false;
-    };
-    msg.header.id == id
-        && msg.is_response()
-        && !msg.header.truncated
-        && matches!(msg.rcode(), Rcode::NoError | Rcode::NxDomain)
-        && msg.question().is_some_and(|q| q.qname == *qname && q.qtype == RType::Txt)
-}
-
-/// How one received datagram relates to the current transaction.
+/// How one received reply relates to the current transaction.
 enum Reply {
-    Answer { attempt: usize },
+    /// A full answer to it — right ID, QR=1, TC=0, NOERROR/NXDOMAIN,
+    /// same question — handed out decoded, so no one decodes it again.
+    Answer { attempt: usize, msg: Message },
     Lame { attempt: usize },
     FormErr,
     Tc,
@@ -777,7 +736,7 @@ impl Worker<'_> {
                 Err(e) => return Err(e),
             };
             match classify(&self.recv_buf[..got], sent, qname) {
-                Reply::Answer { attempt: a } => {
+                Reply::Answer { attempt: a, msg } => {
                     if let Some(kind) = doomed.take() {
                         match kind {
                             Doom::Lame => self.stats.lame -= 1,
@@ -788,7 +747,7 @@ impl Worker<'_> {
                     }
                     let rtt = sent[a].sent_at.elapsed();
                     self.observe_rtt(sent[a].server, rtt);
-                    self.cache_reply(qname, &self.recv_buf[..got]);
+                    self.cache_reply(qname, &msg);
                     answer = Some(Answered { server: sent[a].server, rtt, bytes: got });
                     break;
                 }
@@ -839,7 +798,7 @@ impl Worker<'_> {
         }
     }
 
-    fn cache_reply(&self, qname: &Name, reply: &[u8]) {
+    fn cache_reply(&self, qname: &Name, reply: &Message) {
         if let Some(cache) = &self.cfg.cache {
             cache.insert_reply(qname, RType::Txt, reply);
         }
@@ -970,7 +929,7 @@ fn worker_loop(
                 if let Some(m) = metrics {
                     m.txn.inc();
                 }
-                if cfg.prefetch && h.prefetch_due {
+                if h.prefetch_due {
                     // Background refresh: one UDP attempt, no retries,
                     // no TCP fallback. The ID lives in the top half of
                     // the space so it cannot collide with transaction
@@ -1039,13 +998,17 @@ fn worker_loop(
                 if !cfg.tcp_reuse {
                     tcp_conns[server] = None;
                 }
-                match reply {
-                    Some(p) if tcp_reply_is_answer(&p, id, &qname) => {
+                // A TCP reply completes the transaction only as a full
+                // answer to the attempt it retries — an earlier
+                // attempt's ID does not count here.
+                let this_attempt = &sent[sent.len() - 1..];
+                match reply.map(|p| (p.len(), classify(&p, this_attempt, &qname))) {
+                    Some((bytes, Reply::Answer { msg, .. })) => {
                         let rtt = tcp_start.elapsed();
                         w.stats.tcp_answered += 1;
                         w.observe_rtt(server, rtt);
-                        w.cache_reply(&qname, &p);
-                        out.answer = Some(Answered { server, rtt, bytes: p.len() });
+                        w.cache_reply(&qname, &msg);
+                        out.answer = Some(Answered { server, rtt, bytes });
                         tcp_flags = FLAG_TC_SEEN | FLAG_TCP_RETRY | FLAG_TCP;
                     }
                     _ => w.stats.tcp_failed += 1,
@@ -1062,14 +1025,9 @@ fn worker_loop(
         }
         if !answered {
             // Last resort (RFC 8767): when every try failed and the
-            // cache still holds the expired answer, serve it stale
-            // rather than SERVFAIL.
-            let stale_hit = if cfg.serve_stale {
-                cfg.cache.as_ref().and_then(|c| c.get_stale(&qname, RType::Txt))
-            } else {
-                None
-            };
-            match stale_hit {
+            // cache still holds the expired answer inside its stale
+            // window, serve it stale rather than SERVFAIL.
+            match cfg.cache.as_ref().and_then(|c| c.get_stale(&qname, RType::Txt)) {
                 Some(h) => {
                     w.stats.answered += 1;
                     w.stats.stale_served += 1;
@@ -1112,9 +1070,10 @@ fn worker_loop(
     Ok((w.stats, w.per_server))
 }
 
-/// Classifies one received datagram against the current transaction's
-/// attempts. Every outcome is a pure function of the datagram's bytes
-/// and the (deterministic) attempt table, never of arrival timing.
+/// Classifies one received reply — a datagram, or a TCP frame's payload
+/// — against the attempts of the current transaction it may answer.
+/// Every outcome is a pure function of the reply's bytes and the
+/// (deterministic) attempt table, never of arrival timing.
 fn classify(payload: &[u8], sent: &[Attempt], qname: &Name) -> Reply {
     let Ok(msg) = Message::decode(payload) else {
         return Reply::Corrupt;
@@ -1136,7 +1095,7 @@ fn classify(payload: &[u8], sent: &[Attempt], qname: &Name) -> Reply {
                 .question()
                 .is_some_and(|q| q.qname == *qname && q.qtype == RType::Txt);
             if question_matches {
-                Reply::Answer { attempt }
+                Reply::Answer { attempt, msg }
             } else {
                 Reply::Mismatch
             }
@@ -1374,7 +1333,7 @@ mod tests {
         resp.header.authoritative = true;
         assert!(matches!(
             classify(&resp.encode().unwrap(), &sent, &qname),
-            Reply::Answer { attempt: 0 }
+            Reply::Answer { attempt: 0, .. }
         ));
         // Lame (REFUSED).
         let lame = Message::response_to(&q, Rcode::Refused);
@@ -1474,8 +1433,7 @@ mod tests {
             .concurrency(2)
             .timeout(Duration::from_millis(30))
             .max_tries(2)
-            .cache(Arc::clone(&cache))
-            .serve_stale(true);
+            .cache(Arc::clone(&cache));
         let stale = resolve(dead).unwrap();
         stale.stats.check().unwrap();
         assert_eq!(stale.stats.answered, 24, "serve-stale completes every transaction");
@@ -1498,8 +1456,7 @@ mod tests {
         let cfg = ResolveConfig::new(vec![handle.local_addr()], origin())
             .transactions(40)
             .concurrency(2)
-            .cache(Arc::clone(&cache))
-            .prefetch(true);
+            .cache(Arc::clone(&cache));
         let cold = resolve(cfg.clone()).unwrap();
         assert_eq!(cold.stats.prefetches, 0, "fresh entries are outside the window");
         // Age the TTL=5 entries into the 4s prefetch window.

@@ -91,10 +91,10 @@ pub(crate) struct Exchanged {
     pub(crate) mismatched: u64,
 }
 
-/// One closed-loop exchange on a connected socket: send `query`, wait
-/// for the reply carrying `id` inside `timeout`, count stale replies
-/// from queries that already timed out, and record the one
-/// `ClientQuery` event when traced.
+/// One closed-loop exchange on a connected socket whose read timeout is
+/// armed to `timeout`: send `query`, wait for the reply carrying `id`
+/// inside `timeout`, count stale replies from queries that already
+/// timed out, and record the one `ClientQuery` event when traced.
 pub(crate) fn exchange(
     socket: &UdpSocket,
     query: &[u8],
@@ -119,17 +119,23 @@ pub(crate) fn exchange(
             }
             Ok(_) => {
                 out.mismatched += 1;
-                if Instant::now() >= deadline {
+                // The socket waits a full `timeout` per read, so the next
+                // read may only wait out what is left of this window.
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
                     break;
                 }
+                socket.set_read_timeout(Some(left))?;
             }
             Err(e) if is_idle_recv(&e) => break,
             // A signal landing mid-recv is not a timeout and not a
-            // worker-fatal error — retry the wait (the deadline check
-            // above still bounds it).
+            // worker-fatal error — retry the wait.
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
+    }
+    if out.mismatched > 0 {
+        socket.set_read_timeout(Some(timeout))?;
     }
     if let (Some(t), Some(sent_ns)) = (trace, sent_ns) {
         let mut ev = Event::new(EventKind::ClientQuery);
@@ -155,4 +161,36 @@ pub(crate) fn exchange(
         t.producer.record(&ev);
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One stale reply late in the window must not restart it: the read
+    /// after a wrong-ID datagram waits only for what is left of
+    /// `timeout`, and the socket's own timeout is restored afterwards.
+    #[test]
+    fn a_stale_reply_does_not_extend_the_window() {
+        let timeout = Duration::from_millis(200);
+        let server = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client.connect(server.local_addr().unwrap()).unwrap();
+        client.set_read_timeout(Some(timeout)).unwrap();
+        let stale = std::thread::spawn(move || {
+            let mut buf = [0u8; 512];
+            let (n, peer) = server.recv_from(&mut buf).unwrap();
+            std::thread::sleep(timeout.mul_f64(0.6));
+            buf[1] ^= 0xff; // wrong ID, then silence
+            server.send_to(&buf[..n], peer).unwrap();
+        });
+        let query = Message::iterative_query(7, dnswild_proto::Name::root(), dnswild_proto::RType::Ns);
+        let started = Instant::now();
+        let got = exchange(&client, &query.encode().unwrap(), 7, timeout, &mut [0u8; 512], None).unwrap();
+        let waited = started.elapsed();
+        stale.join().unwrap();
+        assert_eq!((got.reply_len, got.mismatched), (None, 1));
+        assert!(waited < timeout + Duration::from_millis(50), "waited {waited:?} for a {timeout:?} window");
+        assert_eq!(client.read_timeout().unwrap(), Some(timeout));
+    }
 }

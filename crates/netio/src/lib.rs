@@ -21,10 +21,12 @@
 //!   [`dnswild_server::AnswerEngine`] the simulator actor uses, so
 //!   behaviour proven by the `exp_*` reproductions is the behaviour
 //!   that serves.
-//! * [`load`] — a closed-loop in-process load generator: configurable
-//!   concurrency, a deterministic query mix over the preset measurement
-//!   zone, and per-query latency capture for qps / percentile
-//!   reporting.
+//! * [`load`] — the one closed-loop in-process load generator:
+//!   configurable concurrency, a seed-deterministic [`Workload`] — the
+//!   legitimate query mix over the preset measurement zone, or an
+//!   NXDOMAIN / NXNS / spoofed-source flood against the attack zone —
+//!   and one report booking every datagram, its bytes both ways and
+//!   per-query latency for qps / percentile / amplification reporting.
 //! * [`chaos`] — a deterministic, seed-driven fault-injecting UDP proxy
 //!   ([`ChaosProxy`]) that drops, duplicates, delays, reorders,
 //!   truncates and bit-corrupts datagrams per direction. Every fault
@@ -65,7 +67,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attack;
 pub mod chaos;
 pub mod client;
 mod closed_loop;
@@ -73,13 +74,15 @@ pub mod load;
 pub mod server;
 pub mod tcp;
 
-pub use attack::{assault, AttackConfig, AttackMode, AttackReport};
 pub use chaos::{
     ChaosProxy, Delivery, DirTally, Direction, FaultPlan, FaultProfile, TcpFate, TcpFaultProfile,
     TcpFaultTally,
 };
 pub use client::{resolve, ClientStats, ResolveConfig, ResolveReport, SharedCache, DRAIN_WINDOW};
-pub use load::{blast, LoadConfig, LoadReport, QueryMix};
+pub use load::{
+    blast, AttackMode, LoadConfig, LoadReport, QueryMix, Workload, DEFAULT_SPOOFED_SOURCES,
+    NXNS_EDNS_PAYLOAD,
+};
 pub use server::{
     batch_io_available, serve, IoBackend, IoErrorStats, ServeConfig, ServeHandle, DEFAULT_BATCH,
 };

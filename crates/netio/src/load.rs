@@ -3,15 +3,41 @@
 //! `concurrency` client threads each run a closed loop against the
 //! target server: build a query, send it, wait for the matching
 //! response (or a timeout), record the latency, repeat. Closed-loop
-//! means at most one outstanding query per thread, so the offered load
+//! means at most one outstanding query per socket, so the offered load
 //! adapts to the server rather than overrunning socket buffers — the
 //! right shape for measuring serving capacity on loopback, and the same
 //! discipline the paper's vantage points impose (one probe, then wait).
 //!
-//! The query mix is drawn deterministically (per-thread `detrand`
-//! streams seeded from [`LoadConfig::seed`]) over the preset measurement
-//! zone: unique-label probe TXT lookups (the paper's cold-cache trick),
-//! apex NS, glue A, apex TXT (a NODATA), and CHAOS identification.
+//! What is asked is the [`Workload`]; friendly or hostile, it is one
+//! loop, one report and one set of books:
+//!
+//! * [`Workload::Mix`] — the legitimate recursive-like [`QueryMix`] over
+//!   the preset measurement zone: unique-label probe TXT lookups (the
+//!   paper's cold-cache trick), apex NS, glue A, apex TXT (a NODATA),
+//!   and CHAOS identification.
+//! * [`Workload::Attack`] — adversarial traffic against the preset
+//!   attack zone ([`dnswild_zone::presets::attack_test_domain_zone`]),
+//!   recorded under [`FLAG_ATTACK`] so trace analysis can tell it from
+//!   the legitimate mix running beside it:
+//!   * [`AttackMode::NxdomainFlood`] — random-subdomain "water
+//!     torture": unique labels under the `void` anchor, every one an
+//!     honest NXDOMAIN, the classic cache-busting flood recursives relay
+//!     at authoritatives.
+//!   * [`AttackMode::NxnsReferral`] — NXNSAttack-style delegation
+//!     amplification: tiny queries below the fattened `lab` cut, each
+//!     pulling a referral carrying the full NS+glue set (the generator
+//!     advertises EDNS 4096 so the fat referral is not truncated away).
+//!   * [`AttackMode::SpoofedBurst`] — the same flood multiplexed over a
+//!     pool of ephemeral-port sockets per thread, standing in for
+//!     spoofed sources: with `key_ports` keying on the server, each port
+//!     is a distinct rate-limit identity, which is exactly the evasion
+//!     RRL's prefix aggregation is designed to blunt.
+//!
+//! Schedules are pure functions of ([`LoadConfig::seed`], thread,
+//! sequence number) — per-thread `detrand` streams — so two runs with
+//! one seed offer byte-identical query streams, which is what lets the
+//! attack gate diff its output lines across runs like the chaos gate
+//! does.
 
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -22,13 +48,22 @@ use detrand::{splitmix64, DetRng, Rng};
 use dnswild_metrics::{Counter, LogHistogram, Registry};
 use dnswild_proto::{Class, Message, Name, RType};
 use dnswild_server::ServerStats;
-use dnswild_telemetry::Collector;
+use dnswild_telemetry::{Collector, FLAG_ATTACK};
+use dnswild_zone::presets::{DELEGATION_LABEL, NX_ANCHOR_LABEL};
 
 use crate::closed_loop::{
     encode_query, exchange, fan_out, thread_stream, unspecified_for, ExchangeTrace,
 };
 
-/// Relative weights of the query kinds the generator draws from.
+/// EDNS payload size the NXNS mode advertises, so the padded referral
+/// rides back whole instead of as a TC stub.
+pub const NXNS_EDNS_PAYLOAD: u16 = 4096;
+
+/// Sockets per thread a [`AttackMode::SpoofedBurst`] flood rotates over
+/// unless told otherwise.
+pub const DEFAULT_SPOOFED_SOURCES: usize = 16;
+
+/// Relative weights of the query kinds the legitimate mix draws from.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryMix {
     /// Unique-label wildcard TXT probes (`p<thread>-q<n>.<origin>`).
@@ -62,6 +97,149 @@ impl QueryMix {
     }
 }
 
+/// Which adversarial workload the generator offers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttackMode {
+    /// Random-subdomain NXDOMAIN flood under the `void` anchor.
+    NxdomainFlood,
+    /// Delegation-amplification replay below the `lab` cut.
+    NxnsReferral,
+    /// [`AttackMode::NxdomainFlood`] multiplexed over a per-thread pool
+    /// of ephemeral-port sockets (spoofed-source stand-in).
+    SpoofedBurst,
+}
+
+impl AttackMode {
+    /// The CLI / log spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            AttackMode::NxdomainFlood => "nxdomain",
+            AttackMode::NxnsReferral => "nxns",
+            AttackMode::SpoofedBurst => "spoof",
+        }
+    }
+}
+
+impl std::str::FromStr for AttackMode {
+    type Err = String;
+    fn from_str(s: &str) -> Result<AttackMode, String> {
+        match s {
+            "nxdomain" => Ok(AttackMode::NxdomainFlood),
+            "nxns" => Ok(AttackMode::NxnsReferral),
+            "spoof" => Ok(AttackMode::SpoofedBurst),
+            other => Err(format!("unknown attack mode '{other}' (nxdomain|nxns|spoof)")),
+        }
+    }
+}
+
+/// What the generator asks — and with it the three things a friendly
+/// and a hostile client loop differ in: the query draw (and the socket
+/// it leaves from), the socket-pool size, and the trace identity.
+#[derive(Debug, Clone, Copy)]
+pub enum Workload {
+    /// The legitimate mix, one socket per thread.
+    Mix(QueryMix),
+    /// An adversarial flood.
+    Attack {
+        /// Which flood.
+        mode: AttackMode,
+        /// Socket-pool size per thread for [`AttackMode::SpoofedBurst`]
+        /// (the other modes use one socket per thread).
+        spoofed_sources: usize,
+    },
+}
+
+impl Workload {
+    /// Sockets each client thread opens.
+    fn sockets(&self) -> usize {
+        match *self {
+            Workload::Attack { mode: AttackMode::SpoofedBurst, spoofed_sources } => {
+                spoofed_sources.max(1)
+            }
+            _ => 1,
+        }
+    }
+
+    /// Client-token salt and event flags of this workload's trace events.
+    fn trace_identity(&self) -> (u64, u16) {
+        match self {
+            Workload::Mix(_) => (0x636c_6e74, 0),
+            Workload::Attack { .. } => (0x6174_746b, FLAG_ATTACK),
+        }
+    }
+
+    /// Draws `thread`'s `n`-th query and the index of the socket it
+    /// leaves from — a pure function of the seed stream, so schedules
+    /// replay byte-identically.
+    fn next(
+        &self,
+        rng: &mut DetRng,
+        origin: &Name,
+        thread: usize,
+        n: u64,
+        id: u16,
+    ) -> (Message, usize) {
+        let mode = match self {
+            Workload::Mix(mix) => return (mix_query(rng, mix, origin, thread, n, id), 0),
+            Workload::Attack { mode, .. } => *mode,
+        };
+        let nxns = mode == AttackMode::NxnsReferral;
+        let (anchor, prefix) = if nxns { (DELEGATION_LABEL, "v") } else { (NX_ANCHOR_LABEL, "wt") };
+        let label = format!("{prefix}{:08x}", rng.gen_range(0..u64::from(u32::MAX)) as u32);
+        let qname = origin
+            .prepend(anchor)
+            .and_then(|n| n.prepend(&label))
+            .expect("short attack label");
+        let mut query = Message::iterative_query(id, qname, RType::A);
+        if nxns {
+            // Replace the default OPT advertisement (a second OPT would
+            // be a FORMERR) with one wide enough for the fat referral.
+            query.additionals.clear();
+            query.add_edns(NXNS_EDNS_PAYLOAD);
+        }
+        // The socket draw is part of the attack schedule too: made for
+        // every attack query (not just spoof mode) so a mode's name
+        // stream does not shift when the pool size changes.
+        (query, rng.gen_range(0..self.sockets() as u64) as usize)
+    }
+}
+
+/// Draws the next query of the legitimate mix.
+fn mix_query(
+    rng: &mut DetRng,
+    mix: &QueryMix,
+    origin: &Name,
+    thread: usize,
+    n: u64,
+    id: u16,
+) -> Message {
+    let mut draw = rng.gen_range(0..mix.total().max(1));
+    let mut pick = |weight: u32| {
+        if draw < weight {
+            true
+        } else {
+            draw -= weight;
+            false
+        }
+    };
+    if pick(mix.probe_txt) {
+        let label = format!("p{thread}-q{n}");
+        let qname = origin.prepend(&label).expect("short probe label");
+        Message::iterative_query(id, qname, RType::Txt)
+    } else if pick(mix.apex_ns) {
+        Message::iterative_query(id, origin.clone(), RType::Ns)
+    } else if pick(mix.glue_a) {
+        let qname = origin.prepend("ns1").expect("short label");
+        Message::iterative_query(id, qname, RType::A)
+    } else if pick(mix.apex_txt) {
+        Message::iterative_query(id, origin.clone(), RType::Txt)
+    } else {
+        let mut q = Message::iterative_query(id, Name::parse("hostname.bind").unwrap(), RType::Txt);
+        q.questions[0].qclass = Class::Ch;
+        q
+    }
+}
+
 /// Configuration for [`blast`].
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
@@ -71,16 +249,20 @@ pub struct LoadConfig {
     pub concurrency: usize,
     /// Total queries across all threads.
     pub queries: u64,
-    /// Per-query response timeout.
+    /// Per-query response timeout. A flood against a rate limiter wants
+    /// it short: a dropped response *is* the expected server behaviour,
+    /// and the loop must classify it quickly and move on.
     pub timeout: Duration,
-    /// Base seed for the deterministic query mix.
+    /// Base seed for the deterministic query (and socket) draws.
     pub seed: u64,
-    /// Zone origin the mix queries against.
+    /// Zone origin the workload queries against.
     pub origin: Name,
-    /// Relative query-kind weights.
-    pub mix: QueryMix,
+    /// What is asked.
+    pub workload: Workload,
     /// Telemetry collector: when set, each client thread records one
-    /// `ClientQuery` event per transaction (answer or timeout).
+    /// `ClientQuery` event per transaction (answer or timeout), flagged
+    /// [`FLAG_ATTACK`] under [`Workload::Attack`] — which is how the
+    /// trace analysis separates attacker packets from legitimate ones.
     pub collector: Option<Arc<Collector>>,
     /// `auth_id` stamped on recorded events (index of the target server
     /// in the collector's auth table).
@@ -102,7 +284,7 @@ impl LoadConfig {
             timeout: Duration::from_secs(1),
             seed: 2017,
             origin,
-            mix: QueryMix::default(),
+            workload: Workload::Mix(QueryMix::default()),
             collector: None,
             trace_auth_id: 0,
             metrics: None,
@@ -121,9 +303,9 @@ impl LoadConfig {
         self
     }
 
-    /// Overrides the query mix.
-    pub fn mix(mut self, mix: QueryMix) -> Self {
-        self.mix = mix;
+    /// Overrides what is asked.
+    pub fn workload(mut self, workload: Workload) -> Self {
+        self.workload = workload;
         self
     }
 
@@ -165,17 +347,26 @@ impl LoadMetrics {
     }
 }
 
-/// What one load run measured.
+/// What one load run measured, from the client's side of the wire.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     /// Queries sent.
     pub sent: u64,
-    /// Responses received with the expected transaction ID.
+    /// Responses received with the expected transaction ID (full
+    /// answers, referrals and TC=1 slips alike).
     pub received: u64,
-    /// Queries that saw no response within the timeout.
+    /// Queries that saw no response within the timeout — under RRL these
+    /// are the limiter's drops.
     pub timeouts: u64,
     /// Responses discarded for carrying a stale/unexpected ID.
     pub mismatched: u64,
+    /// Received responses carrying TC=1 — the limiter's 1-in-N slips
+    /// (or genuine size truncation, which the preset zones avoid).
+    pub tc_slips: u64,
+    /// Query bytes put on the wire.
+    pub bytes_sent: u64,
+    /// Response bytes taken off the wire.
+    pub bytes_received: u64,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
     /// Per-query round-trip latencies, sorted ascending (nanoseconds).
@@ -198,36 +389,61 @@ impl LoadReport {
         dnswild_telemetry::stats::percentile_sorted_u64(&self.latencies_ns, q * 100.0)
     }
 
-    /// The sorted raw latency samples (for external summarisers).
-    pub fn latencies_ns(&self) -> &[u64] {
-        &self.latencies_ns
-    }
-
     /// Whether every query was answered: nothing timed out, nothing
     /// arrived with a stale ID.
     pub fn all_answered(&self) -> bool {
         self.received == self.sent && self.timeouts == 0 && self.mismatched == 0
     }
 
-    /// Checks the generator's view against the server's aggregated
-    /// counters: every sent packet was counted as a query, and every
-    /// query was classified into exactly one question outcome. Returns a
-    /// human-readable complaint when the books don't balance.
+    /// Every datagram is accounted for: answered, slipped or timed out,
+    /// with nothing mismatched.
+    pub fn all_accounted(&self) -> bool {
+        self.received + self.timeouts == self.sent && self.mismatched == 0
+    }
+
+    /// Response bytes per query byte as seen by the client: the
+    /// bandwidth amplification the server granted this workload. `None`
+    /// until something was sent.
+    pub fn amplification(&self) -> Option<f64> {
+        (self.bytes_sent > 0).then(|| self.bytes_received as f64 / self.bytes_sent as f64)
+    }
+
+    /// Checks the generator's books against the server's counters when
+    /// the run had the server to *itself*: every sent packet was counted
+    /// as a query and classified into exactly one question outcome,
+    /// every timeout was one of the limiter's drops and every TC reply
+    /// one of its slips. Returns a human-readable complaint when the
+    /// books don't balance.
     pub fn check_server_stats(&self, stats: ServerStats) -> Result<(), String> {
-        if stats.queries != self.sent {
-            return Err(format!(
-                "server counted {} queries, generator sent {}",
-                stats.queries, self.sent
-            ));
-        }
-        if stats.question_outcomes() != self.sent {
-            return Err(format!(
-                "question outcomes sum to {}, expected {} ({stats:?})",
-                stats.question_outcomes(),
-                self.sent
-            ));
+        for (what, server, client) in [
+            ("queries", stats.queries, self.sent),
+            ("question outcomes", stats.question_outcomes(), self.sent),
+            ("rate-limit drops", stats.rrl_dropped, self.timeouts),
+            ("rate-limit slips", stats.rrl_slipped, self.tc_slips),
+        ] {
+            if server != client {
+                return Err(format!(
+                    "server counted {server} {what}, generator saw {client} ({stats:?})"
+                ));
+            }
         }
         Ok(())
+    }
+
+    /// The deterministic one-line summary the attack gate diffs across
+    /// runs (everything wall-clock-dependent is excluded).
+    pub fn render(&self, label: &str) -> String {
+        format!(
+            "{label}: sent={} received={} timeouts={} mismatched={} tc_slips={} \
+             bytes_sent={} bytes_received={}",
+            self.sent,
+            self.received,
+            self.timeouts,
+            self.mismatched,
+            self.tc_slips,
+            self.bytes_sent,
+            self.bytes_received,
+        )
     }
 }
 
@@ -244,42 +460,13 @@ pub fn blast(config: LoadConfig) -> io::Result<LoadReport> {
         report.received += tally.received;
         report.timeouts += tally.timeouts;
         report.mismatched += tally.mismatched;
+        report.tc_slips += tally.tc_slips;
+        report.bytes_sent += tally.bytes_sent;
+        report.bytes_received += tally.bytes_received;
         report.latencies_ns.extend_from_slice(&tally.latencies_ns);
     }
     report.latencies_ns.sort_unstable();
     Ok(report)
-}
-
-/// Draws the next query from the mix.
-fn next_query(rng: &mut DetRng, config: &LoadConfig, thread: usize, n: u64, id: u16) -> Message {
-    let total = config.mix.total().max(1);
-    let mut draw = rng.gen_range(0..total);
-    let mix = &config.mix;
-    let origin = &config.origin;
-    let mut pick = |weight: u32| {
-        if draw < weight {
-            true
-        } else {
-            draw -= weight;
-            false
-        }
-    };
-    if pick(mix.probe_txt) {
-        let label = format!("p{thread}-q{n}");
-        let qname = origin.prepend(&label).expect("short probe label");
-        Message::iterative_query(id, qname, RType::Txt)
-    } else if pick(mix.apex_ns) {
-        Message::iterative_query(id, origin.clone(), RType::Ns)
-    } else if pick(mix.glue_a) {
-        let qname = origin.prepend("ns1").expect("short label");
-        Message::iterative_query(id, qname, RType::A)
-    } else if pick(mix.apex_txt) {
-        Message::iterative_query(id, origin.clone(), RType::Txt)
-    } else {
-        let mut q = Message::iterative_query(id, Name::parse("hostname.bind").unwrap(), RType::Txt);
-        q.questions[0].qclass = Class::Ch;
-        q
-    }
 }
 
 /// One closed-loop client thread; its tally is a [`LoadReport`] with no
@@ -290,9 +477,13 @@ fn client_loop(
     queries: u64,
     metrics: Option<&LoadMetrics>,
 ) -> io::Result<LoadReport> {
-    let socket = UdpSocket::bind(unspecified_for(&config.target))?;
-    socket.connect(config.target)?;
-    socket.set_read_timeout(Some(config.timeout))?;
+    let mut sockets = Vec::new();
+    for _ in 0..config.workload.sockets() {
+        let socket = UdpSocket::bind(unspecified_for(&config.target))?;
+        socket.connect(config.target)?;
+        socket.set_read_timeout(Some(config.timeout))?;
+        sockets.push(socket);
+    }
 
     let mut rng = DetRng::seed_from_u64(thread_stream(config.seed, thread));
     let mut send_buf = Vec::with_capacity(512);
@@ -300,26 +491,32 @@ fn client_loop(
     let mut tally =
         LoadReport { latencies_ns: Vec::with_capacity(queries as usize), ..Default::default() };
     let producer = config.collector.as_ref().map(|c| c.producer());
+    let (token_salt, flags) = config.workload.trace_identity();
     let trace = producer.as_ref().map(|producer| ExchangeTrace {
         producer,
-        client_token: splitmix64(thread_stream(0x636c_6e74, thread)),
+        client_token: splitmix64(thread_stream(token_salt, thread)),
         auth_id: config.trace_auth_id,
-        flags: 0,
+        flags,
     });
 
     for n in 0..queries {
         let id = (n % u64::from(u16::MAX)) as u16;
-        encode_query(&next_query(&mut rng, config, thread, n, id), &mut send_buf)?;
-        let got = exchange(&socket, &send_buf, id, config.timeout, &mut recv_buf, trace.as_ref())?;
+        let (query, socket) = config.workload.next(&mut rng, &config.origin, thread, n, id);
+        encode_query(&query, &mut send_buf)?;
+        let got =
+            exchange(&sockets[socket], &send_buf, id, config.timeout, &mut recv_buf, trace.as_ref())?;
         tally.sent += 1;
+        tally.bytes_sent += send_buf.len() as u64;
         tally.mismatched += got.mismatched;
         if let Some(m) = metrics {
             m.sent.inc();
         }
         match got.reply_len {
-            Some(_) => {
+            Some(len) => {
                 let rtt_ns = got.rtt.as_nanos() as u64;
                 tally.received += 1;
+                tally.bytes_received += len as u64;
+                tally.tc_slips += u64::from(got.truncated);
                 tally.latencies_ns.push(rtt_ns);
                 if let Some(m) = metrics {
                     m.answered.inc();
@@ -341,11 +538,22 @@ fn client_loop(
 mod tests {
     use super::*;
     use crate::server::{serve, ServeConfig};
-    use dnswild_zone::presets::test_domain_zone;
+    use dnswild_server::{RateLimitPolicy, RrlScope, TruncationPolicy};
+    use dnswild_zone::presets::{attack_test_domain_zone, test_domain_zone};
     use std::sync::Arc;
 
     fn origin() -> Name {
         Name::parse("ourtestdomain.nl").unwrap()
+    }
+
+    fn attack_zone(delegation_ns: usize) -> Arc<Vec<dnswild_zone::Zone>> {
+        Arc::new(vec![attack_test_domain_zone(&origin(), 2, delegation_ns)])
+    }
+
+    /// A flood of `mode` aimed at `target`.
+    fn flood(target: SocketAddr, mode: AttackMode) -> LoadConfig {
+        LoadConfig::new(target, origin())
+            .workload(Workload::Attack { mode, spoofed_sources: DEFAULT_SPOOFED_SOURCES })
     }
 
     /// The end-to-end loopback acceptance path: a netio server on an
@@ -377,7 +585,7 @@ mod tests {
             LoadConfig::new(handle.local_addr(), origin())
                 .concurrency(2)
                 .queries(200)
-                .mix(QueryMix::probe_only()),
+                .workload(Workload::Mix(QueryMix::probe_only())),
         )
         .unwrap();
         let stats = handle.shutdown();
@@ -408,20 +616,62 @@ mod tests {
         assert!(hist.value_at(50.0).unwrap() > 0);
     }
 
+    /// The first `count` questions `workload` draws on one stream.
+    fn questions(workload: Workload, seed: u64, count: u64) -> Vec<String> {
+        let mut rng = DetRng::seed_from_u64(seed);
+        (0..count)
+            .map(|n| {
+                let (q, _) = workload.next(&mut rng, &origin(), 0, n, n as u16);
+                format!("{} {:?}", q.questions[0].qname, q.questions[0].qtype)
+            })
+            .collect()
+    }
+
     #[test]
     fn mix_draw_is_deterministic_for_a_seed() {
-        let cfg = LoadConfig::new("127.0.0.1:1".parse().unwrap(), origin());
-        let qnames = |seed: u64| {
-            let mut rng = DetRng::seed_from_u64(seed);
-            (0..32u64)
-                .map(|n| {
-                    let q = next_query(&mut rng, &cfg, 0, n, n as u16);
-                    format!("{} {:?}", q.questions[0].qname, q.questions[0].qtype)
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(qnames(7), qnames(7));
-        assert_ne!(qnames(7), qnames(8));
+        let mix = Workload::Mix(QueryMix::default());
+        assert_eq!(questions(mix, 7, 32), questions(mix, 7, 32));
+        assert_ne!(questions(mix, 7, 32), questions(mix, 8, 32));
+    }
+
+    #[test]
+    fn attack_schedules_replay_byte_identically_per_seed() {
+        let torture = Workload::Attack { mode: AttackMode::NxdomainFlood, spoofed_sources: 1 };
+        assert_eq!(questions(torture, 2017, 32), questions(torture, 2017, 32));
+        assert_ne!(questions(torture, 2017, 32), questions(torture, 2018, 32));
+        // Every water-torture name sits under the NXDOMAIN anchor.
+        assert!(questions(torture, 2017, 32).iter().all(|q| q.ends_with("void.ourtestdomain.nl. A")));
+    }
+
+    /// The schedules survived the merge of the two generators: the
+    /// first 64 queries (and socket draws) of threads 0 and 1 at seed
+    /// 2017, dumped at the commit before it, replay byte for byte — so
+    /// neither seed stream shifted.
+    #[test]
+    fn pinned_schedules_replay() {
+        let pinned = include_str!("../../../tests/data/load_schedule.txt");
+        let attack = |mode| Workload::Attack { mode, spoofed_sources: 8 };
+        let mut rows = pinned.lines().filter(|l| !l.starts_with('#')).peekable();
+        for (label, workload) in [
+            ("mix-default", Workload::Mix(QueryMix::default())),
+            ("mix-probe-only", Workload::Mix(QueryMix::probe_only())),
+            ("nxdomain", attack(AttackMode::NxdomainFlood)),
+            ("nxns", attack(AttackMode::NxnsReferral)),
+            ("spoof", attack(AttackMode::SpoofedBurst)),
+        ] {
+            for thread in 0..2 {
+                let mut rng = DetRng::seed_from_u64(thread_stream(2017, thread));
+                let mut wire = Vec::new();
+                for n in 0..64u64 {
+                    let (query, socket) = workload.next(&mut rng, &origin(), thread, n, n as u16);
+                    encode_query(&query, &mut wire).unwrap();
+                    let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+                    let row = format!("{label} {thread} {n} {socket} {hex}");
+                    assert_eq!(rows.next(), Some(row.as_str()));
+                }
+            }
+        }
+        assert_eq!(rows.peek(), None, "every pinned row replayed");
     }
 
     #[test]
@@ -429,10 +679,9 @@ mod tests {
         let report = LoadReport {
             sent: 4,
             received: 4,
-            timeouts: 0,
-            mismatched: 0,
             elapsed: Duration::from_secs(2),
             latencies_ns: vec![10, 20, 30, 40],
+            ..Default::default()
         };
         assert_eq!(report.qps(), 2.0);
         assert_eq!(report.latency_percentile(0.0), Some(10));
@@ -440,5 +689,111 @@ mod tests {
         assert!(report.all_answered());
         let bad = ServerStats { queries: 3, ..Default::default() };
         assert!(report.check_server_stats(bad).is_err());
+    }
+
+    #[test]
+    fn nxdomain_flood_is_all_nxdomains_without_rrl() {
+        let handle =
+            serve(ServeConfig::new("127.0.0.1:0", "FRA", attack_zone(2)).threads(2)).unwrap();
+        let report = blast(
+            flood(handle.local_addr(), AttackMode::NxdomainFlood).concurrency(2).queries(200),
+        )
+        .unwrap();
+        let stats = handle.shutdown();
+        assert_eq!(report.sent, 200);
+        assert!(report.all_accounted(), "{report:?}");
+        assert_eq!(report.received, 200, "no limiter, so every flood query is answered");
+        assert_eq!(report.tc_slips, 0);
+        assert_eq!(stats.nxdomain, 200, "every water-torture name is an honest NXDOMAIN");
+    }
+
+    #[test]
+    fn nxns_referrals_amplify_without_rrl() {
+        let zones = attack_zone(20);
+        let handle = serve(
+            ServeConfig::new("127.0.0.1:0", "FRA", zones)
+                .threads(2)
+                .truncation(TruncationPolicy::symmetric(4096)),
+        )
+        .unwrap();
+        let report = blast(
+            flood(handle.local_addr(), AttackMode::NxnsReferral).concurrency(2).queries(100),
+        )
+        .unwrap();
+        let stats = handle.shutdown();
+        assert!(report.all_accounted(), "{report:?}");
+        assert_eq!(report.received, 100);
+        assert_eq!(stats.referrals, 100);
+        assert_eq!(report.tc_slips, 0, "EDNS 4096 keeps the fat referral un-truncated");
+        let amp = report.amplification().unwrap();
+        assert!(amp > 4.0, "20-NS referral should amplify well past 4x, got {amp:.2}");
+    }
+
+    #[test]
+    fn rrl_turns_flood_into_slips_and_timeouts_that_balance() {
+        // One attacker thread and socket → one bucket; no refill, so
+        // past the burst every response is limited and the attacker's
+        // books must mirror the limiter's counters exactly.
+        let policy = RateLimitPolicy {
+            burst: 10,
+            rate: 0,
+            period: 1,
+            slip: 2,
+            scope: RrlScope::Abusive,
+            ..RateLimitPolicy::default()
+        };
+        let handle = serve(
+            ServeConfig::new("127.0.0.1:0", "FRA", attack_zone(2))
+                .threads(1)
+                .rate_limit(policy),
+        )
+        .unwrap();
+        let mut cfg = flood(handle.local_addr(), AttackMode::NxdomainFlood).concurrency(1).queries(60);
+        cfg.timeout = Duration::from_millis(40);
+        let report = blast(cfg).unwrap();
+        let stats = handle.shutdown();
+        assert!(report.all_accounted(), "{report:?}");
+        // 10 answered on the burst, then 50 limited: drop/slip
+        // alternating from drop → 25 slips, 25 drops.
+        assert_eq!(report.tc_slips, 25);
+        assert_eq!(report.timeouts, 25);
+        assert_eq!(report.received, 35);
+        report.check_server_stats(stats).unwrap();
+        assert_eq!(stats.nxdomain, 60, "classification happens before enforcement");
+    }
+
+    #[test]
+    fn spoofed_burst_multiplexes_ports_but_prefix_keying_still_aggregates() {
+        // With prefix keying (key_ports=false, the default) the whole
+        // spoofed pool shares one bucket: the port rotation buys the
+        // attacker nothing, which is RRL's design point.
+        let policy =
+            RateLimitPolicy { burst: 8, rate: 0, period: 1, slip: 0, ..RateLimitPolicy::default() };
+        let handle = serve(
+            ServeConfig::new("127.0.0.1:0", "FRA", attack_zone(2))
+                .threads(1)
+                .rate_limit(policy),
+        )
+        .unwrap();
+        let mut cfg = LoadConfig::new(handle.local_addr(), origin())
+            .workload(Workload::Attack { mode: AttackMode::SpoofedBurst, spoofed_sources: 8 })
+            .concurrency(1)
+            .queries(24);
+        cfg.timeout = Duration::from_millis(40);
+        let report = blast(cfg).unwrap();
+        let stats = handle.shutdown();
+        assert!(report.all_accounted(), "{report:?}");
+        assert_eq!(report.received, 8, "one shared bucket across all 8 source ports");
+        assert_eq!(report.timeouts, 16, "slip=0 never slips: the rest are silent drops");
+        assert_eq!(stats.rrl_dropped, 16);
+        assert_eq!(stats.bucket_evictions, 0);
+    }
+
+    #[test]
+    fn attack_mode_names_round_trip() {
+        for mode in [AttackMode::NxdomainFlood, AttackMode::NxnsReferral, AttackMode::SpoofedBurst] {
+            assert_eq!(mode.name().parse::<AttackMode>().unwrap(), mode);
+        }
+        assert!("slowloris".parse::<AttackMode>().is_err());
     }
 }

@@ -56,8 +56,10 @@ use crate::tcp::{self, TcpConnStats, TcpCounters, TcpOptions};
 /// re-checking the stop flag — the upper bound on shutdown latency.
 pub(crate) const STOP_POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Default `recvmmsg`/`sendmmsg` batch ceiling (see
-/// [`ServeConfig::batch`]).
+/// Batch ceiling of the mmsg arm: the most datagrams one
+/// `recvmmsg`/`sendmmsg` round handles. A constant, not a knob — no
+/// gate or bench ever ran another value, and a closed-loop window of 16
+/// leaves one or two datagrams per `recvmmsg` whatever the ceiling.
 pub const DEFAULT_BATCH: usize = 32;
 
 /// Which datagram I/O arm the worker loop runs over (see module docs).
@@ -169,10 +171,6 @@ pub struct ServeConfig {
     pub zones: Arc<Vec<Zone>>,
     /// Which I/O arm to run (default [`IoBackend::Auto`]).
     pub io: IoBackend,
-    /// Batch ceiling for the mmsg arm: the most datagrams one
-    /// `recvmmsg`/`sendmmsg` round handles. Clamped to
-    /// `1..=dnswild_mmsg::BATCH_MAX`; ignored by the std arm.
-    pub batch: usize,
     /// Telemetry collector: when set, every worker gets an SPSC ring
     /// and records one event per handled datagram, and the engine
     /// answers `CH TXT stats.dnswild.` from the live snapshot.
@@ -207,8 +205,7 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with default thread count, auto backend and default
-    /// batch ceiling.
+    /// A config with default thread count and auto backend.
     pub fn new(bind_addr: impl Into<String>, site_code: impl Into<String>, zones: Arc<Vec<Zone>>) -> Self {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2).min(8);
         ServeConfig {
@@ -217,7 +214,6 @@ impl ServeConfig {
             site_code: site_code.into(),
             zones,
             io: IoBackend::Auto,
-            batch: DEFAULT_BATCH,
             collector: None,
             trace_auth_id: 0,
             metrics: None,
@@ -236,13 +232,6 @@ impl ServeConfig {
     /// Selects the I/O arm (see [`IoBackend`]).
     pub fn io(mut self, io: IoBackend) -> Self {
         self.io = io;
-        self
-    }
-
-    /// Overrides the mmsg batch ceiling (clamped to
-    /// `1..=dnswild_mmsg::BATCH_MAX`).
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch.clamp(1, dnswild_mmsg::BATCH_MAX);
         self
     }
 
@@ -428,7 +417,6 @@ pub fn serve(config: ServeConfig) -> io::Result<ServeHandle> {
         }
     }
 
-    let batch = config.batch.clamp(1, dnswild_mmsg::BATCH_MAX);
     let mut shards = Vec::with_capacity(threads);
     let mut workers = Vec::with_capacity(threads);
     for (i, socket) in sockets.into_iter().enumerate() {
@@ -448,7 +436,7 @@ pub fn serve(config: ServeConfig) -> io::Result<ServeHandle> {
                 .spawn(move || {
                     // Built on the worker: the mmsg arm holds raw
                     // pointers into its own buffers and is `!Send`.
-                    let io = DatagramIo::new(backend, batch);
+                    let io = DatagramIo::new(backend);
                     worker_loop(socket, io, &mut engine, &stop, &shard, trace, spans, key_policy)
                 })?,
         );
@@ -661,10 +649,10 @@ enum DatagramIo {
 
 impl DatagramIo {
     /// The arm for a resolved backend (`Auto` never reaches a worker).
-    fn new(backend: IoBackend, batch: usize) -> DatagramIo {
+    fn new(backend: IoBackend) -> DatagramIo {
         match backend {
             IoBackend::Mmsg => DatagramIo::Mmsg {
-                batch: dnswild_mmsg::RecvBatch::new(batch, MAX_MESSAGE_SIZE),
+                batch: dnswild_mmsg::RecvBatch::new(DEFAULT_BATCH, MAX_MESSAGE_SIZE),
                 scratch: dnswild_mmsg::SendScratch::default(),
             },
             _ => DatagramIo::Std { buf: vec![0u8; MAX_MESSAGE_SIZE], got: None },
@@ -1174,7 +1162,7 @@ mod tests {
         server.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut io = DatagramIo::new(IoBackend::Std, DEFAULT_BATCH);
+        let mut io = DatagramIo::new(IoBackend::Std);
         assert_eq!(io.capacity(), 1);
         client.send_to(b"ping", server.local_addr().unwrap()).unwrap();
         assert_eq!(io.recv(&server).unwrap(), 1);

@@ -33,22 +33,18 @@ impl Message {
     /// A fresh query for `qname`/`qtype` with recursion desired —
     /// what a stub sends to its recursive resolver.
     pub fn stub_query(id: u16, qname: Name, qtype: RType) -> Self {
-        let mut m = Message {
-            header: Header { id, recursion_desired: true, ..Header::default() },
-            questions: vec![Question::new(qname, qtype)],
-            answers: Vec::new(),
-            authorities: Vec::new(),
-            additionals: Vec::new(),
-        };
-        m.add_edns(DEFAULT_EDNS_PAYLOAD);
-        m
+        Message::query(id, qname, qtype, true)
     }
 
     /// An iterative (non-RD) query — what a recursive sends to an
     /// authoritative server.
     pub fn iterative_query(id: u16, qname: Name, qtype: RType) -> Self {
+        Message::query(id, qname, qtype, false)
+    }
+
+    fn query(id: u16, qname: Name, qtype: RType, recursion_desired: bool) -> Self {
         let mut m = Message {
-            header: Header { id, recursion_desired: false, ..Header::default() },
+            header: Header { id, recursion_desired, ..Header::default() },
             questions: vec![Question::new(qname, qtype)],
             answers: Vec::new(),
             authorities: Vec::new(),

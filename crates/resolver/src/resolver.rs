@@ -497,22 +497,11 @@ impl RecursiveResolver {
             qname: p.qname.clone(),
         });
 
-        // Negative TTL from the SOA minimum when present (RFC 2308).
-        let negative_ttl = resp
-            .authorities
-            .iter()
-            .find_map(|r| match &r.rdata {
-                RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
-                _ => None,
-            })
-            .unwrap_or(self.config.default_negative_ttl);
-
-        self.cache.insert(
-            p.qname.clone(),
+        self.cache.insert_reply(
+            &p.qname,
             p.qtype,
-            resp.answers.clone(),
-            resp.rcode(),
-            negative_ttl,
+            &resp,
+            self.config.default_negative_ttl,
             cache_now(now),
         );
         self.answer_stub(ctx, p.stub_addr, p.stub_id, &p.qname, p.qtype, resp.answers, rcode);

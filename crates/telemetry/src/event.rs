@@ -51,9 +51,10 @@ pub const FLAG_TC_SEEN: u16 = 1 << 11;
 /// ([`FLAG_TCP`] is additionally set iff that retry produced the
 /// answer).
 pub const FLAG_TCP_RETRY: u16 = 1 << 12;
-/// Client-side: the query was generated by the adversarial load plane
-/// (`dnswild_netio::attack`) rather than a legitimate VP — the bit the
-/// amplification analysis partitions traces on.
+/// Client-side: the query came from an attack workload of the load
+/// generator (`dnswild_netio::load::Workload::Attack`) rather than a
+/// legitimate VP — the bit the amplification analysis partitions
+/// traces on.
 pub const FLAG_ATTACK: u16 = 1 << 13;
 /// Server-side: response-rate limiting intervened on this query (the
 /// response was slipped as TC=1 or suppressed entirely; FLAG_RESPONSE

@@ -20,6 +20,14 @@ while read -r gate _; do
     ./target/release/dnswild gate "$gate"
 done < <(./target/release/dnswild gate list)
 
+# Committed results match the code: every figure/table binary's default
+# output (default scale, seed 2017) is byte-identical to its file under
+# results/ — regenerate the file on purpose when the model changes.
+for exp in table1 fig2 fig3 fig4_table2 fig5 fig6 fig7 guidance outage ablation; do
+    "./target/release/exp_$exp" | cmp - "results/exp_$exp.txt"
+done
+echo "results: all ten exp_* outputs match results/"
+
 # Performance is not gated here: perfbench/ is the ruler (see
 # perfbench/README.md and BENCHMARK.json).
 

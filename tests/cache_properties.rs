@@ -320,7 +320,7 @@ fn cached_and_uncached_clients_agree_on_stable_zones() {
             prefetch_window_s: if prefetch { 1 << 20 } else { 0 },
             ..CacheConfig::default()
         });
-        let cached = |seed| base(seed).cache(Arc::clone(&cache)).prefetch(prefetch);
+        let cached = |seed| base(seed).cache(Arc::clone(&cache));
         let cold = resolve(cached(seed)).unwrap();
         let warm = resolve(cached(seed)).unwrap();
         handle.shutdown();

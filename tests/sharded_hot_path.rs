@@ -46,12 +46,3 @@ fn mmsg_blast_with_concurrency_stays_balanced() {
     assert!(report.passed(), "{:?}", report.failures);
     assert_eq!(report.io.send_errors, 0, "{:?}", report.io);
 }
-
-#[test]
-fn batch_floor_of_one_still_serves() {
-    // The batch knob's lower boundary: every recvmmsg carries exactly
-    // one datagram, degenerating to the std loop's cadence.
-    let rig = Rig { batch: Some(1), ..Rig::default() };
-    let report = plain(&rig, &PlainSpec { queries: 500, concurrency: 4 }).unwrap();
-    assert!(report.passed(), "{:?}", report.failures);
-}
