@@ -18,8 +18,14 @@
 //! the paper's measured resolvers exhibit: RFC 2308 negative caching
 //! (NXDOMAIN and NODATA kept distinct, TTL from the SOA minimum),
 //! popularity-driven prefetch shortly before expiry, RFC 8767 serve-stale
-//! under a stale-answer budget, and a bounded LRU with eviction
-//! accounting.
+//! under a stale-answer budget, and a capacity bound with eviction
+//! accounting: an exact LRU threaded through a slab of entries, O(1) to
+//! touch and to evict.
+//!
+//! A lookup hashes and compares the caller's `&Name` in place and, as
+//! [`RecordCache::probe`], copies out a small [`Hit`] and no record — no
+//! heap allocation; [`RecordCache::get`] is the probe plus the records,
+//! for the caller that sends them.
 
 #![forbid(unsafe_code)]
 
@@ -27,4 +33,6 @@ mod clock;
 mod store;
 
 pub use clock::{CacheTime, Clock, FixedClock, Secs, WallClock};
-pub use store::{CacheConfig, CacheStats, CachedResponse, EntryKind, RecordCache, STALE_TTL};
+pub use store::{
+    negative_ttl, CacheConfig, CacheStats, CachedResponse, EntryKind, Hit, RecordCache, STALE_TTL,
+};

@@ -1,22 +1,15 @@
 //! The cache proper: a bounded, TTL-respecting record store with
 //! negative caching, prefetch marking, and serve-stale.
 
-use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, RandomState};
 
 use dnswild_proto::{Message, Name, RData, RType, Rcode, Record};
 
 use crate::clock::{CacheTime, Secs};
 
-/// TTL stamped on answers served stale (RFC 8767 §4 caps the advertised
+/// TTL put on answers served stale (RFC 8767 §4 caps the advertised
 /// lifetime of stale data at 30 seconds).
 pub const STALE_TTL: u32 = 30;
-
-/// Cache key: question name and type (class is always IN here).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    qname: Name,
-    qtype: RType,
-}
 
 /// What kind of response an entry memoizes. RFC 2308 keeps the two
 /// negative shapes distinct: NXDOMAIN denies the *name*, NODATA denies
@@ -32,21 +25,55 @@ pub enum EntryKind {
     NxDomain,
 }
 
-/// A stored response.
-#[derive(Debug, Clone)]
-struct Entry {
+/// "No slot": the end of a bucket chain, of the free list, of the LRU
+/// list.
+const NIL: u32 = u32::MAX;
+
+/// One slot of the slab: a stored response under its question (class
+/// is always IN here), threaded onto its bucket's chain and onto the
+/// LRU list by slot index. A vacant slot holds the root name and no
+/// records — neither owns heap memory — and `chain` links the free list.
+#[derive(Debug)]
+struct Slot {
+    qname: Name,
+    qtype: RType,
+    /// The question's keyed hash: unlinking and re-bucketing never
+    /// rehash, and a chain walk compares names only on a match.
+    hash: u64,
     answers: Vec<Record>,
     rcode: Rcode,
     kind: EntryKind,
     expires: CacheTime,
-    /// LRU stamp: the tick of the most recent use (see `queue`).
-    stamp: u64,
     /// Live hits since (re-)insertion — the popularity signal prefetch
     /// keys on.
     hits: u64,
     /// One-shot latch so a hot entry triggers at most one prefetch per
     /// lifetime; reset by the refreshing insert.
     prefetch_fired: bool,
+    chain: u32,
+    /// LRU neighbours: the entries used just before and just after.
+    older: u32,
+    newer: u32,
+}
+
+/// What a lookup found, short of the records themselves: everything a
+/// caller needs to decide what happens next, and all that
+/// [`RecordCache::probe`] copies out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hit {
+    /// The cached response code (NOERROR or NXDOMAIN).
+    pub rcode: Rcode,
+    /// Positive / NODATA / NXDOMAIN.
+    pub kind: EntryKind,
+    /// See [`CachedResponse::prefetch_due`].
+    pub prefetch_due: bool,
+    /// See [`CachedResponse::stale`].
+    pub stale: bool,
+    /// The TTL the records go out under: on a live hit a ceiling, the
+    /// remaining lifetime in whole seconds floored at 1 (a record
+    /// keeps its own TTL when that is smaller); on a stale one
+    /// [`STALE_TTL`], flat.
+    pub ttl: u32,
 }
 
 /// What a cache lookup yields.
@@ -118,17 +145,50 @@ impl Default for CacheConfig {
     }
 }
 
+/// The RFC 2308 lifetime of `reply` as a negative answer:
+/// `min(SOA.minimum, SOA.ttl)` of the authority section's SOA, or
+/// `default` when the reply carries none.
+pub fn negative_ttl(reply: &Message, default: u32) -> u32 {
+    reply
+        .authorities
+        .iter()
+        .find_map(|r| match &r.rdata {
+            RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
+            _ => None,
+        })
+        .unwrap_or(default)
+}
+
 /// A TTL-respecting record cache; see the crate docs for the plane split.
-#[derive(Debug, Default)]
+///
+/// Entries live in a slab. A lookup hashes the caller's question once,
+/// walks one bucket's chain of slot indices and compares names in
+/// place, so it allocates nothing; the LRU order is a doubly linked
+/// list through the same slots — O(1) to touch, O(1) to evict, exact.
+#[derive(Debug)]
 pub struct RecordCache {
-    entries: HashMap<CacheKey, Entry>,
-    /// Lazy LRU order: every use pushes `(tick, key)`; eviction pops from
-    /// the front, skipping records whose tick no longer matches the
-    /// entry's current stamp. O(1) amortized, no linked list.
-    queue: VecDeque<(u64, CacheKey)>,
-    tick: u64,
+    slots: Vec<Slot>,
+    /// Chain heads, indexed by `hash & (len − 1)`: a power of two, and
+    /// never fewer buckets than entries.
+    buckets: Vec<u32>,
+    /// SipHash under a per-cache random key — the keys are names a
+    /// client chooses, so an unkeyed hash would let it pick a chain.
+    hasher: RandomState,
+    /// Head of the vacant slots' list.
+    free: u32,
+    /// Least and most recently used entry.
+    oldest: u32,
+    newest: u32,
+    /// Occupied slots.
+    live: usize,
     cfg: CacheConfig,
     stats: CacheStats,
+}
+
+impl Default for RecordCache {
+    fn default() -> Self {
+        RecordCache::with_config(CacheConfig::default())
+    }
 }
 
 impl RecordCache {
@@ -139,7 +199,17 @@ impl RecordCache {
 
     /// An empty cache with explicit knobs.
     pub fn with_config(cfg: CacheConfig) -> Self {
-        RecordCache { cfg, ..RecordCache::default() }
+        RecordCache {
+            slots: Vec::new(),
+            buckets: vec![NIL; 8],
+            hasher: RandomState::new(),
+            free: NIL,
+            oldest: NIL,
+            newest: NIL,
+            live: 0,
+            cfg,
+            stats: CacheStats::default(),
+        }
     }
 
     /// The active configuration.
@@ -147,45 +217,92 @@ impl RecordCache {
         self.cfg
     }
 
-    fn touch(&mut self, key: &CacheKey) -> u64 {
-        self.tick += 1;
-        self.queue.push_back((self.tick, key.clone()));
-        // The queue holds one record per *use*, not per entry; compact
-        // once the dead weight dominates so unbounded caches with hot
-        // entries don't grow it forever.
-        if self.queue.len() > 2 * self.entries.len() + 64 {
-            let entries = &self.entries;
-            self.queue.retain(|(tick, key)| {
-                entries.get(key).is_some_and(|e| e.stamp == *tick)
-            });
-        }
-        self.tick
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.buckets.len() - 1)
     }
 
-    fn evict_to_capacity(&mut self) {
-        if self.cfg.capacity == 0 {
-            return;
-        }
-        while self.entries.len() > self.cfg.capacity {
-            match self.queue.pop_front() {
-                Some((tick, key)) => {
-                    let live = self.entries.get(&key).is_some_and(|e| e.stamp == tick);
-                    if live {
-                        self.entries.remove(&key);
-                        self.stats.evictions += 1;
-                    }
-                }
-                None => break, // queue exhausted: nothing left to evict
+    /// The slot holding (`qname`, `qtype`), whose keyed hash is `hash`.
+    fn find(&self, hash: u64, qname: &Name, qtype: RType) -> Option<u32> {
+        let mut i = self.buckets[self.bucket(hash)];
+        while i != NIL {
+            let slot = &self.slots[i as usize];
+            if slot.hash == hash && slot.qtype == qtype && slot.qname == *qname {
+                return Some(i);
             }
+            i = slot.chain;
+        }
+        None
+    }
+
+    /// Takes slot `i` off the LRU list.
+    fn unlink(&mut self, i: u32) {
+        let (older, newer) = (self.slots[i as usize].older, self.slots[i as usize].newer);
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+    }
+
+    /// Puts slot `i` at the most recently used end of the LRU list.
+    fn push_newest(&mut self, i: u32) {
+        (self.slots[i as usize].older, self.slots[i as usize].newer) = (self.newest, NIL);
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.slots[n as usize].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Marks slot `i` as just used.
+    fn touch(&mut self, i: u32) {
+        if self.newest != i {
+            self.unlink(i);
+            self.push_newest(i);
+        }
+    }
+
+    /// Drops the entry in slot `i`: off the LRU list, off its bucket's
+    /// chain, its heap memory released, the slot onto the free list.
+    fn remove(&mut self, i: u32) {
+        self.unlink(i);
+        let (bucket, next) = (self.bucket(self.slots[i as usize].hash), self.slots[i as usize].chain);
+        if self.buckets[bucket] == i {
+            self.buckets[bucket] = next;
+        } else {
+            let mut before = self.buckets[bucket];
+            while self.slots[before as usize].chain != i {
+                before = self.slots[before as usize].chain;
+            }
+            self.slots[before as usize].chain = next;
+        }
+        let slot = &mut self.slots[i as usize];
+        (slot.qname, slot.answers, slot.chain) = (Name::root(), Vec::new(), self.free);
+        self.free = i;
+        self.live -= 1;
+    }
+
+    /// Doubles the bucket array and re-chains every entry, found along
+    /// the LRU list (vacant slots keep their free-list links).
+    fn grow(&mut self) {
+        self.buckets = vec![NIL; self.buckets.len() * 2];
+        let mut i = self.oldest;
+        while i != NIL {
+            let bucket = self.bucket(self.slots[i as usize].hash);
+            self.slots[i as usize].chain = self.buckets[bucket];
+            self.buckets[bucket] = i;
+            i = self.slots[i as usize].newer;
         }
     }
 
     /// How a response becomes a cache entry, for both planes: answers
     /// under their own minimum TTL, negatives (NODATA/NXDOMAIN) under
-    /// the RFC 2308 value `min(SOA.minimum, SOA.ttl)` of the authority
-    /// section's SOA, or `default_negative_ttl` when the reply carries
-    /// none. The caller has already judged `reply` an answer to
-    /// (`qname`, `qtype`).
+    /// the RFC 2308 value [`negative_ttl`] takes from the reply. The
+    /// caller has already judged `reply` an answer to (`qname`,
+    /// `qtype`).
     pub fn insert_reply(
         &mut self,
         qname: &Name,
@@ -194,14 +311,7 @@ impl RecordCache {
         default_negative_ttl: u32,
         now: CacheTime,
     ) {
-        let negative_ttl = reply
-            .authorities
-            .iter()
-            .find_map(|r| match &r.rdata {
-                RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
-                _ => None,
-            })
-            .unwrap_or(default_negative_ttl);
+        let negative_ttl = negative_ttl(reply, default_negative_ttl);
         self.insert(qname.clone(), qtype, reply.answers.clone(), reply.rcode(), negative_ttl, now);
     }
 
@@ -229,133 +339,156 @@ impl RecordCache {
             EntryKind::Positive
         };
         self.stats.inserts += 1;
-        let key = CacheKey { qname, qtype };
-        let stamp = self.touch(&key);
-        self.entries.insert(
-            key,
-            Entry {
-                answers,
-                rcode,
-                kind,
-                expires: now + Secs(ttl as u64),
-                stamp,
-                hits: 0,
-                prefetch_fired: false,
-            },
-        );
-        self.evict_to_capacity();
-    }
-
-    /// Looks a question up; live entries get their TTLs adjusted to the
-    /// remaining lifetime, as a real cache serves them. Expiry is
-    /// exclusive: an entry is dead *at* its expiry instant.
-    pub fn get(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<CachedResponse> {
-        let key = CacheKey { qname: qname.clone(), qtype };
-        let cfg = self.cfg;
-        match self.entries.get_mut(&key) {
-            Some(e) if e.expires > now => {
-                self.stats.hits += 1;
-                if e.kind != EntryKind::Positive {
-                    self.stats.negative_hits += 1;
-                }
-                e.hits += 1;
-                // Floor at 1: a record with sub-second life left is still
-                // live (exclusive expiry), and TTL=0 on the wire would
-                // tell downstream "do not cache" — the opposite of truth.
-                let remaining = e.expires.secs_since(now).max(1) as u32;
-                let prefetch_due = cfg.prefetch_window_s > 0
-                    && !e.prefetch_fired
-                    && e.hits >= cfg.prefetch_min_hits
-                    && e.expires.micros_since(now) <= cfg.prefetch_window_s as u64 * 1_000_000;
-                if prefetch_due {
-                    e.prefetch_fired = true;
-                }
-                let answers = e
-                    .answers
-                    .iter()
-                    .map(|r| {
-                        let mut r = r.clone();
-                        r.ttl = r.ttl.min(remaining);
-                        r
-                    })
-                    .collect();
-                let out = CachedResponse {
-                    answers,
-                    rcode: e.rcode,
-                    kind: e.kind,
-                    prefetch_due,
-                    stale: false,
-                };
-                self.touch(&key);
-                let stamp = self.tick;
-                if let Some(e) = self.entries.get_mut(&key) {
-                    e.stamp = stamp;
-                }
-                Some(out)
+        let hash = self.hasher.hash_one((&qname, qtype));
+        // A refresh is the old entry out and a new one in: hit count and
+        // prefetch latch start over, the slot is reused straight away.
+        if let Some(old) = self.find(hash, &qname, qtype) {
+            self.remove(old);
+        }
+        if self.live == self.buckets.len() {
+            self.grow();
+        }
+        let bucket = self.bucket(hash);
+        let slot = Slot {
+            qname,
+            qtype,
+            hash,
+            answers,
+            rcode,
+            kind,
+            expires: now + Secs(ttl as u64),
+            hits: 0,
+            prefetch_fired: false,
+            chain: self.buckets[bucket],
+            older: NIL,
+            newer: NIL,
+        };
+        let i = match self.free {
+            NIL => {
+                assert!(self.slots.len() < NIL as usize, "slot indices are 32 bits");
+                self.slots.push(slot);
+                self.slots.len() as u32 - 1
             }
-            Some(_) => {
-                self.stats.misses += 1;
-                self.stats.expired += 1;
-                if cfg.max_stale_s == 0 {
-                    self.entries.remove(&key);
-                } // else: retained for get_stale
-                None
+            vacant => {
+                self.free = std::mem::replace(&mut self.slots[vacant as usize], slot).chain;
+                vacant
             }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        };
+        self.buckets[bucket] = i;
+        self.push_newest(i);
+        self.live += 1;
+        while self.cfg.capacity > 0 && self.live > self.cfg.capacity {
+            self.remove(self.oldest);
+            self.stats.evictions += 1;
         }
     }
 
-    /// Serves an *expired* entry under RFC 8767, if it is within the
-    /// `max_stale_s` window and the stale-answer budget has room.
-    /// Answers carry [`STALE_TTL`]. Callers reach for this only after
-    /// every authoritative has failed them.
+    /// Whether an entry that expired at `expires` may still be served
+    /// stale at `now`.
+    fn in_stale_window(&self, expires: CacheTime, now: CacheTime) -> bool {
+        self.cfg.max_stale_s > 0
+            && now.micros_since(expires) <= self.cfg.max_stale_s as u64 * 1_000_000
+    }
+
+    /// Looks a question up and reports what it found without copying a
+    /// record — no heap allocation, hit or miss. Expiry is exclusive:
+    /// an entry is dead *at* its expiry instant; a dead entry is dropped
+    /// unless [`RecordCache::probe_stale`] could still serve it.
+    pub fn probe(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<Hit> {
+        let cfg = self.cfg;
+        let Some(i) = self.find(self.hasher.hash_one((qname, qtype)), qname, qtype) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let expires = self.slots[i as usize].expires;
+        if expires <= now {
+            self.stats.misses += 1;
+            self.stats.expired += 1;
+            if !self.in_stale_window(expires, now) {
+                self.remove(i);
+            }
+            return None;
+        }
+        let e = &mut self.slots[i as usize];
+        self.stats.hits += 1;
+        if e.kind != EntryKind::Positive {
+            self.stats.negative_hits += 1;
+        }
+        e.hits += 1;
+        let prefetch_due = cfg.prefetch_window_s > 0
+            && !e.prefetch_fired
+            && e.hits >= cfg.prefetch_min_hits
+            && e.expires.micros_since(now) <= cfg.prefetch_window_s as u64 * 1_000_000;
+        e.prefetch_fired |= prefetch_due;
+        // Floor at 1: a record with sub-second life left is still live
+        // (exclusive expiry), and TTL=0 on the wire would tell
+        // downstream "do not cache" — the opposite of truth.
+        let ttl = e.expires.secs_since(now).max(1) as u32;
+        let hit = Hit { rcode: e.rcode, kind: e.kind, prefetch_due, stale: false, ttl };
+        self.touch(i);
+        Some(hit)
+    }
+
+    /// Finds an *expired* entry servable under RFC 8767: within the
+    /// `max_stale_s` window, the stale-answer budget not yet spent.
+    /// `None` changes nothing. Callers reach for this only after every
+    /// authoritative has failed them.
+    pub fn probe_stale(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<Hit> {
+        if self.cfg.max_stale_s == 0 || self.stats.stale_served >= self.cfg.stale_budget {
+            return None;
+        }
+        let i = self.find(self.hasher.hash_one((qname, qtype)), qname, qtype)?;
+        let e = &self.slots[i as usize];
+        if e.expires > now || !self.in_stale_window(e.expires, now) {
+            return None; // still live (use `probe`) or too stale to trust
+        }
+        let hit = Hit { rcode: e.rcode, kind: e.kind, prefetch_due: false, stale: true, ttl: STALE_TTL };
+        self.stats.stale_served += 1;
+        self.touch(i);
+        Some(hit)
+    }
+
+    /// The records `hit` goes out with. A hit touches its entry, so the
+    /// slot just probed is the most recently used one.
+    fn materialise(&self, hit: Hit) -> CachedResponse {
+        let answers = self.slots[self.newest as usize]
+            .answers
+            .iter()
+            .map(|r| Record { ttl: if hit.stale { hit.ttl } else { r.ttl.min(hit.ttl) }, ..r.clone() })
+            .collect();
+        CachedResponse {
+            answers,
+            rcode: hit.rcode,
+            kind: hit.kind,
+            prefetch_due: hit.prefetch_due,
+            stale: hit.stale,
+        }
+    }
+
+    /// [`RecordCache::probe`], then the records: live entries get their
+    /// TTLs adjusted to the remaining lifetime, as a real cache serves
+    /// them.
+    pub fn get(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<CachedResponse> {
+        self.probe(qname, qtype, now).map(|hit| self.materialise(hit))
+    }
+
+    /// [`RecordCache::probe_stale`], then the records, under
+    /// [`STALE_TTL`].
     pub fn get_stale(
         &mut self,
         qname: &Name,
         qtype: RType,
         now: CacheTime,
     ) -> Option<CachedResponse> {
-        if self.cfg.max_stale_s == 0 || self.stats.stale_served >= self.cfg.stale_budget {
-            return None;
-        }
-        let key = CacheKey { qname: qname.clone(), qtype };
-        let max_stale_us = self.cfg.max_stale_s as u64 * 1_000_000;
-        let e = self.entries.get(&key)?;
-        if e.expires > now || now.micros_since(e.expires) > max_stale_us {
-            return None; // still live (use `get`) or too stale to trust
-        }
-        self.stats.stale_served += 1;
-        let answers = e
-            .answers
-            .iter()
-            .map(|r| {
-                let mut r = r.clone();
-                r.ttl = STALE_TTL;
-                r
-            })
-            .collect();
-        let out = CachedResponse {
-            answers,
-            rcode: e.rcode,
-            kind: e.kind,
-            prefetch_due: false,
-            stale: true,
-        };
-        let stamp = self.touch(&key);
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.stamp = stamp;
-        }
-        Some(out)
+        self.probe_stale(qname, qtype, now).map(|hit| self.materialise(hit))
     }
 
     /// Drops everything (the "cold cache" the paper enforces with 4-hour
     /// breaks between measurements). Statistics survive.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.queue.clear();
+        self.slots.clear();
+        self.buckets.fill(NIL);
+        (self.free, self.oldest, self.newest, self.live) = (NIL, NIL, NIL, 0);
     }
 
     /// Counters.
@@ -363,15 +496,16 @@ impl RecordCache {
         self.stats
     }
 
-    /// Entry count (expired entries may linger until probed, or until
-    /// their serve-stale window passes under eviction pressure).
+    /// Entry count. An expired entry lingers until it is probed, and
+    /// past that only while its serve-stale window lasts: the first
+    /// `get` after the window drops it.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
     }
 }
 
@@ -560,6 +694,106 @@ mod tests {
         assert!(c.get(&name("a.nl"), RType::Txt, t(3)).is_some());
     }
 
+    /// 64 touches with no eviction between them was where the old lazy
+    /// queue compacted — and, when the compacting touch was the last
+    /// one before an insert, lost track of the entry it had just
+    /// touched and evicted the newcomer in its place.
+    #[test]
+    fn the_newcomer_is_never_the_victim() {
+        let mut c = RecordCache::with_config(CacheConfig { capacity: 1, ..Default::default() });
+        c.insert(name("a.nl"), RType::Txt, vec![txt_record("a.nl", 600)], Rcode::NoError, 300, t(0));
+        for _ in 0..66 {
+            assert!(c.get(&name("a.nl"), RType::Txt, t(1)).is_some());
+        }
+        c.insert(name("b.nl"), RType::Txt, vec![txt_record("b.nl", 600)], Rcode::NoError, 300, t(2));
+        assert!(c.get(&name("b.nl"), RType::Txt, t(3)).is_some(), "the entry just stored stays");
+        assert!(c.get(&name("a.nl"), RType::Txt, t(3)).is_none(), "the older one made room");
+    }
+
+    // ---- the slab and its index ----
+
+    /// The index grows by doubling and shrinks by unlinking; neither may
+    /// lose an entry, resurrect one, or confuse two names sharing a
+    /// bucket. 3,000 names across nine doublings, every third expired
+    /// and dropped by its probe, the rest still found; then the vacated
+    /// slots are reused before the slab grows again.
+    #[test]
+    fn the_index_survives_growth_removal_and_slot_reuse() {
+        let mut c = RecordCache::new();
+        let owner = |i: u32| name(&format!("n{i}.grow.nl"));
+        for i in 0..3_000 {
+            let ttl = if i % 3 == 0 { 5 } else { 600 };
+            c.insert(owner(i), RType::Txt, vec![txt_record("x.nl", ttl)], Rcode::NoError, 300, t(0));
+        }
+        assert_eq!((c.len(), c.slots.len()), (3_000, 3_000));
+        assert!(c.buckets.len() >= 3_000 && c.buckets.len().is_power_of_two());
+        for i in 0..3_000 {
+            assert_eq!(c.get(&owner(i), RType::Txt, t(10)).is_some(), i % 3 != 0, "n{i}");
+            assert!(c.get(&owner(i), RType::A, t(10)).is_none(), "the type is part of the key");
+        }
+        assert_eq!(c.len(), 2_000, "every expired entry was dropped by its probe");
+        for i in 3_000..4_000 {
+            c.insert(owner(i), RType::Txt, vec![txt_record("x.nl", 600)], Rcode::NoError, 300, t(10));
+        }
+        assert_eq!((c.len(), c.slots.len()), (3_000, 3_000), "vacated slots are reused first");
+        for i in 0..4_000 {
+            assert_eq!(c.get(&owner(i), RType::Txt, t(11)).is_some(), i % 3 != 0 || i >= 3_000, "n{i}");
+        }
+        c.clear();
+        assert!(c.is_empty() && c.get(&owner(1), RType::Txt, t(11)).is_none());
+        c.insert(owner(1), RType::Txt, vec![txt_record("x.nl", 600)], Rcode::NoError, 300, t(11));
+        assert_eq!((c.len(), c.slots.len()), (1, 1), "a cleared cache starts over");
+    }
+
+    /// A bounded cache's slab is bounded too: one slot per entry plus
+    /// the one an insert fills before it evicts.
+    #[test]
+    fn a_bounded_cache_never_holds_more_slots_than_capacity_plus_one() {
+        let mut c = RecordCache::with_config(CacheConfig { capacity: 4, ..Default::default() });
+        for i in 0..1_000 {
+            let owner = name(&format!("n{i}.churn.nl"));
+            c.insert(owner, RType::Txt, vec![txt_record("x.nl", 600)], Rcode::NoError, 300, t(0));
+            assert!(c.len() <= 4 && c.slots.len() <= 5);
+        }
+        assert_eq!(c.stats().evictions, 996);
+        assert_eq!(c.buckets.len(), 8, "and its index never had to grow");
+    }
+
+    /// `probe` is `get` without the records: same verdict, same flags,
+    /// same books, and a TTL ceiling that is what `get` clamps to.
+    #[test]
+    fn probe_reports_what_get_serves() {
+        let cfg = CacheConfig { prefetch_window_s: 5, max_stale_s: 60, ..Default::default() };
+        let (mut probed, mut got) = (RecordCache::with_config(cfg), RecordCache::with_config(cfg));
+        for c in [&mut probed, &mut got] {
+            let answers = vec![txt_record("a.nl", 10), txt_record("a.nl", 3)];
+            c.insert(name("a.nl"), RType::Txt, answers, Rcode::NoError, 300, t(0));
+            c.insert(name("nx.nl"), RType::A, vec![], Rcode::NxDomain, 8, t(0));
+        }
+        for (owner, qtype, at) in [
+            ("a.nl", RType::Txt, 1),
+            ("A.NL", RType::Txt, 2),
+            ("nx.nl", RType::A, 2),
+            ("nx.nl", RType::Txt, 2),
+            ("nx.nl", RType::A, 9),
+        ] {
+            let hit = probed.probe(&name(owner), qtype, t(at));
+            let full = got.get(&name(owner), qtype, t(at));
+            assert_eq!(hit.is_some(), full.is_some(), "{owner} at {at}s");
+            if let (Some(hit), Some(full)) = (hit, full) {
+                assert_eq!(
+                    (hit.rcode, hit.kind, hit.prefetch_due, hit.stale),
+                    (full.rcode, full.kind, full.prefetch_due, full.stale)
+                );
+                assert!(full.answers.iter().all(|r| r.ttl <= hit.ttl));
+            }
+        }
+        let stale = probed.probe_stale(&name("nx.nl"), RType::A, t(9)).unwrap();
+        let full = got.get_stale(&name("nx.nl"), RType::A, t(9)).unwrap();
+        assert_eq!((stale.rcode, stale.stale, stale.ttl), (full.rcode, true, STALE_TTL));
+        assert_eq!(probed.stats(), got.stats());
+    }
+
     // ---- RFC 8767 serve-stale ----
 
     fn stale_cfg(max_stale_s: u32, budget: u64) -> CacheConfig {
@@ -591,6 +825,21 @@ mod tests {
         assert!(c.get_stale(&name("a.nl"), RType::Txt, t(5 + 61)).is_none());
         // Inside the window: served.
         assert!(c.get_stale(&name("a.nl"), RType::Txt, t(5 + 60)).is_some());
+    }
+
+    /// Serve-stale keeps an expired entry for `get_stale`, not for
+    /// ever: once the window has passed nothing can serve it again, and
+    /// on an unbounded cache whose upstream stays dead nothing else
+    /// would reclaim it.
+    #[test]
+    fn an_entry_past_its_stale_window_is_reclaimed() {
+        let mut c = RecordCache::with_config(stale_cfg(60, u64::MAX));
+        c.insert(name("a.nl"), RType::Txt, vec![txt_record("a.nl", 5)], Rcode::NoError, 300, t(0));
+        assert!(c.get(&name("a.nl"), RType::Txt, t(5 + 60)).is_none());
+        assert_eq!(c.len(), 1, "the last instant of the window: still servable stale");
+        assert!(c.get(&name("a.nl"), RType::Txt, t(5 + 61)).is_none());
+        assert_eq!(c.len(), 0, "past the window: dropped by the probe that found it");
+        assert_eq!(c.stats().expired, 2);
     }
 
     #[test]

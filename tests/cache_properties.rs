@@ -13,7 +13,9 @@
 
 use std::sync::Arc;
 
-use dnswild::cache::{CacheConfig, CacheTime, EntryKind, RecordCache, Secs, STALE_TTL};
+use dnswild::cache::{
+    CacheConfig, CacheStats, CacheTime, CachedResponse, EntryKind, RecordCache, Secs, STALE_TTL,
+};
 use dnswild::netio::{resolve, serve, ClientStats, ResolveConfig, ServeConfig, SharedCache};
 use dnswild::proto::rdata::Txt;
 use dnswild::proto::{Name, RData, RType, Rcode, Record};
@@ -339,6 +341,221 @@ fn cached_and_uncached_clients_agree_on_stable_zones() {
             assert_eq!(warm.stats.attempts, warm.stats.prefetches);
         } else {
             assert_eq!(warm.stats.attempts, 0, "hits cost zero socket sends");
+        }
+    });
+}
+
+// ---- reference model: a naive cache the real one must shadow ----
+
+/// Which reclamation rule the model follows for an entry found expired
+/// by `get` while serve-stale is on: `false` keeps it whatever its age
+/// (an entry past `max_stale_s` then lingers forever), `true` drops it
+/// once it has left the stale window and nothing can serve it again.
+const RECLAIM_PAST_STALE_WINDOW: bool = true;
+
+struct ModelEntry {
+    qname: Name,
+    qtype: RType,
+    answers: Vec<Record>,
+    rcode: Rcode,
+    expires_us: u64,
+    last_use: u64,
+    hits: u64,
+    prefetch_fired: bool,
+}
+
+/// The cache as its documentation reads, with no index and no list: a
+/// `Vec` scanned linearly, the LRU victim found by smallest last-use
+/// counter. Returns the same [`CachedResponse`] the real cache does.
+struct Model {
+    cfg: CacheConfig,
+    stats: CacheStats,
+    uses: u64,
+    entries: Vec<ModelEntry>,
+}
+
+impl Model {
+    fn position(&self, qname: &Name, qtype: RType) -> Option<usize> {
+        self.entries.iter().position(|e| e.qname == *qname && e.qtype == qtype)
+    }
+
+    fn respond(
+        e: &ModelEntry,
+        ttl: impl Fn(u32) -> u32,
+        prefetch_due: bool,
+        stale: bool,
+    ) -> CachedResponse {
+        let answers = e.answers.iter().map(|r| Record { ttl: ttl(r.ttl), ..r.clone() }).collect();
+        let kind = match (e.rcode, e.answers.is_empty()) {
+            (Rcode::NxDomain, _) => EntryKind::NxDomain,
+            (_, true) => EntryKind::NoData,
+            (_, false) => EntryKind::Positive,
+        };
+        CachedResponse { answers, rcode: e.rcode, kind, prefetch_due, stale }
+    }
+
+    fn insert(
+        &mut self,
+        qname: Name,
+        qtype: RType,
+        answers: Vec<Record>,
+        rcode: Rcode,
+        negative_ttl: u32,
+        now: CacheTime,
+    ) {
+        let ttl = answers.iter().map(|r| r.ttl).min().unwrap_or(negative_ttl);
+        if ttl == 0 {
+            return;
+        }
+        self.stats.inserts += 1;
+        if let Some(i) = self.position(&qname, qtype) {
+            self.entries.remove(i);
+        }
+        self.uses += 1;
+        self.entries.push(ModelEntry {
+            qname,
+            qtype,
+            answers,
+            rcode,
+            expires_us: now.as_micros() + ttl as u64 * 1_000_000,
+            last_use: self.uses,
+            hits: 0,
+            prefetch_fired: false,
+        });
+        while self.cfg.capacity > 0 && self.entries.len() > self.cfg.capacity {
+            let victim =
+                (0..self.entries.len()).min_by_key(|&i| self.entries[i].last_use).unwrap();
+            self.entries.remove(victim);
+            self.stats.evictions += 1;
+        }
+    }
+
+    fn get(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<CachedResponse> {
+        let (cfg, now_us) = (self.cfg, now.as_micros());
+        let Some(i) = self.position(qname, qtype) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        let e = &mut self.entries[i];
+        if e.expires_us <= now_us {
+            self.stats.misses += 1;
+            self.stats.expired += 1;
+            let past_window = now_us - e.expires_us > cfg.max_stale_s as u64 * 1_000_000;
+            if cfg.max_stale_s == 0 || (RECLAIM_PAST_STALE_WINDOW && past_window) {
+                self.entries.remove(i);
+            }
+            return None;
+        }
+        self.stats.hits += 1;
+        e.hits += 1;
+        let left_us = e.expires_us - now_us;
+        let remaining = (left_us / 1_000_000).max(1) as u32;
+        let prefetch_due = cfg.prefetch_window_s > 0
+            && !e.prefetch_fired
+            && e.hits >= cfg.prefetch_min_hits
+            && left_us <= cfg.prefetch_window_s as u64 * 1_000_000;
+        e.prefetch_fired |= prefetch_due;
+        self.uses += 1;
+        e.last_use = self.uses;
+        let out = Model::respond(e, |ttl| ttl.min(remaining), prefetch_due, false);
+        if out.kind != EntryKind::Positive {
+            self.stats.negative_hits += 1;
+        }
+        Some(out)
+    }
+
+    fn get_stale(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<CachedResponse> {
+        let (cfg, now_us) = (self.cfg, now.as_micros());
+        if cfg.max_stale_s == 0 || self.stats.stale_served >= cfg.stale_budget {
+            return None;
+        }
+        let i = self.position(qname, qtype)?;
+        let e = &mut self.entries[i];
+        if e.expires_us > now_us || now_us - e.expires_us > cfg.max_stale_s as u64 * 1_000_000 {
+            return None;
+        }
+        self.stats.stale_served += 1;
+        self.uses += 1;
+        e.last_use = self.uses;
+        Some(Model::respond(e, |_| STALE_TTL, false, true))
+    }
+}
+
+/// [`RecordCache`] against the model, op by op: 512 seeded sequences of
+/// `insert` / `get` / `get_stale` over 8–16 names × 2 types (a skewed
+/// choice, so some keys stay hot), every capacity from unbounded to 8,
+/// with prefetch, a stale window and a stale budget switched on and
+/// off. After every step the two agree on the answer (hit, miss or
+/// `None`; `prefetch_due`; clamped TTLs), on `stats()` and on `len()`.
+/// At the end — and in half the sequences after *every* eviction — a
+/// sweep over all keys shows the same resident set, so an LRU that
+/// picks any victim but the least recently used entry is caught at the
+/// eviction that went wrong.
+#[test]
+fn record_cache_shadows_a_naive_reference_model() {
+    qc::property("cache/shadows-reference-model").cases(512).check(|g| {
+        let cfg = CacheConfig {
+            capacity: *g.choose(&[0, 1, 2, 4, 8]),
+            prefetch_window_s: *g.choose(&[0, 2, 5]),
+            prefetch_min_hits: 1 + g.u64_in(0..3),
+            max_stale_s: *g.choose(&[0, 3, 60]),
+            stale_budget: *g.choose(&[0, 2, u64::MAX]),
+        };
+        // Both spellings of every name: lookups fold case (RFC 1035).
+        let names: Vec<[Name; 2]> = (0..g.usize_in(8..17))
+            .map(|i| [format!("q{i}.model.nl"), format!("Q{i}.MoDeL.NL")].map(|s| Name::parse(&s).unwrap()))
+            .collect();
+        let types = [RType::Txt, RType::A];
+        let mut cache = RecordCache::with_config(cfg);
+        let mut model = Model { cfg, stats: CacheStats::default(), uses: 0, entries: Vec::new() };
+        let sweep_every_eviction = g.bool();
+        let mut now_us = 0u64;
+        let ops = 200 + g.index(200);
+        for step in 0..ops {
+            now_us += *g.choose(&[0, 0, 0, 1, 999_999, 1_000_000, 3_000_000]);
+            let now = CacheTime::from_micros(now_us);
+            let qname = &names[g.index(names.len()).min(g.index(names.len()))][g.index(2)];
+            let qtype = types[g.index(2)];
+            let evictions = model.stats.evictions;
+            match g.index(8) {
+                0..=2 => {
+                    let ttl = g.u32_in(0..40);
+                    let txt = |v: &str, ttl| {
+                        Record::new(qname.clone(), ttl, RData::Txt(Txt::from_string(v).unwrap()))
+                    };
+                    let (answers, rcode) = match g.index(4) {
+                        0 => (vec![txt("one", ttl)], Rcode::NoError),
+                        1 => (vec![txt("a", ttl + 4), txt("b", ttl)], Rcode::NoError),
+                        2 => (vec![], Rcode::NoError),
+                        _ => (vec![], Rcode::NxDomain),
+                    };
+                    let negative_ttl = g.u32_in(0..20);
+                    cache.insert(qname.clone(), qtype, answers.clone(), rcode, negative_ttl, now);
+                    model.insert(qname.clone(), qtype, answers, rcode, negative_ttl, now);
+                }
+                3 => assert_eq!(
+                    cache.get_stale(qname, qtype, now),
+                    model.get_stale(qname, qtype, now),
+                    "get_stale at step {step}"
+                ),
+                _ => assert_eq!(
+                    cache.get(qname, qtype, now),
+                    model.get(qname, qtype, now),
+                    "get at step {step}"
+                ),
+            }
+            let evicted = model.stats.evictions > evictions && sweep_every_eviction;
+            if evicted || step + 1 == ops {
+                for (qname, qtype) in names.iter().flat_map(|n| types.map(|t| (&n[0], t))) {
+                    assert_eq!(
+                        cache.get(qname, qtype, now),
+                        model.get(qname, qtype, now),
+                        "resident set after step {step}: {qname} {qtype:?}"
+                    );
+                }
+            }
+            assert_eq!(cache.stats(), model.stats, "books at step {step}");
+            assert_eq!(cache.len(), model.entries.len(), "resident count at step {step}");
         }
     });
 }
