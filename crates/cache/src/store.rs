@@ -94,23 +94,26 @@ pub struct CachedResponse {
     pub stale: bool,
 }
 
-/// Statistics for cache behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a live entry.
-    pub hits: u64,
-    /// Lookups that found nothing usable (includes `expired`).
-    pub misses: u64,
-    /// Entries stored.
-    pub inserts: u64,
-    /// Misses that found an entry past its TTL (subset of `misses`).
-    pub expired: u64,
-    /// Live hits on negative entries (subset of `hits`).
-    pub negative_hits: u64,
-    /// Entries pushed out by the capacity bound.
-    pub evictions: u64,
-    /// Expired entries served anyway under serve-stale.
-    pub stale_served: u64,
+dnswild_ledger::counter_set! {
+    /// Statistics for cache behaviour. The labels are the keys of the
+    /// `cache-stats:` line and the `kind`s of the scraped
+    /// `dnswild_cache_events_total`.
+    pub struct CacheStats {
+        /// Lookups that found a live entry.
+        hits => "hits",
+        /// Lookups that found nothing usable (includes `expired`).
+        misses => "misses",
+        /// Misses that found an entry past its TTL (subset of `misses`).
+        expired => "expired",
+        /// Live hits on negative entries (subset of `hits`).
+        negative_hits => "negative",
+        /// Entries stored.
+        inserts => "inserts",
+        /// Entries pushed out by the capacity bound.
+        evictions => "evictions",
+        /// Expired entries served anyway under serve-stale.
+        stale_served => "stale_served",
+    }
 }
 
 /// Knobs; the default configuration reproduces the original sim-plane
@@ -528,6 +531,11 @@ mod tests {
 
     fn us(micros: u64) -> CacheTime {
         CacheTime::from_micros(micros)
+    }
+
+    #[test]
+    fn cache_stats_cover_every_field() {
+        dnswild_ledger::assert_counter_set_covers_every_field::<CacheStats, 7>();
     }
 
     // ---- ported sim-plane suite (behaviour must not drift) ----

@@ -47,9 +47,9 @@ use dnswild_analysis::{
 };
 use dnswild_metrics::{parse_exposition, scrape, CounterSet};
 use dnswild_netio::{
-    blast, mirror_cache, mirror_collector, resolve, serve, AttackMode, CacheConfig, ChaosProxy,
-    Collector, Direction, FaultPlan, FaultProfile, IoBackend, LoadConfig, QueryMix,
-    ResolveConfig, ServeConfig, SharedCache, TcpFaultProfile, TcpOptions, Trace, Workload,
+    blast, resolve, serve, AttackMode, CacheConfig, ChaosProxy, Collector, CollectorConfig,
+    Direction, FaultPlan, FaultProfile, IoBackend, LoadConfig, QueryMix, ResolveConfig,
+    ServeConfig, SharedCache, TcpFaultProfile, TcpOptions, Trace, Workload, DRAIN_WINDOW,
 };
 use dnswild_proto::Name;
 use dnswild_server::{RateLimitPolicy, RrlScope, ServerStats, TruncationPolicy};
@@ -65,15 +65,8 @@ fn or_die<T>(result: Result<T, String>) -> T {
 
 fn report_blast(report: &dnswild_netio::LoadReport) {
     let pct = |q: f64| report.latency_percentile(q).unwrap_or(0);
-    println!(
-        "sent={} received={} timeouts={} mismatched={} elapsed_ms={} qps={:.0}",
-        report.sent,
-        report.received,
-        report.timeouts,
-        report.mismatched,
-        report.elapsed.as_millis(),
-        report.qps()
-    );
+    let (elapsed_ms, qps) = (report.elapsed.as_millis(), report.qps());
+    println!("{} elapsed_ms={elapsed_ms} qps={qps:.0}", report.stats.line());
     println!(
         "latency_us: p50={:.1} p90={:.1} p99={:.1} max={:.1}",
         pct(0.50) as f64 / 1e3,
@@ -117,12 +110,9 @@ fn json_members(kinds: &[(&str, u64)]) -> String {
 fn json_blast(report: &dnswild_netio::LoadReport, stats: Option<&ServerStats>) -> String {
     let pct = |q: f64| report.latency_percentile(q).unwrap_or(0) as f64 / 1e3;
     let mut out = format!(
-        "{{\"sent\":{},\"received\":{},\"timeouts\":{},\"mismatched\":{},\"elapsed_ms\":{},\
+        "{{{},\"elapsed_ms\":{},\
          \"qps\":{:.1},\"latency_us\":{{\"p50\":{:.1},\"p90\":{:.1},\"p99\":{:.1},\"max\":{:.1}}}",
-        report.sent,
-        report.received,
-        report.timeouts,
-        report.mismatched,
+        json_members(&report.stats.kinds()),
         report.elapsed.as_millis(),
         report.qps(),
         pct(0.50),
@@ -240,17 +230,17 @@ fn cmd_serve(o: &Opts) {
             }
         }
     }
+    let metrics = o.opt::<String>("--metrics-addr").map(|addr| or_die(lab::start_metrics(&addr)));
+    let registry = metrics.as_ref().map(|(r, _)| r.as_ref());
     let trace = o.opt::<PathBuf>("--trace");
-    let collector = trace.as_ref().map(|path| or_die(lab::start_collector(path, &[&site])));
+    let collector = trace.as_ref().map(|path| {
+        or_die(lab::start_collector(CollectorConfig::new(path).auths([&site]), registry))
+    });
     if let Some(c) = &collector {
         config = config.collector(Arc::clone(c), 0);
     }
-    let metrics = o.opt::<String>("--metrics-addr").map(|addr| or_die(lab::start_metrics(&addr)));
     if let Some((registry, _)) = &metrics {
         config = config.metrics(Arc::clone(registry));
-        if let Some(c) = &collector {
-            mirror_collector(registry, c);
-        }
     }
     let watchdog = metrics.as_ref().map(|(registry, _)| or_die(lab::start_watchdog(registry)));
     let handle = serve(config).unwrap_or_else(|e| {
@@ -342,27 +332,28 @@ static BLAST: Command = Command {
 fn cmd_blast(o: &Opts) {
     let (target, origin, seed) = (o.get("--addr"), o.get("--origin"), o.get("--seed"));
     let (queries, concurrency) = (o.get("--queries"), o.get("--concurrency"));
+    let metrics = o.opt::<String>("--metrics-addr").map(|addr| or_die(lab::start_metrics(&addr)));
+    let registry = metrics.as_ref().map(|(r, _)| r.as_ref());
     // The client side only knows the target address, so that is the
     // auth table entry (auth id 0).
     let trace = o.opt::<PathBuf>("--trace");
-    let collector = trace
-        .as_ref()
-        .map(|path| or_die(lab::start_collector(path, &[&o.get::<String>("--addr")])));
-    let metrics = o.opt::<String>("--metrics-addr").map(|addr| or_die(lab::start_metrics(&addr)));
-    if let (Some((registry, _)), Some(c)) = (&metrics, &collector) {
-        mirror_collector(registry, c);
-    }
+    let collector = trace.as_ref().map(|path| {
+        let auths = [o.get::<String>("--addr")];
+        or_die(lab::start_collector(CollectorConfig::new(path).auths(auths), registry))
+    });
     if o.has("--chaos") {
         // Interpose a fault proxy and drive the resolver client, whose
         // retry/backoff/SRTT loop is what makes lossy paths survivable.
         let (fwd, rev) = lab::canonical_profiles(o.get("--loss"), o.get("--corrupt"));
         let plan = Arc::new(FaultPlan::new(seed, fwd, rev));
-        let proxy = ChaosProxy::spawn_metered(
+        if let Some(registry) = registry {
+            plan.register(registry);
+        }
+        let proxy = ChaosProxy::spawn(
             "127.0.0.1:0",
             target,
             Arc::clone(&plan),
             collector.as_ref().map(Arc::clone),
-            metrics.as_ref().map(|(r, _)| (Arc::clone(r), "p0")),
         )
         .unwrap_or_else(|e| {
             eprintln!("blast: chaos proxy: {e}");
@@ -371,12 +362,16 @@ fn cmd_blast(o: &Opts) {
         eprintln!("blast: chaos proxy on udp://{} -> {}", proxy.local_addr(), target);
         let watchdog = metrics.as_ref().map(|(registry, _)| or_die(lab::start_watchdog(registry)));
         let shared_cache = o.has("--cache").then(|| {
-            SharedCache::new(CacheConfig {
+            let cache = SharedCache::new(CacheConfig {
                 capacity: o.get("--cache-cap"),
                 prefetch_window_s: if o.has("--prefetch") { BLAST_PREFETCH_WINDOW } else { 0 },
                 max_stale_s: if o.has("--serve-stale") { CACHE_STALE_WINDOW } else { 0 },
                 ..CacheConfig::default()
-            })
+            });
+            if let Some(registry) = registry {
+                cache.register(registry);
+            }
+            cache
         });
         let mut cfg = ResolveConfig::new(vec![proxy.local_addr()], origin)
             .transactions(queries)
@@ -394,9 +389,6 @@ fn cmd_blast(o: &Opts) {
         }
         if let Some((registry, _)) = &metrics {
             cfg = cfg.metrics(Arc::clone(registry));
-            if let Some(sc) = &shared_cache {
-                mirror_cache(registry, sc);
-            }
         }
         let report = resolve(cfg).unwrap_or_else(|e| {
             eprintln!("blast: resolve: {e}");
@@ -407,34 +399,25 @@ fn cmd_blast(o: &Opts) {
             let wd = w.shutdown();
             eprintln!("watchdog: healthy={}", wd.healthy());
         }
-        let qps = report.stats.attempts as f64 / report.elapsed.as_secs_f64();
+        // Attempts per second of sending, net of the fixed drain tail
+        // every run ends with.
+        let sending = report.elapsed.saturating_sub(DRAIN_WINDOW).as_secs_f64().max(1e-9);
+        let qps = report.stats.attempts as f64 / sending;
         if o.has("--json") {
-            // The client counters under their `chaos-client:` labels.
+            // The client and cache counters under their line labels.
             let mut obj = json_members(&report.stats.kinds());
             if let Some(sc) = &shared_cache {
-                let cs = sc.stats();
-                obj.push_str(&format!(
-                    ",\"cache\":{{\"hits\":{},\"misses\":{},\"expired\":{},\
-                     \"negative_hits\":{},\"stale_served\":{},\"prefetches\":{},\
-                     \"evictions\":{},\"entries\":{}}}",
-                    cs.hits,
-                    cs.misses,
-                    cs.expired,
-                    cs.negative_hits,
-                    cs.stale_served,
-                    report.stats.prefetches,
-                    cs.evictions,
-                    sc.len()
-                ));
+                let cache = json_members(&sc.stats().kinds());
+                obj.push_str(&format!(",\"cache\":{{{cache},\"entries\":{}}}", sc.len()));
             }
             println!("{{{obj},\"elapsed_ms\":{},\"qps\":{qps:.1}}}", report.elapsed.as_millis());
         } else {
-            println!("chaos-client: {}", report.stats.render());
-            println!("chaos-fwd: {}", plan.tally(Direction::Forward).render());
-            println!("chaos-rev: {}", plan.tally(Direction::Reverse).render());
+            println!("chaos-client: {}", report.stats.line());
+            println!("chaos-fwd: {}", plan.tally(Direction::Forward).line());
+            println!("chaos-rev: {}", plan.tally(Direction::Reverse).line());
             println!("chaos-tcp: {}", plan.tcp_tally().render());
             if let Some(sc) = &shared_cache {
-                println!("cache-stats: {}", lab::render_cache_stats(sc));
+                println!("cache-stats: {} entries={}", sc.stats().line(), sc.len());
             }
             println!("elapsed_ms={} qps={qps:.0}", report.elapsed.as_millis());
         }
@@ -472,14 +455,14 @@ fn cmd_blast(o: &Opts) {
         std::process::exit(1)
     });
     if attack.is_some() {
-        println!("{}", report.render("attack-client"));
+        println!("attack-client: {}", report.stats.line());
         if let Some(amp) = report.amplification() {
             println!("attack-amplification: {amp:.2}");
         }
         println!(
             "elapsed_ms={} qps={:.0}",
             report.elapsed.as_millis(),
-            report.sent as f64 / report.elapsed.as_secs_f64()
+            report.stats.sent as f64 / report.elapsed.as_secs_f64()
         );
     } else if o.has("--json") {
         println!("{}", json_blast(&report, None));
@@ -547,7 +530,8 @@ fn cmd_chaos(o: &Opts) {
     };
     let (seed, upstream) = (o.get("--seed"), o.get("--upstream"));
     let plan = Arc::new(FaultPlan::new(seed, profile, profile).with_tcp(tcp_profile));
-    let proxy = ChaosProxy::spawn(o.get::<String>("--listen").as_str(), upstream, Arc::clone(&plan))
+    let listen = o.get::<String>("--listen");
+    let proxy = ChaosProxy::spawn(listen.as_str(), upstream, Arc::clone(&plan), None)
         .unwrap_or_else(|e| {
             eprintln!("chaos: {e}");
             std::process::exit(1)
@@ -567,8 +551,8 @@ fn cmd_chaos(o: &Opts) {
         delay_max_ms
     );
     let report = |plan: &FaultPlan| {
-        println!("chaos-fwd: {}", plan.tally(Direction::Forward).render());
-        println!("chaos-rev: {}", plan.tally(Direction::Reverse).render());
+        println!("chaos-fwd: {}", plan.tally(Direction::Forward).line());
+        println!("chaos-rev: {}", plan.tally(Direction::Reverse).line());
         println!("chaos-tcp: {}", plan.tcp_tally().render());
         println!(
             "chaos-summary: seed={} digest={:016x} events={}",
@@ -755,16 +739,17 @@ static TOP: Command = Command {
 fn cmd_top(o: &Opts) {
     let addr: String = o.get("--addr");
     let iterations = o.opt::<u64>("--iterations");
-    // Counters whose per-poll delta is worth a qps column, in display
-    // order; whichever are present are shown.
-    const RATES: [(&str, &str); 4] = [
-        ("dnswild_server_events_total", "server"),
-        ("dnswild_load_sent_total", "load"),
-        ("dnswild_client_attempts_total", "client"),
-        ("dnswild_chaos_datagrams_total", "chaos"),
+    // The ledger kinds whose per-poll delta is worth a qps column, in
+    // display order; whichever are present are shown.
+    const RATES: [(&str, &str, &str); 4] = [
+        ("dnswild_server_events_total", "queries", "server"),
+        ("dnswild_load_events_total", "sent", "load"),
+        ("dnswild_client_events_total", "attempts", "client"),
+        ("dnswild_chaos_events_total", "in", "chaos"),
     ];
-    let sum_of = |samples: &[dnswild_metrics::Sample], name: &str| -> f64 {
-        samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
+    let sum_of = |samples: &[dnswild_metrics::Sample], name: &str, kind: &str| -> f64 {
+        let of_kind = samples.iter().filter(|s| s.name == name && s.label("kind") == Some(kind));
+        of_kind.map(|s| s.value).sum()
     };
     let gauge_of = |samples: &[dnswild_metrics::Sample], name: &str| -> Option<f64> {
         samples.iter().find(|s| s.name == name).map(|s| s.value)
@@ -781,7 +766,8 @@ fn cmd_top(o: &Opts) {
         };
         let samples = parse_exposition(&text);
         let now = Instant::now();
-        let totals: Vec<f64> = RATES.iter().map(|(name, _)| sum_of(&samples, name)).collect();
+        let totals: Vec<f64> =
+            RATES.iter().map(|(name, kind, _)| sum_of(&samples, name, kind)).collect();
         if !o.has("--plain") {
             // ANSI clear + home; `--plain` keeps every poll on the log.
             print!("\x1b[2J\x1b[H");
@@ -790,7 +776,7 @@ fn cmd_top(o: &Opts) {
         let mut rates = String::new();
         if let Some((t0, old)) = &prev {
             let dt = now.duration_since(*t0).as_secs_f64().max(1e-9);
-            for (i, (_, short)) in RATES.iter().enumerate() {
+            for (i, (.., short)) in RATES.iter().enumerate() {
                 if totals[i] > 0.0 || old[i] > 0.0 {
                     rates.push_str(&format!("  {short}={:.0}/s", (totals[i] - old[i]).max(0.0) / dt));
                 }

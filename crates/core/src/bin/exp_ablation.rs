@@ -29,7 +29,7 @@ fn preference_for(mix: PolicyMix, latency: LatencyConfig, vps: usize, seed: u64)
 }
 
 fn main() {
-    let args = ExpArgs::parse("exp_ablation", 1_200);
+    let args = ExpArgs::parse_without_dump("exp_ablation", 1_200);
     println!(
         "== Ablations on config 2C: robustness of the preference findings \
          ({} VPs/point, seed {}) ==\n",

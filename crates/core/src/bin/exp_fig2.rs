@@ -23,6 +23,9 @@ fn main() {
                 Experiment::standard(config, args.seed).vantage_points(args.vps).run();
             let summary = report.coverage();
             eprintln!("  {} done", config.label());
+            args.dump_tsv(&format!("fig2_{}_probes.tsv", config.label()), || {
+                dnswild::export::probes_tsv(&report.result)
+            });
             summary
         })
         .collect();

@@ -38,7 +38,7 @@ fn render(assessments: &[dnswild::guidance::DeploymentAssessment]) -> String {
 }
 
 fn main() {
-    let args = ExpArgs::parse("exp_guidance", 1_500);
+    let args = ExpArgs::parse_without_dump("exp_guidance", 1_500);
     let mix = PolicyMix::default();
     let rounds = 16;
 

@@ -12,7 +12,8 @@
 //!
 //! [`ExpArgs`] is the table the `exp_*` binaries share: `--vps N`
 //! (default per binary), `--seed S` (default 2017), `--full`
-//! (paper-scale, ~8,700 VPs) and `--dump DIR` (raw TSV series).
+//! (paper-scale, ~8,700 VPs) and, for the binaries with raw series to
+//! write, `--dump DIR` (raw TSV series).
 
 use std::collections::HashMap;
 use std::fmt::Display;
@@ -290,15 +291,22 @@ pub struct ExpArgs {
 /// Vantage points of the paper-scale population (`--full`).
 const FULL_VPS: usize = 8_700;
 
-static EXP: Command = Command {
-    about: "regenerate one of the paper's tables or figures in the simulator",
-    flags: &[
-        Flag::value::<usize>("--vps", "N", "vantage points per measurement (default: per binary)"),
-        Flag::value::<u64>("--seed", "S", "simulation seed").default("2017"),
-        Flag::switch("--full", "paper-scale population (~8,700 VPs)").excludes(&["--vps"]),
-        Flag::value::<String>("--dump", "DIR", "write raw TSV series to DIR"),
-    ],
-};
+const EXP_ABOUT: &str = "regenerate one of the paper's tables or figures in the simulator";
+
+/// The `exp_*` rows; the last, `--dump`, only for a binary with raw
+/// series to write.
+const EXP_FLAGS: &[Flag] = &[
+    Flag::value::<usize>("--vps", "N", "vantage points per measurement (default: per binary)"),
+    Flag::value::<u64>("--seed", "S", "simulation seed").default("2017"),
+    Flag::switch("--full", "paper-scale population (~8,700 VPs)").excludes(&["--vps"]),
+    Flag::value::<String>("--dump", "DIR", "write raw TSV series to DIR"),
+];
+
+static EXP: Command = Command { about: EXP_ABOUT, flags: EXP_FLAGS };
+
+/// [`EXP`] without its `--dump` row.
+static EXP_WITHOUT_DUMP: Command =
+    Command { about: EXP_ABOUT, flags: EXP_FLAGS.split_at(EXP_FLAGS.len() - 1).0 };
 
 impl ExpArgs {
     /// Parses `std::env::args`, with `default_vps` used unless `--vps`
@@ -308,18 +316,35 @@ impl ExpArgs {
         Self::parse_from(binary, default_vps, std::env::args().skip(1))
     }
 
+    /// [`ExpArgs::parse`] for a binary with no raw series to write: its
+    /// table has no `--dump` row, so `--dump` is a usage error.
+    pub fn parse_without_dump(binary: &str, default_vps: usize) -> ExpArgs {
+        Self::read(&EXP_WITHOUT_DUMP, binary, default_vps, std::env::args().skip(1))
+    }
+
     /// Testable core of [`ExpArgs::parse`].
     pub fn parse_from<I>(binary: &str, default_vps: usize, args: I) -> ExpArgs
     where
         I: IntoIterator<Item = String>,
     {
-        let o = EXP.parse_or_exit(binary, args);
+        Self::read(&EXP, binary, default_vps, args)
+    }
+
+    fn read(
+        table: &'static Command,
+        binary: &str,
+        default_vps: usize,
+        args: impl IntoIterator<Item = String>,
+    ) -> ExpArgs {
+        let o = table.parse_or_exit(binary, args);
         let full = o.has("--full");
+        // Only a table with the row can have been given the flag.
+        let dump = o.given().any(|flag| flag == "--dump").then(|| o.get("--dump"));
         ExpArgs {
             vps: if full { FULL_VPS } else { o.opt("--vps").unwrap_or(default_vps) },
             seed: o.get("--seed"),
             full,
-            dump: o.opt("--dump"),
+            dump,
         }
     }
 
@@ -459,6 +484,15 @@ mod tests {
         let args = ["--full", "--vps", "5"].map(String::from);
         let stop = EXP.parse("exp", args).map(drop).unwrap_err();
         assert!(stop.code == 2 && stop.text.contains("--full cannot be combined with --vps"));
+    }
+
+    /// `EXP_WITHOUT_DUMP` cuts the last row, so `--dump` must stay last.
+    #[test]
+    fn the_table_without_dump_drops_exactly_the_dump_row() {
+        let names = |c: &Command| c.flags.iter().map(|f| f.name).collect::<Vec<_>>();
+        let (mut with, without) = (names(&EXP), names(&EXP_WITHOUT_DUMP));
+        assert_eq!(with.pop(), Some("--dump"));
+        assert_eq!(with, without);
     }
 
     #[test]

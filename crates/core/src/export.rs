@@ -1,8 +1,9 @@
 //! Exporting raw measurement data as TSV — the machine-readable series
 //! behind each figure, for external plotting (gnuplot, pandas, R).
 //!
-//! Every `exp_*` binary accepts `--dump DIR` and writes its raw series
-//! here; the tables printed to stdout are derived from the same data.
+//! Every `exp_*` binary with raw series accepts `--dump DIR` and writes
+//! them here; the tables printed to stdout are derived from the same
+//! data.
 
 use std::fmt::Write as _;
 use std::fs;

@@ -32,16 +32,17 @@ use dnswild_analysis::{
     amplification, reconstruct, render_timeline, tail_report, trace_auth_counts,
     trace_cache_counts, TailCause, TailReport,
 };
+use dnswild_metrics::watchdog::inputs;
 use dnswild_metrics::{
     parse_exposition, scrape, CounterSet, Sample, Watchdog, WatchdogConfig, WatchdogHandle,
     WatchdogReport,
 };
 use dnswild_netio::{
-    blast, mirror_cache, mirror_collector, resolve, serve, AttackMode, CacheConfig, ChaosProxy,
-    ClientStats, Collector, CollectorConfig, Direction, FaultPlan, FaultProfile, IoBackend,
-    IoErrorStats, LoadConfig, LoadReport, MetricsServer, Registry, ResolveConfig, ResolveReport,
-    ServeConfig, ServeHandle, SharedCache, TcpFaultProfile, TcpOptions, Trace, TraceSummary,
-    Workload, DEFAULT_SPOOFED_SOURCES, NXNS_EDNS_PAYLOAD,
+    blast, resolve, serve, AttackMode, CacheConfig, ChaosProxy, ClientStats, Collector,
+    CollectorConfig, Direction, FaultPlan, FaultProfile, IoBackend, IoErrorStats, LoadConfig,
+    LoadReport, MetricsServer, Registry, ResolveConfig, ResolveReport, ServeConfig, ServeHandle,
+    SharedCache, TcpFaultProfile, TcpOptions, Trace, TraceSummary, Workload,
+    DEFAULT_SPOOFED_SOURCES, NXNS_EDNS_PAYLOAD,
 };
 use dnswild_proto::Name;
 use dnswild_resolver::PolicyKind;
@@ -160,6 +161,24 @@ impl GateReport {
         self.failures.push(complaint);
     }
 
+    /// Every `(kind, value)` of an owner's `books` must be exactly the
+    /// `family{labels.., kind}` sample of the final scrape.
+    fn expect_scraped(&mut self, family: &str, labels: &[(&str, &str)], books: &[(&str, u64)]) {
+        for &(kind, want) in books {
+            let got = self.samples.iter().find(|s| {
+                let labelled = labels.iter().all(|&(k, v)| s.label(k) == Some(v));
+                s.name == family && s.label("kind") == Some(kind) && labelled
+            });
+            let got = got.map(|s| s.value);
+            if got != Some(want as f64) {
+                self.fail(format!(
+                    "scrape mismatch: {family}{labels:?} kind={kind} = {got:?}, \
+                     its owner counted {want}"
+                ));
+            }
+        }
+    }
+
     /// On a lossless loopback nothing may fail to be received or decoded.
     fn expect_clean_io(&mut self, io: &IoErrorStats) {
         if io.decode_errors != 0 || io.recv_errors != 0 {
@@ -171,12 +190,34 @@ impl GateReport {
     }
 }
 
-/// Starts a telemetry collector writing to `path` with the given auth
-/// table (auth id = index).
-pub fn start_collector(path: &Path, auths: &[&str]) -> Result<Arc<Collector>, String> {
-    Collector::start(CollectorConfig::new(path).auths(auths.iter().copied()))
-        .map(Arc::new)
-        .map_err(|e| format!("trace: {e}"))
+/// Starts a telemetry collector. With a `registry`, the collector is
+/// registered here, once, where it is created: its books feed
+/// `dnswild_trace_events_total{kind}` — one series per
+/// `TelemetrySnapshot` field, whose `overflow` kind the watchdog's
+/// ring-overflow law reads — and its slowest retained journey the
+/// `dnswild_journey_slowest_rtt_ns` gauge, an exemplar pointing
+/// dashboards at a concrete slow query rather than a histogram bucket.
+pub fn start_collector(
+    config: CollectorConfig,
+    registry: Option<&Registry>,
+) -> Result<Arc<Collector>, String> {
+    let collector = Arc::new(Collector::start(config).map_err(|e| format!("trace: {e}"))?);
+    if let Some(registry) = registry {
+        let books = Arc::clone(&collector);
+        registry.mirror_counters(
+            inputs::TRACE_EVENTS,
+            "trace collector books, one series per TelemetrySnapshot field",
+            &[],
+            move || books.snapshot(),
+        );
+        let slowest = registry.gauge(
+            "dnswild_journey_slowest_rtt_ns",
+            "worst client RTT retained in the flight recorder",
+        );
+        let cell = collector.snapshot_cell();
+        registry.on_scrape(move || slowest.set(cell.journey_slowest_ns() as f64));
+    }
+    Ok(collector)
 }
 
 /// Binds the Prometheus exposition endpoint and returns the registry
@@ -224,24 +265,6 @@ pub fn canonical_profiles(loss: f64, corrupt: f64) -> (FaultProfile, FaultProfil
     (FaultProfile { drop: loss * 0.6, ..base }, FaultProfile { drop: loss * 0.4, ..base })
 }
 
-/// One deterministic-for-a-fixed-run line of record-cache counters, the
-/// shape shared by `blast --cache` and the cache gate.
-pub fn render_cache_stats(cache: &SharedCache) -> String {
-    let s = cache.stats();
-    format!(
-        "hits={} misses={} expired={} negative={} inserts={} evictions={} stale_served={} \
-         entries={}",
-        s.hits,
-        s.misses,
-        s.expired,
-        s.negative_hits,
-        s.inserts,
-        s.evictions,
-        s.stale_served,
-        cache.len()
-    )
-}
-
 /// Binds on an ephemeral port, again on `AddrInUse`: the UDP socket
 /// picks the number and the TCP listener beside it must then get the
 /// same one, which a connection lingering from an earlier run can hold.
@@ -276,8 +299,13 @@ impl Lab {
         zone: Zone,
         tune: impl FnOnce(ServeConfig) -> ServeConfig,
     ) -> Result<Lab, String> {
-        let collector = rig.trace.as_deref().map(|p| start_collector(p, &[SITE])).transpose()?;
         let metrics = rig.metrics_addr.as_deref().map(start_metrics).transpose()?;
+        let registry = metrics.as_ref().map(|(r, _)| r.as_ref());
+        let collector = rig
+            .trace
+            .as_deref()
+            .map(|p| start_collector(CollectorConfig::new(p).auths([SITE]), registry))
+            .transpose()?;
         let mut cfg = tune(
             ServeConfig::new("127.0.0.1:0", SITE, Arc::new(vec![zone]))
                 .threads(rig.threads)
@@ -288,9 +316,6 @@ impl Lab {
         }
         if let Some((registry, _)) = &metrics {
             cfg = cfg.metrics(Arc::clone(registry));
-            if let Some(c) = &collector {
-                mirror_collector(registry, c);
-            }
         }
         let server = bind_retry(|| serve(cfg.clone())).map_err(|e| format!("serve: {e}"))?;
         Ok(Lab {
@@ -317,19 +342,22 @@ impl Lab {
         self.metrics.as_ref().map(|(r, _)| r)
     }
 
-    /// One chaos proxy per label in front of the server, all deciding
-    /// fates from `plan` — so which proxy carries a datagram cannot
-    /// change what happens to it.
-    fn proxies(&mut self, plan: FaultPlan, labels: &[&str]) -> Result<Vec<SocketAddr>, String> {
+    /// `count` chaos proxies in front of the server, all deciding fates
+    /// from `plan` — so which proxy carries a datagram cannot change what
+    /// happens to it. The plan owns the tallies, so it is registered
+    /// once, whatever the count.
+    fn proxies(&mut self, plan: FaultPlan, count: usize) -> Result<Vec<SocketAddr>, String> {
         let plan = Arc::new(plan);
-        for label in labels {
+        if let Some(registry) = self.registry() {
+            plan.register(registry);
+        }
+        for _ in 0..count {
             let proxy = bind_retry(|| {
-                ChaosProxy::spawn_metered(
+                ChaosProxy::spawn(
                     "127.0.0.1:0",
                     self.addr(),
                     Arc::clone(&plan),
                     self.collector.as_ref().map(Arc::clone),
-                    self.registry().map(|r| (Arc::clone(r), *label)),
                 )
             })
             .map_err(|e| format!("chaos proxy: {e}"))?;
@@ -448,24 +476,8 @@ impl Lab {
             report.fail(format!("final scrape failed: {e}"));
             String::new()
         });
-        let samples = parse_exposition(&text);
-        for (kind, want) in stats.kinds() {
-            let got = samples
-                .iter()
-                .find(|s| {
-                    s.name == "dnswild_server_events_total"
-                        && s.label("auth") == Some(SITE)
-                        && s.label("kind") == Some(kind)
-                })
-                .map(|s| s.value);
-            if got != Some(want as f64) {
-                report.fail(format!(
-                    "scrape mismatch: dnswild_server_events_total{{auth={SITE},kind={kind}}} \
-                     = {got:?}, server counted {want}"
-                ));
-            }
-        }
-        report.samples = samples;
+        report.samples = parse_exposition(&text);
+        report.expect_scraped("dnswild_server_events_total", &[("auth", SITE)], &stats.kinds());
         true
     }
 
@@ -516,7 +528,7 @@ pub fn plain(rig: &Rig, spec: &PlainSpec) -> Result<GateReport, String> {
     );
     let load = blast(lab.load_config(spec.queries, spec.concurrency))
         .map_err(|e| format!("blast: {e}"))?;
-    let (stats, io) = lab.stop(load.sent);
+    let (stats, io) = lab.stop(load.stats.sent);
     let mut report = GateReport::default();
     lab.finish_trace(&mut report, true)?;
     if !load.all_answered() {
@@ -526,15 +538,15 @@ pub fn plain(rig: &Rig, spec: &PlainSpec) -> Result<GateReport, String> {
         report.fail(complaint);
     }
     report.expect_clean_io(&io);
-    if stats.packets_seen() != load.sent {
+    if stats.packets_seen() != load.stats.sent {
         report.fail(format!(
             "server classified {} packets, {} were sent",
             stats.packets_seen(),
-            load.sent
+            load.stats.sent
         ));
     }
     lab.scrape_books(&stats, &mut report);
-    report.pass = format!("{} queries, 100% answered, counters consistent", load.sent);
+    report.pass = format!("{} queries, 100% answered, counters consistent", load.stats.sent);
     report.load = Some(load);
     Ok(lab.finish(report, stats, io))
 }
@@ -678,7 +690,7 @@ pub fn chaos(rig: &Rig, spec: &ChaosSpec) -> Result<GateReport, String> {
             corrupt_len: 0.04,
         });
     }
-    let proxies = lab.proxies(plan, &["p1", "p2"])?;
+    let proxies = lab.proxies(plan, 2)?;
     eprintln!(
         "smoke: serving on udp://{} (io={}) behind chaos proxies {} and {} (seed {seed})",
         lab.addr(),
@@ -763,9 +775,9 @@ pub fn chaos(rig: &Rig, spec: &ChaosSpec) -> Result<GateReport, String> {
         plan.schedule_digest(),
         plan.events()
     ));
-    report.det(format!("chaos-client: {}", client.render()));
-    report.det(format!("chaos-fwd: {}", fwd_tally.render()));
-    report.det(format!("chaos-rev: {}", rev_tally.render()));
+    report.det(format!("chaos-client: {}", client.line()));
+    report.det(format!("chaos-fwd: {}", fwd_tally.line()));
+    report.det(format!("chaos-rev: {}", rev_tally.line()));
     report.det(format!("chaos-tcp: {}", tcp_tally.render()));
     report.det(format!(
         "chaos-server: queries={} answers={} refused={} formerr={} notimp={} dropped={} \
@@ -997,7 +1009,7 @@ pub struct CacheSpec {
 ///
 /// Every `cache-` line is deterministic for a fixed seed (the
 /// transaction→qname schedule is seeded and the passes stay far from
-/// their timing margins). Metered, the scraped cache gauges must equal
+/// their timing margins). Metered, every scraped cache series must equal
 /// the cache's own books.
 pub fn cache(rig: &Rig, spec: &CacheSpec) -> Result<GateReport, String> {
     let &CacheSpec { queries, seed, capacity, serve_stale, prefetch } = spec;
@@ -1010,7 +1022,7 @@ pub fn cache(rig: &Rig, spec: &CacheSpec) -> Result<GateReport, String> {
     });
     let mut lab = Lab::start(rig, probe_ttl_test_domain_zone(&origin(), 2, ttl), |c| c)?;
     if let Some(registry) = lab.registry() {
-        mirror_cache(registry, &cache);
+        cache.register(registry);
     }
     eprintln!(
         "smoke: cache gate — udp://{} serving a {ttl}s-TTL zone (cap {}, prefetch {}, \
@@ -1057,7 +1069,7 @@ pub fn cache(rig: &Rig, spec: &CacheSpec) -> Result<GateReport, String> {
         // directions — upstream is alive but unreachable, the shape of
         // the outage RFC 8767 exists for.
         let blackhole = FaultProfile { drop: 1.0, ..FaultProfile::lossless() };
-        let proxy = lab.proxies(FaultPlan::new(seed, blackhole, blackhole), &["p0"])?;
+        let proxy = lab.proxies(FaultPlan::new(seed, blackhole, blackhole), 1)?;
         eprintln!("smoke: serve-stale pass — blackhole proxy udp://{} drops everything", proxy[0]);
         let books = pass(&lab, proxy, true)?;
         stale = Some((books, lab.flush_proxies().tally(Direction::Forward)));
@@ -1074,12 +1086,12 @@ pub fn cache(rig: &Rig, spec: &CacheSpec) -> Result<GateReport, String> {
         "cache-summary: seed={seed} queries={queries} cap={capacity} ttl={ttl} \
          prefetch={prefetch} serve_stale={serve_stale}"
     ));
-    report.det(format!("cache-cold: {}", cold.render()));
-    report.det(format!("cache-warm: {}", warm.render()));
+    report.det(format!("cache-cold: {}", cold.line()));
+    report.det(format!("cache-warm: {}", warm.line()));
     if let Some((books, _)) = &stale {
-        report.det(format!("cache-stale: {}", books.render()));
+        report.det(format!("cache-stale: {}", books.line()));
     }
-    report.det(format!("cache-stats: {}", render_cache_stats(&cache)));
+    report.det(format!("cache-stats: {} entries={}", cache.stats().line(), cache.len()));
     lab.finish_trace(&mut report, false)?;
     report.say(format!("elapsed_ms={}", elapsed.as_millis()));
 
@@ -1152,29 +1164,24 @@ pub fn cache(rig: &Rig, spec: &CacheSpec) -> Result<GateReport, String> {
     }
     report.expect_clean_io(&io);
 
-    // The metrics gate: the scraped cache gauges must equal the cache's
-    // own books exactly.
+    // The metrics gate: every scraped cache series must equal the
+    // cache's own books exactly.
     let before = report.failures.len();
     if lab.scrape_books(&stats, &mut report) {
-        let cs = cache.stats();
-        let wanted = [
-            ("dnswild_cache_hits", cs.hits),
-            ("dnswild_cache_misses", cs.misses),
-            ("dnswild_cache_expired", cs.expired),
-            ("dnswild_cache_negative_hits", cs.negative_hits),
-            ("dnswild_cache_inserts", cs.inserts),
-            ("dnswild_cache_evictions", cs.evictions),
-            ("dnswild_cache_stale_served", cs.stale_served),
-            ("dnswild_cache_entries", cache.len() as u64),
-        ];
-        for (name, want) in wanted {
-            let got = report.samples.iter().find(|s| s.name == name).map(|s| s.value);
-            if got != Some(want as f64) {
-                report.fail(format!("scrape mismatch: {name} = {got:?}, cache counted {want}"));
-            }
+        let kinds = cache.stats().kinds();
+        report.expect_scraped("dnswild_cache_events_total", &[], &kinds);
+        let entries = report.samples.iter().find(|s| s.name == "dnswild_cache_entries");
+        let (entries, held) = (entries.map(|s| s.value), cache.len());
+        if entries != Some(held as f64) {
+            report.fail(format!(
+                "scrape mismatch: dnswild_cache_entries = {entries:?}, cache holds {held}"
+            ));
         }
         if report.failures.len() == before {
-            report.say("metrics-gate: PASS — scrape matches the cache books across 8 gauges".into());
+            report.say(format!(
+                "metrics-gate: PASS — scrape matches the cache books across {} series",
+                kinds.len() + 1
+            ));
         }
     }
 
@@ -1283,7 +1290,7 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
     // A rate-limited drop leaves the attacker's last datagram with no
     // response to synchronize on: the settle gives the workers a moment
     // to classify everything already in their socket buffers.
-    let (stats, io) = lab.stop(legit.sent + flood.sent);
+    let (stats, io) = lab.stop(legit.stats.sent + flood.stats.sent);
     let elapsed = started.elapsed();
 
     let mut report = GateReport::default();
@@ -1294,10 +1301,10 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
         seed,
         queries
     ));
-    report.det(flood.render("attack-client"));
+    report.det(format!("attack-client: {}", flood.stats.line()));
     report.det(format!(
         "attack-legit: sent={} received={} timeouts={} mismatched={}",
-        legit.sent, legit.received, legit.timeouts, legit.mismatched
+        legit.stats.sent, legit.stats.received, legit.stats.timeouts, legit.stats.mismatched
     ));
     report.det(format!("attack-server: {}", stats.line()));
 
@@ -1306,10 +1313,10 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
     if let Some((summary, trace)) = lab.read_trace()? {
         let amp = amplification(&trace);
         report.det(format!("attack-amp: {}", amp.render()));
-        if amp.attack_queries != flood.sent {
+        if amp.attack_queries != flood.stats.sent {
             report.fail(format!(
                 "trace classified {} attack queries, attacker sent {}",
-                amp.attack_queries, flood.sent
+                amp.attack_queries, flood.stats.sent
             ));
         }
         if rrl {
@@ -1346,34 +1353,34 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
     if !legit.all_answered() {
         report.fail(format!(
             "legit goodput broke under the flood: {}/{} answered",
-            legit.received, legit.sent
+            legit.stats.received, legit.stats.sent
         ));
     }
     if !flood.all_accounted() {
         report.fail(format!(
             "unaccounted attack datagrams: sent={} received={} timeouts={} mismatched={}",
-            flood.sent, flood.received, flood.timeouts, flood.mismatched
+            flood.stats.sent, flood.stats.received, flood.stats.timeouts, flood.stats.mismatched
         ));
     }
-    if stats.queries != legit.sent + flood.sent {
+    if stats.queries != legit.stats.sent + flood.stats.sent {
         report.fail(format!(
             "server counted {} queries, clients sent {}",
             stats.queries,
-            legit.sent + flood.sent
+            legit.stats.sent + flood.stats.sent
         ));
     }
     // The legitimate mix is never charged under the Abusive scope, so
     // the limiter's counters must mirror the attacker's books exactly.
-    if stats.rrl_dropped != flood.timeouts {
+    if stats.rrl_dropped != flood.stats.timeouts {
         report.fail(format!(
             "limiter dropped {} responses, attacker timed out {} times",
-            stats.rrl_dropped, flood.timeouts
+            stats.rrl_dropped, flood.stats.timeouts
         ));
     }
-    if stats.rrl_slipped != flood.tc_slips {
+    if stats.rrl_slipped != flood.stats.tc_slips {
         report.fail(format!(
             "limiter slipped {} responses, attacker saw {} TC replies",
-            stats.rrl_slipped, flood.tc_slips
+            stats.rrl_slipped, flood.stats.tc_slips
         ));
     }
     if stats.bucket_evictions != 0 {
@@ -1384,20 +1391,20 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
     }
     report.expect_clean_io(&io);
     if rrl {
-        if flood.timeouts == 0 {
+        if flood.stats.timeouts == 0 {
             report.fail("rrl on, but the limiter never dropped an attack response".into());
         }
-        if flood.tc_slips == 0 {
+        if flood.stats.tc_slips == 0 {
             report.fail("rrl on, but the limiter never slipped a TC=1 reply".into());
         }
     } else {
-        if stats.rrl_dropped + stats.rrl_slipped + flood.tc_slips != 0 {
+        if stats.rrl_dropped + stats.rrl_slipped + flood.stats.tc_slips != 0 {
             report.fail("limiter counters moved while rrl was off".into());
         }
-        if flood.received != flood.sent {
+        if flood.stats.received != flood.stats.sent {
             report.fail(format!(
                 "no limiter, yet only {}/{} attack queries were answered",
-                flood.received, flood.sent
+                flood.stats.received, flood.stats.sent
             ));
         }
     }
@@ -1416,10 +1423,10 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
                 .filter(|s| s.name == "dnswild_rrl_verdict_ns_count")
                 .map(|s| s.value)
                 .sum();
-            if verdicts != flood.sent as f64 {
+            if verdicts != flood.stats.sent as f64 {
                 report.fail(format!(
                     "verdict spans timed {verdicts} decisions, {} queries were charged",
-                    flood.sent
+                    flood.stats.sent
                 ));
             }
         }
@@ -1451,13 +1458,13 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
     report.pass = format!(
         "{} attack queries ({} mode, rrl {}) beside {} legit: \
          {} answered, {} slipped, {} dropped, every datagram accounted",
-        flood.sent,
+        flood.stats.sent,
         mode.name(),
         if rrl { "on" } else { "off" },
-        legit.sent,
-        flood.received - flood.tc_slips,
-        flood.tc_slips,
-        flood.timeouts
+        legit.stats.sent,
+        flood.stats.received - flood.stats.tc_slips,
+        flood.stats.tc_slips,
+        flood.stats.timeouts
     );
     report.load = Some(legit);
     report.attack = Some(flood);
@@ -1586,7 +1593,7 @@ pub const GATES: &[Gate] = &[
             .map(|(a, _)| a)
         })
     }),
-    ("cache", "warm hits, prefetch, serve-stale and cache-gauge equality, replayed", gate_cache),
+    ("cache", "warm hits, prefetch, serve-stale and cache-scrape equality, replayed", gate_cache),
     (
         "explain",
         "chaos+tcp+rrl journeys: tails and failed timelines byte-identical across runs",
@@ -1731,10 +1738,10 @@ fn attack_sweep() -> Result<GateReport, String> {
                 "mode={} rrl={} sent={} answered={} tc_slips={} dropped={} amp={amp}",
                 mode.name(),
                 if rrl { "on" } else { "off" },
-                flood.sent,
-                flood.received,
-                flood.tc_slips,
-                flood.timeouts,
+                flood.stats.sent,
+                flood.stats.received,
+                flood.stats.tc_slips,
+                flood.stats.timeouts,
             ));
             let cell_name = format!("mode={} rrl={rrl}", mode.name());
             sweep.failures.extend(cell.failures.iter().map(|f| format!("{cell_name}: {f}")));

@@ -66,6 +66,9 @@ const EXP_BINARIES: [&str; 9] = [
     env!("CARGO_BIN_EXE_exp_ablation"),
 ];
 const EXP_TABLE1: &str = env!("CARGO_BIN_EXE_exp_table1");
+/// The two figure binaries with no raw series, hence no `--dump` row.
+const EXP_GUIDANCE: &str = env!("CARGO_BIN_EXE_exp_guidance");
+const EXP_ABLATION: &str = env!("CARGO_BIN_EXE_exp_ablation");
 
 fn run(binary: &str, args: &[&str]) -> Output {
     Command::new(binary).args(args).output().expect("binary runs")
@@ -100,7 +103,13 @@ fn help_exits_zero_and_lists_every_flag() {
         assert_help_lists(DNSWILD, &[command, "--help"], flags);
     }
     for binary in EXP_BINARIES {
-        assert_help_lists(binary, &["--help"], &["--vps", "--seed", "--full", "--dump"]);
+        let undumped = [EXP_GUIDANCE, EXP_ABLATION].contains(&binary);
+        let flags: &[&str] = if undumped {
+            &["--vps", "--seed", "--full"]
+        } else {
+            &["--vps", "--seed", "--full", "--dump"]
+        };
+        assert_help_lists(binary, &["--help"], flags);
     }
     assert_help_lists(EXP_TABLE1, &["--help"], &[]);
     let out = run(DNSWILD, &["--help"]);
@@ -175,6 +184,25 @@ fn the_parents_rules_hold() {
     for (args, names) in cases {
         assert_usage_error(DNSWILD, args, &names);
     }
+}
+
+/// `--dump` is never accepted and then ignored: `exp_fig2` writes one
+/// probe series per configuration, as `exp_fig4_table2` does, and the
+/// binaries with no raw series reject the flag, naming it.
+#[test]
+fn dump_is_written_where_accepted_and_rejected_elsewhere() {
+    for binary in [EXP_GUIDANCE, EXP_ABLATION] {
+        assert_usage_error(binary, &["--dump", "/tmp/never-written"], &["unknown argument --dump"]);
+    }
+    let dir = std::env::temp_dir().join(format!("dnswild-fig2-dump-{}", std::process::id()));
+    let out = run(EXP_BINARIES[0], &["--vps", "30", "--dump", dir.to_str().expect("utf-8 path")]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    for config in ["2A", "2B", "2C", "3A", "3B", "4A", "4B"] {
+        let path = dir.join(format!("fig2_{config}_probes.tsv"));
+        let tsv = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert!(tsv.starts_with("vp\tcontinent\t") && tsv.lines().count() > 1, "{path:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

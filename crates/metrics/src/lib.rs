@@ -16,11 +16,11 @@
 //!   [`Gauge`]s, and log-bucketed [`LogHistogram`]s — the telemetry
 //!   crate's one histogram type, re-exported here, so every percentile
 //!   in the workspace is quantised identically.
-//! * [`counters`] — [`counter_set!`]: a ledger of `u64` counters declared
-//!   once, from which its sum, `(kind, value)` list, lock-free mirror
-//!   ([`AtomicSet`]) and `k=v` line are derived; [`Registry::mirror_counters`]
-//!   exposes such a ledger from where it lives instead of double-writing
-//!   it.
+//! * [`counters`] — the `dnswild-ledger` crate, re-exported:
+//!   [`counter_set!`] declares a ledger of `u64` counters once, from
+//!   which its sum, `(kind, value)` list, lock-free mirror ([`AtomicSet`])
+//!   and `k=v` line are derived; [`Registry::mirror_counters`] exposes
+//!   such a ledger from where it lives instead of double-writing it.
 //! * [`http`] — a minimal HTTP/1.0 responder over
 //!   [`std::net::TcpListener`] exposing the registry in Prometheus text
 //!   format at `GET /metrics`, plus the matching [`scrape`] client and
@@ -37,15 +37,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod http;
 pub mod registry;
 pub mod spans;
 pub mod watchdog;
 
-pub use counters::{kv_line, AtomicSet, CounterSet};
+pub use dnswild_ledger as counters;
+pub use dnswild_ledger::{counter_set, kv_line, AtomicSet, CounterSet};
 pub use dnswild_telemetry::LogHistogram;
 pub use http::{scrape, parse_exposition, MetricsServer, Sample};
-pub use registry::{Counter, Gauge, MetricValue, Registry};
+pub use registry::{Counter, Gauge, Hook, MetricValue, Registry};
 pub use spans::{Stage, StageClock, StageSpans, STAGES};
 pub use watchdog::{Watchdog, WatchdogConfig, WatchdogHandle, WatchdogReport};

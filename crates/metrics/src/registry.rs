@@ -115,6 +115,11 @@ struct Inner {
 
 type ScrapeHook = Arc<dyn Fn() + Send + Sync>;
 
+/// One registered scrape hook, handed back so the owner of a source that
+/// stops changing can [`Registry::settle`] it; dropping it keeps the
+/// hook for the registry's lifetime.
+pub struct Hook(ScrapeHook);
+
 /// Every series of one metric name, as `(label pairs, value)` rows —
 /// the readback shape of [`Registry::counters`] / [`Registry::gauges`]
 /// / [`Registry::histograms`].
@@ -231,8 +236,23 @@ impl Registry {
     /// Runs `f` before every read of the registry — an HTTP scrape and
     /// an in-process reader (the watchdog) see the same freshness. `f`
     /// must not read the registry itself.
-    pub fn on_scrape(&self, f: impl Fn() + Send + Sync + 'static) {
-        self.scrape_hooks.lock().unwrap().push(Arc::new(f));
+    pub fn on_scrape(&self, f: impl Fn() + Send + Sync + 'static) -> Hook {
+        let hook: ScrapeHook = Arc::new(f);
+        self.scrape_hooks.lock().unwrap().push(Arc::clone(&hook));
+        Hook(hook)
+    }
+
+    /// Runs `hooks` one last time and unregisters them: the series they
+    /// feed keep their final values, and the registry stops reading —
+    /// and holding — their sources. For a source that has stopped
+    /// changing, such as a finished run's cells, so that repeated runs
+    /// against one registry do not pile up hooks.
+    pub fn settle(&self, hooks: impl IntoIterator<Item = Hook>) {
+        let hooks: Vec<Hook> = hooks.into_iter().collect();
+        self.scrape_hooks.lock().unwrap().retain(|h| !hooks.iter().any(|s| Arc::ptr_eq(h, &s.0)));
+        for Hook(h) in hooks {
+            h();
+        }
     }
 
     /// Feeds the counter family `name{labels.., kind=<label>}` — one
@@ -247,7 +267,7 @@ impl Registry {
         help: &str,
         labels: &[(&str, &str)],
         read: impl Fn() -> S + Send + Sync + 'static,
-    ) {
+    ) -> Hook {
         let series = S::LABELS.map(|kind| {
             let mut labels = labels.to_vec();
             labels.push(("kind", kind));
@@ -259,12 +279,23 @@ impl Registry {
         self.on_scrape(move || {
             let mut published = published.lock().unwrap();
             for ((series, seen), now) in series.iter().zip(published.iter_mut()).zip(read().values()) {
-                if now > *seen {
-                    series.add(now - *seen);
-                    *seen = now;
-                }
+                advance(series, seen, now);
             }
-        });
+        })
+    }
+
+    /// [`Registry::mirror_counters`] for one series `name{labels}` whose
+    /// source is a single monotone count rather than a counter set.
+    pub fn mirror_counter(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        read: impl Fn() -> u64 + Send + Sync + 'static,
+    ) -> Hook {
+        let series = self.counter_with(name, help, labels);
+        let published = Mutex::new(0u64);
+        self.on_scrape(move || advance(&series, &mut published.lock().unwrap(), read()))
     }
 
     fn run_scrape_hooks(&self) {
@@ -358,6 +389,14 @@ impl Registry {
             }
         }
         out
+    }
+}
+
+/// Adds to a mirrored `series` what its source grew since `seen`.
+fn advance(series: &Counter, seen: &mut u64, now: u64) {
+    if now > *seen {
+        series.add(now - *seen);
+        *seen = now;
     }
 }
 
@@ -485,6 +524,20 @@ mod tests {
             left: 0,
         });
         assert_eq!(value("in"), Some(15));
+    }
+
+    #[test]
+    fn a_settled_hook_keeps_its_final_value_and_lets_go_of_its_source() {
+        let cell = Arc::new(AtomicU64::new(0));
+        let reg = Registry::new();
+        let source = Arc::clone(&cell);
+        let hook =
+            reg.mirror_counter("runs_total", "runs", &[], move || source.load(Ordering::Relaxed));
+        cell.store(4, Ordering::Relaxed);
+        reg.settle([hook]);
+        cell.store(9, Ordering::Relaxed);
+        assert_eq!(reg.counters("runs_total")[0].1, 4, "settled at the source's last value");
+        assert_eq!(Arc::strong_count(&cell), 1, "the registry no longer holds the source");
     }
 
     #[test]

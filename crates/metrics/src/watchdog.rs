@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use crate::registry::{Gauge, Registry};
+use crate::registry::{Gauge, LabeledSeries, Registry};
 
 /// Input metric names the watchdog reads. Kept here so the wiring code
 /// and the watchdog cannot drift apart.
@@ -30,17 +30,28 @@ pub mod inputs {
     pub const ATTEMPTS: &str = "dnswild_client_attempts_total";
     /// Per-auth smoothed RTT gauge in milliseconds (label `auth`).
     pub const SRTT_MS: &str = "dnswild_client_srtt_ms";
-    /// Finished client transactions.
-    pub const TXN: &str = "dnswild_client_txn_total";
-    /// Transactions that gave up with SERVFAIL.
-    pub const SERVFAIL: &str = "dnswild_client_servfail_total";
-    /// Telemetry ring-overflow mirror gauge.
-    pub const OVERFLOW: &str = "dnswild_trace_overflow";
+    /// The resolver client's ledger (label `kind`, one series per
+    /// `ClientStats` field). The SERVFAIL law reads the `txns` and
+    /// `servfail` kinds.
+    pub const CLIENT_EVENTS: &str = "dnswild_client_events_total";
+    /// The trace collector's ledger (label `kind`, one series per
+    /// `TelemetrySnapshot` field). The overflow law reads the `overflow`
+    /// kind.
+    pub const TRACE_EVENTS: &str = "dnswild_trace_events_total";
     /// Per-auth server outcome counters (labels `auth`, `kind`). The
     /// attack-pressure law reads the `queries`, `rrl_dropped` and
     /// `rrl_slipped` kinds — the same single-source-of-truth series the
     /// serving plane's scrape-equality gate pins.
     pub const SERVER_EVENTS: &str = "dnswild_server_events_total";
+}
+
+/// The sum of `kind` over every series of a `{…, kind}` family.
+fn kind_total(series: &LabeledSeries<u64>, kind: &str) -> u64 {
+    series
+        .iter()
+        .filter(|(labels, _)| labels.iter().any(|(k, v)| k == "kind" && v == kind))
+        .map(|(_, n)| n)
+        .sum()
 }
 
 /// Tunables for the watchdog laws.
@@ -242,7 +253,8 @@ impl Watchdog {
 
         // Coverage: every known auth (one with an SRTT entry) keeps
         // receiving attempts.
-        let txns: u64 = self.registry.counters(inputs::TXN).iter().map(|(_, n)| n).sum();
+        let client = self.registry.counters(inputs::CLIENT_EVENTS);
+        let txns = kind_total(&client, "txns");
         if !attempts.is_empty() {
             let covered = attempts.iter().filter(|(_, n)| *n > 0).count();
             r.coverage = covered as f64 / attempts.len() as f64;
@@ -251,8 +263,7 @@ impl Watchdog {
         }
 
         // SERVFAIL/give-up rate over finished transactions.
-        let servfails: u64 =
-            self.registry.counters(inputs::SERVFAIL).iter().map(|(_, n)| n).sum();
+        let servfails = kind_total(&client, "servfail");
         if txns > 0 {
             r.servfail_rate = servfails as f64 / txns as f64;
             r.servfail_breach = txns >= self.config.min_txn_samples
@@ -260,23 +271,16 @@ impl Watchdog {
         }
 
         // Telemetry ring overflow: any drop is a capture-integrity loss.
-        r.overflow = self.registry.gauges(inputs::OVERFLOW).iter().map(|(_, v)| v).sum();
+        r.overflow = kind_total(&self.registry.counters(inputs::TRACE_EVENTS), "overflow") as f64;
         r.overflow_breach = r.overflow > 0.0;
 
         // Attack pressure: the share of server queries the rate limiter
         // intervened on, summed across auths. Breaching here is the
         // *defense working* — the gate pairs it with the goodput laws
         // above staying green for legitimate clients.
-        let server_events = self.registry.counters(inputs::SERVER_EVENTS);
-        let server_kind = |kind: &str| -> u64 {
-            server_events
-                .iter()
-                .filter(|(labels, _)| labels.iter().any(|(k, v)| k == "kind" && v == kind))
-                .map(|(_, n)| n)
-                .sum()
-        };
-        let server_queries = server_kind("queries");
-        let limited = server_kind("rrl_dropped") + server_kind("rrl_slipped");
+        let server = self.registry.counters(inputs::SERVER_EVENTS);
+        let server_queries = kind_total(&server, "queries");
+        let limited = kind_total(&server, "rrl_dropped") + kind_total(&server, "rrl_slipped");
         if server_queries > 0 {
             r.attack_rate = limited as f64 / server_queries as f64;
             r.attack_breach = server_queries >= self.config.min_attack_samples
@@ -384,7 +388,7 @@ mod tests {
     fn share_tracking_srtt_is_healthy() {
         // 10ms vs 30ms SRTT → expected shares 0.75/0.25; actual 0.72/0.28.
         let (reg, wd) = fixture(&[("a", 720), ("b", 280)], &[("a", 10.0), ("b", 30.0)]);
-        reg.counter_with(inputs::TXN, "t", &[]).add(1000);
+        reg.counter_with(inputs::CLIENT_EVENTS, "t", &[("kind", "txns")]).add(1000);
         let r = wd.eval_now();
         assert!(r.share_judged);
         assert!(!r.share_breach, "dev {} should be in tolerance", r.share_dev);
@@ -423,9 +427,9 @@ mod tests {
     #[test]
     fn coverage_servfail_and_overflow_laws() {
         let (reg, wd) = fixture(&[("a", 500), ("b", 0)], &[("a", 10.0), ("b", 10.0)]);
-        reg.counter_with(inputs::TXN, "t", &[]).add(500);
-        reg.counter_with(inputs::SERVFAIL, "t", &[]).add(100);
-        reg.gauge(inputs::OVERFLOW, "t").set(3.0);
+        reg.counter_with(inputs::CLIENT_EVENTS, "t", &[("kind", "txns")]).add(500);
+        reg.counter_with(inputs::CLIENT_EVENTS, "t", &[("kind", "servfail")]).add(100);
+        reg.counter_with(inputs::TRACE_EVENTS, "t", &[("kind", "overflow")]).add(3);
         let r = wd.eval_now();
         assert!(r.coverage_breach, "auth b starved: coverage {}", r.coverage);
         assert!(r.servfail_breach, "rate {}", r.servfail_rate);
@@ -436,14 +440,15 @@ mod tests {
 
     #[test]
     fn hook_fed_inputs_are_judged_without_anyone_scraping() {
-        // The overflow gauge (like the server-events series) is only
+        // The overflow series (like the server-events series) is only
         // refreshed by a scrape hook. A watchdog on a registry nobody
         // scrapes must still see the live value.
         let (reg, wd) = fixture(&[], &[]);
-        let overflow = reg.gauge(inputs::OVERFLOW, "t");
         let drops = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let source = Arc::clone(&drops);
-        reg.on_scrape(move || overflow.set(source.load(Ordering::Relaxed) as f64));
+        reg.mirror_counter(inputs::TRACE_EVENTS, "t", &[("kind", "overflow")], move || {
+            source.load(Ordering::Relaxed)
+        });
         assert!(!wd.eval_now().overflow_breach);
         drops.store(3, Ordering::Relaxed);
         let r = wd.eval_now();

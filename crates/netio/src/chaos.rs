@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, DetRng, Rng};
-use dnswild_metrics::{counter_set, kv_line, AtomicSet, Counter, CounterSet, Registry};
+use dnswild_metrics::{counter_set, kv_line, AtomicSet, CounterSet, Registry};
 
 use crate::closed_loop::unspecified_for;
 use crate::server::is_idle_recv;
@@ -192,7 +192,8 @@ impl TcpFate {
 }
 
 counter_set! {
-    /// A point-in-time copy of the TCP-side fault tallies.
+    /// A point-in-time copy of the TCP-side fault tallies. The labels
+    /// are the `kind`s of the scraped `dnswild_chaos_tcp_events_total`.
     pub struct TcpFaultTally {
         /// TCP connections accepted by the proxy.
         conns => "conns",
@@ -232,7 +233,10 @@ pub struct Delivery {
 }
 
 counter_set! {
-    /// A point-in-time copy of one direction's fault tallies.
+    /// A point-in-time copy of one direction's fault tallies, counted
+    /// per datagram (`in`, `drop`) and per scheduled copy (the rest).
+    /// The labels are the keys of the `chaos-fwd:` / `chaos-rev:` lines
+    /// and the `kind`s of the scraped `dnswild_chaos_events_total`.
     pub struct DirTally {
         /// Datagrams that entered the proxy in this direction.
         inspected => "in",
@@ -250,13 +254,6 @@ counter_set! {
         reordered => "reorder",
         /// Copies with a non-zero delay.
         delayed => "delayed",
-    }
-}
-
-impl DirTally {
-    /// Canonical `k=v` rendering for reproducibility comparisons.
-    pub fn render(&self) -> String {
-        self.line()
     }
 }
 
@@ -314,6 +311,31 @@ impl FaultPlan {
     /// TCP-side fault tallies.
     pub fn tcp_tally(&self) -> TcpFaultTally {
         self.tcp_counters.snapshot()
+    }
+
+    /// Feeds `dnswild_chaos_events_total{dir,kind}` — one series per
+    /// [`DirTally`] field and direction — and
+    /// `dnswild_chaos_tcp_events_total{kind}` from this plan's tallies
+    /// on every read of `registry`. The plan, not a proxy, owns them,
+    /// so whoever creates the plan calls this once, however many
+    /// proxies share it.
+    pub fn register(self: &Arc<Self>, registry: &Registry) {
+        for (dir, label) in [(Direction::Forward, "forward"), (Direction::Reverse, "reverse")] {
+            let plan = Arc::clone(self);
+            registry.mirror_counters(
+                "dnswild_chaos_events_total",
+                "chaos fault-plan decisions per direction, one series per DirTally field",
+                &[("dir", label)],
+                move || plan.tally(dir),
+            );
+        }
+        let plan = Arc::clone(self);
+        registry.mirror_counters(
+            "dnswild_chaos_tcp_events_total",
+            "chaos fault-plan TCP frame fates, one series per TcpFaultTally field",
+            &[],
+            move || plan.tcp_tally(),
+        );
     }
 
     /// Decides the fate of one TCP query frame, keyed — like
@@ -534,29 +556,17 @@ pub struct ChaosProxy {
 
 impl ChaosProxy {
     /// Binds `listen_addr` (port 0 picks an ephemeral port) and starts
-    /// proxying to `upstream` under `plan`.
+    /// proxying to `upstream` under `plan`. With a `collector` it also
+    /// records one telemetry event per datagram crossing the proxy
+    /// (`ChaosForward` / `ChaosReverse`, `FLAG_CHAOS_*` flags describing
+    /// the fate the fault plan chose for it). The plan's tallies reach a
+    /// registry through [`FaultPlan::register`].
     pub fn spawn(
         listen_addr: impl ToSocketAddrs,
         upstream: SocketAddr,
         plan: Arc<FaultPlan>,
-    ) -> io::Result<ChaosProxy> {
-        ChaosProxy::spawn_metered(listen_addr, upstream, plan, None, None)
-    }
-
-    /// Like [`ChaosProxy::spawn`], but with a `collector` additionally
-    /// records one telemetry event per datagram crossing the proxy
-    /// (`ChaosForward` / `ChaosReverse`, `FLAG_CHAOS_*` flags describing
-    /// the fate the fault plan chose for it), and with `metrics` mirrors
-    /// datagram and fault counts into a registry, labelled
-    /// `{proxy=<label>, dir=forward|reverse}`.
-    pub fn spawn_metered(
-        listen_addr: impl ToSocketAddrs,
-        upstream: SocketAddr,
-        plan: Arc<FaultPlan>,
         collector: Option<Arc<Collector>>,
-        metrics: Option<(Arc<Registry>, &str)>,
     ) -> io::Result<ChaosProxy> {
-        let metrics = metrics.map(|(r, label)| Arc::new(ChaosMetrics::register(&r, label)));
         let addr = listen_addr
             .to_socket_addrs()?
             .next()
@@ -576,7 +586,6 @@ impl ChaosProxy {
             stop: Arc::clone(&stop),
             tx,
             collector,
-            metrics,
         };
         let listen = std::thread::Builder::new()
             .name("chaos-listen".into())
@@ -648,8 +657,7 @@ struct Session {
 /// Reconstructs what the fault plan did to one datagram by comparing
 /// the scheduled deliveries against the original payload — committing
 /// to what actually happened, not to which RNG draws fired. Returns
-/// `FLAG_CHAOS_*` bits plus the longest hold time. Shared between the
-/// telemetry and metrics mirrors so both planes agree by construction.
+/// `FLAG_CHAOS_*` bits plus the longest hold time.
 fn delivery_flags(profile: &FaultProfile, payload: &[u8], deliveries: &[Delivery]) -> (u16, Duration) {
     let reorder_floor = Duration::from_micros(profile.delay_max_us);
     let mut flags = 0u16;
@@ -708,65 +716,6 @@ fn trace_decision(
     producer.record(&ev);
 }
 
-/// Per-direction registry mirrors of the proxy's activity: every
-/// datagram crossing the proxy bumps `dnswild_chaos_datagrams_total`
-/// and each injected fault kind bumps `dnswild_chaos_faults_total`.
-/// Labelled `{proxy, dir}` so a fleet of proxies (one per
-/// authoritative, as `smoke --chaos` runs them) stays distinguishable
-/// on one scrape.
-struct ChaosMetrics {
-    datagrams: [Arc<Counter>; 2],
-    faults: [[Arc<Counter>; 6]; 2],
-}
-
-/// The fault kinds mirrored into `dnswild_chaos_faults_total{kind=..}`,
-/// aligned with the `FLAG_CHAOS_*` bits `delivery_flags` reconstructs.
-const FAULT_KINDS: [(&str, u16); 6] = [
-    ("drop", FLAG_CHAOS_DROP),
-    ("dup", FLAG_CHAOS_DUP),
-    ("delay", FLAG_CHAOS_DELAY),
-    ("reorder", FLAG_CHAOS_REORDER),
-    ("truncate", FLAG_CHAOS_TRUNCATE),
-    ("corrupt", FLAG_CHAOS_CORRUPT),
-];
-
-impl ChaosMetrics {
-    fn register(registry: &Registry, proxy: &str) -> ChaosMetrics {
-        let dir_counters = |dir: &str| {
-            let datagrams = registry.counter_with(
-                "dnswild_chaos_datagrams_total",
-                "datagrams entering the chaos proxy",
-                &[("proxy", proxy), ("dir", dir)],
-            );
-            let faults = FAULT_KINDS.map(|(kind, _)| {
-                registry.counter_with(
-                    "dnswild_chaos_faults_total",
-                    "fault injections by the chaos proxy",
-                    &[("proxy", proxy), ("dir", dir), ("kind", kind)],
-                )
-            });
-            (datagrams, faults)
-        };
-        let (fwd_d, fwd_f) = dir_counters("forward");
-        let (rev_d, rev_f) = dir_counters("reverse");
-        ChaosMetrics { datagrams: [fwd_d, rev_d], faults: [fwd_f, rev_f] }
-    }
-
-    fn record(&self, dir: Direction, profile: &FaultProfile, payload: &[u8], deliveries: &[Delivery]) {
-        let i = match dir {
-            Direction::Forward => 0,
-            Direction::Reverse => 1,
-        };
-        self.datagrams[i].inc();
-        let (flags, _) = delivery_flags(profile, payload, deliveries);
-        for (slot, (_, bit)) in self.faults[i].iter().zip(FAULT_KINDS) {
-            if flags & bit != 0 {
-                slot.inc();
-            }
-        }
-    }
-}
-
 /// What the forward pump and every session's reverse pump share.
 #[derive(Clone)]
 struct Relay {
@@ -775,10 +724,9 @@ struct Relay {
     /// The delay scheduler's inbox.
     tx: mpsc::Sender<Scheduled>,
     collector: Option<Arc<Collector>>,
-    metrics: Option<Arc<ChaosMetrics>>,
 }
 
-/// One direction's pump: every datagram is decided, traced, metered and
+/// One direction's pump: every datagram is decided, traced and
 /// dispatched the same way, whichever way it travels.
 struct Pump {
     relay: Relay,
@@ -810,9 +758,6 @@ impl Pump {
                 Direction::Reverse => EventKind::ChaosReverse,
             };
             trace_decision(p, kind, plan.profile(self.dir), client, payload, &deliveries);
-        }
-        if let Some(m) = &self.relay.metrics {
-            m.record(self.dir, plan.profile(self.dir), payload, &deliveries);
         }
         for d in deliveries {
             self.seq += 1;
@@ -1133,9 +1078,9 @@ mod tests {
         let upstream = UdpSocket::bind("127.0.0.1:0").unwrap();
         upstream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let plan = Arc::new(FaultPlan::new(0, FaultProfile::lossless(), FaultProfile::lossless()));
+        let upstream_addr = upstream.local_addr().unwrap();
         let proxy =
-            ChaosProxy::spawn("127.0.0.1:0", upstream.local_addr().unwrap(), Arc::clone(&plan))
-                .unwrap();
+            ChaosProxy::spawn("127.0.0.1:0", upstream_addr, Arc::clone(&plan), None).unwrap();
 
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1157,8 +1102,8 @@ mod tests {
         proxy.shutdown();
     }
 
-    /// A metered proxy mirrors its datagram and drop counts into the
-    /// registry, in exact agreement with the plan's own tallies.
+    /// A registered plan mirrors its datagram and drop counts into the
+    /// registry, in exact agreement with its own tallies.
     #[test]
     fn metered_proxy_mirrors_plan_tallies_into_the_registry() {
         let upstream = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -1169,14 +1114,10 @@ mod tests {
             FaultProfile::lossless(),
         ));
         let registry = Arc::new(Registry::new());
-        let proxy = ChaosProxy::spawn_metered(
-            "127.0.0.1:0",
-            upstream.local_addr().unwrap(),
-            Arc::clone(&plan),
-            None,
-            Some((Arc::clone(&registry), "p0")),
-        )
-        .unwrap();
+        plan.register(&registry);
+        let upstream_addr = upstream.local_addr().unwrap();
+        let proxy =
+            ChaosProxy::spawn("127.0.0.1:0", upstream_addr, Arc::clone(&plan), None).unwrap();
 
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         client.connect(proxy.local_addr()).unwrap();
@@ -1210,14 +1151,21 @@ mod tests {
                 .unwrap_or(0)
         };
         assert_eq!(
-            lookup("dnswild_chaos_datagrams_total", &[("proxy", "p0"), ("dir", "forward")]),
+            lookup("dnswild_chaos_events_total", &[("dir", "forward"), ("kind", "in")]),
             tally.inspected
         );
         assert_eq!(
-            lookup("dnswild_chaos_faults_total", &[("dir", "forward"), ("kind", "drop")]),
+            lookup("dnswild_chaos_events_total", &[("dir", "forward"), ("kind", "drop")]),
             tally.dropped
         );
         assert!(tally.dropped > 0, "a 50% drop plan over 32 datagrams drops some");
+    }
+
+    #[test]
+    fn fault_tallies_cover_every_field() {
+        use dnswild_metrics::counters::assert_counter_set_covers_every_field;
+        assert_counter_set_covers_every_field::<DirTally, 8>();
+        assert_counter_set_covers_every_field::<TcpFaultTally, 7>();
     }
 
     /// Truncated copies carry TC=1 whenever the header flag byte
@@ -1312,8 +1260,8 @@ mod tests {
                 TcpFaultProfile { refuse: 0.15, reset: 0.05, stall: 0.05, corrupt_len: 0.05 },
             ),
         );
-        let proxy =
-            ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), Arc::clone(&plan)).unwrap();
+        let proxy = ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), Arc::clone(&plan), None)
+            .unwrap();
         let mut cfg = ResolveConfig::new(vec![proxy.local_addr()], origin)
             .transactions(10)
             .concurrency(2)
@@ -1323,7 +1271,7 @@ mod tests {
         proxy.shutdown();
         let stats = handle.shutdown();
         report.stats.check().unwrap();
-        assert_eq!(report.stats.answered, 10, "{}", report.stats.render());
+        assert_eq!(report.stats.answered, 10, "{}", report.stats.line());
         assert_eq!(report.stats.tcp_answered, 10, "all answers arrived over TCP");
         let tally = plan.tcp_tally();
         assert!(tally.frames >= 10, "{}", tally.render());
@@ -1339,9 +1287,9 @@ mod tests {
         upstream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let profile = FaultProfile::lossless().delay_ms(5, 15);
         let plan = Arc::new(FaultPlan::new(3, profile, FaultProfile::lossless()));
+        let upstream_addr = upstream.local_addr().unwrap();
         let proxy =
-            ChaosProxy::spawn("127.0.0.1:0", upstream.local_addr().unwrap(), Arc::clone(&plan))
-                .unwrap();
+            ChaosProxy::spawn("127.0.0.1:0", upstream_addr, Arc::clone(&plan), None).unwrap();
         let client = UdpSocket::bind("127.0.0.1:0").unwrap();
         client.connect(proxy.local_addr()).unwrap();
         let started = Instant::now();

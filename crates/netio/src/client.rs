@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use detrand::{splitmix64, DetRng};
 use dnswild_cache::{negative_ttl, CacheConfig, CacheStats, CacheTime, Clock, EntryKind, Hit,
     RecordCache, WallClock};
-use dnswild_metrics::{counter_set, watchdog::inputs, Counter, CounterSet, Gauge, Registry};
+use dnswild_metrics::{counter_set, watchdog::inputs, AtomicSet, Hook, Registry};
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
 use dnswild_proto::{Message, Name, RType, Rcode};
 use dnswild_resolver::{InfraCache, PolicyKind, SelectionPolicy};
@@ -73,6 +73,11 @@ use crate::tcp::{write_frame, FrameReader};
 /// benchmarks deriving per-transaction costs from a report's `elapsed`
 /// can subtract the fixed tail.
 pub const DRAIN_WINDOW: Duration = Duration::from_millis(200);
+
+/// Transactions a worker runs between two publishes of its books to its
+/// cell. A publish is a few atomic adds; once per transaction, that was
+/// ~4% of a warm (cache-hit) transaction on a 2-vCPU host.
+const PUBLISH_EVERY: u64 = 64;
 
 /// Negative TTL when an NXDOMAIN/NODATA reply carries no SOA to take
 /// the RFC 2308 minimum from (matches the sim resolver's default).
@@ -147,18 +152,25 @@ impl SharedCache {
     /// stale_served as the *cache* saw them, summed over the shards;
     /// the per-run client view lives in [`ClientStats`]).
     pub fn stats(&self) -> CacheStats {
-        let mut sum = CacheStats::default();
-        for shard in self.shards.iter() {
-            let s = shard.lock().expect("cache lock").stats();
-            sum.hits += s.hits;
-            sum.misses += s.misses;
-            sum.inserts += s.inserts;
-            sum.expired += s.expired;
-            sum.negative_hits += s.negative_hits;
-            sum.evictions += s.evictions;
-            sum.stale_served += s.stale_served;
-        }
-        sum
+        self.shards.iter().map(|shard| shard.lock().expect("cache lock").stats()).sum()
+    }
+
+    /// Feeds `dnswild_cache_events_total{kind}` — one series per
+    /// [`CacheStats`] field — and the `dnswild_cache_entries` gauge from
+    /// this cache's own books on every read of `registry`. Whoever
+    /// creates the cache calls this once: a second feed would count
+    /// every event twice.
+    pub fn register(self: &Arc<Self>, registry: &Registry) {
+        let cache = Arc::clone(self);
+        registry.mirror_counters(
+            "dnswild_cache_events_total",
+            "record-cache events, one series per CacheStats field",
+            &[],
+            move || cache.stats(),
+        );
+        let entries = registry.gauge("dnswild_cache_entries", "record-cache entries resident");
+        let cache = Arc::clone(self);
+        registry.on_scrape(move || entries.set(cache.len() as f64));
     }
 
     /// Live + stale-retained entry count.
@@ -256,12 +268,15 @@ pub struct ResolveConfig {
     /// like [`ResolveReport::per_server`] — follows real RTTs and is
     /// not deterministic across runs.
     pub collector: Option<Arc<Collector>>,
-    /// Metrics registry: when set, each worker mirrors per-auth attempt
-    /// counts and smoothed-RTT gauges plus transaction/SERVFAIL totals
-    /// into it, under the names the share-vs-RTT watchdog consumes
-    /// (see `dnswild_metrics::watchdog::inputs`). Like
-    /// [`ResolveReport::per_server`], these follow real RTTs and are
-    /// not part of the determinism contract.
+    /// Metrics registry: when set, the run's books are fed into it from
+    /// the cells the workers publish to — the [`ClientStats`] ledger,
+    /// and per authoritative the attempt count and run-mean answer RTT —
+    /// under the names the share-vs-RTT watchdog consumes (see
+    /// `dnswild_metrics::watchdog::inputs`). Like
+    /// [`ResolveReport::per_server`], the per-auth series follow real
+    /// RTTs and are not part of the determinism contract. When the run
+    /// ends its series keep their final values and the registry stops
+    /// reading its cells, so runs sharing one registry add up.
     pub metrics: Option<Arc<Registry>>,
     /// Record cache: when set, every transaction consults it before
     /// touching the socket (a hit costs zero socket I/O) and stores the
@@ -375,8 +390,10 @@ counter_set! {
     /// Resolver-level counters. Transactions are never lost: every one
     /// ends in `answered` or `servfails`, and every datagram read is
     /// classified into exactly one reply counter — [`ClientStats::check`]
-    /// verifies both books. The labels are the keys of
-    /// [`ClientStats::render`].
+    /// verifies both books. The labels are the keys of the
+    /// `chaos-client:` line and the `kind`s of the scraped
+    /// `dnswild_client_events_total`; every field is deterministic for a
+    /// given seed, so the smoke gate compares those lines verbatim.
     pub struct ClientStats {
         /// Transactions run.
         transactions => "txns",
@@ -513,12 +530,6 @@ impl ClientStats {
         }
         Ok(())
     }
-
-    /// Canonical `k=v` rendering; every field here is deterministic for
-    /// a given seed, so the smoke gate compares these lines verbatim.
-    pub fn render(&self) -> String {
-        self.line()
-    }
 }
 
 /// What one [`resolve`] run did.
@@ -601,10 +612,50 @@ enum Doom {
     Tc,
 }
 
-/// Live mirrors of the client counters the watchdog consumes: per-auth
-/// attempts and smoothed RTT (the two sides of the paper's Fig. 3
-/// share-vs-1/SRTT law), plus transaction and give-up totals for the
-/// SERVFAIL-rate law. Shared across workers.
+/// One worker's published books. The worker is the only writer — its
+/// [`ClientStats`] one delta per [`PUBLISH_EVERY`] transactions and at
+/// the end, its per-server counts as they happen — and [`resolve`]'s
+/// report and the registry feed both
+/// read these cells, so a quiescent scrape equals the report by
+/// construction. It and each of its server cells are line-aligned, so
+/// no two workers write to one cache line.
+#[repr(align(64))]
+struct WorkerCell {
+    stats: AtomicSet<ClientStats, 19>,
+    /// Indexed like [`ResolveConfig::servers`].
+    servers: Box<[ServerCell]>,
+}
+
+/// One worker's counts against one server.
+#[derive(Default)]
+#[repr(align(64))]
+struct ServerCell {
+    /// Attempts sent.
+    attempts: AtomicU64,
+    /// Attempts answered (over UDP or the TCP fallback), and the sum of
+    /// their RTTs in microseconds.
+    answers: AtomicU64,
+    rtt_sum_us: AtomicU64,
+}
+
+impl WorkerCell {
+    fn new(servers: usize) -> WorkerCell {
+        WorkerCell {
+            stats: AtomicSet::default(),
+            servers: (0..servers).map(|_| ServerCell::default()).collect(),
+        }
+    }
+}
+
+/// One count of server `server`, summed over every worker's cell.
+fn server_total(cells: &[WorkerCell], server: usize, count: fn(&ServerCell) -> &AtomicU64) -> u64 {
+    cells.iter().map(|c| count(&c.servers[server]).load(Ordering::Relaxed)).sum()
+}
+
+/// Feeds `registry` from the workers' cells on every read: the client
+/// ledger as `dnswild_client_events_total{kind}`, and per authoritative
+/// its attempts and run-mean answer RTT — the two sides of the paper's
+/// Fig. 3 share-vs-1/SRTT law the watchdog judges.
 ///
 /// The RTT gauge holds the *run-mean* RTT of answered attempts, not the
 /// per-worker infra cache's instantaneous SRTT: the watchdog compares a
@@ -613,50 +664,41 @@ enum Doom {
 /// chaos-delayed reply would skew the expectation by an order of
 /// magnitude. (Fig. 3 likewise plots shares against RTT medians over
 /// the whole measurement window.)
-struct ClientMetrics {
-    attempts: Vec<Arc<Counter>>,
-    srtt_ms: Vec<Arc<Gauge>>,
-    rtt_sum_us: Vec<AtomicU64>,
-    rtt_count: Vec<AtomicU64>,
-    txn: Arc<Counter>,
-    servfail: Arc<Counter>,
-}
-
-impl ClientMetrics {
-    fn register(registry: &Registry, servers: &[SocketAddr]) -> ClientMetrics {
-        let mut attempts = Vec::with_capacity(servers.len());
-        let mut srtt_ms = Vec::with_capacity(servers.len());
-        for server in servers {
-            let addr = server.to_string();
-            attempts.push(registry.counter_with(
-                inputs::ATTEMPTS,
-                "client query attempts per authoritative",
-                &[("auth", &addr)],
-            ));
-            srtt_ms.push(registry.gauge_with(
-                inputs::SRTT_MS,
-                "client run-mean answer RTT per authoritative (ms)",
-                &[("auth", &addr)],
-            ));
-        }
-        ClientMetrics {
-            attempts,
-            srtt_ms,
-            rtt_sum_us: servers.iter().map(|_| AtomicU64::new(0)).collect(),
-            rtt_count: servers.iter().map(|_| AtomicU64::new(0)).collect(),
-            txn: registry.counter(inputs::TXN, "client transactions finished"),
-            servfail: registry.counter(inputs::SERVFAIL, "client transactions given up as SERVFAIL"),
-        }
+///
+/// Returns the hooks, which [`resolve`] settles once the run is over.
+fn register(registry: &Registry, servers: &[SocketAddr], cells: &Arc<[WorkerCell]>) -> Vec<Hook> {
+    let books = Arc::clone(cells);
+    let mut hooks = vec![registry.mirror_counters(
+        inputs::CLIENT_EVENTS,
+        "resolver-client events, one series per ClientStats field",
+        &[],
+        move || books.iter().map(|c| c.stats.snapshot()).sum::<ClientStats>(),
+    )];
+    for (i, server) in servers.iter().enumerate() {
+        let addr = server.to_string();
+        let auth = [("auth", addr.as_str())];
+        let books = Arc::clone(cells);
+        hooks.push(registry.mirror_counter(
+            inputs::ATTEMPTS,
+            "client query attempts per authoritative",
+            &auth,
+            move || server_total(&books, i, |s| &s.attempts),
+        ));
+        let srtt = registry.gauge_with(
+            inputs::SRTT_MS,
+            "client run-mean answer RTT per authoritative (ms)",
+            &auth,
+        );
+        let books = Arc::clone(cells);
+        hooks.push(registry.on_scrape(move || {
+            let answers = server_total(&books, i, |s| &s.answers);
+            if answers > 0 {
+                let sum_us = server_total(&books, i, |s| &s.rtt_sum_us);
+                srtt.set(sum_us as f64 / answers as f64 / 1_000.0);
+            }
+        }));
     }
-
-    /// Folds one answered attempt's RTT into `server`'s run mean and
-    /// refreshes its gauge.
-    fn observe_rtt(&self, server: usize, rtt: Duration) {
-        let us = rtt.as_micros().min(u64::MAX as u128) as u64;
-        let sum = self.rtt_sum_us[server].fetch_add(us, Ordering::Relaxed) + us;
-        let count = self.rtt_count[server].fetch_add(1, Ordering::Relaxed) + 1;
-        self.srtt_ms[server].set(sum as f64 / count as f64 / 1_000.0);
-    }
+    hooks
 }
 
 /// Runs the closed-loop resolver client; blocks until every worker has
@@ -668,23 +710,23 @@ pub fn resolve(config: ResolveConfig) -> io::Result<ResolveReport> {
             "resolve needs between 1 and 254 servers",
         ));
     }
-    let metrics = config
-        .metrics
-        .as_ref()
-        .map(|r| ClientMetrics::register(r, &config.servers));
+    let servers = config.servers.len();
+    let cells: Arc<[WorkerCell]> =
+        (0..config.concurrency.max(1)).map(|_| WorkerCell::new(servers)).collect();
+    let hooks = config.metrics.as_ref().map(|r| register(r, &config.servers, &cells));
     let start = Instant::now();
-    let outcomes = fan_out(config.concurrency, config.transactions, |w, first, share| {
-        worker_loop(&config, w, first, share, metrics.as_ref())
-    })?;
-    let mut stats = ClientStats::default();
-    let mut per_server = vec![0u64; config.servers.len()];
-    for (s, per) in outcomes {
-        stats += s;
-        for (slot, v) in per_server.iter_mut().zip(per) {
-            *slot += v;
-        }
+    let run = fan_out(cells.len(), config.transactions, |w, first, share| {
+        worker_loop(&config, w, first, share, &cells[w])
+    });
+    if let (Some(registry), Some(hooks)) = (&config.metrics, hooks) {
+        registry.settle(hooks);
     }
-    Ok(ResolveReport { stats, per_server, elapsed: start.elapsed() })
+    run?;
+    Ok(ResolveReport {
+        stats: cells.iter().map(|c| c.stats.snapshot()).sum(),
+        per_server: (0..servers).map(|i| server_total(&cells, i, |s| &s.attempts)).collect(),
+        elapsed: start.elapsed(),
+    })
 }
 
 /// Maps server index `i` to the [`SimAddr`] token the policy layer
@@ -728,7 +770,8 @@ struct Ids {
 /// prefetches are the same [`Worker::attempt`] under different IDs.
 struct Worker<'a> {
     cfg: &'a ResolveConfig,
-    metrics: Option<&'a ClientMetrics>,
+    /// Where this worker publishes its books.
+    cell: &'a WorkerCell,
     socket: UdpSocket,
     /// The read timeout `socket` holds (see [`Worker::arm`]).
     armed: Option<Duration>,
@@ -737,21 +780,17 @@ struct Worker<'a> {
     infra: InfraCache,
     rng: DetRng,
     epoch: Instant,
+    /// Counts since the last [`Worker::publish`].
     stats: ClientStats,
-    per_server: Vec<u64>,
     send_buf: Vec<u8>,
     recv_buf: Vec<u8>,
 }
 
 impl<'a> Worker<'a> {
-    fn new(
-        cfg: &'a ResolveConfig,
-        worker: usize,
-        metrics: Option<&'a ClientMetrics>,
-    ) -> io::Result<Self> {
+    fn new(cfg: &'a ResolveConfig, worker: usize, cell: &'a WorkerCell) -> io::Result<Self> {
         Ok(Worker {
             cfg,
-            metrics,
+            cell,
             socket: UdpSocket::bind(unspecified_for(&cfg.servers[0]))?,
             armed: None,
             tokens: (0..cfg.servers.len()).map(server_token).collect(),
@@ -760,10 +799,15 @@ impl<'a> Worker<'a> {
             rng: DetRng::seed_from_u64(thread_stream(cfg.seed, worker)),
             epoch: Instant::now(),
             stats: ClientStats::default(),
-            per_server: vec![0u64; cfg.servers.len()],
             send_buf: Vec::with_capacity(128),
             recv_buf: vec![0u8; 4096],
         })
+    }
+
+    /// Adds the counts since the last call to this worker's cell. Called
+    /// between transactions only, when the books are whole.
+    fn publish(&mut self) {
+        self.cell.stats.add(std::mem::take(&mut self.stats));
     }
 
     /// One UDP attempt: pick a server outside `excluded`, send `qname`
@@ -787,10 +831,7 @@ impl<'a> Worker<'a> {
         let now = sim_now(self.epoch);
         let token = self.policy.select(&self.tokens, excluded, &mut self.infra, now, &mut self.rng);
         let server = self.tokens.iter().position(|&t| t == token).expect("token is a candidate");
-        self.per_server[server] += 1;
-        if let Some(m) = self.metrics {
-            m.attempts[server].inc();
-        }
+        self.cell.servers[server].attempts.fetch_add(1, Ordering::Relaxed);
         let mut query = Message::iterative_query(id, qname.clone(), RType::Txt);
         if let Some(size) = self.cfg.edns_size {
             // Replace the constructor's default OPT — RFC 6891 allows
@@ -891,16 +932,17 @@ impl<'a> Worker<'a> {
         Ok(())
     }
 
-    /// Feeds an answered attempt's RTT to the policy and the metrics.
+    /// Feeds an answered attempt's RTT to the policy and the cell.
     fn observe_rtt(&mut self, server: usize, rtt: Duration) {
+        let us = rtt.as_micros() as u64;
         self.infra.observe_rtt(
             self.tokens[server],
-            SimDuration::from_micros(rtt.as_micros() as u64),
+            SimDuration::from_micros(us),
             sim_now(self.epoch),
         );
-        if let Some(m) = self.metrics {
-            m.observe_rtt(server, rtt);
-        }
+        let cell = &self.cell.servers[server];
+        cell.answers.fetch_add(1, Ordering::Relaxed);
+        cell.rtt_sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
     fn cache_reply(&self, qname: &Name, reply: &Message) {
@@ -973,9 +1015,9 @@ fn worker_loop(
     worker: usize,
     first_txn: u64,
     share: u64,
-    metrics: Option<&ClientMetrics>,
-) -> io::Result<(ClientStats, Vec<u64>)> {
-    let mut w = Worker::new(cfg, worker, metrics)?;
+    cell: &WorkerCell,
+) -> io::Result<()> {
+    let mut w = Worker::new(cfg, worker, cell)?;
     let max_tries = cfg.max_tries.max(1);
     // One cached TCP fallback connection per server (RFC 7766 reuse).
     let mut tcp_conns: Vec<Option<TcpConn>> = (0..cfg.servers.len()).map(|_| None).collect();
@@ -987,6 +1029,9 @@ fn worker_loop(
     let client_token = splitmix64(thread_stream(0x636c_6e74 ^ cfg.seed, worker));
 
     for txn in first_txn..first_txn + share {
+        if (txn - first_txn).is_multiple_of(PUBLISH_EVERY) {
+            w.publish();
+        }
         w.stats.transactions += 1;
         let qname = cfg
             .origin
@@ -1017,9 +1062,6 @@ fn worker_loop(
                 w.stats.cache_hits += 1;
                 if h.kind != EntryKind::Positive {
                     w.stats.cache_negative += 1;
-                }
-                if let Some(m) = metrics {
-                    m.txn.inc();
                 }
                 if h.prefetch_due {
                     // Background refresh: one UDP attempt, no retries,
@@ -1127,16 +1169,8 @@ fn worker_loop(
                         record_cache_lookup(p, &ids, FLAG_TIMEOUT, h.rcode.to_u8());
                     }
                 }
-                None => {
-                    w.stats.servfails += 1;
-                    if let Some(m) = metrics {
-                        m.servfail.inc();
-                    }
-                }
+                None => w.stats.servfails += 1,
             }
-        }
-        if let Some(m) = metrics {
-            m.txn.inc();
         }
     }
 
@@ -1159,7 +1193,8 @@ fn worker_loop(
             Err(_) => break,
         }
     }
-    Ok((w.stats, w.per_server))
+    w.publish();
+    Ok(())
 }
 
 /// Classifies one received reply — a datagram, or a TCP frame's payload
@@ -1339,10 +1374,12 @@ mod tests {
             attempts.iter().map(|(_, v)| v).sum::<u64>(),
             report.stats.attempts
         );
-        let txn = registry.counters(inputs::TXN);
-        assert_eq!(txn[0].1, report.stats.transactions);
-        let servfail = registry.counters(inputs::SERVFAIL);
-        assert_eq!(servfail[0].1, report.stats.servfails);
+        let client = registry.counters(inputs::CLIENT_EVENTS);
+        let kind = |kind: &str| {
+            client.iter().find(|(labels, _)| labels[0] == ("kind".into(), kind.into())).map(|s| s.1)
+        };
+        assert_eq!(kind("txns"), Some(report.stats.transactions));
+        assert_eq!(kind("servfail"), Some(report.stats.servfails));
         // Both servers answered at least once (120 txns, min-SRTT
         // exploration), so both SRTT gauges hold a real measurement.
         for (labels, srtt) in registry.gauges(inputs::SRTT_MS) {
@@ -1409,6 +1446,11 @@ mod tests {
         assert_eq!(report.stats.servfails, 4);
         assert_eq!(report.stats.tc_seen, 8, "both tries of all 4 txns truncated");
         assert_eq!(report.stats.tcp_attempts, 0);
+    }
+
+    #[test]
+    fn client_stats_cover_every_field() {
+        dnswild_metrics::counters::assert_counter_set_covers_every_field::<ClientStats, 19>();
     }
 
     /// The classifier is a pure function of bytes and attempt table.
@@ -1787,7 +1829,8 @@ mod tests {
         let window = Duration::from_millis(200);
         let server = UdpSocket::bind("127.0.0.1:0").unwrap();
         let cfg = ResolveConfig::new(vec![server.local_addr().unwrap()], origin());
-        let mut w = Worker::new(&cfg, 0, None).unwrap();
+        let cell = WorkerCell::new(1);
+        let mut w = Worker::new(&cfg, 0, &cell).unwrap();
         let stale = std::thread::spawn(move || {
             let mut buf = [0u8; 512];
             let (n, peer) = server.recv_from(&mut buf).unwrap();

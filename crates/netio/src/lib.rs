@@ -61,7 +61,7 @@
 //! let report = blast(LoadConfig::new(handle.local_addr(), origin)).unwrap();
 //! println!("{:.0} qps, p99 {} ns", report.qps(), report.latency_percentile(0.99).unwrap());
 //! let stats = handle.shutdown();
-//! assert_eq!(stats.queries, report.sent);
+//! assert_eq!(stats.queries, report.stats.sent);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,8 +80,8 @@ pub use chaos::{
 };
 pub use client::{resolve, ClientStats, ResolveConfig, ResolveReport, SharedCache, DRAIN_WINDOW};
 pub use load::{
-    blast, AttackMode, LoadConfig, LoadReport, QueryMix, Workload, DEFAULT_SPOOFED_SOURCES,
-    NXNS_EDNS_PAYLOAD,
+    blast, AttackMode, LoadConfig, LoadReport, LoadStats, QueryMix, Workload,
+    DEFAULT_SPOOFED_SOURCES, NXNS_EDNS_PAYLOAD,
 };
 pub use server::{
     batch_io_available, serve, IoBackend, IoErrorStats, ServeConfig, ServeHandle, DEFAULT_BATCH,
@@ -98,76 +98,3 @@ pub use dnswild_metrics::{MetricsServer, Registry};
 
 // Cache plane: the knobs callers need to build a [`SharedCache`].
 pub use dnswild_cache::{CacheConfig, CacheStats};
-
-/// Bridges the telemetry collector into a metrics registry: before
-/// every registry read the collector's live counters are copied into
-/// `dnswild_trace_*` gauges, so the CH TXT `stats.dnswild.` answer, the
-/// trace summary and the Prometheus endpoint all report the same
-/// numbers. The `dnswild_trace_overflow` gauge doubles as the
-/// watchdog's ring-overflow input
-/// (`dnswild_metrics::watchdog::inputs::OVERFLOW`).
-pub fn mirror_collector(registry: &Registry, collector: &std::sync::Arc<Collector>) {
-    let events = registry.gauge("dnswild_trace_events", "telemetry events drained");
-    let queries = registry.gauge("dnswild_trace_queries", "telemetry server queries seen");
-    let answered = registry.gauge("dnswild_trace_answered", "telemetry server queries answered");
-    let decode_errors =
-        registry.gauge("dnswild_trace_decode_errors", "telemetry decode-error events");
-    let overflow = registry.gauge(
-        dnswild_metrics::watchdog::inputs::OVERFLOW,
-        "telemetry ring-overflow drops",
-    );
-    let journeys_recorded = registry.gauge(
-        "dnswild_trace_journeys_recorded",
-        "journeys admitted to the flight recorder",
-    );
-    let journeys_dropped = registry.gauge(
-        "dnswild_trace_journeys_dropped",
-        "journeys evicted from the flight recorder unpinned",
-    );
-    // A journey-sampled exemplar: the worst client RTT the flight
-    // recorder currently retains, so dashboards can point at a concrete
-    // slow query rather than a histogram bucket.
-    let journey_slowest = registry.gauge(
-        "dnswild_journey_slowest_rtt_ns",
-        "worst client RTT retained in the flight recorder",
-    );
-    let collector = std::sync::Arc::clone(collector);
-    registry.on_scrape(move || {
-        let snap = collector.snapshot();
-        events.set(snap.events as f64);
-        queries.set(snap.queries as f64);
-        answered.set(snap.answered as f64);
-        decode_errors.set(snap.decode_errors as f64);
-        overflow.set(snap.overflow as f64);
-        journeys_recorded.set(snap.journeys_recorded as f64);
-        journeys_dropped.set(snap.journeys_dropped as f64);
-        journey_slowest.set(snap.journey_slowest_ns as f64);
-    });
-}
-
-/// Bridges a [`SharedCache`] into a metrics registry: before every
-/// registry read the cache's counters are copied into `dnswild_cache_*`
-/// gauges, so the warm-vs-cold curves are observable live alongside the
-/// trace and server counters.
-pub fn mirror_cache(registry: &Registry, cache: &std::sync::Arc<SharedCache>) {
-    let hits = registry.gauge("dnswild_cache_hits", "record-cache live hits");
-    let misses = registry.gauge("dnswild_cache_misses", "record-cache misses");
-    let expired = registry.gauge("dnswild_cache_expired", "record-cache expired-entry misses");
-    let negative = registry.gauge("dnswild_cache_negative_hits", "record-cache negative hits");
-    let inserts = registry.gauge("dnswild_cache_inserts", "record-cache stores");
-    let evictions = registry.gauge("dnswild_cache_evictions", "record-cache LRU evictions");
-    let stale = registry.gauge("dnswild_cache_stale_served", "record-cache stale answers served");
-    let entries = registry.gauge("dnswild_cache_entries", "record-cache entries resident");
-    let cache = std::sync::Arc::clone(cache);
-    registry.on_scrape(move || {
-        let s = cache.stats();
-        hits.set(s.hits as f64);
-        misses.set(s.misses as f64);
-        expired.set(s.expired as f64);
-        negative.set(s.negative_hits as f64);
-        inserts.set(s.inserts as f64);
-        evictions.set(s.evictions as f64);
-        stale.set(s.stale_served as f64);
-        entries.set(cache.len() as f64);
-    });
-}

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, DetRng, Rng};
-use dnswild_metrics::{Counter, LogHistogram, Registry};
+use dnswild_metrics::{counter_set, AtomicSet, LogHistogram, Registry};
 use dnswild_proto::{Class, Message, Name, RType};
 use dnswild_server::ServerStats;
 use dnswild_telemetry::{Collector, FLAG_ATTACK};
@@ -267,9 +267,10 @@ pub struct LoadConfig {
     /// `auth_id` stamped on recorded events (index of the target server
     /// in the collector's auth table).
     pub trace_auth_id: u16,
-    /// Metrics registry: when set, the generator counts sent / answered
-    /// / timed-out transactions and records round-trip latency into
-    /// `dnswild_load_latency_ns`.
+    /// Metrics registry: when set, [`blast`] feeds its [`LoadStats`]
+    /// into it and records round-trip latency into
+    /// `dnswild_load_latency_ns`. When the run ends its series keep their
+    /// final values and the registry stops reading its cells.
     pub metrics: Option<Arc<Registry>>,
 }
 
@@ -323,50 +324,36 @@ impl LoadConfig {
     }
 }
 
-/// Registry handles the generator records through.
-struct LoadMetrics {
-    sent: Arc<Counter>,
-    answered: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    latency_ns: Arc<LogHistogram>,
-}
-
-impl LoadMetrics {
-    fn register(registry: &Registry) -> LoadMetrics {
-        LoadMetrics {
-            sent: registry.counter("dnswild_load_sent_total", "load generator queries sent"),
-            answered: registry
-                .counter("dnswild_load_answered_total", "load generator responses received"),
-            timeouts: registry
-                .counter("dnswild_load_timeouts_total", "load generator per-query timeouts"),
-            latency_ns: registry.histogram(
-                "dnswild_load_latency_ns",
-                "closed-loop round-trip latency, nanoseconds",
-            ),
-        }
+counter_set! {
+    /// What one load run counted, from the client's side of the wire.
+    /// The labels are the keys of the `attack-client:` line and the
+    /// `kind`s of the scraped `dnswild_load_events_total`.
+    pub struct LoadStats {
+        /// Queries sent.
+        sent => "sent",
+        /// Responses received with the expected transaction ID (full
+        /// answers, referrals and TC=1 slips alike).
+        received => "received",
+        /// Queries that saw no response within the timeout — under RRL
+        /// these are the limiter's drops.
+        timeouts => "timeouts",
+        /// Responses discarded for carrying a stale/unexpected ID.
+        mismatched => "mismatched",
+        /// Received responses carrying TC=1 — the limiter's 1-in-N slips
+        /// (or genuine size truncation, which the preset zones avoid).
+        tc_slips => "tc_slips",
+        /// Query bytes put on the wire.
+        bytes_sent => "bytes_sent",
+        /// Response bytes taken off the wire.
+        bytes_received => "bytes_received",
     }
 }
 
 /// What one load run measured, from the client's side of the wire.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
-    /// Queries sent.
-    pub sent: u64,
-    /// Responses received with the expected transaction ID (full
-    /// answers, referrals and TC=1 slips alike).
-    pub received: u64,
-    /// Queries that saw no response within the timeout — under RRL these
-    /// are the limiter's drops.
-    pub timeouts: u64,
-    /// Responses discarded for carrying a stale/unexpected ID.
-    pub mismatched: u64,
-    /// Received responses carrying TC=1 — the limiter's 1-in-N slips
-    /// (or genuine size truncation, which the preset zones avoid).
-    pub tc_slips: u64,
-    /// Query bytes put on the wire.
-    pub bytes_sent: u64,
-    /// Response bytes taken off the wire.
-    pub bytes_received: u64,
+    /// The run's books.
+    pub stats: LoadStats,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
     /// Per-query round-trip latencies, sorted ascending (nanoseconds).
@@ -380,7 +367,7 @@ impl LoadReport {
         if secs <= 0.0 {
             return 0.0;
         }
-        self.received as f64 / secs
+        self.stats.received as f64 / secs
     }
 
     /// Latency at quantile `q` in `[0, 1]`, in nanoseconds — computed by
@@ -392,20 +379,23 @@ impl LoadReport {
     /// Whether every query was answered: nothing timed out, nothing
     /// arrived with a stale ID.
     pub fn all_answered(&self) -> bool {
-        self.received == self.sent && self.timeouts == 0 && self.mismatched == 0
+        let s = &self.stats;
+        s.received == s.sent && s.timeouts == 0 && s.mismatched == 0
     }
 
     /// Every datagram is accounted for: answered, slipped or timed out,
     /// with nothing mismatched.
     pub fn all_accounted(&self) -> bool {
-        self.received + self.timeouts == self.sent && self.mismatched == 0
+        let s = &self.stats;
+        s.received + s.timeouts == s.sent && s.mismatched == 0
     }
 
     /// Response bytes per query byte as seen by the client: the
     /// bandwidth amplification the server granted this workload. `None`
     /// until something was sent.
     pub fn amplification(&self) -> Option<f64> {
-        (self.bytes_sent > 0).then(|| self.bytes_received as f64 / self.bytes_sent as f64)
+        let s = &self.stats;
+        (s.bytes_sent > 0).then(|| s.bytes_received as f64 / s.bytes_sent as f64)
     }
 
     /// Checks the generator's books against the server's counters when
@@ -415,11 +405,12 @@ impl LoadReport {
     /// one of its slips. Returns a human-readable complaint when the
     /// books don't balance.
     pub fn check_server_stats(&self, stats: ServerStats) -> Result<(), String> {
+        let s = &self.stats;
         for (what, server, client) in [
-            ("queries", stats.queries, self.sent),
-            ("question outcomes", stats.question_outcomes(), self.sent),
-            ("rate-limit drops", stats.rrl_dropped, self.timeouts),
-            ("rate-limit slips", stats.rrl_slipped, self.tc_slips),
+            ("queries", stats.queries, s.sent),
+            ("question outcomes", stats.question_outcomes(), s.sent),
+            ("rate-limit drops", stats.rrl_dropped, s.timeouts),
+            ("rate-limit slips", stats.rrl_slipped, s.tc_slips),
         ] {
             if server != client {
                 return Err(format!(
@@ -429,54 +420,61 @@ impl LoadReport {
         }
         Ok(())
     }
+}
 
-    /// The deterministic one-line summary the attack gate diffs across
-    /// runs (everything wall-clock-dependent is excluded).
-    pub fn render(&self, label: &str) -> String {
-        format!(
-            "{label}: sent={} received={} timeouts={} mismatched={} tc_slips={} \
-             bytes_sent={} bytes_received={}",
-            self.sent,
-            self.received,
-            self.timeouts,
-            self.mismatched,
-            self.tc_slips,
-            self.bytes_sent,
-            self.bytes_received,
-        )
-    }
+/// One client thread's books; line-aligned, so no two threads write to
+/// one cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct LoadCell(AtomicSet<LoadStats, 7>);
+
+fn total(cells: &[LoadCell]) -> LoadStats {
+    cells.iter().map(|c| c.0.snapshot()).sum()
 }
 
 /// Runs the closed-loop load test; blocks until every thread finishes.
+/// Every thread adds each query's counts to its own [`LoadStats`] cell,
+/// whose sum the report and, with [`LoadConfig::metrics`] set, the
+/// registry's `dnswild_load_events_total{kind}` read; every round trip
+/// is also recorded into the `dnswild_load_latency_ns` histogram.
 pub fn blast(config: LoadConfig) -> io::Result<LoadReport> {
-    let metrics = config.metrics.as_ref().map(|r| LoadMetrics::register(r));
+    let cells: Arc<[LoadCell]> =
+        (0..config.concurrency.max(1)).map(|_| LoadCell::default()).collect();
+    let metered = config.metrics.as_ref().map(|registry| {
+        let books = Arc::clone(&cells);
+        let hook = registry.mirror_counters(
+            "dnswild_load_events_total",
+            "load generator events, one series per LoadStats field",
+            &[],
+            move || total(&books),
+        );
+        let latency = registry
+            .histogram("dnswild_load_latency_ns", "closed-loop round-trip latency, nanoseconds");
+        (registry, hook, latency)
+    });
+    let latency = metered.as_ref().map(|(_, _, latency)| &**latency);
     let start = Instant::now();
-    let tallies = fan_out(config.concurrency, config.queries, |t, _first, share| {
-        client_loop(&config, t, share, metrics.as_ref())
-    })?;
-    let mut report = LoadReport { elapsed: start.elapsed(), ..Default::default() };
-    for tally in tallies {
-        report.sent += tally.sent;
-        report.received += tally.received;
-        report.timeouts += tally.timeouts;
-        report.mismatched += tally.mismatched;
-        report.tc_slips += tally.tc_slips;
-        report.bytes_sent += tally.bytes_sent;
-        report.bytes_received += tally.bytes_received;
-        report.latencies_ns.extend_from_slice(&tally.latencies_ns);
+    let run = fan_out(cells.len(), config.queries, |t, _first, share| {
+        client_loop(&config, t, share, &cells[t], latency)
+    });
+    let elapsed = start.elapsed();
+    if let Some((registry, hook, _)) = metered {
+        registry.settle([hook]);
     }
-    report.latencies_ns.sort_unstable();
-    Ok(report)
+    let mut latencies_ns = run?.concat();
+    latencies_ns.sort_unstable();
+    Ok(LoadReport { stats: total(&cells), elapsed, latencies_ns })
 }
 
-/// One closed-loop client thread; its tally is a [`LoadReport`] with no
-/// `elapsed`.
+/// One closed-loop client thread: adds each query's counts to `cell`
+/// and returns its round-trip latencies.
 fn client_loop(
     config: &LoadConfig,
     thread: usize,
     queries: u64,
-    metrics: Option<&LoadMetrics>,
-) -> io::Result<LoadReport> {
+    cell: &LoadCell,
+    latency: Option<&LogHistogram>,
+) -> io::Result<Vec<u64>> {
     let mut sockets = Vec::new();
     for _ in 0..config.workload.sockets() {
         let socket = UdpSocket::bind(unspecified_for(&config.target))?;
@@ -488,8 +486,7 @@ fn client_loop(
     let mut rng = DetRng::seed_from_u64(thread_stream(config.seed, thread));
     let mut send_buf = Vec::with_capacity(512);
     let mut recv_buf = vec![0u8; 4096];
-    let mut tally =
-        LoadReport { latencies_ns: Vec::with_capacity(queries as usize), ..Default::default() };
+    let mut latencies_ns = Vec::with_capacity(queries as usize);
     let producer = config.collector.as_ref().map(|c| c.producer());
     let (token_salt, flags) = config.workload.trace_identity();
     let trace = producer.as_ref().map(|producer| ExchangeTrace {
@@ -505,33 +502,28 @@ fn client_loop(
         encode_query(&query, &mut send_buf)?;
         let got =
             exchange(&sockets[socket], &send_buf, id, config.timeout, &mut recv_buf, trace.as_ref())?;
-        tally.sent += 1;
-        tally.bytes_sent += send_buf.len() as u64;
-        tally.mismatched += got.mismatched;
-        if let Some(m) = metrics {
-            m.sent.inc();
-        }
+        let mut counts = LoadStats {
+            sent: 1,
+            bytes_sent: send_buf.len() as u64,
+            mismatched: got.mismatched,
+            ..LoadStats::default()
+        };
         match got.reply_len {
             Some(len) => {
                 let rtt_ns = got.rtt.as_nanos() as u64;
-                tally.received += 1;
-                tally.bytes_received += len as u64;
-                tally.tc_slips += u64::from(got.truncated);
-                tally.latencies_ns.push(rtt_ns);
-                if let Some(m) = metrics {
-                    m.answered.inc();
-                    m.latency_ns.record(rtt_ns);
+                counts.received = 1;
+                counts.bytes_received = len as u64;
+                counts.tc_slips = u64::from(got.truncated);
+                latencies_ns.push(rtt_ns);
+                if let Some(h) = latency {
+                    h.record(rtt_ns);
                 }
             }
-            None => {
-                tally.timeouts += 1;
-                if let Some(m) = metrics {
-                    m.timeouts.inc();
-                }
-            }
+            None => counts.timeouts = 1,
         }
+        cell.0.add(counts);
     }
-    Ok(tally)
+    Ok(latencies_ns)
 }
 
 #[cfg(test)]
@@ -568,7 +560,7 @@ mod tests {
         )
         .unwrap();
         let stats = handle.shutdown();
-        assert_eq!(report.sent, 600);
+        assert_eq!(report.stats.sent, 600);
         assert!(report.all_answered(), "{report:?}");
         report.check_server_stats(stats).unwrap();
         assert!(stats.answers > 0, "probe TXT answers present");
@@ -608,12 +600,38 @@ mod tests {
         .unwrap();
         handle.shutdown();
         assert!(report.all_answered(), "{report:?}");
-        assert_eq!(registry.counters("dnswild_load_sent_total")[0].1, 200);
-        assert_eq!(registry.counters("dnswild_load_answered_total")[0].1, 200);
-        assert_eq!(registry.counters("dnswild_load_timeouts_total")[0].1, 0);
+        let events = registry.counters("dnswild_load_events_total");
+        let kind = |kind: &str| {
+            events.iter().find(|(labels, _)| labels[0] == ("kind".into(), kind.into())).map(|s| s.1)
+        };
+        assert_eq!(kind("sent"), Some(200));
+        assert_eq!(kind("received"), Some(200));
+        assert_eq!(kind("timeouts"), Some(0));
         let (_, hist) = &registry.histograms("dnswild_load_latency_ns")[0];
         assert_eq!(hist.count(), 200);
         assert!(hist.value_at(50.0).unwrap() > 0);
+    }
+
+    /// Runs sharing one registry add up, and a finished run leaves no
+    /// hook behind to read its cells again.
+    #[test]
+    fn consecutive_metered_blasts_add_up() {
+        use dnswild_metrics::CounterSet;
+        let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
+        let registry = Arc::new(Registry::new());
+        let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2)).unwrap();
+        let run = || {
+            let config = LoadConfig::new(handle.local_addr(), origin()).concurrency(2).queries(50);
+            blast(config.metrics(Arc::clone(&registry))).unwrap().stats
+        };
+        let total = run() + run();
+        handle.shutdown();
+        let events = registry.counters("dnswild_load_events_total");
+        for (kind, value) in total.kinds() {
+            let series = events.iter().find(|(labels, _)| labels[0].1 == kind).map(|s| s.1);
+            assert_eq!(series, Some(value), "{kind}");
+        }
+        assert_eq!(total.sent, 100);
     }
 
     /// The first `count` questions `workload` draws on one stream.
@@ -677,11 +695,9 @@ mod tests {
     #[test]
     fn report_percentiles_and_qps() {
         let report = LoadReport {
-            sent: 4,
-            received: 4,
+            stats: LoadStats { sent: 4, received: 4, ..Default::default() },
             elapsed: Duration::from_secs(2),
             latencies_ns: vec![10, 20, 30, 40],
-            ..Default::default()
         };
         assert_eq!(report.qps(), 2.0);
         assert_eq!(report.latency_percentile(0.0), Some(10));
@@ -700,10 +716,10 @@ mod tests {
         )
         .unwrap();
         let stats = handle.shutdown();
-        assert_eq!(report.sent, 200);
+        assert_eq!(report.stats.sent, 200);
         assert!(report.all_accounted(), "{report:?}");
-        assert_eq!(report.received, 200, "no limiter, so every flood query is answered");
-        assert_eq!(report.tc_slips, 0);
+        assert_eq!(report.stats.received, 200, "no limiter, so every flood query is answered");
+        assert_eq!(report.stats.tc_slips, 0);
         assert_eq!(stats.nxdomain, 200, "every water-torture name is an honest NXDOMAIN");
     }
 
@@ -722,9 +738,9 @@ mod tests {
         .unwrap();
         let stats = handle.shutdown();
         assert!(report.all_accounted(), "{report:?}");
-        assert_eq!(report.received, 100);
+        assert_eq!(report.stats.received, 100);
         assert_eq!(stats.referrals, 100);
-        assert_eq!(report.tc_slips, 0, "EDNS 4096 keeps the fat referral un-truncated");
+        assert_eq!(report.stats.tc_slips, 0, "EDNS 4096 keeps the fat referral un-truncated");
         let amp = report.amplification().unwrap();
         assert!(amp > 4.0, "20-NS referral should amplify well past 4x, got {amp:.2}");
     }
@@ -755,9 +771,9 @@ mod tests {
         assert!(report.all_accounted(), "{report:?}");
         // 10 answered on the burst, then 50 limited: drop/slip
         // alternating from drop → 25 slips, 25 drops.
-        assert_eq!(report.tc_slips, 25);
-        assert_eq!(report.timeouts, 25);
-        assert_eq!(report.received, 35);
+        assert_eq!(report.stats.tc_slips, 25);
+        assert_eq!(report.stats.timeouts, 25);
+        assert_eq!(report.stats.received, 35);
         report.check_server_stats(stats).unwrap();
         assert_eq!(stats.nxdomain, 60, "classification happens before enforcement");
     }
@@ -783,10 +799,15 @@ mod tests {
         let report = blast(cfg).unwrap();
         let stats = handle.shutdown();
         assert!(report.all_accounted(), "{report:?}");
-        assert_eq!(report.received, 8, "one shared bucket across all 8 source ports");
-        assert_eq!(report.timeouts, 16, "slip=0 never slips: the rest are silent drops");
+        assert_eq!(report.stats.received, 8, "one shared bucket across all 8 source ports");
+        assert_eq!(report.stats.timeouts, 16, "slip=0 never slips: the rest are silent drops");
         assert_eq!(stats.rrl_dropped, 16);
         assert_eq!(stats.bucket_evictions, 0);
+    }
+
+    #[test]
+    fn load_stats_cover_every_field() {
+        dnswild_metrics::counters::assert_counter_set_covers_every_field::<LoadStats, 7>();
     }
 
     #[test]

@@ -14,6 +14,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use dnswild_ledger::AtomicSet;
+
 use crate::event::{
     EventKind, TraceEvent, FLAG_DECODE_ERROR, FLAG_RESPONSE, FLAG_RRL, FLAG_TIMEOUT,
 };
@@ -81,116 +83,102 @@ impl CollectorConfig {
     }
 }
 
-/// Aggregated counters maintained by the drain thread; cheap enough to
-/// read from anywhere (the engine's `CH TXT stats.dnswild.` answer
-/// reads one of these).
-#[derive(Debug, Default)]
-pub struct SnapshotCell {
-    events: AtomicU64,
-    queries: AtomicU64,
-    answered: AtomicU64,
-    decode_errors: AtomicU64,
-    overflow: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_stale: AtomicU64,
-    rrl_dropped: AtomicU64,
-    rrl_slipped: AtomicU64,
-    journeys_recorded: AtomicU64,
-    journeys_dropped: AtomicU64,
-    journey_slowest_ns: AtomicU64,
+dnswild_ledger::counter_set! {
+    /// The collector's books: what the drain thread has swept so far.
+    /// The labels are the `kind`s of the scraped
+    /// `dnswild_trace_events_total`.
+    pub struct TelemetrySnapshot {
+        /// Events drained so far (all kinds).
+        events => "events",
+        /// Server-side well-formed queries seen.
+        queries => "queries",
+        /// Of those, how many got a response datagram.
+        answered => "answered",
+        /// Events carrying the decode-error flag.
+        decode_errors => "decode_errors",
+        /// Ring-overflow drops observed so far.
+        overflow => "overflow",
+        /// Record-cache lookups answered from a live entry.
+        cache_hits => "cache_hits",
+        /// Record-cache lookups that went to the wire.
+        cache_misses => "cache_misses",
+        /// Record-cache lookups answered stale (RFC 8767).
+        cache_stale => "cache_stale",
+        /// Server responses suppressed by response-rate limiting.
+        rrl_dropped => "rrl_dropped",
+        /// Server responses slipped as TC=1 by response-rate limiting.
+        rrl_slipped => "rrl_slipped",
+        /// Journeys admitted to the flight recorder.
+        journeys_recorded => "journeys_recorded",
+        /// Journeys the flight recorder evicted unpinned.
+        journeys_dropped => "journeys_dropped",
+    }
 }
 
-impl SnapshotCell {
-    fn apply(&self, ev: &TraceEvent) {
-        self.events.fetch_add(1, Ordering::Relaxed);
+impl TelemetrySnapshot {
+    /// Counts one drained event.
+    fn count(&mut self, ev: &TraceEvent) {
+        self.events += 1;
         if ev.kind == EventKind::ServerQuery {
-            self.queries.fetch_add(1, Ordering::Relaxed);
-            if ev.flags & FLAG_RESPONSE != 0 {
-                self.answered.fetch_add(1, Ordering::Relaxed);
-            }
+            self.queries += 1;
+            self.answered += u64::from(ev.flags & FLAG_RESPONSE != 0);
             // The limiter's verdict rides on the server event: a slip
             // still sent a (TC=1) response, a drop sent nothing.
             if ev.flags & FLAG_RRL != 0 {
                 if ev.flags & FLAG_RESPONSE != 0 {
-                    self.rrl_slipped.fetch_add(1, Ordering::Relaxed);
+                    self.rrl_slipped += 1;
                 } else {
-                    self.rrl_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.rrl_dropped += 1;
                 }
             }
         }
         if ev.kind == EventKind::CacheLookup {
             if ev.flags & FLAG_RESPONSE != 0 {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.cache_hits += 1;
             } else if ev.flags & FLAG_TIMEOUT != 0 {
-                self.cache_stale.fetch_add(1, Ordering::Relaxed);
+                self.cache_stale += 1;
             } else {
-                self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                self.cache_misses += 1;
             }
         }
-        if ev.flags & FLAG_DECODE_ERROR != 0 {
-            self.decode_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn set_overflow(&self, overflow: u64) {
-        self.overflow.store(overflow, Ordering::Relaxed);
-    }
-
-    fn set_flight(&self, stats: FlightStats) {
-        self.journeys_recorded.store(stats.recorded, Ordering::Relaxed);
-        self.journeys_dropped.store(stats.dropped, Ordering::Relaxed);
-        self.journey_slowest_ns.store(stats.slowest_ns, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            events: self.events.load(Ordering::Relaxed),
-            queries: self.queries.load(Ordering::Relaxed),
-            answered: self.answered.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-            overflow: self.overflow.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_stale: self.cache_stale.load(Ordering::Relaxed),
-            rrl_dropped: self.rrl_dropped.load(Ordering::Relaxed),
-            rrl_slipped: self.rrl_slipped.load(Ordering::Relaxed),
-            journeys_recorded: self.journeys_recorded.load(Ordering::Relaxed),
-            journeys_dropped: self.journeys_dropped.load(Ordering::Relaxed),
-            journey_slowest_ns: self.journey_slowest_ns.load(Ordering::Relaxed),
-        }
+        self.decode_errors += u64::from(ev.flags & FLAG_DECODE_ERROR != 0);
     }
 }
 
-/// A point-in-time copy of the collector's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetrySnapshot {
-    /// Events drained so far (all kinds).
-    pub events: u64,
-    /// Server-side well-formed queries seen.
-    pub queries: u64,
-    /// Of those, how many got a response datagram.
-    pub answered: u64,
-    /// Events carrying the decode-error flag.
-    pub decode_errors: u64,
-    /// Ring-overflow drops observed so far.
-    pub overflow: u64,
-    /// Record-cache lookups answered from a live entry.
-    pub cache_hits: u64,
-    /// Record-cache lookups that went to the wire.
-    pub cache_misses: u64,
-    /// Record-cache lookups answered stale (RFC 8767).
-    pub cache_stale: u64,
-    /// Server responses suppressed by response-rate limiting.
-    pub rrl_dropped: u64,
-    /// Server responses slipped as TC=1 by response-rate limiting.
-    pub rrl_slipped: u64,
-    /// Journeys admitted to the flight recorder.
-    pub journeys_recorded: u64,
-    /// Journeys the flight recorder evicted unpinned.
-    pub journeys_dropped: u64,
-    /// Worst client RTT retained in the flight recorder (exemplar).
-    pub journey_slowest_ns: u64,
+/// The drain thread's published books, cheap enough to read from
+/// anywhere (the engine's `CH TXT stats.dnswild.` answer reads one of
+/// these). The drain thread is the only writer: one delta per sweep.
+#[derive(Debug, Default)]
+pub struct SnapshotCell {
+    counts: AtomicSet<TelemetrySnapshot, 12>,
+    /// Worst client RTT the flight recorder retains — a gauge, so it
+    /// lives beside the counters rather than among them.
+    journey_slowest_ns: AtomicU64,
+}
+
+impl SnapshotCell {
+    /// Publishes one sweep: the events it drained, plus the growth of
+    /// the two totals kept elsewhere — ring overflow and the flight
+    /// recorder's journey books.
+    fn publish(&self, mut sweep: TelemetrySnapshot, overflow: u64, flight: FlightStats) {
+        let books = self.counts.snapshot();
+        sweep.overflow = overflow.saturating_sub(books.overflow);
+        sweep.journeys_recorded = flight.recorded - books.journeys_recorded;
+        sweep.journeys_dropped = flight.dropped - books.journeys_dropped;
+        self.counts.add(sweep);
+        self.journey_slowest_ns.store(flight.slowest_ns, Ordering::Relaxed);
+    }
+
+    /// The books as of the last sweep.
+    pub fn snapshot(&self) -> TelemetrySnapshot {
+        self.counts.snapshot()
+    }
+
+    /// Worst client RTT retained in the flight recorder (exemplar), as
+    /// of the last sweep.
+    pub fn journey_slowest_ns(&self) -> u64 {
+        self.journey_slowest_ns.load(Ordering::Relaxed)
+    }
 }
 
 /// What the trace ended up holding, returned by [`Collector::finish`].
@@ -219,10 +207,13 @@ struct Shared {
 
 impl Shared {
     /// Sum of overflow counters across every live ring plus what
-    /// retired rings left behind.
+    /// retired rings left behind. Rings retire under the list lock, so
+    /// reading both under it counts each ring exactly once and the total
+    /// never goes backwards.
     fn total_overflow(&self) -> u64 {
+        let rings = self.rings.lock().unwrap();
         self.retired_overflow.load(Ordering::Relaxed)
-            + self.rings.lock().unwrap().iter().map(|r| r.overflow()).sum::<u64>()
+            + rings.iter().map(|r| r.overflow()).sum::<u64>()
     }
 }
 
@@ -319,12 +310,12 @@ impl Collector {
         self.shared.rings.lock().unwrap().len()
     }
 
-    /// Live counters (drained events only — the gap to the rings is at
-    /// most one drain interval's worth).
+    /// Live counters: drained events only — the gap to the rings is at
+    /// most one drain interval's worth — but ring overflow as the rings
+    /// count it now, so a drop is visible before the next sweep.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let snap = &self.shared.snapshot;
-        snap.set_overflow(self.shared.total_overflow());
-        snap.snapshot()
+        let overflow = self.shared.total_overflow();
+        TelemetrySnapshot { overflow, ..self.shared.snapshot.snapshot() }
     }
 
     /// Handle for the engine's `stats.dnswild.` answer path: the cell
@@ -337,11 +328,6 @@ impl Collector {
     /// (uses the workspace's shared estimator for rank selection).
     pub fn latency_ns_at(&self, p: f64) -> Option<u64> {
         self.shared.histogram.value_at(p)
-    }
-
-    /// Flight-recorder counters as of the last drain sweep.
-    pub fn flight_stats(&self) -> FlightStats {
-        self.shared.flight.lock().unwrap().stats()
     }
 
     /// Dump every retained journey (failed pins, slowest-K, recency
@@ -389,20 +375,21 @@ fn drain_loop(
         // Snapshot the ring list, then sweep without holding the lock
         // so registration never contends with producers.
         let rings: Vec<Arc<SpscRing>> = shared.rings.lock().unwrap().clone();
-        {
+        let mut sweep = TelemetrySnapshot::default();
+        let flight_stats = {
             let mut flight = shared.flight.lock().unwrap();
             for ring in &rings {
                 while let Some(ev) = ring.pop() {
                     writer.write_event(&ev)?;
-                    shared.snapshot.apply(&ev);
+                    sweep.count(&ev);
                     flight.observe(&ev);
                     if ev.latency_ns > 0 {
                         shared.histogram.record(u64::from(ev.latency_ns));
                     }
                 }
             }
-            shared.snapshot.set_flight(flight.stats());
-        }
+            flight.stats()
+        };
         // Retire rings whose producer is gone and whose backlog the
         // sweep above fully drained: abandoned + empty can never grow
         // again. Their overflow moves into the retired counter so the
@@ -417,11 +404,11 @@ fn drain_loop(
                 }
             });
         }
+        let overflow = shared.total_overflow();
+        shared.snapshot.publish(sweep, overflow, flight_stats);
         if stopping {
             // One final sweep happened above (stop was read before the
             // sweep), so every event pushed before `finish` is in.
-            let overflow = shared.total_overflow();
-            shared.snapshot.set_overflow(overflow);
             let events = writer.events_written();
             writer.finish(overflow)?;
             return Ok((events, overflow));
@@ -458,6 +445,11 @@ mod tests {
         ev.flags = if answered { FLAG_RESPONSE } else { 0 };
         ev.rcode = if answered { 0 } else { RCODE_NONE };
         ev
+    }
+
+    #[test]
+    fn telemetry_snapshot_covers_every_field() {
+        dnswild_ledger::assert_counter_set_covers_every_field::<TelemetrySnapshot, 12>();
     }
 
     #[test]

@@ -54,10 +54,10 @@ fn defended_flood_replays_byte_identically_and_holds_goodput() {
     assert_eq!(first.deterministic(), second.deterministic());
 
     let flood = first.attack.as_ref().unwrap();
-    assert!(flood.timeouts > 0 && flood.tc_slips > 0, "{flood:?}");
+    assert!(flood.stats.timeouts > 0 && flood.stats.tc_slips > 0, "{flood:?}");
     assert!(first.watchdog.unwrap().attack_breach);
     let amp = amplification(first.trace.as_ref().unwrap());
-    assert_eq!(amp.legit_queries, first.load.as_ref().unwrap().sent, "{amp:?}");
+    assert_eq!(amp.legit_queries, first.load.as_ref().unwrap().stats.sent, "{amp:?}");
     assert!(amp.attack_factor().unwrap() < amp.legit_factor().unwrap(), "{amp:?}");
 }
 

@@ -233,8 +233,9 @@ mod chaos_plane {
             Arc::new(FaultPlan::new(1, FaultProfile::lossless(), FaultProfile::lossless()));
         let slow_profile = FaultProfile::lossless().delay_ms(15, 25);
         let slow_plan = Arc::new(FaultPlan::new(2, slow_profile, slow_profile));
-        let fast = ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), fast_plan).unwrap();
-        let slow = ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), slow_plan).unwrap();
+        let server = handle.local_addr();
+        let fast = ChaosProxy::spawn("127.0.0.1:0", server, fast_plan, None).unwrap();
+        let slow = ChaosProxy::spawn("127.0.0.1:0", server, slow_plan, None).unwrap();
 
         let report = resolve(
             ResolveConfig::new(vec![fast.local_addr(), slow.local_addr()], origin())

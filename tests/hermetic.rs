@@ -170,6 +170,30 @@ fn mmsg_shim_is_dependency_free() {
     );
 }
 
+/// The ledger crate sits under every crate that owns a counter set —
+/// the cache, the telemetry plane, the metrics plane — so it must
+/// depend on none of them, nor on anything else, and stay safe code.
+#[test]
+fn ledger_crate_is_dependency_free_and_safe() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/ledger");
+    let manifest = root.join("Cargo.toml");
+    assert!(
+        workspace_manifests().contains(&manifest),
+        "ledger manifest not picked up by the workspace scan"
+    );
+    let entries = dependency_sections(&manifest);
+    assert!(
+        entries.is_empty(),
+        "the ledger crate must stay dependency-free, found:\n{}",
+        entries.iter().map(|e| e.line.clone()).collect::<Vec<_>>().join("\n")
+    );
+    let lib = std::fs::read_to_string(root.join("src/lib.rs")).expect("ledger lib.rs is readable");
+    assert!(
+        lib.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]"),
+        "crates/ledger/src/lib.rs does not carry #![forbid(unsafe_code)]"
+    );
+}
+
 #[test]
 fn known_banned_crates_are_absent() {
     // The crates this workspace once pulled from the registry, plus

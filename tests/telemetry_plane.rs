@@ -41,7 +41,7 @@ fn traced_round_trip_closes_against_server_counters() {
 
     // Exact closure: one ServerQuery event per decoded query, one
     // ClientQuery event per attempt — all three views agree.
-    let sent = report.load.as_ref().unwrap().sent;
+    let sent = report.load.as_ref().unwrap().stats.sent;
     let count = |kind| trace.events.iter().filter(|e| e.kind == kind).count() as u64;
     assert_eq!(count(EventKind::ServerQuery), report.server.queries);
     assert_eq!(count(EventKind::ServerQuery), sent);
