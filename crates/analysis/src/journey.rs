@@ -123,8 +123,8 @@ impl Journey {
         self.client_attempts().map(|e| u64::from(e.latency_ns)).max()
     }
 
-    /// True when some client attempt timed out — the flight recorder's
-    /// retention criterion, and `explain --failed`'s selection.
+    /// True when some client attempt timed out — `explain --failed`'s
+    /// selection.
     pub fn failed(&self) -> bool {
         self.client_attempts().any(|e| e.flags & FLAG_TIMEOUT != 0)
     }

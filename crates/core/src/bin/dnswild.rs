@@ -613,11 +613,6 @@ static SMOKE: Command = Command {
         Flag::value::<u64>("--budget-secs", "S", "wall-clock budget").default("120")
             .needs(&["--chaos"]),
         Flag::value::<PathBuf>("--trace", "PATH", "record server+client+proxy telemetry to PATH"),
-        // The flight recorder lives in the collector, which only runs when a
-        // trace is being recorded.
-        Flag::value::<PathBuf>("--flight-dump", "PATH", "dump the flight recorder's retained \
-            journeys — every failed one, the slowest K, the last N — as JSONL after the run")
-        .needs(&["--trace"]).excludes(&["--cache", "--attack"]),
         Flag::switch("--json", "emit one JSON object instead of the text report"),
         Flag::value::<String>("--metrics-addr", "A:P", "expose metrics over HTTP; with --chaos \
             this also runs the scrape-equality and watchdog gates"),
@@ -632,7 +627,6 @@ fn cmd_smoke(o: &Opts) {
         threads: o.get("--threads"),
         io: o.get("--io"),
         trace: o.opt("--trace"),
-        flight_dump: o.opt("--flight-dump"),
         metrics_addr: o.opt("--metrics-addr"),
     };
     let run = if o.has("--cache") {
@@ -1032,7 +1026,7 @@ mod tests {
     }
 
     /// Every `dnswild` invocation README.md and the verify skill show
-    /// still parses (paths stand in for `$t` / `$f`).
+    /// still parses (a path stands in for `$t`).
     #[test]
     fn documented_invocations_parse() {
         let invocations: [(&'static Command, &str); 40] = [
@@ -1076,7 +1070,7 @@ mod tests {
             (&SMOKE, "--queries 5000 --json"),
             (&SMOKE, "--chaos --queries 2000 --seed 2017 --trace /tmp/run.dwt"),
             (&SMOKE, "--chaos --queries 2000 --seed 2017 --metrics-addr 127.0.0.1:0"),
-            (&SMOKE, "--chaos --queries 300 --seed 7 --trace /tmp/t --flight-dump /tmp/f"),
+            (&SMOKE, "--chaos --queries 300 --seed 7 --trace /tmp/t"),
             (&REPORT, "--from-trace /tmp/run.dwt --tails"),
             (&EXPLAIN, "/tmp/run.dwt --failed"),
             (&EXPLAIN, "/tmp/t --slowest 3"),

@@ -69,9 +69,6 @@ pub struct Rig {
     pub io: IoBackend,
     /// Record server, client and proxy telemetry to this trace file.
     pub trace: Option<PathBuf>,
-    /// After the run, dump the flight recorder's retained journeys here
-    /// as JSONL (needs `trace`).
-    pub flight_dump: Option<PathBuf>,
     /// Expose a Prometheus endpoint on this address; gates then also
     /// require the final scrape to equal the server's books.
     pub metrics_addr: Option<String>,
@@ -83,7 +80,6 @@ impl Default for Rig {
             threads: 2,
             io: IoBackend::Auto,
             trace: None,
-            flight_dump: None,
             metrics_addr: None,
         }
     }
@@ -179,6 +175,19 @@ impl GateReport {
         }
     }
 
+    /// The trace epilogue's lines. Event and overflow counts are
+    /// deterministic for a fixed seed; the content digest additionally
+    /// commits to which server each client attempt picked, so only
+    /// loss-free single-server runs may mark it `digest_deterministic`.
+    fn trace_lines(&mut self, summary: TraceSummary, trace: Trace, digest_deterministic: bool) {
+        self.say(format!("trace-summary: events={} overflow={}", summary.events, summary.overflow));
+        self.lines.push(Line {
+            text: format!("trace-digest: {:016x}", trace.digest()),
+            deterministic: digest_deterministic,
+        });
+        self.trace = Some(trace);
+    }
+
     /// On a lossless loopback nothing may fail to be received or decoded.
     fn expect_clean_io(&mut self, io: &IoErrorStats) {
         if io.decode_errors != 0 || io.recv_errors != 0 {
@@ -194,9 +203,10 @@ impl GateReport {
 /// registered here, once, where it is created: its books feed
 /// `dnswild_trace_events_total{kind}` — one series per
 /// `TelemetrySnapshot` field, whose `overflow` kind the watchdog's
-/// ring-overflow law reads — and its slowest retained journey the
-/// `dnswild_journey_slowest_rtt_ns` gauge, an exemplar pointing
-/// dashboards at a concrete slow query rather than a histogram bucket.
+/// ring-overflow law reads — and the worst client RTT it has drained
+/// the `dnswild_journey_slowest_rtt_ns` gauge, an exemplar pointing
+/// dashboards at a concrete slow query (`explain <trace> --slowest 1`)
+/// rather than a histogram bucket.
 pub fn start_collector(
     config: CollectorConfig,
     registry: Option<&Registry>,
@@ -212,7 +222,7 @@ pub fn start_collector(
         );
         let slowest = registry.gauge(
             "dnswild_journey_slowest_rtt_ns",
-            "worst client RTT retained in the flight recorder",
+            "worst client RTT in the trace so far",
         );
         let cell = collector.snapshot_cell();
         registry.on_scrape(move || slowest.set(cell.journey_slowest_ns() as f64));
@@ -265,24 +275,10 @@ pub fn canonical_profiles(loss: f64, corrupt: f64) -> (FaultProfile, FaultProfil
     (FaultProfile { drop: loss * 0.6, ..base }, FaultProfile { drop: loss * 0.4, ..base })
 }
 
-/// Binds on an ephemeral port, again on `AddrInUse`: the UDP socket
-/// picks the number and the TCP listener beside it must then get the
-/// same one, which a connection lingering from an earlier run can hold.
-fn bind_retry<T>(mut bind: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-    let mut spare = 16;
-    loop {
-        match bind() {
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && spare > 0 => spare -= 1,
-            done => return done,
-        }
-    }
-}
-
 /// The running rig: instrumentation, the server, and its proxies.
 struct Lab {
     collector: Option<Arc<Collector>>,
     trace: Option<PathBuf>,
-    flight_dump: Option<PathBuf>,
     metrics: Option<(Arc<Registry>, MetricsServer)>,
     watchdog: Option<WatchdogHandle>,
     server: Option<ServeHandle>,
@@ -317,11 +313,10 @@ impl Lab {
         if let Some((registry, _)) = &metrics {
             cfg = cfg.metrics(Arc::clone(registry));
         }
-        let server = bind_retry(|| serve(cfg.clone())).map_err(|e| format!("serve: {e}"))?;
+        let server = serve(cfg).map_err(|e| format!("serve: {e}"))?;
         Ok(Lab {
             collector,
             trace: rig.trace.clone(),
-            flight_dump: rig.flight_dump.clone(),
             metrics,
             watchdog: None,
             server: Some(server),
@@ -352,15 +347,9 @@ impl Lab {
             plan.register(registry);
         }
         for _ in 0..count {
-            let proxy = bind_retry(|| {
-                ChaosProxy::spawn(
-                    "127.0.0.1:0",
-                    self.addr(),
-                    Arc::clone(&plan),
-                    self.collector.as_ref().map(Arc::clone),
-                )
-            })
-            .map_err(|e| format!("chaos proxy: {e}"))?;
+            let collector = self.collector.as_ref().map(Arc::clone);
+            let proxy = ChaosProxy::spawn("127.0.0.1:0", self.addr(), Arc::clone(&plan), collector)
+                .map_err(|e| format!("chaos proxy: {e}"))?;
             self.proxies.push(proxy);
         }
         self.plan = Some(plan);
@@ -431,37 +420,11 @@ impl Lab {
         }
     }
 
-    /// The trace epilogue's lines, and the flight-recorder dump (the
-    /// final drain sweep has folded every event into the recorder by
-    /// now). Event and overflow counts are deterministic for a fixed
-    /// seed; the content digest additionally commits to which server
-    /// each client attempt picked, so only loss-free single-server runs
-    /// may mark it `digest_deterministic`.
-    fn trace_lines(
-        &self,
-        report: &mut GateReport,
-        summary: TraceSummary,
-        trace: Trace,
-        digest_deterministic: bool,
-    ) -> Result<(), String> {
-        report.say(format!("trace-summary: events={} overflow={}", summary.events, summary.overflow));
-        report.lines.push(Line {
-            text: format!("trace-digest: {:016x}", trace.digest()),
-            deterministic: digest_deterministic,
-        });
-        if let (Some(c), Some(path)) = (&self.collector, &self.flight_dump) {
-            let n = c.dump_flight(path).map_err(|e| format!("flight-dump: {}: {e}", path.display()))?;
-            report.say(format!("flight-dump: journeys={n} path={}", path.display()));
-        }
-        report.trace = Some(trace);
-        Ok(())
-    }
-
     fn finish_trace(&self, report: &mut GateReport, digest_deterministic: bool) -> Result<(), String> {
-        match self.read_trace()? {
-            Some((summary, trace)) => self.trace_lines(report, summary, trace, digest_deterministic),
-            None => Ok(()),
+        if let Some((summary, trace)) = self.read_trace()? {
+            report.trace_lines(summary, trace, digest_deterministic);
         }
+        Ok(())
     }
 
     /// The scrape-equality epilogue, when metered: after the workers
@@ -1340,7 +1303,7 @@ pub fn attack(rig: &Rig, spec: &AttackSpec) -> Result<GateReport, String> {
                 ));
             }
         }
-        lab.trace_lines(&mut report, summary, trace, false)?;
+        report.trace_lines(summary, trace, false);
     }
     report.say(format!(
         "elapsed_ms={} recv_errors={} decode_errors={}",
@@ -1663,17 +1626,11 @@ fn gate_cache() -> Result<GateReport, String> {
 /// Journey ids are pure functions of the seed, so the reconstructed
 /// tail-attribution table and the canonical failed-journey timelines
 /// must be byte-identical across runs; every non-clean tail cause the
-/// leg can produce must be touched; the hop books must balance; and the
-/// flight recorder's JSONL dump must retain journeys.
+/// leg can produce must be touched; and the hop books must balance.
 fn gate_explain(spec: &ChaosSpec) -> Result<GateReport, String> {
     let paths = [scratch("explain-a"), scratch("explain-b")];
-    let flight = scratch("flight");
-    let runs = replayed("chaos+rrl schedule", |i| {
-        let dump = (i == 0).then(|| flight.clone());
-        chaos(&Rig { flight_dump: dump, ..Rig::traced(&paths[i]) }, spec)
-    });
-    let dumped = std::fs::read_to_string(&flight).unwrap_or_default();
-    for path in paths.iter().chain([&flight]) {
+    let runs = replayed("chaos+rrl schedule", |i| chaos(&Rig::traced(&paths[i]), spec));
+    for path in &paths {
         let _ = std::fs::remove_file(path);
     }
     let (mut report, mut second) = runs?;
@@ -1703,11 +1660,6 @@ fn gate_explain(spec: &ChaosSpec) -> Result<GateReport, String> {
             report.fail(format!("tail cause {} was never touched", cause.label()));
         }
     }
-    let journeys = dumped.lines().filter(|l| l.contains("\"journey\"")).count();
-    if journeys == 0 {
-        report.fail("flight-recorder dump is empty or malformed".into());
-    }
-    report.say(format!("explain: flight recorder dumped {journeys} journeys"));
     Ok(report)
 }
 

@@ -8,8 +8,7 @@ use std::process::{Command, Output};
 
 const DNSWILD: &str = env!("CARGO_BIN_EXE_dnswild");
 
-/// Every flag of every subcommand: the parent's set, which this PR
-/// neither grows, renames nor shrinks.
+/// Every flag of every subcommand.
 const SUBCOMMANDS: [(&str, &[&str]); 8] = [
     (
         "serve",
@@ -42,8 +41,8 @@ const SUBCOMMANDS: [(&str, &[&str]); 8] = [
         &[
             "--queries", "--threads", "--io", "--concurrency", "--attack", "--rrl", "--chaos",
             "--cache", "--cache-cap", "--serve-stale", "--prefetch", "--seed", "--loss",
-            "--corrupt", "--tcp", "--edns-size", "--budget-secs", "--trace", "--flight-dump",
-            "--json", "--metrics-addr",
+            "--corrupt", "--tcp", "--edns-size", "--budget-secs", "--trace", "--json",
+            "--metrics-addr",
         ],
     ),
     ("gate", &["<name>"]),
@@ -172,18 +171,25 @@ fn flags_the_mode_never_reads_are_rejected() {
 /// outcome, now from the table.
 #[test]
 fn the_parents_rules_hold() {
-    let cases: [(&[&str], [&str; 2]); 7] = [
+    let cases: [(&[&str], [&str; 2]); 6] = [
         (&["serve", "--trace", "/tmp/x"], ["--trace", "--duration"]),
         (&["serve", "--attack-zone", "--pad", "100"], ["--attack-zone", "--pad"]),
         (&["blast", "--cache"], ["--cache", "--chaos"]),
         (&["blast", "--attack", "nxns", "--json"], ["--attack", "--json"]),
         (&["smoke", "--chaos", "--edns-size", "512"], ["--edns-size", "--tcp"]),
-        (&["smoke", "--trace", "x", "--flight-dump", "y", "--cache"], ["--flight-dump", "--cache"]),
         (&["explain", "/tmp/x", "--txn", "1", "--failed"], ["--txn", "--failed"]),
     ];
     for (args, names) in cases {
         assert_usage_error(DNSWILD, args, &names);
     }
+}
+
+/// The trace is the one journey store (`explain <trace> --failed |
+/// --slowest N`): smoke no longer takes an in-memory recorder's dump
+/// path, and says so rather than ignoring it.
+#[test]
+fn the_removed_recorder_dump_flag_is_a_usage_error() {
+    assert_usage_error(DNSWILD, &["smoke", "--trace", "t", "--flight-dump", "f"], &["--flight-dump"]);
 }
 
 /// `--dump` is never accepted and then ignored: `exp_fig2` writes one

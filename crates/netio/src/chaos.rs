@@ -42,7 +42,7 @@ use detrand::{splitmix64, DetRng, Rng};
 use dnswild_metrics::{counter_set, kv_line, AtomicSet, CounterSet, Registry};
 
 use crate::closed_loop::unspecified_for;
-use crate::server::is_idle_recv;
+use crate::server::{bind_twin, is_idle_recv};
 use crate::tcp::{write_frame, FrameReader};
 use dnswild_telemetry::{
     hash_bytes, hash_socket_addr, journey_from_payload, Collector, Event,
@@ -571,9 +571,15 @@ impl ChaosProxy {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable listen address"))?;
-        let listen_sock = Arc::new(UdpSocket::bind(addr)?);
+        // The TCP fallback relay listens on the port the UDP listener got.
+        let bind_listen = || -> io::Result<(UdpSocket, SocketAddr)> {
+            let socket = UdpSocket::bind(addr)?;
+            let local = socket.local_addr()?;
+            Ok((socket, local))
+        };
+        let (listen_sock, local_addr, tcp_listener) = bind_twin(addr, bind_listen, TcpListener::bind)?;
+        let listen_sock = Arc::new(listen_sock);
         listen_sock.set_read_timeout(Some(STOP_POLL_INTERVAL))?;
-        let local_addr = listen_sock.local_addr()?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<Scheduled>();
@@ -590,8 +596,6 @@ impl ChaosProxy {
         let listen = std::thread::Builder::new()
             .name("chaos-listen".into())
             .spawn(move || listen_loop(listen_sock, upstream, relay))?;
-        // TCP fallback relay on the same port the UDP listener got.
-        let tcp_listener = TcpListener::bind(local_addr)?;
         let tcp_accept = {
             let stop = Arc::clone(&stop);
             let plan = Arc::clone(&plan);

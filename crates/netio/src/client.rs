@@ -866,7 +866,9 @@ impl<'a> Worker<'a> {
             }
             let got = match self.socket.recv_from(&mut self.recv_buf) {
                 Ok((n, _peer)) => n,
-                Err(e) if is_idle_recv(&e) => break,
+                // The timer may wake a little before the deadline: the
+                // loop top re-arms for what is left, or ends the window.
+                Err(e) if is_idle_recv(&e) => continue,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             };
@@ -1853,8 +1855,13 @@ mod tests {
         let started = Instant::now();
         w.attempt(&qname, 8, window, &mut Vec::new(), &mut Vec::new()).unwrap();
         let waited = started.elapsed();
-        assert_eq!(w.socket.read_timeout().unwrap(), Some(window), "re-armed for the new window");
+        // Armed for the whole new window — or, after a wake a hair
+        // early, for what was left of it — and never out of step with
+        // what the worker believes it armed (the kernel rounds a
+        // timeout up to its tick, never down).
+        assert!(w.socket.read_timeout().unwrap() >= w.armed, "the socket holds what was armed");
         assert!(waited >= window, "the second attempt gave up after {waited:?}");
+        assert!(waited < window + Duration::from_millis(50), "waited {waited:?} for a {window:?} window");
         assert_eq!((w.stats.stale, w.stats.timeouts), (1, 2));
     }
 }

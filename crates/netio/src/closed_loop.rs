@@ -108,6 +108,7 @@ pub(crate) fn exchange(
     let sent_ns = trace.map(|t| t.producer.now_ns());
     socket.send(query)?;
     let mut out = Exchanged { reply_len: None, rtt: timeout, truncated: false, mismatched: 0 };
+    let mut rearmed = false;
     loop {
         match socket.recv(recv_buf) {
             Ok(got) if got >= 2 && u16::from_be_bytes([recv_buf[0], recv_buf[1]]) == id => {
@@ -117,24 +118,23 @@ pub(crate) fn exchange(
                 out.truncated = got >= 3 && recv_buf[2] & 0x02 != 0;
                 break;
             }
-            Ok(_) => {
-                out.mismatched += 1;
-                // The socket waits a full `timeout` per read, so the next
-                // read may only wait out what is left of this window.
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                socket.set_read_timeout(Some(left))?;
-            }
-            Err(e) if is_idle_recv(&e) => break,
-            // A signal landing mid-recv is not a timeout and not a
-            // worker-fatal error — retry the wait.
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Ok(_) => out.mismatched += 1,
+            // The timer may wake a little before the deadline, and a
+            // signal landing mid-recv is not a timeout and not a
+            // worker-fatal error: either way, wait out the window.
+            Err(e) if is_idle_recv(&e) || e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
+        // The socket waits a full `timeout` per read, so the next read
+        // may only wait out what is left of this window.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        socket.set_read_timeout(Some(left))?;
+        rearmed = true;
     }
-    if out.mismatched > 0 {
+    if rearmed {
         socket.set_read_timeout(Some(timeout))?;
     }
     if let (Some(t), Some(sent_ns)) = (trace, sent_ns) {
@@ -190,6 +190,7 @@ mod tests {
         let waited = started.elapsed();
         stale.join().unwrap();
         assert_eq!((got.reply_len, got.mismatched), (None, 1));
+        assert!(waited >= timeout, "gave up after {waited:?} of a {timeout:?} window");
         assert!(waited < timeout + Duration::from_millis(50), "waited {waited:?} for a {timeout:?} window");
         assert_eq!(client.read_timeout().unwrap(), Some(timeout));
     }

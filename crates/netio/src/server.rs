@@ -116,6 +116,31 @@ pub(crate) fn is_idle_recv(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
+/// How many fresh ephemeral ports [`bind_twin`] tries before giving up.
+const EPHEMERAL_BIND_TRIES: usize = 16;
+
+/// Binds a UDP side with `bind_udp`, which reports the address it got,
+/// and then its TCP twin with `bind_tcp` on that same address — both
+/// before anything is spawned, so a failed bind leaves nothing running.
+/// The TCP port can be taken while the UDP one was free (a connection
+/// of an earlier run lingering in `TIME_WAIT`): when `addr` asked for
+/// port 0, the pair is then dropped and bound again on a fresh port. A
+/// caller that named its port gets the `AddrInUse`.
+pub(crate) fn bind_twin<U, T>(
+    addr: SocketAddr,
+    mut bind_udp: impl FnMut() -> io::Result<(U, SocketAddr)>,
+    mut bind_tcp: impl FnMut(SocketAddr) -> io::Result<T>,
+) -> io::Result<(U, SocketAddr, T)> {
+    let mut spare = if addr.port() == 0 { EPHEMERAL_BIND_TRIES } else { 0 };
+    loop {
+        let bound = bind_udp().and_then(|(udp, local)| Ok((udp, local, bind_tcp(local)?)));
+        match bound {
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse && spare > 0 => spare -= 1,
+            done => return done,
+        }
+    }
+}
+
 counter_set! {
     /// The serving plane's socket-level error counters. Outside
     /// [`ServerStats`]: the simulator has no socket errors, and widening
@@ -156,7 +181,8 @@ pub(crate) struct ShardCell {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address to bind, e.g. `"127.0.0.1:5300"`; port 0 picks an
-    /// ephemeral port (see [`ServeHandle::local_addr`]).
+    /// ephemeral port (see [`ServeHandle::local_addr`]) whose TCP twin
+    /// is free too.
     pub bind_addr: String,
     /// Worker (shard) count. The [`ServeConfig::new`] default is
     /// available parallelism capped at 8 — a conservative floor for
@@ -375,23 +401,30 @@ pub fn serve(config: ServeConfig) -> io::Result<ServeHandle> {
     // backends and keep std-vs-mmsg comparisons about batching alone);
     // otherwise the legacy single shared socket.
     let reuseport = batch_io_available();
-    let mut sockets = Vec::with_capacity(threads);
-    let local_addr;
-    if reuseport {
-        let first = dnswild_mmsg::bind_reuseport(addr)?;
-        local_addr = first.local_addr()?;
-        sockets.push(first);
-        for _ in 1..threads {
-            sockets.push(dnswild_mmsg::bind_reuseport(local_addr)?);
+    let bind_shards = || -> io::Result<(Vec<UdpSocket>, SocketAddr)> {
+        let mut sockets = Vec::with_capacity(threads);
+        let local_addr;
+        if reuseport {
+            let first = dnswild_mmsg::bind_reuseport(addr)?;
+            local_addr = first.local_addr()?;
+            sockets.push(first);
+            for _ in 1..threads {
+                sockets.push(dnswild_mmsg::bind_reuseport(local_addr)?);
+            }
+        } else {
+            let socket = UdpSocket::bind(addr)?;
+            local_addr = socket.local_addr()?;
+            for _ in 1..threads {
+                sockets.push(socket.try_clone()?);
+            }
+            sockets.push(socket);
         }
-    } else {
-        let socket = UdpSocket::bind(addr)?;
-        local_addr = socket.local_addr()?;
-        for _ in 1..threads {
-            sockets.push(socket.try_clone()?);
-        }
-        sockets.push(socket);
-    }
+        Ok((sockets, local_addr))
+    };
+    // The TCP plane listens on the port the UDP shards got.
+    let bind_listener =
+        |local: SocketAddr| config.tcp.map(|_| TcpListener::bind(local)).transpose();
+    let (sockets, local_addr, listener) = bind_twin(addr, bind_shards, bind_listener)?;
     for socket in &sockets {
         socket.set_read_timeout(Some(STOP_POLL_INTERVAL))?;
     }
@@ -449,8 +482,7 @@ pub fn serve(config: ServeConfig) -> io::Result<ServeHandle> {
     let mut tcp_addr = None;
     let mut tcp_counters = None;
     let mut tcp_workers = 0;
-    if let Some(opts) = config.tcp {
-        let listener = TcpListener::bind(local_addr)?;
+    if let (Some(opts), Some(listener)) = (config.tcp, listener) {
         tcp_addr = Some(listener.local_addr()?);
         let counters = Arc::new(TcpCounters::default());
         tcp_counters = Some(Arc::clone(&counters));
@@ -490,8 +522,8 @@ pub fn serve(config: ServeConfig) -> io::Result<ServeHandle> {
 
     // The accounting path's read side: the three per-auth series are
     // fed from the cells the workers already write, on every registry
-    // read. Wired last, so a `serve` that failed above (a caller may
-    // retry a lost bind race) leaves no feed behind.
+    // read. Wired last, so a `serve` that failed above leaves no feed
+    // behind.
     if let Some(registry) = &config.metrics {
         let auth = [("auth", config.site_code.as_str())];
         let cells = shards.clone();
@@ -981,6 +1013,33 @@ mod tests {
         assert_eq!(tcp.accepted, 1, "one connection served all three");
         assert_eq!(tcp.over_cap, 0);
         assert_eq!(tcp.frame_errors, 0);
+    }
+
+    /// A TCP twin held elsewhere costs a port-0 bind one more try on a
+    /// fresh port; a caller that named its port gets the `AddrInUse`.
+    #[test]
+    fn a_taken_tcp_twin_moves_an_ephemeral_bind_but_fails_a_named_one() {
+        let holder = TcpListener::bind("127.0.0.1:0").unwrap();
+        let taken = holder.local_addr().unwrap();
+        let mut tries = 0;
+        let (udp, local, tcp) = bind_twin(
+            "127.0.0.1:0".parse().unwrap(),
+            || {
+                // The first try lands on the port whose TCP twin is held.
+                tries += 1;
+                let udp = UdpSocket::bind(if tries == 1 { taken } else { "127.0.0.1:0".parse().unwrap() })?;
+                let local = udp.local_addr()?;
+                Ok((udp, local))
+            },
+            TcpListener::bind,
+        )
+        .unwrap();
+        assert_eq!(tries, 2);
+        assert_ne!(local, taken);
+        assert_eq!(tcp.local_addr().unwrap(), local);
+        drop((udp, tcp));
+        let named = bind_twin(taken, || Ok((UdpSocket::bind(taken)?, taken)), TcpListener::bind);
+        assert_eq!(named.err().map(|e| e.kind()), Some(io::ErrorKind::AddrInUse));
     }
 
     #[test]

@@ -408,7 +408,7 @@ impl RecursiveResolver {
 
     fn handle_upstream_response(&mut self, ctx: &mut Context<'_>, dgram: Datagram, resp: Message) {
         let qid = resp.header.id;
-        let Some(p) = self.pending.get(&qid) else {
+        let Some(p) = self.pending.get_mut(&qid) else {
             self.stats.late_responses += 1;
             return;
         };
@@ -442,7 +442,6 @@ impl RecursiveResolver {
             let now = ctx.now();
             // The exchange still measured the server's distance.
             self.infra.observe_rtt(dgram.src, now.since(attempt_sent_at), now);
-            let p = self.pending.get_mut(&qid).expect("checked above");
             p.tcp = true;
             p.server = dgram.src;
             p.sent_at = now;
@@ -461,7 +460,6 @@ impl RecursiveResolver {
                 // The referring server did answer: record its RTT.
                 let rtt = now.since(attempt_sent_at);
                 self.infra.observe_rtt(dgram.src, rtt, now);
-                let p = self.pending.get_mut(&qid).expect("checked above");
                 if p.referrals >= 4 {
                     self.give_up(ctx, qid);
                     return;
@@ -471,11 +469,9 @@ impl RecursiveResolver {
                     child,
                     (servers.clone(), now + SimDuration::from_secs(ttl as u64)),
                 );
-                let p = self.pending.get_mut(&qid).expect("checked above");
                 p.excluded.clear();
                 let next =
                     self.policy.select(&servers, &[], &mut self.infra, now, ctx.rng());
-                let p = self.pending.get_mut(&qid).expect("checked above");
                 p.server = next;
                 p.sent_at = now;
                 p.attempts.push((next, now));

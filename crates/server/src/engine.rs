@@ -496,12 +496,12 @@ impl AnswerEngine {
 
     /// The `CH TXT stats.dnswild.` line, from the live telemetry snapshot
     /// (queries seen, answered, decode errors, ring-overflow drops, the
-    /// recursive plane's cache hit/miss/stale tallies, the limiter's
-    /// dropped/slipped counts, and the flight recorder's journey books).
+    /// recursive plane's cache hit/miss/stale tallies, and the limiter's
+    /// dropped/slipped counts).
     fn stats_text(&self, cell: &SnapshotCell) -> String {
         let snap = cell.snapshot();
         let mut text = format!(
-            "seen={} answered={} decode_errors={} overflow={} cache={}/{}/{} rrl={}/{} journeys={}/{}",
+            "seen={} answered={} decode_errors={} overflow={} cache={}/{}/{} rrl={}/{}",
             snap.queries,
             snap.answered,
             snap.decode_errors,
@@ -510,9 +510,7 @@ impl AnswerEngine {
             snap.cache_misses,
             snap.cache_stale,
             snap.rrl_dropped,
-            snap.rrl_slipped,
-            snap.journeys_recorded,
-            snap.journeys_dropped
+            snap.rrl_slipped
         );
         // With process introspection attached (serving plane only), the
         // answer also carries uptime and which observability planes are
@@ -1019,7 +1017,7 @@ mod tests {
         let RData::Txt(t) = &resp.answers[0].rdata else { panic!("not TXT") };
         assert_eq!(
             t.first_as_string(),
-            "seen=0 answered=0 decode_errors=0 overflow=0 cache=0/0/0 rrl=0/0 journeys=0/0"
+            "seen=0 answered=0 decode_errors=0 overflow=0 cache=0/0/0 rrl=0/0"
         );
         assert_eq!(e.stats().chaos, 1);
         // The fork keeps the telemetry hookup.
@@ -1048,7 +1046,7 @@ mod tests {
         let text = t.first_as_string();
         assert!(
             text.starts_with(
-                "seen=0 answered=0 decode_errors=0 overflow=0 cache=0/0/0 rrl=0/0 journeys=0/0 uptime_s="
+                "seen=0 answered=0 decode_errors=0 overflow=0 cache=0/0/0 rrl=0/0 uptime_s="
             ),
             "got {text:?}"
         );

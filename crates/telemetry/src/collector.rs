@@ -1,6 +1,8 @@
 //! The collector: owns the trace file, hands out per-worker producers,
 //! and runs the drain thread that moves events from the SPSC rings into
-//! the trace, the counter snapshot, and the latency histogram.
+//! the trace and the counter snapshot. The trace is the one journey
+//! store: per-query timelines, slowest and failed journeys alike, are
+//! read back from it (`dnswild explain`), never kept a second time here.
 //!
 //! Producers register dynamically (chaos-proxy sessions spawn threads
 //! on demand), so the ring list sits behind a mutex — but that mutex is
@@ -8,7 +10,7 @@
 //! per-event path.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -19,8 +21,6 @@ use dnswild_ledger::AtomicSet;
 use crate::event::{
     EventKind, TraceEvent, FLAG_DECODE_ERROR, FLAG_RESPONSE, FLAG_RRL, FLAG_TIMEOUT,
 };
-use crate::flight::{FlightConfig, FlightRecorder, FlightStats};
-use crate::hist::LogHistogram;
 use crate::ring::SpscRing;
 use crate::trace::TraceWriter;
 
@@ -39,8 +39,6 @@ pub struct CollectorConfig {
     pub ring_capacity: usize,
     /// How often the drain thread sweeps the rings.
     pub drain_interval: Duration,
-    /// Flight-recorder bounds (last-N ring, slowest-K, failed cap).
-    pub flight: FlightConfig,
 }
 
 impl CollectorConfig {
@@ -54,7 +52,6 @@ impl CollectorConfig {
             // freshness for hot-path quiet. 50 ms keeps the traced
             // throughput within a few percent of untraced.
             drain_interval: Duration::from_millis(50),
-            flight: FlightConfig::default(),
         }
     }
 
@@ -74,11 +71,6 @@ impl CollectorConfig {
 
     pub fn drain_interval(mut self, interval: Duration) -> Self {
         self.drain_interval = interval;
-        self
-    }
-
-    pub fn flight(mut self, flight: FlightConfig) -> Self {
-        self.flight = flight;
         self
     }
 }
@@ -108,10 +100,6 @@ dnswild_ledger::counter_set! {
         rrl_dropped => "rrl_dropped",
         /// Server responses slipped as TC=1 by response-rate limiting.
         rrl_slipped => "rrl_slipped",
-        /// Journeys admitted to the flight recorder.
-        journeys_recorded => "journeys_recorded",
-        /// Journeys the flight recorder evicted unpinned.
-        journeys_dropped => "journeys_dropped",
     }
 }
 
@@ -150,23 +138,20 @@ impl TelemetrySnapshot {
 /// these). The drain thread is the only writer: one delta per sweep.
 #[derive(Debug, Default)]
 pub struct SnapshotCell {
-    counts: AtomicSet<TelemetrySnapshot, 12>,
-    /// Worst client RTT the flight recorder retains — a gauge, so it
-    /// lives beside the counters rather than among them.
+    counts: AtomicSet<TelemetrySnapshot, 10>,
+    /// Worst client RTT drained so far — a gauge, so it lives beside
+    /// the counters rather than among them.
     journey_slowest_ns: AtomicU64,
 }
 
 impl SnapshotCell {
-    /// Publishes one sweep: the events it drained, plus the growth of
-    /// the two totals kept elsewhere — ring overflow and the flight
-    /// recorder's journey books.
-    fn publish(&self, mut sweep: TelemetrySnapshot, overflow: u64, flight: FlightStats) {
-        let books = self.counts.snapshot();
-        sweep.overflow = overflow.saturating_sub(books.overflow);
-        sweep.journeys_recorded = flight.recorded - books.journeys_recorded;
-        sweep.journeys_dropped = flight.dropped - books.journeys_dropped;
+    /// Publishes one sweep: the events it drained, the growth of the
+    /// ring-overflow total kept elsewhere, and the sweep's worst client
+    /// RTT.
+    fn publish(&self, mut sweep: TelemetrySnapshot, overflow: u64, slowest_ns: u64) {
+        sweep.overflow = overflow.saturating_sub(self.counts.snapshot().overflow);
         self.counts.add(sweep);
-        self.journey_slowest_ns.store(flight.slowest_ns, Ordering::Relaxed);
+        self.journey_slowest_ns.fetch_max(slowest_ns, Ordering::Relaxed);
     }
 
     /// The books as of the last sweep.
@@ -174,8 +159,8 @@ impl SnapshotCell {
         self.counts.snapshot()
     }
 
-    /// Worst client RTT retained in the flight recorder (exemplar), as
-    /// of the last sweep.
+    /// Worst `ClientQuery` latency drained so far (exemplar): `explain
+    /// <trace> --slowest 1` prints that journey's timeline.
     pub fn journey_slowest_ns(&self) -> u64 {
         self.journey_slowest_ns.load(Ordering::Relaxed)
     }
@@ -192,10 +177,6 @@ struct Shared {
     rings: Mutex<Vec<Arc<SpscRing>>>,
     stop: AtomicBool,
     snapshot: Arc<SnapshotCell>,
-    histogram: LogHistogram,
-    /// The flight recorder. Locked by the drain thread once per sweep
-    /// and by dump requests; never on the per-event hot path.
-    flight: Mutex<FlightRecorder>,
     /// Overflow carried over from retired rings (producer dropped,
     /// backlog fully drained), so the footer never loses drops.
     retired_overflow: AtomicU64,
@@ -273,8 +254,6 @@ impl Collector {
             rings: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
             snapshot: Arc::new(SnapshotCell::default()),
-            histogram: LogHistogram::new(),
-            flight: Mutex::new(FlightRecorder::new(config.flight)),
             retired_overflow: AtomicU64::new(0),
             wake_lock: Mutex::new(()),
             wake_cv: Condvar::new(),
@@ -324,24 +303,6 @@ impl Collector {
         Arc::clone(&self.shared.snapshot)
     }
 
-    /// Drained-so-far latency percentile from the streaming histogram
-    /// (uses the workspace's shared estimator for rank selection).
-    pub fn latency_ns_at(&self, p: f64) -> Option<u64> {
-        self.shared.histogram.value_at(p)
-    }
-
-    /// Dump every retained journey (failed pins, slowest-K, recency
-    /// ring) as JSONL. Callable at any point in the run — the recorder
-    /// lock briefly pauses the drain sweep, never the hot path.
-    pub fn dump_flight(&self, path: &Path) -> io::Result<u64> {
-        let flight = self.shared.flight.lock().unwrap();
-        let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        flight.dump_jsonl(&mut out)?;
-        use std::io::Write as _;
-        out.flush()?;
-        Ok(flight.retained() as u64)
-    }
-
     /// Stop the drain thread, drain whatever is left in the rings,
     /// write the trace footer, and return the totals.
     pub fn finish(&self) -> io::Result<TraceSummary> {
@@ -376,20 +337,16 @@ fn drain_loop(
         // so registration never contends with producers.
         let rings: Vec<Arc<SpscRing>> = shared.rings.lock().unwrap().clone();
         let mut sweep = TelemetrySnapshot::default();
-        let flight_stats = {
-            let mut flight = shared.flight.lock().unwrap();
-            for ring in &rings {
-                while let Some(ev) = ring.pop() {
-                    writer.write_event(&ev)?;
-                    sweep.count(&ev);
-                    flight.observe(&ev);
-                    if ev.latency_ns > 0 {
-                        shared.histogram.record(u64::from(ev.latency_ns));
-                    }
+        let mut slowest_ns = 0;
+        for ring in &rings {
+            while let Some(ev) = ring.pop() {
+                writer.write_event(&ev)?;
+                sweep.count(&ev);
+                if ev.kind == EventKind::ClientQuery {
+                    slowest_ns = slowest_ns.max(u64::from(ev.latency_ns));
                 }
             }
-            flight.stats()
-        };
+        }
         // Retire rings whose producer is gone and whose backlog the
         // sweep above fully drained: abandoned + empty can never grow
         // again. Their overflow moves into the retired counter so the
@@ -405,7 +362,7 @@ fn drain_loop(
             });
         }
         let overflow = shared.total_overflow();
-        shared.snapshot.publish(sweep, overflow, flight_stats);
+        shared.snapshot.publish(sweep, overflow, slowest_ns);
         if stopping {
             // One final sweep happened above (stop was read before the
             // sweep), so every event pushed before `finish` is in.
@@ -449,7 +406,7 @@ mod tests {
 
     #[test]
     fn telemetry_snapshot_covers_every_field() {
-        dnswild_ledger::assert_counter_set_covers_every_field::<TelemetrySnapshot, 12>();
+        dnswild_ledger::assert_counter_set_covers_every_field::<TelemetrySnapshot, 10>();
     }
 
     #[test]
@@ -481,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_counters_and_histogram_track_events() {
+    fn snapshot_counters_and_slowest_client_rtt_track_events() {
         let path = temp_path("snap");
         let collector = Collector::start(CollectorConfig::new(&path).auths(["FRA"])).unwrap();
         let cell = collector.snapshot_cell();
@@ -492,19 +449,24 @@ mod tests {
         let mut bad = TraceEvent::new(EventKind::ServerBad);
         bad.flags = FLAG_DECODE_ERROR;
         p.record(&bad);
+        // Only client attempts set the slowest-RTT gauge: the server
+        // events above carry larger latencies than this one.
+        let mut client = TraceEvent::new(EventKind::ClientQuery);
+        client.latency_ns = 500;
+        p.record(&client);
         // Wait for the drain thread to catch up, then check the cell.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while cell.snapshot().events < 101 && Instant::now() < deadline {
+        while cell.snapshot().events < 102 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(1));
         }
         let snap = cell.snapshot();
-        assert_eq!(snap.events, 101);
+        assert_eq!(snap.events, 102);
         assert_eq!(snap.queries, 100);
         assert_eq!(snap.answered, 90);
         assert_eq!(snap.decode_errors, 1);
-        assert!(collector.latency_ns_at(50.0).is_some());
+        assert_eq!(cell.journey_slowest_ns(), 500);
         let summary = collector.finish().unwrap();
-        assert_eq!(summary.events, 101);
+        assert_eq!(summary.events, 102);
         std::fs::remove_file(&path).ok();
     }
 

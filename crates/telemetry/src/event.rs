@@ -118,8 +118,7 @@ impl EventKind {
         }
     }
 
-    /// Stable human-readable name, used by the flight-recorder dump and
-    /// the `explain` timelines.
+    /// Stable human-readable name, used by the `explain` timelines.
     pub fn label(self) -> &'static str {
         match self {
             EventKind::ServerQuery => "ServerQuery",

@@ -4,11 +4,10 @@
 //! (three `fetch_add`s and a `fetch_max`), so any number of producers
 //! can feed it while a scrape or the drain thread reads it.
 //!
-//! The trace collector keeps latencies in it and the metrics registry
-//! (`dnswild_metrics` re-exports this type) renders it as a Prometheus
-//! histogram, so a percentile scraped over HTTP, one computed by
-//! `report --from-trace` and one read off `Registry::value_at` are all
-//! quantised the same way. For exposition it also carries a running
+//! The metrics registry (`dnswild_metrics` re-exports this type)
+//! renders it as a Prometheus histogram, so a percentile scraped over
+//! HTTP and one read off `Registry::value_at` are quantised the same
+//! way. For exposition it also carries a running
 //! value *sum* and cumulative counts at power-of-two `le` bounds
 //! (powers of two are exact bucket boundaries of the table, so the
 //! cumulative counts never straddle a bucket).

@@ -6,9 +6,10 @@
 //! plane (and, optionally, by the load/resolver clients and the chaos
 //! proxies) is recorded as one compact fixed-size [`Event`] in a
 //! per-producer lock-free SPSC ring. A background drain thread spills
-//! the rings into a versioned binary trace file ([`trace`]), keeps
-//! streaming counters ([`SnapshotCell`]) and an HDR-style latency
-//! histogram ([`LogHistogram`]) up to date.
+//! the rings into a versioned binary trace file ([`trace`]) and keeps
+//! streaming counters ([`SnapshotCell`]) up to date. The trace is the
+//! one store of per-query journeys; the workspace's one histogram type
+//! ([`LogHistogram`]) lives here too, for the metrics registry.
 //!
 //! Design rules, in priority order:
 //!
@@ -27,7 +28,6 @@
 
 mod collector;
 mod event;
-mod flight;
 mod hist;
 mod ring;
 pub mod stats;
@@ -41,7 +41,6 @@ pub use event::{
     FLAG_RESPONSE, FLAG_RRL, FLAG_SEND_FAILED, FLAG_TCP, FLAG_TCP_RETRY, FLAG_TC_SEEN,
     FLAG_TIMEOUT, RCODE_NONE,
 };
-pub use flight::{FlightConfig, FlightRecorder, FlightStats, JourneyLog};
 pub use hist::LogHistogram;
 pub use ring::SpscRing;
 pub use trace::{Trace, TraceWriter, EVENT_BYTES, TRACE_FORMAT_VERSION};

@@ -341,25 +341,23 @@ fn a_chaos_plan_scrapes_as_its_tallies() {
 
 /// A collector fed every event class it counts — answered and silent
 /// server queries, RRL slips and drops, decode errors, cache hits,
-/// misses and stale serves, more journeys than its flight recorder
-/// keeps — through a ring small enough to overflow: once finished, its
-/// ledger scrapes as its snapshot, and the slowest-journey gauge as its
-/// cell.
+/// misses and stale serves, client attempts — through a ring small
+/// enough to overflow: once finished, its ledger scrapes as its
+/// snapshot, and the slowest-journey gauge as the worst client latency
+/// in the trace it wrote.
 #[test]
 fn a_collector_scrapes_as_its_snapshot() {
     use dnswild_telemetry::{
-        Event, EventKind, FlightConfig, FLAG_DECODE_ERROR, FLAG_RESPONSE, FLAG_RRL, FLAG_TIMEOUT,
+        Event, EventKind, Trace, FLAG_DECODE_ERROR, FLAG_RESPONSE, FLAG_RRL, FLAG_TIMEOUT,
     };
     let path = temp_trace("books");
     let registry = Registry::new();
-    let flight = FlightConfig { last_n: 4, slowest_k: 1, failed_cap: 1, max_hops: 64 };
     // Nothing drains until `finish`: the ring keeps the first 64 events
     // (every class) and counts the rest as overflow.
     let config = CollectorConfig::new(&path)
         .auths(["FRA"])
         .ring_capacity(64)
-        .drain_interval(Duration::from_secs(3600))
-        .flight(flight);
+        .drain_interval(Duration::from_secs(3600));
     let collector = start_collector(config, Some(&registry)).unwrap();
     let producer = collector.producer();
     let classes = [
@@ -384,8 +382,31 @@ fn a_collector_scrapes_as_its_snapshot() {
     let books = collector.snapshot();
     assert!(books.kinds().iter().all(|&(_, n)| n > 0), "{}", books.line());
     assert_scrape_is_the_books(&registry, inputs::TRACE_EVENTS, &[], books);
-    let slowest = collector.snapshot_cell().journey_slowest_ns();
+    let trace = Trace::read_from(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let slowest = max_client_latency_ns(&trace);
     assert!(slowest > 0);
     assert_eq!(gauge(&registry, "dnswild_journey_slowest_rtt_ns"), slowest as f64);
+}
+
+/// The worst `ClientQuery` latency a trace holds.
+fn max_client_latency_ns(trace: &dnswild_telemetry::Trace) -> u64 {
+    let clients = trace.events.iter().filter(|e| e.kind == dnswild_telemetry::EventKind::ClientQuery);
+    clients.map(|e| u64::from(e.latency_ns)).max().unwrap_or(0)
+}
+
+/// On a metered, traced chaos run the slowest-journey exemplar gauge is
+/// the worst client latency in the trace — the journey `explain <trace>
+/// --slowest 1` prints.
+#[test]
+fn the_slowest_journey_gauge_is_the_worst_client_latency_in_the_trace() {
+    let path = temp_trace("slowest");
+    let report = chaos(&Rig::traced(&path).metered(), &ChaosSpec::new(200, 2017));
     std::fs::remove_file(&path).ok();
+    let report = report.unwrap();
+    assert!(report.passed(), "{:?}", report.failures);
+    let slowest = max_client_latency_ns(report.trace.as_ref().expect("traced run"));
+    let scraped = report.samples.iter().find(|s| s.name == "dnswild_journey_slowest_rtt_ns");
+    assert!(slowest > 0);
+    assert_eq!(scraped.map(|s| s.value), Some(slowest as f64));
 }
