@@ -23,7 +23,6 @@ use dnswild_atlas::{
     AuthoritativeSpec, DeploymentSpec, MeasurementResult, ProbeRecord, VpResult,
 };
 use dnswild_netsim::{Continent, SimAddr, SimDuration, SimTime};
-use dnswild_proto::Name;
 use dnswild_resolver::{PolicyKind, UpstreamSample};
 use dnswild_telemetry::{Event, EventKind, Trace, FLAG_PREFETCH, FLAG_RESPONSE, FLAG_TIMEOUT};
 
@@ -153,7 +152,6 @@ pub fn trace_to_measurement(trace: &Trace) -> MeasurementResult {
         .enumerate()
         .map(|(id, code)| (auth_addr(id as u16), code.clone()))
         .collect();
-    let qname = Name::parse("probe.trace.invalid").expect("static name parses");
 
     // BTreeMap so VP indices are stable across runs regardless of the
     // thread interleaving that produced the event order.
@@ -185,7 +183,6 @@ pub fn trace_to_measurement(trace: &Trace) -> MeasurementResult {
                     time: sim_time(ev),
                     server: auth_addr(ev.auth_id),
                     rtt: sim_rtt(ev),
-                    qname: qname.clone(),
                 }),
                 _ => {
                     failures += 1;

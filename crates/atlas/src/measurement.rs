@@ -10,6 +10,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use detrand::{DetRng, Rng};
 
@@ -17,7 +18,9 @@ use dnswild_netsim::{
     Actor, AddrFamily, Context, Continent, Datagram, HostConfig, HostId, LatencyConfig,
     SimAddr, SimDuration, SimTime, Simulator,
 };
-use dnswild_proto::{Message, Name, RData, RType, Rcode};
+use dnswild_proto::{
+    Class, Header, Message, MessageWriter, Name, RData, RType, Rcode, DEFAULT_EDNS_PAYLOAD,
+};
 use dnswild_resolver::{PolicyKind, RecursiveResolver, UpstreamSample};
 use dnswild_server::AuthoritativeServer;
 use dnswild_zone::presets::test_domain_zone;
@@ -188,16 +191,20 @@ struct VpStub {
     rounds: u32,
     stagger: SimDuration,
     sent: u32,
-    outstanding: HashMap<u16, (u32, SimTime)>,
+    /// Probes awaiting an answer: (query ID, round, send time). Rarely
+    /// more than one, so a scan beats a map.
+    outstanding: Vec<(u16, u32, SimTime)>,
+    /// The probe label, rewritten in place each round.
+    label: String,
     probes: Vec<ProbeRecord>,
     failure_times: Vec<SimTime>,
 }
 
 impl VpStub {
-    fn qname(&self, round: u32) -> Name {
-        self.origin
-            .prepend(&format!("v{}-r{round}", self.index))
-            .expect("probe label fits")
+    fn qname(&mut self, round: u32) -> Name {
+        self.label.clear();
+        write!(self.label, "v{}-r{round}", self.index).expect("writing to a String cannot fail");
+        self.origin.prepend(&self.label).expect("probe label fits")
     }
 }
 
@@ -213,22 +220,25 @@ impl Actor for VpStub {
         let round = self.sent;
         self.sent += 1;
         let id = (round + 1) as u16;
-        let query = Message::stub_query(id, self.qname(round), RType::Txt);
-        self.outstanding.insert(id, (round, ctx.now()));
+        let query = write_probe_query(ctx.buffer(), id, &self.qname(round));
+        self.outstanding.push((id, round, ctx.now()));
         let own = ctx.own_addr();
-        ctx.send(own, self.resolver, query.encode().expect("query encodes"));
+        ctx.send(own, self.resolver, query);
         if self.sent < self.rounds {
             ctx.set_timer(self.interval, 0);
         }
     }
 
     fn on_datagram(&mut self, ctx: &mut Context<'_>, dgram: Datagram) {
-        let Ok(resp) = Message::decode(&dgram.payload) else {
+        let decoded = Message::decode(&dgram.payload);
+        ctx.recycle(dgram.payload);
+        let Ok(resp) = decoded else {
             return;
         };
-        let Some((round, sent_at)) = self.outstanding.remove(&resp.header.id) else {
+        let Some(i) = self.outstanding.iter().position(|&(id, ..)| id == resp.header.id) else {
             return;
         };
+        let (_, round, sent_at) = self.outstanding.swap_remove(i);
         if resp.rcode() != Rcode::NoError || resp.answers.is_empty() {
             self.failure_times.push(ctx.now());
             return;
@@ -237,7 +247,7 @@ impl Actor for VpStub {
             self.failure_times.push(ctx.now());
             return;
         };
-        let Some((auth, site)) = parse_site(&txt.first_as_string()) else {
+        let Some((auth, site)) = txt.strings().first().and_then(|s| parse_site(s)) else {
             self.failure_times.push(ctx.now());
             return;
         };
@@ -259,11 +269,23 @@ impl Actor for VpStub {
     }
 }
 
-/// Parses `"site=FRA@FRA"` into `("FRA", "FRA")`.
-fn parse_site(txt: &str) -> Option<(String, String)> {
-    let ident = txt.strip_prefix("site=")?;
-    let (auth, site) = ident.split_once('@')?;
-    Some((auth.to_string(), site.to_string()))
+/// Writes into `buf` a VP's probe: the bytes of
+/// `Message::stub_query(id, qname, RType::Txt).encode()`, with no
+/// `Message` built.
+fn write_probe_query(buf: Vec<u8>, id: u16, qname: &Name) -> Vec<u8> {
+    let header = Header { id, recursion_desired: true, ..Header::default() };
+    let mut w = MessageWriter::new(buf, &header);
+    w.question_parts(qname, RType::Txt, Class::In).expect("query encodes");
+    w.edns(DEFAULT_EDNS_PAYLOAD).expect("query encodes");
+    w.finish()
+}
+
+/// Parses the TXT string `site=FRA@FRA` into `("FRA", "FRA")`.
+fn parse_site(txt: &[u8]) -> Option<(String, String)> {
+    let ident = txt.strip_prefix(b"site=")?;
+    let at = ident.iter().position(|&b| b == b'@')?;
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    Some((text(&ident[..at]), text(&ident[at + 1..])))
 }
 
 /// Runs one measurement.
@@ -407,8 +429,9 @@ pub fn run_measurement(config: &MeasurementConfig) -> MeasurementResult {
             rounds: config.rounds,
             stagger: SimDuration::from_micros(stagger_us),
             sent: 0,
-            outstanding: HashMap::new(),
-            probes: Vec::new(),
+            outstanding: Vec::new(),
+            label: String::new(),
+            probes: Vec::with_capacity(config.rounds as usize),
             failure_times: Vec::new(),
         };
         let vp_host = sim.add_host(
@@ -433,21 +456,25 @@ pub fn run_measurement(config: &MeasurementConfig) -> MeasurementResult {
         + SimDuration::from_secs(60);
     sim.run_until(SimTime::ZERO + total);
 
-    // Harvest.
+    // Harvest: move every record out of the actors, copying nothing.
     let mut vps = Vec::with_capacity(config.vp_count);
-    for index in 0..config.vp_count {
-        let stub = sim.actor::<VpStub>(vp_hosts[index]).expect("vp actor");
+    for (index, (continent, city, policy, forwarded)) in meta.into_iter().enumerate() {
         let mut samples = Vec::new();
         for &rh in &resolver_hosts[index] {
-            let resolver = sim.actor::<RecursiveResolver>(rh).expect("resolver actor");
-            samples.extend(resolver.samples().iter().cloned());
+            let resolver = sim.actor_mut::<RecursiveResolver>(rh).expect("resolver actor");
+            let taken = resolver.take_samples();
+            if samples.is_empty() {
+                samples = taken;
+            } else {
+                samples.extend(taken);
+            }
         }
         samples.sort_by_key(|s| s.time);
-        let (continent, city, policy, forwarded) = meta[index].clone();
-        let mut failure_times = stub.failure_times.clone();
+        let stub = sim.actor_mut::<VpStub>(vp_hosts[index]).expect("vp actor");
+        let mut failure_times = std::mem::take(&mut stub.failure_times);
         // Probes still in flight at harvest never completed: count them
         // as failures at their send time.
-        failure_times.extend(stub.outstanding.values().map(|&(_, sent)| sent));
+        failure_times.extend(stub.outstanding.iter().map(|&(_, _, sent)| sent));
         failure_times.sort_unstable();
         vps.push(VpResult {
             index,
@@ -455,7 +482,7 @@ pub fn run_measurement(config: &MeasurementConfig) -> MeasurementResult {
             city,
             policy,
             forwarded,
-            probes: stub.probes.clone(),
+            probes: std::mem::take(&mut stub.probes),
             failures: failure_times.len() as u32,
             failure_times,
             samples,
@@ -479,6 +506,22 @@ mod tests {
         let mut cfg = MeasurementConfig::quick(StandardConfig::C2C, vps, seed);
         cfg.rounds = 10;
         run_measurement(&cfg)
+    }
+
+    /// The probe writer and the site parser stand in for a `Message`
+    /// encode and `first_as_string`: same bytes, same strings.
+    #[test]
+    fn probe_query_and_site_parse_match_the_message_path() {
+        let origin = Name::parse("ourtestdomain.nl").unwrap();
+        for (id, label) in [(1u16, "v0-r0"), (31, "v2499-r30"), (u16::MAX, "v12-r7")] {
+            let qname = origin.prepend(label).unwrap();
+            let want = Message::stub_query(id, qname.clone(), RType::Txt).encode().unwrap();
+            assert_eq!(write_probe_query(vec![0xa5; 300], id, &qname), want, "{label}");
+        }
+        assert_eq!(parse_site(b"site=FRA@FRA"), Some(("FRA".into(), "FRA".into())));
+        assert_eq!(parse_site(b"site=B@LHR@x"), Some(("B".into(), "LHR@x".into())));
+        assert_eq!(parse_site(b"site=FRA"), None);
+        assert_eq!(parse_site(b"FRA@FRA"), None);
     }
 
     #[test]

@@ -162,7 +162,19 @@ struct World {
     /// Anycast sites currently NOT announcing their service prefix
     /// (withdrawn by a scheduled event, e.g. to model an outage).
     withdrawn: HashSet<(u32, HostId)>,
+    /// Payload buffers given back by actors (and by the loss process),
+    /// handed out again by [`Context::buffer`]; at most [`SPARE_BUFFERS`].
+    spares: Vec<Vec<u8>>,
 }
+
+/// How many recycled payload buffers the world keeps. A datagram's
+/// buffer comes back to the pool the moment its receiver has decoded
+/// it, so a handful covers every message in flight through one callback.
+const SPARE_BUFFERS: usize = 8;
+
+/// Capacity of a fresh payload buffer: every message of a probe
+/// (query, referral-free answer) fits without growing.
+const FRESH_BUFFER_CAPACITY: usize = 512;
 
 impl World {
     fn base_one_way(&self, src: HostId, dst: HostId) -> SimDuration {
@@ -194,17 +206,26 @@ impl World {
         }
     }
 
+    fn recycle(&mut self, mut buf: Vec<u8>) {
+        if self.spares.len() < SPARE_BUFFERS && buf.capacity() > 0 {
+            buf.clear();
+            self.spares.push(buf);
+        }
+    }
+
     fn send(&mut self, from: HostId, dgram: Datagram) {
         self.stats.sent += 1;
         let Some(dst_host) = self.route(from, dgram.dst) else {
             // Unroutable: silently dropped, like a packet into a black hole.
             self.stats.dropped += 1;
+            self.recycle(dgram.payload);
             return;
         };
         let delay = match dgram.transport {
             Transport::Udp => {
                 if self.latency.sample_loss(&mut self.rng) {
                     self.stats.dropped += 1;
+                    self.recycle(dgram.payload);
                     return;
                 }
                 self.base_one_way(from, dst_host) + self.latency.sample_jitter(&mut self.rng)
@@ -260,6 +281,19 @@ impl<'a> Context<'a> {
         self.world.send(self.host, dgram);
     }
 
+    /// An empty buffer to write a payload into: a recycled one when the
+    /// world has a spare, else a fresh one. Sending it hands it on.
+    pub fn buffer(&mut self) -> Vec<u8> {
+        self.world.spares.pop().unwrap_or_else(|| Vec::with_capacity(FRESH_BUFFER_CAPACITY))
+    }
+
+    /// Gives a payload this actor is done with back for a later
+    /// [`Context::buffer`]. Optional: a buffer that is simply dropped
+    /// costs a fresh allocation later, nothing else.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.world.recycle(buf);
+    }
+
     /// Schedules `on_timer(token)` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let at = self.world.now + delay;
@@ -303,6 +337,7 @@ impl Simulator {
                 stats: NetStats::default(),
                 catchments: HashMap::new(),
                 withdrawn: HashSet::new(),
+                spares: Vec::new(),
             },
             actors: Vec::new(),
             started: false,
@@ -819,6 +854,71 @@ mod tests {
         let pinger = sim.actor::<RepeatPinger>(client).unwrap();
         assert_eq!(pinger.received, 0);
         assert_eq!(sim.stats().dropped, 3);
+    }
+
+    /// Takes buffers from the pool after seeding it, and records what
+    /// came back: (len, capacity) per `Context::buffer` call.
+    struct PoolUser {
+        recycle: usize,
+        take: usize,
+        send_first: bool,
+        got: Vec<(usize, usize)>,
+    }
+    impl Actor for PoolUser {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            let stale = || {
+                let mut b = Vec::with_capacity(4096);
+                b.extend_from_slice(b"stale");
+                b
+            };
+            if self.send_first {
+                let own = ctx.own_addr();
+                ctx.send(own, own, stale());
+            }
+            for _ in 0..self.recycle {
+                ctx.recycle(stale());
+            }
+            for _ in 0..self.take {
+                let b = ctx.buffer();
+                self.got.push((b.len(), b.capacity()));
+            }
+        }
+        fn on_datagram(&mut self, _ctx: &mut Context<'_>, _d: Datagram) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn pool_run(sim: &mut Simulator, actor: PoolUser) -> Vec<(usize, usize)> {
+        let h = sim.add_host(cfg(&datacenters::FRA), Box::new(actor));
+        sim.bind_unicast(h);
+        sim.run_until_idle();
+        sim.actor::<PoolUser>(h).unwrap().got.clone()
+    }
+
+    #[test]
+    fn recycled_buffers_come_back_cleared_and_the_pool_is_bounded() {
+        let actor = PoolUser {
+            recycle: SPARE_BUFFERS + 4,
+            take: SPARE_BUFFERS + 1,
+            send_first: false,
+            got: vec![],
+        };
+        let got = pool_run(&mut lossless(13), actor);
+        assert_eq!(got[..SPARE_BUFFERS], vec![(0, 4096); SPARE_BUFFERS][..], "spares, cleared");
+        assert_eq!(got[SPARE_BUFFERS], (0, FRESH_BUFFER_CAPACITY), "the pool kept no more");
+    }
+
+    #[test]
+    fn a_dropped_datagram_returns_its_payload_to_the_pool() {
+        let lossy = LatencyConfig { loss_rate: 1.0, ..LatencyConfig::default() };
+        let mut sim = Simulator::with_latency(14, lossy);
+        let actor = PoolUser { recycle: 0, take: 2, send_first: true, got: vec![] };
+        assert_eq!(pool_run(&mut sim, actor), vec![(0, 4096), (0, FRESH_BUFFER_CAPACITY)]);
+        assert_eq!(sim.stats().dropped, 1);
     }
 
     #[test]

@@ -67,12 +67,7 @@ impl Message {
 
     /// Appends an EDNS0 OPT pseudo-record advertising `payload_size`.
     pub fn add_edns(&mut self, payload_size: u16) {
-        self.additionals.push(Record {
-            name: Name::root(),
-            class: Class::Unknown(payload_size),
-            ttl: 0,
-            rdata: RData::Opt(Opt::empty()),
-        });
+        self.additionals.push(edns_record(payload_size));
     }
 
     /// Appends a fully specified OPT pseudo-record (extended rcode,
@@ -193,6 +188,17 @@ impl Message {
     }
 }
 
+/// The bare OPT pseudo-record advertising `payload_size` (no options,
+/// version 0, no extended rcode). Builds without allocating.
+fn edns_record(payload_size: u16) -> Record {
+    Record {
+        name: Name::root(),
+        class: Class::Unknown(payload_size),
+        ttl: 0,
+        rdata: RData::Opt(Opt::empty()),
+    }
+}
+
 /// The record section a [`MessageWriter`] adds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
@@ -230,7 +236,15 @@ impl MessageWriter {
 
     /// Appends a question (before any record).
     pub fn question(&mut self, q: &Question) -> ProtoResult<()> {
-        q.encode(&mut self.w, &mut self.c)?;
+        self.question_parts(&q.qname, q.qtype, q.qclass)
+    }
+
+    /// Appends a question from its parts, borrowing the name — so a
+    /// caller that keeps the name need not build a [`Question`].
+    pub fn question_parts(&mut self, qname: &Name, qtype: RType, qclass: Class) -> ProtoResult<()> {
+        qname.encode(&mut self.w, &mut self.c)?;
+        self.w.write_u16(qtype.to_u16())?;
+        self.w.write_u16(qclass.to_u16())?;
         self.counts[0] += 1;
         self.body = self.w.position();
         Ok(())
@@ -261,6 +275,13 @@ impl MessageWriter {
         w.patch_u16(len_pos, rdlen as u16)?;
         self.counts[section as usize] += 1;
         Ok(())
+    }
+
+    /// Appends the OPT pseudo-record [`Message::add_edns`] adds, to the
+    /// additional section.
+    pub fn edns(&mut self, payload_size: u16) -> ProtoResult<()> {
+        let opt = edns_record(payload_size);
+        self.record(Section::Additional, &opt.name, opt.class, opt.ttl, &opt.rdata)
     }
 
     /// Octets written so far.

@@ -3,9 +3,9 @@
 use std::fmt;
 
 use crate::error::ProtoResult;
-use crate::name::{Name, NameCompressor};
+use crate::name::Name;
 use crate::types::{Class, RType};
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::WireReader;
 
 /// One question: QNAME, QTYPE, QCLASS.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -29,13 +29,6 @@ impl Question {
         Question { qname, qtype, qclass: Class::Ch }
     }
 
-    /// Encodes the question.
-    pub fn encode(&self, w: &mut WireWriter, c: &mut NameCompressor) -> ProtoResult<()> {
-        self.qname.encode(w, c)?;
-        w.write_u16(self.qtype.to_u16())?;
-        w.write_u16(self.qclass.to_u16())
-    }
-
     /// Decodes a question.
     pub fn decode(r: &mut WireReader<'_>) -> ProtoResult<Self> {
         Ok(Question {
@@ -55,14 +48,15 @@ impl fmt::Display for Question {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::header::Header;
+    use crate::message::MessageWriter;
 
     #[test]
     fn round_trip() {
         let q = Question::new(Name::parse("q1.ourtestdomain.nl").unwrap(), RType::Txt);
-        let mut w = WireWriter::new();
-        let mut c = NameCompressor::new();
-        q.encode(&mut w, &mut c).unwrap();
-        let bytes = w.into_bytes();
+        let mut w = MessageWriter::new(Vec::new(), &Header::default());
+        w.question(&q).unwrap();
+        let bytes = w.finish().split_off(Header::WIRE_LEN);
         let mut r = WireReader::new(&bytes);
         assert_eq!(Question::decode(&mut r).unwrap(), q);
     }

@@ -8,8 +8,6 @@
 //! cache is exactly what the paper's Figure 6 probes by varying the query
 //! interval.
 
-use std::collections::HashMap;
-
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
 
 /// Latency state for one authoritative server address.
@@ -61,9 +59,16 @@ impl Smoothing {
 }
 
 /// The cache itself.
+///
+/// Bounded by construction: it holds at most one entry per server
+/// address it has been told about (a zone's NS set — 2 to 13 addresses
+/// in every experiment here). An expired entry is dropped when it is
+/// next touched or overwritten in place by the next sample, never
+/// duplicated. So the table is a small vector scanned in one pass, with
+/// no hashing.
 #[derive(Debug, Clone)]
 pub struct InfraCache {
-    entries: HashMap<SimAddr, InfraEntry>,
+    entries: Vec<(SimAddr, InfraEntry)>,
     /// Entries unused for this long are forgotten; `None` never expires.
     expiry: Option<SimDuration>,
     smoothing: Smoothing,
@@ -72,7 +77,7 @@ pub struct InfraCache {
 impl InfraCache {
     /// Creates a cache with the given expiry and smoothing.
     pub fn new(expiry: Option<SimDuration>, smoothing: Smoothing) -> Self {
-        InfraCache { entries: HashMap::new(), expiry, smoothing }
+        InfraCache { entries: Vec::new(), expiry, smoothing }
     }
 
     /// The configured expiry.
@@ -83,60 +88,54 @@ impl InfraCache {
     /// Looks up a live entry, refreshing its use-time (reads count as use,
     /// matching BIND/Unbound disuse-based expiry).
     pub fn touch(&mut self, addr: SimAddr, now: SimTime) -> Option<InfraEntry> {
-        if self.is_expired(addr, now) {
-            self.entries.remove(&addr);
+        let i = self.position(addr)?;
+        let entry = &mut self.entries[i].1;
+        if self.expiry.is_some_and(|expiry| now.since(entry.last_used) > expiry) {
+            self.entries.swap_remove(i);
             return None;
         }
-        let entry = self.entries.get_mut(&addr)?;
         entry.last_used = now;
         Some(*entry)
     }
 
     /// Looks up a live entry without refreshing it.
     pub fn peek(&self, addr: SimAddr, now: SimTime) -> Option<InfraEntry> {
-        if self.is_expired(addr, now) {
-            None
-        } else {
-            self.entries.get(&addr).copied()
+        let (_, entry) = self.entries.iter().find(|&&(a, _)| a == addr)?;
+        match self.expiry {
+            Some(expiry) if now.since(entry.last_used) > expiry => None,
+            _ => Some(*entry),
         }
     }
 
-    fn is_expired(&self, addr: SimAddr, now: SimTime) -> bool {
-        match (self.entries.get(&addr), self.expiry) {
-            (Some(e), Some(expiry)) => now.since(e.last_used) > expiry,
-            _ => false,
-        }
+    fn position(&self, addr: SimAddr) -> Option<usize> {
+        self.entries.iter().position(|&(a, _)| a == addr)
     }
 
     /// Records a successful RTT sample.
     pub fn observe_rtt(&mut self, addr: SimAddr, rtt: SimDuration, now: SimTime) {
         let rtt_ms = rtt.as_millis_f64();
         let Smoothing { alpha, beta } = self.smoothing;
-        let reuse = match self.entries.get(&addr) {
-            Some(e) if e.measured => match self.expiry {
-                Some(expiry) => now.since(e.last_used) <= expiry,
-                None => true,
-            },
-            _ => false,
+        let fresh = InfraEntry {
+            srtt_ms: rtt_ms,
+            rttvar_ms: rtt_ms / 2.0,
+            timeouts: 0,
+            last_used: now,
+            measured: true,
         };
-        if reuse {
-            let e = self.entries.get_mut(&addr).expect("checked above");
+        let expiry = self.expiry;
+        let Some(i) = self.position(addr) else {
+            self.entries.push((addr, fresh));
+            return;
+        };
+        let e = &mut self.entries[i].1;
+        if e.measured && expiry.is_none_or(|expiry| now.since(e.last_used) <= expiry) {
             let deviation = (e.srtt_ms - rtt_ms).abs();
             e.rttvar_ms = (1.0 - beta) * e.rttvar_ms + beta * deviation;
             e.srtt_ms = (1.0 - alpha) * e.srtt_ms + alpha * rtt_ms;
             e.timeouts = 0;
             e.last_used = now;
         } else {
-            self.entries.insert(
-                addr,
-                InfraEntry {
-                    srtt_ms: rtt_ms,
-                    rttvar_ms: rtt_ms / 2.0,
-                    timeouts: 0,
-                    last_used: now,
-                    measured: true,
-                },
-            );
+            *e = fresh; // a synthetic or expired estimate starts over
         }
     }
 
@@ -144,13 +143,18 @@ impl InfraCache {
     /// server looks slower, the standard back-off behaviour.
     pub fn observe_timeout(&mut self, addr: SimAddr, now: SimTime) {
         const TIMEOUT_CAP_MS: f64 = 8_000.0;
-        let entry = self.entries.entry(addr).or_insert(InfraEntry {
-            srtt_ms: 400.0,
-            rttvar_ms: 200.0,
-            timeouts: 0,
-            last_used: now,
-            measured: false,
+        let i = self.position(addr).unwrap_or_else(|| {
+            let fresh = InfraEntry {
+                srtt_ms: 400.0,
+                rttvar_ms: 200.0,
+                timeouts: 0,
+                last_used: now,
+                measured: false,
+            };
+            self.entries.push((addr, fresh));
+            self.entries.len() - 1
         });
+        let entry = &mut self.entries[i].1;
         entry.srtt_ms = (entry.srtt_ms * 2.0).min(TIMEOUT_CAP_MS);
         entry.timeouts += 1;
         entry.last_used = now;
@@ -160,8 +164,9 @@ impl InfraCache {
     /// SRTT for servers it has never queried). Does not overwrite a
     /// measured entry.
     pub fn seed_unmeasured(&mut self, addr: SimAddr, srtt_ms: f64, now: SimTime) {
+        // `touch` drops an expired entry, so a miss leaves none behind.
         if self.touch(addr, now).is_none() {
-            self.entries.insert(
+            self.entries.push((
                 addr,
                 InfraEntry {
                     srtt_ms,
@@ -170,15 +175,15 @@ impl InfraCache {
                     last_used: now,
                     measured: false,
                 },
-            );
+            ));
         }
     }
 
     /// Multiplies the stored SRTT of `addr` by `factor` (BIND-style aging
     /// of non-selected servers, so slower servers are retried eventually).
     pub fn decay(&mut self, addr: SimAddr, factor: f64) {
-        if let Some(e) = self.entries.get_mut(&addr) {
-            e.srtt_ms *= factor;
+        if let Some(i) = self.position(addr) {
+            self.entries[i].1.srtt_ms *= factor;
         }
     }
 

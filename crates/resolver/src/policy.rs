@@ -9,6 +9,8 @@
 //! implementations generate that aggregate from the documented per-
 //! implementation algorithms.
 
+use std::borrow::Cow;
+
 use detrand::{DetRng, Rng, SliceRandom};
 
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
@@ -127,13 +129,19 @@ pub trait SelectionPolicy: Send {
     fn kind(&self) -> PolicyKind;
 }
 
-fn usable(candidates: &[SimAddr], exclude: &[SimAddr]) -> Vec<SimAddr> {
+/// The candidates not in `exclude` — or all of them, if that leaves
+/// none. Borrowed unless something is actually filtered out, so the
+/// common case (a first attempt excludes nothing) copies nothing.
+fn usable<'a>(candidates: &'a [SimAddr], exclude: &[SimAddr]) -> Cow<'a, [SimAddr]> {
+    if !candidates.iter().any(|c| exclude.contains(c)) {
+        return Cow::Borrowed(candidates);
+    }
     let filtered: Vec<SimAddr> =
         candidates.iter().copied().filter(|c| !exclude.contains(c)).collect();
     if filtered.is_empty() {
-        candidates.to_vec()
+        Cow::Borrowed(candidates)
     } else {
-        filtered
+        Cow::Owned(filtered)
     }
 }
 
@@ -160,7 +168,7 @@ impl SelectionPolicy for BindSrtt {
         let usable = usable(candidates, exclude);
         // Seed unknown servers with small random SRTTs: this is what makes
         // a cold-cache BIND probe every authoritative early on.
-        for &c in &usable {
+        for &c in usable.iter() {
             if infra.peek(c, now).is_none() {
                 let seed = rng.gen_range(1.0..BIND_INITIAL_SRTT_MS);
                 infra.seed_unmeasured(c, seed, now);
@@ -283,9 +291,15 @@ impl SelectionPolicy for UnboundBand {
             )
         };
         let best = usable.iter().map(|&a| rto(a)).fold(f64::MAX, f64::min);
-        let in_band: Vec<SimAddr> =
-            usable.iter().copied().filter(|&a| rto(a) <= best + self.band_ms).collect();
-        let chosen = *in_band.choose(rng).expect("band always contains the best server");
+        let in_band = |&a: &SimAddr| rto(a) <= best + self.band_ms;
+        // Usually every server is in the band: choose among them as they
+        // are, rather than copying them into a band of the same order.
+        let chosen = if usable.iter().all(in_band) {
+            *usable.choose(rng).expect("candidates is never empty")
+        } else {
+            let band: Vec<SimAddr> = usable.iter().copied().filter(in_band).collect();
+            *band.choose(rng).expect("band always contains the best server")
+        };
         let _ = infra.touch(chosen, now);
         chosen
     }

@@ -18,11 +18,15 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dnswild_netsim::{Actor, Context, Datagram, SimAddr, SimDuration, SimTime};
-use dnswild_proto::{Class, Message, Name, RData, RType, Rcode};
+use dnswild_proto::{
+    Class, Header, Message, MessageWriter, Name, Question, RData, RType, Rcode,
+    Record, Section, DEFAULT_EDNS_PAYLOAD,
+};
 
-use dnswild_cache::{CacheTime, RecordCache};
+use dnswild_cache::{negative_ttl, CacheTime, RecordCache};
 
 use crate::infra::InfraCache;
 use crate::policy::{PolicyKind, SelectionPolicy};
@@ -102,8 +106,6 @@ pub struct UpstreamSample {
     pub server: SimAddr,
     /// Measured RTT of this exchange.
     pub rtt: SimDuration,
-    /// The query name.
-    pub qname: Name,
 }
 
 #[derive(Debug)]
@@ -114,8 +116,6 @@ struct Pending {
     qtype: RType,
     /// Server of the current (most recent) attempt.
     server: SimAddr,
-    /// Send time of the current attempt.
-    sent_at: SimTime,
     /// Every attempt so far: a late response from an earlier attempt is
     /// still a valid answer (real resolvers keep the socket open), so
     /// retrying must not orphan in-flight responses.
@@ -129,16 +129,80 @@ struct Pending {
     tcp: bool,
 }
 
+/// Hashes a query ID with one multiply: the resolver picks its own IDs,
+/// so there is no adversary for SipHash to defend the table against.
+#[derive(Default)]
+struct QidHasher(u64);
+
+impl Hasher for QidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u16(b.into());
+        }
+    }
+
+    fn write_u16(&mut self, qid: u16) {
+        // Fibonacci hashing spreads the ID into the high bits, which the
+        // table's probe groups are keyed on.
+        self.0 = (self.0 ^ u64::from(qid)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// Where queries go: the configured zone cuts, plus those learned from
+/// referrals.
+#[derive(Debug, Default)]
+struct Delegations {
+    /// Configured up front (`add_delegation`); never expire.
+    hints: Vec<(Name, Vec<SimAddr>)>,
+    /// Learned from referrals, with their expiry (the NS TTL). Bounded:
+    /// every referral prunes what has expired before adding its own, so
+    /// this holds the live delegations plus at most those that expired
+    /// since the last referral.
+    learned: Vec<(Name, Vec<SimAddr>, SimTime)>,
+}
+
+impl Delegations {
+    /// The servers of the deepest delegation covering `qname`: a hint,
+    /// or a live learned delegation strictly deeper than every hint.
+    fn delegation_for(&self, qname: &Name, now: SimTime) -> Option<&[SimAddr]> {
+        let hint = self
+            .hints
+            .iter()
+            .filter(|(origin, _)| qname.is_subdomain_of(origin))
+            .max_by_key(|(origin, _)| origin.label_count());
+        let learned = self
+            .learned
+            .iter()
+            .filter(|(origin, _, expires)| *expires > now && qname.is_subdomain_of(origin))
+            .max_by_key(|(origin, ..)| origin.label_count());
+        match (hint, learned) {
+            (Some((ho, _)), Some((lo, ls, _))) if lo.label_count() > ho.label_count() => Some(ls),
+            (Some((_, hs)), _) => Some(hs),
+            (None, Some((_, ls, _))) => Some(ls),
+            (None, None) => None,
+        }
+    }
+
+    /// Records a referral's delegation of `child`, replacing any earlier
+    /// one for it and dropping every entry expired at `now`.
+    fn learn(&mut self, child: Name, servers: Vec<SimAddr>, expires: SimTime, now: SimTime) {
+        self.learned.retain(|(origin, _, until)| *until > now && *origin != child);
+        self.learned.push((child, servers, expires));
+    }
+}
+
 /// The recursive resolver actor.
 pub struct RecursiveResolver {
     config: ResolverConfig,
     policy: Box<dyn SelectionPolicy>,
     infra: InfraCache,
     cache: RecordCache,
-    delegations: Vec<(Name, Vec<SimAddr>)>,
-    /// Delegations learned from referrals, with their expiry (NS TTL).
-    learned: HashMap<Name, (Vec<SimAddr>, SimTime)>,
-    pending: HashMap<u16, Pending>,
+    delegations: Delegations,
+    pending: HashMap<u16, Pending, BuildHasherDefault<QidHasher>>,
     next_qid: u16,
     stats: ResolverStats,
     samples: Vec<UpstreamSample>,
@@ -155,9 +219,8 @@ impl RecursiveResolver {
             policy,
             infra,
             cache: RecordCache::new(),
-            delegations: Vec::new(),
-            learned: HashMap::new(),
-            pending: HashMap::new(),
+            delegations: Delegations::default(),
+            pending: HashMap::default(),
             next_qid: 1,
             stats: ResolverStats::default(),
             samples: Vec::new(),
@@ -180,7 +243,7 @@ impl RecursiveResolver {
     /// Teaches the resolver the NS addresses serving `origin`.
     pub fn add_delegation(&mut self, origin: Name, servers: Vec<SimAddr>) {
         assert!(!servers.is_empty(), "a delegation needs at least one server");
-        self.delegations.push((origin, servers));
+        self.delegations.hints.push((origin, servers));
     }
 
     /// The policy family this resolver runs.
@@ -198,6 +261,12 @@ impl RecursiveResolver {
         &self.samples
     }
 
+    /// Moves the recorded exchanges out (oldest first), leaving none —
+    /// for a harvest that would otherwise copy them.
+    pub fn take_samples(&mut self) -> Vec<UpstreamSample> {
+        std::mem::take(&mut self.samples)
+    }
+
     /// The infrastructure cache (inspection/testing).
     pub fn infra(&self) -> &InfraCache {
         &self.infra
@@ -208,40 +277,14 @@ impl RecursiveResolver {
         &self.cache
     }
 
-    /// The deepest delegation covering `qname`: static hints plus live
-    /// learned delegations.
-    fn delegation_for(&self, qname: &Name, now: SimTime) -> Option<(Name, Vec<SimAddr>)> {
-        let static_best = self
-            .delegations
-            .iter()
-            .filter(|(origin, _)| qname.is_subdomain_of(origin))
-            .max_by_key(|(origin, _)| origin.label_count());
-        let learned_best = self
-            .learned
-            .iter()
-            .filter(|(origin, (_, expires))| qname.is_subdomain_of(origin) && *expires > now)
-            .max_by_key(|(origin, _)| origin.label_count());
-        match (static_best, learned_best) {
-            (Some((so, ss)), Some((lo, (ls, _)))) => {
-                if lo.label_count() > so.label_count() {
-                    Some((lo.clone(), ls.clone()))
-                } else {
-                    Some((so.clone(), ss.clone()))
-                }
-            }
-            (Some((so, ss)), None) => Some((so.clone(), ss.clone())),
-            (None, Some((lo, (ls, _)))) => Some((lo.clone(), ls.clone())),
-            (None, None) => None,
-        }
-    }
-
     /// The delegations learned from referrals so far (origin, servers),
     /// live entries only.
     pub fn learned_delegations(&self, now: SimTime) -> Vec<(Name, Vec<SimAddr>)> {
-        self.learned
+        self.delegations
+            .learned
             .iter()
-            .filter(|(_, (_, expires))| *expires > now)
-            .map(|(origin, (servers, _))| (origin.clone(), servers.clone()))
+            .filter(|(_, _, expires)| *expires > now)
+            .map(|(origin, servers, _)| (origin.clone(), servers.clone()))
             .collect()
     }
 
@@ -263,11 +306,9 @@ impl RecursiveResolver {
     }
 
     fn send_upstream(&mut self, ctx: &mut Context<'_>, qid: u16) {
-        let p = self.pending.get(&qid).expect("pending query exists");
-        let server = p.server;
-        let attempt = p.attempt;
-        let tcp = p.tcp;
-        let query = Message::iterative_query(qid, p.qname.clone(), p.qtype);
+        let p = &self.pending[&qid];
+        let (server, attempt, tcp) = (p.server, p.attempt, p.tcp);
+        let bytes = write_iterative_query(ctx.buffer(), qid, &p.qname, p.qtype);
         // TCP exchanges take roughly three one-way delays; stretch the
         // retransmission budget accordingly.
         let rto = if tcp {
@@ -277,7 +318,6 @@ impl RecursiveResolver {
         };
         self.stats.upstream_queries += 1;
         let own = ctx.own_addr();
-        let bytes = query.encode().expect("query encodes");
         if tcp {
             ctx.send_tcp(own, server, bytes);
         } else {
@@ -294,34 +334,20 @@ impl RecursiveResolver {
         stub_id: u16,
         qname: &Name,
         qtype: RType,
-        answers: Vec<dnswild_proto::Record>,
+        answers: &[Record],
         rcode: Rcode,
     ) {
-        let mut resp = Message {
-            header: dnswild_proto::Header {
-                id: stub_id,
-                response: true,
-                recursion_desired: true,
-                recursion_available: true,
-                rcode,
-                ..Default::default()
-            },
-            questions: vec![dnswild_proto::Question::new(qname.clone(), qtype)],
-            answers,
-            authorities: vec![],
-            additionals: vec![],
-        };
-        resp.add_edns(dnswild_proto::DEFAULT_EDNS_PAYLOAD);
+        let bytes = write_stub_answer(ctx.buffer(), stub_id, qname, qtype, answers, rcode);
         self.stats.responses += 1;
         if rcode == Rcode::ServFail {
             self.stats.servfails += 1;
         }
         let own = ctx.own_addr();
-        ctx.send(own, stub_addr, resp.encode().expect("response encodes"));
+        ctx.send(own, stub_addr, bytes);
     }
 
-    fn handle_stub_query(&mut self, ctx: &mut Context<'_>, dgram: Datagram, query: Message) {
-        let Some(question) = query.question().cloned() else {
+    fn handle_stub_query(&mut self, ctx: &mut Context<'_>, src: SimAddr, mut query: Message) {
+        let Some(first) = query.question() else {
             return; // nothing to answer
         };
         self.stats.stub_queries += 1;
@@ -332,15 +358,15 @@ impl RecursiveResolver {
         // Internet-class TXT queries instead of the classic
         // `hostname.bind` trick (§3.1): a CHAOS probe identifies your
         // recursive, not the authoritative site behind it.
-        if question.qclass == Class::Ch {
-            let qname_str = question.qname.to_string().to_ascii_lowercase();
+        if first.qclass == Class::Ch {
+            let qname_str = first.qname.to_string().to_ascii_lowercase();
             let mut resp = Message::response_to(&query, Rcode::NoError);
             resp.header.recursion_available = true;
-            if question.qtype == RType::Txt
+            if first.qtype == RType::Txt
                 && (qname_str == "hostname.bind." || qname_str == "id.server.")
             {
-                resp.answers.push(dnswild_proto::Record::with_class(
-                    question.qname.clone(),
+                resp.answers.push(Record::with_class(
+                    first.qname.clone(),
                     Class::Ch,
                     0,
                     RData::Txt(
@@ -353,48 +379,35 @@ impl RecursiveResolver {
             }
             self.stats.responses += 1;
             let own = ctx.own_addr();
-            ctx.send(own, dgram.src, resp.encode().expect("response encodes"));
+            let mut bytes = ctx.buffer();
+            resp.encode_into(&mut bytes).expect("response encodes");
+            ctx.send(own, src, bytes);
             return;
         }
 
-        if let Some(cached) = self.cache.get(&question.qname, question.qtype, cache_now(now)) {
+        let stub_id = query.header.id;
+        let Question { qname, qtype, .. } = query.questions.swap_remove(0);
+        if let Some(cached) = self.cache.get(&qname, qtype, cache_now(now)) {
             self.stats.cache_hits += 1;
-            self.answer_stub(
-                ctx,
-                dgram.src,
-                query.header.id,
-                &question.qname,
-                question.qtype,
-                cached.answers,
-                cached.rcode,
-            );
+            self.answer_stub(ctx, src, stub_id, &qname, qtype, &cached.answers, cached.rcode);
             return;
         }
 
-        let Some((_, servers)) = self.delegation_for(&question.qname, now) else {
-            self.answer_stub(
-                ctx,
-                dgram.src,
-                query.header.id,
-                &question.qname,
-                question.qtype,
-                vec![],
-                Rcode::ServFail,
-            );
+        let Some(servers) = self.delegations.delegation_for(&qname, now) else {
+            self.answer_stub(ctx, src, stub_id, &qname, qtype, &[], Rcode::ServFail);
             return;
         };
 
-        let server = self.policy.select(&servers, &[], &mut self.infra, now, ctx.rng());
+        let server = self.policy.select(servers, &[], &mut self.infra, now, ctx.rng());
         let qid = self.alloc_qid();
         self.pending.insert(
             qid,
             Pending {
-                stub_addr: dgram.src,
-                stub_id: query.header.id,
-                qname: question.qname.clone(),
-                qtype: question.qtype,
+                stub_addr: src,
+                stub_id,
+                qname,
+                qtype,
                 server,
-                sent_at: now,
                 attempts: vec![(server, now)],
                 tries: 1,
                 attempt: 0,
@@ -406,7 +419,7 @@ impl RecursiveResolver {
         self.send_upstream(ctx, qid);
     }
 
-    fn handle_upstream_response(&mut self, ctx: &mut Context<'_>, dgram: Datagram, resp: Message) {
+    fn handle_upstream_response(&mut self, ctx: &mut Context<'_>, src: SimAddr, resp: Message) {
         let qid = resp.header.id;
         let Some(p) = self.pending.get_mut(&qid) else {
             self.stats.late_responses += 1;
@@ -417,7 +430,7 @@ impl RecursiveResolver {
         // slow first server may answer after we already retried another)
         // and the question must match.
         let attempt_sent_at =
-            p.attempts.iter().rev().find(|&&(s, _)| s == dgram.src).map(|&(_, at)| at);
+            p.attempts.iter().rev().find(|&&(s, _)| s == src).map(|&(_, at)| at);
         let question_matches =
             resp.question().map(|q| (&q.qname, q.qtype)) == Some((&p.qname, p.qtype));
         let Some(attempt_sent_at) = attempt_sent_at.filter(|_| question_matches) else {
@@ -431,7 +444,7 @@ impl RecursiveResolver {
         let rcode = resp.rcode();
         if rcode == Rcode::Refused || rcode == Rcode::ServFail {
             self.stats.lame_responses += 1;
-            self.retry_elsewhere(ctx, qid, dgram.src);
+            self.retry_elsewhere(ctx, qid, src);
             return;
         }
 
@@ -441,11 +454,10 @@ impl RecursiveResolver {
             self.stats.tcp_fallbacks += 1;
             let now = ctx.now();
             // The exchange still measured the server's distance.
-            self.infra.observe_rtt(dgram.src, now.since(attempt_sent_at), now);
+            self.infra.observe_rtt(src, now.since(attempt_sent_at), now);
             p.tcp = true;
-            p.server = dgram.src;
-            p.sent_at = now;
-            p.attempts.push((dgram.src, now));
+            p.server = src;
+            p.attempts.push((src, now));
             p.attempt += 1;
             self.send_upstream(ctx, qid);
             return;
@@ -459,21 +471,18 @@ impl RecursiveResolver {
                 let now = ctx.now();
                 // The referring server did answer: record its RTT.
                 let rtt = now.since(attempt_sent_at);
-                self.infra.observe_rtt(dgram.src, rtt, now);
+                self.infra.observe_rtt(src, rtt, now);
                 if p.referrals >= 4 {
                     self.give_up(ctx, qid);
                     return;
                 }
                 p.referrals += 1;
-                self.learned.insert(
-                    child,
-                    (servers.clone(), now + SimDuration::from_secs(ttl as u64)),
-                );
                 p.excluded.clear();
                 let next =
                     self.policy.select(&servers, &[], &mut self.infra, now, ctx.rng());
+                let expires = now + SimDuration::from_secs(ttl as u64);
+                self.delegations.learn(child, servers, expires, now);
                 p.server = next;
-                p.sent_at = now;
                 p.attempts.push((next, now));
                 p.attempt += 1;
                 self.send_upstream(ctx, qid);
@@ -483,24 +492,15 @@ impl RecursiveResolver {
 
         let p = self.pending.remove(&qid).expect("checked above");
         let now = ctx.now();
-        let server = dgram.src;
         let rtt = now.since(attempt_sent_at);
-        self.infra.observe_rtt(server, rtt, now);
-        self.samples.push(UpstreamSample {
-            time: now,
-            server,
-            rtt,
-            qname: p.qname.clone(),
-        });
+        self.infra.observe_rtt(src, rtt, now);
+        self.samples.push(UpstreamSample { time: now, server: src, rtt });
 
-        self.cache.insert_reply(
-            &p.qname,
-            p.qtype,
-            &resp,
-            self.config.default_negative_ttl,
-            cache_now(now),
-        );
-        self.answer_stub(ctx, p.stub_addr, p.stub_id, &p.qname, p.qtype, resp.answers, rcode);
+        // Answer first, then move the reply into the cache: the entry
+        // `insert_reply` would make, without copying name or records.
+        self.answer_stub(ctx, p.stub_addr, p.stub_id, &p.qname, p.qtype, &resp.answers, rcode);
+        let negative_ttl = negative_ttl(&resp, self.config.default_negative_ttl);
+        self.cache.insert(p.qname, p.qtype, resp.answers, rcode, negative_ttl, cache_now(now));
     }
 
     fn handle_timeout(&mut self, ctx: &mut Context<'_>, qid: u16, attempt: u64) {
@@ -517,7 +517,7 @@ impl RecursiveResolver {
     /// Gives up on a pending query: SERVFAIL to its stub.
     fn give_up(&mut self, ctx: &mut Context<'_>, qid: u16) {
         let p = self.pending.remove(&qid).expect("pending query exists");
-        self.answer_stub(ctx, p.stub_addr, p.stub_id, &p.qname, p.qtype, vec![], Rcode::ServFail);
+        self.answer_stub(ctx, p.stub_addr, p.stub_id, &p.qname, p.qtype, &[], Rcode::ServFail);
     }
 
     /// `failed_server` let a pending query down — it timed out, or
@@ -527,20 +527,18 @@ impl RecursiveResolver {
     fn retry_elsewhere(&mut self, ctx: &mut Context<'_>, qid: u16, failed_server: SimAddr) {
         let now = ctx.now();
         self.infra.observe_timeout(failed_server, now);
-        let p = &self.pending[&qid];
+        let p = self.pending.get_mut(&qid).expect("pending query exists");
         if p.tries >= self.config.max_tries {
             self.give_up(ctx, qid);
             return;
         }
         self.stats.retries += 1;
         let servers = self
+            .delegations
             .delegation_for(&p.qname, now)
-            .map(|(_, s)| s)
             .expect("delegation existed when the query started");
-        let p = self.pending.get_mut(&qid).expect("pending query exists");
         p.excluded.push(failed_server);
-        p.server = self.policy.select(&servers, &p.excluded, &mut self.infra, now, ctx.rng());
-        p.sent_at = now;
+        p.server = self.policy.select(servers, &p.excluded, &mut self.infra, now, ctx.rng());
         p.attempts.push((p.server, now));
         p.tries += 1;
         p.attempt += 1;
@@ -593,6 +591,44 @@ fn extract_referral(resp: &Message, qname: &Name) -> Option<(Name, Vec<SimAddr>,
     Some((child.clone(), servers, ttl))
 }
 
+/// Writes into `buf` the query a recursive sends upstream: the bytes of
+/// `Message::iterative_query(qid, qname, qtype).encode()`, with no
+/// `Message` built and the name borrowed.
+fn write_iterative_query(buf: Vec<u8>, qid: u16, qname: &Name, qtype: RType) -> Vec<u8> {
+    let mut w = MessageWriter::new(buf, &Header { id: qid, ..Header::default() });
+    w.question_parts(qname, qtype, Class::In).expect("query encodes");
+    w.edns(DEFAULT_EDNS_PAYLOAD).expect("query encodes");
+    w.finish()
+}
+
+/// Writes into `buf` a recursive's answer to a stub: the bytes of the
+/// `Message` with this header, question and answers and an EDNS OPT,
+/// with the records borrowed rather than moved into one.
+fn write_stub_answer(
+    buf: Vec<u8>,
+    stub_id: u16,
+    qname: &Name,
+    qtype: RType,
+    answers: &[Record],
+    rcode: Rcode,
+) -> Vec<u8> {
+    let header = Header {
+        id: stub_id,
+        response: true,
+        recursion_desired: true,
+        recursion_available: true,
+        rcode,
+        ..Header::default()
+    };
+    let mut w = MessageWriter::new(buf, &header);
+    w.question_parts(qname, qtype, Class::In).expect("response encodes");
+    for r in answers {
+        w.record(Section::Answer, &r.name, r.class, r.ttl, &r.rdata).expect("response encodes");
+    }
+    w.edns(DEFAULT_EDNS_PAYLOAD).expect("response encodes");
+    w.finish()
+}
+
 fn timer_token(qid: u16, attempt: u64) -> u64 {
     ((qid as u64) << 32) | (attempt & 0xffff_ffff)
 }
@@ -603,13 +639,15 @@ fn token_parts(token: u64) -> (u16, u64) {
 
 impl Actor for RecursiveResolver {
     fn on_datagram(&mut self, ctx: &mut Context<'_>, dgram: Datagram) {
-        let Ok(msg) = Message::decode(&dgram.payload) else {
+        let decoded = Message::decode(&dgram.payload);
+        ctx.recycle(dgram.payload);
+        let Ok(msg) = decoded else {
             return; // garbage in, nothing out
         };
         if msg.is_response() {
-            self.handle_upstream_response(ctx, dgram, msg);
+            self.handle_upstream_response(ctx, dgram.src, msg);
         } else {
-            self.handle_stub_query(ctx, dgram, msg);
+            self.handle_stub_query(ctx, dgram.src, msg);
         }
     }
 
@@ -1424,5 +1462,130 @@ mod tests {
         let resolver = sim.actor::<RecursiveResolver>(rh).unwrap();
         assert_eq!(resolver.stats().late_responses, 1);
         assert!(resolver.samples().is_empty());
+    }
+
+    fn sim_addr(i: u32) -> SimAddr {
+        SimAddr::from_ipv4(std::net::Ipv4Addr::from(0x0a00_0000 | i)).unwrap()
+    }
+
+    /// The writers stand in for `Message` encodes: byte for byte the
+    /// same, over random names, types, answer sets and rcodes, into a
+    /// recycled buffer that still holds an earlier message.
+    #[test]
+    fn writers_match_the_message_encoder() {
+        use dnswild_proto::rdata::{Aaaa, Cname, Ns, Txt, A};
+        detrand::qc::property("resolver_writers_match_message_encode").cases(256).check(|g| {
+            let name = |g: &mut detrand::qc::Gen| {
+                let labels = g.vec(1..5, |g| g.string_of(b"abcxyz019-", 1..12));
+                Name::from_labels(&labels).unwrap()
+            };
+            let qname = name(g);
+            let qtype = *g.choose(&[RType::Txt, RType::A, RType::Aaaa, RType::Ns, RType::Cname]);
+            let id = g.u16();
+            let dirty = g.bytes(0..600);
+
+            let query = write_iterative_query(dirty.clone(), id, &qname, qtype);
+            let want = Message::iterative_query(id, qname.clone(), qtype).encode().unwrap();
+            assert_eq!(query, want, "upstream query for {qname} {qtype}");
+
+            let answers: Vec<Record> = g.vec(0..5, |g| {
+                let owner = if g.bool() { qname.clone() } else { name(g) };
+                let rdata = match g.u32_in(0..5) {
+                    0 => RData::A(A::new(std::net::Ipv4Addr::from(g.u32()))),
+                    1 => RData::Aaaa(Aaaa::new(std::net::Ipv6Addr::from(u128::from(g.u64())))),
+                    2 => RData::Ns(Ns::new(name(g))),
+                    3 => RData::Cname(Cname::new(name(g))),
+                    _ => RData::Txt(Txt::new(g.vec(1..3, |g| g.bytes(0..40))).unwrap()),
+                };
+                Record::new(owner, g.u32(), rdata)
+            });
+            let rcode = *g.choose(&[Rcode::NoError, Rcode::NxDomain, Rcode::ServFail]);
+            let answer = write_stub_answer(dirty, id, &qname, qtype, &answers, rcode);
+            let mut want = Message {
+                header: Header {
+                    id,
+                    response: true,
+                    recursion_desired: true,
+                    recursion_available: true,
+                    rcode,
+                    ..Header::default()
+                },
+                questions: vec![Question::new(qname.clone(), qtype)],
+                answers,
+                authorities: vec![],
+                additionals: vec![],
+            };
+            want.add_edns(DEFAULT_EDNS_PAYLOAD);
+            assert_eq!(answer, want.encode().unwrap(), "stub answer for {qname} {qtype}");
+        });
+    }
+
+    /// ROADMAP's "every recursive-side table bounded", for learned
+    /// delegations: 1,000 referrals to distinct children, each living
+    /// 10 s and arriving 1 s apart, leave only the live ones — the
+    /// table never holds more than the referral just learned plus those
+    /// that have not expired.
+    #[test]
+    fn expired_learned_delegations_are_pruned() {
+        const TTL_S: u64 = 10;
+        let mut table = Delegations::default();
+        let parent = Name::parse("ourtestdomain.nl").unwrap();
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        for i in 0..1_000u64 {
+            let child = parent.prepend(&format!("child-{i}")).unwrap();
+            table.learn(child, vec![sim_addr(i as u32)], at(i + TTL_S), at(i));
+            assert!(table.learned.len() <= TTL_S as usize, "{} entries", table.learned.len());
+        }
+        let now = at(999);
+        let live = table.learned.iter().filter(|(_, _, expires)| *expires > now).count();
+        assert_eq!(table.learned.len(), live, "only live delegations remain");
+        assert_eq!(live, TTL_S as usize);
+        // A live child routes to its server; an expired one, like a name
+        // under no child, to nothing (no hint covers the parent).
+        let stray = parent.prepend("stray").unwrap();
+        assert_eq!(table.delegation_for(&stray, now), None);
+        let q = parent.prepend("child-999").unwrap().prepend("probe").unwrap();
+        assert_eq!(table.delegation_for(&q, now), Some(&[sim_addr(999)][..]));
+        let gone = parent.prepend("child-3").unwrap().prepend("probe").unwrap();
+        assert_eq!(table.delegation_for(&gone, now), None);
+        // Re-learning a live child replaces it rather than adding a twin.
+        let child = parent.prepend("child-999").unwrap();
+        table.learn(child, vec![sim_addr(7)], at(2_000), now);
+        assert_eq!(table.learned.len(), TTL_S as usize);
+        assert_eq!(table.delegation_for(&q, now), Some(&[sim_addr(7)][..]));
+    }
+
+    /// InfraCache's bound: one entry per server address it was told
+    /// about, an expired entry replaced in place. 10,000 selections over
+    /// a 13-address NS set (the Root's size), with timeouts, RTT samples
+    /// and gaps longer than the expiry, never hold more than 13 entries,
+    /// whichever policy selects.
+    #[test]
+    fn infra_cache_holds_one_entry_per_server() {
+        let servers: Vec<SimAddr> = (0..13).map(sim_addr).collect();
+        for kind in PolicyKind::ALL {
+            let mut policy = kind.build();
+            let mut infra = InfraCache::new(
+                Some(SimDuration::from_mins(10)),
+                kind.smoothing(),
+            );
+            let mut rng = detrand::DetRng::seed_from_u64(31);
+            let mut now = SimTime::ZERO;
+            let mut excluded = Vec::new();
+            for i in 0..10_000u64 {
+                // Mostly 1 s apart; every 500th step a 15-minute silence.
+                let gap = if i % 500 == 499 { 15 * 60 } else { 1 };
+                now += SimDuration::from_secs(gap);
+                let chosen = policy.select(&servers, &excluded, &mut infra, now, &mut rng);
+                if i % 7 == 0 {
+                    infra.observe_timeout(chosen, now);
+                    excluded.push(chosen);
+                } else {
+                    infra.observe_rtt(chosen, SimDuration::from_millis(20 + i % 90), now);
+                    excluded.clear();
+                }
+                assert!(infra.len() <= servers.len(), "{kind:?}: {} entries", infra.len());
+            }
+        }
     }
 }

@@ -76,8 +76,6 @@ pub struct AuthoritativeServer {
     /// Windows during which the server process is down and silently
     /// drops everything (a crash or a saturating DDoS).
     outages: Vec<(SimTime, SimTime)>,
-    /// Reusable response encode buffer (the engine's zero-alloc path).
-    resp_buf: Vec<u8>,
 }
 
 impl AuthoritativeServer {
@@ -88,7 +86,6 @@ impl AuthoritativeServer {
             engine: AnswerEngine::new(site_code, zones),
             log: None,
             outages: Vec::new(),
-            resp_buf: Vec::new(),
         }
     }
 
@@ -135,13 +132,16 @@ impl Actor for AuthoritativeServer {
     fn on_datagram(&mut self, ctx: &mut Context<'_>, dgram: Datagram) {
         if self.is_down(ctx.now()) {
             self.engine.record_drop();
+            ctx.recycle(dgram.payload);
             return;
         }
         let transport = match dgram.transport {
             Transport::Udp => TransportKind::Udp,
             Transport::Tcp => TransportKind::Tcp,
         };
-        let mut buf = std::mem::take(&mut self.resp_buf);
+        // The response is written into a pooled payload buffer, which the
+        // send hands on; the query's payload goes back to the pool.
+        let mut buf = ctx.buffer();
         let handled = self.engine.handle_packet(&dgram.payload, transport, &mut buf);
         if let (Some(log), true) = (&self.log, handled.question) {
             // The engine hands no question back; with logging on, read
@@ -162,11 +162,13 @@ impl Actor for AuthoritativeServer {
             // anycast, where that address is shared across sites — and
             // over the transport the query used.
             match dgram.transport {
-                Transport::Udp => ctx.send(dgram.dst, dgram.src, buf.clone()),
-                Transport::Tcp => ctx.send_tcp(dgram.dst, dgram.src, buf.clone()),
+                Transport::Udp => ctx.send(dgram.dst, dgram.src, buf),
+                Transport::Tcp => ctx.send_tcp(dgram.dst, dgram.src, buf),
             }
+        } else {
+            ctx.recycle(buf);
         }
-        self.resp_buf = buf;
+        ctx.recycle(dgram.payload);
     }
 
     fn as_any(&self) -> &dyn Any {
