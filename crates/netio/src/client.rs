@@ -553,10 +553,12 @@ struct Attempt {
 }
 
 /// A cached TCP fallback connection to one server, with its resumable
-/// frame reader (RFC 7766 encourages connection reuse across queries).
+/// frame reader and its frame-writing scratch (RFC 7766 encourages
+/// connection reuse across queries).
 struct TcpConn {
     stream: TcpStream,
     reader: FrameReader,
+    scratch: Vec<u8>,
 }
 
 fn tcp_connect(addr: &SocketAddr, timeout: Duration) -> io::Result<TcpConn> {
@@ -564,14 +566,13 @@ fn tcp_connect(addr: &SocketAddr, timeout: Duration) -> io::Result<TcpConn> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    Ok(TcpConn { stream, reader: FrameReader::new() })
+    Ok(TcpConn { stream, reader: FrameReader::new(), scratch: Vec::new() })
 }
 
 /// Writes `query_bytes` as one frame and reads one response frame,
 /// bounded by `timeout` overall.
 fn tcp_roundtrip(conn: &mut TcpConn, query_bytes: &[u8], timeout: Duration) -> io::Result<Vec<u8>> {
-    let mut scratch = Vec::with_capacity(query_bytes.len() + 2);
-    write_frame(&mut conn.stream, query_bytes, &mut scratch)?;
+    write_frame(&mut conn.stream, query_bytes, &mut conn.scratch)?;
     let deadline = Instant::now() + timeout;
     loop {
         match conn.reader.read_frame(&mut conn.stream) {

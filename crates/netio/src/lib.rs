@@ -86,7 +86,7 @@ pub use load::{
 pub use server::{
     batch_io_available, serve, IoBackend, IoErrorStats, ServeConfig, ServeHandle, DEFAULT_BATCH,
 };
-pub use tcp::{write_frame, FrameReader, TcpConnStats, TcpOptions};
+pub use tcp::{serve_stream, write_frame, FrameReader, TcpConnStats, TcpOptions};
 
 // Telemetry plane: re-exported so callers wiring a collector into
 // `ServeConfig` / `LoadConfig` / `ResolveConfig` / `ChaosProxy` don't

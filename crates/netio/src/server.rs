@@ -563,23 +563,19 @@ pub fn serve(config: ServeConfig) -> io::Result<ServeHandle> {
     })
 }
 
-/// Records the telemetry event for one handled datagram, after its send
-/// fate is known: a response that failed to send reports `bytes_out =
-/// 0` plus [`FLAG_SEND_FAILED`], so trace byte accounting matches what
-/// actually reached the wire. Stream-served packets additionally carry
-/// [`FLAG_TCP`].
-#[allow(clippy::too_many_arguments)] // one flat call per datagram on the hot path
-pub(crate) fn record_server_event(
-    producer: &Producer,
-    auth_id: u16,
+/// The telemetry event for one handled packet, built while its payload
+/// is in hand so nothing of the payload is kept past the handling:
+/// everything but the send fate, which [`finish_server_event`] adds.
+/// `resp_len` is the answer the engine wrote (ignored without one).
+/// Stream-served packets carry [`FLAG_TCP`].
+pub(crate) fn server_event(
     handled: &HandledPacket,
     payload: &[u8],
     peer: &SocketAddr,
     resp_len: usize,
-    send_ok: bool,
     start_ns: u64,
     transport: TransportKind,
-) {
+) -> Event {
     let mut ev = Event::new(match handled.class {
         PacketClass::Query => EventKind::ServerQuery,
         _ => EventKind::ServerBad,
@@ -595,17 +591,10 @@ pub(crate) fn record_server_event(
     } else {
         0
     };
-    ev.latency_ns = u32::try_from(producer.now_ns().saturating_sub(start_ns)).unwrap_or(u32::MAX);
-    ev.auth_id = auth_id;
     ev.bytes_in = u16::try_from(payload.len()).unwrap_or(u16::MAX);
-    ev.bytes_out = if handled.response && send_ok {
-        u16::try_from(resp_len).unwrap_or(u16::MAX)
-    } else {
-        0
-    };
+    ev.bytes_out = if handled.response { u16::try_from(resp_len).unwrap_or(u16::MAX) } else { 0 };
     ev.flags = (u16::from(handled.response) * FLAG_RESPONSE)
         | (u16::from(handled.decode_error) * FLAG_DECODE_ERROR)
-        | (u16::from(handled.response && !send_ok) * FLAG_SEND_FAILED)
         | (u16::from(transport == TransportKind::Tcp) * FLAG_TCP)
         | (u16::from(handled.rrl.is_some()) * FLAG_RRL);
     ev.rcode = handled.rcode.map(|r| r.to_u8()).unwrap_or(RCODE_NONE);
@@ -615,6 +604,21 @@ pub(crate) fn record_server_event(
     let (journey, dns_id) = journey_from_payload(payload);
     ev.journey = if handled.question { journey } else { 0 };
     ev.dns_id = dns_id;
+    ev
+}
+
+/// Records an event from [`server_event`] once its send fate is known,
+/// with the service time up to now: a response that failed to send
+/// reports `bytes_out = 0` plus [`FLAG_SEND_FAILED`], so trace byte
+/// accounting matches what actually reached the wire.
+pub(crate) fn finish_server_event(producer: &Producer, auth_id: u16, mut ev: Event, send_ok: bool) {
+    let failed = ev.flags & FLAG_RESPONSE != 0 && !send_ok;
+    ev.latency_ns = u32::try_from(producer.now_ns().saturating_sub(ev.ts_ns)).unwrap_or(u32::MAX);
+    ev.auth_id = auth_id;
+    if failed {
+        ev.bytes_out = 0;
+        ev.flags |= FLAG_SEND_FAILED;
+    }
     producer.record(&ev);
 }
 
@@ -765,9 +769,8 @@ fn worker_loop(
 ) {
     let cap = io.capacity();
     let mut resp_bufs: Vec<Vec<u8>> = (0..cap).map(|_| Vec::with_capacity(1024)).collect();
-    let mut handleds: Vec<HandledPacket> = Vec::with_capacity(cap);
+    let mut events: Vec<Event> = Vec::with_capacity(if trace.is_some() { cap } else { 0 });
     let mut send_ok = vec![false; cap];
-    let mut starts = vec![0u64; cap];
     let mut queue: Vec<(usize, SocketAddr)> = Vec::with_capacity(cap);
     let spans = spans.as_deref();
     let mut clock = StageClock::start(spans.is_some());
@@ -792,12 +795,10 @@ fn worker_loop(
         };
         clock.lap_amortised(spans, Stage::Recv, got as u64);
         let mut errors = IoErrorStats::default();
-        handleds.clear();
+        events.clear();
         queue.clear();
         for i in 0..got {
-            if let Some((producer, _)) = &trace {
-                starts[i] = producer.now_ns();
-            }
+            let start_ns = trace.as_ref().map(|(producer, _)| producer.now_ns());
             let (payload, peer) = io.datagram(i);
             // The client key is hashed only when RRL is on — the unkeyed
             // path stays byte-for-byte the pre-RRL hot path.
@@ -814,7 +815,16 @@ fn worker_loop(
             if handled.response {
                 queue.push((i, peer));
             }
-            handleds.push(handled);
+            if let Some(start_ns) = start_ns {
+                events.push(server_event(
+                    &handled,
+                    payload,
+                    &peer,
+                    resp_bufs[i].len(),
+                    start_ns,
+                    TransportKind::Udp,
+                ));
+            }
         }
         if !queue.is_empty() {
             clock.reset();
@@ -829,19 +839,8 @@ fn worker_loop(
             clock.lap_amortised(spans, Stage::Send, queue.len() as u64);
         }
         if let Some((producer, auth_id)) = &trace {
-            for i in 0..got {
-                let (payload, peer) = io.datagram(i);
-                record_server_event(
-                    producer,
-                    *auth_id,
-                    &handleds[i],
-                    payload,
-                    &peer,
-                    resp_bufs[i].len(),
-                    send_ok[i],
-                    starts[i],
-                    TransportKind::Udp,
-                );
+            for (i, ev) in events.drain(..).enumerate() {
+                finish_server_event(producer, *auth_id, ev, send_ok[i]);
             }
         }
         shard.stats.add(engine.take_stats());

@@ -198,17 +198,37 @@ impl Shared {
     }
 }
 
+/// A collector's timestamp base, copied out of a [`Producer`] so a
+/// thread that shares one behind a lock can stamp events without
+/// taking it.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceClock {
+    epoch: Instant,
+}
+
+impl TraceClock {
+    /// Nanoseconds since the collector started (event timestamp base).
+    pub fn now_ns(&self) -> u64 {
+        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+}
+
 /// Hot-path handle: one per worker thread. Recording is two atomic
 /// loads, five stores, and one store — or a counter bump on overflow.
 pub struct Producer {
     ring: Arc<SpscRing>,
-    epoch: Instant,
+    clock: TraceClock,
 }
 
 impl Producer {
     /// Nanoseconds since the collector started (event timestamp base).
     pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        self.clock.now_ns()
+    }
+
+    /// This producer's timestamp base.
+    pub fn clock(&self) -> TraceClock {
+        self.clock
     }
 
     /// Record one event; returns `false` if the ring was full (the
@@ -280,7 +300,7 @@ impl Collector {
     pub fn producer(&self) -> Producer {
         let ring = Arc::new(SpscRing::new(self.ring_capacity));
         self.shared.rings.lock().unwrap().push(Arc::clone(&ring));
-        Producer { ring, epoch: self.epoch }
+        Producer { ring, clock: TraceClock { epoch: self.epoch } }
     }
 
     /// Number of live producer rings (dropped producers are retired by

@@ -33,7 +33,9 @@ mod ring;
 pub mod stats;
 mod trace;
 
-pub use collector::{Collector, CollectorConfig, Producer, SnapshotCell, TelemetrySnapshot, TraceSummary};
+pub use collector::{
+    Collector, CollectorConfig, Producer, SnapshotCell, TelemetrySnapshot, TraceClock, TraceSummary,
+};
 pub use event::{
     hash_bytes, hash_socket_addr, journey_from_payload, journey_id, qname_hash32, EventKind,
     TraceEvent as Event, FLAG_CHAOS_CORRUPT, FLAG_CHAOS_DELAY, FLAG_CHAOS_DROP, FLAG_CHAOS_DUP,

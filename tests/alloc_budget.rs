@@ -28,16 +28,25 @@
 //! that path stopped building messages to encode and cloning what it
 //! kept, the same run made 54.5 allocations and requested 4,849 bytes
 //! per probe (now 25.3 and 1,443).
+//!
+//! And the TCP connection loop: pipelined padded-TCP frames through
+//! `serve_stream` allocate no more per frame than the engine's own
+//! padded-TCP budget, traced or not — the trace rows keep no copy of
+//! the payload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dnswild::{Experiment, StandardConfig};
 use dnswild_cache::{CacheConfig, CacheTime, RecordCache};
-use dnswild_netio::{resolve, serve, ResolveConfig, ServeConfig, SharedCache};
+use dnswild_netio::{
+    resolve, serve, serve_stream, write_frame, Collector, CollectorConfig, ResolveConfig,
+    ServeConfig, SharedCache,
+};
 use dnswild_proto::{Class, Message, Name, RType};
 use dnswild_server::{AnswerEngine, TransportKind, TruncationPolicy};
 use dnswild_zone::presets::{
@@ -407,4 +416,70 @@ fn a_simulated_probe_allocates_at_most_26_times() {
          per probe over {probes} probes (budget {BUDGET})"
     );
     assert!(per_probe <= BUDGET, "{per_probe:.1} allocations per simulated probe");
+}
+
+/// An in-memory TCP peer: pipelined frames to read, and a sink sized so
+/// that writing into it never allocates.
+struct Pipelined<'a> {
+    input: &'a [u8],
+    out: &'a mut Vec<u8>,
+}
+
+impl Read for Pipelined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.input.read(buf)
+    }
+}
+
+impl Write for Pipelined<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.out.write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Once warm, a connection of pipelined padded-TCP probes through the
+/// connection loop allocates at most the engine's padded-TCP budget (4)
+/// per frame, the connection's own buffers included — untraced and
+/// traced alike.
+#[test]
+fn pipelined_tcp_frames_allocate_within_the_engine_budget() {
+    const FRAMES: usize = 512;
+    const BUDGET: f64 = 4.0;
+    let template = AnswerEngine::new("FRA", vec![padded_test_domain_zone(&origin(), 4, 900)])
+        .with_truncation_policy(TruncationPolicy::symmetric(512));
+    let probe = query("p1-r1.ourtestdomain.nl", RType::Txt, Class::In);
+    let (mut wire, mut scratch) = (Vec::new(), Vec::new());
+    for _ in 0..FRAMES {
+        write_frame(&mut wire, &probe, &mut scratch).unwrap();
+    }
+    let file = format!("alloc-budget-tcp-{}.trace", std::process::id());
+    let path = std::env::temp_dir().join(file);
+    let collector = Collector::start(CollectorConfig::new(&path)).unwrap();
+    let peer = "192.0.2.1:5300".parse().unwrap();
+    let mut out = Vec::with_capacity(FRAMES * 1_024);
+    for traced in [false, true] {
+        let mut engine = template.fork();
+        let mut per_frame = 0.0;
+        for _warm_then_measured in 0..2 {
+            out.clear();
+            let trace = traced.then(|| (collector.producer(), 0));
+            let mut stream = Pipelined { input: &wire, out: &mut out };
+            let mut books = None;
+            let (allocs, _) =
+                measure(|| books = Some(serve_stream(&mut stream, peer, &mut engine, trace)));
+            let (stats, io, _) = books.unwrap();
+            assert_eq!((stats.answers, io.send_errors), (FRAMES as u64, 0));
+            per_frame = allocs as f64 / FRAMES as f64;
+        }
+        eprintln!(
+            "alloc-budget serve_stream padded TCP (traced: {traced}): {per_frame:.2} per frame \
+             (budget {BUDGET})"
+        );
+        assert!(per_frame <= BUDGET, "{per_frame:.2} allocations per pipelined TCP frame");
+    }
+    collector.finish().unwrap();
+    let _ = std::fs::remove_file(&path);
 }
