@@ -49,7 +49,7 @@ pub fn coverage(result: &MeasurementResult) -> CoverageSummary {
         }
         vp_count += 1;
         let seq: Vec<(u32, &str)> =
-            vp.probes.iter().map(|p| (p.round, p.auth.as_str())).collect();
+            vp.probes.iter().map(|p| (p.round, &*p.auth)).collect();
         if let Some(n) = queries_to_cover(&seq, ns_count) {
             covered.push(n as f64);
         }

@@ -35,7 +35,7 @@ pub fn interval_sweep(
                 let mut seen = std::collections::HashSet::new();
                 let mut start = None;
                 for (i, p) in vp.probes.iter().enumerate() {
-                    seen.insert(p.auth.as_str());
+                    seen.insert(&*p.auth);
                     if seen.len() == ns_count {
                         start = Some(i + 1);
                         break;
@@ -44,7 +44,7 @@ pub fn interval_sweep(
                 let Some(start) = start else { continue };
                 for p in &vp.probes[start..] {
                     total += 1;
-                    if p.auth == target_auth {
+                    if *p.auth == *target_auth {
                         to_target += 1;
                     }
                 }

@@ -114,9 +114,9 @@ pub fn preference(result: &MeasurementResult) -> PreferenceSummary {
         let mut seen1 = false;
         let mut start = None;
         for (i, p) in vp.probes.iter().enumerate() {
-            if p.auth == auth0 {
+            if *p.auth == *auth0 {
                 seen0 = true;
-            } else if p.auth == auth1 {
+            } else if *p.auth == *auth1 {
                 seen1 = true;
             }
             if seen0 && seen1 {
@@ -127,9 +127,9 @@ pub fn preference(result: &MeasurementResult) -> PreferenceSummary {
         let Some(start) = start else { continue };
         let mut queries = [0u64; 2];
         for p in &vp.probes[start..] {
-            if p.auth == auth0 {
+            if *p.auth == *auth0 {
                 queries[0] += 1;
-            } else if p.auth == auth1 {
+            } else if *p.auth == *auth1 {
                 queries[1] += 1;
             }
         }
@@ -230,7 +230,7 @@ pub fn preference_growth(result: &MeasurementResult) -> GrowthSummary {
         let count = |range: std::ops::Range<u32>, auth: &str| -> u64 {
             vp.probes
                 .iter()
-                .filter(|p| range.contains(&p.round) && p.auth == *auth)
+                .filter(|p| range.contains(&p.round) && *p.auth == *auth)
                 .count() as u64
         };
         let (a0_first, a1_first) = (count(0..mid_round, auth0), count(0..mid_round, auth1));

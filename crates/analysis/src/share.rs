@@ -27,7 +27,7 @@ pub struct AuthShare {
 fn hot_cache_start(probes: &[dnswild_atlas::ProbeRecord], ns_count: usize) -> Option<usize> {
     let mut seen = std::collections::HashSet::new();
     for (i, p) in probes.iter().enumerate() {
-        seen.insert(p.auth.as_str());
+        seen.insert(&*p.auth);
         if seen.len() == ns_count {
             return Some(i + 1); // analysis starts after this probe
         }
@@ -45,7 +45,7 @@ pub fn query_share(result: &MeasurementResult) -> Vec<AuthShare> {
             continue;
         };
         for p in &vp.probes[start..] {
-            *counts.entry(p.auth.as_str()).or_default() += 1;
+            *counts.entry(&*p.auth).or_default() += 1;
         }
     }
     let total: u64 = counts.values().sum();

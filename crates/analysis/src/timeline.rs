@@ -67,7 +67,7 @@ pub fn timeline(result: &MeasurementResult, bucket: SimDuration) -> Vec<TimeBuck
             let b = bucket_of(p.time);
             probes[b] += 1;
             rtts[b].push(p.rtt.as_millis_f64());
-            if let Some(&i) = auth_index.get(p.auth.as_str()) {
+            if let Some(&i) = auth_index.get(&*p.auth) {
                 auth_counts[b][i] += 1;
             }
         }
@@ -185,7 +185,7 @@ mod tests {
                 let minute = p.time.as_micros() / 60_000_000;
                 if (21..39).contains(&minute) {
                     during_total += 1;
-                    if p.site == "FRA" {
+                    if &*p.site == "FRA" {
                         during_fra += 1;
                     }
                 }

@@ -18,6 +18,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use dnswild_atlas::{
     AuthoritativeSpec, DeploymentSpec, MeasurementResult, ProbeRecord, VpResult,
@@ -162,6 +163,8 @@ pub fn trace_to_measurement(trace: &Trace) -> MeasurementResult {
         }
     }
 
+    // One shared copy of each auth code the probes name.
+    let mut codes: HashMap<u16, Arc<str>> = HashMap::new();
     let mut vps = Vec::with_capacity(groups.len());
     let mut rounds = 0u32;
     for (index, (_client, events)) in groups.into_iter().enumerate() {
@@ -172,13 +175,18 @@ pub fn trace_to_measurement(trace: &Trace) -> MeasurementResult {
         for ev in events {
             let answered = ev.flags & FLAG_RESPONSE != 0;
             match ev.kind {
-                EventKind::ServerQuery if answered => probes.push(ProbeRecord {
-                    time: sim_time(ev),
-                    round: probes.len() as u32,
-                    auth: trace.auth_code(ev.auth_id).to_string(),
-                    site: trace.auth_code(ev.auth_id).to_string(),
-                    rtt: sim_rtt(ev),
-                }),
+                EventKind::ServerQuery if answered => {
+                    let code = codes
+                        .entry(ev.auth_id)
+                        .or_insert_with(|| Arc::from(trace.auth_code(ev.auth_id)));
+                    probes.push(ProbeRecord {
+                        time: sim_time(ev),
+                        round: probes.len() as u32,
+                        auth: Arc::clone(code),
+                        site: Arc::clone(code),
+                        rtt: sim_rtt(ev),
+                    })
+                }
                 EventKind::ClientQuery if answered => samples.push(UpstreamSample {
                     time: sim_time(ev),
                     server: auth_addr(ev.auth_id),
@@ -279,7 +287,7 @@ mod tests {
         // Client 1 saw both auths: probes in capture order, rounds 0..n.
         let vp1 = &result.vps[0];
         assert_eq!(vp1.probes.len(), 3);
-        assert_eq!(vp1.probes[1].auth, "SYD");
+        assert_eq!(&*vp1.probes[1].auth, "SYD");
         assert_eq!(vp1.probes.iter().map(|p| p.round).collect::<Vec<_>>(), vec![0, 1, 2]);
         // Client 2's unanswered query became a failure, not a probe.
         let vp2 = &result.vps[1];

@@ -11,6 +11,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use detrand::{DetRng, Rng};
 
@@ -123,9 +124,11 @@ pub struct ProbeRecord {
     /// Probe round (0-based; round 0 is "the first query" of Figure 2).
     pub round: u32,
     /// Authoritative code that answered (NS-level identity, e.g. `"FRA"`).
-    pub auth: String,
+    /// Interned: every probe of a run shares one copy per code.
+    pub auth: Arc<str>,
     /// Site that answered (differs from `auth` only for anycast services).
-    pub site: String,
+    /// Interned like `auth`.
+    pub site: Arc<str>,
     /// Client-observed response time.
     pub rtt: SimDuration,
 }
@@ -196,6 +199,8 @@ struct VpStub {
     outstanding: Vec<(u16, u32, SimTime)>,
     /// The probe label, rewritten in place each round.
     label: String,
+    /// The run's auth and site codes, which answers are interned into.
+    codes: Arc<[Arc<str>]>,
     probes: Vec<ProbeRecord>,
     failure_times: Vec<SimTime>,
 }
@@ -254,8 +259,8 @@ impl Actor for VpStub {
         self.probes.push(ProbeRecord {
             time: ctx.now(),
             round,
-            auth,
-            site,
+            auth: intern(&self.codes, auth),
+            site: intern(&self.codes, site),
             rtt: ctx.now().since(sent_at),
         });
     }
@@ -281,11 +286,19 @@ fn write_probe_query(buf: Vec<u8>, id: u16, qname: &Name) -> Vec<u8> {
 }
 
 /// Parses the TXT string `site=FRA@FRA` into `("FRA", "FRA")`.
-fn parse_site(txt: &[u8]) -> Option<(String, String)> {
+fn parse_site(txt: &[u8]) -> Option<(&[u8], &[u8])> {
     let ident = txt.strip_prefix(b"site=")?;
     let at = ident.iter().position(|&b| b == b'@')?;
-    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
-    Some((text(&ident[..at]), text(&ident[at + 1..])))
+    Some((&ident[..at], &ident[at + 1..]))
+}
+
+/// The run's shared copy of `code`: a scan of the few codes a
+/// deployment has, and a fresh string only for a code it does not.
+fn intern(codes: &[Arc<str>], code: &[u8]) -> Arc<str> {
+    match codes.iter().find(|c| c.as_bytes() == code) {
+        Some(c) => Arc::clone(c),
+        None => Arc::from(String::from_utf8_lossy(code)),
+    }
 }
 
 /// Runs one measurement.
@@ -345,6 +358,17 @@ pub fn run_measurement(config: &MeasurementConfig) -> MeasurementResult {
         auth_addrs.push(addr);
         addr_to_auth.insert(addr, spec.code.clone());
     }
+
+    // Every code an answer can name, interned once for the whole run.
+    let mut codes: Vec<Arc<str>> = Vec::new();
+    for spec in &config.deployment.authoritatives {
+        for code in std::iter::once(spec.code.as_str()).chain(spec.sites.iter().map(|s| s.code)) {
+            if !codes.iter().any(|c| **c == *code) {
+                codes.push(Arc::from(code));
+            }
+        }
+    }
+    let codes: Arc<[Arc<str>]> = codes.into();
 
     // Population: separate RNG so placement doesn't depend on packet
     // timing and vice versa.
@@ -431,6 +455,7 @@ pub fn run_measurement(config: &MeasurementConfig) -> MeasurementResult {
             sent: 0,
             outstanding: Vec::new(),
             label: String::new(),
+            codes: Arc::clone(&codes),
             probes: Vec::with_capacity(config.rounds as usize),
             failure_times: Vec::new(),
         };
@@ -518,8 +543,8 @@ mod tests {
             let want = Message::stub_query(id, qname.clone(), RType::Txt).encode().unwrap();
             assert_eq!(write_probe_query(vec![0xa5; 300], id, &qname), want, "{label}");
         }
-        assert_eq!(parse_site(b"site=FRA@FRA"), Some(("FRA".into(), "FRA".into())));
-        assert_eq!(parse_site(b"site=B@LHR@x"), Some(("B".into(), "LHR@x".into())));
+        assert_eq!(parse_site(b"site=FRA@FRA"), Some((&b"FRA"[..], &b"FRA"[..])));
+        assert_eq!(parse_site(b"site=B@LHR@x"), Some((&b"B"[..], &b"LHR@x"[..])));
         assert_eq!(parse_site(b"site=FRA"), None);
         assert_eq!(parse_site(b"FRA@FRA"), None);
     }
@@ -537,8 +562,9 @@ mod tests {
         );
         for vp in &result.vps {
             for p in &vp.probes {
-                assert!(p.auth == "FRA" || p.auth == "SYD", "unexpected auth {}", p.auth);
+                assert!(matches!(&*p.auth, "FRA" | "SYD"), "unexpected auth {}", p.auth);
                 assert_eq!(p.auth, p.site, "unicast: site equals auth");
+                assert!(Arc::ptr_eq(&p.auth, &p.site), "one interned copy per code");
                 assert!(p.rtt.as_millis_f64() > 0.0);
             }
         }
@@ -559,7 +585,7 @@ mod tests {
     fn different_seeds_differ() {
         let a = quick(15, 8);
         let b = quick(15, 9);
-        let fingerprint = |r: &MeasurementResult| -> Vec<String> {
+        let fingerprint = |r: &MeasurementResult| -> Vec<Arc<str>> {
             r.vps.iter().flat_map(|v| v.probes.iter().map(|p| p.auth.clone())).collect()
         };
         assert_ne!(fingerprint(&a), fingerprint(&b));
@@ -574,7 +600,7 @@ mod tests {
         let (mut fra, mut syd) = (0usize, 0usize);
         for vp in result.vps.iter().filter(|v| v.continent == Continent::Eu) {
             for p in &vp.probes {
-                match p.auth.as_str() {
+                match &*p.auth {
                     "FRA" => fra += 1,
                     "SYD" => syd += 1,
                     _ => {}
@@ -630,11 +656,11 @@ mod tests {
         let mut anycast_sites = std::collections::HashSet::new();
         for vp in &result.vps {
             for p in &vp.probes {
-                if p.auth == "any1" {
+                if &*p.auth == "any1" {
                     anycast_sites.insert(p.site.clone());
                 } else {
-                    assert_eq!(p.auth, "GRU");
-                    assert_eq!(p.site, "GRU");
+                    assert_eq!(&*p.auth, "GRU");
+                    assert_eq!(&*p.site, "GRU");
                 }
             }
         }

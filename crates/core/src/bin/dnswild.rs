@@ -290,7 +290,9 @@ static BLAST: Command = Command {
         a fault proxy instead",
     flags: &[
         Flag::value::<SocketAddr>("--addr", "A:P", "target address").default("127.0.0.1:5300"),
-        Flag::value::<usize>("--concurrency", "N", "client threads").default("4"),
+        Flag::value::<usize>("--concurrency", "N",
+            "client threads; with --chaos, resolver lanes (transactions in flight, polled \
+            by one thread per core)").default("4"),
         Flag::value::<u64>("--queries", "N", "total queries").default("10000"),
         // The resolver client has its own attempt windows and query mix.
         Flag::value::<u64>("--timeout-ms", "M", "per-query timeout").default("1000")

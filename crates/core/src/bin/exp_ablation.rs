@@ -112,7 +112,7 @@ fn main() {
         for vp in result.vps.iter().filter(|v| v.continent == Continent::Eu) {
             for probe in &vp.probes {
                 total += 1;
-                if probe.auth == "FRA" {
+                if &*probe.auth == "FRA" {
                     fra += 1;
                 }
             }

@@ -186,8 +186,8 @@ pub fn run_production(config: &ProductionConfig) -> ProductionResult {
         .map(|vp| {
             let mut counts: HashMap<String, u64> = HashMap::new();
             for p in &vp.probes {
-                if observed_set.contains(p.auth.as_str()) {
-                    *counts.entry(p.auth.clone()).or_default() += 1;
+                if observed_set.contains(&*p.auth) {
+                    *counts.entry(p.auth.to_string()).or_default() += 1;
                 }
             }
             counts

@@ -2,18 +2,21 @@
 //!
 //! The thin syscall shim under the serving plane's batched hot path:
 //! `SO_REUSEPORT` socket binds (so every worker owns a private kernel
-//! receive queue on the same port) and `recvmmsg`/`sendmmsg` batched
+//! receive queue on the same port), `recvmmsg`/`sendmmsg` batched
 //! datagram I/O (so a worker pays one syscall per *batch* instead of
-//! one per packet).
+//! one per packet), and `poll(2)` over many sockets (so the resolver
+//! client waits on all of a thread's lanes at once instead of parking
+//! one thread per lane).
 //!
 //! Everything `dnswild-netio` needs from the kernel beyond what
 //! `std::net::UdpSocket` exposes lives here, behind three design rules:
 //!
-//! * **Hermetic.** No `libc` crate: the four symbols the shim calls
-//!   (`socket`/`bind`/`setsockopt` for the reuseport bind,
-//!   `recvmmsg`/`sendmmsg` for batching) are declared directly — std
-//!   already links the C library, so this adds no dependency and keeps
-//!   the workspace's path-only build policy intact.
+//! * **Hermetic.** No `libc` crate: the symbols the shim calls
+//!   (`socket`/`bind`/`setsockopt`/`close` for the reuseport bind,
+//!   `recvmmsg`/`sendmmsg` for batching, `poll` for the multi-socket
+//!   wait) are declared directly — std already links the C library, so
+//!   this adds no dependency and keeps the workspace's path-only build
+//!   policy intact.
 //! * **Feature-gated.** All unsafe FFI sits behind
 //!   `cfg(all(target_os = "linux", feature = "mmsg"))`. Built without
 //!   the `mmsg` feature (or off Linux) the crate contains no unsafe
@@ -27,13 +30,17 @@
 //!
 //! The shim is deliberately *thin*: no retry policy, no accounting, no
 //! partial-send handling — `dnswild-netio::server` owns those, because
-//! they must behave identically on the std fallback path.
+//! they must behave identically on the std fallback path. Likewise
+//! [`poll`] only reports readiness; what a ready socket means is the
+//! caller's (`dnswild-netio::client`, whose fallback waits in a
+//! blocking `recv` instead).
 
 #![cfg_attr(not(all(target_os = "linux", feature = "mmsg")), forbid(unsafe_code))]
 #![warn(missing_docs)]
 
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::time::Duration;
 
 /// Whether the FFI shim was compiled in (Linux with the `mmsg`
 /// feature). When `false`, [`available`] is `false` and every call
@@ -47,7 +54,7 @@ pub const BATCH_MAX: usize = 64;
 #[cfg(all(target_os = "linux", feature = "mmsg"))]
 mod sys {
     //! The Linux implementation: hand-declared ABI structs and the
-    //! four libc wrappers. Layouts match the x86_64/aarch64 kernel ABI
+    //! libc wrappers. Layouts match the x86_64/aarch64 kernel ABI
     //! (`struct msghdr` with `size_t` iov/control lengths, 128-byte
     //! 8-aligned `sockaddr_storage`); `#[repr(C)]` reproduces the same
     //! padding the C compiler inserts.
@@ -133,6 +140,68 @@ mod sys {
             timeout: *mut u8,
         ) -> i32;
         fn sendmmsg(sockfd: i32, msgvec: *mut MMsgHdr, vlen: u32, flags: i32) -> i32;
+        #[link_name = "poll"]
+        fn sys_poll(fds: *mut PollFd, nfds: usize, timeout_ms: i32) -> i32;
+    }
+
+    /// `poll` events: data to read; an error or a hang-up, which the
+    /// next read reports.
+    const POLLIN: i16 = 0x001;
+    const POLLERR: i16 = 0x008;
+    const POLLHUP: i16 = 0x010;
+
+    /// One socket of a [`poll`] set: `struct pollfd`, asking for
+    /// readability. The set borrows nothing — the caller keeps the
+    /// socket open while the entry is in use.
+    #[repr(C)]
+    #[derive(Debug, Clone, Copy)]
+    pub struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    impl PollFd {
+        fn raw(fd: i32) -> PollFd {
+            PollFd { fd, events: POLLIN, revents: 0 }
+        }
+
+        /// A UDP socket, waited on for a datagram.
+        pub fn udp(sock: &UdpSocket) -> PollFd {
+            PollFd::raw(sock.as_raw_fd())
+        }
+
+        /// A TCP stream, waited on for bytes (or the peer's close).
+        pub fn tcp(stream: &TcpStream) -> PollFd {
+            PollFd::raw(stream.as_raw_fd())
+        }
+
+        /// Whether the last [`poll`] found a read worth making: data
+        /// queued, or an error or hang-up the read will report.
+        pub fn readable(&self) -> bool {
+            self.revents & (POLLIN | POLLERR | POLLHUP) != 0
+        }
+    }
+
+    /// Waits until at least one socket of `fds` is readable or
+    /// `timeout` has passed, and returns how many are. The timeout is
+    /// rounded *up* to the whole millisecond `poll(2)` takes, so the
+    /// call never returns before it has elapsed unless a socket is
+    /// ready (or a signal lands: `Interrupted`). A zero timeout only
+    /// looks.
+    pub fn poll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+        let ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+        for fd in fds.iter_mut() {
+            fd.revents = 0;
+        }
+        // SAFETY: `fds` is a live, exclusively borrowed array of
+        // `struct pollfd` of the length passed; the kernel writes only
+        // their `revents`.
+        let ready = unsafe { sys_poll(fds.as_mut_ptr(), fds.len(), ms) };
+        if ready < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(ready as usize)
     }
 
     /// Serialises a [`SocketAddr`] into kernel `sockaddr_in{,6}` form,
@@ -411,7 +480,9 @@ mod sys {
 }
 
 #[cfg(all(target_os = "linux", feature = "mmsg"))]
-pub use sys::{available, bind_reuseport, recv_batch, send_batch, RecvBatch, SendScratch};
+pub use sys::{
+    available, bind_reuseport, poll, recv_batch, send_batch, PollFd, RecvBatch, SendScratch,
+};
 
 #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
 mod sys {
@@ -455,6 +526,32 @@ mod sys {
     #[derive(Default)]
     pub struct SendScratch {}
 
+    /// Stub: one socket of a [`poll`] set (never pollable here).
+    #[derive(Debug, Clone, Copy)]
+    pub struct PollFd {}
+
+    impl PollFd {
+        /// Stub constructor; `poll` on a set of these always fails.
+        pub fn udp(_sock: &UdpSocket) -> PollFd {
+            PollFd {}
+        }
+
+        /// Stub constructor; `poll` on a set of these always fails.
+        pub fn tcp(_stream: &TcpStream) -> PollFd {
+            PollFd {}
+        }
+
+        /// Always `false` on this target.
+        pub fn readable(&self) -> bool {
+            false
+        }
+    }
+
+    /// Always `Unsupported` on this target.
+    pub fn poll(_fds: &mut [PollFd], _timeout: Duration) -> io::Result<usize> {
+        Err(unsupported())
+    }
+
     /// Always `Unsupported` on this target.
     pub fn bind_reuseport(_addr: SocketAddr) -> io::Result<UdpSocket> {
         Err(unsupported())
@@ -481,7 +578,9 @@ mod sys {
 }
 
 #[cfg(not(all(target_os = "linux", feature = "mmsg")))]
-pub use sys::{available, bind_reuseport, recv_batch, send_batch, RecvBatch, SendScratch};
+pub use sys::{
+    available, bind_reuseport, poll, recv_batch, send_batch, PollFd, RecvBatch, SendScratch,
+};
 
 #[cfg(test)]
 mod tests {
@@ -497,10 +596,22 @@ mod tests {
         // universal.
     }
 
+    /// Built without the shim, `poll` reports `Unsupported` (so the
+    /// client waits in a blocking `recv`); built with it, an empty set
+    /// and a zero timeout is a plain "nothing ready".
+    #[test]
+    fn poll_is_unsupported_exactly_when_the_shim_is_not_compiled() {
+        let got = poll(&mut [], Duration::ZERO);
+        if COMPILED {
+            assert_eq!(got.unwrap(), 0);
+        } else {
+            assert_eq!(got.unwrap_err().kind(), io::ErrorKind::Unsupported);
+        }
+    }
+
     #[cfg(all(target_os = "linux", feature = "mmsg"))]
     mod linux {
         use super::super::*;
-        use std::time::Duration;
 
         #[test]
         fn reuseport_binds_share_a_port() {
@@ -618,6 +729,38 @@ mod tests {
                 "timeout surfaced as {err:?}"
             );
             assert_eq!(batch.filled(), 0);
+        }
+
+        /// Of two sockets, the one with a datagram queued is reported
+        /// readable and the idle one is not; the wait ends at once.
+        #[test]
+        fn a_queued_datagram_makes_its_socket_readable() {
+            let idle = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let busy = UdpSocket::bind("127.0.0.1:0").unwrap();
+            let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+            sender.send_to(b"ping", busy.local_addr().unwrap()).unwrap();
+            let mut fds = [PollFd::udp(&idle), PollFd::udp(&busy)];
+            let started = std::time::Instant::now();
+            assert_eq!(poll(&mut fds, Duration::from_secs(5)).unwrap(), 1);
+            assert!(started.elapsed() < Duration::from_secs(1), "a ready socket ends the wait");
+            assert!(!fds[0].readable() && fds[1].readable());
+        }
+
+        /// Nothing ready — an empty set, or an idle socket — means the
+        /// whole timeout is waited out, never less: a sub-millisecond
+        /// remainder rounds up, not down.
+        #[test]
+        fn an_idle_set_times_out_no_earlier_than_asked() {
+            let idle = UdpSocket::bind("127.0.0.1:0").unwrap();
+            for timeout in [Duration::from_millis(30), Duration::from_micros(20_500)] {
+                for fds in [&mut [][..], &mut [PollFd::udp(&idle)][..]] {
+                    let started = std::time::Instant::now();
+                    assert_eq!(poll(fds, timeout).unwrap(), 0);
+                    let waited = started.elapsed();
+                    assert!(waited >= timeout, "woke after {waited:?} of {timeout:?}");
+                    assert!(fds.iter().all(|fd| !fd.readable()));
+                }
+            }
         }
     }
 }

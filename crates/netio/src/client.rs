@@ -2,30 +2,51 @@
 //! re-ranking loop of `dnswild-resolver`, driven over the kernel's UDP
 //! stack instead of the simulator.
 //!
-//! Each worker thread owns a socket, a [`SelectionPolicy`] built from
-//! the configured [`PolicyKind`], and an [`InfraCache`] fed with real
+//! The client runs [`ResolveConfig::concurrency`] *lanes*: transactions
+//! in flight, each with its own socket (so its own source port, and its
+//! own RRL bucket upstream), a [`SelectionPolicy`] built from the
+//! configured [`PolicyKind`], and an [`InfraCache`] fed with real
 //! round-trip samples — so BIND-style SRTT re-ranking (§4.2 of the
 //! paper) happens against real authoritatives behind real (possibly
 //! chaos-proxied) sockets. A transaction is retried with exponential
 //! backoff until it is answered or `max_tries` attempts are exhausted,
 //! at which point it is accounted as a SERVFAIL; nothing is ever lost.
 //!
+//! A lane is a resumable state machine, not a thread: it sends, then
+//! waits for its socket (or its TCP detour's stream) to turn readable
+//! or its deadline to pass. `min(lanes, cores)` event-loop threads each
+//! wait on all of their lanes at once with one `poll(2)` (the
+//! `dnswild-mmsg` shim), so a thread keeps many lookups in flight
+//! instead of parking on one. Only a TCP `connect` blocks. Without the
+//! shim (off Linux, or built without its `mmsg` feature) the same loop
+//! drives one lane per thread and waits in a blocking `recv` — one
+//! state machine, two ways to wait.
+//!
 //! ## Determinism contract
 //!
 //! `dnswild smoke --chaos` requires the final counters to be identical
-//! across runs with the same seed. Three rules make that hold on real
+//! across runs with the same seed. These rules make that hold on real
 //! sockets:
 //!
 //! * Every attempt's query bytes are unique and deterministic (qname
-//!   carries the transaction number, the DNS ID is derived from
-//!   transaction × attempt), so a content-keyed
+//!   carries the lane and transaction numbers, the DNS ID is derived
+//!   from transaction × attempt), so a content-keyed
 //!   [`crate::chaos::FaultPlan`] gives every attempt an independent,
 //!   reproducible fate.
+//! * Everything a lane decides is its own: its socket, RNG stream,
+//!   contiguous share of the transactions and books. Which lanes share
+//!   a loop thread changes none of it.
 //! * Attempt windows start at the base timeout and double per retry,
 //!   and must stay far above the chaos plane's worst-case hold time
 //!   ([`crate::chaos::FaultProfile::max_hold`], both directions
 //!   summed): a reply is then *either* always inside its window or
 //!   never delivered, so timeout counts cannot flip between runs.
+//! * Read before expire: a loop reads every readable socket before it
+//!   closes any window past its deadline, and a lane that read
+//!   something in a turn is not expired in it. So a reply that was
+//!   readable before its deadline is classified as an answer however
+//!   late a busy loop gets to it — as a thread blocked in `recv` would
+//!   have.
 //! * A failure reply (REFUSED/SERVFAIL/FORMERR/NOTIMP/TC) dooms its
 //!   attempt but the retransmit timer still paces the retry, so the
 //!   classification of a duplicated failure reply does not depend on
@@ -44,9 +65,11 @@
 //! split) legitimately varies with real RTTs; the aggregate counters do
 //! not.
 
+use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -55,26 +78,29 @@ use detrand::{splitmix64, DetRng};
 use dnswild_cache::{negative_ttl, CacheConfig, CacheStats, CacheTime, Clock, EntryKind, Hit,
     RecordCache, WallClock};
 use dnswild_metrics::{counter_set, watchdog::inputs, AtomicSet, Hook, Registry};
+use dnswild_mmsg::{poll, PollFd};
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
-use dnswild_proto::{Message, Name, RType, Rcode};
+use dnswild_proto::{
+    Class, Header, Message, MessageWriter, Name, RType, Rcode, DEFAULT_EDNS_PAYLOAD,
+};
 use dnswild_resolver::{InfraCache, PolicyKind, SelectionPolicy};
 use dnswild_telemetry::{
     journey_id, qname_hash32, Collector, Event, EventKind, Producer, FLAG_PREFETCH, FLAG_RESPONSE,
     FLAG_TCP, FLAG_TCP_RETRY, FLAG_TC_SEEN, FLAG_TIMEOUT, RCODE_NONE,
 };
 
-use crate::closed_loop::{encode_query, fan_out, thread_stream, unspecified_for};
+use crate::closed_loop::{fan_out, share_of, thread_stream, unspecified_for};
 use crate::server::is_idle_recv;
 use crate::tcp::{write_frame, FrameReader};
 
-/// How long a worker keeps reading after its last transaction, so every
+/// How long a lane keeps reading after its last transaction, so every
 /// straggling duplicate or delayed reply is drained and accounted. Must
 /// exceed the chaos plane's worst-case hold time with margin. Public so
 /// benchmarks deriving per-transaction costs from a report's `elapsed`
 /// can subtract the fixed tail.
 pub const DRAIN_WINDOW: Duration = Duration::from_millis(200);
 
-/// Transactions a worker runs between two publishes of its books to its
+/// Transactions a lane runs between two publishes of its books to its
 /// cell. A publish is a few atomic adds; once per transaction, that was
 /// ~4% of a warm (cache-hit) transaction on a 2-vCPU host.
 const PUBLISH_EVERY: u64 = 64;
@@ -83,12 +109,12 @@ const PUBLISH_EVERY: u64 = 64;
 /// the RFC 2308 minimum from (matches the sim resolver's default).
 const DEFAULT_NEGATIVE_TTL: u32 = 300;
 
-/// Most shards a [`SharedCache`] splits into. Two workers rarely meet
-/// on one of sixteen locks; past sixteen workers a seventeenth shard
+/// Most shards a [`SharedCache`] splits into. Two lanes rarely meet
+/// on one of sixteen locks; past sixteen loop threads a seventeenth shard
 /// would start to matter, and no caller has that many.
 const SHARDS: usize = 16;
 
-/// The record cache shared by every worker of a [`resolve`] run — and,
+/// The record cache shared by every lane of a [`resolve`] run — and,
 /// when the caller reuses the handle, across *runs*: that is how a
 /// second identical blast becomes the paper's warm-cache scenario.
 ///
@@ -98,7 +124,7 @@ const SHARDS: usize = 16;
 ///
 /// Inside it is up to [`SHARDS`] independently locked [`RecordCache`]s,
 /// a question always going to the shard its keyed hash names, so
-/// workers asking different questions seldom wait for each other. The
+/// lanes asking different questions seldom wait for each other. The
 /// two whole-cache bounds survive the split: a `capacity` of N is
 /// divided over `min(16, N)` shards, rounded down, so the shards
 /// together never hold more than N entries (each evicts by its own LRU
@@ -215,13 +241,14 @@ impl SharedCache {
     }
 
     /// Stores an answering reply under the rule of
-    /// [`RecordCache::insert_reply`]. What needs no lock — the SOA scan,
-    /// the copies of the qname and of the records (exact-fit, unlike the
-    /// decoder's own vectors) — is done before the shard is taken.
-    fn insert_reply(&self, qname: &Name, qtype: RType, reply: &Message) {
-        let negative_ttl = negative_ttl(reply, DEFAULT_NEGATIVE_TTL);
-        let (key, answers, now) = (qname.clone(), reply.answers.clone(), self.clock.now());
-        self.shard(qname, qtype).insert(key, qtype, answers, reply.rcode(), negative_ttl, now);
+    /// [`RecordCache::insert_reply`], keeping the caller's qname and the
+    /// reply's decoded records (exact-fit: the decoder sizes each
+    /// section by its count) rather than copies. What needs no lock —
+    /// the SOA scan, the clock — is done before the shard is taken.
+    fn insert_reply(&self, qname: Name, qtype: RType, reply: Message) {
+        let (negative_ttl, now) = (negative_ttl(&reply, DEFAULT_NEGATIVE_TTL), self.clock.now());
+        let mut shard = self.shard(&qname, qtype);
+        shard.insert(qname, qtype, reply.answers, reply.header.rcode, negative_ttl, now);
     }
 }
 
@@ -233,16 +260,19 @@ pub struct ResolveConfig {
     pub servers: Vec<SocketAddr>,
     /// Which implementation family's selection algorithm to run.
     pub policy: PolicyKind,
-    /// Total transactions (logical queries) across all workers.
+    /// Total transactions (logical queries) across all lanes.
     pub transactions: u64,
-    /// Worker threads. Part of the determinism contract: the same
-    /// transaction→worker split must be used across runs.
+    /// Lanes: transactions in flight at once, each on its own socket —
+    /// not threads; `resolve` packs the lanes onto one event-loop
+    /// thread per core (see the module docs). Part of the determinism
+    /// contract: the same transaction→lane split must be used across
+    /// runs.
     pub concurrency: usize,
     /// Base per-attempt timeout; doubles on each retry (capped at 8×).
     pub timeout: Duration,
     /// Attempts per transaction before giving up with SERVFAIL.
     pub max_tries: u32,
-    /// Seed for the per-worker policy RNG streams.
+    /// Seed for the per-lane policy RNG streams.
     pub seed: u64,
     /// When set, every query advertises EDNS(0) with this UDP payload
     /// size. A small size (e.g. 512) is how the truncation → TCP-retry
@@ -262,14 +292,14 @@ pub struct ResolveConfig {
     pub tcp_reuse: bool,
     /// Zone origin the probe queries are built under.
     pub origin: Name,
-    /// Telemetry collector: when set, each worker records one
+    /// Telemetry collector: when set, each lane records one
     /// `ClientQuery` event per attempt outcome (answer, doomed reply,
     /// or timeout). The event `auth_id` is the server *index*, which —
     /// like [`ResolveReport::per_server`] — follows real RTTs and is
     /// not deterministic across runs.
     pub collector: Option<Arc<Collector>>,
     /// Metrics registry: when set, the run's books are fed into it from
-    /// the cells the workers publish to — the [`ClientStats`] ledger,
+    /// the cells the lanes publish to — the [`ClientStats`] ledger,
     /// and per authoritative the attempt count and run-mean answer RTT —
     /// under the names the share-vs-RTT watchdog consumes (see
     /// `dnswild_metrics::watchdog::inputs`). Like
@@ -295,7 +325,7 @@ pub struct ResolveConfig {
 }
 
 impl ResolveConfig {
-    /// Defaults: BIND-style SRTT policy, 1,000 transactions, 4 workers,
+    /// Defaults: BIND-style SRTT policy, 1,000 transactions, 4 lanes,
     /// 250 ms base timeout, 4 tries, seed 2017.
     pub fn new(servers: Vec<SocketAddr>, origin: Name) -> Self {
         ResolveConfig {
@@ -361,7 +391,7 @@ impl ResolveConfig {
         self
     }
 
-    /// Overrides the worker count.
+    /// Overrides the lane count (transactions in flight).
     pub fn concurrency(mut self, concurrency: usize) -> Self {
         self.concurrency = concurrency.max(1);
         self
@@ -535,7 +565,7 @@ impl ClientStats {
 /// What one [`resolve`] run did.
 #[derive(Debug, Clone)]
 pub struct ResolveReport {
-    /// Aggregated counters across workers.
+    /// Aggregated counters across lanes.
     pub stats: ClientStats,
     /// Query attempts per server, aligned with
     /// [`ResolveConfig::servers`]. *Not* deterministic across runs —
@@ -545,7 +575,9 @@ pub struct ResolveReport {
     pub elapsed: Duration,
 }
 
-/// One in-flight (or completed) attempt of the current transaction.
+/// One UDP attempt of the current transaction: its ID, the server it
+/// went to, and when.
+#[derive(Clone, Copy)]
 struct Attempt {
     id: u16,
     server: usize,
@@ -561,34 +593,19 @@ struct TcpConn {
     scratch: Vec<u8>,
 }
 
-fn tcp_connect(addr: &SocketAddr, timeout: Duration) -> io::Result<TcpConn> {
+/// Connects a fallback stream. Only the connect itself blocks: a
+/// `polled` lane reads the reply when its loop's `poll` says so, a
+/// blocking lane under the stream's read timeout.
+fn tcp_connect(addr: &SocketAddr, timeout: Duration, polled: bool) -> io::Result<TcpConn> {
     let stream = TcpStream::connect_timeout(addr, timeout)?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    Ok(TcpConn { stream, reader: FrameReader::new(), scratch: Vec::new() })
-}
-
-/// Writes `query_bytes` as one frame and reads one response frame,
-/// bounded by `timeout` overall.
-fn tcp_roundtrip(conn: &mut TcpConn, query_bytes: &[u8], timeout: Duration) -> io::Result<Vec<u8>> {
-    write_frame(&mut conn.stream, query_bytes, &mut conn.scratch)?;
-    let deadline = Instant::now() + timeout;
-    loop {
-        match conn.reader.read_frame(&mut conn.stream) {
-            Ok(Some(p)) => return Ok(p.to_vec()),
-            Ok(None) => {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))
-            }
-            Err(e) if is_idle_recv(&e) => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(io::ErrorKind::TimedOut, "tcp reply timed out"));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+    if polled {
+        stream.set_nonblocking(true)?;
+    } else {
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
     }
+    Ok(TcpConn { stream, reader: FrameReader::new(), scratch: Vec::new() })
 }
 
 /// How one received reply relates to the current transaction.
@@ -613,21 +630,20 @@ enum Doom {
     Tc,
 }
 
-/// One worker's published books. The worker is the only writer — its
+/// One lane's published books. The lane is the only writer — its
 /// [`ClientStats`] one delta per [`PUBLISH_EVERY`] transactions and at
 /// the end, its per-server counts as they happen — and [`resolve`]'s
-/// report and the registry feed both
-/// read these cells, so a quiescent scrape equals the report by
-/// construction. It and each of its server cells are line-aligned, so
-/// no two workers write to one cache line.
+/// report and the registry feed both read these cells, so a quiescent
+/// scrape equals the report by construction. It and each of its server
+/// cells are line-aligned, so no two lanes write to one cache line.
 #[repr(align(64))]
-struct WorkerCell {
+struct LaneCell {
     stats: AtomicSet<ClientStats, 19>,
     /// Indexed like [`ResolveConfig::servers`].
     servers: Box<[ServerCell]>,
 }
 
-/// One worker's counts against one server.
+/// One lane's counts against one server.
 #[derive(Default)]
 #[repr(align(64))]
 struct ServerCell {
@@ -639,27 +655,27 @@ struct ServerCell {
     rtt_sum_us: AtomicU64,
 }
 
-impl WorkerCell {
-    fn new(servers: usize) -> WorkerCell {
-        WorkerCell {
+impl LaneCell {
+    fn new(servers: usize) -> LaneCell {
+        LaneCell {
             stats: AtomicSet::default(),
             servers: (0..servers).map(|_| ServerCell::default()).collect(),
         }
     }
 }
 
-/// One count of server `server`, summed over every worker's cell.
-fn server_total(cells: &[WorkerCell], server: usize, count: fn(&ServerCell) -> &AtomicU64) -> u64 {
+/// One count of server `server`, summed over every lane's cell.
+fn server_total(cells: &[LaneCell], server: usize, count: fn(&ServerCell) -> &AtomicU64) -> u64 {
     cells.iter().map(|c| count(&c.servers[server]).load(Ordering::Relaxed)).sum()
 }
 
-/// Feeds `registry` from the workers' cells on every read: the client
+/// Feeds `registry` from the lanes' cells on every read: the client
 /// ledger as `dnswild_client_events_total{kind}`, and per authoritative
 /// its attempts and run-mean answer RTT — the two sides of the paper's
 /// Fig. 3 share-vs-1/SRTT law the watchdog judges.
 ///
 /// The RTT gauge holds the *run-mean* RTT of answered attempts, not the
-/// per-worker infra cache's instantaneous SRTT: the watchdog compares a
+/// per-lane infra cache's instantaneous SRTT: the watchdog compares a
 /// *cumulative* attempt share against the RTT expectation, so the RTT
 /// side must be equally cumulative — a snapshot taken right after one
 /// chaos-delayed reply would skew the expectation by an order of
@@ -667,7 +683,7 @@ fn server_total(cells: &[WorkerCell], server: usize, count: fn(&ServerCell) -> &
 /// the whole measurement window.)
 ///
 /// Returns the hooks, which [`resolve`] settles once the run is over.
-fn register(registry: &Registry, servers: &[SocketAddr], cells: &Arc<[WorkerCell]>) -> Vec<Hook> {
+fn register(registry: &Registry, servers: &[SocketAddr], cells: &Arc<[LaneCell]>) -> Vec<Hook> {
     let books = Arc::clone(cells);
     let mut hooks = vec![registry.mirror_counters(
         inputs::CLIENT_EVENTS,
@@ -702,9 +718,20 @@ fn register(registry: &Registry, servers: &[SocketAddr], cells: &Arc<[WorkerCell
     hooks
 }
 
-/// Runs the closed-loop resolver client; blocks until every worker has
-/// finished its transactions and drained its socket.
+/// Runs the closed-loop resolver client; blocks until every lane has
+/// finished its transactions and drained its socket. The lanes are
+/// packed onto one event-loop thread per core the host offers.
 pub fn resolve(config: ResolveConfig) -> io::Result<ResolveReport> {
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    resolve_on(config, cores)
+}
+
+/// [`resolve`] with its lanes packed onto `loops` threads (never more
+/// than one per lane; contiguous lanes share a thread). Without the
+/// poll shim each lane gets a thread of its own, whatever `loops` says.
+/// Which lanes share a thread changes no lane's books: that is the
+/// packing invariance the tests hold.
+pub(crate) fn resolve_on(config: ResolveConfig, loops: usize) -> io::Result<ResolveReport> {
     if config.servers.is_empty() || config.servers.len() > 254 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -712,12 +739,14 @@ pub fn resolve(config: ResolveConfig) -> io::Result<ResolveReport> {
         ));
     }
     let servers = config.servers.len();
-    let cells: Arc<[WorkerCell]> =
-        (0..config.concurrency.max(1)).map(|_| WorkerCell::new(servers)).collect();
+    let lanes = config.concurrency.max(1);
+    let polled = dnswild_mmsg::COMPILED;
+    let loops = if polled { loops.clamp(1, lanes) } else { lanes };
+    let cells: Arc<[LaneCell]> = (0..lanes).map(|_| LaneCell::new(servers)).collect();
     let hooks = config.metrics.as_ref().map(|r| register(r, &config.servers, &cells));
     let start = Instant::now();
-    let run = fan_out(cells.len(), config.transactions, |w, first, share| {
-        worker_loop(&config, w, first, share, &cells[w])
+    let run = fan_out(loops, lanes as u64, |_, first, count| {
+        EventLoop::new(&config, first as usize..(first + count) as usize, &cells, polled)?.run()
     });
     if let (Some(registry), Some(hooks)) = (&config.metrics, hooks) {
         registry.settle(hooks);
@@ -740,19 +769,22 @@ fn sim_now(epoch: Instant) -> SimTime {
     SimTime::from_micros(epoch.elapsed().as_micros() as u64)
 }
 
-/// What one UDP attempt came to once its window closed.
+/// What the current UDP attempt has come to so far.
 struct AttemptOutcome {
+    id: u16,
     /// The server this attempt was sent to.
     server: usize,
+    window: Duration,
     /// The failure reply that doomed the attempt, unless a later clean
     /// answer reclassified it as stale.
     doomed: Option<Doom>,
-    /// The clean answer, if one arrived inside the window.
+    /// The clean answer, once one arrived inside the window (or over
+    /// the TCP detour it led to).
     answer: Option<Answered>,
 }
 
 /// The attempt a transaction was answered on (an earlier attempt's
-/// late reply counts) and the reply bytes, left in the receive buffer.
+/// late reply counts), and the reply's size.
 struct Answered {
     server: usize,
     rtt: Duration,
@@ -766,171 +798,543 @@ struct Ids {
     journey: u64,
 }
 
-/// One worker's resolver state: its socket, selection policy fed with
-/// real RTT samples, and books. Transaction attempts and background
-/// prefetches are the same [`Worker::attempt`] under different IDs.
-struct Worker<'a> {
+/// What a lane is waiting for. Every wait has a deadline; a lane that
+/// waits for nothing is ready to run on, or done.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Between transactions: runs on at the next [`Lane::advance`].
+    Ready,
+    /// A UDP attempt's window is open until `deadline`.
+    Udp { deadline: Instant },
+    /// A TCP detour, on its `plan`-th connection, awaits its reply.
+    Tcp { plan: usize, deadline: Instant },
+    /// Every transaction is done; stragglers are read until
+    /// [`DRAIN_WINDOW`] passes without one.
+    Drain { deadline: Instant },
+    Done,
+}
+
+/// One lane: a transaction in flight, and everything it needs to run
+/// on its own — its socket (so its own source port, and its own RRL
+/// bucket upstream), selection policy fed with real RTT samples, infra
+/// cache, RNG stream, contiguous share of the transactions, and books.
+/// It never blocks on the wire itself: it sends, then says what it
+/// waits for ([`Lane::deadline`]), and its [`EventLoop`] hands it what
+/// arrived ([`Lane::read`]) or tells it the wait is over
+/// ([`Lane::expire`]). Transaction attempts and background prefetches
+/// are the same attempt under different IDs.
+struct Lane<'a> {
     cfg: &'a ResolveConfig,
-    /// Where this worker publishes its books.
-    cell: &'a WorkerCell,
+    /// Where this lane publishes its books.
+    cell: &'a LaneCell,
+    /// Names the lane's queries (`c{index}-t{txn}`) and seeds its streams.
+    index: usize,
     socket: UdpSocket,
-    /// The read timeout `socket` holds (see [`Worker::arm`]).
+    /// Whether an [`EventLoop`] polls the socket (non-blocking), or the
+    /// lane waits in a blocking `recv` on a thread of its own.
+    polled: bool,
+    /// The read timeout a blocking socket holds (see [`Lane::arm`]).
     armed: Option<Duration>,
     tokens: Vec<SimAddr>,
     policy: Box<dyn SelectionPolicy>,
     infra: InfraCache,
     rng: DetRng,
     epoch: Instant,
-    /// Counts since the last [`Worker::publish`].
+    /// Counts since the last [`Lane::publish`].
     stats: ClientStats,
+    producer: Option<Producer>,
     send_buf: Vec<u8>,
     recv_buf: Vec<u8>,
+    /// One cached TCP fallback connection per server (RFC 7766 reuse).
+    tcp_conns: Vec<Option<TcpConn>>,
+    /// The lane's transactions: `first_txn..end_txn`, `next_txn` next.
+    first_txn: u64,
+    next_txn: u64,
+    end_txn: u64,
+    phase: Phase,
+    /// The current transaction: its number, name and telemetry ids
+    /// (whose client token, the lane's, is stable across same-seed
+    /// runs, so trace-side client groupings are).
+    txn: u64,
+    label: String,
+    qname: Name,
+    ids: Ids,
+    /// Its try in flight (0-based), and whether that is a prefetch.
+    try_no: u32,
+    prefetch: bool,
+    /// Its attempts so far, and the servers it has given up on — both
+    /// reused from one transaction to the next.
+    sent: Vec<Attempt>,
+    excluded: Vec<SimAddr>,
+    /// The attempt in flight.
+    out: AttemptOutcome,
+    /// When the current TCP detour began.
+    tcp_started: Instant,
 }
 
-impl<'a> Worker<'a> {
-    fn new(cfg: &'a ResolveConfig, worker: usize, cell: &'a WorkerCell) -> io::Result<Self> {
-        Ok(Worker {
+impl<'a> Lane<'a> {
+    fn new(
+        cfg: &'a ResolveConfig,
+        index: usize,
+        cell: &'a LaneCell,
+        polled: bool,
+    ) -> io::Result<Self> {
+        let socket = UdpSocket::bind(unspecified_for(&cfg.servers[0]))?;
+        if polled {
+            socket.set_nonblocking(true)?;
+        }
+        let (first_txn, share) = share_of(cfg.transactions, cfg.concurrency.max(1), index);
+        let now = Instant::now();
+        Ok(Lane {
             cfg,
             cell,
-            socket: UdpSocket::bind(unspecified_for(&cfg.servers[0]))?,
+            index,
+            socket,
+            polled,
             armed: None,
             tokens: (0..cfg.servers.len()).map(server_token).collect(),
             policy: cfg.policy.build(),
             infra: InfraCache::new(cfg.policy.default_infra_expiry(), cfg.policy.smoothing()),
-            rng: DetRng::seed_from_u64(thread_stream(cfg.seed, worker)),
-            epoch: Instant::now(),
+            rng: DetRng::seed_from_u64(thread_stream(cfg.seed, index)),
+            epoch: now,
             stats: ClientStats::default(),
+            producer: cfg.collector.as_ref().map(|c| c.producer()),
             send_buf: Vec::with_capacity(128),
             recv_buf: vec![0u8; 4096],
+            tcp_conns: (0..cfg.servers.len()).map(|_| None).collect(),
+            first_txn,
+            next_txn: first_txn,
+            end_txn: first_txn + share,
+            phase: Phase::Ready,
+            txn: first_txn,
+            label: String::new(),
+            qname: Name::root(),
+            ids: Ids {
+                client: splitmix64(thread_stream(0x636c_6e74 ^ cfg.seed, index)),
+                qname_hash: 0,
+                journey: 0,
+            },
+            try_no: 0,
+            prefetch: false,
+            sent: Vec::with_capacity(cfg.max_tries.max(1) as usize),
+            excluded: Vec::new(),
+            out: AttemptOutcome {
+                id: 0,
+                server: 0,
+                window: Duration::ZERO,
+                doomed: None,
+                answer: None,
+            },
+            tcp_started: now,
         })
     }
 
-    /// Adds the counts since the last call to this worker's cell. Called
+    /// Adds the counts since the last call to this lane's cell. Called
     /// between transactions only, when the books are whole.
     fn publish(&mut self) {
         self.cell.stats.add(std::mem::take(&mut self.stats));
     }
 
-    /// One UDP attempt: pick a server outside `excluded`, send `qname`
-    /// under `id`, and classify every datagram that arrives until
-    /// `window` closes or a clean answer to any attempt in `sent` does.
-    ///
-    /// A failure reply dooms the attempt but the window still runs out
-    /// (see the determinism contract); an answer after a failure reply
-    /// means the failure was a mutated duplicate copy, so it moves to
-    /// `stale` — where the opposite arrival order would have put it.
-    /// The caller books what an answer *means* (`answered` or
-    /// `prefetch_ok`); everything else is accounted here.
-    fn attempt(
-        &mut self,
-        qname: &Name,
-        id: u16,
-        window: Duration,
-        excluded: &mut Vec<SimAddr>,
-        sent: &mut Vec<Attempt>,
-    ) -> io::Result<AttemptOutcome> {
+    /// When the lane's wait ends, unless the wire ends it sooner; `None`
+    /// when it waits for nothing.
+    fn deadline(&self) -> Option<Instant> {
+        match self.phase {
+            Phase::Udp { deadline } | Phase::Tcp { deadline, .. } | Phase::Drain { deadline } => {
+                Some(deadline)
+            }
+            Phase::Ready | Phase::Done => None,
+        }
+    }
+
+    /// The socket the lane waits on, for its loop's `poll`: the TCP
+    /// detour's stream while one is out, else the UDP socket.
+    fn poll_fd(&self) -> PollFd {
+        match self.phase {
+            Phase::Tcp { .. } => {
+                let conn = self.tcp_conns[self.out.server].as_ref();
+                PollFd::tcp(&conn.expect("a detour holds its stream").stream)
+            }
+            _ => PollFd::udp(&self.socket),
+        }
+    }
+
+    /// Runs the lane on until it waits: starts transactions, answers
+    /// cache hits (which touch no socket, so a run of hits never waits)
+    /// and sends attempts.
+    fn advance(&mut self) -> io::Result<()> {
+        while matches!(self.phase, Phase::Ready) {
+            self.next_transaction()?;
+        }
+        Ok(())
+    }
+
+    /// Starts the next transaction, or the drain after the last one.
+    fn next_transaction(&mut self) -> io::Result<()> {
+        if self.next_txn == self.end_txn {
+            self.phase = Phase::Drain { deadline: Instant::now() + DRAIN_WINDOW };
+            return Ok(());
+        }
+        let txn = self.next_txn;
+        self.next_txn += 1;
+        if (txn - self.first_txn).is_multiple_of(PUBLISH_EVERY) {
+            self.publish();
+        }
+        self.stats.transactions += 1;
+        self.txn = txn;
+        self.label.clear();
+        write!(self.label, "c{}-t{txn}", self.index).expect("writing to a String cannot fail");
+        self.qname = self.cfg.origin.prepend(&self.label).expect("short probe label");
+        if self.producer.is_some() {
+            let mut buf = [0; dnswild_proto::MAX_NAME_LEN];
+            let wire = self.qname.canonical_wire(&mut buf);
+            // Same canonical bytes every other hop derives from the
+            // payload, so the ids agree without coordination.
+            (self.ids.qname_hash, self.ids.journey) = (qname_hash32(wire), journey_id(wire));
+        }
+        self.sent.clear();
+        self.excluded.clear();
+
+        // Cache first: a live hit answers the transaction with zero
+        // socket I/O. Only a hot entry near expiry goes to the wire —
+        // as a background prefetch, not a transaction attempt.
+        if let Some(cache) = &self.cfg.cache {
+            let hit = cache.probe(&self.qname, RType::Txt);
+            if let Some(p) = &self.producer {
+                match &hit {
+                    Some(h) => record_cache_lookup(p, &self.ids, FLAG_RESPONSE, h.rcode.to_u8()),
+                    None => record_cache_lookup(p, &self.ids, 0, RCODE_NONE),
+                }
+            }
+            if let Some(h) = hit {
+                self.stats.answered += 1;
+                self.stats.cache_hits += 1;
+                if h.kind != EntryKind::Positive {
+                    self.stats.cache_negative += 1;
+                }
+                if h.prefetch_due {
+                    // Background refresh: one UDP attempt, no retries,
+                    // no TCP fallback. The ID lives in the top half of
+                    // the space so it cannot collide with transaction
+                    // IDs, which are txn × max_tries + attempt.
+                    self.stats.prefetches += 1;
+                    self.prefetch = true;
+                    self.send_attempt(0x8000u16 | (txn as u16 & 0x7fff), self.cfg.timeout)?;
+                }
+                return Ok(());
+            }
+        }
+        self.prefetch = false;
+        self.try_no = 0;
+        self.send_try()
+    }
+
+    /// Sends try `try_no` of the current transaction.
+    fn send_try(&mut self) -> io::Result<()> {
+        let max_tries = self.cfg.max_tries.max(1);
+        // Deterministic per-(transaction, attempt) ID: retransmits
+        // are new datagrams with fresh content, so a content-keyed
+        // fault plan gives each attempt an independent fate.
+        let id = (self.txn.wrapping_mul(max_tries as u64) + self.try_no as u64) as u16;
+        if self.try_no > 0 {
+            self.stats.retries += 1;
+        }
+        // Exponential backoff: the base timeout doubles per retry.
+        self.send_attempt(id, self.cfg.timeout.saturating_mul(1 << self.try_no.min(3)))
+    }
+
+    /// One UDP attempt: pick a server outside `excluded`, send the
+    /// query under `id`, and open its `window`.
+    fn send_attempt(&mut self, id: u16, window: Duration) -> io::Result<()> {
         let now = sim_now(self.epoch);
-        let token = self.policy.select(&self.tokens, excluded, &mut self.infra, now, &mut self.rng);
+        let token =
+            self.policy.select(&self.tokens, &self.excluded, &mut self.infra, now, &mut self.rng);
         let server = self.tokens.iter().position(|&t| t == token).expect("token is a candidate");
         self.cell.servers[server].attempts.fetch_add(1, Ordering::Relaxed);
-        let mut query = Message::iterative_query(id, qname.clone(), RType::Txt);
-        if let Some(size) = self.cfg.edns_size {
-            // Replace the constructor's default OPT — RFC 6891 allows
-            // exactly one.
-            query.additionals.clear();
-            query.add_edns(size);
-        }
-        encode_query(&query, &mut self.send_buf)?;
+        self.write_query(id);
         let sent_at = Instant::now();
         self.socket.send_to(&self.send_buf, self.cfg.servers[server])?;
         self.stats.attempts += 1;
-        sent.push(Attempt { id, server, sent_at });
-
-        let deadline = sent_at + window;
-        let mut doomed: Option<Doom> = None;
-        let mut answer: Option<Answered> = None;
-        // The first read waits out the whole window — first tries all
-        // share theirs, so that usually arms nothing. Any further read
-        // (a datagram left the attempt open, a signal cut the wait
-        // short) may only wait for what is left of it.
-        self.arm(window)?;
-        let mut first_read = true;
-        loop {
-            if first_read {
-                first_read = false;
-            } else {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                self.arm(left.max(Duration::from_millis(1)))?;
-            }
-            let got = match self.socket.recv_from(&mut self.recv_buf) {
-                Ok((n, _peer)) => n,
-                // The timer may wake a little before the deadline: the
-                // loop top re-arms for what is left, or ends the window.
-                Err(e) if is_idle_recv(&e) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            match classify(&self.recv_buf[..got], sent, qname) {
-                Reply::Answer { attempt: a, msg } => {
-                    if let Some(kind) = doomed.take() {
-                        match kind {
-                            Doom::Lame => self.stats.lame -= 1,
-                            Doom::FormErr => self.stats.formerr -= 1,
-                            Doom::Tc => self.stats.tc_seen -= 1,
-                        }
-                        self.stats.stale += 1;
-                    }
-                    let rtt = sent[a].sent_at.elapsed();
-                    self.observe_rtt(sent[a].server, rtt);
-                    self.cache_reply(qname, &msg);
-                    answer = Some(Answered { server: sent[a].server, rtt, bytes: got });
-                    break;
-                }
-                Reply::Lame { attempt: a } if doomed.is_none() => {
-                    self.stats.lame += 1;
-                    self.infra.observe_timeout(self.tokens[sent[a].server], sim_now(self.epoch));
-                    excluded.push(self.tokens[sent[a].server]);
-                    doomed = Some(Doom::Lame);
-                }
-                Reply::FormErr if doomed.is_none() => {
-                    self.stats.formerr += 1;
-                    doomed = Some(Doom::FormErr);
-                }
-                Reply::Tc if doomed.is_none() => {
-                    self.stats.tc_seen += 1;
-                    doomed = Some(Doom::Tc);
-                }
-                // A second failure reply in the same window can only be
-                // a duplicated copy of the first; fold it into `stale`
-                // so the count is order-independent.
-                Reply::Lame { .. } | Reply::FormErr | Reply::Tc => self.stats.stale += 1,
-                Reply::Corrupt => self.stats.corrupt_replies += 1,
-                // A matching-ID reply that is no longer an answer or a
-                // recognisable failure is a mutated copy; had it been
-                // read after the clean answer it would have been
-                // `Stale`, so it must land in the same bucket.
-                Reply::Mismatch => self.stats.stale += 1,
-                Reply::Stale => self.stats.stale += 1,
-            }
-        }
-        if answer.is_none() && doomed.is_none() {
-            self.stats.timeouts += 1;
-            self.infra.observe_timeout(self.tokens[server], sim_now(self.epoch));
-            excluded.push(self.tokens[server]);
-        }
-        Ok(AttemptOutcome { server, doomed, answer })
+        self.sent.push(Attempt { id, server, sent_at });
+        self.out = AttemptOutcome { id, server, window, doomed: None, answer: None };
+        self.phase = Phase::Udp { deadline: sent_at + window };
+        Ok(())
     }
 
-    /// Sets the socket's read timeout to `wait`, unless that is what it
-    /// already holds — the only place the worker's socket is armed, so
-    /// the remembered value cannot go out of date.
+    /// Writes attempt `id`'s query into the send buffer: the bytes
+    /// `Message::iterative_query(id, qname, TXT)` encodes to, its OPT
+    /// advertising the configured EDNS size — with no `Message` built
+    /// and the qname borrowed, not copied.
+    fn write_query(&mut self, id: u16) {
+        let header = Header { id, ..Header::default() };
+        let mut w = MessageWriter::new(std::mem::take(&mut self.send_buf), &header);
+        w.question_parts(&self.qname, RType::Txt, Class::In).expect("probe query encodes");
+        w.edns(self.cfg.edns_size.unwrap_or(DEFAULT_EDNS_PAYLOAD)).expect("probe query encodes");
+        self.send_buf = w.finish();
+    }
+
+    /// Reads once from what the lane waits on — a datagram, or what one
+    /// read brings of the TCP detour's reply frame — and handles it.
+    /// A polled lane only reads what its loop found readable; a blocking
+    /// one waits up to `wait` (rounded up to the millisecond, so a
+    /// window never closes early) for a datagram. `false` when nothing
+    /// arrived.
+    fn read(&mut self, wait: Duration) -> io::Result<bool> {
+        if let Phase::Tcp { plan, .. } = self.phase {
+            return self.read_tcp(plan);
+        }
+        if !self.polled {
+            let ms = wait.as_nanos().div_ceil(1_000_000).max(1);
+            self.arm(Duration::from_millis(ms.min(u64::MAX as u128) as u64))?;
+        }
+        let got = match self.socket.recv(&mut self.recv_buf) {
+            Ok(n) => n,
+            // A spurious wake, the timer firing (a little early, even),
+            // or a signal: nothing arrived.
+            Err(e) if is_idle_recv(&e) || e.kind() == io::ErrorKind::Interrupted => {
+                return Ok(false)
+            }
+            Err(e) => return Err(e),
+        };
+        match self.phase {
+            Phase::Udp { .. } => self.on_datagram(got)?,
+            _ => {
+                // Duplicates and delayed replies of finished
+                // transactions: read them all so the reverse-direction
+                // books balance (chaos smoke asserts that every
+                // delivered datagram was classified).
+                if Message::decode(&self.recv_buf[..got]).is_ok() {
+                    self.stats.stale += 1;
+                } else {
+                    self.stats.corrupt_replies += 1;
+                }
+                self.phase = Phase::Drain { deadline: Instant::now() + DRAIN_WINDOW };
+            }
+        }
+        Ok(true)
+    }
+
+    /// Sets the blocking socket's read timeout to `wait`, unless that is
+    /// what it already holds — the only place the socket is armed, so
+    /// the remembered value cannot go out of date. A first try's window
+    /// rounds up to the whole window every first try shares, so a run
+    /// of them arms nothing.
     fn arm(&mut self, wait: Duration) -> io::Result<()> {
         if self.armed != Some(wait) {
             self.socket.set_read_timeout(Some(wait))?;
             self.armed = Some(wait);
+        }
+        Ok(())
+    }
+
+    /// Classifies one datagram read inside an attempt's window.
+    ///
+    /// A failure reply dooms the attempt but the window still runs out
+    /// (see the determinism contract); an answer after a failure reply
+    /// means the failure was a mutated duplicate copy, so it moves to
+    /// `stale` — where the opposite arrival order would have put it. A
+    /// clean answer to any attempt of the transaction closes the window.
+    fn on_datagram(&mut self, got: usize) -> io::Result<()> {
+        match classify(&self.recv_buf[..got], &self.sent, &self.qname) {
+            Reply::Answer { attempt: a, msg } => {
+                if let Some(kind) = self.out.doomed.take() {
+                    match kind {
+                        Doom::Lame => self.stats.lame -= 1,
+                        Doom::FormErr => self.stats.formerr -= 1,
+                        Doom::Tc => self.stats.tc_seen -= 1,
+                    }
+                    self.stats.stale += 1;
+                }
+                let Attempt { server, sent_at, .. } = self.sent[a];
+                let rtt = sent_at.elapsed();
+                self.observe_rtt(server, rtt);
+                self.cache_reply(msg);
+                self.out.answer = Some(Answered { server, rtt, bytes: got });
+                return self.end_udp_attempt();
+            }
+            Reply::Lame { attempt: a } if self.out.doomed.is_none() => {
+                self.stats.lame += 1;
+                let token = self.tokens[self.sent[a].server];
+                self.infra.observe_timeout(token, sim_now(self.epoch));
+                self.excluded.push(token);
+                self.out.doomed = Some(Doom::Lame);
+            }
+            Reply::FormErr if self.out.doomed.is_none() => {
+                self.stats.formerr += 1;
+                self.out.doomed = Some(Doom::FormErr);
+            }
+            Reply::Tc if self.out.doomed.is_none() => {
+                self.stats.tc_seen += 1;
+                self.out.doomed = Some(Doom::Tc);
+            }
+            // A second failure reply in the same window can only be
+            // a duplicated copy of the first; fold it into `stale`
+            // so the count is order-independent.
+            Reply::Lame { .. } | Reply::FormErr | Reply::Tc => self.stats.stale += 1,
+            Reply::Corrupt => self.stats.corrupt_replies += 1,
+            // A matching-ID reply that is no longer an answer or a
+            // recognisable failure is a mutated copy; had it been
+            // read after the clean answer it would have been
+            // `Stale`, so it must land in the same bucket.
+            Reply::Mismatch => self.stats.stale += 1,
+            Reply::Stale => self.stats.stale += 1,
+        }
+        Ok(())
+    }
+
+    /// The lane's wait is over with nothing (more) read: an attempt
+    /// window closes, a TCP detour's connection times out, a drain ends.
+    fn expire(&mut self) -> io::Result<()> {
+        match self.phase {
+            Phase::Udp { .. } => {
+                if self.out.doomed.is_none() {
+                    let token = self.tokens[self.out.server];
+                    self.stats.timeouts += 1;
+                    self.infra.observe_timeout(token, sim_now(self.epoch));
+                    self.excluded.push(token);
+                }
+                self.end_udp_attempt()
+            }
+            Phase::Tcp { plan, .. } => {
+                self.tcp_conns[self.out.server] = None;
+                self.tcp_try(plan + 1)
+            }
+            Phase::Drain { .. } => {
+                self.publish();
+                self.phase = Phase::Done;
+                Ok(())
+            }
+            Phase::Ready | Phase::Done => Ok(()),
+        }
+    }
+
+    /// The current UDP attempt's window has closed: on an answer, on
+    /// its deadline doomed, or on its deadline silent.
+    fn end_udp_attempt(&mut self) -> io::Result<()> {
+        self.phase = Phase::Ready;
+        if self.prefetch {
+            if self.out.answer.is_some() {
+                self.stats.prefetch_ok += 1;
+            }
+            self.record_attempt(FLAG_PREFETCH);
+            return Ok(());
+        }
+        // Truncation fallback (RFC 7766): only once the window has
+        // closed still doomed by TC — see the determinism contract.
+        // The attempt itself stays accounted under `tc_seen`; a TCP
+        // answer completes the *transaction*.
+        if matches!(self.out.doomed, Some(Doom::Tc)) && self.cfg.tcp_fallback {
+            self.stats.tcp_attempts += 1;
+            self.tcp_started = Instant::now();
+            return self.tcp_try(0);
+        }
+        self.end_try(0)
+    }
+
+    /// Sends the TC-doomed attempt's query over TCP on the first plan
+    /// from `from` on that gets it written. The cached connection may
+    /// have gone stale since the last fallback; on any error it is
+    /// dropped and the next plan is a fresh one. With reuse off there
+    /// is no cached connection to gamble on, so each fallback is
+    /// exactly one fresh connection carrying exactly one frame. No plan
+    /// left fails the detour.
+    fn tcp_try(&mut self, from: usize) -> io::Result<()> {
+        let plans: &[bool] = if self.cfg.tcp_reuse { &[false, true] } else { &[true] };
+        let server = self.out.server;
+        for (plan, &fresh) in plans.iter().enumerate().skip(from) {
+            if fresh || self.tcp_conns[server].is_none() {
+                self.tcp_conns[server] =
+                    tcp_connect(&self.cfg.servers[server], self.cfg.timeout, self.polled).ok();
+            }
+            let Some(conn) = self.tcp_conns[server].as_mut() else {
+                continue;
+            };
+            match write_frame(&mut conn.stream, &self.send_buf, &mut conn.scratch) {
+                Ok(()) => {
+                    let deadline = Instant::now() + self.cfg.timeout;
+                    self.phase = Phase::Tcp { plan, deadline };
+                    return Ok(());
+                }
+                Err(_) => self.tcp_conns[server] = None,
+            }
+        }
+        self.tcp_end(None)
+    }
+
+    /// One read towards the TCP detour's reply frame; `FrameReader`
+    /// resumes at any byte, so a reply split over several reads costs
+    /// nothing but the reads. A closed or broken connection moves the
+    /// detour to its next plan.
+    fn read_tcp(&mut self, plan: usize) -> io::Result<bool> {
+        let conn = self.tcp_conns[self.out.server].as_mut().expect("a detour holds its stream");
+        let reply = match conn.reader.read_frame(&mut conn.stream) {
+            // A TCP reply completes the transaction only as a full
+            // answer to the attempt it retries — an earlier attempt's
+            // ID does not count here.
+            Ok(Some(p)) => {
+                let retried = &self.sent[self.sent.len() - 1..];
+                Some((p.len(), classify(p, retried, &self.qname)))
+            }
+            Err(e) if is_idle_recv(&e) || e.kind() == io::ErrorKind::Interrupted => {
+                return Ok(false)
+            }
+            Ok(None) | Err(_) => None,
+        };
+        match reply {
+            Some(reply) => self.tcp_end(Some(reply))?,
+            None => {
+                self.tcp_conns[self.out.server] = None;
+                self.tcp_try(plan + 1)?;
+            }
+        }
+        Ok(true)
+    }
+
+    /// The TCP detour is over, with `reply` or without one.
+    fn tcp_end(&mut self, reply: Option<(usize, Reply)>) -> io::Result<()> {
+        let server = self.out.server;
+        if !self.cfg.tcp_reuse {
+            self.tcp_conns[server] = None;
+        }
+        let mut flags = FLAG_TCP_RETRY;
+        match reply {
+            Some((bytes, Reply::Answer { msg, .. })) => {
+                let rtt = self.tcp_started.elapsed();
+                self.stats.tcp_answered += 1;
+                self.observe_rtt(server, rtt);
+                self.cache_reply(msg);
+                self.out.answer = Some(Answered { server, rtt, bytes });
+                flags |= FLAG_TC_SEEN | FLAG_TCP;
+            }
+            _ => self.stats.tcp_failed += 1,
+        }
+        self.end_try(flags)
+    }
+
+    /// The current try is settled: book it, then answer the
+    /// transaction, send its next try, or give it up.
+    fn end_try(&mut self, flags: u16) -> io::Result<()> {
+        self.record_attempt(flags);
+        self.phase = Phase::Ready;
+        if self.out.answer.is_some() {
+            self.stats.answered += 1;
+            return Ok(());
+        }
+        self.try_no += 1;
+        if self.try_no < self.cfg.max_tries.max(1) {
+            return self.send_try();
+        }
+        // Last resort (RFC 8767): when every try failed and the
+        // cache still holds the expired answer inside its stale
+        // window, serve it stale rather than SERVFAIL.
+        match self.cfg.cache.as_ref().and_then(|c| c.probe_stale(&self.qname, RType::Txt)) {
+            Some(h) => {
+                self.stats.answered += 1;
+                self.stats.stale_served += 1;
+                if let Some(p) = &self.producer {
+                    record_cache_lookup(p, &self.ids, FLAG_TIMEOUT, h.rcode.to_u8());
+                }
+            }
+            None => self.stats.servfails += 1,
         }
         Ok(())
     }
@@ -948,9 +1352,11 @@ impl<'a> Worker<'a> {
         cell.rtt_sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    fn cache_reply(&self, qname: &Name, reply: &Message) {
+    /// Hands an answer to the cache, with the transaction's qname: the
+    /// answer ends the transaction, so nothing asks for the name again.
+    fn cache_reply(&mut self, reply: Message) {
         if let Some(cache) = &self.cfg.cache {
-            cache.insert_reply(qname, RType::Txt, reply);
+            cache.insert_reply(std::mem::replace(&mut self.qname, Name::root()), RType::Txt, reply);
         }
     }
 
@@ -959,22 +1365,18 @@ impl<'a> Worker<'a> {
     /// collapsed duplicate replies, so the outcome (and hence the event
     /// count) is arrival-order independent. `flags` carries what only
     /// the caller knows: prefetch, TCP detour.
-    fn record_attempt(
-        &self,
-        producer: &Producer,
-        ids: &Ids,
-        id: u16,
-        window: Duration,
-        out: &AttemptOutcome,
-        flags: u16,
-    ) {
+    fn record_attempt(&self, flags: u16) {
+        let Some(producer) = &self.producer else {
+            return;
+        };
+        let (ids, out) = (&self.ids, &self.out);
         let clamp_ns = |d: Duration| d.as_nanos().min(u64::from(u32::MAX) as u128) as u32;
         let mut ev = Event::new(EventKind::ClientQuery);
         ev.ts_ns = producer.now_ns();
         ev.client_hash = ids.client;
         ev.qname_hash = ids.qname_hash;
         ev.journey = ids.journey;
-        ev.dns_id = id;
+        ev.dns_id = out.id;
         ev.bytes_in = self.send_buf.len().min(u16::MAX as usize) as u16;
         ev.flags = flags;
         match &out.answer {
@@ -987,7 +1389,7 @@ impl<'a> Worker<'a> {
             }
             None => {
                 ev.auth_id = out.server as u16;
-                ev.latency_ns = clamp_ns(window);
+                ev.latency_ns = clamp_ns(out.window);
                 ev.rcode = RCODE_NONE;
                 ev.flags |= if out.doomed.is_some() { FLAG_RESPONSE } else { FLAG_TIMEOUT };
                 if matches!(out.doomed, Some(Doom::Tc)) {
@@ -1013,191 +1415,96 @@ fn record_cache_lookup(producer: &Producer, ids: &Ids, flags: u16, rcode: u8) {
     producer.record(&ev);
 }
 
-fn worker_loop(
-    cfg: &ResolveConfig,
-    worker: usize,
-    first_txn: u64,
-    share: u64,
-    cell: &WorkerCell,
-) -> io::Result<()> {
-    let mut w = Worker::new(cfg, worker, cell)?;
-    let max_tries = cfg.max_tries.max(1);
-    // One cached TCP fallback connection per server (RFC 7766 reuse).
-    let mut tcp_conns: Vec<Option<TcpConn>> = (0..cfg.servers.len()).map(|_| None).collect();
+/// One thread's lanes and the loop that drives them. Each turn runs
+/// every lane on to its next wait, waits once — in one `poll(2)` over
+/// all their sockets, or, without the shim, in the one lane's blocking
+/// `recv` — until a socket is readable or the earliest deadline
+/// passes, reads what is readable, and only then closes the windows
+/// that are past due. A lane read this turn is not expired in it: the
+/// next turn's poll (which does not wait, its deadline having passed)
+/// reads on until the socket is empty. So a reply that was readable
+/// before its deadline is an answer however late the loop reaches it.
+///
+/// Each lane has at most one deadline, so the earliest is a scan of
+/// the lanes' — a handful — with nothing to keep in order.
+struct EventLoop<'a> {
+    lanes: Vec<Lane<'a>>,
+    /// The poll set of the current turn, and the lane of each entry.
+    fds: Vec<PollFd>,
+    waiting: Vec<usize>,
+    /// Which lanes read something this turn.
+    read: Vec<bool>,
+    polled: bool,
+}
 
-    // One producer ring per worker; the client token is derived from the
-    // seed and worker index so trace-side client groupings are stable
-    // across same-seed runs.
-    let producer = cfg.collector.as_ref().map(|c| c.producer());
-    let client_token = splitmix64(thread_stream(0x636c_6e74 ^ cfg.seed, worker));
-
-    for txn in first_txn..first_txn + share {
-        if (txn - first_txn).is_multiple_of(PUBLISH_EVERY) {
-            w.publish();
-        }
-        w.stats.transactions += 1;
-        let qname = cfg
-            .origin
-            .prepend(&format!("c{worker}-t{txn}"))
-            .expect("short probe label");
-        let mut ids = Ids { client: client_token, qname_hash: 0, journey: 0 };
-        if producer.is_some() {
-            let mut buf = [0; dnswild_proto::MAX_NAME_LEN];
-            let wire = qname.canonical_wire(&mut buf);
-            // Same canonical bytes every other hop derives from the
-            // payload, so the ids agree without coordination.
-            (ids.qname_hash, ids.journey) = (qname_hash32(wire), journey_id(wire));
-        }
-
-        // Cache first: a live hit answers the transaction with zero
-        // socket I/O. Only a hot entry near expiry goes to the wire —
-        // as a background prefetch, not a transaction attempt.
-        if let Some(cache) = &cfg.cache {
-            let hit = cache.probe(&qname, RType::Txt);
-            if let Some(p) = &producer {
-                match &hit {
-                    Some(h) => record_cache_lookup(p, &ids, FLAG_RESPONSE, h.rcode.to_u8()),
-                    None => record_cache_lookup(p, &ids, 0, RCODE_NONE),
-                }
-            }
-            if let Some(h) = hit {
-                w.stats.answered += 1;
-                w.stats.cache_hits += 1;
-                if h.kind != EntryKind::Positive {
-                    w.stats.cache_negative += 1;
-                }
-                if h.prefetch_due {
-                    // Background refresh: one UDP attempt, no retries,
-                    // no TCP fallback. The ID lives in the top half of
-                    // the space so it cannot collide with transaction
-                    // IDs, which are txn × max_tries + attempt.
-                    let id = 0x8000u16 | (txn as u16 & 0x7fff);
-                    w.stats.prefetches += 1;
-                    let out = w.attempt(&qname, id, cfg.timeout, &mut Vec::new(), &mut Vec::new())?;
-                    if out.answer.is_some() {
-                        w.stats.prefetch_ok += 1;
-                    }
-                    if let Some(p) = &producer {
-                        w.record_attempt(p, &ids, id, cfg.timeout, &out, FLAG_PREFETCH);
-                    }
-                }
-                continue;
-            }
-        }
-
-        let mut excluded: Vec<SimAddr> = Vec::new();
-        let mut sent: Vec<Attempt> = Vec::with_capacity(max_tries as usize);
-        let mut answered = false;
-
-        for attempt in 0..max_tries {
-            // Deterministic per-(transaction, attempt) ID: retransmits
-            // are new datagrams with fresh content, so a content-keyed
-            // fault plan gives each attempt an independent fate.
-            let id = (txn.wrapping_mul(max_tries as u64) + attempt as u64) as u16;
-            if attempt > 0 {
-                w.stats.retries += 1;
-            }
-            // Exponential backoff: the base timeout doubles per retry.
-            let window = cfg.timeout.saturating_mul(1 << attempt.min(3));
-            let mut out = w.attempt(&qname, id, window, &mut excluded, &mut sent)?;
-            let server = out.server;
-            // Truncation fallback (RFC 7766): only once the window has
-            // closed still doomed by TC — see the determinism contract.
-            // The attempt itself stays accounted under `tc_seen`; a TCP
-            // answer completes the *transaction*.
-            let mut tcp_flags = 0u16;
-            if matches!(out.doomed, Some(Doom::Tc)) && cfg.tcp_fallback {
-                tcp_flags = FLAG_TCP_RETRY;
-                w.stats.tcp_attempts += 1;
-                let tcp_start = Instant::now();
-                let mut reply: Option<Vec<u8>> = None;
-                // The cached connection may have gone stale since the
-                // last fallback; on any error drop it and try once more
-                // on a fresh one. With reuse off there is no cached
-                // connection to gamble on, so each fallback is exactly
-                // one fresh connection carrying exactly one frame.
-                let plans: &[bool] = if cfg.tcp_reuse { &[false, true] } else { &[true] };
-                for &fresh in plans {
-                    if fresh || tcp_conns[server].is_none() {
-                        tcp_conns[server] = tcp_connect(&cfg.servers[server], cfg.timeout).ok();
-                    }
-                    let Some(conn) = tcp_conns[server].as_mut() else {
-                        continue;
-                    };
-                    match tcp_roundtrip(conn, &w.send_buf, cfg.timeout) {
-                        Ok(p) => {
-                            reply = Some(p);
-                            break;
-                        }
-                        Err(_) => tcp_conns[server] = None,
-                    }
-                }
-                if !cfg.tcp_reuse {
-                    tcp_conns[server] = None;
-                }
-                // A TCP reply completes the transaction only as a full
-                // answer to the attempt it retries — an earlier
-                // attempt's ID does not count here.
-                let this_attempt = &sent[sent.len() - 1..];
-                match reply.map(|p| (p.len(), classify(&p, this_attempt, &qname))) {
-                    Some((bytes, Reply::Answer { msg, .. })) => {
-                        let rtt = tcp_start.elapsed();
-                        w.stats.tcp_answered += 1;
-                        w.observe_rtt(server, rtt);
-                        w.cache_reply(&qname, &msg);
-                        out.answer = Some(Answered { server, rtt, bytes });
-                        tcp_flags = FLAG_TC_SEEN | FLAG_TCP_RETRY | FLAG_TCP;
-                    }
-                    _ => w.stats.tcp_failed += 1,
-                }
-            }
-            if let Some(p) = &producer {
-                w.record_attempt(p, &ids, id, window, &out, tcp_flags);
-            }
-            if out.answer.is_some() {
-                w.stats.answered += 1;
-                answered = true;
-                break;
-            }
-        }
-        if !answered {
-            // Last resort (RFC 8767): when every try failed and the
-            // cache still holds the expired answer inside its stale
-            // window, serve it stale rather than SERVFAIL.
-            match cfg.cache.as_ref().and_then(|c| c.probe_stale(&qname, RType::Txt)) {
-                Some(h) => {
-                    w.stats.answered += 1;
-                    w.stats.stale_served += 1;
-                    if let Some(p) = &producer {
-                        record_cache_lookup(p, &ids, FLAG_TIMEOUT, h.rcode.to_u8());
-                    }
-                }
-                None => w.stats.servfails += 1,
-            }
-        }
+impl<'a> EventLoop<'a> {
+    /// The loop over lanes `lanes` (their cells in `cells`), polled or —
+    /// exactly one lane — blocking.
+    fn new(
+        cfg: &'a ResolveConfig,
+        lanes: std::ops::Range<usize>,
+        cells: &'a [LaneCell],
+        polled: bool,
+    ) -> io::Result<Self> {
+        assert!(polled || lanes.len() == 1, "a blocking loop drives exactly one lane");
+        let lanes: Vec<Lane<'a>> =
+            lanes.map(|i| Lane::new(cfg, i, &cells[i], polled)).collect::<io::Result<_>>()?;
+        let n = lanes.len();
+        Ok(EventLoop {
+            lanes,
+            fds: Vec::with_capacity(n),
+            waiting: Vec::with_capacity(n),
+            read: vec![false; n],
+            polled,
+        })
     }
 
-    // Drain: duplicates and delayed replies of finished transactions are
-    // still in flight or queued in the socket buffer; read them all so
-    // the reverse-direction books balance (chaos smoke asserts that
-    // every delivered datagram was classified).
-    w.arm(DRAIN_WINDOW)?;
-    loop {
-        match w.socket.recv_from(&mut w.recv_buf) {
-            Ok((n, _)) => {
-                if Message::decode(&w.recv_buf[..n]).is_ok() {
-                    w.stats.stale += 1;
-                } else {
-                    w.stats.corrupt_replies += 1;
+    /// Turns until every lane is done.
+    fn run(mut self) -> io::Result<()> {
+        while self.turn()? {}
+        Ok(())
+    }
+
+    /// One turn (see [`EventLoop`]); `false` once every lane is done.
+    fn turn(&mut self) -> io::Result<bool> {
+        for lane in &mut self.lanes {
+            lane.advance()?;
+        }
+        let Some(earliest) = self.lanes.iter().filter_map(Lane::deadline).min() else {
+            return Ok(false);
+        };
+        let wait = earliest.saturating_duration_since(Instant::now());
+        self.read.fill(false);
+        if self.polled {
+            self.fds.clear();
+            self.waiting.clear();
+            for (i, lane) in self.lanes.iter().enumerate() {
+                if lane.deadline().is_some() {
+                    self.fds.push(lane.poll_fd());
+                    self.waiting.push(i);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // The drain window expiring, or any socket error: done.
-            Err(_) => break,
+            match poll(&mut self.fds, wait) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+            for (fd, &i) in self.fds.iter().zip(&self.waiting) {
+                if fd.readable() {
+                    self.read[i] = self.lanes[i].read(wait)?;
+                }
+            }
+        } else {
+            self.read[0] = self.lanes[0].read(wait)?;
         }
+        let now = Instant::now();
+        for (lane, &read) in self.lanes.iter_mut().zip(&self.read) {
+            if !read && lane.deadline().is_some_and(|d| d <= now) {
+                lane.expire()?;
+            }
+        }
+        Ok(true)
     }
-    w.publish();
-    Ok(())
 }
 
 /// Classifies one received reply — a datagram, or a TCP frame's payload
@@ -1241,6 +1548,7 @@ mod tests {
     use crate::tcp::TcpOptions;
     use detrand::Rng;
     use dnswild_proto::{rdata::Txt, RData, Record};
+    use std::collections::{BTreeMap, HashMap};
     use dnswild_server::TruncationPolicy;
     use dnswild_zone::presets::{padded_test_domain_zone, test_domain_zone};
     use std::sync::Arc;
@@ -1673,7 +1981,7 @@ mod tests {
                     let ttl = (rng.gen_range(0..8u32) > 0).then(|| rng.gen_range(0..15u32));
                     let reply = reply_to(qname, ttl);
                     single.insert_reply(qname, RType::Txt, &reply, DEFAULT_NEGATIVE_TTL, now);
-                    shared.insert_reply(qname, RType::Txt, &reply);
+                    shared.insert_reply(qname.clone(), RType::Txt, reply);
                 }
                 3 => assert_eq!(
                     shared.probe_stale(qname, RType::Txt),
@@ -1728,7 +2036,7 @@ mod tests {
                             let qname = &names[rng.gen_range(0..names.len())];
                             match rng.gen_range(0..8u32) {
                                 0..=1 => {
-                                    cache.insert_reply(qname, RType::Txt, &reply_to(qname, Some(1)));
+                                    cache.insert_reply(qname.clone(), RType::Txt, reply_to(qname, Some(1)));
                                     stores += 1;
                                 }
                                 2..=3 => drop(cache.probe_stale(qname, RType::Txt)),
@@ -1793,7 +2101,7 @@ mod tests {
             let reply = reply_to(qname, Some(TTL_S));
             if shared.probe(qname, RType::Txt).is_none() {
                 misses[0][i] += 1;
-                shared.insert_reply(qname, RType::Txt, &reply);
+                shared.insert_reply(qname.clone(), RType::Txt, reply.clone());
             }
             if single.probe(qname, RType::Txt, now).is_none() {
                 misses[1][i] += 1;
@@ -1820,20 +2128,29 @@ mod tests {
         );
     }
 
-    // ---- one setsockopt per window ----
+    // ---- lanes on one event loop ----
 
-    /// [`Worker::attempt`] under the rule `closed_loop::exchange` has:
-    /// a wrong-ID datagram late in the window must not restart it — the
-    /// read after it waits only for what is left — and the shortened
-    /// timeout that leaves on the socket must not leak into the next
-    /// attempt's window.
+    /// A one-lane loop in this build's wait mode.
+    fn one_lane_loop<'a>(cfg: &'a ResolveConfig, cells: &'a [LaneCell]) -> EventLoop<'a> {
+        EventLoop::new(cfg, 0..1, cells, dnswild_mmsg::COMPILED).unwrap()
+    }
+
+    /// A stale reply late in a window must not restart it — the wait
+    /// after it is for what is left — and must not leave the next
+    /// attempt a shorter window: on a polled lane (one `poll` timeout
+    /// per turn) and on a blocking one (one socket timeout, re-armed
+    /// only when it changes) alike.
     #[test]
     fn a_stale_reply_neither_extends_the_window_nor_shortens_the_next() {
         let window = Duration::from_millis(200);
         let server = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let cfg = ResolveConfig::new(vec![server.local_addr().unwrap()], origin());
-        let cell = WorkerCell::new(1);
-        let mut w = Worker::new(&cfg, 0, &cell).unwrap();
+        let cfg = ResolveConfig::new(vec![server.local_addr().unwrap()], origin())
+            .transactions(2)
+            .concurrency(1)
+            .timeout(window)
+            .max_tries(1);
+        let cells = [LaneCell::new(1)];
+        let mut lp = one_lane_loop(&cfg, &cells);
         let stale = std::thread::spawn(move || {
             let mut buf = [0u8; 512];
             let (n, peer) = server.recv_from(&mut buf).unwrap();
@@ -1842,27 +2159,349 @@ mod tests {
             server.send_to(&buf[..n], peer).unwrap();
             server // kept open: the second attempt's query goes unanswered, not refused
         });
-        let qname = origin().prepend("c0-t0").unwrap();
-        let started = Instant::now();
-        let out = w.attempt(&qname, 7, window, &mut Vec::new(), &mut Vec::new()).unwrap();
-        let waited = started.elapsed();
+        let timed = |lp: &mut EventLoop<'_>, timeouts: u64| {
+            let started = Instant::now();
+            while lp.lanes[0].stats.timeouts < timeouts {
+                assert!(lp.turn().unwrap(), "the lane finished before its window closed");
+            }
+            started.elapsed()
+        };
+        let waited = timed(&mut lp, 1);
         let _server = stale.join().unwrap();
-        assert!(out.answer.is_none() && out.doomed.is_none());
-        assert_eq!((w.stats.stale, w.stats.timeouts), (1, 1));
+        assert_eq!(lp.lanes[0].stats.stale, 1);
         assert!(waited >= window, "gave up after {waited:?} of a {window:?} window");
         assert!(waited < window + Duration::from_millis(50), "waited {waited:?} for a {window:?} window");
-        assert!(w.socket.read_timeout().unwrap() < Some(window), "the last read waited for less");
 
-        let started = Instant::now();
-        w.attempt(&qname, 8, window, &mut Vec::new(), &mut Vec::new()).unwrap();
-        let waited = started.elapsed();
-        // Armed for the whole new window — or, after a wake a hair
-        // early, for what was left of it — and never out of step with
-        // what the worker believes it armed (the kernel rounds a
-        // timeout up to its tick, never down).
-        assert!(w.socket.read_timeout().unwrap() >= w.armed, "the socket holds what was armed");
+        let waited = timed(&mut lp, 2);
         assert!(waited >= window, "the second attempt gave up after {waited:?}");
         assert!(waited < window + Duration::from_millis(50), "waited {waited:?} for a {window:?} window");
-        assert_eq!((w.stats.stale, w.stats.timeouts), (1, 2));
+        assert_eq!((lp.lanes[0].stats.stale, lp.lanes[0].stats.timeouts), (1, 2));
+        let lane = &lp.lanes[0];
+        if !lane.polled {
+            // Never out of step with what the lane believes it armed
+            // (the kernel rounds a timeout up to its tick, never down).
+            assert!(lane.socket.read_timeout().unwrap() >= lane.armed, "the socket holds what was armed");
+        }
+    }
+
+    /// A reply queued before its window closed is an answer, however
+    /// long after the deadline the loop gets round to reading it: every
+    /// readable socket is read before any window is closed.
+    #[test]
+    fn a_reply_readable_before_its_deadline_is_an_answer_however_late_it_is_read() {
+        let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
+        let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(1)).unwrap();
+        let window = Duration::from_millis(40);
+        let cfg = ResolveConfig::new(vec![handle.local_addr()], origin())
+            .transactions(1)
+            .concurrency(1)
+            .timeout(window)
+            .max_tries(1);
+        let cells = [LaneCell::new(1)];
+        let mut lp = one_lane_loop(&cfg, &cells);
+        lp.lanes[0].advance().unwrap(); // the query is on the wire
+        // The loop is elsewhere until the window is long closed; the
+        // answer has been waiting in the socket all along.
+        std::thread::sleep(window * 3);
+        assert!(lp.turn().unwrap());
+        handle.shutdown();
+        let s = &lp.lanes[0].stats;
+        assert_eq!((s.answered, s.timeouts, s.servfails), (1, 0, 0), "{s:?}");
+    }
+
+    /// What [`Scripted`] does with one UDP query.
+    #[derive(Clone, Copy)]
+    enum Script {
+        Answer,
+        Truncate,
+        Ignore,
+    }
+
+    /// (arrival, lane) of every UDP query a [`Scripted`] server saw.
+    type UdpLog = Vec<(Instant, usize)>;
+    /// (frame arrival, reply sent) of every TCP exchange it served.
+    type TcpLog = Vec<(Instant, Instant)>;
+
+    /// A scripted authoritative on loopback: each UDP query is logged on
+    /// arrival and, `udp_delay` later, answered, truncated or ignored as
+    /// `script(lane, id)` says — the lane read from its `c{lane}-t…`
+    /// label; every TCP frame is answered `tcp_hold` after it arrived.
+    struct Scripted {
+        addr: SocketAddr,
+        stop: Arc<std::sync::atomic::AtomicBool>,
+        threads: Vec<std::thread::JoinHandle<()>>,
+        log: Arc<Mutex<UdpLog>>,
+        tcp_log: Arc<Mutex<TcpLog>>,
+    }
+
+    impl Scripted {
+        fn start(
+            script: fn(usize, u16) -> Script,
+            udp_delay: Duration,
+            tcp_hold: Duration,
+        ) -> Scripted {
+            use std::net::TcpListener;
+            let (udp, addr, tcp) = crate::server::bind_twin(
+                "127.0.0.1:0".parse().unwrap(),
+                || {
+                    let udp = UdpSocket::bind("127.0.0.1:0")?;
+                    let addr = udp.local_addr()?;
+                    Ok((udp, addr))
+                },
+                TcpListener::bind,
+            )
+            .unwrap();
+            let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let log: Arc<Mutex<UdpLog>> = Arc::default();
+            let tcp_log: Arc<Mutex<TcpLog>> = Arc::default();
+            let reply = |query: &Message, tc: bool| {
+                let mut r = Message::response_to(query, Rcode::NoError);
+                r.header.truncated = tc;
+                r.encode().unwrap()
+            };
+            let udp_thread = {
+                let (stop, log) = (Arc::clone(&stop), Arc::clone(&log));
+                std::thread::spawn(move || {
+                    udp.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+                    let mut buf = [0u8; 512];
+                    while !stop.load(Ordering::Relaxed) {
+                        let Ok((n, peer)) = udp.recv_from(&mut buf) else { continue };
+                        let query = Message::decode(&buf[..n]).unwrap();
+                        let label = query.question().unwrap().qname.to_string();
+                        let lane: usize = label[1..label.find('-').unwrap()].parse().unwrap();
+                        log.lock().unwrap().push((Instant::now(), lane));
+                        std::thread::sleep(udp_delay);
+                        match script(lane, query.header.id) {
+                            Script::Answer => drop(udp.send_to(&reply(&query, false), peer)),
+                            Script::Truncate => drop(udp.send_to(&reply(&query, true), peer)),
+                            Script::Ignore => {}
+                        }
+                    }
+                })
+            };
+            let tcp_thread = {
+                let (stop, tcp_log) = (Arc::clone(&stop), Arc::clone(&tcp_log));
+                std::thread::spawn(move || {
+                    tcp.set_nonblocking(true).unwrap();
+                    while !stop.load(Ordering::Relaxed) {
+                        let Ok((mut stream, _)) = tcp.accept() else {
+                            std::thread::sleep(Duration::from_millis(2));
+                            continue;
+                        };
+                        stream.set_nonblocking(false).unwrap();
+                        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+                        let mut reader = FrameReader::new();
+                        while let Ok(Some(frame)) = reader.read_frame(&mut stream) {
+                            let arrived = Instant::now();
+                            let query = Message::decode(frame).unwrap();
+                            std::thread::sleep(tcp_hold);
+                            write_frame(&mut stream, &reply(&query, false), &mut Vec::new()).unwrap();
+                            tcp_log.lock().unwrap().push((arrived, Instant::now()));
+                        }
+                    }
+                })
+            };
+            Scripted { addr, stop, threads: vec![udp_thread, tcp_thread], log, tcp_log }
+        }
+
+        /// Stops the server; returns the UDP arrivals and TCP exchanges.
+        fn stop(self) -> (UdpLog, TcpLog) {
+            self.stop.store(true, Ordering::Relaxed);
+            for t in self.threads {
+                t.join().unwrap();
+            }
+            let udp = std::mem::take(&mut *self.log.lock().unwrap());
+            let tcp = std::mem::take(&mut *self.tcp_log.lock().unwrap());
+            (udp, tcp)
+        }
+    }
+
+    /// Lane 0's first query meets silence and waits out a 300 ms
+    /// window; the other three lanes, on the same loop thread, get
+    /// every one of their 120 transactions answered inside that window.
+    #[test]
+    fn a_lane_waiting_out_a_silent_window_delays_no_other_lane() {
+        let window = Duration::from_millis(300);
+        let auth = Scripted::start(
+            |lane, id| if (lane, id) == (0, 0) { Script::Ignore } else { Script::Answer },
+            Duration::ZERO,
+            Duration::ZERO,
+        );
+        let cfg = ResolveConfig::new(vec![auth.addr], origin())
+            .transactions(4 * 40)
+            .concurrency(4)
+            .timeout(window)
+            .max_tries(1);
+        let report = resolve_on(cfg, 1).unwrap();
+        let (log, _) = auth.stop();
+        report.stats.check().unwrap();
+        assert_eq!((report.stats.answered, report.stats.timeouts), (159, 1), "{:?}", report.stats);
+        let silent_sent = log.iter().find(|(_, lane)| *lane == 0).unwrap().0;
+        let others: Vec<Instant> = log.iter().filter(|(_, lane)| *lane != 0).map(|e| e.0).collect();
+        assert_eq!(others.len(), 120);
+        let last = others.iter().max().unwrap().saturating_duration_since(silent_sent);
+        assert!(last < window / 2, "the others' last query went {last:?} into a {window:?} window");
+    }
+
+    /// Lane 0's first transaction is truncated and its TCP detour's
+    /// reply held 120 ms; meanwhile the other lanes on the same loop
+    /// keep going. The server spends 2 ms on each UDP query, so their
+    /// 240 transactions outlast the hold, and a loop stuck in the detour
+    /// would show as a 120 ms gap between two of a lane's queries.
+    #[test]
+    fn a_held_tcp_detour_delays_no_other_lane() {
+        let hold = Duration::from_millis(120);
+        let auth = Scripted::start(
+            |lane, id| if (lane, id) == (0, 0) { Script::Truncate } else { Script::Answer },
+            Duration::from_millis(2),
+            hold,
+        );
+        // The detour's reply must fit the 200 ms TCP deadline.
+        let cfg = ResolveConfig::new(vec![auth.addr], origin())
+            .transactions(4 * 80)
+            .concurrency(4)
+            .timeout(Duration::from_millis(200))
+            .max_tries(1);
+        let report = resolve_on(cfg, 1).unwrap();
+        let (log, tcp_log) = auth.stop();
+        report.stats.check().unwrap();
+        assert_eq!((report.stats.answered, report.stats.tcp_answered), (320, 1), "{:?}", report.stats);
+        let [(held_from, held_to)] = tcp_log[..] else { panic!("one TCP exchange: {tcp_log:?}") };
+        let mut during = 0;
+        for lane in 1..4 {
+            let arrivals: Vec<Instant> = log.iter().filter(|e| e.1 == lane).map(|e| e.0).collect();
+            assert_eq!(arrivals.len(), 80, "lane {lane}");
+            during += arrivals.iter().filter(|&&t| t > held_from && t < held_to).count();
+            let gap = arrivals.windows(2).map(|w| w[1] - w[0]).max().unwrap();
+            assert!(gap < Duration::from_millis(60), "lane {lane} stalled {gap:?}");
+        }
+        assert!(during >= 10, "only {during} other-lane queries during the {hold:?} hold");
+    }
+
+    /// One seeded chaos-proxied run (loss, duplication, mutation, TC=1
+    /// cuts; RRL drops and slips at the server; TCP detours through the
+    /// proxy) packed onto `loops` event loops: the client's books, a
+    /// digest per lane of its trace events, and the server's RRL
+    /// verdict counts.
+    fn packed_chaos_run(loops: usize) -> (ClientStats, BTreeMap<u64, u64>, (u64, u64)) {
+        use crate::chaos::{ChaosProxy, FaultPlan, FaultProfile};
+        use dnswild_server::{RateLimitPolicy, RrlScope};
+        use dnswild_telemetry::{CollectorConfig, Trace};
+        let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
+        let handle = serve(
+            ServeConfig::new("127.0.0.1:0", "FRA", zones)
+                .threads(2)
+                .tcp(TcpOptions { max_conns: 512, ..TcpOptions::default() })
+                .rate_limit(RateLimitPolicy {
+                    burst: 10,
+                    rate: 1,
+                    period: 2,
+                    slip: 2,
+                    scope: RrlScope::All,
+                    key_ports: true,
+                    ..RateLimitPolicy::default()
+                }),
+        )
+        .unwrap();
+        // No delays: a held duplicate racing the retry into the same
+        // RRL bucket would flip verdict order from run to run.
+        let faults = FaultProfile {
+            drop: 0.04,
+            dup: 0.05,
+            corrupt: 0.02,
+            truncate: 0.03,
+            ..FaultProfile::lossless()
+        };
+        let plan = Arc::new(FaultPlan::new(2017, faults, faults));
+        let proxy = ChaosProxy::spawn("127.0.0.1:0", handle.local_addr(), plan, None).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("dnswild-client-packed-{loops}-{}.trace", std::process::id()));
+        let collector = Arc::new(Collector::start(CollectorConfig::new(&path)).unwrap());
+        let cfg = ResolveConfig::new(vec![proxy.local_addr()], origin())
+            .transactions(8 * 20)
+            .concurrency(8)
+            .timeout(Duration::from_millis(150))
+            .tcp_reuse(false)
+            .collector(Arc::clone(&collector));
+        let report = resolve_on(cfg, loops).unwrap();
+        proxy.shutdown();
+        let server = handle.shutdown();
+        collector.finish().unwrap();
+        let events = Trace::read_from(&path).unwrap().events;
+        let _ = std::fs::remove_file(&path);
+        report.stats.check().unwrap();
+        // Per lane (its client token), the order-free digest of its
+        // events' deterministic content.
+        let mut seen: HashMap<(u64, u64), u64> = HashMap::new();
+        let mut lanes: BTreeMap<u64, u64> = BTreeMap::new();
+        for ev in &events {
+            let key = ev.content_key();
+            let n = seen.entry((ev.client_hash, key)).or_default();
+            let digest = lanes.entry(ev.client_hash).or_default();
+            *digest = digest.wrapping_add(splitmix64(key ^ splitmix64(*n)));
+            *n += 1;
+        }
+        (report.stats, lanes, (server.rrl_dropped, server.rrl_slipped))
+    }
+
+    /// The packing of lanes onto threads is invisible: the same seeded
+    /// chaos run on one loop, on two, and on a loop per lane gives the
+    /// same books, the same per-lane traces and the same RRL verdicts.
+    #[test]
+    fn packing_lanes_onto_loops_changes_no_lane() {
+        let one = packed_chaos_run(1);
+        let (stats, lanes, rrl) = &one;
+        assert_eq!(lanes.len(), 8, "one trace stream per lane");
+        assert!(stats.retries > 0 && stats.stale > 0 && stats.tcp_attempts > 0, "{stats:?}");
+        assert!(rrl.0 > 0 && rrl.1 > 0, "RRL dropped and slipped: {rrl:?}");
+        for loops in [2, 8] {
+            assert_eq!(packed_chaos_run(loops), one, "packed onto {loops} loops");
+        }
+    }
+
+    /// `resolve()` packs eight lanes onto at most one thread per core —
+    /// or, without the poll shim, gives each its own.
+    #[test]
+    fn resolve_starts_at_most_one_client_thread_per_core() {
+        use crate::closed_loop::STARTED;
+        let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
+        let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(1)).unwrap();
+        let cfg = ResolveConfig::new(vec![handle.local_addr()], origin())
+            .transactions(64)
+            .concurrency(8);
+        let before = STARTED.with(|n| n.get());
+        let report = resolve(cfg).unwrap();
+        let started = STARTED.with(|n| n.get()) - before;
+        handle.shutdown();
+        assert_eq!(report.stats.answered, 64);
+        let cores = std::thread::available_parallelism().unwrap().get();
+        if dnswild_mmsg::COMPILED {
+            assert!(started <= cores, "{started} client threads on {cores} cores");
+        } else {
+            assert_eq!(started, 8, "one blocking thread per lane");
+        }
+    }
+
+    /// The query a lane writes is, byte for byte, the `Message` the
+    /// client used to build and encode — with and without an EDNS size.
+    #[test]
+    fn written_queries_match_the_message_encoding() {
+        let cfg = ResolveConfig::new(vec!["127.0.0.1:53".parse().unwrap()], origin());
+        let cells = [LaneCell::new(1)];
+        for edns in [None, Some(512u16), Some(4096)] {
+            let mut cfg = cfg.clone();
+            cfg.edns_size = edns;
+            let mut lane = Lane::new(&cfg, 0, &cells[0], false).unwrap();
+            for (id, label) in [(0u16, "c0-t0"), (7, "c3-t1234"), (u16::MAX, "c31-t99999")] {
+                lane.qname = origin().prepend(label).unwrap();
+                lane.write_query(id);
+                let mut want = Message::iterative_query(id, lane.qname.clone(), RType::Txt);
+                if let Some(size) = edns {
+                    want.additionals.clear();
+                    want.add_edns(size);
+                }
+                assert_eq!(lane.send_buf, want.encode().unwrap(), "{label} {edns:?}");
+            }
+        }
     }
 }

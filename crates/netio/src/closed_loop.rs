@@ -2,7 +2,9 @@
 //! seed streams, the family-matched local bind, the even work split
 //! over scoped threads, and the closed-loop exchange itself — one
 //! outstanding query per socket, the discipline the paper's vantage
-//! points impose (one probe, then wait).
+//! points impose (one probe, then wait). The resolver client keeps that
+//! discipline per *lane*: each lane owns a socket and has at most one
+//! attempt on the wire, however many lanes one thread polls.
 
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
@@ -39,28 +41,42 @@ pub(crate) fn encode_query(query: &Message, buf: &mut Vec<u8>) -> io::Result<()>
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e:?}")))
 }
 
-/// Splits `total` units of work as evenly as possible over `threads`
-/// scoped threads (early threads take the remainder), runs
-/// `work(thread, first, share)` on each — `first` is the index of the
-/// thread's first unit — and returns the results in thread order, or
-/// the first error in that order once every thread has finished. The
-/// split is part of the determinism contract: the same unit→thread
-/// assignment must be used across runs.
+/// Part `part` of `total` units split as evenly as possible over
+/// `parts` (early parts take the remainder): the index of its first
+/// unit and its unit count. The split is part of the determinism
+/// contract: the same unit→part assignment must be used across runs.
+pub(crate) fn share_of(total: u64, parts: usize, part: usize) -> (u64, u64) {
+    let (parts, part) = (parts.max(1) as u64, part as u64);
+    let (base, extra) = (total / parts, total % parts);
+    (part * base + part.min(extra), base + u64::from(part < extra))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Threads [`fan_out`] started from this thread: how a test counts
+    /// the client threads of one run while other tests run beside it.
+    pub(crate) static STARTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Splits `total` units of work over `threads` scoped threads by
+/// [`share_of`], runs `work(thread, first, share)` on each — `first` is
+/// the index of the thread's first unit — and returns the results in
+/// thread order, or the first error in that order once every thread
+/// has finished.
 pub(crate) fn fan_out<T: Send>(
     threads: usize,
     total: u64,
     work: impl Fn(usize, u64, u64) -> io::Result<T> + Sync,
 ) -> io::Result<Vec<T>> {
     let threads = threads.max(1);
+    #[cfg(test)]
+    STARTED.with(|n| n.set(n.get() + threads));
     std::thread::scope(|scope| {
-        let mut first = 0;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let share = total / threads as u64 + u64::from((t as u64) < total % threads as u64);
+                let (first, share) = share_of(total, threads, t);
                 let work = &work;
-                let handle = scope.spawn(move || work(t, first, share));
-                first += share;
-                handle
+                scope.spawn(move || work(t, first, share))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("client worker panicked")).collect()

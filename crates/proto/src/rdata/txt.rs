@@ -57,7 +57,18 @@ impl Txt {
 
     pub(crate) fn decode(r: &mut WireReader<'_>, rdlength: usize) -> ProtoResult<Self> {
         let end = r.position() + rdlength;
-        let mut strings = Vec::new();
+        // Count the strings before copying any, so the vector is
+        // exact-fit: a record cache keeps decoded records as they are.
+        // The count is never more than the loop below would push.
+        let count = r.buffer().get(r.position()..end).map_or(0, |rdata| {
+            let (mut at, mut n) = (0, 0);
+            while at < rdata.len() {
+                at += 1 + rdata[at] as usize;
+                n += 1;
+            }
+            n
+        });
+        let mut strings = Vec::with_capacity(count);
         while r.position() < end {
             let len = r.read_u8()? as usize;
             if r.position() + len > end {
@@ -95,7 +106,9 @@ mod tests {
         t.encode(&mut w).unwrap();
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(Txt::decode(&mut r, bytes.len()).unwrap().strings().len(), 2);
+        let decoded = Txt::decode(&mut r, bytes.len()).unwrap();
+        assert_eq!(decoded.strings().len(), 2);
+        assert_eq!(decoded.strings.capacity(), 2, "exact-fit: a cache keeps it as decoded");
     }
 
     #[test]

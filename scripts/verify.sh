@@ -10,6 +10,12 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 
+# The same serving plane and resolver client without the syscall shim:
+# the shim's entry points report `Unsupported`, the server falls back to
+# its std loop, and each resolver lane waits in a blocking `recv` on a
+# thread of its own instead of in a shared `poll`.
+cargo test -q --offline -p dnswild-netio -p dnswild-mmsg --no-default-features
+
 # The gates at CI sizes. Each is one typed function of `dnswild::lab`
 # (crates/core/src/lab.rs) — the same code `dnswild smoke` and the tests
 # call — run twice where reproducibility is the claim, with the

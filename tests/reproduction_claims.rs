@@ -92,7 +92,7 @@ fn preference_persists_beyond_cache_timeouts() {
         for vp in result.vps.iter().filter(|v| v.continent == Continent::Eu) {
             for probe in &vp.probes {
                 total += 1;
-                if probe.auth == "FRA" {
+                if &*probe.auth == "FRA" {
                     fra += 1;
                 }
             }
