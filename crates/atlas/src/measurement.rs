@@ -252,7 +252,7 @@ impl Actor for VpStub {
             self.failure_times.push(ctx.now());
             return;
         };
-        let Some((auth, site)) = txt.strings().first().and_then(|s| parse_site(s)) else {
+        let Some((auth, site)) = txt.strings().next().and_then(parse_site) else {
             self.failure_times.push(ctx.now());
             return;
         };

@@ -34,5 +34,6 @@ mod store;
 
 pub use clock::{CacheTime, Clock, FixedClock, Secs, WallClock};
 pub use store::{
-    negative_ttl, CacheConfig, CacheStats, CachedResponse, EntryKind, Hit, RecordCache, STALE_TTL,
+    negative_ttl, soa_negative_ttl, CacheConfig, CacheStats, CachedResponse, EntryKind, Hit,
+    RecordCache, STALE_TTL,
 };

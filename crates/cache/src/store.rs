@@ -152,14 +152,16 @@ impl Default for CacheConfig {
 /// `min(SOA.minimum, SOA.ttl)` of the authority section's SOA, or
 /// `default` when the reply carries none.
 pub fn negative_ttl(reply: &Message, default: u32) -> u32 {
-    reply
-        .authorities
-        .iter()
-        .find_map(|r| match &r.rdata {
-            RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
-            _ => None,
-        })
-        .unwrap_or(default)
+    reply.authorities.iter().find_map(soa_negative_ttl).unwrap_or(default)
+}
+
+/// `min(SOA.minimum, SOA.ttl)` when `record` is an SOA: the lifetime it
+/// gives, as an authority record, to the negative answer it comes with.
+pub fn soa_negative_ttl(record: &Record) -> Option<u32> {
+    match &record.rdata {
+        RData::Soa(soa) => Some(soa.minimum.min(record.ttl)),
+        _ => None,
+    }
 }
 
 /// A TTL-respecting record cache; see the crate docs for the plane split.

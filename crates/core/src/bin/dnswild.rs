@@ -291,8 +291,8 @@ static BLAST: Command = Command {
     flags: &[
         Flag::value::<SocketAddr>("--addr", "A:P", "target address").default("127.0.0.1:5300"),
         Flag::value::<usize>("--concurrency", "N",
-            "client threads; with --chaos, resolver lanes (transactions in flight, polled \
-            by one thread per core)").default("4"),
+            "load lanes (queries in flight, polled by one thread per core); with --chaos, \
+            resolver lanes (transactions in flight)").default("4"),
         Flag::value::<u64>("--queries", "N", "total queries").default("10000"),
         // The resolver client has its own attempt windows and query mix.
         Flag::value::<u64>("--timeout-ms", "M", "per-query timeout").default("1000")
@@ -303,7 +303,7 @@ static BLAST: Command = Command {
         Flag::value::<AttackMode>("--attack", "MODE", "offer an adversarial workload instead of \
             the legitimate mix: nxdomain (water torture), nxns (delegation amplification), \
             spoof (port-multiplexed flood)").excludes(&["--chaos", "--probe-only", "--json"]),
-        Flag::value::<usize>("--spoofed-sources", "N", "socket pool per thread of the spoof \
+        Flag::value::<usize>("--spoofed-sources", "N", "socket pool per lane of the spoof \
             attack").default("16").needs(&["--attack"]),
         Flag::switch("--chaos", "route through a fault proxy and drive the resolver \
             retry/backoff client instead"),
@@ -576,7 +576,8 @@ static SMOKE: Command = Command {
         Flag::value::<usize>("--threads", "N", "server worker shards").default("2"),
         Flag::value::<IoBackend>("--io", "MODE", "server I/O loop: auto|std|mmsg").default("auto"),
         // The chaos and cache gates fix their worker counts for determinism.
-        Flag::value::<usize>("--concurrency", "N", "load client threads").default("4")
+        Flag::value::<usize>("--concurrency", "N", "load lanes (queries in flight, polled by \
+            one thread per core)").default("4")
             .excludes(&["--chaos", "--cache"]),
         Flag::value::<AttackMode>("--attack", "MODE", "the attack gate: a seeded \
             nxdomain|nxns|spoof flood runs beside the legitimate mix and every `attack-` output \

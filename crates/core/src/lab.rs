@@ -356,9 +356,9 @@ impl Lab {
         Ok(self.proxies.iter().map(ChaosProxy::local_addr).collect())
     }
 
-    /// Shuts the proxies down, which flushes any copy still held by
-    /// their delay schedulers and joins the TCP relay threads: the
-    /// plan's tallies are final afterwards.
+    /// Shuts the proxies down, which sends every delayed copy their
+    /// pumps still hold and joins the TCP relay threads: the plan's
+    /// tallies are final afterwards.
     fn flush_proxies(&mut self) -> Arc<FaultPlan> {
         for proxy in self.proxies.drain(..) {
             proxy.shutdown();
@@ -468,7 +468,7 @@ impl Lab {
 pub struct PlainSpec {
     /// Total queries of the legitimate mix.
     pub queries: u64,
-    /// Load client threads.
+    /// Load lanes: queries in flight, polled by one thread per core.
     pub concurrency: usize,
 }
 
@@ -1186,7 +1186,8 @@ pub struct AttackSpec {
     pub rrl: bool,
     /// Queries of the flood, and of the legitimate mix beside it.
     pub queries: u64,
-    /// Client threads of each of the two loads.
+    /// Lanes of each of the two loads: queries in flight, polled by one
+    /// thread per core.
     pub concurrency: usize,
     /// Schedule seed of both loads.
     pub seed: u64,

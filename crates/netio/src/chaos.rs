@@ -29,19 +29,19 @@
 //! into an order-insensitive [`FaultPlan::schedule_digest`], which is
 //! what the smoke gate compares across runs.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, DetRng, Rng};
 use dnswild_metrics::{counter_set, kv_line, AtomicSet, CounterSet, Registry};
+use dnswild_mmsg::{poll, PollFd};
 
-use crate::closed_loop::unspecified_for;
+use crate::closed_loop::{unspecified_for, POLLED};
 use crate::server::{bind_twin, is_idle_recv};
 use crate::tcp::{write_frame, FrameReader};
 use dnswild_telemetry::{
@@ -503,35 +503,16 @@ impl FaultPlan {
     }
 }
 
-/// A copy waiting in the delay scheduler.
-struct Scheduled {
+/// A delayed copy its pump holds until it is due.
+struct Held {
     due: Instant,
-    seq: u64,
     payload: Vec<u8>,
     socket: Arc<UdpSocket>,
     /// `Some(addr)` sends via `send_to`; `None` uses the connected peer.
     to: Option<SocketAddr>,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest due pops first.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
-impl Scheduled {
+impl Held {
     fn send(&self) {
         let _ = match self.to {
             Some(addr) => self.socket.send_to(&self.payload, addr),
@@ -543,15 +524,15 @@ impl Scheduled {
 /// A running chaos proxy: one listen socket facing clients, one
 /// connected socket per client session facing the upstream, a TCP
 /// listener on the same port relaying fallback frames (under the
-/// plan's [`TcpFaultProfile`]), and a scheduler thread that holds
-/// delayed copies.
+/// plan's [`TcpFaultProfile`]). Each pump — the listen loop forwarding
+/// client datagrams, and each session's loop relaying replies back —
+/// holds the delayed copies it decided and sends them when due.
 pub struct ChaosProxy {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     plan: Arc<FaultPlan>,
     listen: Option<JoinHandle<()>>,
     tcp_accept: Option<JoinHandle<()>>,
-    scheduler: Option<JoinHandle<()>>,
 }
 
 impl ChaosProxy {
@@ -582,17 +563,7 @@ impl ChaosProxy {
         listen_sock.set_read_timeout(Some(STOP_POLL_INTERVAL))?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<Scheduled>();
-
-        let scheduler = std::thread::Builder::new()
-            .name("chaos-sched".into())
-            .spawn(move || scheduler_loop(rx))?;
-        let relay = Relay {
-            plan: Arc::clone(&plan),
-            stop: Arc::clone(&stop),
-            tx,
-            collector,
-        };
+        let relay = Relay { plan: Arc::clone(&plan), stop: Arc::clone(&stop), collector };
         let listen = std::thread::Builder::new()
             .name("chaos-listen".into())
             .spawn(move || listen_loop(listen_sock, upstream, relay))?;
@@ -610,7 +581,6 @@ impl ChaosProxy {
             plan,
             listen: Some(listen),
             tcp_accept: Some(tcp_accept),
-            scheduler: Some(scheduler),
         })
     }
 
@@ -624,8 +594,8 @@ impl ChaosProxy {
         &self.plan
     }
 
-    /// Stops all proxy threads. Copies still held by the scheduler are
-    /// flushed immediately.
+    /// Stops all proxy threads. Every copy a pump still holds is sent
+    /// before this returns, however far off it was due.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.listen.take() {
@@ -635,11 +605,6 @@ impl ChaosProxy {
             // The accept loop blocks in `accept`; a throwaway connection
             // wakes it to observe the stop flag.
             let _ = TcpStream::connect_timeout(&self.local_addr, STOP_POLL_INTERVAL);
-            let _ = h.join();
-        }
-        // The listen thread owned the last scheduler sender; once it is
-        // gone the scheduler drains and exits.
-        if let Some(h) = self.scheduler.take() {
             let _ = h.join();
         }
     }
@@ -725,30 +690,47 @@ fn trace_decision(
 struct Relay {
     plan: Arc<FaultPlan>,
     stop: Arc<AtomicBool>,
-    /// The delay scheduler's inbox.
-    tx: mpsc::Sender<Scheduled>,
     collector: Option<Arc<Collector>>,
 }
 
 /// One direction's pump: every datagram is decided, traced and
-/// dispatched the same way, whichever way it travels.
+/// dispatched the same way, whichever way it travels. It reads from
+/// one socket, and holds the delayed copies it decided until they are
+/// due.
 struct Pump {
     relay: Relay,
     dir: Direction,
     producer: Option<Producer>,
-    /// Heap tie-break for delayed copies; the two directions count in
-    /// disjoint halves so no two copies ever compare equal.
-    seq: u64,
+    /// Delayed copies in due order (copies due together, in the order
+    /// they were decided).
+    held: VecDeque<Held>,
 }
 
 impl Pump {
     fn new(relay: Relay, dir: Direction) -> Pump {
         let producer = relay.collector.as_ref().map(|c| c.producer());
-        let seq = match dir {
-            Direction::Forward => 0,
-            Direction::Reverse => u64::MAX / 2,
-        };
-        Pump { relay, dir, producer, seq }
+        Pump { relay, dir, producer, held: VecDeque::new() }
+    }
+
+    /// Sends the copies that are due, then reads the next datagram from
+    /// `socket`, the one the pump reads, waiting until one arrives, the
+    /// next copy falls due or [`STOP_POLL_INTERVAL`] passes. `None` when
+    /// nothing arrived, or on a transient socket error. `poll(2)` keeps
+    /// time to the millisecond; without the shim the socket's read
+    /// timeout does, which the kernel rounds up to its scheduler tick.
+    fn recv_from(&mut self, socket: &UdpSocket, buf: &mut [u8]) -> Option<(usize, SocketAddr)> {
+        let now = Instant::now();
+        while let Some(h) = self.held.pop_front_if(|h| h.due <= now) {
+            h.send();
+        }
+        let wait =
+            self.held.front().map_or(STOP_POLL_INTERVAL, |h| (h.due - now).min(STOP_POLL_INTERVAL));
+        if !POLLED {
+            let _ = socket.set_read_timeout(Some(wait.max(Duration::from_micros(100))));
+        } else if !matches!(poll(&mut [PollFd::udp(socket)], wait), Ok(n) if n > 0) {
+            return None;
+        }
+        socket.recv_from(buf).ok()
     }
 
     /// Passes one datagram from `client`'s session through the fault
@@ -764,19 +746,22 @@ impl Pump {
             trace_decision(p, kind, plan.profile(self.dir), client, payload, &deliveries);
         }
         for d in deliveries {
-            self.seq += 1;
-            let copy = Scheduled {
-                due: Instant::now() + d.delay,
-                seq: self.seq,
-                payload: d.payload,
-                socket: Arc::clone(out),
-                to,
-            };
+            let due = Instant::now() + d.delay;
+            let copy = Held { due, payload: d.payload, socket: Arc::clone(out), to };
             if d.delay.is_zero() {
                 copy.send();
             } else {
-                let _ = self.relay.tx.send(copy);
+                self.held.insert(self.held.partition_point(|h| h.due <= due), copy);
             }
+        }
+    }
+}
+
+impl Drop for Pump {
+    /// A stopping pump sends what it still holds, at once.
+    fn drop(&mut self) {
+        for h in self.held.drain(..) {
+            h.send();
         }
     }
 }
@@ -786,10 +771,8 @@ fn listen_loop(listen: Arc<UdpSocket>, upstream: SocketAddr, relay: Relay) {
     let mut sessions: HashMap<SocketAddr, Session> = HashMap::new();
     let mut pump = Pump::new(relay.clone(), Direction::Forward);
     while !relay.stop.load(Ordering::Relaxed) {
-        let (n, client) = match listen.recv_from(&mut buf) {
-            Ok(ok) => ok,
-            // The stop-poll timeout, or a transient socket error.
-            Err(_) => continue,
+        let Some((n, client)) = pump.recv_from(&listen, &mut buf) else {
+            continue;
         };
         if let std::collections::hash_map::Entry::Vacant(slot) = sessions.entry(client) {
             match open_session(&listen, upstream, client, &relay) {
@@ -804,8 +787,6 @@ fn listen_loop(listen: Arc<UdpSocket>, upstream: SocketAddr, relay: Relay) {
     for (_, s) in sessions {
         let _ = s.pump.join();
     }
-    // Returning drops the last scheduler senders (this thread's and the
-    // joined sessions'), which is what lets the scheduler drain and exit.
 }
 
 fn open_session(
@@ -830,13 +811,10 @@ fn open_session(
 
 fn reverse_loop(upstream: Arc<UdpSocket>, listen: Arc<UdpSocket>, client: SocketAddr, relay: Relay) {
     let mut buf = vec![0u8; 65_535];
-    let stop = Arc::clone(&relay.stop);
     let mut pump = Pump::new(relay, Direction::Reverse);
-    while !stop.load(Ordering::Relaxed) {
-        match upstream.recv(&mut buf) {
-            Ok(n) => pump.pass(client, &buf[..n], &listen, Some(client)),
-            // The stop-poll timeout, or a transient socket error.
-            Err(_) => continue,
+    while !pump.relay.stop.load(Ordering::Relaxed) {
+        if let Some((n, _)) = pump.recv_from(&upstream, &mut buf) {
+            pump.pass(client, &buf[..n], &listen, Some(client));
         }
     }
 }
@@ -961,33 +939,6 @@ fn tcp_relay_loop(
                 }
             }
             _ => unreachable!("refuse/stall/reset handled above"),
-        }
-    }
-}
-
-fn scheduler_loop(rx: mpsc::Receiver<Scheduled>) {
-    let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-    loop {
-        let now = Instant::now();
-        while heap.peek().is_some_and(|s| s.due <= now) {
-            heap.pop().expect("peeked").send();
-        }
-        let wait = heap
-            .peek()
-            .map(|s| s.due.saturating_duration_since(now))
-            .unwrap_or(STOP_POLL_INTERVAL)
-            .min(STOP_POLL_INTERVAL)
-            .max(Duration::from_micros(100));
-        match rx.recv_timeout(wait) {
-            Ok(s) => heap.push(s),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // Shutdown: flush whatever is still held.
-                for s in heap.drain() {
-                    s.send();
-                }
-                return;
-            }
         }
     }
 }
@@ -1283,7 +1234,33 @@ mod tests {
         assert!(stats.tcp_queries >= 10, "server saw the relayed frames");
     }
 
-    /// Delayed copies arrive late but arrive; the scheduler delivers
+    /// Shutdown sends what the pumps still hold: a copy due in 2 s has
+    /// reached the upstream when `shutdown` returns, long before it was
+    /// due.
+    #[test]
+    fn shutdown_sends_every_held_copy() {
+        let upstream = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let profile = FaultProfile::lossless().delay_ms(2_000, 2_000);
+        let plan = Arc::new(FaultPlan::new(3, profile, FaultProfile::lossless()));
+        let upstream_addr = upstream.local_addr().unwrap();
+        let proxy =
+            ChaosProxy::spawn("127.0.0.1:0", upstream_addr, Arc::clone(&plan), None).unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client.send_to(b"held", proxy.local_addr()).unwrap();
+        let started = Instant::now();
+        while plan.tally(Direction::Forward).delayed == 0 {
+            assert!(started.elapsed() < Duration::from_secs(1), "the proxy never took the datagram");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        proxy.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1), "shutdown waited for the copy to fall due");
+        upstream.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 16];
+        let (n, _) = upstream.recv_from(&mut buf).expect("the held copy reached the upstream");
+        assert_eq!(&buf[..n], b"held");
+    }
+
+    /// Delayed copies arrive late but arrive; each pump delivers
     /// everything it holds.
     #[test]
     fn delayed_deliveries_arrive() {

@@ -14,13 +14,8 @@
 //!
 //! A lane is a resumable state machine, not a thread: it sends, then
 //! waits for its socket (or its TCP detour's stream) to turn readable
-//! or its deadline to pass. `min(lanes, cores)` event-loop threads each
-//! wait on all of their lanes at once with one `poll(2)` (the
-//! `dnswild-mmsg` shim), so a thread keeps many lookups in flight
-//! instead of parking on one. Only a TCP `connect` blocks. Without the
-//! shim (off Linux, or built without its `mmsg` feature) the same loop
-//! drives one lane per thread and waits in a blocking `recv` — one
-//! state machine, two ways to wait.
+//! or its deadline to pass, on the event loop of [`crate::closed_loop`]
+//! the load generator's lanes run on too. Only a TCP `connect` blocks.
 //!
 //! ## Determinism contract
 //!
@@ -41,12 +36,10 @@
 //!   ([`crate::chaos::FaultProfile::max_hold`], both directions
 //!   summed): a reply is then *either* always inside its window or
 //!   never delivered, so timeout counts cannot flip between runs.
-//! * Read before expire: a loop reads every readable socket before it
-//!   closes any window past its deadline, and a lane that read
-//!   something in a turn is not expired in it. So a reply that was
-//!   readable before its deadline is classified as an answer however
-//!   late a busy loop gets to it — as a thread blocked in `recv` would
-//!   have.
+//! * Read before expire (see [`crate::closed_loop::EventLoop`]): a
+//!   reply that was readable before its deadline is classified as an
+//!   answer however late a busy loop gets to it — as a thread blocked
+//!   in `recv` would have.
 //! * A failure reply (REFUSED/SERVFAIL/FORMERR/NOTIMP/TC) dooms its
 //!   attempt but the retransmit timer still paces the retry, so the
 //!   classification of a duplicated failure reply does not depend on
@@ -68,20 +61,20 @@
 use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
 use std::io;
-use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
-use std::num::NonZeroUsize;
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, DetRng};
-use dnswild_cache::{negative_ttl, CacheConfig, CacheStats, CacheTime, Clock, EntryKind, Hit,
+use dnswild_cache::{soa_negative_ttl, CacheConfig, CacheStats, CacheTime, Clock, EntryKind, Hit,
     RecordCache, WallClock};
 use dnswild_metrics::{counter_set, watchdog::inputs, AtomicSet, Hook, Registry};
-use dnswild_mmsg::{poll, PollFd};
+use dnswild_mmsg::PollFd;
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
 use dnswild_proto::{
-    Class, Header, Message, MessageWriter, Name, RType, Rcode, DEFAULT_EDNS_PAYLOAD,
+    Answer, Class, Header, Message, MessageWriter, Name, RType, Rcode, Record, Section,
+    DEFAULT_EDNS_PAYLOAD,
 };
 use dnswild_resolver::{InfraCache, PolicyKind, SelectionPolicy};
 use dnswild_telemetry::{
@@ -89,7 +82,7 @@ use dnswild_telemetry::{
     FLAG_TCP, FLAG_TCP_RETRY, FLAG_TC_SEEN, FLAG_TIMEOUT, RCODE_NONE,
 };
 
-use crate::closed_loop::{fan_out, share_of, thread_stream, unspecified_for};
+use crate::closed_loop::{cores, run_lanes, share_of, thread_stream, Lane, LaneSocket, POLLED};
 use crate::server::is_idle_recv;
 use crate::tcp::{write_frame, FrameReader};
 
@@ -243,10 +236,11 @@ impl SharedCache {
     /// Stores an answering reply under the rule of
     /// [`RecordCache::insert_reply`], keeping the caller's qname and the
     /// reply's decoded records (exact-fit: the decoder sizes each
-    /// section by its count) rather than copies. What needs no lock —
-    /// the SOA scan, the clock — is done before the shard is taken.
-    fn insert_reply(&self, qname: Name, qtype: RType, reply: Message) {
-        let (negative_ttl, now) = (negative_ttl(&reply, DEFAULT_NEGATIVE_TTL), self.clock.now());
+    /// section by its count) rather than copies. The caller has taken
+    /// `negative_ttl` from the reply's SOA; the clock is read before the
+    /// shard is taken.
+    fn insert_reply(&self, qname: Name, qtype: RType, reply: Answer, negative_ttl: u32) {
+        let now = self.clock.now();
         let mut shard = self.shard(&qname, qtype);
         shard.insert(qname, qtype, reply.answers, reply.header.rcode, negative_ttl, now);
     }
@@ -594,12 +588,12 @@ struct TcpConn {
 }
 
 /// Connects a fallback stream. Only the connect itself blocks: a
-/// `polled` lane reads the reply when its loop's `poll` says so, a
+/// polled lane reads the reply when its loop's `poll` says so, a
 /// blocking lane under the stream's read timeout.
-fn tcp_connect(addr: &SocketAddr, timeout: Duration, polled: bool) -> io::Result<TcpConn> {
+fn tcp_connect(addr: &SocketAddr, timeout: Duration) -> io::Result<TcpConn> {
     let stream = TcpStream::connect_timeout(addr, timeout)?;
     stream.set_nodelay(true)?;
-    if polled {
+    if POLLED {
         stream.set_nonblocking(true)?;
     } else {
         stream.set_read_timeout(Some(timeout))?;
@@ -611,8 +605,9 @@ fn tcp_connect(addr: &SocketAddr, timeout: Duration, polled: bool) -> io::Result
 /// How one received reply relates to the current transaction.
 enum Reply {
     /// A full answer to it — right ID, QR=1, TC=0, NOERROR/NXDOMAIN,
-    /// same question — handed out decoded, so no one decodes it again.
-    Answer { attempt: usize, msg: Message },
+    /// same question — handed out decoded, so no one decodes it again,
+    /// with its RFC 2308 lifetime as a negative answer.
+    Answer { attempt: usize, answer: Answer, negative_ttl: u32 },
     Lame { attempt: usize },
     FormErr,
     Tc,
@@ -722,15 +717,12 @@ fn register(registry: &Registry, servers: &[SocketAddr], cells: &Arc<[LaneCell]>
 /// finished its transactions and drained its socket. The lanes are
 /// packed onto one event-loop thread per core the host offers.
 pub fn resolve(config: ResolveConfig) -> io::Result<ResolveReport> {
-    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    resolve_on(config, cores)
+    resolve_on(config, cores())
 }
 
-/// [`resolve`] with its lanes packed onto `loops` threads (never more
-/// than one per lane; contiguous lanes share a thread). Without the
-/// poll shim each lane gets a thread of its own, whatever `loops` says.
-/// Which lanes share a thread changes no lane's books: that is the
-/// packing invariance the tests hold.
+/// [`resolve`] with its lanes packed onto `loops` threads (see
+/// [`run_lanes`]). Which lanes share a thread changes no lane's books:
+/// that is the packing invariance the tests hold.
 pub(crate) fn resolve_on(config: ResolveConfig, loops: usize) -> io::Result<ResolveReport> {
     if config.servers.is_empty() || config.servers.len() > 254 {
         return Err(io::Error::new(
@@ -740,14 +732,10 @@ pub(crate) fn resolve_on(config: ResolveConfig, loops: usize) -> io::Result<Reso
     }
     let servers = config.servers.len();
     let lanes = config.concurrency.max(1);
-    let polled = dnswild_mmsg::COMPILED;
-    let loops = if polled { loops.clamp(1, lanes) } else { lanes };
     let cells: Arc<[LaneCell]> = (0..lanes).map(|_| LaneCell::new(servers)).collect();
     let hooks = config.metrics.as_ref().map(|r| register(r, &config.servers, &cells));
     let start = Instant::now();
-    let run = fan_out(loops, lanes as u64, |_, first, count| {
-        EventLoop::new(&config, first as usize..(first + count) as usize, &cells, polled)?.run()
-    });
+    let run = run_lanes(lanes, loops, |i| ResolverLane::new(&config, i, &cells[i]));
     if let (Some(registry), Some(hooks)) = (&config.metrics, hooks) {
         registry.settle(hooks);
     }
@@ -818,29 +806,21 @@ enum Phase {
 /// on its own — its socket (so its own source port, and its own RRL
 /// bucket upstream), selection policy fed with real RTT samples, infra
 /// cache, RNG stream, contiguous share of the transactions, and books.
-/// It never blocks on the wire itself: it sends, then says what it
-/// waits for ([`Lane::deadline`]), and its [`EventLoop`] hands it what
-/// arrived ([`Lane::read`]) or tells it the wait is over
-/// ([`Lane::expire`]). Transaction attempts and background prefetches
-/// are the same attempt under different IDs.
-struct Lane<'a> {
+/// Transaction attempts and background prefetches are the same attempt
+/// under different IDs.
+pub(crate) struct ResolverLane<'a> {
     cfg: &'a ResolveConfig,
     /// Where this lane publishes its books.
     cell: &'a LaneCell,
     /// Names the lane's queries (`c{index}-t{txn}`) and seeds its streams.
     index: usize,
-    socket: UdpSocket,
-    /// Whether an [`EventLoop`] polls the socket (non-blocking), or the
-    /// lane waits in a blocking `recv` on a thread of its own.
-    polled: bool,
-    /// The read timeout a blocking socket holds (see [`Lane::arm`]).
-    armed: Option<Duration>,
+    socket: LaneSocket,
     tokens: Vec<SimAddr>,
     policy: Box<dyn SelectionPolicy>,
     infra: InfraCache,
     rng: DetRng,
     epoch: Instant,
-    /// Counts since the last [`Lane::publish`].
+    /// Counts since the last [`ResolverLane::publish`].
     stats: ClientStats,
     producer: Option<Producer>,
     send_buf: Vec<u8>,
@@ -872,26 +852,16 @@ struct Lane<'a> {
     tcp_started: Instant,
 }
 
-impl<'a> Lane<'a> {
-    fn new(
-        cfg: &'a ResolveConfig,
-        index: usize,
-        cell: &'a LaneCell,
-        polled: bool,
-    ) -> io::Result<Self> {
-        let socket = UdpSocket::bind(unspecified_for(&cfg.servers[0]))?;
-        if polled {
-            socket.set_nonblocking(true)?;
-        }
+impl<'a> ResolverLane<'a> {
+    fn new(cfg: &'a ResolveConfig, index: usize, cell: &'a LaneCell) -> io::Result<Self> {
+        let socket = LaneSocket::bind(&cfg.servers[0])?;
         let (first_txn, share) = share_of(cfg.transactions, cfg.concurrency.max(1), index);
         let now = Instant::now();
-        Ok(Lane {
+        Ok(ResolverLane {
             cfg,
             cell,
             index,
             socket,
-            polled,
-            armed: None,
             tokens: (0..cfg.servers.len()).map(server_token).collect(),
             policy: cfg.policy.build(),
             infra: InfraCache::new(cfg.policy.default_infra_expiry(), cfg.policy.smoothing()),
@@ -933,39 +903,6 @@ impl<'a> Lane<'a> {
     /// between transactions only, when the books are whole.
     fn publish(&mut self) {
         self.cell.stats.add(std::mem::take(&mut self.stats));
-    }
-
-    /// When the lane's wait ends, unless the wire ends it sooner; `None`
-    /// when it waits for nothing.
-    fn deadline(&self) -> Option<Instant> {
-        match self.phase {
-            Phase::Udp { deadline } | Phase::Tcp { deadline, .. } | Phase::Drain { deadline } => {
-                Some(deadline)
-            }
-            Phase::Ready | Phase::Done => None,
-        }
-    }
-
-    /// The socket the lane waits on, for its loop's `poll`: the TCP
-    /// detour's stream while one is out, else the UDP socket.
-    fn poll_fd(&self) -> PollFd {
-        match self.phase {
-            Phase::Tcp { .. } => {
-                let conn = self.tcp_conns[self.out.server].as_ref();
-                PollFd::tcp(&conn.expect("a detour holds its stream").stream)
-            }
-            _ => PollFd::udp(&self.socket),
-        }
-    }
-
-    /// Runs the lane on until it waits: starts transactions, answers
-    /// cache hits (which touch no socket, so a run of hits never waits)
-    /// and sends attempts.
-    fn advance(&mut self) -> io::Result<()> {
-        while matches!(self.phase, Phase::Ready) {
-            self.next_transaction()?;
-        }
-        Ok(())
     }
 
     /// Starts the next transaction, or the drain after the last one.
@@ -1052,7 +989,7 @@ impl<'a> Lane<'a> {
         self.cell.servers[server].attempts.fetch_add(1, Ordering::Relaxed);
         self.write_query(id);
         let sent_at = Instant::now();
-        self.socket.send_to(&self.send_buf, self.cfg.servers[server])?;
+        self.socket.udp.send_to(&self.send_buf, self.cfg.servers[server])?;
         self.stats.attempts += 1;
         self.sent.push(Attempt { id, server, sent_at });
         self.out = AttemptOutcome { id, server, window, doomed: None, answer: None };
@@ -1072,60 +1009,6 @@ impl<'a> Lane<'a> {
         self.send_buf = w.finish();
     }
 
-    /// Reads once from what the lane waits on — a datagram, or what one
-    /// read brings of the TCP detour's reply frame — and handles it.
-    /// A polled lane only reads what its loop found readable; a blocking
-    /// one waits up to `wait` (rounded up to the millisecond, so a
-    /// window never closes early) for a datagram. `false` when nothing
-    /// arrived.
-    fn read(&mut self, wait: Duration) -> io::Result<bool> {
-        if let Phase::Tcp { plan, .. } = self.phase {
-            return self.read_tcp(plan);
-        }
-        if !self.polled {
-            let ms = wait.as_nanos().div_ceil(1_000_000).max(1);
-            self.arm(Duration::from_millis(ms.min(u64::MAX as u128) as u64))?;
-        }
-        let got = match self.socket.recv(&mut self.recv_buf) {
-            Ok(n) => n,
-            // A spurious wake, the timer firing (a little early, even),
-            // or a signal: nothing arrived.
-            Err(e) if is_idle_recv(&e) || e.kind() == io::ErrorKind::Interrupted => {
-                return Ok(false)
-            }
-            Err(e) => return Err(e),
-        };
-        match self.phase {
-            Phase::Udp { .. } => self.on_datagram(got)?,
-            _ => {
-                // Duplicates and delayed replies of finished
-                // transactions: read them all so the reverse-direction
-                // books balance (chaos smoke asserts that every
-                // delivered datagram was classified).
-                if Message::decode(&self.recv_buf[..got]).is_ok() {
-                    self.stats.stale += 1;
-                } else {
-                    self.stats.corrupt_replies += 1;
-                }
-                self.phase = Phase::Drain { deadline: Instant::now() + DRAIN_WINDOW };
-            }
-        }
-        Ok(true)
-    }
-
-    /// Sets the blocking socket's read timeout to `wait`, unless that is
-    /// what it already holds — the only place the socket is armed, so
-    /// the remembered value cannot go out of date. A first try's window
-    /// rounds up to the whole window every first try shares, so a run
-    /// of them arms nothing.
-    fn arm(&mut self, wait: Duration) -> io::Result<()> {
-        if self.armed != Some(wait) {
-            self.socket.set_read_timeout(Some(wait))?;
-            self.armed = Some(wait);
-        }
-        Ok(())
-    }
-
     /// Classifies one datagram read inside an attempt's window.
     ///
     /// A failure reply dooms the attempt but the window still runs out
@@ -1135,7 +1018,7 @@ impl<'a> Lane<'a> {
     /// clean answer to any attempt of the transaction closes the window.
     fn on_datagram(&mut self, got: usize) -> io::Result<()> {
         match classify(&self.recv_buf[..got], &self.sent, &self.qname) {
-            Reply::Answer { attempt: a, msg } => {
+            Reply::Answer { attempt: a, answer, negative_ttl } => {
                 if let Some(kind) = self.out.doomed.take() {
                     match kind {
                         Doom::Lame => self.stats.lame -= 1,
@@ -1147,7 +1030,7 @@ impl<'a> Lane<'a> {
                 let Attempt { server, sent_at, .. } = self.sent[a];
                 let rtt = sent_at.elapsed();
                 self.observe_rtt(server, rtt);
-                self.cache_reply(msg);
+                self.cache_reply(answer, negative_ttl);
                 self.out.answer = Some(Answered { server, rtt, bytes: got });
                 return self.end_udp_attempt();
             }
@@ -1179,32 +1062,6 @@ impl<'a> Lane<'a> {
             Reply::Stale => self.stats.stale += 1,
         }
         Ok(())
-    }
-
-    /// The lane's wait is over with nothing (more) read: an attempt
-    /// window closes, a TCP detour's connection times out, a drain ends.
-    fn expire(&mut self) -> io::Result<()> {
-        match self.phase {
-            Phase::Udp { .. } => {
-                if self.out.doomed.is_none() {
-                    let token = self.tokens[self.out.server];
-                    self.stats.timeouts += 1;
-                    self.infra.observe_timeout(token, sim_now(self.epoch));
-                    self.excluded.push(token);
-                }
-                self.end_udp_attempt()
-            }
-            Phase::Tcp { plan, .. } => {
-                self.tcp_conns[self.out.server] = None;
-                self.tcp_try(plan + 1)
-            }
-            Phase::Drain { .. } => {
-                self.publish();
-                self.phase = Phase::Done;
-                Ok(())
-            }
-            Phase::Ready | Phase::Done => Ok(()),
-        }
     }
 
     /// The current UDP attempt's window has closed: on an answer, on
@@ -1243,7 +1100,7 @@ impl<'a> Lane<'a> {
         for (plan, &fresh) in plans.iter().enumerate().skip(from) {
             if fresh || self.tcp_conns[server].is_none() {
                 self.tcp_conns[server] =
-                    tcp_connect(&self.cfg.servers[server], self.cfg.timeout, self.polled).ok();
+                    tcp_connect(&self.cfg.servers[server], self.cfg.timeout).ok();
             }
             let Some(conn) = self.tcp_conns[server].as_mut() else {
                 continue;
@@ -1297,11 +1154,11 @@ impl<'a> Lane<'a> {
         }
         let mut flags = FLAG_TCP_RETRY;
         match reply {
-            Some((bytes, Reply::Answer { msg, .. })) => {
+            Some((bytes, Reply::Answer { answer, negative_ttl, .. })) => {
                 let rtt = self.tcp_started.elapsed();
                 self.stats.tcp_answered += 1;
                 self.observe_rtt(server, rtt);
-                self.cache_reply(msg);
+                self.cache_reply(answer, negative_ttl);
                 self.out.answer = Some(Answered { server, rtt, bytes });
                 flags |= FLAG_TC_SEEN | FLAG_TCP;
             }
@@ -1354,9 +1211,10 @@ impl<'a> Lane<'a> {
 
     /// Hands an answer to the cache, with the transaction's qname: the
     /// answer ends the transaction, so nothing asks for the name again.
-    fn cache_reply(&mut self, reply: Message) {
+    fn cache_reply(&mut self, reply: Answer, negative_ttl: u32) {
         if let Some(cache) = &self.cfg.cache {
-            cache.insert_reply(std::mem::replace(&mut self.qname, Name::root()), RType::Txt, reply);
+            let qname = std::mem::replace(&mut self.qname, Name::root());
+            cache.insert_reply(qname, RType::Txt, reply, negative_ttl);
         }
     }
 
@@ -1401,6 +1259,93 @@ impl<'a> Lane<'a> {
     }
 }
 
+/// A resolver lane on the loop: transactions, their attempts and TCP
+/// detours, then the drain.
+impl Lane for ResolverLane<'_> {
+    /// Runs the lane on until it waits: starts transactions, answers
+    /// cache hits (which touch no socket, so a run of hits never waits)
+    /// and sends attempts.
+    fn advance(&mut self) -> io::Result<()> {
+        while matches!(self.phase, Phase::Ready) {
+            self.next_transaction()?;
+        }
+        Ok(())
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        match self.phase {
+            Phase::Udp { deadline } | Phase::Tcp { deadline, .. } | Phase::Drain { deadline } => {
+                Some(deadline)
+            }
+            Phase::Ready | Phase::Done => None,
+        }
+    }
+
+    /// The TCP detour's stream while one is out, else the UDP socket.
+    fn poll_fd(&self) -> PollFd {
+        match self.phase {
+            Phase::Tcp { .. } => {
+                let conn = self.tcp_conns[self.out.server].as_ref();
+                PollFd::tcp(&conn.expect("a detour holds its stream").stream)
+            }
+            _ => PollFd::udp(&self.socket.udp),
+        }
+    }
+
+    /// A datagram, or what one read brings of the TCP detour's reply
+    /// frame.
+    fn read(&mut self, wait: Duration) -> io::Result<bool> {
+        if let Phase::Tcp { plan, .. } = self.phase {
+            return self.read_tcp(plan);
+        }
+        let Some(got) = self.socket.read(&mut self.recv_buf, wait)? else {
+            return Ok(false);
+        };
+        match self.phase {
+            Phase::Udp { .. } => self.on_datagram(got)?,
+            _ => {
+                // Duplicates and delayed replies of finished
+                // transactions: read them all so the reverse-direction
+                // books balance (chaos smoke asserts that every
+                // delivered datagram was classified).
+                if Message::decode(&self.recv_buf[..got]).is_ok() {
+                    self.stats.stale += 1;
+                } else {
+                    self.stats.corrupt_replies += 1;
+                }
+                self.phase = Phase::Drain { deadline: Instant::now() + DRAIN_WINDOW };
+            }
+        }
+        Ok(true)
+    }
+
+    /// An attempt window closes, a TCP detour's connection times out, a
+    /// drain ends.
+    fn expire(&mut self) -> io::Result<()> {
+        match self.phase {
+            Phase::Udp { .. } => {
+                if self.out.doomed.is_none() {
+                    let token = self.tokens[self.out.server];
+                    self.stats.timeouts += 1;
+                    self.infra.observe_timeout(token, sim_now(self.epoch));
+                    self.excluded.push(token);
+                }
+                self.end_udp_attempt()
+            }
+            Phase::Tcp { plan, .. } => {
+                self.tcp_conns[self.out.server] = None;
+                self.tcp_try(plan + 1)
+            }
+            Phase::Drain { .. } => {
+                self.publish();
+                self.phase = Phase::Done;
+                Ok(())
+            }
+            Phase::Ready | Phase::Done => Ok(()),
+        }
+    }
+}
+
 /// One `CacheLookup` event: `flags` says how the probe went
 /// ([`FLAG_RESPONSE`] a live hit, [`FLAG_TIMEOUT`] a stale serve, 0 a
 /// miss) and `rcode` what the entry held.
@@ -1415,127 +1360,39 @@ fn record_cache_lookup(producer: &Producer, ids: &Ids, flags: u16, rcode: u8) {
     producer.record(&ev);
 }
 
-/// One thread's lanes and the loop that drives them. Each turn runs
-/// every lane on to its next wait, waits once — in one `poll(2)` over
-/// all their sockets, or, without the shim, in the one lane's blocking
-/// `recv` — until a socket is readable or the earliest deadline
-/// passes, reads what is readable, and only then closes the windows
-/// that are past due. A lane read this turn is not expired in it: the
-/// next turn's poll (which does not wait, its deadline having passed)
-/// reads on until the socket is empty. So a reply that was readable
-/// before its deadline is an answer however late the loop reaches it.
-///
-/// Each lane has at most one deadline, so the earliest is a scan of
-/// the lanes' — a handful — with nothing to keep in order.
-struct EventLoop<'a> {
-    lanes: Vec<Lane<'a>>,
-    /// The poll set of the current turn, and the lane of each entry.
-    fds: Vec<PollFd>,
-    waiting: Vec<usize>,
-    /// Which lanes read something this turn.
-    read: Vec<bool>,
-    polled: bool,
-}
-
-impl<'a> EventLoop<'a> {
-    /// The loop over lanes `lanes` (their cells in `cells`), polled or —
-    /// exactly one lane — blocking.
-    fn new(
-        cfg: &'a ResolveConfig,
-        lanes: std::ops::Range<usize>,
-        cells: &'a [LaneCell],
-        polled: bool,
-    ) -> io::Result<Self> {
-        assert!(polled || lanes.len() == 1, "a blocking loop drives exactly one lane");
-        let lanes: Vec<Lane<'a>> =
-            lanes.map(|i| Lane::new(cfg, i, &cells[i], polled)).collect::<io::Result<_>>()?;
-        let n = lanes.len();
-        Ok(EventLoop {
-            lanes,
-            fds: Vec::with_capacity(n),
-            waiting: Vec::with_capacity(n),
-            read: vec![false; n],
-            polled,
-        })
-    }
-
-    /// Turns until every lane is done.
-    fn run(mut self) -> io::Result<()> {
-        while self.turn()? {}
-        Ok(())
-    }
-
-    /// One turn (see [`EventLoop`]); `false` once every lane is done.
-    fn turn(&mut self) -> io::Result<bool> {
-        for lane in &mut self.lanes {
-            lane.advance()?;
-        }
-        let Some(earliest) = self.lanes.iter().filter_map(Lane::deadline).min() else {
-            return Ok(false);
-        };
-        let wait = earliest.saturating_duration_since(Instant::now());
-        self.read.fill(false);
-        if self.polled {
-            self.fds.clear();
-            self.waiting.clear();
-            for (i, lane) in self.lanes.iter().enumerate() {
-                if lane.deadline().is_some() {
-                    self.fds.push(lane.poll_fd());
-                    self.waiting.push(i);
-                }
-            }
-            match poll(&mut self.fds, wait) {
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            for (fd, &i) in self.fds.iter().zip(&self.waiting) {
-                if fd.readable() {
-                    self.read[i] = self.lanes[i].read(wait)?;
-                }
-            }
-        } else {
-            self.read[0] = self.lanes[0].read(wait)?;
-        }
-        let now = Instant::now();
-        for (lane, &read) in self.lanes.iter_mut().zip(&self.read) {
-            if !read && lane.deadline().is_some_and(|d| d <= now) {
-                lane.expire()?;
-            }
-        }
-        Ok(true)
-    }
-}
-
 /// Classifies one received reply — a datagram, or a TCP frame's payload
 /// — against the attempts of the current transaction it may answer.
 /// Every outcome is a pure function of the reply's bytes and the
-/// (deterministic) attempt table, never of arrival timing.
+/// (deterministic) attempt table, never of arrival timing. The reply is
+/// decoded as an answer to the transaction's question: its answer
+/// records are all that is built (and all the cache keeps), the SOA
+/// that sets a negative answer's lifetime read on the way.
 fn classify(payload: &[u8], sent: &[Attempt], qname: &Name) -> Reply {
-    let Ok(msg) = Message::decode(payload) else {
+    let mut negative_ttl = None;
+    let soa = |section: Section, record: &Record| {
+        if section == Section::Authority && negative_ttl.is_none() {
+            negative_ttl = soa_negative_ttl(record);
+        }
+    };
+    let Ok(answer) = Message::decode_answer(payload, qname, RType::Txt, soa) else {
         return Reply::Corrupt;
     };
-    let Some(attempt) = sent.iter().position(|a| a.id == msg.header.id) else {
+    let header = &answer.header;
+    let Some(attempt) = sent.iter().position(|a| a.id == header.id) else {
         return Reply::Stale;
     };
-    if !msg.is_response() {
+    if !header.response {
         return Reply::Mismatch;
     }
-    if msg.header.truncated {
+    if header.truncated {
         return Reply::Tc;
     }
-    match msg.rcode() {
+    match header.rcode {
         Rcode::FormErr | Rcode::NotImp => Reply::FormErr,
         Rcode::Refused | Rcode::ServFail => Reply::Lame { attempt },
-        Rcode::NoError | Rcode::NxDomain => {
-            let question_matches = msg
-                .question()
-                .is_some_and(|q| q.qname == *qname && q.qtype == RType::Txt);
-            if question_matches {
-                Reply::Answer { attempt, msg }
-            } else {
-                Reply::Mismatch
-            }
+        Rcode::NoError | Rcode::NxDomain if answer.asked => {
+            let negative_ttl = negative_ttl.unwrap_or(DEFAULT_NEGATIVE_TTL);
+            Reply::Answer { attempt, answer, negative_ttl }
         }
         _ => Reply::Mismatch,
     }
@@ -1544,6 +1401,8 @@ fn classify(payload: &[u8], sent: &[Attempt], qname: &Name) -> Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closed_loop::tests::stale_reply_windows;
+    use crate::closed_loop::EventLoop;
     use crate::server::{serve, ServeConfig};
     use crate::tcp::TcpOptions;
     use detrand::Rng;
@@ -1551,6 +1410,7 @@ mod tests {
     use std::collections::{BTreeMap, HashMap};
     use dnswild_server::TruncationPolicy;
     use dnswild_zone::presets::{padded_test_domain_zone, test_domain_zone};
+    use std::net::UdpSocket;
     use std::sync::Arc;
 
     fn origin() -> Name {
@@ -1949,6 +1809,17 @@ mod tests {
         reply
     }
 
+    /// Stores `reply` the way a lane does: encoded, classified as the
+    /// answer to the one attempt it answers, and inserted.
+    fn insert_as_lane(cache: &SharedCache, qname: &Name, reply: &Message) {
+        let sent = [Attempt { id: reply.header.id, server: 0, sent_at: Instant::now() }];
+        let Reply::Answer { answer, negative_ttl, .. } = classify(&reply.encode().unwrap(), &sent, qname)
+        else {
+            panic!("{reply:?} is not an answer to {qname}");
+        };
+        cache.insert_reply(qname.clone(), RType::Txt, answer, negative_ttl);
+    }
+
     fn numbered_names(n: usize) -> Vec<Name> {
         (0..n).map(|i| origin().prepend(&format!("n{i}")).unwrap()).collect()
     }
@@ -1981,7 +1852,7 @@ mod tests {
                     let ttl = (rng.gen_range(0..8u32) > 0).then(|| rng.gen_range(0..15u32));
                     let reply = reply_to(qname, ttl);
                     single.insert_reply(qname, RType::Txt, &reply, DEFAULT_NEGATIVE_TTL, now);
-                    shared.insert_reply(qname.clone(), RType::Txt, reply);
+                    insert_as_lane(&shared, qname, &reply);
                 }
                 3 => assert_eq!(
                     shared.probe_stale(qname, RType::Txt),
@@ -2036,7 +1907,7 @@ mod tests {
                             let qname = &names[rng.gen_range(0..names.len())];
                             match rng.gen_range(0..8u32) {
                                 0..=1 => {
-                                    cache.insert_reply(qname.clone(), RType::Txt, reply_to(qname, Some(1)));
+                                    insert_as_lane(cache, qname, &reply_to(qname, Some(1)));
                                     stores += 1;
                                 }
                                 2..=3 => drop(cache.probe_stale(qname, RType::Txt)),
@@ -2101,7 +1972,7 @@ mod tests {
             let reply = reply_to(qname, Some(TTL_S));
             if shared.probe(qname, RType::Txt).is_none() {
                 misses[0][i] += 1;
-                shared.insert_reply(qname.clone(), RType::Txt, reply.clone());
+                insert_as_lane(&shared, qname, &reply);
             }
             if single.probe(qname, RType::Txt, now).is_none() {
                 misses[1][i] += 1;
@@ -2131,15 +2002,16 @@ mod tests {
     // ---- lanes on one event loop ----
 
     /// A one-lane loop in this build's wait mode.
-    fn one_lane_loop<'a>(cfg: &'a ResolveConfig, cells: &'a [LaneCell]) -> EventLoop<'a> {
-        EventLoop::new(cfg, 0..1, cells, dnswild_mmsg::COMPILED).unwrap()
+    fn one_lane_loop<'a>(cfg: &'a ResolveConfig, cells: &'a [LaneCell]) -> EventLoop<ResolverLane<'a>> {
+        EventLoop::new(vec![ResolverLane::new(cfg, 0, &cells[0]).unwrap()])
     }
 
     /// A stale reply late in a window must not restart it — the wait
     /// after it is for what is left — and must not leave the next
-    /// attempt a shorter window: on a polled lane (one `poll` timeout
-    /// per turn) and on a blocking one (one socket timeout, re-armed
-    /// only when it changes) alike.
+    /// window shorter: on a polled lane (one `poll` timeout per turn)
+    /// and on a blocking one (one socket timeout, re-armed only when it
+    /// changes) alike. The load lane's twin is
+    /// `closed_loop::tests::a_stale_reply_does_not_extend_the_window`.
     #[test]
     fn a_stale_reply_neither_extends_the_window_nor_shortens_the_next() {
         let window = Duration::from_millis(200);
@@ -2151,37 +2023,14 @@ mod tests {
             .max_tries(1);
         let cells = [LaneCell::new(1)];
         let mut lp = one_lane_loop(&cfg, &cells);
-        let stale = std::thread::spawn(move || {
-            let mut buf = [0u8; 512];
-            let (n, peer) = server.recv_from(&mut buf).unwrap();
-            std::thread::sleep(window.mul_f64(0.6));
-            buf[1] ^= 0xff; // wrong ID, then silence
-            server.send_to(&buf[..n], peer).unwrap();
-            server // kept open: the second attempt's query goes unanswered, not refused
-        });
-        let timed = |lp: &mut EventLoop<'_>, timeouts: u64| {
-            let started = Instant::now();
-            while lp.lanes[0].stats.timeouts < timeouts {
-                assert!(lp.turn().unwrap(), "the lane finished before its window closed");
-            }
-            started.elapsed()
-        };
-        let waited = timed(&mut lp, 1);
-        let _server = stale.join().unwrap();
-        assert_eq!(lp.lanes[0].stats.stale, 1);
-        assert!(waited >= window, "gave up after {waited:?} of a {window:?} window");
-        assert!(waited < window + Duration::from_millis(50), "waited {waited:?} for a {window:?} window");
-
-        let waited = timed(&mut lp, 2);
-        assert!(waited >= window, "the second attempt gave up after {waited:?}");
-        assert!(waited < window + Duration::from_millis(50), "waited {waited:?} for a {window:?} window");
-        assert_eq!((lp.lanes[0].stats.stale, lp.lanes[0].stats.timeouts), (1, 2));
-        let lane = &lp.lanes[0];
-        if !lane.polled {
+        stale_reply_windows(&mut lp, server, window, |lane| (lane.stats.stale, lane.stats.timeouts));
+        let socket = &lp.lanes[0].socket;
+        if !POLLED {
             // Never out of step with what the lane believes it armed
             // (the kernel rounds a timeout up to its tick, never down).
-            assert!(lane.socket.read_timeout().unwrap() >= lane.armed, "the socket holds what was armed");
+            assert!(socket.udp.read_timeout().unwrap() >= socket.armed, "the socket holds what was armed");
         }
+
     }
 
     /// A reply queued before its window closed is an answer, however
@@ -2491,7 +2340,7 @@ mod tests {
         for edns in [None, Some(512u16), Some(4096)] {
             let mut cfg = cfg.clone();
             cfg.edns_size = edns;
-            let mut lane = Lane::new(&cfg, 0, &cells[0], false).unwrap();
+            let mut lane = ResolverLane::new(&cfg, 0, &cells[0]).unwrap();
             for (id, label) in [(0u16, "c0-t0"), (7, "c3-t1234"), (u16::MAX, "c31-t99999")] {
                 lane.qname = origin().prepend(label).unwrap();
                 lane.write_query(id);

@@ -1,27 +1,36 @@
-//! What every client-side loop in this crate shares: the per-thread
-//! seed streams, the family-matched local bind, the even work split
-//! over scoped threads, and the closed-loop exchange itself — one
-//! outstanding query per socket, the discipline the paper's vantage
-//! points impose (one probe, then wait). The resolver client keeps that
-//! discipline per *lane*: each lane owns a socket and has at most one
-//! attempt on the wire, however many lanes one thread polls.
+//! The one closed loop every client in this crate waits in. The paper's
+//! vantage points send one probe, then wait for its answer; here each
+//! such probe is a [`Lane`] — a resumable state machine with at most one
+//! query on the wire — and `min(lanes, cores)` [`EventLoop`] threads
+//! each wait on all of their lanes at once with one `poll(2)` (the
+//! `dnswild-mmsg` shim), so a thread keeps many lookups in flight
+//! instead of parking on one. The resolver client's lanes
+//! ([`crate::client`]) and the load generator's ([`crate::load`]) are
+//! two kinds of lane on the same loop. Without the shim (off Linux, or
+//! built without its `mmsg` feature) the loop drives one lane per
+//! thread and waits in a blocking `recv` — one loop, two ways to wait.
+//!
+//! Also here: what both clients share besides the loop — the per-lane
+//! seed streams, the family-matched local bind and the even work split.
 
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
+use dnswild_mmsg::{poll, PollFd};
 use dnswild_proto::Message;
-use dnswild_telemetry::{
-    journey_from_payload, qname_hash32, Event, EventKind, Producer, FLAG_RESPONSE, FLAG_TC_SEEN,
-    FLAG_TIMEOUT, RCODE_NONE,
-};
 
 use crate::server::is_idle_recv;
 
-/// Thread `thread`'s stream of `seed`: distinct per thread, identical
-/// across runs — what makes per-thread schedules replay byte-for-byte.
-pub(crate) fn thread_stream(seed: u64, thread: usize) -> u64 {
-    seed ^ (thread as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+/// Whether this build's loops wait in one `poll` over many lanes (the
+/// shim is compiled in) or in one lane's blocking `recv`.
+pub(crate) const POLLED: bool = dnswild_mmsg::COMPILED;
+
+/// Lane `lane`'s stream of `seed`: distinct per lane, identical across
+/// runs — what makes per-lane schedules replay byte-for-byte.
+pub(crate) fn thread_stream(seed: u64, lane: usize) -> u64 {
+    seed ^ (lane as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// The unspecified address (ephemeral port) of `peer`'s family — the
@@ -51,163 +60,256 @@ pub(crate) fn share_of(total: u64, parts: usize, part: usize) -> (u64, u64) {
     (part * base + part.min(extra), base + u64::from(part < extra))
 }
 
+/// The cores the host offers: how many loops a client packs its lanes on.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// One client's resumable closed loop: it never blocks on the wire
+/// itself. It runs on until it waits ([`Lane::advance`]), says until
+/// when ([`Lane::deadline`]) and on which socket ([`Lane::poll_fd`]),
+/// and its [`EventLoop`] hands it what arrived ([`Lane::read`]) or tells
+/// it the wait is over ([`Lane::expire`]).
+pub(crate) trait Lane {
+    /// Runs the lane on until it waits (or is done).
+    fn advance(&mut self) -> io::Result<()>;
+    /// When the lane's wait ends, unless the wire ends it sooner; `None`
+    /// when it waits for nothing — done, once advanced.
+    fn deadline(&self) -> Option<Instant>;
+    /// The socket the lane waits on, for its loop's `poll`.
+    fn poll_fd(&self) -> PollFd;
+    /// Reads once from what the lane waits on and handles it — a polled
+    /// lane only what its loop found readable, a blocking one waiting up
+    /// to `wait`. `false` when nothing arrived.
+    fn read(&mut self, wait: Duration) -> io::Result<bool>;
+    /// The lane's wait is over with nothing (more) read.
+    fn expire(&mut self) -> io::Result<()>;
+}
+
+/// A lane's UDP socket in this build's wait mode: non-blocking under a
+/// polling loop, else blocking under a read timeout it re-arms only
+/// when the wait changes.
+pub(crate) struct LaneSocket {
+    pub(crate) udp: UdpSocket,
+    /// The read timeout a blocking socket holds (see [`LaneSocket::read`]).
+    pub(crate) armed: Option<Duration>,
+}
+
+impl LaneSocket {
+    /// A socket on an ephemeral port of `peer`'s family.
+    pub(crate) fn bind(peer: &SocketAddr) -> io::Result<LaneSocket> {
+        let udp = UdpSocket::bind(unspecified_for(peer))?;
+        if POLLED {
+            udp.set_nonblocking(true)?;
+        }
+        Ok(LaneSocket { udp, armed: None })
+    }
+
+    /// Reads one datagram into `buf`: its length, or `None` when nothing
+    /// arrived. A polled socket only looks; a blocking one waits up to
+    /// `wait` rounded up to the millisecond, so a window never closes
+    /// early and windows of one length arm the timeout once.
+    pub(crate) fn read(&mut self, buf: &mut [u8], wait: Duration) -> io::Result<Option<usize>> {
+        if !POLLED {
+            let ms = wait.as_nanos().div_ceil(1_000_000).clamp(1, u64::MAX as u128) as u64;
+            let wait = Duration::from_millis(ms);
+            if self.armed != Some(wait) {
+                self.udp.set_read_timeout(Some(wait))?;
+                self.armed = Some(wait);
+            }
+        }
+        match self.udp.recv(buf) {
+            Ok(n) => Ok(Some(n)),
+            // A spurious wake, the timer firing (a little early, even),
+            // or a signal: nothing arrived.
+            Err(e) if is_idle_recv(&e) || e.kind() == io::ErrorKind::Interrupted => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
 #[cfg(test)]
 thread_local! {
-    /// Threads [`fan_out`] started from this thread: how a test counts
-    /// the client threads of one run while other tests run beside it.
+    /// Loop threads [`run_lanes`] started from this thread: how a test
+    /// counts the client threads of one run while other tests run
+    /// beside it.
     pub(crate) static STARTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Splits `total` units of work over `threads` scoped threads by
-/// [`share_of`], runs `work(thread, first, share)` on each — `first` is
-/// the index of the thread's first unit — and returns the results in
-/// thread order, or the first error in that order once every thread
-/// has finished.
-pub(crate) fn fan_out<T: Send>(
-    threads: usize,
-    total: u64,
-    work: impl Fn(usize, u64, u64) -> io::Result<T> + Sync,
-) -> io::Result<Vec<T>> {
-    let threads = threads.max(1);
+/// Runs `lanes` lanes, lane `i` made by `make(i)`, packed onto `loops`
+/// event-loop threads (never more than one per lane; contiguous lanes
+/// share a thread) — or, without the poll shim, on a thread per lane,
+/// whatever `loops` says. Returns the finished lanes in lane order, or
+/// the first error in that order once every thread has finished.
+pub(crate) fn run_lanes<L: Lane + Send>(
+    lanes: usize,
+    loops: usize,
+    make: impl Fn(usize) -> io::Result<L> + Sync,
+) -> io::Result<Vec<L>> {
+    let lanes = lanes.max(1);
+    let loops = if POLLED { loops.clamp(1, lanes) } else { lanes };
     #[cfg(test)]
-    STARTED.with(|n| n.set(n.get() + threads));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+    STARTED.with(|n| n.set(n.get() + loops));
+    let loops: Vec<Vec<L>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..loops)
             .map(|t| {
-                let (first, share) = share_of(total, threads, t);
-                let work = &work;
-                scope.spawn(move || work(t, first, share))
+                let (first, count) = share_of(lanes as u64, loops, t);
+                let make = &make;
+                scope.spawn(move || {
+                    let lanes = (first..first + count).map(|i| make(i as usize));
+                    EventLoop::new(lanes.collect::<io::Result<_>>()?).run()
+                })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client worker panicked")).collect()
-    })
+        handles.into_iter().map(|h| h.join().expect("client loop panicked")).collect::<io::Result<_>>()
+    })?;
+    Ok(loops.into_iter().flatten().collect())
 }
 
-/// How an [`exchange`] is traced: one `ClientQuery` event per exchange
-/// under a stable client token, with `flags` OR-ed into every event.
-pub(crate) struct ExchangeTrace<'a> {
-    pub(crate) producer: &'a Producer,
-    /// Deterministic across runs (the rank analysis groups trace events
-    /// by it), unlike a socket address.
-    pub(crate) client_token: u64,
-    pub(crate) auth_id: u16,
-    pub(crate) flags: u16,
+/// One thread's lanes and the loop that drives them. Each turn runs
+/// every lane on to its next wait, waits once — in one `poll(2)` over
+/// all their sockets, or, without the shim, in the one lane's blocking
+/// `recv` — until a socket is readable or the earliest deadline
+/// passes, reads what is readable, and only then closes the waits
+/// that are past due. A lane read this turn is not expired in it: the
+/// next turn's poll (which does not wait, its deadline having passed)
+/// reads on until the socket is empty. So a reply that was readable
+/// before its deadline is an answer however late the loop reaches it,
+/// and a stale reply late in a window neither extends it nor shortens
+/// the next.
+///
+/// Each lane has at most one deadline, so the earliest is a scan of
+/// the lanes' — a handful — with nothing to keep in order.
+pub(crate) struct EventLoop<L> {
+    pub(crate) lanes: Vec<L>,
+    /// The poll set of the current turn, and the lane of each entry.
+    fds: Vec<PollFd>,
+    waiting: Vec<usize>,
+    /// Which lanes read something this turn.
+    read: Vec<bool>,
 }
 
-/// What one [`exchange`] came to.
-pub(crate) struct Exchanged {
-    /// Length of the matching reply (left in the receive buffer), or
-    /// `None` when the window closed without one.
-    pub(crate) reply_len: Option<usize>,
-    /// Send-to-match round trip; the full wait on a timeout.
-    pub(crate) rtt: Duration,
-    /// Whether the matching reply carried TC=1.
-    pub(crate) truncated: bool,
-    /// Datagrams discarded for carrying a stale/unexpected ID.
-    pub(crate) mismatched: u64,
-}
-
-/// One closed-loop exchange on a connected socket whose read timeout is
-/// armed to `timeout`: send `query`, wait for the reply carrying `id`
-/// inside `timeout`, count stale replies from queries that already
-/// timed out, and record the one `ClientQuery` event when traced.
-pub(crate) fn exchange(
-    socket: &UdpSocket,
-    query: &[u8],
-    id: u16,
-    timeout: Duration,
-    recv_buf: &mut [u8],
-    trace: Option<&ExchangeTrace<'_>>,
-) -> io::Result<Exchanged> {
-    let sent_at = Instant::now();
-    let deadline = sent_at + timeout;
-    let sent_ns = trace.map(|t| t.producer.now_ns());
-    socket.send(query)?;
-    let mut out = Exchanged { reply_len: None, rtt: timeout, truncated: false, mismatched: 0 };
-    let mut rearmed = false;
-    loop {
-        match socket.recv(recv_buf) {
-            Ok(got) if got >= 2 && u16::from_be_bytes([recv_buf[0], recv_buf[1]]) == id => {
-                out.rtt = sent_at.elapsed();
-                out.reply_len = Some(got);
-                // TC lives in bit 1 of byte 2.
-                out.truncated = got >= 3 && recv_buf[2] & 0x02 != 0;
-                break;
-            }
-            Ok(_) => out.mismatched += 1,
-            // The timer may wake a little before the deadline, and a
-            // signal landing mid-recv is not a timeout and not a
-            // worker-fatal error: either way, wait out the window.
-            Err(e) if is_idle_recv(&e) || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+impl<L: Lane> EventLoop<L> {
+    /// The loop over `lanes`: any number polled, exactly one blocking.
+    pub(crate) fn new(lanes: Vec<L>) -> Self {
+        assert!(POLLED || lanes.len() == 1, "a blocking loop drives exactly one lane");
+        let n = lanes.len();
+        EventLoop {
+            lanes,
+            fds: Vec::with_capacity(n),
+            waiting: Vec::with_capacity(n),
+            read: vec![false; n],
         }
-        // The socket waits a full `timeout` per read, so the next read
-        // may only wait out what is left of this window.
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            break;
+    }
+
+    /// Turns until every lane is done; hands the lanes back.
+    pub(crate) fn run(mut self) -> io::Result<Vec<L>> {
+        while self.turn()? {}
+        Ok(self.lanes)
+    }
+
+    /// One turn (see [`EventLoop`]); `false` once every lane is done.
+    pub(crate) fn turn(&mut self) -> io::Result<bool> {
+        for lane in &mut self.lanes {
+            lane.advance()?;
         }
-        socket.set_read_timeout(Some(left))?;
-        rearmed = true;
-    }
-    if rearmed {
-        socket.set_read_timeout(Some(timeout))?;
-    }
-    if let (Some(t), Some(sent_ns)) = (trace, sent_ns) {
-        let mut ev = Event::new(EventKind::ClientQuery);
-        ev.ts_ns = sent_ns;
-        ev.client_hash = t.client_token;
-        // Question bytes past the header — allocation-free and
-        // byte-identical to what the server hashes for this datagram on
-        // its side.
-        ev.qname_hash = qname_hash32(query.get(12..).unwrap_or(&[]));
-        (ev.journey, ev.dns_id) = journey_from_payload(query);
-        ev.latency_ns = u32::try_from(t.producer.now_ns().saturating_sub(sent_ns)).unwrap_or(u32::MAX);
-        ev.auth_id = t.auth_id;
-        ev.bytes_in = u16::try_from(query.len()).unwrap_or(u16::MAX);
-        ev.bytes_out = u16::try_from(out.reply_len.unwrap_or(0)).unwrap_or(u16::MAX);
-        ev.flags = t.flags
-            | if out.reply_len.is_some() { FLAG_RESPONSE } else { FLAG_TIMEOUT }
-            | (u16::from(out.truncated) * FLAG_TC_SEEN);
-        // Wire rcode lives in the low nibble of byte 3.
-        ev.rcode = match out.reply_len {
-            Some(len) if len >= 4 => recv_buf[3] & 0x0f,
-            _ => RCODE_NONE,
+        let Some(earliest) = self.lanes.iter().filter_map(L::deadline).min() else {
+            return Ok(false);
         };
-        t.producer.record(&ev);
+        let wait = earliest.saturating_duration_since(Instant::now());
+        self.read.fill(false);
+        if POLLED {
+            self.fds.clear();
+            self.waiting.clear();
+            for (i, lane) in self.lanes.iter().enumerate() {
+                if lane.deadline().is_some() {
+                    self.fds.push(lane.poll_fd());
+                    self.waiting.push(i);
+                }
+            }
+            match poll(&mut self.fds, wait) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+            for (fd, &i) in self.fds.iter().zip(&self.waiting) {
+                if fd.readable() {
+                    self.read[i] = self.lanes[i].read(wait)?;
+                }
+            }
+        } else {
+            self.read[0] = self.lanes[0].read(wait)?;
+        }
+        let now = Instant::now();
+        for (lane, &read) in self.lanes.iter_mut().zip(&self.read) {
+            if !read && lane.deadline().is_some_and(|d| d <= now) {
+                lane.expire()?;
+            }
+        }
+        Ok(true)
     }
-    Ok(out)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::load::{LoadCell, LoadConfig, LoadLane};
+    use dnswild_proto::Name;
 
-    /// One stale reply late in the window must not restart it: the read
-    /// after a wrong-ID datagram waits only for what is left of
-    /// `timeout`, and the socket's own timeout is restored afterwards.
-    #[test]
-    fn a_stale_reply_does_not_extend_the_window() {
-        let timeout = Duration::from_millis(200);
-        let server = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
-        client.connect(server.local_addr().unwrap()).unwrap();
-        client.set_read_timeout(Some(timeout)).unwrap();
+    /// Drives `lp`'s one lane, whose first query `server` answers with a
+    /// wrong ID late in its `window`, through that window and the next
+    /// (which `server` leaves silent); `books` reads the lane's (stale
+    /// replies, timeouts).
+    pub(crate) fn stale_reply_windows<L: Lane>(
+        lp: &mut EventLoop<L>,
+        server: UdpSocket,
+        window: Duration,
+        books: impl Fn(&L) -> (u64, u64),
+    ) {
         let stale = std::thread::spawn(move || {
             let mut buf = [0u8; 512];
             let (n, peer) = server.recv_from(&mut buf).unwrap();
-            std::thread::sleep(timeout.mul_f64(0.6));
+            std::thread::sleep(window.mul_f64(0.6));
             buf[1] ^= 0xff; // wrong ID, then silence
             server.send_to(&buf[..n], peer).unwrap();
+            server // kept open: the second query goes unanswered, not refused
         });
-        let query = Message::iterative_query(7, dnswild_proto::Name::root(), dnswild_proto::RType::Ns);
-        let started = Instant::now();
-        let got = exchange(&client, &query.encode().unwrap(), 7, timeout, &mut [0u8; 512], None).unwrap();
-        let waited = started.elapsed();
-        stale.join().unwrap();
-        assert_eq!((got.reply_len, got.mismatched), (None, 1));
-        assert!(waited >= timeout, "gave up after {waited:?} of a {timeout:?} window");
-        assert!(waited < timeout + Duration::from_millis(50), "waited {waited:?} for a {timeout:?} window");
-        assert_eq!(client.read_timeout().unwrap(), Some(timeout));
+        let mut timed = |timeouts: u64| {
+            let started = Instant::now();
+            while books(&lp.lanes[0]).1 < timeouts {
+                assert!(lp.turn().unwrap(), "the lane finished before its window closed");
+            }
+            started.elapsed()
+        };
+        let waited = timed(1);
+        let _server = stale.join().unwrap();
+        assert!(waited >= window, "gave up after {waited:?} of a {window:?} window");
+        assert!(waited < window + Duration::from_millis(50), "waited {waited:?} for a {window:?} window");
+
+        let waited = timed(2);
+        assert!(waited >= window, "the second query gave up after {waited:?}");
+        assert!(waited < window + Duration::from_millis(50), "waited {waited:?} for a {window:?} window");
+        assert_eq!(books(&lp.lanes[0]), (1, 2));
+    }
+
+    /// One stale reply late in the window must not restart it: the wait
+    /// after a wrong-ID datagram is for what is left of the window, and
+    /// the next window is as long as the first — here on a load lane,
+    /// the closed loop `blast` runs (the resolver lane's twin is
+    /// `client::tests::a_stale_reply_neither_extends_the_window_nor_shortens_the_next`).
+    #[test]
+    fn a_stale_reply_does_not_extend_the_window() {
+        let window = Duration::from_millis(200);
+        let server = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let origin = Name::parse("ourtestdomain.nl").unwrap();
+        let mut cfg = LoadConfig::new(server.local_addr().unwrap(), origin).concurrency(1).queries(2);
+        cfg.timeout = window;
+        let cells = [LoadCell::default()];
+        let mut lp = EventLoop::new(vec![LoadLane::new(&cfg, 0, &cells[0], None).unwrap()]);
+        let books = |_: &LoadLane<'_>| {
+            let s = cells[0].0.snapshot();
+            (s.mismatched, s.timeouts)
+        };
+        stale_reply_windows(&mut lp, server, window, books);
     }
 }

@@ -1,12 +1,14 @@
 //! The closed-loop load generator.
 //!
-//! `concurrency` client threads each run a closed loop against the
-//! target server: build a query, send it, wait for the matching
-//! response (or a timeout), record the latency, repeat. Closed-loop
-//! means at most one outstanding query per socket, so the offered load
-//! adapts to the server rather than overrunning socket buffers — the
-//! right shape for measuring serving capacity on loopback, and the same
-//! discipline the paper's vantage points impose (one probe, then wait).
+//! `concurrency` lanes each run a closed loop against the target
+//! server: build a query, send it, wait for the matching response (or
+//! a timeout), record the latency, repeat. Closed-loop means at most
+//! one outstanding query per lane, so the offered load adapts to the
+//! server rather than overrunning socket buffers — the right shape for
+//! measuring serving capacity on loopback, and the same discipline the
+//! paper's vantage points impose (one probe, then wait). The lanes run
+//! on the event loop of [`crate::closed_loop`], packed onto one thread
+//! per core like the resolver client's.
 //!
 //! What is asked is the [`Workload`]; friendly or hostile, it is one
 //! loop, one report and one set of books:
@@ -28,45 +30,49 @@
 //!     pulling a referral carrying the full NS+glue set (the generator
 //!     advertises EDNS 4096 so the fat referral is not truncated away).
 //!   * [`AttackMode::SpoofedBurst`] — the same flood multiplexed over a
-//!     pool of ephemeral-port sockets per thread, standing in for
+//!     pool of ephemeral-port sockets per lane, standing in for
 //!     spoofed sources: with `key_ports` keying on the server, each port
 //!     is a distinct rate-limit identity, which is exactly the evasion
 //!     RRL's prefix aggregation is designed to blunt.
 //!
-//! Schedules are pure functions of ([`LoadConfig::seed`], thread,
-//! sequence number) — per-thread `detrand` streams — so two runs with
+//! Schedules are pure functions of ([`LoadConfig::seed`], lane,
+//! sequence number) — per-lane `detrand` streams — so two runs with
 //! one seed offer byte-identical query streams, which is what lets the
 //! attack gate diff its output lines across runs like the chaos gate
 //! does.
 
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, DetRng, Rng};
 use dnswild_metrics::{counter_set, AtomicSet, LogHistogram, Registry};
+use dnswild_mmsg::PollFd;
 use dnswild_proto::{Class, Message, Name, RType};
 use dnswild_server::ServerStats;
-use dnswild_telemetry::{Collector, FLAG_ATTACK};
+use dnswild_telemetry::{
+    journey_from_payload, qname_hash32, Collector, Event, EventKind, Producer, FLAG_ATTACK,
+    FLAG_RESPONSE, FLAG_TC_SEEN, FLAG_TIMEOUT, RCODE_NONE,
+};
 use dnswild_zone::presets::{DELEGATION_LABEL, NX_ANCHOR_LABEL};
 
 use crate::closed_loop::{
-    encode_query, exchange, fan_out, thread_stream, unspecified_for, ExchangeTrace,
+    cores, encode_query, run_lanes, share_of, thread_stream, Lane, LaneSocket,
 };
 
 /// EDNS payload size the NXNS mode advertises, so the padded referral
 /// rides back whole instead of as a TC stub.
 pub const NXNS_EDNS_PAYLOAD: u16 = 4096;
 
-/// Sockets per thread a [`AttackMode::SpoofedBurst`] flood rotates over
+/// Sockets per lane a [`AttackMode::SpoofedBurst`] flood rotates over
 /// unless told otherwise.
 pub const DEFAULT_SPOOFED_SOURCES: usize = 16;
 
 /// Relative weights of the query kinds the legitimate mix draws from.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryMix {
-    /// Unique-label wildcard TXT probes (`p<thread>-q<n>.<origin>`).
+    /// Unique-label wildcard TXT probes (`p<lane>-q<n>.<origin>`).
     pub probe_txt: u32,
     /// `<origin> NS` — the apex NS RRset.
     pub apex_ns: u32,
@@ -104,7 +110,7 @@ pub enum AttackMode {
     NxdomainFlood,
     /// Delegation-amplification replay below the `lab` cut.
     NxnsReferral,
-    /// [`AttackMode::NxdomainFlood`] multiplexed over a per-thread pool
+    /// [`AttackMode::NxdomainFlood`] multiplexed over a per-lane pool
     /// of ephemeral-port sockets (spoofed-source stand-in).
     SpoofedBurst,
 }
@@ -137,20 +143,20 @@ impl std::str::FromStr for AttackMode {
 /// it leaves from), the socket-pool size, and the trace identity.
 #[derive(Debug, Clone, Copy)]
 pub enum Workload {
-    /// The legitimate mix, one socket per thread.
+    /// The legitimate mix, one socket per lane.
     Mix(QueryMix),
     /// An adversarial flood.
     Attack {
         /// Which flood.
         mode: AttackMode,
-        /// Socket-pool size per thread for [`AttackMode::SpoofedBurst`]
-        /// (the other modes use one socket per thread).
+        /// Socket-pool size per lane for [`AttackMode::SpoofedBurst`]
+        /// (the other modes use one socket per lane).
         spoofed_sources: usize,
     },
 }
 
 impl Workload {
-    /// Sockets each client thread opens.
+    /// Sockets each lane opens.
     fn sockets(&self) -> usize {
         match *self {
             Workload::Attack { mode: AttackMode::SpoofedBurst, spoofed_sources } => {
@@ -168,7 +174,7 @@ impl Workload {
         }
     }
 
-    /// Draws `thread`'s `n`-th query and the index of the socket it
+    /// Draws lane `thread`'s `n`-th query and the index of the socket it
     /// leaves from — a pure function of the seed stream, so schedules
     /// replay byte-identically.
     fn next(
@@ -245,9 +251,10 @@ fn mix_query(
 pub struct LoadConfig {
     /// The server under test.
     pub target: SocketAddr,
-    /// Client threads, each running an independent closed loop.
+    /// Lanes — queries in flight — each running an independent closed
+    /// loop, on one event-loop thread per core.
     pub concurrency: usize,
-    /// Total queries across all threads.
+    /// Total queries across all lanes.
     pub queries: u64,
     /// Per-query response timeout. A flood against a rate limiter wants
     /// it short: a dropped response *is* the expected server behaviour,
@@ -259,7 +266,7 @@ pub struct LoadConfig {
     pub origin: Name,
     /// What is asked.
     pub workload: Workload,
-    /// Telemetry collector: when set, each client thread records one
+    /// Telemetry collector: when set, each lane records one
     /// `ClientQuery` event per transaction (answer or timeout), flagged
     /// [`FLAG_ATTACK`] under [`Workload::Attack`] — which is how the
     /// trace analysis separates attacker packets from legitimate ones.
@@ -275,7 +282,7 @@ pub struct LoadConfig {
 }
 
 impl LoadConfig {
-    /// Defaults: 4 threads, 10,000 queries, 1 s timeout, seed 2017,
+    /// Defaults: 4 lanes, 10,000 queries, 1 s timeout, seed 2017,
     /// the default mixed workload.
     pub fn new(target: SocketAddr, origin: Name) -> Self {
         LoadConfig {
@@ -292,7 +299,7 @@ impl LoadConfig {
         }
     }
 
-    /// Overrides the thread count.
+    /// Overrides the lane count.
     pub fn concurrency(mut self, concurrency: usize) -> Self {
         self.concurrency = concurrency.max(1);
         self
@@ -422,22 +429,29 @@ impl LoadReport {
     }
 }
 
-/// One client thread's books; line-aligned, so no two threads write to
-/// one cache line.
+/// One lane's books; line-aligned, so no two lanes write to one cache
+/// line.
 #[derive(Default)]
 #[repr(align(64))]
-struct LoadCell(AtomicSet<LoadStats, 7>);
+pub(crate) struct LoadCell(pub(crate) AtomicSet<LoadStats, 7>);
 
 fn total(cells: &[LoadCell]) -> LoadStats {
     cells.iter().map(|c| c.0.snapshot()).sum()
 }
 
-/// Runs the closed-loop load test; blocks until every thread finishes.
-/// Every thread adds each query's counts to its own [`LoadStats`] cell,
+/// Runs the closed-loop load test; blocks until every lane finishes.
+/// Every lane adds each query's counts to its own [`LoadStats`] cell,
 /// whose sum the report and, with [`LoadConfig::metrics`] set, the
 /// registry's `dnswild_load_events_total{kind}` read; every round trip
-/// is also recorded into the `dnswild_load_latency_ns` histogram.
+/// is also recorded into the `dnswild_load_latency_ns` histogram. The
+/// lanes are packed onto one event-loop thread per core the host offers.
 pub fn blast(config: LoadConfig) -> io::Result<LoadReport> {
+    blast_on(config, cores())
+}
+
+/// [`blast`] with its lanes packed onto `loops` threads (see
+/// [`run_lanes`]). Which lanes share a thread changes no lane's books.
+pub(crate) fn blast_on(config: LoadConfig, loops: usize) -> io::Result<LoadReport> {
     let cells: Arc<[LoadCell]> =
         (0..config.concurrency.max(1)).map(|_| LoadCell::default()).collect();
     let metered = config.metrics.as_ref().map(|registry| {
@@ -454,76 +468,181 @@ pub fn blast(config: LoadConfig) -> io::Result<LoadReport> {
     });
     let latency = metered.as_ref().map(|(_, _, latency)| &**latency);
     let start = Instant::now();
-    let run = fan_out(cells.len(), config.queries, |t, _first, share| {
-        client_loop(&config, t, share, &cells[t], latency)
-    });
+    let run = run_lanes(cells.len(), loops, |i| LoadLane::new(&config, i, &cells[i], latency))
+        .map(|lanes| lanes.into_iter().flat_map(|lane| lane.latencies_ns).collect::<Vec<_>>());
     let elapsed = start.elapsed();
     if let Some((registry, hook, _)) = metered {
         registry.settle([hook]);
     }
-    let mut latencies_ns = run?.concat();
+    let mut latencies_ns = run?;
     latencies_ns.sort_unstable();
     Ok(LoadReport { stats: total(&cells), elapsed, latencies_ns })
 }
 
-/// One closed-loop client thread: adds each query's counts to `cell`
-/// and returns its round-trip latencies.
-fn client_loop(
-    config: &LoadConfig,
-    thread: usize,
+/// The query a load lane has on the wire: its ID, the pool socket it
+/// left from (which the loop polls), when it left — by the wall clock
+/// and, traced, by the trace clock — and the wrong-ID datagrams read
+/// while waiting for it.
+struct Flight {
+    id: u16,
+    socket: usize,
+    sent_at: Instant,
+    sent_ns: u64,
+    mismatched: u64,
+}
+
+/// One load lane: a closed loop over its share of the queries, drawn
+/// from its seed stream. Each waits until the reply carrying its ID
+/// arrives or [`LoadConfig::timeout`] passes; a wrong-ID datagram is
+/// counted and does not move the deadline. A query's counts go to the
+/// lane's cell once it settles, with one `ClientQuery` event if traced.
+pub(crate) struct LoadLane<'a> {
+    config: &'a LoadConfig,
+    cell: &'a LoadCell,
+    latency: Option<&'a LogHistogram>,
+    index: usize,
+    sockets: Vec<LaneSocket>,
+    rng: DetRng,
+    producer: Option<Producer>,
+    send_buf: Vec<u8>,
+    recv_buf: Vec<u8>,
+    /// Queries sent so far, of the lane's `queries`.
+    sent: u64,
     queries: u64,
-    cell: &LoadCell,
-    latency: Option<&LogHistogram>,
-) -> io::Result<Vec<u64>> {
-    let mut sockets = Vec::new();
-    for _ in 0..config.workload.sockets() {
-        let socket = UdpSocket::bind(unspecified_for(&config.target))?;
-        socket.connect(config.target)?;
-        socket.set_read_timeout(Some(config.timeout))?;
-        sockets.push(socket);
+    flight: Option<Flight>,
+    latencies_ns: Vec<u64>,
+}
+
+impl<'a> LoadLane<'a> {
+    pub(crate) fn new(
+        config: &'a LoadConfig,
+        index: usize,
+        cell: &'a LoadCell,
+        latency: Option<&'a LogHistogram>,
+    ) -> io::Result<Self> {
+        let sockets = (0..config.workload.sockets())
+            .map(|_| {
+                let socket = LaneSocket::bind(&config.target)?;
+                socket.udp.connect(config.target)?;
+                Ok(socket)
+            })
+            .collect::<io::Result<_>>()?;
+        let (_, queries) = share_of(config.queries, config.concurrency.max(1), index);
+        Ok(LoadLane {
+            config,
+            cell,
+            latency,
+            index,
+            sockets,
+            rng: DetRng::seed_from_u64(thread_stream(config.seed, index)),
+            producer: config.collector.as_ref().map(|c| c.producer()),
+            send_buf: Vec::with_capacity(512),
+            recv_buf: vec![0u8; 4096],
+            sent: 0,
+            queries,
+            flight: None,
+            latencies_ns: Vec::with_capacity(queries as usize),
+        })
     }
 
-    let mut rng = DetRng::seed_from_u64(thread_stream(config.seed, thread));
-    let mut send_buf = Vec::with_capacity(512);
-    let mut recv_buf = vec![0u8; 4096];
-    let mut latencies_ns = Vec::with_capacity(queries as usize);
-    let producer = config.collector.as_ref().map(|c| c.producer());
-    let (token_salt, flags) = config.workload.trace_identity();
-    let trace = producer.as_ref().map(|producer| ExchangeTrace {
-        producer,
-        client_token: splitmix64(thread_stream(token_salt, thread)),
-        auth_id: config.trace_auth_id,
-        flags,
-    });
-
-    for n in 0..queries {
-        let id = (n % u64::from(u16::MAX)) as u16;
-        let (query, socket) = config.workload.next(&mut rng, &config.origin, thread, n, id);
-        encode_query(&query, &mut send_buf)?;
-        let got =
-            exchange(&sockets[socket], &send_buf, id, config.timeout, &mut recv_buf, trace.as_ref())?;
-        let mut counts = LoadStats {
-            sent: 1,
-            bytes_sent: send_buf.len() as u64,
-            mismatched: got.mismatched,
-            ..LoadStats::default()
-        };
-        match got.reply_len {
-            Some(len) => {
-                let rtt_ns = got.rtt.as_nanos() as u64;
-                counts.received = 1;
-                counts.bytes_received = len as u64;
-                counts.tc_slips = u64::from(got.truncated);
-                latencies_ns.push(rtt_ns);
-                if let Some(h) = latency {
-                    h.record(rtt_ns);
-                }
+    /// The query in flight has settled: with a reply of `reply_len`
+    /// bytes in the receive buffer, or with none inside its window.
+    fn settle(&mut self, reply_len: Option<usize>) {
+        let f = self.flight.take().expect("a settling lane has a query in flight");
+        let len = reply_len.unwrap_or(0);
+        // TC lives in bit 1 of byte 2.
+        let truncated = len >= 3 && self.recv_buf[2] & 0x02 != 0;
+        if reply_len.is_some() {
+            let rtt_ns = f.sent_at.elapsed().as_nanos() as u64;
+            self.latencies_ns.push(rtt_ns);
+            if let Some(h) = self.latency {
+                h.record(rtt_ns);
             }
-            None => counts.timeouts = 1,
         }
-        cell.0.add(counts);
+        let answered = u64::from(reply_len.is_some());
+        self.cell.0.add(LoadStats {
+            sent: 1,
+            received: answered,
+            timeouts: 1 - answered,
+            mismatched: f.mismatched,
+            tc_slips: u64::from(truncated),
+            bytes_sent: self.send_buf.len() as u64,
+            bytes_received: len as u64,
+        });
+        let Some(producer) = &self.producer else {
+            return;
+        };
+        let query = &self.send_buf;
+        let (token_salt, flags) = self.config.workload.trace_identity();
+        let mut ev = Event::new(EventKind::ClientQuery);
+        ev.ts_ns = f.sent_ns;
+        // Deterministic across runs, unlike a socket address: the rank
+        // analysis groups trace events by it.
+        ev.client_hash = splitmix64(thread_stream(token_salt, self.index));
+        // Question bytes past the header — allocation-free and
+        // byte-identical to what the server hashes for this datagram on
+        // its side.
+        ev.qname_hash = qname_hash32(query.get(12..).unwrap_or(&[]));
+        (ev.journey, ev.dns_id) = journey_from_payload(query);
+        ev.latency_ns = u32::try_from(producer.now_ns().saturating_sub(f.sent_ns)).unwrap_or(u32::MAX);
+        ev.auth_id = self.config.trace_auth_id;
+        ev.bytes_in = u16::try_from(query.len()).unwrap_or(u16::MAX);
+        ev.bytes_out = u16::try_from(len).unwrap_or(u16::MAX);
+        ev.flags = flags
+            | if reply_len.is_some() { FLAG_RESPONSE } else { FLAG_TIMEOUT }
+            | (u16::from(truncated) * FLAG_TC_SEEN);
+        // Wire rcode lives in the low nibble of byte 3.
+        ev.rcode = if len >= 4 { self.recv_buf[3] & 0x0f } else { RCODE_NONE };
+        producer.record(&ev);
     }
-    Ok(latencies_ns)
+}
+
+impl Lane for LoadLane<'_> {
+    /// Sends the next query unless one is in flight or all are sent.
+    fn advance(&mut self) -> io::Result<()> {
+        if self.flight.is_some() || self.sent == self.queries {
+            return Ok(());
+        }
+        let n = self.sent;
+        let id = (n % u64::from(u16::MAX)) as u16;
+        let (query, socket) =
+            self.config.workload.next(&mut self.rng, &self.config.origin, self.index, n, id);
+        encode_query(&query, &mut self.send_buf)?;
+        let sent_at = Instant::now();
+        let sent_ns = self.producer.as_ref().map_or(0, Producer::now_ns);
+        self.sockets[socket].udp.send(&self.send_buf)?;
+        self.sent += 1;
+        self.flight = Some(Flight { id, socket, sent_at, sent_ns, mismatched: 0 });
+        Ok(())
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.flight.as_ref().map(|f| f.sent_at + self.config.timeout)
+    }
+
+    fn poll_fd(&self) -> PollFd {
+        let f = self.flight.as_ref().expect("a waiting lane has a query in flight");
+        PollFd::udp(&self.sockets[f.socket].udp)
+    }
+
+    fn read(&mut self, wait: Duration) -> io::Result<bool> {
+        let f = self.flight.as_mut().expect("a waiting lane has a query in flight");
+        let Some(got) = self.sockets[f.socket].read(&mut self.recv_buf, wait)? else {
+            return Ok(false);
+        };
+        if got >= 2 && u16::from_be_bytes([self.recv_buf[0], self.recv_buf[1]]) == f.id {
+            self.settle(Some(got));
+        } else {
+            f.mismatched += 1;
+        }
+        Ok(true)
+    }
+
+    /// The window closed without the reply.
+    fn expire(&mut self) -> io::Result<()> {
+        self.settle(None);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -803,6 +922,84 @@ mod tests {
         assert_eq!(report.stats.timeouts, 16, "slip=0 never slips: the rest are silent drops");
         assert_eq!(stats.rrl_dropped, 16);
         assert_eq!(stats.bucket_evictions, 0);
+    }
+
+    /// `blast()` packs eight lanes onto at most one thread per core —
+    /// or, without the poll shim, gives each its own.
+    #[test]
+    fn blast_starts_at_most_one_client_thread_per_core() {
+        use crate::closed_loop::{POLLED, STARTED};
+        let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
+        let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(1)).unwrap();
+        let before = STARTED.with(|n| n.get());
+        let report = blast(LoadConfig::new(handle.local_addr(), origin()).concurrency(8).queries(64));
+        let started = STARTED.with(|n| n.get()) - before;
+        handle.shutdown();
+        assert!(report.unwrap().all_answered());
+        let cores = std::thread::available_parallelism().unwrap().get();
+        if POLLED {
+            assert!(started <= cores, "{started} client threads on {cores} cores");
+        } else {
+            assert_eq!(started, 8, "one blocking thread per lane");
+        }
+    }
+
+    /// A lossless traced mixed run of eight lanes packed onto `loops`
+    /// threads: its books and its trace's content digest.
+    fn packed_mixed_run(loops: usize) -> (LoadStats, u64) {
+        let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
+        let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2)).unwrap();
+        let path = std::env::temp_dir()
+            .join(format!("dnswild-load-packed-{loops}-{}.trace", std::process::id()));
+        let collector = Arc::new(Collector::start(dnswild_telemetry::CollectorConfig::new(&path)).unwrap());
+        let cfg = LoadConfig::new(handle.local_addr(), origin())
+            .concurrency(8)
+            .queries(400)
+            .collector(Arc::clone(&collector), 0);
+        let report = blast_on(cfg, loops).unwrap();
+        handle.shutdown();
+        collector.finish().unwrap();
+        let trace = dnswild_telemetry::Trace::read_from(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(report.all_answered(), "{report:?}");
+        assert_eq!(trace.events.len(), 400, "one ClientQuery event per query");
+        (report.stats, trace.digest())
+    }
+
+    /// An NXDOMAIN flood of eight lanes packed onto `loops` threads, shed
+    /// by a limiter with no refill: its books.
+    fn packed_shed_run(loops: usize) -> LoadStats {
+        let policy = RateLimitPolicy {
+            burst: 10,
+            rate: 0,
+            period: 1,
+            slip: 2,
+            scope: RrlScope::Abusive,
+            ..RateLimitPolicy::default()
+        };
+        let handle = serve(
+            ServeConfig::new("127.0.0.1:0", "FRA", attack_zone(2)).threads(1).rate_limit(policy),
+        )
+        .unwrap();
+        let mut cfg = flood(handle.local_addr(), AttackMode::NxdomainFlood).concurrency(8).queries(80);
+        cfg.timeout = Duration::from_millis(40);
+        let report = blast_on(cfg, loops).unwrap();
+        report.check_server_stats(handle.shutdown()).unwrap();
+        report.stats
+    }
+
+    /// The packing of lanes onto threads is invisible: one loop, two, or
+    /// a loop per lane give the same books and the same trace digest on
+    /// a lossless run, and the same books on a flood RRL sheds.
+    #[test]
+    fn packing_lanes_onto_loops_changes_no_lane() {
+        let mixed = packed_mixed_run(1);
+        let shed = packed_shed_run(1);
+        assert_eq!((shed.received, shed.tc_slips, shed.timeouts), (45, 35, 35), "{shed:?}");
+        for loops in [2, 8] {
+            assert_eq!(packed_mixed_run(loops), mixed, "lossless, packed onto {loops} loops");
+            assert_eq!(packed_shed_run(loops), shed, "shed, packed onto {loops} loops");
+        }
     }
 
     #[test]

@@ -90,14 +90,14 @@ impl HostConfig {
     }
 }
 
-/// Runtime information about a host, queryable after the run.
+/// What the world knows about one host.
 #[derive(Debug, Clone)]
-pub struct HostInfo {
+struct HostInfo {
     /// Placement and identity.
-    pub config: HostConfig,
+    config: HostConfig,
     /// Addresses bound to this host (unicast only; anycast addresses are
     /// shared and tracked in the route table).
-    pub addresses: Vec<SimAddr>,
+    addresses: Vec<SimAddr>,
 }
 
 /// How an address routes.
@@ -390,16 +390,6 @@ impl Simulator {
     /// Network counters.
     pub fn stats(&self) -> NetStats {
         self.world.stats
-    }
-
-    /// Host metadata.
-    pub fn host_info(&self, host: HostId) -> &HostInfo {
-        &self.world.hosts[host.index() as usize]
-    }
-
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.world.hosts.len()
     }
 
     /// Ground-truth RTT (no jitter) between two hosts — what an infinite

@@ -53,9 +53,7 @@ mod latency;
 mod time;
 
 pub use addr::{AddrFamily, SimAddr};
-pub use engine::{
-    Actor, Context, Datagram, HostConfig, HostId, HostInfo, NetStats, Simulator, Transport,
-};
+pub use engine::{Actor, Context, Datagram, HostConfig, HostId, NetStats, Simulator, Transport};
 pub use geo::{Continent, GeoPoint, Place};
 pub use latency::{LatencyConfig, LatencyModel};
 pub use time::{SimDuration, SimTime};

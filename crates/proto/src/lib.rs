@@ -48,7 +48,7 @@ mod wire;
 pub use edns::{Edns, EXTENDED_RCODE_BADVERS, MIN_EDNS_PAYLOAD};
 pub use error::{ProtoError, ProtoResult};
 pub use header::Header;
-pub use message::{Message, MessageWriter, Section, DEFAULT_EDNS_PAYLOAD};
+pub use message::{Answer, Message, MessageWriter, Section, DEFAULT_EDNS_PAYLOAD};
 pub use name::{Name, NameCompressor, MAX_LABEL_LEN, MAX_NAME_LEN};
 pub use question::Question;
 pub use rdata::RData;

@@ -166,25 +166,78 @@ impl Message {
         let mut r = WireReader::new(buf);
         let header = Header::decode(&mut r)?;
         // The header's counts are claims: reserve no more than the bytes
-        // left could hold (a question is ≥ 5 octets, a record ≥ 11).
+        // left could hold (a question is ≥ 5 octets).
         let mut questions = Vec::with_capacity((header.qdcount as usize).min(r.remaining() / 5));
         for _ in 0..header.qdcount {
             questions.push(Question::decode(&mut r)?);
         }
-        let decode_section = |r: &mut WireReader<'_>, n: u16| -> ProtoResult<Vec<Record>> {
-            let mut out = Vec::with_capacity((n as usize).min(r.remaining() / 11));
-            for _ in 0..n {
-                out.push(Record::decode(r)?);
-            }
-            Ok(out)
-        };
-        let answers = decode_section(&mut r, header.ancount)?;
-        let authorities = decode_section(&mut r, header.nscount)?;
-        let additionals = decode_section(&mut r, header.arcount)?;
-        if !r.is_empty() {
-            return Err(ProtoError::Malformed("trailing bytes after last section"));
-        }
+        let answers = decode_records(&mut r, header.ancount)?;
+        let authorities = decode_records(&mut r, header.nscount)?;
+        let additionals = decode_records(&mut r, header.arcount)?;
+        end_of_message(&r)?;
         Ok(Message { header, questions, answers, authorities, additionals })
+    }
+
+    /// Decodes `buf` as a reply to the question (`qname`, `qtype`),
+    /// accepting and rejecting exactly what [`Message::decode`] does, and
+    /// keeps only what an asker that holds its own question needs: the
+    /// header, whether the first question is the one asked (compared in
+    /// place), and the answer records. Each authority and additional
+    /// record is handed to `rest` and dropped. So a reply whose other
+    /// sections are name-less (an OPT) allocates for its answers only.
+    pub fn decode_answer(
+        buf: &[u8],
+        qname: &Name,
+        qtype: RType,
+        mut rest: impl FnMut(Section, &Record),
+    ) -> ProtoResult<Answer> {
+        let mut r = WireReader::new(buf);
+        let header = Header::decode(&mut r)?;
+        let mut asked = false;
+        for i in 0..header.qdcount {
+            let same_name = qname.decode_matches(&mut r)?;
+            let same_type = RType::from_u16(r.read_u16()?) == qtype;
+            r.read_u16()?; // QCLASS
+            asked |= i == 0 && same_name && same_type;
+        }
+        let answers = decode_records(&mut r, header.ancount)?;
+        for (section, n) in [(Section::Authority, header.nscount), (Section::Additional, header.arcount)] {
+            for _ in 0..n {
+                rest(section, &Record::decode(&mut r)?);
+            }
+        }
+        end_of_message(&r)?;
+        Ok(Answer { header, asked, answers })
+    }
+}
+
+/// What [`Message::decode_answer`] keeps of a reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Answer {
+    /// Message header.
+    pub header: Header,
+    /// Whether the reply's first question is the question asked.
+    pub asked: bool,
+    /// Answer section.
+    pub answers: Vec<Record>,
+}
+
+/// Decodes a section of `n` records. The count is a claim: reserve no
+/// more than the bytes left could hold (a record is ≥ 11 octets).
+fn decode_records(r: &mut WireReader<'_>, n: u16) -> ProtoResult<Vec<Record>> {
+    let mut out = Vec::with_capacity((n as usize).min(r.remaining() / 11));
+    for _ in 0..n {
+        out.push(Record::decode(r)?);
+    }
+    Ok(out)
+}
+
+/// A message ends with its last section.
+fn end_of_message(r: &WireReader<'_>) -> ProtoResult<()> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(ProtoError::Malformed("trailing bytes after last section"))
     }
 }
 
@@ -380,6 +433,74 @@ mod tests {
         assert_eq!(back.answers, resp.answers);
         assert_eq!(back.authorities, resp.authorities);
         assert_eq!(back.additionals, resp.additionals);
+    }
+
+    /// The all-sections response of the round-trip test above, encoded.
+    fn all_sections_reply() -> (Message, Vec<u8>) {
+        let q = Message::iterative_query(9, name("q.ourtestdomain.nl"), RType::Txt);
+        let mut resp = Message::response_to(&q, Rcode::NoError);
+        resp.answers.push(Record::new(
+            name("q.ourtestdomain.nl"),
+            5,
+            RData::Txt(Txt::new(["site=SYD", "and=more"]).unwrap()),
+        ));
+        resp.authorities.push(Record::new(
+            name("ourtestdomain.nl"),
+            3600,
+            RData::Ns(Ns::new(name("ns1.ourtestdomain.nl"))),
+        ));
+        resp.additionals.push(Record::new(
+            name("ns1.ourtestdomain.nl"),
+            3600,
+            RData::A(A::new(Ipv4Addr::new(203, 0, 113, 1))),
+        ));
+        resp.add_edns(DEFAULT_EDNS_PAYLOAD);
+        let bytes = resp.encode().unwrap();
+        (Message::decode(&bytes).unwrap(), bytes)
+    }
+
+    #[test]
+    fn decode_answer_keeps_the_answers_and_hands_out_the_rest() {
+        let (full, bytes) = all_sections_reply();
+        let mut rest = Vec::new();
+        let asked = name("Q.OurTestDomain.NL");
+        let answer = Message::decode_answer(&bytes, &asked, RType::Txt, |section, r| {
+            rest.push((section, r.clone()));
+        })
+        .unwrap();
+        assert_eq!((answer.header, answer.asked, &answer.answers), (full.header, true, &full.answers));
+        let sections = [(Section::Authority, &full.authorities), (Section::Additional, &full.additionals)];
+        let expected: Vec<_> =
+            sections.into_iter().flat_map(|(s, records)| records.iter().map(move |r| (s, r.clone()))).collect();
+        assert_eq!(rest, expected);
+
+        for (qname, qtype) in [(name("r.ourtestdomain.nl"), RType::Txt), (asked, RType::A)] {
+            let other = Message::decode_answer(&bytes, &qname, qtype, |_, _| {}).unwrap();
+            assert!(!other.asked, "{qname} {qtype:?} is not the question");
+        }
+    }
+
+    #[test]
+    fn decode_answer_rejects_what_decode_rejects() {
+        let (_, bytes) = all_sections_reply();
+        let qname = name("q.ourtestdomain.nl");
+        let agree = |b: &[u8]| {
+            let answer = Message::decode_answer(b, &qname, RType::Txt, |_, _| {});
+            assert_eq!(answer.is_ok(), Message::decode(b).is_ok(), "{b:?}");
+        };
+        for end in 0..=bytes.len() {
+            agree(&bytes[..end]);
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        agree(&longer);
+        for at in 0..bytes.len() {
+            for flip in [0x01, 0x40, 0xc0, 0xff] {
+                let mut b = bytes.clone();
+                b[at] ^= flip;
+                agree(&b);
+            }
+        }
     }
 
     #[test]

@@ -213,7 +213,21 @@ impl Name {
     /// Compression pointers may only point strictly backwards; loops and
     /// forward pointers are rejected.
     pub fn decode(r: &mut WireReader<'_>) -> ProtoResult<Self> {
-        let mut wire = [0u8; MAX_NAME_LEN];
+        let mut buf = [0u8; MAX_NAME_LEN];
+        Ok(Name { wire: Name::decode_wire(r, &mut buf)?.into() })
+    }
+
+    /// Decodes a name as [`Name::decode`] does, accepting and rejecting
+    /// the same bytes, but only to compare it with `self`: nothing is
+    /// allocated.
+    pub fn decode_matches(&self, r: &mut WireReader<'_>) -> ProtoResult<bool> {
+        let mut buf = [0u8; MAX_NAME_LEN];
+        Ok(Name::decode_wire(r, &mut buf)?.eq_ignore_ascii_case(&self.wire))
+    }
+
+    /// Decodes a name into `wire` (the form [`Name`] keeps, without the
+    /// root octet) and returns the part of it that was written.
+    fn decode_wire<'b>(r: &mut WireReader<'_>, wire: &'b mut [u8; MAX_NAME_LEN]) -> ProtoResult<&'b [u8]> {
         let mut used = 0usize;
         // Position to restore once the first pointer is followed.
         let mut restore: Option<usize> = None;
@@ -254,7 +268,7 @@ impl Name {
         if let Some(pos) = restore {
             r.seek(pos)?;
         }
-        Ok(Name { wire: wire[..used].into() })
+        Ok(&wire[..used])
     }
 }
 

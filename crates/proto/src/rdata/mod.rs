@@ -12,7 +12,7 @@ pub use mx::Mx;
 pub use name_rdata::{Cname, Ns, Ptr};
 pub use opt::Opt;
 pub use soa::Soa;
-pub use txt::Txt;
+pub use txt::{Strings, Txt};
 
 use crate::error::{ProtoError, ProtoResult};
 use crate::name::NameCompressor;

@@ -4,13 +4,19 @@
 //! authoritative site answers the probed TXT name with a *distinct*
 //! string, so the client learns in-band which site served it.
 
+use std::fmt;
+
 use crate::error::{ProtoError, ProtoResult};
 use crate::wire::{WireReader, WireWriter};
 
-/// A TXT record: one or more character-strings of up to 255 octets each.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A TXT record: one or more character-strings of up to 255 octets
+/// each, kept as they go on the wire — each string after its length
+/// octet — in one exact-fit allocation, which a record cache keeps as
+/// it was decoded.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Txt {
-    strings: Vec<Vec<u8>>,
+    /// At least one length-prefixed string; the last ends the buffer.
+    wire: Box<[u8]>,
 }
 
 impl Txt {
@@ -18,68 +24,85 @@ impl Txt {
     pub fn new<I, B>(strings: I) -> ProtoResult<Self>
     where
         I: IntoIterator<Item = B>,
-        B: Into<Vec<u8>>,
+        B: AsRef<[u8]>,
     {
-        let strings: Vec<Vec<u8>> = strings.into_iter().map(Into::into).collect();
-        for s in &strings {
+        let mut wire = Vec::new();
+        for s in strings {
+            let s = s.as_ref();
             if s.len() > 255 {
                 return Err(ProtoError::CharacterStringTooLong(s.len()));
             }
+            wire.push(s.len() as u8);
+            wire.extend_from_slice(s);
         }
-        if strings.is_empty() {
+        if wire.is_empty() {
             return Err(ProtoError::Malformed("TXT must contain at least one string"));
         }
-        Ok(Txt { strings })
+        Ok(Txt { wire: wire.into() })
     }
 
     /// Convenience constructor from a single UTF-8 string.
     pub fn from_string(s: &str) -> ProtoResult<Self> {
-        Txt::new([s.as_bytes().to_vec()])
+        Txt::new([s])
     }
 
-    /// The character-strings.
-    pub fn strings(&self) -> &[Vec<u8>] {
-        &self.strings
+    /// The character-strings, in order.
+    pub fn strings(&self) -> Strings<'_> {
+        Strings { rest: &self.wire }
     }
 
     /// The first string, lossily decoded — convenient for site identifiers.
     pub fn first_as_string(&self) -> String {
-        String::from_utf8_lossy(&self.strings[0]).into_owned()
+        let first = self.strings().next().expect("a TXT holds at least one string");
+        String::from_utf8_lossy(first).into_owned()
     }
 
     pub(crate) fn encode(&self, w: &mut WireWriter) -> ProtoResult<()> {
-        for s in &self.strings {
-            w.write_u8(s.len() as u8)?;
-            w.write_bytes(s)?;
-        }
-        Ok(())
+        w.write_bytes(&self.wire)
     }
 
     pub(crate) fn decode(r: &mut WireReader<'_>, rdlength: usize) -> ProtoResult<Self> {
-        let end = r.position() + rdlength;
-        // Count the strings before copying any, so the vector is
-        // exact-fit: a record cache keeps decoded records as they are.
-        // The count is never more than the loop below would push.
-        let count = r.buffer().get(r.position()..end).map_or(0, |rdata| {
-            let (mut at, mut n) = (0, 0);
-            while at < rdata.len() {
-                at += 1 + rdata[at] as usize;
-                n += 1;
-            }
-            n
-        });
-        let mut strings = Vec::with_capacity(count);
-        while r.position() < end {
-            let len = r.read_u8()? as usize;
-            if r.position() + len > end {
-                return Err(ProtoError::Malformed("TXT string crosses RDATA boundary"));
-            }
-            strings.push(r.read_bytes(len)?.to_vec());
+        let rdata = r.read_bytes(rdlength)?;
+        let mut at = 0;
+        while at < rdata.len() {
+            at += 1 + rdata[at] as usize;
         }
-        if strings.is_empty() {
+        if at > rdata.len() {
+            return Err(ProtoError::Malformed("TXT string crosses RDATA boundary"));
+        }
+        if rdata.is_empty() {
             return Err(ProtoError::Malformed("empty TXT RDATA"));
         }
-        Ok(Txt { strings })
+        Ok(Txt { wire: rdata.into() })
+    }
+}
+
+impl fmt::Debug for Txt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Txt").field("strings", &self.strings()).finish()
+    }
+}
+
+/// The character-strings of a [`Txt`] (see [`Txt::strings`]).
+#[derive(Clone)]
+pub struct Strings<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Strings<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, rest) = self.rest.split_first()?;
+        let (string, rest) = rest.split_at(len as usize);
+        self.rest = rest;
+        Some(string)
+    }
+}
+
+impl fmt::Debug for Strings<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
     }
 }
 
@@ -107,8 +130,8 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
         let decoded = Txt::decode(&mut r, bytes.len()).unwrap();
-        assert_eq!(decoded.strings().len(), 2);
-        assert_eq!(decoded.strings.capacity(), 2, "exact-fit: a cache keeps it as decoded");
+        assert_eq!(decoded.strings().collect::<Vec<_>>(), [b"one", b"two"]);
+        assert_eq!(*decoded.wire, *bytes, "exact-fit: a cache keeps it as decoded");
     }
 
     #[test]

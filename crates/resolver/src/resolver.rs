@@ -246,11 +246,6 @@ impl RecursiveResolver {
         self.delegations.hints.push((origin, servers));
     }
 
-    /// The policy family this resolver runs.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
-    }
-
     /// Counters.
     pub fn stats(&self) -> ResolverStats {
         self.stats
@@ -270,11 +265,6 @@ impl RecursiveResolver {
     /// The infrastructure cache (inspection/testing).
     pub fn infra(&self) -> &InfraCache {
         &self.infra
-    }
-
-    /// The record cache (inspection/testing).
-    pub fn record_cache(&self) -> &RecordCache {
-        &self.cache
     }
 
     /// The delegations learned from referrals so far (origin, servers),
@@ -1102,7 +1092,7 @@ mod tests {
         let resp = stub.response.as_ref().expect("answered");
         assert_eq!(resp.rcode(), Rcode::NoError);
         let RData::Txt(t) = &resp.answers[0].rdata else { panic!("not TXT") };
-        assert_eq!(t.strings().len(), 8);
+        assert_eq!(t.strings().count(), 8);
 
         // Via the documented path: UDP truncation, then TCP retry.
         let server = sim.actor::<AuthoritativeServer>(sh).unwrap();

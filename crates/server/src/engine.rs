@@ -437,11 +437,6 @@ impl AnswerEngine {
         self
     }
 
-    /// The shared rate limiter, when rate limiting is enabled.
-    pub fn rate_limiter(&self) -> Option<&SharedRateLimiter> {
-        self.rrl.as_ref()
-    }
-
     /// A worker-private copy: same site identity, same shared zones and
     /// telemetry cell, fresh counters.
     pub fn fork(&self) -> AnswerEngine {
@@ -742,7 +737,7 @@ impl AnswerEngine {
                         for (owner, r) in answer.records() {
                             // Substitute the site placeholder in TXT answers.
                             let rdata = match &r.rdata {
-                                RData::Txt(t) if t.strings()[0] == placeholder => site_txt,
+                                RData::Txt(t) if t.strings().next() == Some(placeholder) => site_txt,
                                 other => other,
                             };
                             w.record(Section::Answer, owner, r.class, r.ttl, rdata)?;

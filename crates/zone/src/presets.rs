@@ -161,7 +161,7 @@ mod tests {
         let total: usize = recs
             .iter()
             .map(|r| match &r.rdata {
-                RData::Txt(t) => t.strings().iter().map(Vec::len).sum::<usize>(),
+                RData::Txt(t) => t.strings().map(<[u8]>::len).sum::<usize>(),
                 _ => 0,
             })
             .sum();
