@@ -6,7 +6,9 @@
 //! datagram I/O (so a worker pays one syscall per *batch* instead of
 //! one per packet), and `poll(2)` over many sockets (so the resolver
 //! client waits on all of a thread's lanes at once instead of parking
-//! one thread per lane).
+//! one thread per lane, and a chaos proxy waits on its listen sockets,
+//! every session's upstream socket and every TCP relay's stream in one
+//! thread).
 //!
 //! Everything `dnswild-netio` needs from the kernel beyond what
 //! `std::net::UdpSocket` exposes lives here, behind three design rules:
@@ -32,14 +34,15 @@
 //! partial-send handling — `dnswild-netio::server` owns those, because
 //! they must behave identically on the std fallback path. Likewise
 //! [`poll`] only reports readiness; what a ready socket means is the
-//! caller's (`dnswild-netio::client`, whose fallback waits in a
-//! blocking `recv` instead).
+//! caller's (`dnswild-netio`'s client lanes, whose fallback waits in a
+//! blocking `recv` instead, and its chaos proxy, whose fallback sleeps
+//! a millisecond and tries every socket).
 
 #![cfg_attr(not(all(target_os = "linux", feature = "mmsg")), forbid(unsafe_code))]
 #![warn(missing_docs)]
 
 use std::io;
-use std::net::{SocketAddr, TcpStream, UdpSocket};
+use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::time::Duration;
 
 /// Whether the FFI shim was compiled in (Linux with the `mmsg`
@@ -174,6 +177,11 @@ mod sys {
         /// A TCP stream, waited on for bytes (or the peer's close).
         pub fn tcp(stream: &TcpStream) -> PollFd {
             PollFd::raw(stream.as_raw_fd())
+        }
+
+        /// A TCP listener, waited on for a connection to accept.
+        pub fn tcp_listener(listener: &TcpListener) -> PollFd {
+            PollFd::raw(listener.as_raw_fd())
         }
 
         /// Whether the last [`poll`] found a read worth making: data
@@ -541,6 +549,11 @@ mod sys {
             PollFd {}
         }
 
+        /// Stub constructor; `poll` on a set of these always fails.
+        pub fn tcp_listener(_listener: &TcpListener) -> PollFd {
+            PollFd {}
+        }
+
         /// Always `false` on this target.
         pub fn readable(&self) -> bool {
             false
@@ -744,6 +757,21 @@ mod tests {
             assert_eq!(poll(&mut fds, Duration::from_secs(5)).unwrap(), 1);
             assert!(started.elapsed() < Duration::from_secs(1), "a ready socket ends the wait");
             assert!(!fds[0].readable() && fds[1].readable());
+        }
+
+        /// A listener with a connection waiting is readable, and the
+        /// accepted stream is not until its peer writes.
+        #[test]
+        fn a_pending_connection_makes_its_listener_readable() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut fds = [PollFd::tcp_listener(&listener)];
+            assert_eq!(poll(&mut fds, Duration::ZERO).unwrap(), 0);
+            let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            assert_eq!(poll(&mut fds, Duration::from_secs(5)).unwrap(), 1);
+            assert!(fds[0].readable());
+            let (stream, _) = listener.accept().unwrap();
+            let mut fds = [PollFd::tcp(&stream)];
+            assert_eq!(poll(&mut fds, Duration::ZERO).unwrap(), 0);
         }
 
         /// Nothing ready — an empty set, or an idle socket — means the

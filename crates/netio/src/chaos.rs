@@ -27,7 +27,22 @@
 //! and the same traffic *content* take identical faults, byte for byte.
 //! The plan folds every decision (including the mutated payload bytes)
 //! into an order-insensitive [`FaultPlan::schedule_digest`], which is
-//! what the smoke gate compares across runs.
+//! what the chaos gate compares across runs.
+//!
+//! ## One thread per proxy
+//!
+//! A [`ChaosProxy`] is one thread waiting in one `poll(2)` (the
+//! `dnswild-mmsg` shim) on every socket it owns: the listen socket, each
+//! client session's connected upstream socket, the TCP listener and the
+//! stream each TCP relay waits on. Each turn sends the delayed copies
+//! that are due — both directions share one due-ordered queue — then
+//! waits until a socket is readable, the next copy is due or
+//! `STOP_POLL_INTERVAL` passes, then reads every readable socket until
+//! it would block. A TCP relay is a state per connection, not a thread:
+//! every stream is non-blocking, a write that would block closes the
+//! relay, and only the upstream `connect` ever waits. Without the shim
+//! the same loop sleeps a millisecond (or until the next copy is due)
+//! and tries every socket.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
@@ -50,8 +65,8 @@ use dnswild_telemetry::{
     FLAG_CHAOS_REORDER, FLAG_CHAOS_TRUNCATE, RCODE_NONE,
 };
 
-/// How long proxy threads block in a socket read before re-checking the
-/// stop flag.
+/// The longest a proxy's `poll` waits with no copy due, and so how late
+/// it sees the stop flag.
 const STOP_POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Which way a datagram is travelling through the proxy.
@@ -503,36 +518,14 @@ impl FaultPlan {
     }
 }
 
-/// A delayed copy its pump holds until it is due.
-struct Held {
-    due: Instant,
-    payload: Vec<u8>,
-    socket: Arc<UdpSocket>,
-    /// `Some(addr)` sends via `send_to`; `None` uses the connected peer.
-    to: Option<SocketAddr>,
-}
-
-impl Held {
-    fn send(&self) {
-        let _ = match self.to {
-            Some(addr) => self.socket.send_to(&self.payload, addr),
-            None => self.socket.send(&self.payload),
-        };
-    }
-}
-
-/// A running chaos proxy: one listen socket facing clients, one
-/// connected socket per client session facing the upstream, a TCP
-/// listener on the same port relaying fallback frames (under the
-/// plan's [`TcpFaultProfile`]). Each pump — the listen loop forwarding
-/// client datagrams, and each session's loop relaying replies back —
-/// holds the delayed copies it decided and sends them when due.
+/// A running chaos proxy between clients and one upstream: a UDP
+/// session per client and a relay per TCP fallback connection (under
+/// the plan's [`TcpFaultProfile`]), all on one thread (see the module
+/// docs).
 pub struct ChaosProxy {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    plan: Arc<FaultPlan>,
-    listen: Option<JoinHandle<()>>,
-    tcp_accept: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl ChaosProxy {
@@ -558,30 +551,27 @@ impl ChaosProxy {
             let local = socket.local_addr()?;
             Ok((socket, local))
         };
-        let (listen_sock, local_addr, tcp_listener) = bind_twin(addr, bind_listen, TcpListener::bind)?;
-        let listen_sock = Arc::new(listen_sock);
-        listen_sock.set_read_timeout(Some(STOP_POLL_INTERVAL))?;
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let relay = Relay { plan: Arc::clone(&plan), stop: Arc::clone(&stop), collector };
-        let listen = std::thread::Builder::new()
-            .name("chaos-listen".into())
-            .spawn(move || listen_loop(listen_sock, upstream, relay))?;
-        let tcp_accept = {
-            let stop = Arc::clone(&stop);
-            let plan = Arc::clone(&plan);
-            std::thread::Builder::new()
-                .name("chaos-tcp".into())
-                .spawn(move || tcp_accept_loop(tcp_listener, upstream, plan, stop))?
-        };
-
-        Ok(ChaosProxy {
-            local_addr,
-            stop,
+        let (listen, local_addr, tcp) = bind_twin(addr, bind_listen, TcpListener::bind)?;
+        listen.set_nonblocking(true)?;
+        tcp.set_nonblocking(true)?;
+        let proxy = ProxyLoop {
             plan,
-            listen: Some(listen),
-            tcp_accept: Some(tcp_accept),
-        })
+            producer: collector.map(|c| c.producer()),
+            upstream,
+            listen,
+            tcp,
+            sessions: Vec::new(),
+            by_client: HashMap::new(),
+            relays: Vec::new(),
+            held: VecDeque::new(),
+            buf: vec![0u8; 65_535],
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name("chaos-proxy".into())
+            .spawn(counted(move || proxy.run(&flag)))?;
+        Ok(ChaosProxy { local_addr, stop, thread: Some(thread) })
     }
 
     /// The address clients should send to.
@@ -589,22 +579,11 @@ impl ChaosProxy {
         self.local_addr
     }
 
-    /// The shared fault plan.
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
-    /// Stops all proxy threads. Every copy a pump still holds is sent
+    /// Stops the proxy's thread. Every copy it still holds is sent
     /// before this returns, however far off it was due.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.listen.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.tcp_accept.take() {
-            // The accept loop blocks in `accept`; a throwaway connection
-            // wakes it to observe the stop flag.
-            let _ = TcpStream::connect_timeout(&self.local_addr, STOP_POLL_INTERVAL);
+        if let Some(h) = self.thread.take() {
             let _ = h.join();
         }
     }
@@ -614,13 +593,6 @@ impl Drop for ChaosProxy {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
     }
-}
-
-/// One client session: the connected upstream-facing socket plus the
-/// thread pumping its responses back.
-struct Session {
-    socket: Arc<UdpSocket>,
-    pump: JoinHandle<()>,
 }
 
 /// Reconstructs what the fault plan did to one datagram by comparing
@@ -685,71 +657,131 @@ fn trace_decision(
     producer.record(&ev);
 }
 
-/// What the forward pump and every session's reverse pump share.
-#[derive(Clone)]
-struct Relay {
-    plan: Arc<FaultPlan>,
-    stop: Arc<AtomicBool>,
-    collector: Option<Arc<Collector>>,
-}
-
-/// One direction's pump: every datagram is decided, traced and
-/// dispatched the same way, whichever way it travels. It reads from
-/// one socket, and holds the delayed copies it decided until they are
-/// due.
-struct Pump {
-    relay: Relay,
+/// A delayed copy the loop holds until it is due. Its destination is
+/// its session's: the upstream for a query (`Forward`), the client via
+/// the listen socket for a reply (`Reverse`).
+struct Held {
+    due: Instant,
     dir: Direction,
-    producer: Option<Producer>,
-    /// Delayed copies in due order (copies due together, in the order
-    /// they were decided).
-    held: VecDeque<Held>,
+    session: usize,
+    payload: Vec<u8>,
 }
 
-impl Pump {
-    fn new(relay: Relay, dir: Direction) -> Pump {
-        let producer = relay.collector.as_ref().map(|c| c.producer());
-        Pump { relay, dir, producer, held: VecDeque::new() }
+/// Everything one proxy's thread owns; [`ProxyLoop::run`] is the loop
+/// the module docs describe.
+struct ProxyLoop {
+    plan: Arc<FaultPlan>,
+    producer: Option<Producer>,
+    upstream: SocketAddr,
+    listen: UdpSocket,
+    tcp: TcpListener,
+    /// Each session's client and its connected upstream-facing socket,
+    /// in the order they opened; `by_client` indexes them.
+    sessions: Vec<(SocketAddr, UdpSocket)>,
+    by_client: HashMap<SocketAddr, usize>,
+    relays: Vec<TcpRelay>,
+    /// Both directions' delayed copies in due order (copies due
+    /// together, in the order they were decided).
+    held: VecDeque<Held>,
+    buf: Vec<u8>,
+}
+
+impl ProxyLoop {
+    /// Turns until `stop` is raised, then sends every copy still held.
+    fn run(mut self, stop: &AtomicBool) {
+        let mut fds = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let wait = self.send_due();
+            // The poll set: listen socket, TCP listener, sessions, relays.
+            let sessions = self.sessions.len();
+            if POLLED {
+                fds.clear();
+                fds.extend([PollFd::udp(&self.listen), PollFd::tcp_listener(&self.tcp)]);
+                fds.extend(self.sessions.iter().map(|(_, s)| PollFd::udp(s)));
+                fds.extend(self.relays.iter().map(TcpRelay::poll_fd));
+                let _ = poll(&mut fds, wait);
+            } else {
+                std::thread::sleep(wait.min(Duration::from_millis(1)));
+            }
+            let ready = |i: usize| !POLLED || fds[i].readable();
+            for session in (0..sessions).filter(|&i| ready(2 + i)) {
+                while let Ok(n) = self.sessions[session].1.recv(&mut self.buf) {
+                    self.pass(Direction::Reverse, session, n);
+                }
+            }
+            if ready(0) {
+                while let Ok((n, client)) = self.listen.recv_from(&mut self.buf) {
+                    if let Ok(session) = self.session(client) {
+                        self.pass(Direction::Forward, session, n);
+                    }
+                }
+            }
+            let (plan, upstream, mut fd) = (&self.plan, self.upstream, 2 + sessions);
+            self.relays.retain_mut(|relay| {
+                fd += 1;
+                !ready(fd - 1) || relay.relay(plan, upstream).is_ok()
+            });
+            if ready(1) {
+                while let Ok((client, _)) = self.tcp.accept() {
+                    self.plan.tcp_counters.add(TcpFaultTally { conns: 1, ..Default::default() });
+                    self.relays.extend(TcpRelay::new(client).ok());
+                }
+            }
+        }
+        for h in std::mem::take(&mut self.held) {
+            self.send(&h);
+        }
     }
 
-    /// Sends the copies that are due, then reads the next datagram from
-    /// `socket`, the one the pump reads, waiting until one arrives, the
-    /// next copy falls due or [`STOP_POLL_INTERVAL`] passes. `None` when
-    /// nothing arrived, or on a transient socket error. `poll(2)` keeps
-    /// time to the millisecond; without the shim the socket's read
-    /// timeout does, which the kernel rounds up to its scheduler tick.
-    fn recv_from(&mut self, socket: &UdpSocket, buf: &mut [u8]) -> Option<(usize, SocketAddr)> {
+    /// Sends every held copy that is due; returns how long the loop may
+    /// wait before the next one is, at most [`STOP_POLL_INTERVAL`].
+    fn send_due(&mut self) -> Duration {
         let now = Instant::now();
         while let Some(h) = self.held.pop_front_if(|h| h.due <= now) {
-            h.send();
+            self.send(&h);
         }
-        let wait =
-            self.held.front().map_or(STOP_POLL_INTERVAL, |h| (h.due - now).min(STOP_POLL_INTERVAL));
-        if !POLLED {
-            let _ = socket.set_read_timeout(Some(wait.max(Duration::from_micros(100))));
-        } else if !matches!(poll(&mut [PollFd::udp(socket)], wait), Ok(n) if n > 0) {
-            return None;
-        }
-        socket.recv_from(buf).ok()
+        self.held.front().map_or(STOP_POLL_INTERVAL, |h| (h.due - now).min(STOP_POLL_INTERVAL))
     }
 
-    /// Passes one datagram from `client`'s session through the fault
-    /// plan and on through `out` (to `to`, or to `out`'s connected peer).
-    fn pass(&mut self, client: SocketAddr, payload: &[u8], out: &Arc<UdpSocket>, to: Option<SocketAddr>) {
-        let plan = &self.relay.plan;
-        let deliveries = plan.decide(self.dir, payload);
+    fn send(&self, h: &Held) {
+        let (client, upstream) = &self.sessions[h.session];
+        let _ = match h.dir {
+            Direction::Forward => upstream.send(&h.payload),
+            Direction::Reverse => self.listen.send_to(&h.payload, client),
+        };
+    }
+
+    /// `client`'s session, opened on its first datagram.
+    fn session(&mut self, client: SocketAddr) -> io::Result<usize> {
+        if let Some(&i) = self.by_client.get(&client) {
+            return Ok(i);
+        }
+        let socket = UdpSocket::bind(unspecified_for(&self.upstream))?;
+        socket.connect(self.upstream)?;
+        socket.set_nonblocking(true)?;
+        self.sessions.push((client, socket));
+        self.by_client.insert(client, self.sessions.len() - 1);
+        Ok(self.sessions.len() - 1)
+    }
+
+    /// Passes the `n` bytes in `buf`, read in `dir` for `session`,
+    /// through the fault plan: each copy is sent now or held until due.
+    fn pass(&mut self, dir: Direction, session: usize, n: usize) {
+        let payload = &self.buf[..n];
+        let deliveries = self.plan.decide(dir, payload);
         if let Some(p) = &self.producer {
-            let kind = match self.dir {
+            let kind = match dir {
                 Direction::Forward => EventKind::ChaosForward,
                 Direction::Reverse => EventKind::ChaosReverse,
             };
-            trace_decision(p, kind, plan.profile(self.dir), client, payload, &deliveries);
+            let client = self.sessions[session].0;
+            trace_decision(p, kind, self.plan.profile(dir), client, payload, &deliveries);
         }
         for d in deliveries {
             let due = Instant::now() + d.delay;
-            let copy = Held { due, payload: d.payload, socket: Arc::clone(out), to };
+            let copy = Held { due, dir, session, payload: d.payload };
             if d.delay.is_zero() {
-                copy.send();
+                self.send(&copy);
             } else {
                 self.held.insert(self.held.partition_point(|h| h.due <= due), copy);
             }
@@ -757,195 +789,117 @@ impl Pump {
     }
 }
 
-impl Drop for Pump {
-    /// A stopping pump sends what it still holds, at once.
-    fn drop(&mut self) {
-        for h in self.held.drain(..) {
-            h.send();
+/// One TCP fallback connection: the client's stream, the upstream
+/// stream opened for its first forwarded frame and reused for the rest,
+/// and the fate of the frame whose reply it waits for. It waits on one
+/// stream at a time — the upstream while a reply is due, else the
+/// client — so a frame pipelined behind one awaiting its reply waits
+/// its turn.
+struct TcpRelay {
+    client: TcpStream,
+    reader: FrameReader,
+    upstream: Option<(TcpStream, FrameReader)>,
+    awaiting: Option<TcpFate>,
+    scratch: Vec<u8>,
+}
+
+impl TcpRelay {
+    fn new(client: TcpStream) -> io::Result<TcpRelay> {
+        client.set_nodelay(true)?;
+        client.set_nonblocking(true)?;
+        let (reader, scratch) = (FrameReader::new(), Vec::new());
+        Ok(TcpRelay { client, reader, upstream: None, awaiting: None, scratch })
+    }
+
+    /// The stream the relay waits on.
+    fn poll_fd(&self) -> PollFd {
+        match (&self.upstream, self.awaiting) {
+            (Some((upstream, _)), Some(_)) => PollFd::tcp(upstream),
+            _ => PollFd::tcp(&self.client),
+        }
+    }
+
+    /// Relays frames, applying the fate [`FaultPlan::decide_tcp`]
+    /// chooses for each query, until the stream it waits on would block
+    /// (`Ok`) or the connection is over (`Err`): closed or broken by a
+    /// peer, refused or reset by its fate, or a write that would block
+    /// — a half-written frame cannot be resumed.
+    fn relay(&mut self, plan: &FaultPlan, upstream: SocketAddr) -> io::Result<()> {
+        loop {
+            if let Some(fate) = self.awaiting {
+                let (stream, reader) = self.upstream.as_mut().expect("an awaited reply has a stream");
+                let Some(reply) = next_frame(reader, stream)? else { return Ok(()) };
+                // CorruptLen overstates the length prefix: the client's
+                // framing starves waiting for bytes that never come.
+                let lie = if fate == TcpFate::CorruptLen { 7 } else { 0 };
+                let len = (reply.len() as u16).saturating_add(lie);
+                self.scratch.clear();
+                self.scratch.extend_from_slice(&len.to_be_bytes());
+                self.scratch.extend_from_slice(reply);
+                self.client.write_all(&self.scratch)?;
+                self.awaiting = None;
+            }
+            let Some(query) = next_frame(&mut self.reader, &mut self.client)? else { return Ok(()) };
+            let fate = match plan.decide_tcp(query) {
+                TcpFate::Refuse => return Err(io::ErrorKind::ConnectionRefused.into()),
+                TcpFate::Stall => continue,
+                fate => fate,
+            };
+            if self.upstream.is_none() {
+                let stream = TcpStream::connect_timeout(&upstream, Duration::from_secs(2))?;
+                stream.set_nodelay(true)?;
+                stream.set_nonblocking(true)?;
+                self.upstream = Some((stream, FrameReader::new()));
+            }
+            let (stream, _) = self.upstream.as_mut().expect("just connected");
+            write_frame(stream, query, &mut self.scratch)?;
+            if fate == TcpFate::Reset {
+                return Err(io::ErrorKind::ConnectionReset.into());
+            }
+            self.awaiting = Some(fate);
         }
     }
 }
 
-fn listen_loop(listen: Arc<UdpSocket>, upstream: SocketAddr, relay: Relay) {
-    let mut buf = vec![0u8; 65_535];
-    let mut sessions: HashMap<SocketAddr, Session> = HashMap::new();
-    let mut pump = Pump::new(relay.clone(), Direction::Forward);
-    while !relay.stop.load(Ordering::Relaxed) {
-        let Some((n, client)) = pump.recv_from(&listen, &mut buf) else {
-            continue;
-        };
-        if let std::collections::hash_map::Entry::Vacant(slot) = sessions.entry(client) {
-            match open_session(&listen, upstream, client, &relay) {
-                Ok(s) => {
-                    slot.insert(s);
-                }
-                Err(_) => continue,
-            }
-        }
-        pump.pass(client, &buf[..n], &sessions[&client].socket, None);
-    }
-    for (_, s) in sessions {
-        let _ = s.pump.join();
+/// The next whole frame `reader` holds or reads from `stream`: `None`
+/// when the stream would block first, an error when it closed.
+fn next_frame<'a>(reader: &'a mut FrameReader, stream: &mut TcpStream) -> io::Result<Option<&'a [u8]>> {
+    match reader.read_frame(stream) {
+        Ok(None) => Err(io::ErrorKind::UnexpectedEof.into()),
+        Err(e) if is_idle_recv(&e) => Ok(None),
+        frame => frame,
     }
 }
 
-fn open_session(
-    listen: &Arc<UdpSocket>,
-    upstream: SocketAddr,
-    client: SocketAddr,
-    relay: &Relay,
-) -> io::Result<Session> {
-    let socket = Arc::new(UdpSocket::bind(unspecified_for(&upstream))?);
-    socket.connect(upstream)?;
-    socket.set_read_timeout(Some(STOP_POLL_INTERVAL))?;
-    let pump = {
-        let socket = Arc::clone(&socket);
-        let listen = Arc::clone(listen);
-        let relay = relay.clone();
-        std::thread::Builder::new()
-            .name("chaos-pump".into())
-            .spawn(move || reverse_loop(socket, listen, client, relay))?
-    };
-    Ok(Session { socket, pump })
+/// A proxy thread's body, as it is (test builds count its start).
+#[cfg(not(test))]
+fn counted<F: FnOnce() + Send + 'static>(body: F) -> F {
+    body
 }
-
-fn reverse_loop(upstream: Arc<UdpSocket>, listen: Arc<UdpSocket>, client: SocketAddr, relay: Relay) {
-    let mut buf = vec![0u8; 65_535];
-    let mut pump = Pump::new(relay, Direction::Reverse);
-    while !pump.relay.stop.load(Ordering::Relaxed) {
-        if let Some((n, _)) = pump.recv_from(&upstream, &mut buf) {
-            pump.pass(client, &buf[..n], &listen, Some(client));
-        }
-    }
-}
-
-/// Accepts TCP fallback connections and spawns one relay thread per
-/// connection; joins them all on shutdown.
-fn tcp_accept_loop(
-    listener: TcpListener,
-    upstream: SocketAddr,
-    plan: Arc<FaultPlan>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                std::thread::sleep(STOP_POLL_INTERVAL);
-                continue;
-            }
-        };
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        conns.retain(|h| !h.is_finished());
-        let plan = Arc::clone(&plan);
-        let stop = Arc::clone(&stop);
-        if let Ok(h) = std::thread::Builder::new()
-            .name("chaos-tcp-conn".into())
-            .spawn(move || tcp_relay_loop(stream, upstream, plan, stop))
-        {
-            conns.push(h);
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-/// Relays length-prefixed frames for one client connection, applying
-/// the per-frame fate [`FaultPlan::decide_tcp`] chooses. The upstream
-/// connection is opened lazily on the first forwarded frame and reused
-/// for the rest of the client connection's life.
-fn tcp_relay_loop(
-    mut client: TcpStream,
-    upstream_addr: SocketAddr,
-    plan: Arc<FaultPlan>,
-    stop: Arc<AtomicBool>,
-) {
-    plan.tcp_counters.add(TcpFaultTally { conns: 1, ..Default::default() });
-    let _ = client.set_nodelay(true);
-    if client.set_read_timeout(Some(STOP_POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let mut reader = FrameReader::new();
-    let mut upstream: Option<(TcpStream, FrameReader)> = None;
-    let mut scratch = Vec::new();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let frame = match reader.read_frame(&mut client) {
-            Ok(Some(f)) => f.to_vec(),
-            Ok(None) => return,
-            Err(e) if is_idle_recv(&e) => continue,
-            Err(_) => return,
-        };
-        let fate = match plan.decide_tcp(&frame) {
-            TcpFate::Refuse => return,
-            TcpFate::Stall => continue,
-            fate => fate,
-        };
-        if upstream.is_none() {
-            match TcpStream::connect_timeout(&upstream_addr, Duration::from_secs(2)) {
-                Ok(s) => {
-                    let _ = s.set_nodelay(true);
-                    if s.set_read_timeout(Some(STOP_POLL_INTERVAL)).is_err() {
-                        return;
-                    }
-                    upstream = Some((s, FrameReader::new()));
-                }
-                Err(_) => return,
-            }
-        }
-        let (us, ur) = upstream.as_mut().expect("just connected");
-        if write_frame(us, &frame, &mut scratch).is_err() {
-            return;
-        }
-        if fate == TcpFate::Reset {
-            return;
-        }
-        let resp = loop {
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match ur.read_frame(us) {
-                Ok(Some(p)) => break p.to_vec(),
-                Ok(None) => return,
-                Err(e) if is_idle_recv(&e) => continue,
-                Err(_) => return,
-            }
-        };
-        match fate {
-            TcpFate::Deliver => {
-                if write_frame(&mut client, &resp, &mut scratch).is_err() {
-                    return;
-                }
-            }
-            TcpFate::CorruptLen => {
-                // A length prefix overstating the payload: the client's
-                // framing starves waiting for the missing bytes.
-                let lie = (resp.len().min(u16::MAX as usize) as u16).saturating_add(7);
-                scratch.clear();
-                scratch.extend_from_slice(&lie.to_be_bytes());
-                scratch.extend_from_slice(&resp);
-                if client.write_all(&scratch).is_err() {
-                    return;
-                }
-            }
-            _ => unreachable!("refuse/stall/reset handled above"),
-        }
-    }
-}
+#[cfg(test)]
+use tests::counted;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+
+    thread_local! {
+        /// Threads proxies started on behalf of this thread, however
+        /// deep: a counted thread shares its starter's counter.
+        static STARTED: std::cell::RefCell<Arc<AtomicU64>> = std::cell::RefCell::default();
+    }
+
+    /// Counts one start of `body` on this thread's [`STARTED`], and
+    /// runs `body` with that counter as its own.
+    pub(super) fn counted(body: impl FnOnce() + Send + 'static) -> impl FnOnce() + Send + 'static {
+        let started = STARTED.with_borrow(Arc::clone);
+        started.fetch_add(1, Ordering::Relaxed);
+        move || {
+            STARTED.set(started);
+            body()
+        }
+    }
 
     fn heavy_profile() -> FaultProfile {
         FaultProfile {
@@ -1284,5 +1238,213 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(5), "copies were held");
         assert_eq!(plan.tally(Direction::Forward).delayed, 4);
         proxy.shutdown();
+    }
+
+    /// An upstream on one port that echoes every datagram, and every
+    /// TCP frame on a thread per connection, until dropped.
+    struct Echo {
+        addr: SocketAddr,
+        stop: Arc<AtomicBool>,
+        threads: Vec<JoinHandle<()>>,
+    }
+
+    impl Echo {
+        fn start() -> Echo {
+            let bind_udp = || -> io::Result<(UdpSocket, SocketAddr)> {
+                let socket = UdpSocket::bind("127.0.0.1:0")?;
+                let local = socket.local_addr()?;
+                Ok((socket, local))
+            };
+            let (udp, addr, tcp) =
+                bind_twin("127.0.0.1:0".parse().unwrap(), bind_udp, TcpListener::bind).unwrap();
+            let stop = Arc::new(AtomicBool::new(false));
+            let udp_stop = Arc::clone(&stop);
+            let udp_thread = std::thread::spawn(move || {
+                udp.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
+                let mut buf = vec![0u8; 65_535];
+                while !udp_stop.load(Ordering::Relaxed) {
+                    if let Ok((n, peer)) = udp.recv_from(&mut buf) {
+                        let _ = udp.send_to(&buf[..n], peer);
+                    }
+                }
+            });
+            let tcp_stop = Arc::clone(&stop);
+            let tcp_thread = std::thread::spawn(move || {
+                tcp.set_nonblocking(true).unwrap();
+                while !tcp_stop.load(Ordering::Relaxed) {
+                    let Ok((mut stream, _)) = tcp.accept() else {
+                        std::thread::sleep(Duration::from_millis(2));
+                        continue;
+                    };
+                    std::thread::spawn(move || {
+                        stream.set_nonblocking(false).unwrap();
+                        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                        let (mut reader, mut scratch) = (FrameReader::new(), Vec::new());
+                        while let Ok(Some(frame)) = reader.read_frame(&mut stream) {
+                            let frame = frame.to_vec();
+                            if write_frame(&mut stream, &frame, &mut scratch).is_err() {
+                                return;
+                            }
+                        }
+                    });
+                }
+            });
+            Echo { addr, stop, threads: vec![udp_thread, tcp_thread] }
+        }
+    }
+
+    impl Drop for Echo {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::Relaxed);
+            for t in self.threads.drain(..) {
+                t.join().unwrap();
+            }
+        }
+    }
+
+    /// One UDP round trip through `proxy` from `client`; how long it took.
+    fn round_trip(client: &UdpSocket, msg: &[u8]) -> Duration {
+        let started = Instant::now();
+        client.send(msg).unwrap();
+        let mut buf = [0u8; 64];
+        let n = client.recv(&mut buf).expect("the echo came back through the proxy");
+        assert_eq!(&buf[..n], msg);
+        started.elapsed()
+    }
+
+    /// Shutdown sends a held reply too: a copy held 2 s on its way back
+    /// to the client has reached it when `shutdown` returns, long
+    /// before it was due.
+    #[test]
+    fn shutdown_sends_every_held_reply() {
+        let echo = Echo::start();
+        let reverse = FaultProfile::lossless().delay_ms(2_000, 2_000);
+        let plan = Arc::new(FaultPlan::new(3, FaultProfile::lossless(), reverse));
+        let proxy = ChaosProxy::spawn("127.0.0.1:0", echo.addr, Arc::clone(&plan), None).unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client.send_to(b"held", proxy.local_addr()).unwrap();
+        let started = Instant::now();
+        while plan.tally(Direction::Reverse).delayed == 0 {
+            assert!(started.elapsed() < Duration::from_secs(1), "the reply never reached the proxy");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        proxy.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(1), "shutdown waited for the copy to fall due");
+        client.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 16];
+        let (n, _) = client.recv_from(&mut buf).expect("the held reply reached the client");
+        assert_eq!(&buf[..n], b"held");
+    }
+
+    /// Two TCP clients try to stall the proxy's one thread: one sends
+    /// half a frame and goes quiet, the other never reads its replies,
+    /// so a write to it would block. Neither delays UDP forwarding —
+    /// the proxy counterpart of
+    /// `client::tests::a_held_tcp_detour_delays_no_other_lane`.
+    #[test]
+    fn stalled_tcp_clients_delay_no_datagram() {
+        let echo = Echo::start();
+        let plan = Arc::new(FaultPlan::new(4, FaultProfile::lossless(), FaultProfile::lossless()));
+        let proxy = ChaosProxy::spawn("127.0.0.1:0", echo.addr, Arc::clone(&plan), None).unwrap();
+        let mut half = TcpStream::connect(proxy.local_addr()).unwrap();
+        half.write_all(&[0, 16, 1, 2]).unwrap();
+        let mut deaf = TcpStream::connect(proxy.local_addr()).unwrap();
+        deaf.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
+        let flood = std::thread::spawn(move || {
+            let (query, mut scratch) = (vec![7u8; 60_000], Vec::new());
+            let cut = (0..1_000).find_map(|_| write_frame(&mut deaf, &query, &mut scratch).err());
+            (deaf, cut) // held open: the proxy, not the client, gives up on it
+        });
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        client.connect(proxy.local_addr()).unwrap();
+        let (started, mut after) = (Instant::now(), 0);
+        while after < 5 {
+            assert!(started.elapsed() < Duration::from_secs(10), "the flood never ended");
+            after += usize::from(flood.is_finished());
+            let took = round_trip(&client, b"ping");
+            assert!(took < Duration::from_millis(100), "a round trip took {took:?}");
+        }
+        let (_deaf, cut) = flood.join().unwrap();
+        let cut = cut.expect("the proxy closed the deaf client's connection");
+        assert!(!is_idle_recv(&cut), "the proxy cut the connection, no write timed out: {cut:?}");
+        let tally = plan.tcp_tally();
+        assert_eq!(tally.conns, 2, "{}", tally.render());
+        assert!(tally.delivered > 0, "the deaf client's queries were relayed: {}", tally.render());
+        proxy.shutdown();
+        drop(half);
+    }
+
+    /// For each TCP fate, a frame whose first decision under `plan`
+    /// takes it — found on a twin plan of the same seed and profile.
+    fn frame_per_fate(seed: u64, tcp: TcpFaultProfile) -> Vec<(TcpFate, Vec<u8>)> {
+        let twin = FaultPlan::new(seed, FaultProfile::lossless(), FaultProfile::lossless()).with_tcp(tcp);
+        let mut found: Vec<(TcpFate, Vec<u8>)> = Vec::new();
+        for i in 0.. {
+            let frame = format!("frame-{i}").into_bytes();
+            let fate = twin.decide_tcp(&frame);
+            if found.iter().all(|(f, _)| *f != fate) {
+                found.push((fate, frame));
+            }
+            if found.len() == 5 {
+                return found;
+            }
+        }
+        unreachable!()
+    }
+
+    /// From `spawn` to `shutdown` a proxy starts one thread, however
+    /// many UDP sessions and TCP connections it carries — here 32 of
+    /// one and one connection per TCP fate, each fate keeping its
+    /// behaviour.
+    #[test]
+    fn a_proxy_is_one_thread() {
+        let started = || STARTED.with_borrow(|n| n.load(Ordering::Relaxed));
+        let echo = Echo::start();
+        let tcp = TcpFaultProfile { refuse: 0.2, reset: 0.2, stall: 0.2, corrupt_len: 0.2 };
+        let plan = Arc::new(
+            FaultPlan::new(5, FaultProfile::lossless(), FaultProfile::lossless()).with_tcp(tcp),
+        );
+        let before = started();
+        let proxy = ChaosProxy::spawn("127.0.0.1:0", echo.addr, Arc::clone(&plan), None).unwrap();
+        let clients: Vec<UdpSocket> = (0..32)
+            .map(|i| {
+                let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+                client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                client.connect(proxy.local_addr()).unwrap();
+                round_trip(&client, format!("session-{i}").as_bytes());
+                client
+            })
+            .collect();
+        let mut streams = Vec::new();
+        for (fate, frame) in frame_per_fate(5, tcp) {
+            let mut stream = TcpStream::connect(proxy.local_addr()).unwrap();
+            stream.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+            write_frame(&mut stream, &frame, &mut Vec::new()).unwrap();
+            let mut got = vec![0u8; 64];
+            let read = stream.read(&mut got);
+            match fate {
+                TcpFate::Deliver | TcpFate::CorruptLen => {
+                    let n = read.unwrap();
+                    let len = frame.len() as u16 + if fate == TcpFate::CorruptLen { 7 } else { 0 };
+                    assert_eq!(&got[..2], len.to_be_bytes(), "{fate:?}");
+                    assert_eq!(&got[2..n], &frame[..], "{fate:?}");
+                }
+                TcpFate::Refuse | TcpFate::Reset => {
+                    let closed = match &read {
+                        Ok(n) => *n == 0,
+                        Err(e) => !is_idle_recv(e),
+                    };
+                    assert!(closed, "{fate:?} closes the connection: {read:?}");
+                }
+                TcpFate::Stall => assert!(read.is_err_and(|e| is_idle_recv(&e)), "a stall is silent"),
+            }
+            streams.push(stream);
+        }
+        let tally = plan.tcp_tally();
+        assert_eq!(tally.render(), "frames=5 ok=1 refuse=1 reset=1 stall=1 badlen=1");
+        proxy.shutdown();
+        assert_eq!(started() - before, 1, "threads the proxy started");
+        drop((clients, streams));
     }
 }

@@ -21,9 +21,12 @@ cargo test -q --offline -p dnswild-netio -p dnswild-mmsg --no-default-features
 # call — run twice where reproducibility is the claim, with the
 # seed-deterministic lines compared in Rust. A gate exits non-zero and
 # names every expectation that broke; `dnswild gate list` says what each
-# one re-checks.
+# one re-checks. Each gate's wall time is printed after it, so a gate
+# that got slower shows in the log (no bound is applied).
 while read -r gate _; do
+    started=$(date +%s%N)
     ./target/release/dnswild gate "$gate"
+    echo "gate $gate: wall $(( ($(date +%s%N) - started) / 1000000 )) ms"
 done < <(./target/release/dnswild gate list)
 
 # Committed results match the code: every figure/table binary's default
