@@ -37,8 +37,7 @@ use std::time::{Duration, Instant};
 
 use dnswild::cli::{wrap, Command, Flag, Opts, Stop};
 use dnswild::lab::{
-    self, AttackSpec, CacheSpec, ChaosSpec, GateReport, PlainSpec, Rig, ATTACK_DELEGATION_NS,
-    CACHE_STALE_WINDOW,
+    self, Faults, GateReport, Rig, Scenario, ATTACK_DELEGATION_NS, CACHE_STALE_WINDOW,
 };
 use dnswild::report::{render_coverage, render_rank_profile, render_share};
 use dnswild_analysis::{
@@ -626,35 +625,32 @@ fn cmd_smoke(o: &Opts) {
     let (queries, seed) = (o.get("--queries"), o.get("--seed"));
     let concurrency = o.get("--concurrency");
     let (attack, json) = (o.opt::<AttackMode>("--attack"), o.has("--json"));
-    let rig = Rig {
+    let mut scenario = if o.has("--cache") {
+        let (capacity, serve_stale, prefetch) =
+            (o.get("--cache-cap"), o.has("--serve-stale"), o.has("--prefetch"));
+        Scenario::cache(queries, seed, capacity, serve_stale, prefetch)
+    } else if let Some(mode) = attack {
+        Scenario::attack(mode, o.has("--rrl"), queries, concurrency, seed)
+    } else if o.has("--chaos") {
+        let mut s = Scenario::chaos(queries, seed);
+        let (loss, corrupt) = (o.get("--loss"), o.get("--corrupt"));
+        s.faults = Some(Faults { loss, corrupt });
+        s.server.rrl = o.has("--rrl");
+        s.budget = Duration::from_secs(o.get("--budget-secs"));
+        if o.has("--tcp") {
+            s = s.truncated(o.get("--edns-size"));
+        }
+        s
+    } else {
+        Scenario::blast(queries, concurrency)
+    };
+    scenario.rig = Rig {
         threads: o.get("--threads"),
         io: o.get("--io"),
         trace: o.opt("--trace"),
         metrics_addr: o.opt("--metrics-addr"),
     };
-    let run = if o.has("--cache") {
-        let (capacity, serve_stale, prefetch) =
-            (o.get("--cache-cap"), o.has("--serve-stale"), o.has("--prefetch"));
-        lab::cache(&rig, &CacheSpec { queries, seed, capacity, serve_stale, prefetch })
-    } else if let Some(mode) = attack {
-        lab::attack(&rig, &AttackSpec { mode, rrl: o.has("--rrl"), queries, concurrency, seed })
-    } else if o.has("--chaos") {
-        lab::chaos(
-            &rig,
-            &ChaosSpec {
-                queries,
-                seed,
-                loss: o.get("--loss"),
-                corrupt: o.get("--corrupt"),
-                rrl: o.has("--rrl"),
-                truncation: o.has("--tcp").then(|| o.get("--edns-size")),
-                budget: Duration::from_secs(o.get("--budget-secs")),
-            },
-        )
-    } else {
-        lab::plain(&rig, &PlainSpec { queries, concurrency })
-    };
-    let report = run.unwrap_or_else(|e| {
+    let report = lab::run(&scenario).unwrap_or_else(|e| {
         eprintln!("smoke: {e}");
         std::process::exit(1)
     });
@@ -1021,10 +1017,9 @@ mod tests {
         let blast = parse(&BLAST, "").unwrap();
         assert_eq!(blast.get::<usize>("--spoofed-sources"), DEFAULT_SPOOFED_SOURCES);
         let smoke = parse(&SMOKE, "--chaos").unwrap();
-        let spec = ChaosSpec::new(0, 0);
-        assert_eq!(smoke.get::<f64>("--loss"), spec.loss);
-        assert_eq!(smoke.get::<f64>("--corrupt"), spec.corrupt);
-        assert_eq!(Duration::from_secs(smoke.get("--budget-secs")), spec.budget);
+        assert_eq!(smoke.get::<f64>("--loss"), Faults::CANONICAL.loss);
+        assert_eq!(smoke.get::<f64>("--corrupt"), Faults::CANONICAL.corrupt);
+        assert_eq!(Duration::from_secs(smoke.get("--budget-secs")), Scenario::chaos(0, 0).budget);
         assert_eq!(smoke.get::<usize>("--threads"), Rig::default().threads);
     }
 

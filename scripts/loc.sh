@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Net line count is a tracked metric (ROADMAP needle 2): per crate, raw
 # product vs test lines of every .rs file, a file's test part starting
-# at its first `#[cfg(test)]`; everything under a tests/ directory is
-# test. Needs nothing beyond find, sort and awk.
+# at the `#[cfg(test)]` line directly above its `mod tests` (a test-only
+# item elsewhere, such as a thread counter, stays on the product side);
+# everything under a tests/ directory is test. Needs nothing beyond
+# find, sort and awk.
 #
 #   scripts/loc.sh [tree]     # default: this checkout
 set -euo pipefail
@@ -17,8 +19,13 @@ FNR == 1 {
     group = part[1] == "crates" ? part[1] "/" part[2] : part[1]
     if (!(group in product)) { order[++groups] = group; product[group] = test[group] = 0 }
     in_test = FILENAME ~ /(^|\/)tests\//
+    held = 0
 }
-/^[ \t]*#\[cfg\(test\)\]/ { in_test = 1 }
+# A `#[cfg(test)]` line is held until the next line says which side it
+# is on.
+held && /^[ \t]*mod tests([ \t{;]|$)/ { in_test = 1 }
+held { held = 0; if (in_test) test[group]++; else product[group]++ }
+/^[ \t]*#\[cfg\(test\)\][ \t]*$/ && !in_test { held = 1; next }
 { if (in_test) test[group]++; else product[group]++ }
 END {
     printf "%-18s %8s %8s\n", "", "product", "test"

@@ -16,9 +16,9 @@ cargo test -q --offline
 # blocking `recv` on a thread of its own instead of in a shared `poll`.
 cargo test -q --offline -p dnswild-netio -p dnswild-mmsg --no-default-features
 
-# The gates at CI sizes. Each is one typed function of `dnswild::lab`
-# (crates/core/src/lab.rs) — the same code `dnswild smoke` and the tests
-# call — run twice where reproducibility is the claim, with the
+# The gates at CI sizes. Each is one `dnswild::lab::Scenario` run by
+# `lab::run` (crates/core/src/lab.rs) — the runner `dnswild smoke` and
+# the tests use — twice where reproducibility is the claim, with the
 # seed-deterministic lines compared in Rust. A gate exits non-zero and
 # names every expectation that broke; `dnswild gate list` says what each
 # one re-checks. Each gate's wall time is printed after it, so a gate
@@ -46,3 +46,7 @@ cargo clippy --workspace --all-targets --offline -q -- -D warnings
 # The no-shim build compiles the fallback arms the line above never sees.
 cargo clippy -p dnswild-netio -p dnswild-mmsg --no-default-features --all-targets --offline -q -- -D warnings
 echo "clippy: workspace and tests clean at -D warnings, with and without the shim"
+
+# Net line count is a tracked metric (ROADMAP needle 2): print the
+# product/test total so every run's log carries it. Not a gate.
+scripts/loc.sh | grep '^total'

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dnswild::lab::{attack, origin, run_gate, AttackSpec, Rig, NXNS_AMP_FLOOR};
+use dnswild::lab::{self, origin, run_gate, Rig, Scenario, NXNS_AMP_FLOOR};
 use dnswild_analysis::amplification;
 use dnswild_netio::{resolve, serve, AttackMode, ResolveConfig, ServeConfig, TcpOptions};
 use dnswild_server::{RateLimitPolicy, RrlScope};
@@ -36,16 +36,11 @@ fn temp_trace(name: &str) -> PathBuf {
 /// runs of the same seed.
 #[test]
 fn defended_flood_replays_byte_identically_and_holds_goodput() {
-    let spec = AttackSpec {
-        mode: AttackMode::NxdomainFlood,
-        rrl: true,
-        queries: 300,
-        concurrency: 2,
-        seed: 2017,
-    };
+    let spec = Scenario::attack(AttackMode::NxdomainFlood, true, 300, 2, 2017);
     let path = temp_trace("flood");
     let run = || {
-        let report = attack(&Rig::traced(&path).metered(), &spec).unwrap();
+        let report = lab::run(&Scenario { rig: Rig::traced(&path).metered(), ..spec.clone() });
+        let report = report.unwrap();
         assert!(report.passed(), "{:?}", report.failures);
         report
     };
@@ -67,15 +62,9 @@ fn defended_flood_replays_byte_identically_and_holds_goodput() {
 /// (the gate's own check) and from the attacker's own books.
 #[test]
 fn undefended_nxns_amplification_exceeds_the_pinned_floor() {
-    let spec = AttackSpec {
-        mode: AttackMode::NxnsReferral,
-        rrl: false,
-        queries: 200,
-        concurrency: 2,
-        seed: 2017,
-    };
+    let spec = Scenario::attack(AttackMode::NxnsReferral, false, 200, 2, 2017);
     let path = temp_trace("nxns");
-    let report = attack(&Rig::traced(&path), &spec).unwrap();
+    let report = lab::run(&Scenario { rig: Rig::traced(&path), ..spec }).unwrap();
     let _ = std::fs::remove_file(&path);
     assert!(report.passed(), "{:?}", report.failures);
     assert_eq!(report.server.referrals, 200, "no limiter: every referral is served");

@@ -181,7 +181,7 @@ fn experiment_is_deterministic_across_full_stack() {
 mod chaos_plane {
     use std::sync::Arc;
 
-    use dnswild::lab::{chaos, origin, ChaosSpec, GateReport, Rig};
+    use dnswild::lab::{origin, run, Faults, GateReport, Scenario};
     use dnswild::netio::{
         resolve, serve, ChaosProxy, FaultPlan, FaultProfile, ResolveConfig, ServeConfig,
     };
@@ -191,8 +191,8 @@ mod chaos_plane {
     /// sharing one plan — 10% loss split across the two directions, 2%
     /// duplication, delays up to 20 ms — driven by the resolver client.
     fn chaos_run(seed: u64) -> GateReport {
-        let spec = ChaosSpec { corrupt: 0.0, ..ChaosSpec::new(120, seed) };
-        let report = chaos(&Rig::default(), &spec).unwrap();
+        let faults = Faults { corrupt: 0.0, ..Faults::CANONICAL };
+        let report = run(&Scenario { faults: Some(faults), ..Scenario::chaos(120, seed) }).unwrap();
         assert!(report.passed(), "seed {seed}: {:?}", report.failures);
         report
     }

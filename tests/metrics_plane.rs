@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dnswild::lab::{chaos, origin, plain, start_collector, ChaosSpec, PlainSpec, Rig};
+use dnswild::lab::{origin, run, start_collector, Faults, Rig, Scenario};
 use dnswild_metrics::watchdog::inputs;
 use dnswild_metrics::{
     parse_exposition, scrape, CounterSet, MetricsServer, Registry, Watchdog, WatchdogConfig,
@@ -37,8 +37,8 @@ fn temp_trace(name: &str) -> PathBuf {
 /// its report and all five hot-path stages must have recorded spans.
 #[test]
 fn scraped_counters_match_the_server_books_exactly() {
-    let spec = PlainSpec { queries: 400, concurrency: 2 };
-    let report = plain(&Rig::default().metered(), &spec).unwrap();
+    let spec = Scenario { rig: Rig::default().metered(), ..Scenario::blast(400, 2) };
+    let report = run(&spec).unwrap();
     assert!(report.passed(), "{:?}", report.failures);
     let load = report.load.as_ref().unwrap();
     let sample = |kind: &str| {
@@ -64,8 +64,9 @@ fn scraped_counters_match_the_server_books_exactly() {
 /// tolerance or vacuous (near-equal RTTs on loopback).
 #[test]
 fn watchdog_stays_healthy_on_a_clean_resolve() {
-    let spec = ChaosSpec { loss: 0.0, corrupt: 0.0, ..ChaosSpec::new(300, 2017) };
-    let report = chaos(&Rig::default().metered(), &spec).unwrap();
+    let clean = Faults { loss: 0.0, corrupt: 0.0 };
+    let spec = Scenario { faults: Some(clean), ..Scenario::chaos(300, 2017) };
+    let report = run(&Scenario { rig: Rig::default().metered(), ..spec }).unwrap();
     assert!(report.passed(), "{:?}", report.failures);
     assert_eq!(report.client.unwrap().servfails, 0, "clean loopback must not give up");
     let verdict = report.watchdog.expect("metered runs keep the watchdog's verdict");
@@ -401,7 +402,7 @@ fn max_client_latency_ns(trace: &dnswild_telemetry::Trace) -> u64 {
 #[test]
 fn the_slowest_journey_gauge_is_the_worst_client_latency_in_the_trace() {
     let path = temp_trace("slowest");
-    let report = chaos(&Rig::traced(&path).metered(), &ChaosSpec::new(200, 2017));
+    let report = run(&Scenario { rig: Rig::traced(&path).metered(), ..Scenario::chaos(200, 2017) });
     std::fs::remove_file(&path).ok();
     let report = report.unwrap();
     assert!(report.passed(), "{:?}", report.failures);

@@ -9,13 +9,14 @@
 //! reordered, dropped, duplicated or double-sent datagrams would shift
 //! occurrence indices and change the digest.
 
-use dnswild::lab::{chaos, plain, ChaosSpec, GateReport, PlainSpec, Rig};
+use dnswild::lab::{run, GateReport, Rig, Scenario};
 use dnswild::netio::{batch_io_available, IoBackend};
 
 /// The chaos gate — one server behind two proxies sharing one seeded
 /// fault plan, driven by the resolver retry client — on one backend.
 fn chaos_on(io: IoBackend) -> GateReport {
-    let report = chaos(&Rig { io, ..Rig::default() }, &ChaosSpec::new(2_000, 2017)).unwrap();
+    let spec = Scenario { rig: Rig { io, ..Rig::default() }, ..Scenario::chaos(2_000, 2017) };
+    let report = run(&spec).unwrap();
     assert!(report.passed(), "{io:?}: {:?}", report.failures);
     assert_eq!(report.io.recv_errors + report.io.send_errors, 0, "{io:?}");
     report
@@ -42,7 +43,7 @@ fn mmsg_blast_with_concurrency_stays_balanced() {
     // Enough concurrent closed-loop clients that recvmmsg actually
     // drains multi-datagram batches.
     let rig = Rig { io: IoBackend::Mmsg, ..Rig::default() };
-    let report = plain(&rig, &PlainSpec { queries: 4_000, concurrency: 8 }).unwrap();
+    let report = run(&Scenario { rig, ..Scenario::blast(4_000, 8) }).unwrap();
     assert!(report.passed(), "{:?}", report.failures);
     assert_eq!(report.io.send_errors, 0, "{:?}", report.io);
 }

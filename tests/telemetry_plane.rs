@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dnswild::lab::{origin, plain, GateReport, PlainSpec, Rig};
+use dnswild::lab::{origin, run, GateReport, Rig, Scenario};
 use dnswild_analysis::{trace_auth_counts, trace_client_counts, trace_to_measurement};
 use dnswild_netio::{serve, Collector, CollectorConfig, ServeConfig, Trace};
 use dnswild_proto::{Class, Message, Name, RData, RType, Rcode};
@@ -27,7 +27,8 @@ fn temp_trace(name: &str) -> PathBuf {
 /// Returns the report and the trace it read back.
 fn traced_run(name: &str, queries: u64) -> (GateReport, Trace) {
     let path = temp_trace(name);
-    let mut report = plain(&Rig::traced(&path), &PlainSpec { queries, concurrency: 2 }).unwrap();
+    let spec = Scenario { rig: Rig::traced(&path), ..Scenario::blast(queries, 2) };
+    let mut report = run(&spec).unwrap();
     std::fs::remove_file(&path).ok();
     assert!(report.passed(), "loopback run failed: {:?}", report.failures);
     let trace = report.trace.take().expect("traced run reads its trace back");
