@@ -29,11 +29,6 @@ impl AuthoritativeSpec {
         assert!(!sites.is_empty(), "anycast service needs at least one site");
         AuthoritativeSpec { code: code.into(), sites }
     }
-
-    /// Whether this NS is an anycast service.
-    pub fn is_anycast(&self) -> bool {
-        self.sites.len() > 1
-    }
 }
 
 /// A full deployment: the NS set of one zone.
@@ -229,10 +224,9 @@ mod tests {
     #[test]
     fn unicast_and_anycast_specs() {
         let u = AuthoritativeSpec::unicast(&datacenters::FRA);
-        assert!(!u.is_anycast());
+        assert_eq!(u.sites.len(), 1);
         assert_eq!(u.code, "FRA");
         let a = AuthoritativeSpec::anycast("any1", &[&datacenters::FRA, &datacenters::SYD]);
-        assert!(a.is_anycast());
         assert_eq!(a.sites.len(), 2);
     }
 

@@ -17,8 +17,8 @@
 //! Beyond plain TTL honoring it implements the recursive-side mechanics
 //! the paper's measured resolvers exhibit: RFC 2308 negative caching
 //! (NXDOMAIN and NODATA kept distinct, TTL from the SOA minimum),
-//! popularity-driven prefetch shortly before expiry, RFC 8767 serve-stale
-//! under a stale-answer budget, and a capacity bound with eviction
+//! prefetch of an entry hit shortly before expiry, RFC 8767 serve-stale
+//! within a window past expiry, and a capacity bound with eviction
 //! accounting: an exact LRU threaded through a slab of entries, O(1) to
 //! touch and to evict.
 //!

@@ -44,10 +44,7 @@ struct Slot {
     rcode: Rcode,
     kind: EntryKind,
     expires: CacheTime,
-    /// Live hits since (re-)insertion — the popularity signal prefetch
-    /// keys on.
-    hits: u64,
-    /// One-shot latch so a hot entry triggers at most one prefetch per
+    /// One-shot latch so an entry triggers at most one prefetch per
     /// lifetime; reset by the refreshing insert.
     prefetch_fired: bool,
     chain: u32,
@@ -86,8 +83,8 @@ pub struct CachedResponse {
     pub rcode: Rcode,
     /// Positive / NODATA / NXDOMAIN.
     pub kind: EntryKind,
-    /// True when this hit is hot and close enough to expiry that the
-    /// caller should refresh it in the background.
+    /// True when this hit is close enough to expiry that the caller
+    /// should refresh it in the background.
     pub prefetch_due: bool,
     /// True when served past expiry under RFC 8767 (only from
     /// [`RecordCache::get_stale`]).
@@ -120,32 +117,16 @@ dnswild_ledger::counter_set! {
 /// cache exactly (unbounded, no prefetch, expired entries dropped on
 /// probe), so the simulator's outputs are bit-stable across the
 /// unification.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheConfig {
     /// Maximum live entries; 0 means unbounded.
     pub capacity: usize,
-    /// Prefetch when a hot entry's remaining life is at most this many
-    /// seconds; 0 disables prefetch marking.
+    /// Prefetch when a hit finds its entry with at most this many
+    /// seconds of life left; 0 disables prefetch marking.
     pub prefetch_window_s: u32,
-    /// Hits an entry needs before it counts as hot.
-    pub prefetch_min_hits: u64,
     /// How long past expiry an entry stays servable stale; 0 disables
     /// serve-stale (expired entries are removed on probe).
     pub max_stale_s: u32,
-    /// Maximum stale answers this cache will ever serve.
-    pub stale_budget: u64,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            capacity: 0,
-            prefetch_window_s: 0,
-            prefetch_min_hits: 1,
-            max_stale_s: 0,
-            stale_budget: u64::MAX,
-        }
-    }
 }
 
 /// The RFC 2308 lifetime of `reply` as a negative answer:
@@ -345,8 +326,8 @@ impl RecordCache {
         };
         self.stats.inserts += 1;
         let hash = self.hasher.hash_one((&qname, qtype));
-        // A refresh is the old entry out and a new one in: hit count and
-        // prefetch latch start over, the slot is reused straight away.
+        // A refresh is the old entry out and a new one in: the prefetch
+        // latch starts over, the slot is reused straight away.
         if let Some(old) = self.find(hash, &qname, qtype) {
             self.remove(old);
         }
@@ -362,7 +343,6 @@ impl RecordCache {
             rcode,
             kind,
             expires: now + Secs(ttl as u64),
-            hits: 0,
             prefetch_fired: false,
             chain: self.buckets[bucket],
             older: NIL,
@@ -419,10 +399,8 @@ impl RecordCache {
         if e.kind != EntryKind::Positive {
             self.stats.negative_hits += 1;
         }
-        e.hits += 1;
         let prefetch_due = cfg.prefetch_window_s > 0
             && !e.prefetch_fired
-            && e.hits >= cfg.prefetch_min_hits
             && e.expires.micros_since(now) <= cfg.prefetch_window_s as u64 * 1_000_000;
         e.prefetch_fired |= prefetch_due;
         // Floor at 1: a record with sub-second life left is still live
@@ -434,12 +412,11 @@ impl RecordCache {
         Some(hit)
     }
 
-    /// Finds an *expired* entry servable under RFC 8767: within the
-    /// `max_stale_s` window, the stale-answer budget not yet spent.
-    /// `None` changes nothing. Callers reach for this only after every
-    /// authoritative has failed them.
+    /// Finds an *expired* entry servable under RFC 8767: one still within
+    /// the `max_stale_s` window. `None` changes nothing. Callers reach
+    /// for this only after every authoritative has failed them.
     pub fn probe_stale(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<Hit> {
-        if self.cfg.max_stale_s == 0 || self.stats.stale_served >= self.cfg.stale_budget {
+        if self.cfg.max_stale_s == 0 {
             return None;
         }
         let i = self.find(self.hasher.hash_one((qname, qtype)), qname, qtype)?;
@@ -806,13 +783,13 @@ mod tests {
 
     // ---- RFC 8767 serve-stale ----
 
-    fn stale_cfg(max_stale_s: u32, budget: u64) -> CacheConfig {
-        CacheConfig { max_stale_s, stale_budget: budget, ..Default::default() }
+    fn stale_cfg(max_stale_s: u32) -> CacheConfig {
+        CacheConfig { max_stale_s, ..Default::default() }
     }
 
     #[test]
     fn stale_entries_served_within_window_under_budget() {
-        let mut c = RecordCache::with_config(stale_cfg(60, 1));
+        let mut c = RecordCache::with_config(stale_cfg(60));
         c.insert(name("a.nl"), RType::Txt, vec![txt_record("a.nl", 5)], Rcode::NoError, 300, t(0));
         // Expired probe misses but retains the entry.
         assert!(c.get(&name("a.nl"), RType::Txt, t(10)).is_none());
@@ -821,13 +798,11 @@ mod tests {
         assert!(stale.stale);
         assert_eq!(stale.answers[0].ttl, STALE_TTL);
         assert_eq!(c.stats().stale_served, 1);
-        // Budget of 1 is now spent.
-        assert!(c.get_stale(&name("a.nl"), RType::Txt, t(11)).is_none());
     }
 
     #[test]
     fn stale_window_and_liveness_are_enforced() {
-        let mut c = RecordCache::with_config(stale_cfg(60, u64::MAX));
+        let mut c = RecordCache::with_config(stale_cfg(60));
         c.insert(name("a.nl"), RType::Txt, vec![txt_record("a.nl", 5)], Rcode::NoError, 300, t(0));
         // Still live: get_stale refuses (the live path owns it).
         assert!(c.get_stale(&name("a.nl"), RType::Txt, t(3)).is_none());
@@ -843,7 +818,7 @@ mod tests {
     /// would reclaim it.
     #[test]
     fn an_entry_past_its_stale_window_is_reclaimed() {
-        let mut c = RecordCache::with_config(stale_cfg(60, u64::MAX));
+        let mut c = RecordCache::with_config(stale_cfg(60));
         c.insert(name("a.nl"), RType::Txt, vec![txt_record("a.nl", 5)], Rcode::NoError, 300, t(0));
         assert!(c.get(&name("a.nl"), RType::Txt, t(5 + 60)).is_none());
         assert_eq!(c.len(), 1, "the last instant of the window: still servable stale");
@@ -854,7 +829,7 @@ mod tests {
 
     #[test]
     fn stale_negative_answers_keep_their_rcode() {
-        let mut c = RecordCache::with_config(stale_cfg(600, u64::MAX));
+        let mut c = RecordCache::with_config(stale_cfg(600));
         c.insert(name("nx.nl"), RType::A, vec![], Rcode::NxDomain, 5, t(0));
         assert!(c.get(&name("nx.nl"), RType::A, t(6)).is_none());
         let stale = c.get_stale(&name("nx.nl"), RType::A, t(6)).unwrap();
@@ -862,17 +837,17 @@ mod tests {
         assert_eq!(stale.kind, EntryKind::NxDomain);
     }
 
-    // ---- popularity-driven prefetch ----
+    // ---- prefetch near expiry ----
 
     #[test]
     fn prefetch_marks_hot_entries_near_expiry_once() {
-        let cfg = CacheConfig { prefetch_window_s: 2, prefetch_min_hits: 2, ..Default::default() };
+        let cfg = CacheConfig { prefetch_window_s: 2, ..Default::default() };
         let mut c = RecordCache::with_config(cfg);
         c.insert(name("a.nl"), RType::Txt, vec![txt_record("a.nl", 10)], Rcode::NoError, 300, t(0));
         // Hot but not near expiry: no prefetch.
         assert!(!c.get(&name("a.nl"), RType::Txt, t(1)).unwrap().prefetch_due);
         assert!(!c.get(&name("a.nl"), RType::Txt, t(2)).unwrap().prefetch_due);
-        // Near expiry (remaining <= 2s) and past the hit threshold: due.
+        // Near expiry (remaining <= 2s): due.
         assert!(c.get(&name("a.nl"), RType::Txt, t(8)).unwrap().prefetch_due);
         // The latch keeps a hot entry from re-triggering every hit.
         assert!(!c.get(&name("a.nl"), RType::Txt, t(9)).unwrap().prefetch_due);
@@ -880,14 +855,5 @@ mod tests {
         c.insert(name("a.nl"), RType::Txt, vec![txt_record("a.nl", 10)], Rcode::NoError, 300, t(9));
         assert!(!c.get(&name("a.nl"), RType::Txt, t(10)).unwrap().prefetch_due);
         assert!(c.get(&name("a.nl"), RType::Txt, t(17)).unwrap().prefetch_due);
-    }
-
-    #[test]
-    fn cold_entries_never_prefetch() {
-        let cfg = CacheConfig { prefetch_window_s: 2, prefetch_min_hits: 5, ..Default::default() };
-        let mut c = RecordCache::with_config(cfg);
-        c.insert(name("a.nl"), RType::Txt, vec![txt_record("a.nl", 10)], Rcode::NoError, 300, t(0));
-        // One hit near expiry is below the popularity threshold.
-        assert!(!c.get(&name("a.nl"), RType::Txt, t(9)).unwrap().prefetch_due);
     }
 }

@@ -367,7 +367,6 @@ fn cmd_blast(o: &Opts) {
                 capacity: o.get("--cache-cap"),
                 prefetch_window_s: if o.has("--prefetch") { BLAST_PREFETCH_WINDOW } else { 0 },
                 max_stale_s: if o.has("--serve-stale") { CACHE_STALE_WINDOW } else { 0 },
-                ..CacheConfig::default()
             });
             if let Some(registry) = registry {
                 cache.register(registry);

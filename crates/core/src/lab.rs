@@ -37,8 +37,7 @@ use dnswild_analysis::{
 };
 use dnswild_metrics::watchdog::inputs;
 use dnswild_metrics::{
-    parse_exposition, scrape, CounterSet, Sample, Watchdog, WatchdogConfig, WatchdogHandle,
-    WatchdogReport,
+    parse_exposition, scrape, CounterSet, Sample, Watchdog, WatchdogHandle, WatchdogReport,
 };
 use dnswild_netio::{
     blast, resolve, serve, AttackMode, CacheConfig, ChaosProxy, ClientStats, Collector,
@@ -232,7 +231,7 @@ pub fn start_metrics(addr: &str) -> Result<(Arc<Registry>, MetricsServer), Strin
 
 /// Spawns the law watchdog over a metrics registry.
 pub fn start_watchdog(registry: &Arc<Registry>) -> Result<WatchdogHandle, String> {
-    Watchdog::new(Arc::clone(registry), WatchdogConfig::default())
+    Watchdog::new(Arc::clone(registry))
         .spawn()
         .map_err(|e| format!("watchdog: {e}"))
 }
@@ -888,7 +887,6 @@ impl Lab {
                     capacity,
                     prefetch_window_s: if prefetch { CACHE_GATE_PREFETCH_WINDOW } else { 0 },
                     max_stale_s: if serve_stale { CACHE_STALE_WINDOW } else { 0 },
-                    ..CacheConfig::default()
                 });
                 if let Some(registry) = &self.registry {
                     cache.register(registry);

@@ -48,4 +48,4 @@ pub use dnswild_telemetry::LogHistogram;
 pub use http::{scrape, parse_exposition, MetricsServer, Sample};
 pub use registry::{Counter, Gauge, Hook, MetricValue, Registry};
 pub use spans::{Stage, StageClock, StageSpans, STAGES};
-pub use watchdog::{Watchdog, WatchdogConfig, WatchdogHandle, WatchdogReport};
+pub use watchdog::{Watchdog, WatchdogHandle, WatchdogReport};

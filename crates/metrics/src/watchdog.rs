@@ -5,7 +5,7 @@
 //!   client attempts should track the 1/SRTT-proportional expectation.
 //!   The law only *predicts* a sharp split when the SRTTs actually
 //!   differ, so the breach condition is gated on the observed SRTT
-//!   spread (`srtt_spread_min`) and a minimum sample count; the raw
+//!   spread (`SRTT_SPREAD_MIN`) and a minimum sample count; the raw
 //!   deviation gauge is always exposed.
 //! * **All-auth coverage** (Fig 2, §4.1): recursives keep probing every
 //!   authoritative; the fraction of known auths with at least one
@@ -54,50 +54,32 @@ fn kind_total(series: &LabeledSeries<u64>, kind: &str) -> u64 {
         .sum()
 }
 
-/// Tunables for the watchdog laws.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Evaluation period.
-    pub interval: Duration,
-    /// Max allowed |actual − expected| per-auth share deviation.
-    pub share_tolerance: f64,
-    /// Attempts across all auths before the share law is judged.
-    pub min_share_samples: u64,
-    /// Minimum `srtt_max / srtt_min` before the share law is judged —
-    /// with near-equal SRTTs the 1/SRTT law predicts nothing sharp.
-    pub srtt_spread_min: f64,
-    /// Minimum covered-auth fraction.
-    pub coverage_min: f64,
-    /// Max SERVFAIL/give-up fraction of finished transactions.
-    pub servfail_rate_max: f64,
-    /// Transactions before coverage and SERVFAIL laws are judged.
-    pub min_txn_samples: u64,
-    /// Max fraction of server queries the rate limiter may intervene on
-    /// (drop or slip) before the attack-pressure law breaches — under
-    /// legitimate closed-loop load the limiter should be all but idle.
-    pub attack_rate_max: f64,
-    /// Server queries before the attack-pressure law is judged.
-    pub min_attack_samples: u64,
-    /// Per-law floor between two JSONL breach lines.
-    pub log_every: Duration,
-}
+// The laws' thresholds. Every program runs the watchdog with these, so
+// they are constants rather than settings.
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            interval: Duration::from_millis(500),
-            share_tolerance: 0.25,
-            min_share_samples: 200,
-            srtt_spread_min: 2.0,
-            coverage_min: 0.99,
-            servfail_rate_max: 0.05,
-            min_txn_samples: 100,
-            attack_rate_max: 0.02,
-            min_attack_samples: 100,
-            log_every: Duration::from_secs(5),
-        }
-    }
-}
+/// Evaluation period.
+const INTERVAL: Duration = Duration::from_millis(500);
+/// Max allowed |actual − expected| per-auth share deviation.
+const SHARE_TOLERANCE: f64 = 0.25;
+/// Attempts across all auths before the share law is judged.
+const MIN_SHARE_SAMPLES: u64 = 200;
+/// Minimum `srtt_max / srtt_min` before the share law is judged — with
+/// near-equal SRTTs the 1/SRTT law predicts nothing sharp.
+const SRTT_SPREAD_MIN: f64 = 2.0;
+/// Minimum covered-auth fraction.
+const COVERAGE_MIN: f64 = 0.99;
+/// Max SERVFAIL/give-up fraction of finished transactions.
+const SERVFAIL_RATE_MAX: f64 = 0.05;
+/// Transactions before coverage and SERVFAIL laws are judged.
+const MIN_TXN_SAMPLES: u64 = 100;
+/// Max fraction of server queries the rate limiter may intervene on
+/// (drop or slip) before the attack-pressure law breaches — under
+/// legitimate closed-loop load the limiter should be all but idle.
+const ATTACK_RATE_MAX: f64 = 0.02;
+/// Server queries before the attack-pressure law is judged.
+const MIN_ATTACK_SAMPLES: u64 = 100;
+/// Per-law floor between two JSONL breach lines.
+const LOG_EVERY: Duration = Duration::from_secs(5);
 
 /// One evaluation's verdicts (also mirrored into gauges).
 #[derive(Debug, Clone, Copy, Default)]
@@ -157,7 +139,6 @@ struct OutputGauges {
 /// it on its own thread.
 pub struct Watchdog {
     registry: Arc<Registry>,
-    config: WatchdogConfig,
     out: OutputGauges,
     evals: Arc<crate::registry::Counter>,
     /// Per-law instant of the last JSONL line, for rate limiting.
@@ -167,7 +148,7 @@ pub struct Watchdog {
 impl Watchdog {
     /// Registers the breach gauges on `registry` and returns the
     /// evaluator.
-    pub fn new(registry: Arc<Registry>, config: WatchdogConfig) -> Watchdog {
+    pub fn new(registry: Arc<Registry>) -> Watchdog {
         let g = |name: &str, help: &str| registry.gauge(name, help);
         let out = OutputGauges {
             share_dev: g(
@@ -205,7 +186,7 @@ impl Watchdog {
             ),
         };
         let evals = registry.counter("dnswild_watchdog_evals_total", "watchdog evaluations run");
-        Watchdog { registry, config, out, evals, last_log: Mutex::new([None; 5]) }
+        Watchdog { registry, out, evals, last_log: Mutex::new([None; 5]) }
     }
 
     /// Runs one evaluation: reads the input metrics, updates the breach
@@ -245,9 +226,8 @@ impl Watchdog {
                     .fold(0.0, f64::max);
                 let spread = pairs.iter().map(|&(_, s)| s).fold(f64::MIN, f64::max)
                     / pairs.iter().map(|&(_, s)| s).fold(f64::MAX, f64::min);
-                r.share_judged =
-                    total >= self.config.min_share_samples && spread >= self.config.srtt_spread_min;
-                r.share_breach = r.share_judged && r.share_dev > self.config.share_tolerance;
+                r.share_judged = total >= MIN_SHARE_SAMPLES && spread >= SRTT_SPREAD_MIN;
+                r.share_breach = r.share_judged && r.share_dev > SHARE_TOLERANCE;
             }
         }
 
@@ -258,16 +238,14 @@ impl Watchdog {
         if !attempts.is_empty() {
             let covered = attempts.iter().filter(|(_, n)| *n > 0).count();
             r.coverage = covered as f64 / attempts.len() as f64;
-            r.coverage_breach =
-                txns >= self.config.min_txn_samples && r.coverage < self.config.coverage_min;
+            r.coverage_breach = txns >= MIN_TXN_SAMPLES && r.coverage < COVERAGE_MIN;
         }
 
         // SERVFAIL/give-up rate over finished transactions.
         let servfails = kind_total(&client, "servfail");
         if txns > 0 {
             r.servfail_rate = servfails as f64 / txns as f64;
-            r.servfail_breach = txns >= self.config.min_txn_samples
-                && r.servfail_rate > self.config.servfail_rate_max;
+            r.servfail_breach = txns >= MIN_TXN_SAMPLES && r.servfail_rate > SERVFAIL_RATE_MAX;
         }
 
         // Telemetry ring overflow: any drop is a capture-integrity loss.
@@ -283,8 +261,8 @@ impl Watchdog {
         let limited = kind_total(&server, "rrl_dropped") + kind_total(&server, "rrl_slipped");
         if server_queries > 0 {
             r.attack_rate = limited as f64 / server_queries as f64;
-            r.attack_breach = server_queries >= self.config.min_attack_samples
-                && r.attack_rate > self.config.attack_rate_max;
+            r.attack_breach =
+                server_queries >= MIN_ATTACK_SAMPLES && r.attack_rate > ATTACK_RATE_MAX;
         }
 
         self.out.share_dev.set(r.share_dev);
@@ -299,11 +277,11 @@ impl Watchdog {
         self.evals.inc();
 
         for (law, breached, detail) in [
-            (0usize, r.share_breach, format!("\"dev\":{:.4},\"tolerance\":{}", r.share_dev, self.config.share_tolerance)),
-            (1, r.coverage_breach, format!("\"coverage\":{:.4},\"min\":{}", r.coverage, self.config.coverage_min)),
-            (2, r.servfail_breach, format!("\"rate\":{:.4},\"max\":{}", r.servfail_rate, self.config.servfail_rate_max)),
+            (0usize, r.share_breach, format!("\"dev\":{:.4},\"tolerance\":{}", r.share_dev, SHARE_TOLERANCE)),
+            (1, r.coverage_breach, format!("\"coverage\":{:.4},\"min\":{}", r.coverage, COVERAGE_MIN)),
+            (2, r.servfail_breach, format!("\"rate\":{:.4},\"max\":{}", r.servfail_rate, SERVFAIL_RATE_MAX)),
             (3, r.overflow_breach, format!("\"overflow\":{}", r.overflow)),
-            (4, r.attack_breach, format!("\"rate\":{:.4},\"max\":{}", r.attack_rate, self.config.attack_rate_max)),
+            (4, r.attack_breach, format!("\"rate\":{:.4},\"max\":{}", r.attack_rate, ATTACK_RATE_MAX)),
         ] {
             if breached {
                 self.log_breach(law, &detail);
@@ -312,11 +290,11 @@ impl Watchdog {
         r
     }
 
-    /// One JSONL line per law per `log_every`, on stderr.
+    /// One JSONL line per law per `LOG_EVERY`, on stderr.
     fn log_breach(&self, law: usize, detail: &str) {
         let mut last = self.last_log.lock().unwrap();
         let now = Instant::now();
-        if last[law].is_some_and(|t| now.duration_since(t) < self.config.log_every) {
+        if last[law].is_some_and(|t| now.duration_since(t) < LOG_EVERY) {
             return;
         }
         last[law] = Some(now);
@@ -329,8 +307,10 @@ impl Watchdog {
         eprintln!("{{\"ts_ms\":{ts_ms},\"watchdog\":\"{name}\",\"breach\":true,{detail}}}");
     }
 
-    /// Runs the evaluator on a background thread until the handle is
-    /// shut down.
+    /// Runs the evaluator on a background thread, one evaluation per
+    /// `INTERVAL`, until the handle is shut down. The thread parks
+    /// between evaluations, so a shutdown wakes it instead of waiting
+    /// out the interval.
     pub fn spawn(self) -> std::io::Result<WatchdogHandle> {
         let stop = Arc::new(AtomicBool::new(false));
         let watchdog = Arc::new(self);
@@ -340,7 +320,7 @@ impl Watchdog {
             std::thread::Builder::new().name("metrics-watchdog".into()).spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     wd.eval_now();
-                    std::thread::sleep(wd.config.interval);
+                    std::thread::park_timeout(INTERVAL);
                 }
             })?
         };
@@ -362,6 +342,7 @@ impl WatchdogHandle {
     pub fn shutdown(mut self) -> WatchdogReport {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
         self.watchdog.eval_now()
@@ -380,7 +361,7 @@ mod tests {
         for (auth, s) in srtt {
             reg.gauge_with(inputs::SRTT_MS, "t", &[("auth", auth)]).set(*s);
         }
-        let wd = Watchdog::new(Arc::clone(&reg), WatchdogConfig::default());
+        let wd = Watchdog::new(Arc::clone(&reg));
         (reg, wd)
     }
 
@@ -505,7 +486,12 @@ mod tests {
         let (reg, wd) = fixture(&[("a", 600), ("b", 400)], &[("a", 10.0), ("b", 15.0)]);
         let handle = wd.spawn().unwrap();
         std::thread::sleep(Duration::from_millis(50));
+        // The evaluator is parked for most of its 500 ms interval here;
+        // shutting down must wake it, not wait the interval out.
+        let started = Instant::now();
         let r = handle.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
         assert!(r.healthy());
         assert!(reg.counters("dnswild_watchdog_evals_total")[0].1 >= 1);
     }

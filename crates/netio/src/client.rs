@@ -14,7 +14,7 @@
 //!
 //! A lane is a resumable state machine, not a thread: it sends, then
 //! waits for its socket (or its TCP detour's stream) to turn readable
-//! or its deadline to pass, on the event loop of [`crate::closed_loop`]
+//! or its deadline to pass, on the event loop of `closed_loop`
 //! the load generator's lanes run on too. Only a TCP `connect` blocks.
 //!
 //! ## Determinism contract
@@ -36,7 +36,7 @@
 //!   ([`crate::chaos::FaultProfile::max_hold`], both directions
 //!   summed): a reply is then *either* always inside its window or
 //!   never delivered, so timeout counts cannot flip between runs.
-//! * Read before expire (see [`crate::closed_loop::EventLoop`]): a
+//! * Read before expire (see `closed_loop::EventLoop`): a
 //!   reply that was readable before its deadline is classified as an
 //!   answer however late a busy loop gets to it — as a thread blocked
 //!   in `recv` would have.
@@ -115,21 +115,19 @@ const SHARDS: usize = 16;
 /// pairs it with a [`WallClock`] anchored at construction, so entries
 /// age with real time the way the TTLs on the wire promise.
 ///
-/// Inside it is up to [`SHARDS`] independently locked [`RecordCache`]s,
-/// a question always going to the shard its keyed hash names, so
-/// lanes asking different questions seldom wait for each other. The
-/// two whole-cache bounds survive the split: a `capacity` of N is
-/// divided over `min(16, N)` shards, rounded down, so the shards
+/// Inside it is up to 16 (`SHARDS`) independently locked
+/// [`RecordCache`]s, a question always going to the shard its keyed
+/// hash names, so lanes asking different questions seldom wait for each
+/// other. The whole-cache bound survives the split: a `capacity` of N
+/// is divided over `min(16, N)` shards, rounded down, so the shards
 /// together never hold more than N entries (each evicts by its own LRU
-/// order); and `stale_budget` is one counter in front of all of them.
+/// order).
 pub struct SharedCache {
     shards: Box<[Mutex<RecordCache>]>,
     /// Names a question's shard. Keyed, like the index inside each
     /// shard: with a guessable hash a client could send every question
     /// to one lock.
     picker: RandomState,
-    /// Stale answers the cache as a whole may still serve.
-    stale_left: AtomicU64,
     clock: Box<dyn Clock + Send + Sync>,
 }
 
@@ -152,12 +150,10 @@ impl SharedCache {
         clock: Box<dyn Clock + Send + Sync>,
     ) -> Arc<SharedCache> {
         let shards = if cfg.capacity == 0 { SHARDS } else { SHARDS.min(cfg.capacity) };
-        let per_shard =
-            CacheConfig { capacity: cfg.capacity / shards, stale_budget: u64::MAX, ..cfg };
+        let per_shard = CacheConfig { capacity: cfg.capacity / shards, ..cfg };
         Arc::new(SharedCache {
             shards: (0..shards).map(|_| Mutex::new(RecordCache::with_config(per_shard))).collect(),
             picker: RandomState::new(),
-            stale_left: AtomicU64::new(cfg.stale_budget),
             clock,
         })
     }
@@ -216,21 +212,10 @@ impl SharedCache {
         self.shard(qname, qtype).probe(qname, qtype, now)
     }
 
-    /// See [`RecordCache::probe_stale`]. One unit of the whole-cache
-    /// budget is reserved before the shard is asked and handed back if
-    /// it has nothing to serve, so `stale_served` summed over the
-    /// shards never passes `stale_budget`. (Relaxed: the counter
-    /// publishes no other data.)
+    /// See [`RecordCache::probe_stale`].
     fn probe_stale(&self, qname: &Name, qtype: RType) -> Option<Hit> {
-        self.stale_left
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| left.checked_sub(1))
-            .ok()?;
         let now = self.clock.now();
-        let hit = self.shard(qname, qtype).probe_stale(qname, qtype, now);
-        if hit.is_none() {
-            self.stale_left.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.shard(qname, qtype).probe_stale(qname, qtype, now)
     }
 
     /// Stores an answering reply under the rule of
@@ -1826,17 +1811,14 @@ mod tests {
 
     /// To one caller an unbounded `SharedCache` is a `RecordCache`: the
     /// same 20,000 seeded operations — stores, probes, stale probes on
-    /// a moving clock, prefetch and a stale budget switched on — give
-    /// the same verdict at every step and the same books and entry
-    /// count after it. The budget, held in front of the shards, runs
-    /// out at the same probe as the single cache's own.
+    /// a moving clock, prefetch and serve-stale switched on — give the
+    /// same verdict at every step and the same books and entry count
+    /// after it.
     #[test]
     fn the_shards_are_invisible_to_a_single_caller() {
         let cfg = CacheConfig {
             prefetch_window_s: 3,
-            prefetch_min_hits: 2,
             max_stale_s: 20,
-            stale_budget: 40,
             ..CacheConfig::default()
         };
         let (shared, now_us) = set_cache(cfg);
@@ -1869,23 +1851,21 @@ mod tests {
             assert_eq!(shared.len(), single.len(), "entries at step {step}");
         }
         let s = shared.stats();
-        assert_eq!(s.stale_served, 40, "the budget was reached, and held");
+        assert!(s.stale_served > 0, "{s:?}");
         assert!(s.hits > 1_000 && s.expired > 1_000 && s.negative_hits > 100, "{s:?}");
     }
 
     /// Eight threads, 20,000 operations each, a few hundred names
-    /// between them, on a cache told to hold 37 entries and serve 100
-    /// stale answers: no sample of `len()` ever exceeds 37, exactly the
+    /// between them, on a cache told to hold 37 entries and serve stale
+    /// answers: no sample of `len()` ever exceeds 37, exactly the
     /// lookups issued are booked as hits or misses, every store is
-    /// booked, the stale budget is spent to the last unit and not one
-    /// beyond, and no lock is left poisoned.
+    /// booked, and no lock is left poisoned.
     #[test]
     fn whole_cache_bounds_hold_under_eight_threads() {
         const THREADS: usize = 8;
         let cfg = CacheConfig {
             capacity: 37,
             max_stale_s: 2,
-            stale_budget: 100,
             ..CacheConfig::default()
         };
         let (cache, now_us) = set_cache(cfg);
@@ -1930,9 +1910,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits + s.misses, issued.iter().map(|i| i.0).sum::<u64>());
         assert_eq!(s.inserts, issued.iter().map(|i| i.1).sum::<u64>());
-        assert!(s.hits > 0 && s.expired > 0 && s.evictions > 0, "{s:?}");
-        assert_eq!(s.stale_served, 100, "spent to the last unit, not one beyond");
-        assert_eq!(cache.stale_left.load(Ordering::Relaxed), 0, "every refused unit came back");
+        assert!(s.hits > 0 && s.expired > 0 && s.evictions > 0 && s.stale_served > 0, "{s:?}");
         assert!(cache.len() <= 37 && cache.shards.iter().all(|shard| !shard.is_poisoned()));
     }
 

@@ -7,7 +7,7 @@
 //! server rather than overrunning socket buffers — the right shape for
 //! measuring serving capacity on loopback, and the same discipline the
 //! paper's vantage points impose (one probe, then wait). The lanes run
-//! on the event loop of [`crate::closed_loop`], packed onto one thread
+//! on the event loop of `closed_loop`, packed onto one thread
 //! per core like the resolver client's.
 //!
 //! What is asked is the [`Workload`]; friendly or hostile, it is one

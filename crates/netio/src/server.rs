@@ -3,7 +3,7 @@
 //! The serving plane is N independent *shards*: each worker thread owns
 //! its socket, its forked [`AnswerEngine`] (own counters, shared
 //! zones), its reusable receive and response-encode buffers, and its
-//! own [`ShardCell`] — nothing on the hot path is written by more than
+//! own `ShardCell` — nothing on the hot path is written by more than
 //! one thread. Two things are selected at runtime:
 //!
 //! * **Sockets.** Where the `dnswild-mmsg` shim is usable (Linux,
@@ -13,7 +13,7 @@
 //!   threads contending on one shared queue. Elsewhere the workers
 //!   share one bound socket via `try_clone` (the pre-sharding shape).
 //! * **Datagram I/O.** There is one worker loop; what differs is the
-//!   [`DatagramIo`] arm under it. [`IoBackend::Mmsg`] drains and answers
+//!   `DatagramIo` arm under it. [`IoBackend::Mmsg`] drains and answers
 //!   datagrams in batches through `recvmmsg`/`sendmmsg` — one syscall
 //!   per batch on each side. [`IoBackend::Std`] is a batch of one behind
 //!   the same recv/datagram/send shape: one `recv_from`, one `send_to`.
@@ -1099,6 +1099,42 @@ mod tests {
         assert_eq!(tcp.accepted, 1);
         assert_eq!(tcp.over_cap, 1);
         assert_eq!(stats.tcp_queries, 1);
+    }
+
+    /// The read deadline sheds both kinds of stalled connection: one
+    /// that never sends, and a slow-loris one that sends one byte of a
+    /// length prefix and stops. Both are closed by the server once
+    /// `READ_TIMEOUT` has passed since they were accepted; only the
+    /// half frame is a framing fault.
+    #[test]
+    fn tcp_read_deadline_closes_idle_and_half_frame_connections() {
+        use std::io::{Read as _, Write as _};
+        let origin = Name::parse("ourtestdomain.nl").unwrap();
+        let zones = Arc::new(vec![test_domain_zone(&origin, 2)]);
+        let handle =
+            serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(2).tcp(TcpOptions::default()))
+                .unwrap();
+        let addr = handle.tcp_addr().unwrap();
+        let before = handle.tcp_stats();
+        let started = std::time::Instant::now();
+        let idle = TcpStream::connect(addr).unwrap();
+        let mut loris = TcpStream::connect(addr).unwrap();
+        loris.write_all(&[0x00]).unwrap();
+        for (what, mut stream) in [("idle", idle), ("half-frame", loris)] {
+            stream.set_read_timeout(Some(tcp::READ_TIMEOUT * 3)).unwrap();
+            let got = stream.read(&mut [0u8; 1]);
+            assert!(
+                matches!(&got, Ok(0)) || got.as_ref().is_err_and(|e| !is_idle_recv(e)),
+                "the {what} connection was not closed: {got:?}"
+            );
+            let waited = started.elapsed();
+            assert!(waited >= tcp::READ_TIMEOUT, "{what} closed after {waited:?}");
+        }
+        let tcp = handle.tcp_stats();
+        handle.shutdown();
+        assert_eq!(tcp.accepted - before.accepted, 2);
+        assert_eq!(tcp.frame_errors - before.frame_errors, 1, "only the half frame is a fault");
+        assert_eq!(tcp.over_cap, 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   survives arbitrary segmentation and read timeouts mid-frame, so the
 //!   connection loop can poll the stop flag on a short socket timeout
 //!   without ever misparsing a half-arrived frame. It makes one `read`
-//!   per arrival — up to [`READ_CHUNK`] bytes of whatever the stream
+//!   per arrival — up to `READ_CHUNK` bytes of whatever the stream
 //!   holds — and hands out every whole frame that read delivered with
 //!   no further call; [`write_frame`] emits one frame in one `write_all`
 //!   (the client side's shape: one question per round trip).
@@ -35,12 +35,12 @@
 //!   when each frame paid its own prefix read, payload read and write;
 //!   now 2 per batch, so 2/n per frame when one read delivers n.
 //! * **Bounds** — per connection, the reader holds at most one maximal
-//!   frame (64 KiB + 2 bytes) plus one [`READ_CHUNK`]; the reply buffer
-//!   is flushed before an answer would push it past [`REPLY_BOUND`]
+//!   frame (64 KiB + 2 bytes) plus one `READ_CHUNK`; the reply buffer
+//!   is flushed before an answer would push it past `REPLY_BOUND`
 //!   (one maximal frame), so no flush writes more; and a batch is at
-//!   most [`BATCH_FRAMES`] frames, which bounds its pending trace rows.
+//!   most `BATCH_FRAMES` frames, which bounds its pending trace rows.
 //! * **Deadlines** — reads poll on the stop interval and enforce
-//!   [`TcpOptions::read_timeout`] since the last completed frame, so
+//!   `READ_TIMEOUT` (5 s) since the last completed frame, so
 //!   both idle connections and slow-loris partial frames are shed;
 //!   each flush carries [`TcpOptions::write_timeout`], and a blown
 //!   write deadline closes the connection (a half-written batch is
@@ -88,6 +88,11 @@ pub(crate) const REPLY_BOUND: usize = MAX_FRAME;
 /// buffer) still flushes, which bounds the trace rows a batch keeps.
 pub(crate) const BATCH_FRAMES: usize = 256;
 
+/// How long a connection may sit without completing a frame — measured
+/// from the last completed frame, so it bounds both idle keep-alive and
+/// slow-loris partial frames.
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Knobs for the TCP listener plane (see [`crate::ServeConfig::tcp`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpOptions {
@@ -96,10 +101,6 @@ pub struct TcpOptions {
     /// counted in [`TcpConnStats::over_cap`] — shedding beats an
     /// unbounded thread pile-up under a SYN-happy recursive.
     pub max_conns: usize,
-    /// How long a connection may sit without completing a frame —
-    /// measured from the last completed frame, so it bounds both idle
-    /// keep-alive and slow-loris partial frames.
-    pub read_timeout: Duration,
     /// Socket write deadline per flush — one `write_all` of every answer
     /// gathered since the last read. A blown deadline closes the
     /// connection (the frame boundary is lost).
@@ -110,7 +111,6 @@ impl Default for TcpOptions {
     fn default() -> TcpOptions {
         TcpOptions {
             max_conns: 64,
-            read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
         }
     }
@@ -488,7 +488,7 @@ fn connection_loop<S: Read + Write>(
                 Ok(true) => {}
                 Ok(false) => break, // clean close on a frame boundary
                 Err(e) if is_idle_recv(&e) => {
-                    if last_frame.elapsed() >= c.opts.read_timeout {
+                    if last_frame.elapsed() >= READ_TIMEOUT {
                         // Deadline: an idle keep-alive is shed silently,
                         // a half-frame (slow-loris or stalled sender) is
                         // a framing fault.

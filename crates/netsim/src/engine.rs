@@ -17,18 +17,12 @@ use crate::geo::{Continent, GeoPoint, Place};
 use crate::latency::{LatencyConfig, LatencyModel};
 use crate::time::{SimDuration, SimTime};
 
-/// Identifies a host within one simulation.
+/// Identifies a host within one simulation: its dense index, which
+/// only the simulator hands out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct HostId(u32);
+pub struct HostId(pub(crate) u32);
 
 impl HostId {
-    /// Builds a host id from its dense index. Exposed so substrates can
-    /// use host ids as array indices; do not fabricate ids for hosts that
-    /// were never added.
-    pub fn from_index(index: u32) -> Self {
-        HostId(index)
-    }
-
     /// The dense index.
     pub fn index(self) -> u32 {
         self.0

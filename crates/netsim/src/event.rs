@@ -135,9 +135,9 @@ mod tests {
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         let t = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
-        q.push(t(30), HostId::from_index(0), Event::Timer(3));
-        q.push(t(10), HostId::from_index(0), Event::Timer(1));
-        q.push(t(20), HostId::from_index(0), Event::Timer(2));
+        q.push(t(30), HostId(0), Event::Timer(3));
+        q.push(t(10), HostId(0), Event::Timer(1));
+        q.push(t(20), HostId(0), Event::Timer(2));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|s| match s.event {
                 Event::Timer(k) => k,
@@ -152,7 +152,7 @@ mod tests {
         let mut q = EventQueue::new();
         let t = SimTime::ZERO + SimDuration::from_millis(5);
         for k in 0..10 {
-            q.push(t, HostId::from_index(0), Event::Timer(k));
+            q.push(t, HostId(0), Event::Timer(k));
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|s| match s.event {
@@ -168,7 +168,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_micros(9), HostId::from_index(1), Event::Timer(0));
+        q.push(SimTime::from_micros(9), HostId(1), Event::Timer(0));
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
     }
@@ -190,7 +190,7 @@ mod tests {
                     // Few distinct instants, so ties are the common case.
                     let time = g.u64_in(0..8);
                     let host = g.u32_in(0..5);
-                    let (at, on) = (SimTime::from_micros(time), HostId::from_index(host));
+                    let (at, on) = (SimTime::from_micros(time), HostId(host));
                     q.push(at, on, Event::Timer(inserted));
                     let at = model.partition_point(|&(t, n, _)| (t, n) < (time, inserted));
                     model.insert(at, (time, inserted, host));
@@ -200,7 +200,7 @@ mod tests {
                     assert_eq!(q.peek_time(), Some(SimTime::from_micros(time)));
                     let s = q.pop().expect("the model holds an event");
                     assert_eq!(s.time, SimTime::from_micros(time));
-                    assert_eq!(s.host, HostId::from_index(host));
+                    assert_eq!(s.host, HostId(host));
                     let Event::Timer(token) = s.event else { unreachable!() };
                     assert_eq!(token, n);
                     popped.push(token);

@@ -128,11 +128,6 @@ pub mod datacenters {
 
     /// All seven, keyed by airport code.
     pub const ALL: [&Place; 7] = [&GRU, &NRT, &DUB, &FRA, &SYD, &IAD, &SFO];
-
-    /// Looks a datacenter up by its airport code.
-    pub fn by_code(code: &str) -> Option<&'static Place> {
-        ALL.iter().copied().find(|p| p.code.eq_ignore_ascii_case(code))
-    }
 }
 
 #[cfg(test)]
@@ -173,12 +168,6 @@ mod tests {
         let q = GeoPoint::new(-95.0, -190.0);
         assert_eq!(q.lat, -90.0);
         assert!((q.lon - 170.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn datacenter_lookup() {
-        assert_eq!(datacenters::by_code("fra").unwrap().code, "FRA");
-        assert!(datacenters::by_code("XXX").is_none());
     }
 
     #[test]

@@ -121,7 +121,7 @@ mod tests {
     use detrand::DetRng;
 
     fn host(i: u32) -> HostId {
-        HostId::from_index(i)
+        HostId(i)
     }
 
     #[test]

@@ -70,12 +70,6 @@ impl Message {
         self.additionals.push(edns_record(payload_size));
     }
 
-    /// Appends a fully specified OPT pseudo-record (extended rcode,
-    /// version, DO bit) — what responders emit during negotiation.
-    pub fn add_edns_record(&mut self, edns: &Edns) {
-        self.additionals.push(edns.to_record());
-    }
-
     /// The OPT pseudo-record, if present.
     pub fn edns(&self) -> Option<&Record> {
         self.additionals.iter().find(|r| r.rtype() == RType::Opt)
@@ -90,11 +84,6 @@ impl Message {
     /// allows exactly one; responders must answer FORMERR to more.
     pub fn opt_count(&self) -> usize {
         self.additionals.iter().filter(|r| r.rtype() == RType::Opt).count()
-    }
-
-    /// The EDNS-advertised UDP payload size, if EDNS is present.
-    pub fn edns_payload_size(&self) -> Option<u16> {
-        self.edns().map(|r| r.class.to_u16())
     }
 
     /// The full 12-bit extended RCODE: the OPT's upper bits (when EDNS
@@ -397,7 +386,7 @@ mod tests {
         let back = Message::decode(&bytes).unwrap();
         assert_same_content(&back, &q);
         assert!(back.header.recursion_desired);
-        assert_eq!(back.edns_payload_size(), Some(DEFAULT_EDNS_PAYLOAD));
+        assert_eq!(back.edns_info().map(|e| e.payload_size), Some(DEFAULT_EDNS_PAYLOAD));
     }
 
     #[test]

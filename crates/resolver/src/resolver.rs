@@ -46,30 +46,26 @@ pub struct ResolverConfig {
     /// Infrastructure-cache expiry; defaults to the policy's
     /// implementation-typical value.
     pub infra_expiry: Option<SimDuration>,
-    /// Retransmission timeout for servers with no RTT history.
-    pub initial_rto: SimDuration,
-    /// Lower clamp on per-server RTO.
-    pub rto_floor: SimDuration,
-    /// Upper clamp on per-server RTO.
-    pub rto_ceil: SimDuration,
-    /// Total attempts (first try plus retries) before SERVFAIL.
-    pub max_tries: u32,
-    /// TTL used for caching negative responses lacking an SOA.
-    pub default_negative_ttl: u32,
 }
+
+/// Retransmission timeout for servers with no RTT history.
+const INITIAL_RTO: SimDuration = SimDuration::from_millis(376);
+/// Lower clamp on per-server RTO.
+const RTO_FLOOR: SimDuration = SimDuration::from_millis(50);
+/// Upper clamp on per-server RTO.
+const RTO_CEIL: SimDuration = SimDuration::from_secs(5);
+/// Total attempts (first try plus retries) before SERVFAIL.
+const MAX_TRIES: u32 = 4;
+/// TTL used for caching negative responses lacking an SOA.
+const DEFAULT_NEGATIVE_TTL: u32 = 300;
+/// The identity string returned for CHAOS-class `hostname.bind` /
+/// `id.server` queries.
+const IDENTITY: &str = "recursive.invalid";
 
 impl ResolverConfig {
     /// The implementation-typical configuration for a policy family.
     pub fn for_policy(policy: PolicyKind) -> Self {
-        ResolverConfig {
-            policy,
-            infra_expiry: policy.default_infra_expiry(),
-            initial_rto: SimDuration::from_millis(376),
-            rto_floor: SimDuration::from_millis(50),
-            rto_ceil: SimDuration::from_secs(5),
-            max_tries: 4,
-            default_negative_ttl: 300,
-        }
+        ResolverConfig { policy, infra_expiry: policy.default_infra_expiry() }
     }
 }
 
@@ -197,7 +193,6 @@ impl Delegations {
 
 /// The recursive resolver actor.
 pub struct RecursiveResolver {
-    config: ResolverConfig,
     policy: Box<dyn SelectionPolicy>,
     infra: InfraCache,
     cache: RecordCache,
@@ -206,7 +201,6 @@ pub struct RecursiveResolver {
     next_qid: u16,
     stats: ResolverStats,
     samples: Vec<UpstreamSample>,
-    identity: String,
 }
 
 impl RecursiveResolver {
@@ -215,7 +209,6 @@ impl RecursiveResolver {
         let policy = config.policy.build();
         let infra = InfraCache::new(config.infra_expiry, config.policy.smoothing());
         RecursiveResolver {
-            config,
             policy,
             infra,
             cache: RecordCache::new(),
@@ -224,15 +217,7 @@ impl RecursiveResolver {
             next_qid: 1,
             stats: ResolverStats::default(),
             samples: Vec::new(),
-            identity: "recursive.invalid".to_string(),
         }
-    }
-
-    /// Sets the identity string returned for CHAOS-class
-    /// `hostname.bind`/`id.server` queries.
-    pub fn with_identity(mut self, identity: impl Into<String>) -> Self {
-        self.identity = identity.into();
-        self
     }
 
     /// Convenience: a resolver with the policy's default configuration.
@@ -290,8 +275,8 @@ impl RecursiveResolver {
 
     fn rto_for(&self, server: SimAddr, now: SimTime) -> SimDuration {
         match self.infra.peek(server, now) {
-            Some(e) if e.measured => e.rto(self.config.rto_floor, self.config.rto_ceil),
-            _ => self.config.initial_rto,
+            Some(e) if e.measured => e.rto(RTO_FLOOR, RTO_CEIL),
+            _ => INITIAL_RTO,
         }
     }
 
@@ -360,7 +345,7 @@ impl RecursiveResolver {
                     Class::Ch,
                     0,
                     RData::Txt(
-                        dnswild_proto::rdata::Txt::from_string(&self.identity)
+                        dnswild_proto::rdata::Txt::from_string(IDENTITY)
                             .expect("identity fits in a TXT string"),
                     ),
                 ));
@@ -489,7 +474,7 @@ impl RecursiveResolver {
         // Answer first, then move the reply into the cache: the entry
         // `insert_reply` would make, without copying name or records.
         self.answer_stub(ctx, p.stub_addr, p.stub_id, &p.qname, p.qtype, &resp.answers, rcode);
-        let negative_ttl = negative_ttl(&resp, self.config.default_negative_ttl);
+        let negative_ttl = negative_ttl(&resp, DEFAULT_NEGATIVE_TTL);
         self.cache.insert(p.qname, p.qtype, resp.answers, rcode, negative_ttl, cache_now(now));
     }
 
@@ -512,13 +497,13 @@ impl RecursiveResolver {
 
     /// `failed_server` let a pending query down — it timed out, or
     /// answered uselessly. Penalize it, then either give up (the query
-    /// has used its `max_tries`) or re-select among the zone's servers,
+    /// has used its `MAX_TRIES`) or re-select among the zone's servers,
     /// avoiding every one that already failed this query, and resend.
     fn retry_elsewhere(&mut self, ctx: &mut Context<'_>, qid: u16, failed_server: SimAddr) {
         let now = ctx.now();
         self.infra.observe_timeout(failed_server, now);
         let p = self.pending.get_mut(&qid).expect("pending query exists");
-        if p.tries >= self.config.max_tries {
+        if p.tries >= MAX_TRIES {
             self.give_up(ctx, qid);
             return;
         }
@@ -965,7 +950,7 @@ mod tests {
 
         let resolver = sim.actor::<RecursiveResolver>(rh).unwrap();
         let stats = resolver.stats();
-        assert_eq!(stats.upstream_queries, 4, "max_tries attempts made");
+        assert_eq!(stats.upstream_queries, 4, "MAX_TRIES attempts made");
         assert_eq!(stats.retries, 3);
         assert_eq!(stats.servfails, 1);
         let stub = sim.actor::<Stub>(ch).unwrap();
@@ -1338,8 +1323,7 @@ mod tests {
             Box::new(AuthoritativeServer::new("FRA", vec![zone])),
         );
         let saddr = sim.bind_unicast(sh);
-        let mut resolver = RecursiveResolver::with_policy(PolicyKind::BindSrtt)
-            .with_identity("dub-resolver-1");
+        let mut resolver = RecursiveResolver::with_policy(PolicyKind::BindSrtt);
         resolver.add_delegation(origin, vec![saddr]);
         let rh = sim.add_host(
             HostConfig::at_place(&datacenters::DUB, SimDuration::from_millis(2), 2),
@@ -1355,7 +1339,7 @@ mod tests {
 
         // The stub got the RESOLVER's identity, not "FRA"...
         let stub = sim.actor::<ChaosStub>(ch).unwrap();
-        assert_eq!(stub.answer.as_deref(), Some("dub-resolver-1"));
+        assert_eq!(stub.answer.as_deref(), Some(IDENTITY));
         // ...and the authoritative never saw a packet.
         let server = sim.actor::<AuthoritativeServer>(sh).unwrap();
         assert_eq!(server.stats().queries, 0);

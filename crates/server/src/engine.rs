@@ -412,11 +412,6 @@ impl AnswerEngine {
         self
     }
 
-    /// The site's EDNS/truncation policy.
-    pub fn truncation_policy(&self) -> TruncationPolicy {
-        self.policy
-    }
-
     /// Enables response-rate limiting under `policy` with a fresh
     /// limiter. Forks share the limiter, so one call on the template
     /// engine rate-limits the whole serving plane.
@@ -938,7 +933,7 @@ mod tests {
         q.additionals.clear();
         let mut edns = dnswild_proto::Edns::new(1232);
         edns.version = 1;
-        q.add_edns_record(&edns);
+        q.additionals.push(edns.to_record());
         let (resp, stats) = run(&q.encode().unwrap(), TransportKind::Udp);
         let resp = resp.unwrap();
         assert_eq!(resp.rcode(), Rcode::NoError, "low 4 bits of BADVERS are zero");
@@ -959,7 +954,6 @@ mod tests {
         let policy = TruncationPolicy::symmetric(512);
         let mut e = AnswerEngine::new("FRA", vec![zone_with_txt_of(&origin(), 680)])
             .with_truncation_policy(policy);
-        assert_eq!(e.truncation_policy(), policy);
         let mut q = Message::iterative_query(44, origin().prepend("mid").unwrap(), RType::Txt);
         q.additionals.clear();
         q.add_edns(4096);
@@ -967,10 +961,13 @@ mod tests {
         assert!(e.handle_packet(&q.encode().unwrap(), TransportKind::Udp, &mut buf).response);
         let resp = Message::decode(&buf).unwrap();
         assert!(resp.header.truncated);
-        assert_eq!(resp.edns_payload_size(), Some(512), "TC echoes the site's advertisement");
+        let advertised = resp.edns_info().map(|edns| edns.payload_size);
+        assert_eq!(advertised, Some(512), "TC echoes the site's advertisement");
         assert_eq!(e.stats().truncated, 1);
         // Forked workers inherit the policy.
-        assert_eq!(e.fork().truncation_policy(), policy);
+        let mut forked = e.fork();
+        assert!(forked.handle_packet(&q.encode().unwrap(), TransportKind::Udp, &mut buf).response);
+        assert!(Message::decode(&buf).unwrap().header.truncated);
     }
 
     #[test]

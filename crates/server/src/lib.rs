@@ -8,10 +8,11 @@
 //! methodology:
 //!
 //! * **Per-site TXT identity** — zones carry the placeholder
-//!   [`SITE_PLACEHOLDER`] in probe TXT records; each server substitutes
-//!   its own site code, so clients learn in-band which authoritative
-//!   (or anycast site) answered. This mirrors the paper configuring "a
-//!   different response for the same DNS TXT resource" per NS (§3.1).
+//!   [`SITE_PLACEHOLDER`](dnswild_zone::presets::SITE_PLACEHOLDER) in
+//!   probe TXT records; each server substitutes its own site code, so
+//!   clients learn in-band which authoritative (or anycast site)
+//!   answered. This mirrors the paper configuring "a different
+//!   response for the same DNS TXT resource" per NS (§3.1).
 //! * **CHAOS identification** — `hostname.bind`/`id.server` TXT CH
 //!   queries return the site code. The paper deliberately avoids CHAOS
 //!   for measurement (a recursive answers it itself rather than

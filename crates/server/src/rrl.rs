@@ -90,10 +90,6 @@ pub struct RateLimitPolicy {
     pub scope: RrlScope,
     /// Maximum tracked client buckets before LRU eviction.
     pub max_buckets: usize,
-    /// IPv4 prefix length clients are aggregated on (BIND default /24).
-    pub prefix_v4: u8,
-    /// IPv6 prefix length clients are aggregated on (BIND default /56).
-    pub prefix_v6: u8,
     /// Mix the source port into the client key. On loopback every
     /// client shares 127.0.0.1, so the attack harness uses ephemeral
     /// ports as its spoofed-source dimension; real deployments keep
@@ -111,12 +107,15 @@ impl Default for RateLimitPolicy {
             nxdomain_budget: 0,
             scope: RrlScope::Abusive,
             max_buckets: 4096,
-            prefix_v4: 24,
-            prefix_v6: 56,
             key_ports: false,
         }
     }
 }
+
+/// IPv4 prefix length clients are aggregated on (BIND default /24).
+const PREFIX_V4: u32 = 24;
+/// IPv6 prefix length clients are aggregated on (BIND default /56).
+const PREFIX_V6: u32 = 56;
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -134,14 +133,11 @@ impl RateLimitPolicy {
     pub fn client_key(&self, addr: &SocketAddr) -> u64 {
         let mut h = match addr.ip() {
             IpAddr::V4(ip) => {
-                let prefix = u32::from(self.prefix_v4.min(32));
-                let mask = if prefix == 0 { 0 } else { u32::MAX << (32 - prefix) };
+                let mask = u32::MAX << (32 - PREFIX_V4);
                 splitmix64(0x7272_6c34 ^ u64::from(u32::from_be_bytes(ip.octets()) & mask))
             }
             IpAddr::V6(ip) => {
-                let prefix = u32::from(self.prefix_v6.min(128));
-                let mask = if prefix == 0 { 0 } else { u128::MAX << (128 - prefix) };
-                let bits = u128::from_be_bytes(ip.octets()) & mask;
+                let bits = u128::from_be_bytes(ip.octets()) & (u128::MAX << (128 - PREFIX_V6));
                 splitmix64(splitmix64(0x7272_6c36 ^ (bits >> 64) as u64) ^ bits as u64)
             }
         };

@@ -49,24 +49,6 @@ impl LogHistogram {
         }
     }
 
-    /// Adds every bucket of `other` into `self` (plus total, sum and max).
-    ///
-    /// This is how a retired ring's histogram folds into a long-lived
-    /// collector aggregate: bucket-wise, so merged percentiles equal the
-    /// percentiles of the concatenated sample streams (up to the shared
-    /// bucket quantisation).
-    pub fn merge_from(&self, other: &LogHistogram) {
-        for (i, c) in other.counts.iter().enumerate() {
-            let v = c.load(Ordering::Relaxed);
-            if v != 0 {
-                self.counts[i].fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        self.total.fetch_add(other.total.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     #[inline]
     fn index(v: u64) -> usize {
         if v < SUB {
@@ -260,30 +242,5 @@ mod tests {
         // Everything except the sample beyond the last bound.
         assert_eq!(le.last().unwrap().1, 5);
         assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn retired_ring_merge_equals_concatenated_stream() {
-        // Two rings record disjoint chunks of one stream; folding the
-        // retired ring into the live one must yield the same buckets,
-        // count, max and percentiles as one histogram fed everything.
-        let retired = LogHistogram::new();
-        let live = LogHistogram::new();
-        let all = LogHistogram::new();
-        for v in 1..=4_000u64 {
-            let target = if v % 3 == 0 { &retired } else { &live };
-            target.record(v * 250);
-            all.record(v * 250);
-        }
-        live.merge_from(&retired);
-        assert_eq!(live.count(), all.count());
-        assert_eq!(live.sum(), all.sum());
-        assert_eq!(live.max(), all.max());
-        for (i, (l, a)) in live.counts.iter().zip(&all.counts).enumerate() {
-            assert_eq!(l.load(Ordering::Relaxed), a.load(Ordering::Relaxed), "bucket {i}");
-        }
-        for p in [10.0, 50.0, 90.0, 99.0] {
-            assert_eq!(live.value_at(p), all.value_at(p), "p={p}");
-        }
     }
 }

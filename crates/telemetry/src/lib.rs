@@ -6,7 +6,7 @@
 //! plane (and, optionally, by the load/resolver clients and the chaos
 //! proxies) is recorded as one compact fixed-size [`Event`] in a
 //! per-producer lock-free SPSC ring. A background drain thread spills
-//! the rings into a versioned binary trace file ([`trace`]) and keeps
+//! the rings into a versioned binary trace file (the `trace` module) and keeps
 //! streaming counters ([`SnapshotCell`]) up to date. The trace is the
 //! one store of per-query journeys; the workspace's one histogram type
 //! ([`LogHistogram`]) lives here too, for the metrics registry.

@@ -2,8 +2,8 @@
 //!
 //! Authoritative zone data for the *Recursives in the Wild* reproduction:
 //! RRsets, the RFC 1034 lookup algorithm (exact match, CNAME chains,
-//! delegations, wildcard synthesis, NODATA/NXDOMAIN), a master-file
-//! parser, and preset zones for the measurement experiments.
+//! delegations, wildcard synthesis, NODATA/NXDOMAIN) and the preset zones,
+//! built in code, of the measurement experiments.
 //!
 //! Wildcards are first-class here because the reproduced measurement
 //! methodology relies on them: every probe queries a unique label under
@@ -23,13 +23,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod parser;
 pub mod presets;
 mod rrset;
-mod serializer;
 mod zone;
 
-pub use parser::{parse_zone, ParseError};
 pub use rrset::RrSet;
-pub use serializer::write_zone;
 pub use zone::{Answer, Glue, Lookup, Zone};

@@ -186,11 +186,6 @@ impl Zone {
         of_type(self.node(name)?, rtype)
     }
 
-    /// Number of RRsets in the zone.
-    pub fn rrset_count(&self) -> usize {
-        self.nodes.values().map(Vec::len).sum()
-    }
-
     /// Iterates all RRsets, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = &RrSet> {
         self.nodes.values().flatten()

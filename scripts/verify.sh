@@ -47,6 +47,12 @@ cargo clippy --workspace --all-targets --offline -q -- -D warnings
 cargo clippy -p dnswild-netio -p dnswild-mmsg --no-default-features --all-targets --offline -q -- -D warnings
 echo "clippy: workspace and tests clean at -D warnings, with and without the shim"
 
+# Doc gate: every intra-doc link resolves, and no public doc links an
+# item its reader cannot see — so deleting an item cannot leave a
+# dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
+echo "rustdoc: workspace docs clean at -D warnings"
+
 # Net line count is a tracked metric (ROADMAP needle 2): print the
 # product/test total so every run's log carries it. Not a gate.
 scripts/loc.sh | grep '^total'

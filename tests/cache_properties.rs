@@ -58,9 +58,7 @@ fn cache_is_transparent_for_stable_zones() {
         let cfg = CacheConfig {
             capacity: *g.choose(&[0, 0, 1, 2, 4, 8]),
             prefetch_window_s: *g.choose(&[0, 2]),
-            prefetch_min_hits: 1 + g.u64_in(0..3),
             max_stale_s: *g.choose(&[0, 60]),
-            ..CacheConfig::default()
         };
         let mut cache = RecordCache::with_config(cfg);
         let mut now = CacheTime::ZERO;
@@ -150,20 +148,17 @@ fn ttl_decrement_is_exact_and_expiry_exclusive() {
 }
 
 /// RFC 8767 serve-stale is exactly bounded: `get_stale` answers iff the
-/// entry is expired, within `max_stale_s` of its expiry, and the stale
-/// budget has room — and every stale answer carries [`STALE_TTL`] with
-/// the original rcode intact.
+/// entry is expired and within `max_stale_s` of its expiry — and every
+/// stale answer carries [`STALE_TTL`] with the original rcode intact.
 #[test]
 fn serve_stale_respects_window_and_budget() {
     let qname = Name::parse("stale.stable.nl").unwrap();
     qc::property("cache/serve-stale-window-and-budget").cases(512).check(|g| {
         let ttl = g.u32_in(1..60);
         let max_stale = g.u32_in(1..120);
-        let budget = g.u64_in(0..3);
         let negative = g.bool();
         let mut cache = RecordCache::with_config(CacheConfig {
             max_stale_s: max_stale,
-            stale_budget: budget,
             ..CacheConfig::default()
         });
         let (answers, rcode) = if negative {
@@ -178,7 +173,7 @@ fn serve_stale_respects_window_and_budget() {
         let probe = CacheTime::ZERO + Secs(probe_s);
         let expired = probe_s >= ttl as u64;
         let in_window = probe_s <= (ttl + max_stale) as u64;
-        let want_served = expired && in_window && budget > 0;
+        let want_served = expired && in_window;
         match cache.get_stale(&qname, RType::Txt, probe) {
             Some(stale) => {
                 assert!(want_served, "served outside the contract at +{probe_s}s");
@@ -360,7 +355,6 @@ struct ModelEntry {
     rcode: Rcode,
     expires_us: u64,
     last_use: u64,
-    hits: u64,
     prefetch_fired: bool,
 }
 
@@ -419,7 +413,6 @@ impl Model {
             rcode,
             expires_us: now.as_micros() + ttl as u64 * 1_000_000,
             last_use: self.uses,
-            hits: 0,
             prefetch_fired: false,
         });
         while self.cfg.capacity > 0 && self.entries.len() > self.cfg.capacity {
@@ -447,12 +440,10 @@ impl Model {
             return None;
         }
         self.stats.hits += 1;
-        e.hits += 1;
         let left_us = e.expires_us - now_us;
         let remaining = (left_us / 1_000_000).max(1) as u32;
         let prefetch_due = cfg.prefetch_window_s > 0
             && !e.prefetch_fired
-            && e.hits >= cfg.prefetch_min_hits
             && left_us <= cfg.prefetch_window_s as u64 * 1_000_000;
         e.prefetch_fired |= prefetch_due;
         self.uses += 1;
@@ -466,7 +457,7 @@ impl Model {
 
     fn get_stale(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<CachedResponse> {
         let (cfg, now_us) = (self.cfg, now.as_micros());
-        if cfg.max_stale_s == 0 || self.stats.stale_served >= cfg.stale_budget {
+        if cfg.max_stale_s == 0 {
             return None;
         }
         let i = self.position(qname, qtype)?;
@@ -484,8 +475,7 @@ impl Model {
 /// [`RecordCache`] against the model, op by op: 512 seeded sequences of
 /// `insert` / `get` / `get_stale` over 8–16 names × 2 types (a skewed
 /// choice, so some keys stay hot), every capacity from unbounded to 8,
-/// with prefetch, a stale window and a stale budget switched on and
-/// off. After every step the two agree on the answer (hit, miss or
+/// with prefetch and a stale window switched on and off. After every step the two agree on the answer (hit, miss or
 /// `None`; `prefetch_due`; clamped TTLs), on `stats()` and on `len()`.
 /// At the end — and in half the sequences after *every* eviction — a
 /// sweep over all keys shows the same resident set, so an LRU that
@@ -497,9 +487,7 @@ fn record_cache_shadows_a_naive_reference_model() {
         let cfg = CacheConfig {
             capacity: *g.choose(&[0, 1, 2, 4, 8]),
             prefetch_window_s: *g.choose(&[0, 2, 5]),
-            prefetch_min_hits: 1 + g.u64_in(0..3),
             max_stale_s: *g.choose(&[0, 3, 60]),
-            stale_budget: *g.choose(&[0, 2, u64::MAX]),
         };
         // Both spellings of every name: lookups fold case (RFC 1035).
         let names: Vec<[Name; 2]> = (0..g.usize_in(8..17))

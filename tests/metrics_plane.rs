@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use dnswild::lab::{origin, run, start_collector, Faults, Rig, Scenario};
 use dnswild_metrics::watchdog::inputs;
 use dnswild_metrics::{
-    parse_exposition, scrape, CounterSet, MetricsServer, Registry, Watchdog, WatchdogConfig,
+    parse_exposition, scrape, CounterSet, MetricsServer, Registry, Watchdog,
 };
 use dnswild_netio::{
     blast, resolve, serve, CacheConfig, CollectorConfig, Direction, FaultPlan, FaultProfile,
@@ -162,7 +162,7 @@ fn watchdog_sees_ring_overflow_on_an_unscraped_registry() {
         .ring_capacity(8)
         .drain_interval(Duration::from_millis(200));
     let collector = start_collector(config, Some(&registry)).unwrap();
-    let watchdog = Watchdog::new(Arc::clone(&registry), WatchdogConfig::default());
+    let watchdog = Watchdog::new(Arc::clone(&registry));
     assert!(!watchdog.eval_now().overflow_breach, "nothing recorded yet");
 
     let producer = collector.producer();

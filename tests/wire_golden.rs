@@ -186,7 +186,7 @@ fn engine_cases(replay: Option<&[Case]>) -> Vec<Case> {
         let mut q = query(0xbad0, "p1-r1.ourtestdomain.nl", RType::Txt, None);
         let mut edns = Edns::new(1232);
         edns.version = 1;
-        q.add_edns_record(&edns);
+        q.additionals.push(edns.to_record());
         push(
             format!("{preset}/udp/badvers"),
             q.encode().unwrap(),
