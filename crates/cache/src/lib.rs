@@ -20,7 +20,7 @@
 //! prefetch of an entry hit shortly before expiry, RFC 8767 serve-stale
 //! within a window past expiry, and a capacity bound with eviction
 //! accounting: an exact LRU threaded through a slab of entries, O(1) to
-//! touch and to evict.
+//! touch and to evict, kept only by a cache that has a bound to enforce.
 //!
 //! A lookup hashes and compares the caller's `&Name` in place and, as
 //! [`RecordCache::probe`], copies out a small [`Hit`] and no record — no
@@ -35,5 +35,5 @@ mod store;
 pub use clock::{CacheTime, Clock, FixedClock, Secs, WallClock};
 pub use store::{
     negative_ttl, soa_negative_ttl, CacheConfig, CacheStats, CachedResponse, EntryKind, Hit,
-    RecordCache, STALE_TTL,
+    QuestionHasher, RecordCache, STALE_TTL,
 };

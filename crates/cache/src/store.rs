@@ -29,10 +29,33 @@ pub enum EntryKind {
 /// list.
 const NIL: u32 = u32::MAX;
 
+/// The keyed hash a cache indexes its questions by: SipHash under a
+/// random key — the keys are names a client chooses, so an unkeyed hash
+/// would let it pick a chain. Caches built on clones of one hasher
+/// agree on every question's hash, so a caller that spreads questions
+/// over several of them hashes each question once and hands the hash
+/// in ([`RecordCache::probe_hashed`], [`RecordCache::insert_hashed`]).
+#[derive(Debug, Clone, Default)]
+pub struct QuestionHasher(RandomState);
+
+impl QuestionHasher {
+    /// A hasher under a fresh random key.
+    pub fn new() -> Self {
+        QuestionHasher::default()
+    }
+
+    /// The hash of the question (`qname`, `qtype`); `qname`'s case does
+    /// not enter it.
+    pub fn hash(&self, qname: &Name, qtype: RType) -> u64 {
+        self.0.hash_one((qname, qtype))
+    }
+}
+
 /// One slot of the slab: a stored response under its question (class
-/// is always IN here), threaded onto its bucket's chain and onto the
-/// LRU list by slot index. A vacant slot holds the root name and no
-/// records — neither owns heap memory — and `chain` links the free list.
+/// is always IN here), threaded onto its bucket's chain and, in a
+/// bounded cache, onto the LRU list by slot index. A vacant slot holds
+/// the root name and no records — neither owns heap memory — and
+/// `chain` links the free list.
 #[derive(Debug)]
 struct Slot {
     qname: Name,
@@ -48,7 +71,8 @@ struct Slot {
     /// lifetime; reset by the refreshing insert.
     prefetch_fired: bool,
     chain: u32,
-    /// LRU neighbours: the entries used just before and just after.
+    /// LRU neighbours: the entries used just before and just after
+    /// (`NIL` in an unbounded cache, which keeps no list).
     older: u32,
     newer: u32,
 }
@@ -149,20 +173,19 @@ pub fn soa_negative_ttl(record: &Record) -> Option<u32> {
 ///
 /// Entries live in a slab. A lookup hashes the caller's question once,
 /// walks one bucket's chain of slot indices and compares names in
-/// place, so it allocates nothing; the LRU order is a doubly linked
-/// list through the same slots — O(1) to touch, O(1) to evict, exact.
+/// place, so it allocates nothing. A bounded cache keeps its LRU order
+/// as a doubly linked list through the same slots — O(1) to touch, O(1)
+/// to evict, exact; an unbounded one evicts nothing and keeps no order.
 #[derive(Debug)]
 pub struct RecordCache {
     slots: Vec<Slot>,
-    /// Chain heads, indexed by `hash & (len − 1)`: a power of two, and
-    /// never fewer buckets than entries.
+    /// Chain heads, indexed by the low bits of the hash, `hash & (len −
+    /// 1)`: a power of two, and never fewer buckets than entries.
     buckets: Vec<u32>,
-    /// SipHash under a per-cache random key — the keys are names a
-    /// client chooses, so an unkeyed hash would let it pick a chain.
-    hasher: RandomState,
+    hasher: QuestionHasher,
     /// Head of the vacant slots' list.
     free: u32,
-    /// Least and most recently used entry.
+    /// Least and most recently used entry (bounded caches only).
     oldest: u32,
     newest: u32,
     /// Occupied slots.
@@ -185,10 +208,17 @@ impl RecordCache {
 
     /// An empty cache with explicit knobs.
     pub fn with_config(cfg: CacheConfig) -> Self {
+        RecordCache::with_hasher(cfg, QuestionHasher::new())
+    }
+
+    /// An empty cache with explicit knobs that indexes questions by
+    /// `hasher`'s hash: the one [`RecordCache::probe_hashed`] and
+    /// [`RecordCache::insert_hashed`] take.
+    pub fn with_hasher(cfg: CacheConfig, hasher: QuestionHasher) -> Self {
         RecordCache {
             slots: Vec::new(),
             buckets: vec![NIL; 8],
-            hasher: RandomState::new(),
+            hasher,
             free: NIL,
             oldest: NIL,
             newest: NIL,
@@ -220,8 +250,16 @@ impl RecordCache {
         None
     }
 
+    /// Whether this cache evicts, and so keeps its LRU list.
+    fn bounded(&self) -> bool {
+        self.cfg.capacity > 0
+    }
+
     /// Takes slot `i` off the LRU list.
     fn unlink(&mut self, i: u32) {
+        if !self.bounded() {
+            return;
+        }
         let (older, newer) = (self.slots[i as usize].older, self.slots[i as usize].newer);
         match older {
             NIL => self.oldest = newer,
@@ -235,6 +273,9 @@ impl RecordCache {
 
     /// Puts slot `i` at the most recently used end of the LRU list.
     fn push_newest(&mut self, i: u32) {
+        if !self.bounded() {
+            return;
+        }
         (self.slots[i as usize].older, self.slots[i as usize].newer) = (self.newest, NIL);
         match self.newest {
             NIL => self.oldest = i,
@@ -271,16 +312,17 @@ impl RecordCache {
         self.live -= 1;
     }
 
-    /// Doubles the bucket array and re-chains every entry, found along
-    /// the LRU list (vacant slots keep their free-list links).
+    /// Doubles the bucket array and re-chains every entry, walking the
+    /// slab. Every slot holds one: the index grows when it has as many
+    /// entries as buckets, and the slab, which grows only when no slot
+    /// is vacant and never past the bucket count, has no more slots.
     fn grow(&mut self) {
+        assert_eq!(self.slots.len(), self.live, "a full index leaves no slot vacant");
         self.buckets = vec![NIL; self.buckets.len() * 2];
-        let mut i = self.oldest;
-        while i != NIL {
-            let bucket = self.bucket(self.slots[i as usize].hash);
-            self.slots[i as usize].chain = self.buckets[bucket];
-            self.buckets[bucket] = i;
-            i = self.slots[i as usize].newer;
+        for i in 0..self.slots.len() {
+            let bucket = self.bucket(self.slots[i].hash);
+            self.slots[i].chain = self.buckets[bucket];
+            self.buckets[bucket] = i as u32;
         }
     }
 
@@ -313,6 +355,24 @@ impl RecordCache {
         negative_ttl: u32,
         now: CacheTime,
     ) {
+        let hash = self.hasher.hash(&qname, qtype);
+        self.insert_hashed(hash, qname, qtype, answers, rcode, negative_ttl, now);
+    }
+
+    /// [`RecordCache::insert`] for a caller that has hashed the question
+    /// already: `hash` is its hash under the hasher this cache was built
+    /// with ([`RecordCache::with_hasher`]).
+    #[allow(clippy::too_many_arguments)] // `insert`'s arguments and the hash
+    pub fn insert_hashed(
+        &mut self,
+        hash: u64,
+        qname: Name,
+        qtype: RType,
+        answers: Vec<Record>,
+        rcode: Rcode,
+        negative_ttl: u32,
+        now: CacheTime,
+    ) {
         let ttl = answers.iter().map(|r| r.ttl).min().unwrap_or(negative_ttl);
         if ttl == 0 {
             return; // uncacheable
@@ -325,7 +385,6 @@ impl RecordCache {
             EntryKind::Positive
         };
         self.stats.inserts += 1;
-        let hash = self.hasher.hash_one((&qname, qtype));
         // A refresh is the old entry out and a new one in: the prefetch
         // latch starts over, the slot is reused straight away.
         if let Some(old) = self.find(hash, &qname, qtype) {
@@ -362,7 +421,7 @@ impl RecordCache {
         self.buckets[bucket] = i;
         self.push_newest(i);
         self.live += 1;
-        while self.cfg.capacity > 0 && self.live > self.cfg.capacity {
+        while self.bounded() && self.live > self.cfg.capacity {
             self.remove(self.oldest);
             self.stats.evictions += 1;
         }
@@ -380,8 +439,32 @@ impl RecordCache {
     /// an entry is dead *at* its expiry instant; a dead entry is dropped
     /// unless [`RecordCache::probe_stale`] could still serve it.
     pub fn probe(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<Hit> {
+        self.probe_hashed(self.hasher.hash(qname, qtype), qname, qtype, now)
+    }
+
+    /// [`RecordCache::probe`] for a caller that has hashed the question
+    /// already: `hash` is its hash under the hasher this cache was built
+    /// with ([`RecordCache::with_hasher`]).
+    pub fn probe_hashed(
+        &mut self,
+        hash: u64,
+        qname: &Name,
+        qtype: RType,
+        now: CacheTime,
+    ) -> Option<Hit> {
+        self.probe_at(hash, qname, qtype, now).map(|(_, hit)| hit)
+    }
+
+    /// The probe proper: the hit and the slot it was found in.
+    fn probe_at(
+        &mut self,
+        hash: u64,
+        qname: &Name,
+        qtype: RType,
+        now: CacheTime,
+    ) -> Option<(u32, Hit)> {
         let cfg = self.cfg;
-        let Some(i) = self.find(self.hasher.hash_one((qname, qtype)), qname, qtype) else {
+        let Some(i) = self.find(hash, qname, qtype) else {
             self.stats.misses += 1;
             return None;
         };
@@ -409,17 +492,27 @@ impl RecordCache {
         let ttl = e.expires.secs_since(now).max(1) as u32;
         let hit = Hit { rcode: e.rcode, kind: e.kind, prefetch_due, stale: false, ttl };
         self.touch(i);
-        Some(hit)
+        Some((i, hit))
     }
 
     /// Finds an *expired* entry servable under RFC 8767: one still within
     /// the `max_stale_s` window. `None` changes nothing. Callers reach
     /// for this only after every authoritative has failed them.
     pub fn probe_stale(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<Hit> {
+        self.probe_stale_at(qname, qtype, now).map(|(_, hit)| hit)
+    }
+
+    /// The stale probe proper: the hit and the slot it was found in.
+    fn probe_stale_at(
+        &mut self,
+        qname: &Name,
+        qtype: RType,
+        now: CacheTime,
+    ) -> Option<(u32, Hit)> {
         if self.cfg.max_stale_s == 0 {
             return None;
         }
-        let i = self.find(self.hasher.hash_one((qname, qtype)), qname, qtype)?;
+        let i = self.find(self.hasher.hash(qname, qtype), qname, qtype)?;
         let e = &self.slots[i as usize];
         if e.expires > now || !self.in_stale_window(e.expires, now) {
             return None; // still live (use `probe`) or too stale to trust
@@ -427,13 +520,12 @@ impl RecordCache {
         let hit = Hit { rcode: e.rcode, kind: e.kind, prefetch_due: false, stale: true, ttl: STALE_TTL };
         self.stats.stale_served += 1;
         self.touch(i);
-        Some(hit)
+        Some((i, hit))
     }
 
-    /// The records `hit` goes out with. A hit touches its entry, so the
-    /// slot just probed is the most recently used one.
-    fn materialise(&self, hit: Hit) -> CachedResponse {
-        let answers = self.slots[self.newest as usize]
+    /// The records `hit`, found in slot `i`, goes out with.
+    fn materialise(&self, i: u32, hit: Hit) -> CachedResponse {
+        let answers = self.slots[i as usize]
             .answers
             .iter()
             .map(|r| Record { ttl: if hit.stale { hit.ttl } else { r.ttl.min(hit.ttl) }, ..r.clone() })
@@ -451,7 +543,8 @@ impl RecordCache {
     /// TTLs adjusted to the remaining lifetime, as a real cache serves
     /// them.
     pub fn get(&mut self, qname: &Name, qtype: RType, now: CacheTime) -> Option<CachedResponse> {
-        self.probe(qname, qtype, now).map(|hit| self.materialise(hit))
+        let hash = self.hasher.hash(qname, qtype);
+        self.probe_at(hash, qname, qtype, now).map(|(i, hit)| self.materialise(i, hit))
     }
 
     /// [`RecordCache::probe_stale`], then the records, under
@@ -462,7 +555,7 @@ impl RecordCache {
         qtype: RType,
         now: CacheTime,
     ) -> Option<CachedResponse> {
-        self.probe_stale(qname, qtype, now).map(|hit| self.materialise(hit))
+        self.probe_stale_at(qname, qtype, now).map(|(i, hit)| self.materialise(i, hit))
     }
 
     /// Drops everything (the "cold cache" the paper enforces with 4-hour
@@ -488,6 +581,14 @@ impl RecordCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// How many buckets of the index head a chain. With the low bits of
+    /// the hashes spread evenly that is most of `min(len(), buckets)`;
+    /// a caller that routes questions between caches by their hash
+    /// checks with it that the routing leaves those bits alone.
+    pub fn occupied_buckets(&self) -> usize {
+        self.buckets.iter().filter(|&&head| head != NIL).count()
     }
 }
 
@@ -703,33 +804,40 @@ mod tests {
     /// lose an entry, resurrect one, or confuse two names sharing a
     /// bucket. 3,000 names across nine doublings, every third expired
     /// and dropped by its probe, the rest still found; then the vacated
-    /// slots are reused before the slab grows again.
+    /// slots are reused before the slab grows again. Twice: unbounded,
+    /// with no LRU list, and bounded above the fill, with one.
     #[test]
     fn the_index_survives_growth_removal_and_slot_reuse() {
-        let mut c = RecordCache::new();
-        let owner = |i: u32| name(&format!("n{i}.grow.nl"));
-        for i in 0..3_000 {
-            let ttl = if i % 3 == 0 { 5 } else { 600 };
-            c.insert(owner(i), RType::Txt, vec![txt_record("x.nl", ttl)], Rcode::NoError, 300, t(0));
+        for capacity in [0, 10_000] {
+            let mut c = RecordCache::with_config(CacheConfig { capacity, ..Default::default() });
+            let owner = |i: u32| name(&format!("n{i}.grow.nl"));
+            let put = |c: &mut RecordCache, i, ttl, at| {
+                c.insert(owner(i), RType::Txt, vec![txt_record("x.nl", ttl)], Rcode::NoError, 300, t(at));
+            };
+            for i in 0..3_000 {
+                put(&mut c, i, if i % 3 == 0 { 5 } else { 600 }, 0);
+            }
+            assert_eq!((c.len(), c.slots.len()), (3_000, 3_000));
+            assert!(c.buckets.len() >= 3_000 && c.buckets.len().is_power_of_two());
+            for i in 0..3_000 {
+                assert_eq!(c.get(&owner(i), RType::Txt, t(10)).is_some(), i % 3 != 0, "n{i}");
+                assert!(c.get(&owner(i), RType::A, t(10)).is_none(), "the type is part of the key");
+            }
+            assert_eq!(c.len(), 2_000, "every expired entry was dropped by its probe");
+            for i in 3_000..4_000 {
+                put(&mut c, i, 600, 10);
+            }
+            assert_eq!((c.len(), c.slots.len()), (3_000, 3_000), "vacated slots are reused first");
+            for i in 0..4_000 {
+                let found = c.get(&owner(i), RType::Txt, t(11)).is_some();
+                assert_eq!(found, i % 3 != 0 || i >= 3_000, "n{i}, capacity {capacity}");
+            }
+            assert_eq!(c.stats().evictions, 0);
+            c.clear();
+            assert!(c.is_empty() && c.get(&owner(1), RType::Txt, t(11)).is_none());
+            put(&mut c, 1, 600, 11);
+            assert_eq!((c.len(), c.slots.len()), (1, 1), "a cleared cache starts over");
         }
-        assert_eq!((c.len(), c.slots.len()), (3_000, 3_000));
-        assert!(c.buckets.len() >= 3_000 && c.buckets.len().is_power_of_two());
-        for i in 0..3_000 {
-            assert_eq!(c.get(&owner(i), RType::Txt, t(10)).is_some(), i % 3 != 0, "n{i}");
-            assert!(c.get(&owner(i), RType::A, t(10)).is_none(), "the type is part of the key");
-        }
-        assert_eq!(c.len(), 2_000, "every expired entry was dropped by its probe");
-        for i in 3_000..4_000 {
-            c.insert(owner(i), RType::Txt, vec![txt_record("x.nl", 600)], Rcode::NoError, 300, t(10));
-        }
-        assert_eq!((c.len(), c.slots.len()), (3_000, 3_000), "vacated slots are reused first");
-        for i in 0..4_000 {
-            assert_eq!(c.get(&owner(i), RType::Txt, t(11)).is_some(), i % 3 != 0 || i >= 3_000, "n{i}");
-        }
-        c.clear();
-        assert!(c.is_empty() && c.get(&owner(1), RType::Txt, t(11)).is_none());
-        c.insert(owner(1), RType::Txt, vec![txt_record("x.nl", 600)], Rcode::NoError, 300, t(11));
-        assert_eq!((c.len(), c.slots.len()), (1, 1), "a cleared cache starts over");
     }
 
     /// A bounded cache's slab is bounded too: one slot per entry plus

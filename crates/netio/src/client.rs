@@ -58,8 +58,6 @@
 //! split) legitimately varies with real RTTs; the aggregate counters do
 //! not.
 
-use std::fmt::Write as _;
-use std::hash::{BuildHasher, RandomState};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, DetRng};
 use dnswild_cache::{soa_negative_ttl, CacheConfig, CacheStats, CacheTime, Clock, EntryKind, Hit,
-    RecordCache, WallClock};
+    QuestionHasher, RecordCache, WallClock};
 use dnswild_metrics::{counter_set, watchdog::inputs, AtomicSet, Hook, Registry};
 use dnswild_mmsg::PollFd;
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
@@ -122,13 +120,28 @@ const SHARDS: usize = 16;
 /// is divided over `min(16, N)` shards, rounded down, so the shards
 /// together never hold more than N entries (each evicts by its own LRU
 /// order).
+///
+/// A question is hashed once: the high bits of its hash pick the shard,
+/// and the shard, built on the same hasher, indexes its buckets by the
+/// low bits of that same hash.
 pub struct SharedCache {
-    shards: Box<[Mutex<RecordCache>]>,
-    /// Names a question's shard. Keyed, like the index inside each
-    /// shard: with a guessable hash a client could send every question
-    /// to one lock.
-    picker: RandomState,
+    shards: Box<[Shard]>,
+    /// The one hash every shard indexes by. Keyed: with a guessable
+    /// hash a client could send every question to one lock and one
+    /// chain.
+    hasher: QuestionHasher,
     clock: Box<dyn Clock + Send + Sync>,
+}
+
+/// One shard on cache lines of its own: a lock taken on one shard does
+/// not invalidate the line its neighbour's lock sits on.
+#[repr(align(128))]
+struct Shard(Mutex<RecordCache>);
+
+impl Shard {
+    fn lock(&self) -> MutexGuard<'_, RecordCache> {
+        self.0.lock().expect("cache lock")
+    }
 }
 
 impl std::fmt::Debug for SharedCache {
@@ -151,11 +164,9 @@ impl SharedCache {
     ) -> Arc<SharedCache> {
         let shards = if cfg.capacity == 0 { SHARDS } else { SHARDS.min(cfg.capacity) };
         let per_shard = CacheConfig { capacity: cfg.capacity / shards, ..cfg };
-        Arc::new(SharedCache {
-            shards: (0..shards).map(|_| Mutex::new(RecordCache::with_config(per_shard))).collect(),
-            picker: RandomState::new(),
-            clock,
-        })
+        let hasher = QuestionHasher::new();
+        let shard = || Shard(Mutex::new(RecordCache::with_hasher(per_shard, hasher.clone())));
+        Arc::new(SharedCache { shards: (0..shards).map(|_| shard()).collect(), hasher, clock })
     }
 
     /// The current instant on this cache's timeline.
@@ -167,7 +178,7 @@ impl SharedCache {
     /// stale_served as the *cache* saw them, summed over the shards;
     /// the per-run client view lives in [`ClientStats`]).
     pub fn stats(&self) -> CacheStats {
-        self.shards.iter().map(|shard| shard.lock().expect("cache lock").stats()).sum()
+        self.shards.iter().map(|shard| shard.lock().stats()).sum()
     }
 
     /// Feeds `dnswild_cache_events_total{kind}` — one series per
@@ -190,7 +201,7 @@ impl SharedCache {
 
     /// Live + stale-retained entry count.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.lock().expect("cache lock").len()).sum()
+        self.shards.iter().map(|shard| shard.lock().len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -198,24 +209,29 @@ impl SharedCache {
         self.len() == 0
     }
 
-    /// Locks the shard (`qname`, `qtype`) lives in. Callers read the
-    /// clock first: nothing but the shard's own work happens under it.
-    fn shard(&self, qname: &Name, qtype: RType) -> MutexGuard<'_, RecordCache> {
-        let pick = self.picker.hash_one((qname, qtype)) % self.shards.len() as u64;
-        self.shards[pick as usize].lock().expect("cache lock")
+    /// Locks the shard of the question whose hash is `hash`, picked by
+    /// the hash's high 32 bits: the shard's index takes the low ones, so
+    /// every question in a shard can still land in any of its buckets.
+    /// Callers read the clock first: nothing but the shard's own work
+    /// happens under the lock.
+    fn shard(&self, hash: u64) -> MutexGuard<'_, RecordCache> {
+        let pick = ((hash >> 32) * self.shards.len() as u64) >> 32;
+        self.shards[pick as usize].lock()
     }
 
     /// See [`RecordCache::probe`]: a hit copies no record, the client
     /// sends none.
     fn probe(&self, qname: &Name, qtype: RType) -> Option<Hit> {
         let now = self.clock.now();
-        self.shard(qname, qtype).probe(qname, qtype, now)
+        let hash = self.hasher.hash(qname, qtype);
+        self.shard(hash).probe_hashed(hash, qname, qtype, now)
     }
 
-    /// See [`RecordCache::probe_stale`].
+    /// See [`RecordCache::probe_stale`]. The shard hashes the question
+    /// again: a stale probe follows a transaction every server failed.
     fn probe_stale(&self, qname: &Name, qtype: RType) -> Option<Hit> {
         let now = self.clock.now();
-        self.shard(qname, qtype).probe_stale(qname, qtype, now)
+        self.shard(self.hasher.hash(qname, qtype)).probe_stale(qname, qtype, now)
     }
 
     /// Stores an answering reply under the rule of
@@ -226,8 +242,9 @@ impl SharedCache {
     /// shard is taken.
     fn insert_reply(&self, qname: Name, qtype: RType, reply: Answer, negative_ttl: u32) {
         let now = self.clock.now();
-        let mut shard = self.shard(&qname, qtype);
-        shard.insert(qname, qtype, reply.answers, reply.header.rcode, negative_ttl, now);
+        let hash = self.hasher.hash(&qname, qtype);
+        let (answers, rcode) = (reply.answers, reply.header.rcode);
+        self.shard(hash).insert_hashed(hash, qname, qtype, answers, rcode, negative_ttl, now);
     }
 }
 
@@ -738,6 +755,22 @@ fn server_token(i: usize) -> SimAddr {
     SimAddr::from_ipv4(Ipv4Addr::new(10, 0, 0, (i + 1) as u8)).expect("10.x encodes")
 }
 
+/// Appends `n` in decimal. Not `write!`: a warm transaction costs well
+/// under a microsecond, and `core::fmt` would be a visible share of it.
+fn push_decimal(s: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 fn sim_now(epoch: Instant) -> SimTime {
     SimTime::from_micros(epoch.elapsed().as_micros() as u64)
 }
@@ -904,8 +937,14 @@ impl<'a> ResolverLane<'a> {
         self.stats.transactions += 1;
         self.txn = txn;
         self.label.clear();
-        write!(self.label, "c{}-t{txn}", self.index).expect("writing to a String cannot fail");
-        self.qname = self.cfg.origin.prepend(&self.label).expect("short probe label");
+        self.label.push('c');
+        push_decimal(&mut self.label, self.index as u64);
+        self.label.push_str("-t");
+        push_decimal(&mut self.label, txn);
+        // A hit left the last qname here; a miss moved it into the cache.
+        if !self.qname.relabel(&self.label).expect("short probe label") {
+            self.qname = self.cfg.origin.prepend(&self.label).expect("short probe label");
+        }
         if self.producer.is_some() {
             let mut buf = [0; dnswild_proto::MAX_NAME_LEN];
             let wire = self.qname.canonical_wire(&mut buf);
@@ -1855,6 +1894,25 @@ mod tests {
         assert!(s.hits > 1_000 && s.expired > 1_000 && s.negative_hits > 100, "{s:?}");
     }
 
+    /// A shard indexes its buckets by the low bits of the hash that
+    /// picked it, so the pick must use other bits: had it taken the
+    /// hash mod 16, every question in a shard would share the low four
+    /// bits and use one bucket in sixteen. 4,096 names over 16 shards:
+    /// in every shard, at least half as many buckets in use as entries.
+    #[test]
+    fn shard_and_bucket_take_different_bits_of_one_hash() {
+        let (cache, _) = set_cache(CacheConfig::default());
+        for qname in numbered_names(4_096) {
+            insert_as_lane(&cache, &qname, &reply_to(&qname, Some(600)));
+        }
+        assert_eq!((cache.len(), cache.shards.len()), (4_096, 16));
+        for shard in cache.shards.iter() {
+            let shard = shard.lock();
+            let (used, live) = (shard.occupied_buckets(), shard.len());
+            assert!(2 * used >= live, "{live} entries in {used} buckets");
+        }
+    }
+
     /// Eight threads, 20,000 operations each, a few hundred names
     /// between them, on a cache told to hold 37 entries and serve stale
     /// answers: no sample of `len()` ever exceeds 37, exactly the
@@ -1911,7 +1969,7 @@ mod tests {
         assert_eq!(s.hits + s.misses, issued.iter().map(|i| i.0).sum::<u64>());
         assert_eq!(s.inserts, issued.iter().map(|i| i.1).sum::<u64>());
         assert!(s.hits > 0 && s.expired > 0 && s.evictions > 0 && s.stale_served > 0, "{s:?}");
-        assert!(cache.len() <= 37 && cache.shards.iter().all(|shard| !shard.is_poisoned()));
+        assert!(cache.len() <= 37 && cache.shards.iter().all(|shard| !shard.0.is_poisoned()));
     }
 
     /// A faster cache must send the *same* stream upstream. The load

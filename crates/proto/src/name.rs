@@ -35,14 +35,20 @@ pub struct Name {
     wire: Box<[u8]>,
 }
 
-/// Appends one label (1–63 octets, arbitrary bytes) in wire form.
-fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> ProtoResult<()> {
+/// Checks that `label` can be a label: 1–63 octets, arbitrary bytes.
+fn check_label(label: &[u8]) -> ProtoResult<()> {
     if label.is_empty() {
         return Err(ProtoError::BadNameSyntax("empty label".into()));
     }
     if label.len() > MAX_LABEL_LEN {
         return Err(ProtoError::LabelTooLong(label.len()));
     }
+    Ok(())
+}
+
+/// Appends one label in wire form.
+fn push_label(wire: &mut Vec<u8>, label: &[u8]) -> ProtoResult<()> {
+    check_label(label)?;
     wire.push(label.len() as u8);
     wire.extend_from_slice(label);
     Ok(())
@@ -163,6 +169,24 @@ impl Name {
         push_label(&mut wire, label.as_bytes())?;
         wire.extend_from_slice(&self.wire);
         Name::from_wire(wire)
+    }
+
+    /// Rewrites the leftmost label as `label` in place, making the name
+    /// `self.parent().prepend(label)` would build, without allocating —
+    /// which can be done only when `label` is as long as the label it
+    /// replaces. `Ok(false)` leaves the name as it was: a label of
+    /// another length, or the root, which has no label to replace.
+    /// Fails on the labels [`Name::prepend`] rejects.
+    pub fn relabel(&mut self, label: &str) -> ProtoResult<bool> {
+        let label = label.as_bytes();
+        check_label(label)?;
+        match self.wire.split_first_mut() {
+            Some((&mut len, rest)) if len as usize == label.len() => {
+                rest[..label.len()].copy_from_slice(label);
+                Ok(true)
+            }
+            _ => Ok(false),
+        }
     }
 
     /// The parent of this name (`www.example.nl` → `example.nl`).
@@ -507,6 +531,22 @@ mod tests {
         assert_eq!(name("nl").parent().unwrap(), Name::root());
         assert!(Name::root().parent().is_none());
         assert_eq!(n.prepend("www").unwrap(), name("www.example.nl"));
+    }
+
+    /// `relabel` builds what `parent` then `prepend` build, in place and
+    /// only at the old label's length, and rejects what `prepend` does.
+    #[test]
+    fn relabel_rewrites_the_first_label_in_place() {
+        let mut n = name("c0-t17.example.nl");
+        assert!(n.relabel("c0-t18").unwrap());
+        assert_eq!(n, n.parent().unwrap().prepend("c0-t18").unwrap());
+        assert_eq!(n.to_string(), "c0-t18.example.nl.");
+        assert!(!n.relabel("c0-t100").unwrap(), "another length does not fit");
+        assert_eq!(n, name("c0-t18.example.nl"), "and leaves the name alone");
+        assert!(!Name::root().relabel("a").unwrap(), "the root has no label");
+        for bad in ["", &"a".repeat(64)] {
+            assert!(n.relabel(bad).is_err() && n.prepend(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -4,10 +4,19 @@
 # alternating pairs, seeds 2017 … 2017+N−1, 10 s per run. The order
 # inside a pair flips every pair (parent first, then change first), so
 # a slow drift of the machine lands on both sides. Prints each pair's
-# end-to-end values, then per metric how many pairs the change won and
-# each side's median and quartiles. Throughput (unit 1/s) is better
-# higher, every other metric better lower. Needs nothing beyond bash
-# and awk.
+# end-to-end values, then per metric how many pairs the change won,
+# each side's median and quartiles, and a verdict:
+#   gain        the change won at least 9 pairs in 10 and its median is
+#               better than the parent's by more than the parent's
+#               interquartile range;
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's bound in BENCHMARK.json (0 for a
+#               metric it gives none, such as `failed`);
+#   unresolved  the parent's interquartile range, over its median,
+#               exceeds that bound: the runs spread too widely to tell;
+#   flat        anything else.
+# Throughput (unit 1/s) is better higher, every other metric better
+# lower. Needs nothing beyond bash and awk.
 #
 #   scripts/pairs.sh PARENT_BENCH CHANGE_BENCH WORKLOAD [N=10]
 #
@@ -19,6 +28,8 @@ if [ $# -lt 3 ] || [ $# -gt 4 ]; then
     exit 2
 fi
 parent=$1 change=$2 workload=$3 n=${4:-10}
+benchmark=$(dirname "$0")/../BENCHMARK.json
+[ -r "$benchmark" ] || { echo "$0: cannot read $benchmark" >&2; exit 2; }
 for bin in "$parent" "$change"; do
     [ -x "$bin" ] || { echo "$0: $bin is not an executable" >&2; exit 2; }
 done
@@ -69,7 +80,31 @@ function summary(side, m,    a, k, p) {
     for (p = 0; p < pairs; p++) if ((side, p, m) in v) a[++k] = v[side, p, m]
     sort(a, k)
     med[side] = quantile(a, k, 0.5)
+    iqr[side] = quantile(a, k, 0.75) - quantile(a, k, 0.25)
     return sprintf("%.6g [%.6g, %.6g]", med[side], quantile(a, k, 0.25), quantile(a, k, 0.75))
+}
+function abs(x) { return x < 0 ? -x : x }
+# The verdict on metric m, once summary() has filled med[] and iqr[].
+function verdict(m, wins,    p, c, b, gap) {
+    p = med["parent"]; c = med["change"]; b = bound[m] + 0
+    gap = higher_better(m) ? c - p : p - c
+    if (wins * 10 >= pairs * 9 && gap > iqr["parent"]) return "gain"
+    if (-gap > b * abs(p)) return "worse"
+    if (p != 0 ? iqr["parent"] / abs(p) > b : iqr["parent"] > 0) return "unresolved"
+    return "flat"
+}
+# BENCHMARK.json first: in it a "bound" follows the "name" of the
+# end-to-end metric it belongs to, and no other entry has one.
+FNR == NR {
+    if (match($0, /"name": *"[^"]*"/)) {
+        name = substr($0, RSTART, RLENGTH)
+        sub(/^"name": *"/, "", name); sub(/"$/, "", name)
+    }
+    if (match($0, /"bound": *[0-9.eE+-]+/)) {
+        b = substr($0, RSTART, RLENGTH)
+        sub(/^"bound": */, "", b); bound[name] = b
+    }
+    next
 }
 {
     v[$2, $1, $3] = $4
@@ -84,7 +119,8 @@ END {
             m = order[i]
             printf "%-5d %-5d %-16s %14.6g %14.6g\n", p + 1, 2017 + p, m, v["parent", p, m], v["change", p, m]
         }
-    printf "\n%-16s %-6s %6s  %-38s %-38s %s\n", "metric", "unit", "wins", "parent median [q1, q3]", "change median [q1, q3]", "change/parent"
+    printf "\n%-16s %-6s %6s  %-38s %-38s %-13s %s\n", "metric", "unit", "wins",
+        "parent median [q1, q3]", "change median [q1, q3]", "change/parent", "verdict"
     for (i = 1; i <= metrics; i++) {
         m = order[i]
         wins = 0
@@ -94,6 +130,7 @@ END {
         }
         ps = summary("parent", m); cs = summary("change", m)
         ratio = med["parent"] == 0 ? "-" : sprintf("%.3f", med["change"] / med["parent"])
-        printf "%-16s %-6s %3d/%-2d  %-38s %-38s %s\n", m, unit[m], wins, pairs, ps, cs, ratio
+        printf "%-16s %-6s %3d/%-2d  %-38s %-38s %-13s %s\n", m, unit[m], wins, pairs, ps, cs,
+            ratio, verdict(m, wins)
     }
-}' "$rows"
+}' "$benchmark" "$rows"
