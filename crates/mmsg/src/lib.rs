@@ -19,42 +19,34 @@
 //!   wait) are declared directly — std already links the C library, so
 //!   this adds no dependency and keeps the workspace's path-only build
 //!   policy intact.
-//! * **Feature-gated.** All unsafe FFI sits behind
-//!   `cfg(all(target_os = "linux", feature = "mmsg"))`. Built without
-//!   the `mmsg` feature (or off Linux) the crate contains no unsafe
-//!   code at all and every entry point reports
-//!   [`std::io::ErrorKind::Unsupported`], so callers fall back to the
-//!   std `recv_from`/`send_to` loop.
+//! * **Linux only.** The FFI declares Linux syscalls and the kernel's
+//!   struct layouts, so the crate builds for Linux alone — elsewhere a
+//!   `compile_error!` says so.
 //! * **Runtime-selected.** [`available`] probes the running kernel once
-//!   (a real `recvmmsg` on a throwaway socket) so a binary compiled
-//!   with the shim still degrades gracefully on kernels or sandboxes
-//!   that refuse the syscall.
+//!   (a real `recvmmsg` on a throwaway socket), so the server still
+//!   degrades gracefully to its std loop on kernels or sandboxes that
+//!   refuse the syscall (`ENOSYS`).
 //!
 //! The shim is deliberately *thin*: no retry policy, no accounting, no
 //! partial-send handling — `dnswild-netio::server` owns those, because
 //! they must behave identically on the std fallback path. Likewise
 //! [`poll`] only reports readiness; what a ready socket means is the
-//! caller's (`dnswild-netio`'s client lanes, whose fallback waits in a
-//! blocking `recv` instead, and its chaos proxy, whose fallback sleeps
-//! a millisecond and tries every socket).
+//! caller's (`dnswild-netio`'s client lanes and its chaos proxy).
 
-#![cfg_attr(not(all(target_os = "linux", feature = "mmsg")), forbid(unsafe_code))]
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("dnswild-mmsg declares Linux syscalls: the socket plane builds on Linux only");
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::time::Duration;
 
-/// Whether the FFI shim was compiled in (Linux with the `mmsg`
-/// feature). When `false`, [`available`] is `false` and every call
-/// returns [`io::ErrorKind::Unsupported`].
-pub const COMPILED: bool = cfg!(all(target_os = "linux", feature = "mmsg"));
-
 /// Largest batch a [`RecvBatch`] will carry — one `mmsghdr` page's
 /// worth; beyond this the syscall amortisation has long flattened out.
 pub const BATCH_MAX: usize = 64;
 
-#[cfg(all(target_os = "linux", feature = "mmsg"))]
+#[cfg(target_os = "linux")]
 mod sys {
     //! The Linux implementation: hand-declared ABI structs and the
     //! libc wrappers. Layouts match the x86_64/aarch64 kernel ABI
@@ -487,110 +479,7 @@ mod sys {
     }
 }
 
-#[cfg(all(target_os = "linux", feature = "mmsg"))]
-pub use sys::{
-    available, bind_reuseport, poll, recv_batch, send_batch, PollFd, RecvBatch, SendScratch,
-};
-
-#[cfg(not(all(target_os = "linux", feature = "mmsg")))]
-mod sys {
-    //! The stub arm: no unsafe code, every entry point `Unsupported`.
-    //! Types mirror the Linux arm so callers compile unchanged.
-
-    use super::*;
-
-    fn unsupported() -> io::Error {
-        io::Error::new(io::ErrorKind::Unsupported, "mmsg shim not compiled for this target")
-    }
-
-    /// Stub: batched receive state (never fillable on this target).
-    pub struct RecvBatch {
-        capacity: usize,
-    }
-
-    impl RecvBatch {
-        /// Stub constructor; `recv_batch` on this state always fails.
-        pub fn new(capacity: usize, _buf_len: usize) -> RecvBatch {
-            RecvBatch { capacity: capacity.clamp(1, BATCH_MAX) }
-        }
-
-        /// The configured (never reachable) batch ceiling.
-        pub fn capacity(&self) -> usize {
-            self.capacity
-        }
-
-        /// Always zero on this target.
-        pub fn filled(&self) -> usize {
-            0
-        }
-
-        /// Unreachable on this target (`filled` is always zero).
-        pub fn datagram(&self, _i: usize) -> (&[u8], SocketAddr) {
-            panic!("mmsg shim not compiled for this target")
-        }
-    }
-
-    /// Stub send scratch.
-    #[derive(Default)]
-    pub struct SendScratch {}
-
-    /// Stub: one socket of a [`poll`] set (never pollable here).
-    #[derive(Debug, Clone, Copy)]
-    pub struct PollFd {}
-
-    impl PollFd {
-        /// Stub constructor; `poll` on a set of these always fails.
-        pub fn udp(_sock: &UdpSocket) -> PollFd {
-            PollFd {}
-        }
-
-        /// Stub constructor; `poll` on a set of these always fails.
-        pub fn tcp(_stream: &TcpStream) -> PollFd {
-            PollFd {}
-        }
-
-        /// Stub constructor; `poll` on a set of these always fails.
-        pub fn tcp_listener(_listener: &TcpListener) -> PollFd {
-            PollFd {}
-        }
-
-        /// Always `false` on this target.
-        pub fn readable(&self) -> bool {
-            false
-        }
-    }
-
-    /// Always `Unsupported` on this target.
-    pub fn poll(_fds: &mut [PollFd], _timeout: Duration) -> io::Result<usize> {
-        Err(unsupported())
-    }
-
-    /// Always `Unsupported` on this target.
-    pub fn bind_reuseport(_addr: SocketAddr) -> io::Result<UdpSocket> {
-        Err(unsupported())
-    }
-
-    /// Always `Unsupported` on this target.
-    pub fn recv_batch(_sock: &UdpSocket, _batch: &mut RecvBatch) -> io::Result<usize> {
-        Err(unsupported())
-    }
-
-    /// Always `Unsupported` on this target.
-    pub fn send_batch(
-        _sock: &UdpSocket,
-        _msgs: &[(&[u8], SocketAddr)],
-        _scratch: &mut SendScratch,
-    ) -> io::Result<usize> {
-        Err(unsupported())
-    }
-
-    /// Always `false` on this target.
-    pub fn available() -> bool {
-        false
-    }
-}
-
-#[cfg(not(all(target_os = "linux", feature = "mmsg")))]
+#[cfg(target_os = "linux")]
 pub use sys::{
     available, bind_reuseport, poll, recv_batch, send_batch, PollFd, RecvBatch, SendScratch,
 };
@@ -599,30 +488,13 @@ pub use sys::{
 mod tests {
     use super::*;
 
+    /// An empty set with a zero timeout only looks, and finds nothing
+    /// ready.
     #[test]
-    fn availability_is_consistent_with_compilation() {
-        if !COMPILED {
-            assert!(!available(), "stub arm must never report availability");
-        }
-        // On Linux with the feature on, `available()` may still be
-        // false under an exotic sandbox — only the implication above is
-        // universal.
+    fn an_empty_poll_set_with_a_zero_timeout_returns_zero() {
+        assert_eq!(poll(&mut [], Duration::ZERO).unwrap(), 0);
     }
 
-    /// Built without the shim, `poll` reports `Unsupported` (so the
-    /// client waits in a blocking `recv`); built with it, an empty set
-    /// and a zero timeout is a plain "nothing ready".
-    #[test]
-    fn poll_is_unsupported_exactly_when_the_shim_is_not_compiled() {
-        let got = poll(&mut [], Duration::ZERO);
-        if COMPILED {
-            assert_eq!(got.unwrap(), 0);
-        } else {
-            assert_eq!(got.unwrap_err().kind(), io::ErrorKind::Unsupported);
-        }
-    }
-
-    #[cfg(all(target_os = "linux", feature = "mmsg"))]
     mod linux {
         use super::super::*;
 

@@ -40,9 +40,7 @@
 //! `STOP_POLL_INTERVAL` passes, then reads every readable socket until
 //! it would block. A TCP relay is a state per connection, not a thread:
 //! every stream is non-blocking, a write that would block closes the
-//! relay, and only the upstream `connect` ever waits. Without the shim
-//! the same loop sleeps a millisecond (or until the next copy is due)
-//! and tries every socket.
+//! relay, and only the upstream `connect` ever waits.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
@@ -56,7 +54,7 @@ use detrand::{splitmix64, DetRng, Rng};
 use dnswild_metrics::{counter_set, kv_line, AtomicSet, CounterSet, Registry};
 use dnswild_mmsg::{poll, PollFd};
 
-use crate::closed_loop::{unspecified_for, POLLED};
+use crate::closed_loop::unspecified_for;
 use crate::server::{bind_twin, is_idle_recv};
 use crate::tcp::{write_frame, FrameReader};
 use dnswild_telemetry::{
@@ -694,22 +692,17 @@ impl ProxyLoop {
             let wait = self.send_due();
             // The poll set: listen socket, TCP listener, sessions, relays.
             let sessions = self.sessions.len();
-            if POLLED {
-                fds.clear();
-                fds.extend([PollFd::udp(&self.listen), PollFd::tcp_listener(&self.tcp)]);
-                fds.extend(self.sessions.iter().map(|(_, s)| PollFd::udp(s)));
-                fds.extend(self.relays.iter().map(TcpRelay::poll_fd));
-                let _ = poll(&mut fds, wait);
-            } else {
-                std::thread::sleep(wait.min(Duration::from_millis(1)));
-            }
-            let ready = |i: usize| !POLLED || fds[i].readable();
-            for session in (0..sessions).filter(|&i| ready(2 + i)) {
+            fds.clear();
+            fds.extend([PollFd::udp(&self.listen), PollFd::tcp_listener(&self.tcp)]);
+            fds.extend(self.sessions.iter().map(|(_, s)| PollFd::udp(s)));
+            fds.extend(self.relays.iter().map(TcpRelay::poll_fd));
+            let _ = poll(&mut fds, wait);
+            for session in (0..sessions).filter(|&i| fds[2 + i].readable()) {
                 while let Ok(n) = self.sessions[session].1.recv(&mut self.buf) {
                     self.pass(Direction::Reverse, session, n);
                 }
             }
-            if ready(0) {
+            if fds[0].readable() {
                 while let Ok((n, client)) = self.listen.recv_from(&mut self.buf) {
                     if let Ok(session) = self.session(client) {
                         self.pass(Direction::Forward, session, n);
@@ -719,9 +712,9 @@ impl ProxyLoop {
             let (plan, upstream, mut fd) = (&self.plan, self.upstream, 2 + sessions);
             self.relays.retain_mut(|relay| {
                 fd += 1;
-                !ready(fd - 1) || relay.relay(plan, upstream).is_ok()
+                !fds[fd - 1].readable() || relay.relay(plan, upstream).is_ok()
             });
-            if ready(1) {
+            if fds[1].readable() {
                 while let Ok((client, _)) = self.tcp.accept() {
                     self.plan.tcp_counters.add(TcpFaultTally { conns: 1, ..Default::default() });
                     self.relays.extend(TcpRelay::new(client).ok());

@@ -80,7 +80,7 @@ use dnswild_telemetry::{
     FLAG_TCP, FLAG_TCP_RETRY, FLAG_TC_SEEN, FLAG_TIMEOUT, RCODE_NONE,
 };
 
-use crate::closed_loop::{cores, run_lanes, share_of, thread_stream, Lane, LaneSocket, POLLED};
+use crate::closed_loop::{cores, run_lanes, share_of, thread_stream, Lane, LaneSocket};
 use crate::server::is_idle_recv;
 use crate::tcp::{write_frame, FrameReader};
 
@@ -589,18 +589,12 @@ struct TcpConn {
     scratch: Vec<u8>,
 }
 
-/// Connects a fallback stream. Only the connect itself blocks: a
-/// polled lane reads the reply when its loop's `poll` says so, a
-/// blocking lane under the stream's read timeout.
+/// Connects a fallback stream. Only the connect itself blocks: the
+/// lane reads the reply when its loop's `poll` says so.
 fn tcp_connect(addr: &SocketAddr, timeout: Duration) -> io::Result<TcpConn> {
     let stream = TcpStream::connect_timeout(addr, timeout)?;
     stream.set_nodelay(true)?;
-    if POLLED {
-        stream.set_nonblocking(true)?;
-    } else {
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-    }
+    stream.set_nonblocking(true)?;
     Ok(TcpConn { stream, reader: FrameReader::new(), scratch: Vec::new() })
 }
 
@@ -1318,11 +1312,11 @@ impl Lane for ResolverLane<'_> {
 
     /// A datagram, or what one read brings of the TCP detour's reply
     /// frame.
-    fn read(&mut self, wait: Duration) -> io::Result<bool> {
+    fn read(&mut self) -> io::Result<bool> {
         if let Phase::Tcp { plan, .. } = self.phase {
             return self.read_tcp(plan);
         }
-        let Some(got) = self.socket.read(&mut self.recv_buf, wait)? else {
+        let Some(got) = self.socket.read(&mut self.recv_buf)? else {
             return Ok(false);
         };
         match self.phase {
@@ -2037,16 +2031,14 @@ mod tests {
 
     // ---- lanes on one event loop ----
 
-    /// A one-lane loop in this build's wait mode.
+    /// A one-lane loop.
     fn one_lane_loop<'a>(cfg: &'a ResolveConfig, cells: &'a [LaneCell]) -> EventLoop<ResolverLane<'a>> {
         EventLoop::new(vec![ResolverLane::new(cfg, 0, &cells[0]).unwrap()])
     }
 
     /// A stale reply late in a window must not restart it — the wait
     /// after it is for what is left — and must not leave the next
-    /// window shorter: on a polled lane (one `poll` timeout per turn)
-    /// and on a blocking one (one socket timeout, re-armed only when it
-    /// changes) alike. The load lane's twin is
+    /// window shorter. The load lane's twin is
     /// `closed_loop::tests::a_stale_reply_does_not_extend_the_window`.
     #[test]
     fn a_stale_reply_neither_extends_the_window_nor_shortens_the_next() {
@@ -2060,13 +2052,6 @@ mod tests {
         let cells = [LaneCell::new(1)];
         let mut lp = one_lane_loop(&cfg, &cells);
         stale_reply_windows(&mut lp, server, window, |lane| (lane.stats.stale, lane.stats.timeouts));
-        let socket = &lp.lanes[0].socket;
-        if !POLLED {
-            // Never out of step with what the lane believes it armed
-            // (the kernel rounds a timeout up to its tick, never down).
-            assert!(socket.udp.read_timeout().unwrap() >= socket.armed, "the socket holds what was armed");
-        }
-
     }
 
     /// A reply queued before its window closed is an answer, however
@@ -2263,6 +2248,42 @@ mod tests {
         assert!(during >= 10, "only {during} other-lane queries during the {hold:?} hold");
     }
 
+    /// A truncated transaction whose TCP detour never gets its reply in
+    /// time fails the detour when the window closes — no sooner, and
+    /// not when the reply finally comes 400 ms on.
+    #[test]
+    fn a_tcp_detour_without_a_reply_fails_when_its_window_closes() {
+        let window = Duration::from_millis(100);
+        let auth = Scripted::start(|_, _| Script::Truncate, Duration::ZERO, Duration::from_millis(400));
+        let cfg = ResolveConfig::new(vec![auth.addr], origin())
+            .transactions(1)
+            .concurrency(1)
+            .timeout(window)
+            .tcp_reuse(false)
+            .max_tries(1);
+        let cells = [LaneCell::new(1)];
+        let mut lp = one_lane_loop(&cfg, &cells);
+        // The detour's window closes at its deadline; the UDP window
+        // its truncated attempt waited out comes before it.
+        let mut closes = None;
+        while lp.lanes[0].stats.servfails == 0 {
+            assert!(lp.turn().unwrap(), "the lane finished before its transaction ended");
+            if let Phase::Tcp { deadline, .. } = lp.lanes[0].phase {
+                closes = Some(deadline);
+            }
+        }
+        let ended = Instant::now();
+        let closes = closes.expect("the truncated transaction detoured over TCP");
+        lp.run().unwrap();
+        auth.stop();
+        let stats = cells[0].stats.snapshot();
+        stats.check().unwrap();
+        assert_eq!((stats.tcp_attempts, stats.tcp_failed, stats.tcp_answered), (1, 1, 0), "{stats:?}");
+        let took = ended - (closes - window);
+        assert!(ended >= closes, "the detour gave up after {took:?} of a {window:?} window");
+        assert!(took < window + Duration::from_millis(100), "the detour took {took:?} for a {window:?} window");
+    }
+
     /// One seeded chaos-proxied run (loss, duplication, mutation, TC=1
     /// cuts; RRL drops and slips at the server; TCP detours through the
     /// proxy) packed onto `loops` event loops: the client's books, a
@@ -2344,8 +2365,7 @@ mod tests {
         }
     }
 
-    /// `resolve()` packs eight lanes onto at most one thread per core —
-    /// or, without the poll shim, gives each its own.
+    /// `resolve()` packs eight lanes onto at most one thread per core.
     #[test]
     fn resolve_starts_at_most_one_client_thread_per_core() {
         use crate::closed_loop::STARTED;
@@ -2360,11 +2380,7 @@ mod tests {
         handle.shutdown();
         assert_eq!(report.stats.answered, 64);
         let cores = std::thread::available_parallelism().unwrap().get();
-        if dnswild_mmsg::COMPILED {
-            assert!(started <= cores, "{started} client threads on {cores} cores");
-        } else {
-            assert_eq!(started, 8, "one blocking thread per lane");
-        }
+        assert!(started <= cores, "{started} client threads on {cores} cores");
     }
 
     /// The query a lane writes is, byte for byte, the `Message` the

@@ -6,9 +6,8 @@
 //! `dnswild-mmsg` shim), so a thread keeps many lookups in flight
 //! instead of parking on one. The resolver client's lanes
 //! ([`crate::client`]) and the load generator's ([`crate::load`]) are
-//! two kinds of lane on the same loop. Without the shim (off Linux, or
-//! built without its `mmsg` feature) the loop drives one lane per
-//! thread and waits in a blocking `recv` — one loop, two ways to wait.
+//! two kinds of lane on the same loop, and `poll` is the one way any of
+//! them waits.
 //!
 //! Also here: what both clients share besides the loop — the per-lane
 //! seed streams, the family-matched local bind and the even work split.
@@ -16,16 +15,12 @@
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, UdpSocket};
 use std::num::NonZeroUsize;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dnswild_mmsg::{poll, PollFd};
 use dnswild_proto::Message;
 
 use crate::server::is_idle_recv;
-
-/// Whether this build's loops wait in one `poll` over many lanes (the
-/// shim is compiled in) or in one lane's blocking `recv`.
-pub(crate) const POLLED: bool = dnswild_mmsg::COMPILED;
 
 /// Lane `lane`'s stream of `seed`: distinct per lane, identical across
 /// runs — what makes per-lane schedules replay byte-for-byte.
@@ -78,50 +73,32 @@ pub(crate) trait Lane {
     fn deadline(&self) -> Option<Instant>;
     /// The socket the lane waits on, for its loop's `poll`.
     fn poll_fd(&self) -> PollFd;
-    /// Reads once from what the lane waits on and handles it — a polled
-    /// lane only what its loop found readable, a blocking one waiting up
-    /// to `wait`. `false` when nothing arrived.
-    fn read(&mut self, wait: Duration) -> io::Result<bool>;
+    /// Reads once from what its loop found readable and handles it;
+    /// `false` when nothing arrived.
+    fn read(&mut self) -> io::Result<bool>;
     /// The lane's wait is over with nothing (more) read.
     fn expire(&mut self) -> io::Result<()>;
 }
 
-/// A lane's UDP socket in this build's wait mode: non-blocking under a
-/// polling loop, else blocking under a read timeout it re-arms only
-/// when the wait changes.
+/// A lane's non-blocking UDP socket: its loop's `poll` does the waiting.
 pub(crate) struct LaneSocket {
     pub(crate) udp: UdpSocket,
-    /// The read timeout a blocking socket holds (see [`LaneSocket::read`]).
-    pub(crate) armed: Option<Duration>,
 }
 
 impl LaneSocket {
     /// A socket on an ephemeral port of `peer`'s family.
     pub(crate) fn bind(peer: &SocketAddr) -> io::Result<LaneSocket> {
         let udp = UdpSocket::bind(unspecified_for(peer))?;
-        if POLLED {
-            udp.set_nonblocking(true)?;
-        }
-        Ok(LaneSocket { udp, armed: None })
+        udp.set_nonblocking(true)?;
+        Ok(LaneSocket { udp })
     }
 
-    /// Reads one datagram into `buf`: its length, or `None` when nothing
-    /// arrived. A polled socket only looks; a blocking one waits up to
-    /// `wait` rounded up to the millisecond, so a window never closes
-    /// early and windows of one length arm the timeout once.
-    pub(crate) fn read(&mut self, buf: &mut [u8], wait: Duration) -> io::Result<Option<usize>> {
-        if !POLLED {
-            let ms = wait.as_nanos().div_ceil(1_000_000).clamp(1, u64::MAX as u128) as u64;
-            let wait = Duration::from_millis(ms);
-            if self.armed != Some(wait) {
-                self.udp.set_read_timeout(Some(wait))?;
-                self.armed = Some(wait);
-            }
-        }
+    /// Reads one datagram into `buf` without waiting: its length, or
+    /// `None` when nothing arrived.
+    pub(crate) fn read(&mut self, buf: &mut [u8]) -> io::Result<Option<usize>> {
         match self.udp.recv(buf) {
             Ok(n) => Ok(Some(n)),
-            // A spurious wake, the timer firing (a little early, even),
-            // or a signal: nothing arrived.
+            // A spurious wake or a signal: nothing arrived.
             Err(e) if is_idle_recv(&e) || e.kind() == io::ErrorKind::Interrupted => Ok(None),
             Err(e) => Err(e),
         }
@@ -138,8 +115,7 @@ thread_local! {
 
 /// Runs `lanes` lanes, lane `i` made by `make(i)`, packed onto `loops`
 /// event-loop threads (never more than one per lane; contiguous lanes
-/// share a thread) — or, without the poll shim, on a thread per lane,
-/// whatever `loops` says. Returns the finished lanes in lane order, or
+/// share a thread). Returns the finished lanes in lane order, or
 /// the first error in that order once every thread has finished.
 pub(crate) fn run_lanes<L: Lane + Send>(
     lanes: usize,
@@ -147,7 +123,7 @@ pub(crate) fn run_lanes<L: Lane + Send>(
     make: impl Fn(usize) -> io::Result<L> + Sync,
 ) -> io::Result<Vec<L>> {
     let lanes = lanes.max(1);
-    let loops = if POLLED { loops.clamp(1, lanes) } else { lanes };
+    let loops = loops.clamp(1, lanes);
     #[cfg(test)]
     STARTED.with(|n| n.set(n.get() + loops));
     let loops: Vec<Vec<L>> = std::thread::scope(|scope| {
@@ -168,9 +144,8 @@ pub(crate) fn run_lanes<L: Lane + Send>(
 
 /// One thread's lanes and the loop that drives them. Each turn runs
 /// every lane on to its next wait, waits once — in one `poll(2)` over
-/// all their sockets, or, without the shim, in the one lane's blocking
-/// `recv` — until a socket is readable or the earliest deadline
-/// passes, reads what is readable, and only then closes the waits
+/// all their sockets — until a socket is readable or the earliest
+/// deadline passes, reads what is readable, and only then closes the waits
 /// that are past due. A lane read this turn is not expired in it: the
 /// next turn's poll (which does not wait, its deadline having passed)
 /// reads on until the socket is empty. So a reply that was readable
@@ -190,9 +165,8 @@ pub(crate) struct EventLoop<L> {
 }
 
 impl<L: Lane> EventLoop<L> {
-    /// The loop over `lanes`: any number polled, exactly one blocking.
+    /// The loop over `lanes`.
     pub(crate) fn new(lanes: Vec<L>) -> Self {
-        assert!(POLLED || lanes.len() == 1, "a blocking loop drives exactly one lane");
         let n = lanes.len();
         EventLoop {
             lanes,
@@ -218,27 +192,23 @@ impl<L: Lane> EventLoop<L> {
         };
         let wait = earliest.saturating_duration_since(Instant::now());
         self.read.fill(false);
-        if POLLED {
-            self.fds.clear();
-            self.waiting.clear();
-            for (i, lane) in self.lanes.iter().enumerate() {
-                if lane.deadline().is_some() {
-                    self.fds.push(lane.poll_fd());
-                    self.waiting.push(i);
-                }
+        self.fds.clear();
+        self.waiting.clear();
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if lane.deadline().is_some() {
+                self.fds.push(lane.poll_fd());
+                self.waiting.push(i);
             }
-            match poll(&mut self.fds, wait) {
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+        }
+        match poll(&mut self.fds, wait) {
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        for (fd, &i) in self.fds.iter().zip(&self.waiting) {
+            if fd.readable() {
+                self.read[i] = self.lanes[i].read()?;
             }
-            for (fd, &i) in self.fds.iter().zip(&self.waiting) {
-                if fd.readable() {
-                    self.read[i] = self.lanes[i].read(wait)?;
-                }
-            }
-        } else {
-            self.read[0] = self.lanes[0].read(wait)?;
         }
         let now = Instant::now();
         for (lane, &read) in self.lanes.iter_mut().zip(&self.read) {
@@ -253,6 +223,7 @@ impl<L: Lane> EventLoop<L> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::time::Duration;
     use crate::load::{LoadCell, LoadConfig, LoadLane};
     use dnswild_proto::Name;
 

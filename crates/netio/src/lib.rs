@@ -10,13 +10,13 @@
 //! this crate puts the same logic on the wire:
 //!
 //! * [`server`] — a sharded UDP front-end: N worker threads, each
-//!   owning a private `SO_REUSEPORT` socket (where the Linux
-//!   `dnswild-mmsg` shim is usable; one shared socket elsewhere), a
-//!   forked engine, reusable receive/encode buffers and a private
-//!   lock-free stats cell — no cross-thread sharing on the hot path.
-//!   One worker loop runs over a datagram I/O arm selected at runtime
-//!   ([`IoBackend`]): batched `recvmmsg`/`sendmmsg` on Linux, a
-//!   `recv_from`/`send_to` batch of one everywhere else. Every worker
+//!   owning a private `SO_REUSEPORT` socket (where the kernel accepts
+//!   the `dnswild-mmsg` shim's `recvmmsg`; one shared socket where it
+//!   refuses it), a forked engine, reusable receive/encode buffers and
+//!   a private lock-free stats cell — no cross-thread sharing on the
+//!   hot path. One worker loop runs over a datagram I/O arm selected at
+//!   runtime ([`IoBackend`]): batched `recvmmsg`/`sendmmsg`, or a
+//!   `recv_from`/`send_to` batch of one. Every worker
 //!   drives the *same*
 //!   [`dnswild_server::AnswerEngine`] the simulator actor uses, so
 //!   behaviour proven by the `exp_*` reproductions is the behaviour

@@ -625,9 +625,9 @@ impl Lane for LoadLane<'_> {
         PollFd::udp(&self.sockets[f.socket].udp)
     }
 
-    fn read(&mut self, wait: Duration) -> io::Result<bool> {
+    fn read(&mut self) -> io::Result<bool> {
         let f = self.flight.as_mut().expect("a waiting lane has a query in flight");
-        let Some(got) = self.sockets[f.socket].read(&mut self.recv_buf, wait)? else {
+        let Some(got) = self.sockets[f.socket].read(&mut self.recv_buf)? else {
             return Ok(false);
         };
         if got >= 2 && u16::from_be_bytes([self.recv_buf[0], self.recv_buf[1]]) == f.id {
@@ -924,11 +924,10 @@ mod tests {
         assert_eq!(stats.bucket_evictions, 0);
     }
 
-    /// `blast()` packs eight lanes onto at most one thread per core —
-    /// or, without the poll shim, gives each its own.
+    /// `blast()` packs eight lanes onto at most one thread per core.
     #[test]
     fn blast_starts_at_most_one_client_thread_per_core() {
-        use crate::closed_loop::{POLLED, STARTED};
+        use crate::closed_loop::STARTED;
         let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
         let handle = serve(ServeConfig::new("127.0.0.1:0", "FRA", zones).threads(1)).unwrap();
         let before = STARTED.with(|n| n.get());
@@ -937,11 +936,7 @@ mod tests {
         handle.shutdown();
         assert!(report.unwrap().all_answered());
         let cores = std::thread::available_parallelism().unwrap().get();
-        if POLLED {
-            assert!(started <= cores, "{started} client threads on {cores} cores");
-        } else {
-            assert_eq!(started, 8, "one blocking thread per lane");
-        }
+        assert!(started <= cores, "{started} client threads on {cores} cores");
     }
 
     /// A lossless traced mixed run of eight lanes packed onto `loops`

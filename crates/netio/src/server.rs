@@ -6,8 +6,8 @@
 //! own `ShardCell` — nothing on the hot path is written by more than
 //! one thread. Two things are selected at runtime:
 //!
-//! * **Sockets.** Where the `dnswild-mmsg` shim is usable (Linux,
-//!   `mmsg` feature, kernel agrees) every worker binds its own
+//! * **Sockets.** Where the `dnswild-mmsg` shim is usable (the
+//!   kernel accepts `recvmmsg`) every worker binds its own
 //!   `SO_REUSEPORT` socket on the serve port, so the kernel flow-hashes
 //!   clients across private per-shard receive queues instead of N
 //!   threads contending on one shared queue. Elsewhere the workers
@@ -72,7 +72,7 @@ pub enum IoBackend {
     Std,
     /// Linux batched arm: `recvmmsg`/`sendmmsg`, one syscall per
     /// batch. [`serve`] fails with [`io::ErrorKind::Unsupported`] when
-    /// forced on a host whose kernel or build lacks the shim.
+    /// forced on a host whose kernel refuses the syscall.
     Mmsg,
 }
 
@@ -99,9 +99,8 @@ impl std::str::FromStr for IoBackend {
     }
 }
 
-/// Whether the batched backend can actually run here: the shim is
-/// compiled in *and* the running kernel accepts `recvmmsg` (probed once
-/// per process). When true, [`serve`] also gives every worker a private
+/// Whether the batched backend can actually run here: the running
+/// kernel accepts `recvmmsg` (probed once per process). When true, [`serve`] also gives every worker a private
 /// `SO_REUSEPORT` socket whatever the I/O backend.
 pub fn batch_io_available() -> bool {
     dnswild_mmsg::available()
@@ -386,8 +385,7 @@ pub fn serve(config: ServeConfig) -> io::Result<ServeHandle> {
         IoBackend::Mmsg if !batch_io_available() => {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "mmsg backend requested but recvmmsg/sendmmsg is unavailable \
-                 (non-Linux build, `mmsg` feature off, or the kernel refused the probe)",
+                "mmsg backend requested but the kernel refused the recvmmsg probe",
             ));
         }
         IoBackend::Auto if batch_io_available() => IoBackend::Mmsg,

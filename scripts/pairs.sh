@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # A before/after row for a performance claim, in one command: two
 # prebuilt `bench` binaries (perfbench/) run one workload in N
-# alternating pairs, seeds 2017 … 2017+N−1, 10 s per run. The order
+# alternating pairs, seeds SEED0 … SEED0+N−1 (SEED0 defaults to 2017;
+# confirm a claim on a seed range not used while writing the change),
+# 10 s per run. The order
 # inside a pair flips every pair (parent first, then change first), so
 # a slow drift of the machine lands on both sides. Prints each pair's
 # end-to-end values, then per metric how many pairs the change won,
@@ -18,16 +20,16 @@
 # Throughput (unit 1/s) is better higher, every other metric better
 # lower. Needs nothing beyond bash and awk.
 #
-#   scripts/pairs.sh PARENT_BENCH CHANGE_BENCH WORKLOAD [N=10]
+#   scripts/pairs.sh PARENT_BENCH CHANGE_BENCH WORKLOAD [N=10] [SEED0=2017]
 #
 # Build each side's binary in its own checkout and copy it out first:
 #   cargo build --release --offline --manifest-path perfbench/Cargo.toml --bin bench
 set -euo pipefail
-if [ $# -lt 3 ] || [ $# -gt 4 ]; then
-    echo "usage: $0 PARENT_BENCH CHANGE_BENCH WORKLOAD [N=10]" >&2
+if [ $# -lt 3 ] || [ $# -gt 5 ]; then
+    echo "usage: $0 PARENT_BENCH CHANGE_BENCH WORKLOAD [N=10] [SEED0=2017]" >&2
     exit 2
 fi
-parent=$1 change=$2 workload=$3 n=${4:-10}
+parent=$1 change=$2 workload=$3 n=${4:-10} seed0=${5:-2017}
 benchmark=$(dirname "$0")/../BENCHMARK.json
 [ -r "$benchmark" ] || { echo "$0: cannot read $benchmark" >&2; exit 2; }
 for bin in "$parent" "$change"; do
@@ -41,7 +43,7 @@ trap 'rm -f "$rows"' EXIT
 # lines ("WORKLOAD METRIC VALUE UNIT") and the failed count of its JSON.
 run() {
     local pair=$1 side=$2 bin=$3
-    "$bin" --workload "$workload" --seed $((2017 + pair)) --seconds 10 --trace 0 2>/dev/null |
+    "$bin" --workload "$workload" --seed $((seed0 + pair)) --seconds 10 --trace 0 2>/dev/null |
         awk -v pair="$pair" -v side="$side" -v w="$workload" '
             $1 == w && NF == 4 { print pair, side, $2, $3, $4 }
             match($0, /"failed": [0-9]+/) { print pair, side, "failed", substr($0, RSTART + 10, RLENGTH - 10), "count" }
@@ -56,10 +58,10 @@ for ((pair = 0; pair < n; pair++)); do
         run "$pair" change "$change"
         run "$pair" parent "$parent"
     fi
-    echo "pair $((pair + 1))/$n done (seed $((2017 + pair)))" >&2
+    echo "pair $((pair + 1))/$n done (seed $((seed0 + pair)))" >&2
 done
 
-awk '
+awk -v seed0="$seed0" '
 function higher_better(m) { return unit[m] == "1/s" }
 # Sorts a[1..k] in place (insertion sort: k is a handful of runs).
 function sort(a, k,    i, j, x) {
@@ -117,7 +119,7 @@ END {
     for (p = 0; p < pairs; p++)
         for (i = 1; i <= metrics; i++) {
             m = order[i]
-            printf "%-5d %-5d %-16s %14.6g %14.6g\n", p + 1, 2017 + p, m, v["parent", p, m], v["change", p, m]
+            printf "%-5d %-5d %-16s %14.6g %14.6g\n", p + 1, seed0 + p, m, v["parent", p, m], v["change", p, m]
         }
     printf "\n%-16s %-6s %6s  %-38s %-38s %-13s %s\n", "metric", "unit", "wins",
         "parent median [q1, q3]", "change median [q1, q3]", "change/parent", "verdict"

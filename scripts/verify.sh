@@ -10,12 +10,6 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 
-# The same serving plane and clients without the syscall shim: the
-# shim's entry points report `Unsupported`, the server falls back to its
-# std loop, and each client lane — resolver or load — waits in a
-# blocking `recv` on a thread of its own instead of in a shared `poll`.
-cargo test -q --offline -p dnswild-netio -p dnswild-mmsg --no-default-features
-
 # The gates at CI sizes. Each is one `dnswild::lab::Scenario` run by
 # `lab::run` (crates/core/src/lab.rs) — the runner `dnswild smoke` and
 # the tests use — twice where reproducibility is the claim, with the
@@ -43,9 +37,7 @@ echo "results: all ten exp_* outputs match results/"
 # Lint gate: the observability plane rides the hot path, so keep the
 # whole workspace — tests included — clippy-clean at -D warnings.
 cargo clippy --workspace --all-targets --offline -q -- -D warnings
-# The no-shim build compiles the fallback arms the line above never sees.
-cargo clippy -p dnswild-netio -p dnswild-mmsg --no-default-features --all-targets --offline -q -- -D warnings
-echo "clippy: workspace and tests clean at -D warnings, with and without the shim"
+echo "clippy: workspace and tests clean at -D warnings"
 
 # Doc gate: every intra-doc link resolves, and no public doc links an
 # item its reader cannot see — so deleting an item cannot leave a

@@ -79,7 +79,6 @@ thread_local! {
 /// was already running beside it.
 static WINDOW: AtomicU64 = AtomicU64::new(0);
 static WINDOW_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static HIST: [AtomicU64; 4096] = [const { AtomicU64::new(0) }; 4096];
 
 /// Held by every test that opens a window or starts threads: one open
 /// window at a time (two would close each other's and count each
@@ -102,7 +101,6 @@ fn note(size: usize) {
     }));
     if window != 0 && born_in == Ok(window) {
         WINDOW_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        HIST[size.min(4095)].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -453,7 +451,6 @@ fn a_cold_resolve_transaction_allocates_at_most_4_5_times() {
             .unwrap()
     };
     let (single, double) = (cold_allocs(N), cold_allocs(2 * N));
-    for (i, h) in HIST.iter().enumerate() { let v = h.load(Ordering::Relaxed); if v > 1000 { eprintln!("DBG size {i}: {v}"); } }
     server.shutdown();
     let per_txn = (double - single) as f64 / N as f64;
     eprintln!("alloc-budget cold resolve(): {per_txn:.2} per transaction (budget 4.5)");

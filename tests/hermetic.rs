@@ -235,3 +235,20 @@ fn every_crate_but_the_mmsg_shim_forbids_unsafe_code() {
     }
     assert!(checked >= 13, "crate scan looks broken: only {checked} lib.rs files checked");
 }
+
+/// The workspace has one build configuration: no manifest declares a
+/// cargo feature, so no compile-time switch can fork the code into a
+/// second configuration that one `cargo test` never builds.
+#[test]
+fn no_manifest_declares_a_cargo_feature() {
+    let declaring: Vec<String> = workspace_manifests()
+        .into_iter()
+        .filter(|manifest| {
+            let text = std::fs::read_to_string(manifest)
+                .unwrap_or_else(|e| panic!("read {}: {e}", manifest.display()));
+            text.lines().any(|l| l.trim() == "[features]")
+        })
+        .map(|manifest| manifest.display().to_string())
+        .collect();
+    assert!(declaring.is_empty(), "[features] tables found in:\n{}", declaring.join("\n"));
+}
