@@ -35,5 +35,5 @@ mod store;
 pub use clock::{CacheTime, Clock, FixedClock, Secs, WallClock};
 pub use store::{
     negative_ttl, soa_negative_ttl, CacheConfig, CacheStats, CachedResponse, EntryKind, Hit,
-    QuestionHasher, RecordCache, STALE_TTL,
+    QuestionHasher, RecordCache, NEGATIVE_TTL_WITHOUT_SOA, STALE_TTL,
 };

@@ -153,11 +153,15 @@ pub struct CacheConfig {
     pub max_stale_s: u32,
 }
 
+/// How long a negative answer (NODATA/NXDOMAIN) that carries no SOA
+/// lives: RFC 2308 gives it no lifetime, so both resolvers use this one.
+pub const NEGATIVE_TTL_WITHOUT_SOA: u32 = 300;
+
 /// The RFC 2308 lifetime of `reply` as a negative answer:
 /// `min(SOA.minimum, SOA.ttl)` of the authority section's SOA, or
-/// `default` when the reply carries none.
-pub fn negative_ttl(reply: &Message, default: u32) -> u32 {
-    reply.authorities.iter().find_map(soa_negative_ttl).unwrap_or(default)
+/// [`NEGATIVE_TTL_WITHOUT_SOA`] when the reply carries none.
+pub fn negative_ttl(reply: &Message) -> u32 {
+    reply.authorities.iter().find_map(soa_negative_ttl).unwrap_or(NEGATIVE_TTL_WITHOUT_SOA)
 }
 
 /// `min(SOA.minimum, SOA.ttl)` when `record` is an SOA: the lifetime it
@@ -331,15 +335,8 @@ impl RecordCache {
     /// the RFC 2308 value [`negative_ttl`] takes from the reply. The
     /// caller has already judged `reply` an answer to (`qname`,
     /// `qtype`).
-    pub fn insert_reply(
-        &mut self,
-        qname: &Name,
-        qtype: RType,
-        reply: &Message,
-        default_negative_ttl: u32,
-        now: CacheTime,
-    ) {
-        let negative_ttl = negative_ttl(reply, default_negative_ttl);
+    pub fn insert_reply(&mut self, qname: &Name, qtype: RType, reply: &Message, now: CacheTime) {
+        let negative_ttl = negative_ttl(reply);
         self.insert(qname.clone(), qtype, reply.answers.clone(), reply.rcode(), negative_ttl, now);
     }
 
@@ -725,20 +722,20 @@ mod tests {
     }
 
     /// The reply→entry rule both resolvers share: a negative reply
-    /// lives for min(SOA.minimum, SOA.ttl), the caller's default only
-    /// without an SOA, and a positive one for its own records' TTL.
+    /// lives for min(SOA.minimum, SOA.ttl), `NEGATIVE_TTL_WITHOUT_SOA`
+    /// only without an SOA, and a positive one for its own records' TTL.
     #[test]
     fn insert_reply_takes_the_negative_ttl_from_the_soa() {
         let q = Message::iterative_query(1, name("gone.nl"), RType::A);
         let mut nx = Message::response_to(&q, Rcode::NxDomain);
         let mut c = RecordCache::new();
-        c.insert_reply(&name("bare.nl"), RType::A, &nx, 300, t(0));
+        c.insert_reply(&name("bare.nl"), RType::A, &nx, t(0));
         assert!(c.get(&name("bare.nl"), RType::A, t(299)).is_some(), "no SOA: the default");
         assert!(c.get(&name("bare.nl"), RType::A, t(300)).is_none());
         for (owner, soa_ttl, minimum, lives) in [("min.nl", 3600, 60, 60), ("ttl.nl", 30, 60, 30)] {
             let soa = Soa::new(name("ns1.nl"), name("hostmaster.nl"), 1, 7200, 3600, 86400, minimum);
             nx.authorities = vec![Record::new(name("nl"), soa_ttl, RData::Soa(soa))];
-            c.insert_reply(&name(owner), RType::A, &nx, 300, t(0));
+            c.insert_reply(&name(owner), RType::A, &nx, t(0));
             let hit = c.get(&name(owner), RType::A, t(lives - 1)).expect("inside the negative TTL");
             assert_eq!(hit.kind, EntryKind::NxDomain);
             assert!(c.get(&name(owner), RType::A, t(lives)).is_none(), "{owner} outlived {lives}s");
@@ -746,7 +743,7 @@ mod tests {
         let mut pos = Message::response_to(&q, Rcode::NoError);
         pos.answers.push(txt_record("gone.nl", 5));
         pos.authorities = nx.authorities.clone();
-        c.insert_reply(&name("gone.nl"), RType::A, &pos, 300, t(0));
+        c.insert_reply(&name("gone.nl"), RType::A, &pos, t(0));
         assert_eq!(c.get(&name("gone.nl"), RType::A, t(4)).unwrap().kind, EntryKind::Positive);
         assert!(c.get(&name("gone.nl"), RType::A, t(5)).is_none(), "answers keep their own TTL");
     }

@@ -189,11 +189,11 @@ macro_rules! fail_if {
 }
 
 /// Starts a telemetry collector. With a `registry`, the collector is
-/// registered here, once, where it is created: its books feed
-/// `dnswild_trace_events_total{kind}` — one series per
-/// `TelemetrySnapshot` field, whose `overflow` kind the watchdog's
-/// ring-overflow law reads — and the worst client RTT it has drained
-/// the `dnswild_journey_slowest_rtt_ns` gauge, an exemplar pointing
+/// registered here, once, where it is created: its own books feed
+/// `dnswild_trace_events_total{kind}` — `events` and `overflow`, one
+/// series per `TraceSummary` field; the watchdog's ring-overflow law
+/// reads the second — and the worst client RTT it has drained the
+/// `dnswild_journey_slowest_rtt_ns` gauge, an exemplar pointing
 /// dashboards at a concrete slow query (`explain <trace> --slowest 1`)
 /// rather than a histogram bucket.
 pub fn start_collector(
@@ -205,7 +205,7 @@ pub fn start_collector(
         let books = Arc::clone(&collector);
         registry.mirror_counters(
             inputs::TRACE_EVENTS,
-            "trace collector books, one series per TelemetrySnapshot field",
+            "trace collector books: events written, events dropped",
             &[],
             move || books.snapshot(),
         );
@@ -213,8 +213,8 @@ pub fn start_collector(
             "dnswild_journey_slowest_rtt_ns",
             "worst client RTT in the trace so far",
         );
-        let cell = collector.snapshot_cell();
-        registry.on_scrape(move || slowest.set(cell.journey_slowest_ns() as f64));
+        let drained = Arc::clone(&collector);
+        registry.on_scrape(move || slowest.set(drained.journey_slowest_ns() as f64));
     }
     Ok(collector)
 }

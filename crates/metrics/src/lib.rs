@@ -11,8 +11,7 @@
 //! path degrading and in which stage? This crate provides:
 //!
 //! * [`registry`] — a process-wide [`Registry`] of named metrics:
-//!   per-worker *sharded* atomic [`Counter`]s (cache-line-padded shards,
-//!   thread-local shard assignment, lock-free sum on scrape), f64
+//!   atomic [`Counter`]s, which mirror ledgers kept by their owners, f64
 //!   [`Gauge`]s, and log-bucketed [`LogHistogram`]s — the telemetry
 //!   crate's one histogram type, re-exported here, so every percentile
 //!   in the workspace is quantised identically.

@@ -6,47 +6,23 @@
 //! touches the registry lock. The lock only guards the name→handle
 //! table, taken on registration and on scrape — both rare.
 //!
-//! Counters are *sharded*: each holds a small array of cache-line-padded
-//! atomics and every thread picks a home shard once (a thread-local slot
-//! assigned round-robin), so concurrent workers bump disjoint cache
-//! lines and a scrape sums the shards lock-free. This is the
-//! write-heavy/read-rare trade the serving hot path wants.
+//! No serving, client, proxy or drain loop writes a registry counter:
+//! each ledger lives with its owner and is mirrored in on read
+//! ([`Registry::mirror_counters`]), so a [`Counter`]'s writers are the
+//! mirror hooks, which run under their own lock, and the watchdog's
+//! once-per-interval tick. One plain atomic is all that needs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::counters::CounterSet;
 use crate::LogHistogram;
 
-/// Shard count per counter. Power of two, sized to cover typical worker
-/// thread counts (the netio front-end caps at 8 workers) without
-/// bloating every counter.
-const SHARDS: usize = 16;
-
-/// One cache line worth of counter so two shards never false-share.
+/// A monotone event counter.
 #[derive(Debug, Default)]
-#[repr(align(64))]
-struct Shard(AtomicU64);
-
-/// Round-robin source of per-thread shard slots.
-static NEXT_SHARD_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's home shard slot, assigned once on first use.
-    static SHARD_SLOT: usize = NEXT_SHARD_SLOT.fetch_add(1, Ordering::Relaxed);
-}
-
-fn my_shard() -> usize {
-    SHARD_SLOT.with(|s| *s) % SHARDS
-}
-
-/// A monotone event counter, sharded across cache-line-padded atomics.
-#[derive(Debug, Default)]
-pub struct Counter {
-    shards: [Shard; SHARDS],
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// Adds one.
@@ -55,15 +31,15 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n` into this thread's home shard.
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[my_shard()].0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Lock-free sum over all shards.
+    /// The count so far.
     pub fn value(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -89,7 +65,7 @@ impl Gauge {
 /// The handle held by one registered metric.
 #[derive(Debug, Clone)]
 pub enum MetricValue {
-    /// A sharded monotone counter.
+    /// A monotone counter.
     Counter(Arc<Counter>),
     /// An instantaneous f64 gauge.
     Gauge(Arc<Gauge>),
@@ -131,8 +107,8 @@ pub struct Registry {
     inner: Mutex<Inner>,
     /// Callbacks run before every read of the registry ([`Registry::render`],
     /// [`Registry::counters`], [`Registry::gauges`]) — they refresh the
-    /// series that mirror counters living elsewhere (the telemetry
-    /// collector's snapshot cell, the serving plane's shard cells).
+    /// series that mirror counters living elsewhere (the trace
+    /// collector's books, the serving plane's shard cells).
     scrape_hooks: Mutex<Vec<ScrapeHook>>,
 }
 
@@ -433,7 +409,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_shards_sum_across_threads() {
+    fn counter_sums_across_threads() {
         let reg = Registry::new();
         let c = reg.counter("test_total", "a test counter");
         let mut joins = Vec::new();

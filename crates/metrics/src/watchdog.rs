@@ -34,9 +34,9 @@ pub mod inputs {
     /// `ClientStats` field). The SERVFAIL law reads the `txns` and
     /// `servfail` kinds.
     pub const CLIENT_EVENTS: &str = "dnswild_client_events_total";
-    /// The trace collector's ledger (label `kind`, one series per
-    /// `TelemetrySnapshot` field). The overflow law reads the `overflow`
-    /// kind.
+    /// The trace collector's books (label `kind`: `events` and
+    /// `overflow`, one series per `TraceSummary` field). The overflow
+    /// law reads the `overflow` kind.
     pub const TRACE_EVENTS: &str = "dnswild_trace_events_total";
     /// Per-auth server outcome counters (labels `auth`, `kind`). The
     /// attack-pressure law reads the `queries`, `rrl_dropped` and

@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use detrand::{splitmix64, DetRng};
 use dnswild_cache::{soa_negative_ttl, CacheConfig, CacheStats, CacheTime, Clock, EntryKind, Hit,
-    QuestionHasher, RecordCache, WallClock};
+    QuestionHasher, RecordCache, WallClock, NEGATIVE_TTL_WITHOUT_SOA};
 use dnswild_metrics::{counter_set, watchdog::inputs, AtomicSet, Hook, Registry};
 use dnswild_mmsg::PollFd;
 use dnswild_netsim::{SimAddr, SimDuration, SimTime};
@@ -95,10 +95,6 @@ pub const DRAIN_WINDOW: Duration = Duration::from_millis(200);
 /// cell. A publish is a few atomic adds; once per transaction, that was
 /// ~4% of a warm (cache-hit) transaction on a 2-vCPU host.
 const PUBLISH_EVERY: u64 = 64;
-
-/// Negative TTL when an NXDOMAIN/NODATA reply carries no SOA to take
-/// the RFC 2308 minimum from (matches the sim resolver's default).
-const DEFAULT_NEGATIVE_TTL: u32 = 300;
 
 /// Most shards a [`SharedCache`] splits into. Two lanes rarely meet
 /// on one of sixteen locks; past sixteen loop threads a seventeenth shard
@@ -1409,7 +1405,7 @@ fn classify(payload: &[u8], sent: &[Attempt], qname: &Name) -> Reply {
         Rcode::FormErr | Rcode::NotImp => Reply::FormErr,
         Rcode::Refused | Rcode::ServFail => Reply::Lame { attempt },
         Rcode::NoError | Rcode::NxDomain if answer.asked => {
-            let negative_ttl = negative_ttl.unwrap_or(DEFAULT_NEGATIVE_TTL);
+            let negative_ttl = negative_ttl.unwrap_or(NEGATIVE_TTL_WITHOUT_SOA);
             Reply::Answer { attempt, answer, negative_ttl }
         }
         _ => Reply::Mismatch,
@@ -1815,7 +1811,7 @@ mod tests {
     }
 
     /// A one-record TXT answer to `qname`, or (TTL `None`) a bare
-    /// NXDOMAIN, which lives for [`DEFAULT_NEGATIVE_TTL`].
+    /// NXDOMAIN, which lives for [`NEGATIVE_TTL_WITHOUT_SOA`].
     fn reply_to(qname: &Name, ttl: Option<u32>) -> Message {
         let query = Message::iterative_query(1, qname.clone(), RType::Txt);
         let Some(ttl) = ttl else {
@@ -1866,7 +1862,7 @@ mod tests {
                 0..=2 => {
                     let ttl = (rng.gen_range(0..8u32) > 0).then(|| rng.gen_range(0..15u32));
                     let reply = reply_to(qname, ttl);
-                    single.insert_reply(qname, RType::Txt, &reply, DEFAULT_NEGATIVE_TTL, now);
+                    single.insert_reply(qname, RType::Txt, &reply, now);
                     insert_as_lane(&shared, qname, &reply);
                 }
                 3 => assert_eq!(
@@ -2006,7 +2002,7 @@ mod tests {
             }
             if single.probe(qname, RType::Txt, now).is_none() {
                 misses[1][i] += 1;
-                single.insert_reply(qname, RType::Txt, &reply, DEFAULT_NEGATIVE_TTL, now);
+                single.insert_reply(qname, RType::Txt, &reply, now);
             }
         }
         assert_eq!(misses[0], misses[1], "both caches send the same upstream stream");

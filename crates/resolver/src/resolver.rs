@@ -56,8 +56,6 @@ const RTO_FLOOR: SimDuration = SimDuration::from_millis(50);
 const RTO_CEIL: SimDuration = SimDuration::from_secs(5);
 /// Total attempts (first try plus retries) before SERVFAIL.
 const MAX_TRIES: u32 = 4;
-/// TTL used for caching negative responses lacking an SOA.
-const DEFAULT_NEGATIVE_TTL: u32 = 300;
 /// The identity string returned for CHAOS-class `hostname.bind` /
 /// `id.server` queries.
 const IDENTITY: &str = "recursive.invalid";
@@ -474,7 +472,7 @@ impl RecursiveResolver {
         // Answer first, then move the reply into the cache: the entry
         // `insert_reply` would make, without copying name or records.
         self.answer_stub(ctx, p.stub_addr, p.stub_id, &p.qname, p.qtype, &resp.answers, rcode);
-        let negative_ttl = negative_ttl(&resp, DEFAULT_NEGATIVE_TTL);
+        let negative_ttl = negative_ttl(&resp);
         self.cache.insert(p.qname, p.qtype, resp.answers, rcode, negative_ttl, cache_now(now));
     }
 

@@ -31,7 +31,6 @@
 //! allocates: the decoded query's question vector, its qname and its
 //! additional-section vector; a CHAOS answer's TXT.)
 
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,7 +40,6 @@ use dnswild_proto::{
     Rcode, Section, EXTENDED_RCODE_BADVERS, MAX_NAME_LEN, MIN_EDNS_PAYLOAD,
 };
 use dnswild_metrics::{Stage, StageClock, StageSpans};
-use dnswild_telemetry::SnapshotCell;
 use dnswild_zone::presets::SITE_PLACEHOLDER;
 use dnswild_zone::{Lookup, Zone};
 
@@ -336,17 +334,6 @@ pub struct AnswerEngine {
     site_txt: RData,
     zones: Arc<Vec<Zone>>,
     stats: ServerStats,
-    /// Live telemetry counters, when the serving plane runs with a
-    /// collector attached. `None` everywhere else — in particular the
-    /// simulation plane never sets it, which keeps the `exp_*` outputs
-    /// byte-identical (a `stats.dnswild.` query is REFUSED there, as
-    /// before).
-    telemetry: Option<Arc<SnapshotCell>>,
-    /// Process-level introspection for the `stats.dnswild.` answer
-    /// (uptime epoch, whether a metrics endpoint is up). Set by the
-    /// serving plane, never by the simulator — when `None` the answer
-    /// keeps its original four-field shape.
-    introspect: Option<Introspection>,
     /// How this site negotiates EDNS sizes and truncates UDP answers.
     policy: TruncationPolicy,
     /// Response-rate limiter, shared across every fork of this engine
@@ -356,16 +343,6 @@ pub struct AnswerEngine {
     rrl: Option<SharedRateLimiter>,
     /// `{verdict}` decision-time histograms, when metered.
     verdict_spans: Option<VerdictSpans>,
-}
-
-/// What the serving plane tells the engine about itself, echoed in the
-/// `CH TXT stats.dnswild.` answer.
-#[derive(Debug, Clone, Copy)]
-pub struct Introspection {
-    /// When the serving plane started (uptime is measured from here).
-    pub started: Instant,
-    /// Whether a live metrics endpoint is exposed.
-    pub metrics: bool,
 }
 
 impl AnswerEngine {
@@ -383,26 +360,10 @@ impl AnswerEngine {
             site_txt: RData::Txt(site_txt.expect("site code fits in a TXT string")),
             zones,
             stats: ServerStats::default(),
-            telemetry: None,
-            introspect: None,
             policy: TruncationPolicy::default(),
             rrl: None,
             verdict_spans: None,
         }
-    }
-
-    /// Enables the `CH TXT stats.dnswild.` introspection answer, served
-    /// from the given live telemetry counters.
-    pub fn with_telemetry(mut self, cell: Arc<SnapshotCell>) -> Self {
-        self.telemetry = Some(cell);
-        self
-    }
-
-    /// Extends the `stats.dnswild.` answer with process introspection
-    /// (uptime seconds plus trace/metrics enablement flags).
-    pub fn with_introspection(mut self, introspect: Introspection) -> Self {
-        self.introspect = Some(introspect);
-        self
     }
 
     /// Sets this site's EDNS/truncation policy (default: advertise and
@@ -433,7 +394,7 @@ impl AnswerEngine {
     }
 
     /// A worker-private copy: same site identity, same shared zones and
-    /// telemetry cell, fresh counters.
+    /// limiter, fresh counters.
     pub fn fork(&self) -> AnswerEngine {
         AnswerEngine { stats: ServerStats::default(), ..self.clone() }
     }
@@ -468,53 +429,17 @@ impl AnswerEngine {
 
     /// The TXT payload a CHAOS question is answered with, if it is one
     /// this server answers: its site code for `hostname.bind` /
-    /// `id.server`, and — `stats.bind`-style, only with a telemetry
-    /// collector attached, so never in the simulation plane whose
-    /// outputs must stay byte-identical — the live counters for
-    /// `stats.dnswild`.
+    /// `id.server`. Any other CHAOS name is REFUSED.
     fn chaos_rdata(&self, question: &Question) -> Option<RData> {
         if question.qtype != RType::Txt {
             return None;
         }
-        let text = match question.qname.canonical_wire(&mut [0; MAX_NAME_LEN]) {
-            b"\x08hostname\x04bind\0" | b"\x02id\x06server\0" => Cow::from(&self.site_code),
-            b"\x05stats\x07dnswild\0" => Cow::from(self.stats_text(self.telemetry.as_deref()?)),
-            _ => return None,
-        };
-        Some(RData::Txt(Txt::from_string(&text).expect("identity line fits a TXT string")))
-    }
-
-    /// The `CH TXT stats.dnswild.` line, from the live telemetry snapshot
-    /// (queries seen, answered, decode errors, ring-overflow drops, the
-    /// recursive plane's cache hit/miss/stale tallies, and the limiter's
-    /// dropped/slipped counts).
-    fn stats_text(&self, cell: &SnapshotCell) -> String {
-        let snap = cell.snapshot();
-        let mut text = format!(
-            "seen={} answered={} decode_errors={} overflow={} cache={}/{}/{} rrl={}/{}",
-            snap.queries,
-            snap.answered,
-            snap.decode_errors,
-            snap.overflow,
-            snap.cache_hits,
-            snap.cache_misses,
-            snap.cache_stale,
-            snap.rrl_dropped,
-            snap.rrl_slipped
-        );
-        // With process introspection attached (serving plane only), the
-        // answer also carries uptime and which observability planes are
-        // up — cross-checkable against the scrape endpoint in one query.
-        if let Some(ins) = self.introspect {
-            use std::fmt::Write as _;
-            let _ = write!(
-                text,
-                " uptime_s={} trace=1 metrics={}",
-                ins.started.elapsed().as_secs(),
-                u8::from(ins.metrics)
-            );
+        match question.qname.canonical_wire(&mut [0; MAX_NAME_LEN]) {
+            b"\x08hostname\x04bind\0" | b"\x02id\x06server\0" => Some(RData::Txt(
+                Txt::from_string(&self.site_code).expect("site code fits in a TXT string"),
+            )),
+            _ => None,
         }
-        text
     }
 
     /// Runs a chargeable response past the shared limiter. `None` when
@@ -982,8 +907,8 @@ mod tests {
 
     #[test]
     fn stats_dnswild_refused_without_telemetry() {
-        // The sim plane never attaches a collector, so this stays
-        // REFUSED there — the exp_* outputs depend on it.
+        // The engine holds no telemetry and answers identity, not
+        // counters: each counter has its owner's scrape series.
         let mut q =
             Message::iterative_query(11, Name::parse("stats.dnswild").unwrap(), RType::Txt);
         q.questions[0].qclass = Class::Ch;
@@ -991,59 +916,6 @@ mod tests {
         assert_eq!(resp.unwrap().rcode(), Rcode::Refused);
         assert_eq!(stats.refused, 1);
         assert_eq!(stats.chaos, 0);
-    }
-
-    #[test]
-    fn stats_dnswild_answers_from_snapshot_when_traced() {
-        let cell = Arc::new(dnswild_telemetry::SnapshotCell::default());
-        let mut e = engine().with_telemetry(Arc::clone(&cell));
-        let mut q =
-            Message::iterative_query(12, Name::parse("stats.dnswild").unwrap(), RType::Txt);
-        q.questions[0].qclass = Class::Ch;
-        let payload = q.encode().unwrap();
-        let mut buf = Vec::new();
-        let handled = e.handle_packet(&payload, TransportKind::Udp, &mut buf);
-        assert!(handled.response);
-        assert_eq!(handled.rcode, Some(Rcode::NoError));
-        let resp = Message::decode(&buf).unwrap();
-        let RData::Txt(t) = &resp.answers[0].rdata else { panic!("not TXT") };
-        assert_eq!(
-            t.first_as_string(),
-            "seen=0 answered=0 decode_errors=0 overflow=0 cache=0/0/0 rrl=0/0"
-        );
-        assert_eq!(e.stats().chaos, 1);
-        // The fork keeps the telemetry hookup.
-        let mut f = e.fork();
-        assert!(f.handle_packet(&payload, TransportKind::Udp, &mut buf).response);
-        assert_eq!(f.stats().chaos, 1);
-        assert_eq!(f.stats().refused, 0);
-    }
-
-    #[test]
-    fn stats_dnswild_carries_uptime_and_plane_flags_with_introspection() {
-        let cell = Arc::new(dnswild_telemetry::SnapshotCell::default());
-        let e = engine()
-            .with_telemetry(cell)
-            .with_introspection(Introspection { started: Instant::now(), metrics: true });
-        let mut q =
-            Message::iterative_query(21, Name::parse("stats.dnswild").unwrap(), RType::Txt);
-        q.questions[0].qclass = Class::Ch;
-        let payload = q.encode().unwrap();
-        let mut buf = Vec::new();
-        // The fork keeps the introspection hookup, like the telemetry one.
-        let mut f = e.fork();
-        assert!(f.handle_packet(&payload, TransportKind::Udp, &mut buf).response);
-        let resp = Message::decode(&buf).unwrap();
-        let RData::Txt(t) = &resp.answers[0].rdata else { panic!("not TXT") };
-        let text = t.first_as_string();
-        assert!(
-            text.starts_with(
-                "seen=0 answered=0 decode_errors=0 overflow=0 cache=0/0/0 rrl=0/0 uptime_s="
-            ),
-            "got {text:?}"
-        );
-        assert!(text.ends_with(" trace=1 metrics=1"), "got {text:?}");
-        let _ = e;
     }
 
     #[test]

@@ -35,8 +35,7 @@ use dnswild_proto::{Header, Name, Question, RType, WireReader};
 use dnswild_zone::Zone;
 
 pub use engine::{
-    AnswerEngine, HandledPacket, Introspection, PacketClass, ServerStats, TransportKind,
-    TruncationPolicy,
+    AnswerEngine, HandledPacket, PacketClass, ServerStats, TransportKind, TruncationPolicy,
 };
 pub use rrl::{
     RateLimitPolicy, RateLimiter, RrlDecision, RrlScope, RrlVerdict, SharedRateLimiter,

@@ -1,8 +1,8 @@
 //! The collector: owns the trace file, hands out per-worker producers,
 //! and runs the drain thread that moves events from the SPSC rings into
-//! the trace and the counter snapshot. The trace is the one journey
-//! store: per-query timelines, slowest and failed journeys alike, are
-//! read back from it (`dnswild explain`), never kept a second time here.
+//! the trace. The trace is the one journey store: per-query timelines,
+//! slowest and failed journeys alike, are read back from it (`dnswild
+//! explain`), never kept a second time here.
 //!
 //! Producers register dynamically (chaos-proxy sessions spawn threads
 //! on demand), so the ring list sits behind a mutex — but that mutex is
@@ -16,11 +16,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dnswild_ledger::AtomicSet;
-
-use crate::event::{
-    EventKind, TraceEvent, FLAG_DECODE_ERROR, FLAG_RESPONSE, FLAG_RRL, FLAG_TIMEOUT,
-};
+use crate::event::{EventKind, TraceEvent};
 use crate::ring::SpscRing;
 use crate::trace::TraceWriter;
 
@@ -76,107 +72,27 @@ impl CollectorConfig {
 }
 
 dnswild_ledger::counter_set! {
-    /// The collector's books: what the drain thread has swept so far.
-    /// The labels are the `kind`s of the scraped
-    /// `dnswild_trace_events_total`.
-    pub struct TelemetrySnapshot {
-        /// Events drained so far (all kinds).
+    /// The collector's books: what the trace holds and what the rings
+    /// dropped. [`Collector::finish`] returns the final ones and
+    /// [`Collector::snapshot`] the live ones; the labels are the `kind`s
+    /// of the scraped `dnswild_trace_events_total`. What the events
+    /// *say* (queries, answers, cache and limiter outcomes) is counted
+    /// by its owner, not here.
+    pub struct TraceSummary {
+        /// Events drained into the trace.
         events => "events",
-        /// Server-side well-formed queries seen.
-        queries => "queries",
-        /// Of those, how many got a response datagram.
-        answered => "answered",
-        /// Events carrying the decode-error flag.
-        decode_errors => "decode_errors",
-        /// Ring-overflow drops observed so far.
+        /// Events dropped because their ring was full.
         overflow => "overflow",
-        /// Record-cache lookups answered from a live entry.
-        cache_hits => "cache_hits",
-        /// Record-cache lookups that went to the wire.
-        cache_misses => "cache_misses",
-        /// Record-cache lookups answered stale (RFC 8767).
-        cache_stale => "cache_stale",
-        /// Server responses suppressed by response-rate limiting.
-        rrl_dropped => "rrl_dropped",
-        /// Server responses slipped as TC=1 by response-rate limiting.
-        rrl_slipped => "rrl_slipped",
     }
-}
-
-impl TelemetrySnapshot {
-    /// Counts one drained event.
-    fn count(&mut self, ev: &TraceEvent) {
-        self.events += 1;
-        if ev.kind == EventKind::ServerQuery {
-            self.queries += 1;
-            self.answered += u64::from(ev.flags & FLAG_RESPONSE != 0);
-            // The limiter's verdict rides on the server event: a slip
-            // still sent a (TC=1) response, a drop sent nothing.
-            if ev.flags & FLAG_RRL != 0 {
-                if ev.flags & FLAG_RESPONSE != 0 {
-                    self.rrl_slipped += 1;
-                } else {
-                    self.rrl_dropped += 1;
-                }
-            }
-        }
-        if ev.kind == EventKind::CacheLookup {
-            if ev.flags & FLAG_RESPONSE != 0 {
-                self.cache_hits += 1;
-            } else if ev.flags & FLAG_TIMEOUT != 0 {
-                self.cache_stale += 1;
-            } else {
-                self.cache_misses += 1;
-            }
-        }
-        self.decode_errors += u64::from(ev.flags & FLAG_DECODE_ERROR != 0);
-    }
-}
-
-/// The drain thread's published books, cheap enough to read from
-/// anywhere (the engine's `CH TXT stats.dnswild.` answer reads one of
-/// these). The drain thread is the only writer: one delta per sweep.
-#[derive(Debug, Default)]
-pub struct SnapshotCell {
-    counts: AtomicSet<TelemetrySnapshot, 10>,
-    /// Worst client RTT drained so far — a gauge, so it lives beside
-    /// the counters rather than among them.
-    journey_slowest_ns: AtomicU64,
-}
-
-impl SnapshotCell {
-    /// Publishes one sweep: the events it drained, the growth of the
-    /// ring-overflow total kept elsewhere, and the sweep's worst client
-    /// RTT.
-    fn publish(&self, mut sweep: TelemetrySnapshot, overflow: u64, slowest_ns: u64) {
-        sweep.overflow = overflow.saturating_sub(self.counts.snapshot().overflow);
-        self.counts.add(sweep);
-        self.journey_slowest_ns.fetch_max(slowest_ns, Ordering::Relaxed);
-    }
-
-    /// The books as of the last sweep.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.counts.snapshot()
-    }
-
-    /// Worst `ClientQuery` latency drained so far (exemplar): `explain
-    /// <trace> --slowest 1` prints that journey's timeline.
-    pub fn journey_slowest_ns(&self) -> u64 {
-        self.journey_slowest_ns.load(Ordering::Relaxed)
-    }
-}
-
-/// What the trace ended up holding, returned by [`Collector::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceSummary {
-    pub events: u64,
-    pub overflow: u64,
 }
 
 struct Shared {
     rings: Mutex<Vec<Arc<SpscRing>>>,
     stop: AtomicBool,
-    snapshot: Arc<SnapshotCell>,
+    /// Events drained so far; the drain thread is the only writer.
+    events: AtomicU64,
+    /// Worst `ClientQuery` latency drained so far.
+    journey_slowest_ns: AtomicU64,
     /// Overflow carried over from retired rings (producer dropped,
     /// backlog fully drained), so the footer never loses drops.
     retired_overflow: AtomicU64,
@@ -247,8 +163,8 @@ impl Drop for Producer {
     }
 }
 
-/// The drain thread's join handle; it reports `(events, bytes)` written.
-type DrainHandle = thread::JoinHandle<io::Result<(u64, u64)>>;
+/// The drain thread's join handle; it reports the final books.
+type DrainHandle = thread::JoinHandle<io::Result<TraceSummary>>;
 
 pub struct Collector {
     shared: Arc<Shared>,
@@ -273,7 +189,8 @@ impl Collector {
         let shared = Arc::new(Shared {
             rings: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
-            snapshot: Arc::new(SnapshotCell::default()),
+            events: AtomicU64::new(0),
+            journey_slowest_ns: AtomicU64::new(0),
             retired_overflow: AtomicU64::new(0),
             wake_lock: Mutex::new(()),
             wake_cv: Condvar::new(),
@@ -309,18 +226,20 @@ impl Collector {
         self.shared.rings.lock().unwrap().len()
     }
 
-    /// Live counters: drained events only — the gap to the rings is at
+    /// Live books: drained events only — the gap to the rings is at
     /// most one drain interval's worth — but ring overflow as the rings
     /// count it now, so a drop is visible before the next sweep.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let overflow = self.shared.total_overflow();
-        TelemetrySnapshot { overflow, ..self.shared.snapshot.snapshot() }
+    pub fn snapshot(&self) -> TraceSummary {
+        TraceSummary {
+            events: self.shared.events.load(Ordering::Relaxed),
+            overflow: self.shared.total_overflow(),
+        }
     }
 
-    /// Handle for the engine's `stats.dnswild.` answer path: the cell
-    /// keeps updating as long as the drain thread runs.
-    pub fn snapshot_cell(&self) -> Arc<SnapshotCell> {
-        Arc::clone(&self.shared.snapshot)
+    /// Worst `ClientQuery` latency drained so far (exemplar): `explain
+    /// <trace> --slowest 1` prints that journey's timeline.
+    pub fn journey_slowest_ns(&self) -> u64 {
+        self.shared.journey_slowest_ns.load(Ordering::Relaxed)
     }
 
     /// Stop the drain thread, drain whatever is left in the rings,
@@ -339,10 +258,7 @@ impl Collector {
             let _guard = self.shared.wake_lock.lock().unwrap();
             self.shared.wake_cv.notify_all();
         }
-        let (events, overflow) = handle
-            .join()
-            .map_err(|_| io::Error::other("telemetry drain thread panicked"))??;
-        Ok(TraceSummary { events, overflow })
+        handle.join().map_err(|_| io::Error::other("telemetry drain thread panicked"))?
     }
 }
 
@@ -350,18 +266,16 @@ fn drain_loop(
     shared: Arc<Shared>,
     mut writer: TraceWriter<std::io::BufWriter<std::fs::File>>,
     interval: Duration,
-) -> io::Result<(u64, u64)> {
+) -> io::Result<TraceSummary> {
     loop {
         let stopping = shared.stop.load(Ordering::Acquire);
         // Snapshot the ring list, then sweep without holding the lock
         // so registration never contends with producers.
         let rings: Vec<Arc<SpscRing>> = shared.rings.lock().unwrap().clone();
-        let mut sweep = TelemetrySnapshot::default();
         let mut slowest_ns = 0;
         for ring in &rings {
             while let Some(ev) = ring.pop() {
                 writer.write_event(&ev)?;
-                sweep.count(&ev);
                 if ev.kind == EventKind::ClientQuery {
                     slowest_ns = slowest_ns.max(u64::from(ev.latency_ns));
                 }
@@ -381,14 +295,15 @@ fn drain_loop(
                 }
             });
         }
-        let overflow = shared.total_overflow();
-        shared.snapshot.publish(sweep, overflow, slowest_ns);
+        let events = writer.events_written();
+        shared.events.store(events, Ordering::Relaxed);
+        shared.journey_slowest_ns.fetch_max(slowest_ns, Ordering::Relaxed);
         if stopping {
             // One final sweep happened above (stop was read before the
             // sweep), so every event pushed before `finish` is in.
-            let events = writer.events_written();
+            let overflow = shared.total_overflow();
             writer.finish(overflow)?;
-            return Ok((events, overflow));
+            return Ok(TraceSummary { events, overflow });
         }
         // Always wait out the interval between sweeps — each sweep
         // empties the rings entirely, so pacing costs nothing, and a
@@ -405,7 +320,7 @@ fn drain_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, RCODE_NONE};
+    use crate::event::{EventKind, FLAG_RESPONSE, RCODE_NONE};
     use crate::trace::Trace;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -425,8 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_snapshot_covers_every_field() {
-        dnswild_ledger::assert_counter_set_covers_every_field::<TelemetrySnapshot, 10>();
+    fn trace_summary_covers_every_field() {
+        dnswild_ledger::assert_counter_set_covers_every_field::<TraceSummary, 2>();
     }
 
     #[test]
@@ -461,32 +376,24 @@ mod tests {
     fn snapshot_counters_and_slowest_client_rtt_track_events() {
         let path = temp_path("snap");
         let collector = Collector::start(CollectorConfig::new(&path).auths(["FRA"])).unwrap();
-        let cell = collector.snapshot_cell();
         let p = collector.producer();
         for i in 0..100u32 {
             p.record(&server_event(&p, i, i < 90));
         }
-        let mut bad = TraceEvent::new(EventKind::ServerBad);
-        bad.flags = FLAG_DECODE_ERROR;
-        p.record(&bad);
         // Only client attempts set the slowest-RTT gauge: the server
         // events above carry larger latencies than this one.
         let mut client = TraceEvent::new(EventKind::ClientQuery);
         client.latency_ns = 500;
         p.record(&client);
-        // Wait for the drain thread to catch up, then check the cell.
+        // Wait for the drain thread to catch up, then check the books.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while cell.snapshot().events < 102 && Instant::now() < deadline {
+        while collector.snapshot().events < 101 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(1));
         }
-        let snap = cell.snapshot();
-        assert_eq!(snap.events, 102);
-        assert_eq!(snap.queries, 100);
-        assert_eq!(snap.answered, 90);
-        assert_eq!(snap.decode_errors, 1);
-        assert_eq!(cell.journey_slowest_ns(), 500);
+        assert_eq!(collector.snapshot(), TraceSummary { events: 101, overflow: 0 });
+        assert_eq!(collector.journey_slowest_ns(), 500);
         let summary = collector.finish().unwrap();
-        assert_eq!(summary.events, 102);
+        assert_eq!(summary, collector.snapshot(), "the live books end as the footer");
         std::fs::remove_file(&path).ok();
     }
 

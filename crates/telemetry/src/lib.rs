@@ -6,10 +6,12 @@
 //! plane (and, optionally, by the load/resolver clients and the chaos
 //! proxies) is recorded as one compact fixed-size [`Event`] in a
 //! per-producer lock-free SPSC ring. A background drain thread spills
-//! the rings into a versioned binary trace file (the `trace` module) and keeps
-//! streaming counters ([`SnapshotCell`]) up to date. The trace is the
-//! one store of per-query journeys; the workspace's one histogram type
-//! ([`LogHistogram`]) lives here too, for the metrics registry.
+//! the rings into a versioned binary trace file (the `trace` module)
+//! and keeps only its own books ([`TraceSummary`]: events written,
+//! events dropped); what the events say is counted by their owners.
+//! The trace is the one store of per-query journeys; the workspace's
+//! one histogram type ([`LogHistogram`]) lives here too, for the
+//! metrics registry.
 //!
 //! Design rules, in priority order:
 //!
@@ -33,9 +35,7 @@ mod ring;
 pub mod stats;
 mod trace;
 
-pub use collector::{
-    Collector, CollectorConfig, Producer, SnapshotCell, TelemetrySnapshot, TraceClock, TraceSummary,
-};
+pub use collector::{Collector, CollectorConfig, Producer, TraceClock, TraceSummary};
 pub use event::{
     hash_bytes, hash_socket_addr, journey_from_payload, journey_id, qname_hash32, EventKind,
     TraceEvent as Event, FLAG_CHAOS_CORRUPT, FLAG_CHAOS_DELAY, FLAG_CHAOS_DROP, FLAG_CHAOS_DUP,

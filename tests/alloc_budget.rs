@@ -341,7 +341,7 @@ fn cache_probes_allocate_nothing_and_entries_cost_stated_bytes() {
         let mut cache = RecordCache::new();
         for qname in &names {
             let reply = probe_reply(&mut engine, qname, &mut buf);
-            cache.insert_reply(qname, RType::Txt, &reply, 300, CacheTime::ZERO);
+            cache.insert_reply(qname, RType::Txt, &reply, CacheTime::ZERO);
         }
         cache
     });

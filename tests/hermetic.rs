@@ -194,6 +194,25 @@ fn ledger_crate_is_dependency_free_and_safe() {
     );
 }
 
+/// The answer engine answers; the trace crate records. An engine that
+/// reached into the collector's books once served a second copy of
+/// counters its owners already keep, so the server crate must not list
+/// the trace crate at all.
+#[test]
+fn the_answer_engine_does_not_depend_on_the_trace_crate() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/server/Cargo.toml");
+    assert!(
+        workspace_manifests().contains(&manifest),
+        "server manifest not picked up by the workspace scan"
+    );
+    let trace_deps: Vec<String> = dependency_sections(&manifest)
+        .into_iter()
+        .filter(|e| e.line.split_once('=').is_some_and(|(name, _)| name.trim() == "dnswild-telemetry"))
+        .map(|e| format!("[{}] line {}: {}", e.section, e.line_no, e.line))
+        .collect();
+    assert!(trace_deps.is_empty(), "crates/server lists the trace crate:\n{}", trace_deps.join("\n"));
+}
+
 #[test]
 fn known_banned_crates_are_absent() {
     // The crates this workspace once pulled from the registry, plus

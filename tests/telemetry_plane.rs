@@ -1,8 +1,8 @@
 //! End-to-end tests of the telemetry plane over real loopback sockets:
 //! a traced serve + blast must close the books exactly against the
 //! server's own atomic counters, reproduce the same trace digest for
-//! the same seed, feed the paper's analyses, and gate the
-//! `stats.dnswild.` introspection answer on tracing being enabled.
+//! the same seed, and feed the paper's analyses; tracing adds no
+//! answer of its own (`CH TXT stats.dnswild.` stays REFUSED).
 
 use std::net::UdpSocket;
 use std::path::PathBuf;
@@ -12,7 +12,7 @@ use std::time::Duration;
 use dnswild::lab::{origin, run, GateReport, Rig, Scenario};
 use dnswild_analysis::{trace_auth_counts, trace_client_counts, trace_to_measurement};
 use dnswild_netio::{serve, Collector, CollectorConfig, ServeConfig, Trace};
-use dnswild_proto::{Class, Message, Name, RData, RType, Rcode};
+use dnswild_proto::{Class, Message, Name, RType, Rcode};
 use dnswild_telemetry::EventKind;
 use dnswild_zone::presets::test_domain_zone;
 
@@ -86,7 +86,7 @@ fn trace_feeds_the_paper_analyses() {
 }
 
 #[test]
-fn stats_dnswild_answer_is_gated_on_tracing() {
+fn stats_dnswild_answer_is_refused_traced_or_not() {
     let zones = Arc::new(vec![test_domain_zone(&origin(), 2)]);
     let mut q = Message::iterative_query(7, Name::parse("stats.dnswild").unwrap(), RType::Txt);
     q.questions[0].qclass = Class::Ch;
@@ -94,32 +94,22 @@ fn stats_dnswild_answer_is_gated_on_tracing() {
     let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
     sock.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut buf = [0u8; 2048];
-
-    // Untraced server: REFUSED, exactly like the simulation plane.
-    let handle =
-        serve(ServeConfig::new("127.0.0.1:0", "FRA", Arc::clone(&zones)).threads(1)).unwrap();
-    sock.send_to(&payload, handle.local_addr()).unwrap();
-    let (n, _) = sock.recv_from(&mut buf).unwrap();
-    assert_eq!(Message::decode(&buf[..n]).unwrap().rcode(), Rcode::Refused);
-    handle.shutdown();
-
-    // Traced server: a TXT answer rendered from the live snapshot.
     let path = temp_trace("stats");
     let collector =
         Arc::new(Collector::start(CollectorConfig::new(&path).auths(["FRA"])).unwrap());
-    let handle = serve(
-        ServeConfig::new("127.0.0.1:0", "FRA", zones)
-            .threads(1)
-            .collector(Arc::clone(&collector), 0),
-    )
-    .unwrap();
-    sock.send_to(&payload, handle.local_addr()).unwrap();
-    let (n, _) = sock.recv_from(&mut buf).unwrap();
-    let resp = Message::decode(&buf[..n]).unwrap();
-    assert_eq!(resp.rcode(), Rcode::NoError);
-    let RData::Txt(t) = &resp.answers[0].rdata else { panic!("expected a TXT answer") };
-    assert!(t.first_as_string().starts_with("seen="), "got {:?}", t.first_as_string());
-    handle.shutdown();
+    for traced in [false, true] {
+        let mut config = ServeConfig::new("127.0.0.1:0", "FRA", Arc::clone(&zones)).threads(1);
+        if traced {
+            config = config.collector(Arc::clone(&collector), 0);
+        }
+        let handle = serve(config).unwrap();
+        sock.send_to(&payload, handle.local_addr()).unwrap();
+        let (n, _) = sock.recv_from(&mut buf).unwrap();
+        let resp = Message::decode(&buf[..n]).unwrap();
+        assert_eq!(resp.rcode(), Rcode::Refused, "traced={traced}: exactly like the simulator");
+        assert!(resp.answers.is_empty());
+        handle.shutdown();
+    }
     collector.finish().unwrap();
     std::fs::remove_file(&path).ok();
 }
